@@ -409,7 +409,6 @@ fn main() {
                     overload: dams_svc::OverloadConfig { load, ..base },
                     transport,
                     tenants,
-                    ..dams_svc::DiffConfig::default()
                 };
                 let o = dams_svc::run_differential(&cfg)
                     .unwrap_or_else(|e| die(&format!("runtime at load {load}x failed: {e}")));

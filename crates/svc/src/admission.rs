@@ -1,11 +1,10 @@
-//! The admission arithmetic shared by every service surface.
+//! The admission arithmetic: pure functions of one request's state.
 //!
-//! The virtual-tick [`Service`](crate::service::Service), the queueless
+//! The crate's admission engine, which the virtual-tick
+//! [`Service`](crate::service::Service), the queueless
 //! [`Frontend`](crate::frontend::Frontend), and the real
-//! [`runtime`](crate::runtime) must make *identical* decisions for the
-//! same request state — the differential oracle diffs their accounting,
-//! so any copy-paste drift between them would read as a (false)
-//! divergence. These helpers are that single code path:
+//! [`runtime`](crate::runtime) all run, makes its decisions with these
+//! helpers:
 //!
 //! * the reserve/grant split (`grant = (remaining − reserve) / tpc`);
 //! * the ladder choice while the breaker denies exact budgets;

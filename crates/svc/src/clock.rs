@@ -1,18 +1,16 @@
 //! One monotonic clock abstraction for tick-mode and wall-clock-mode.
 //!
 //! The circuit breaker, the retry scheduler, and the deadline arithmetic
-//! all reason in **ticks**. The virtual-tick service and the queueless
-//! [`Frontend`](crate::frontend::Frontend) advance a virtual tick counter
-//! by each call's priced work; the real runtime serves wall-clock callers.
-//! Before this abstraction the frontend kept its own `now: u64` field and
-//! a wall-clock runtime would have needed a *second* cooldown code path —
-//! and two code paths is how sim and runtime breaker state drift apart.
+//! all reason in **ticks**. The service's event loop (and the runtime's
+//! virtual pace, which shares it) reads its ticks off its event queue;
+//! the queueless [`Frontend`](crate::frontend::Frontend) advances a
+//! virtual tick counter by each call's priced work; the runtime's wall
+//! pace serves wall-clock callers.
 //!
-//! [`MonoClock`] is the single source of `now` for both:
+//! [`MonoClock`] is the source of `now` for the last two:
 //!
 //! * [`MonoClock::Ticks`] — a virtual counter advanced explicitly by
-//!   priced work. Deterministic; what the sim, the frontend, and the
-//!   differential-mode runtime use.
+//!   priced work. Deterministic; what the frontend uses.
 //! * [`MonoClock::Wall`] — `Instant::now()` since an origin, divided by
 //!   the calibrated `ns_per_tick` exchange rate. [`MonoClock::advance`]
 //!   is a no-op (wall time advances itself), so the *same* breaker and

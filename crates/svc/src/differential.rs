@@ -1,32 +1,30 @@
 //! The sim-vs-real differential oracle.
 //!
-//! The virtual-tick [`Service`](crate::service::Service) is the *model*:
-//! deterministic, instantly-settling, trivially auditable. The
-//! [`runtime`](crate::runtime) is the *implementation*: real threads,
-//! a real wire, real completion races. This module replays the **same
-//! seeded open-loop arrival trace** through both and diffs their
-//! shed/complete/deadline-met accounting row by row.
+//! The virtual-tick [`Service`] is the *model*: deterministic, inline,
+//! trivially auditable. The [`runtime`](crate::runtime) is the
+//! *implementation*: real threads and a real wire. This module replays
+//! the **same seeded open-loop arrival trace** through both and diffs
+//! their accounting.
 //!
-//! # Tolerance rationale
+//! # Exact equality
 //!
-//! Three effects let a faithful runtime legitimately drift from the sim
-//! by a bounded amount (see the [`runtime`](crate::runtime) module docs):
-//! settle-at-completion instead of settle-at-dispatch (in-flight hedge
-//! twins), batched breaker feedback, and a differently-ordered RNG
-//! stream for backoff/jitter. All three shift *which* bucket a handful
-//! of borderline requests land in, never the total. So:
-//!
-//! * `offered`, the terminal-accounting invariant, and the
-//!   client-vs-server wire cross-checks get **zero** tolerance;
-//! * per-bucket rows (completed, shed-by-reason, deadline met/missed,
-//!   failed) get `max(abs, ⌈rel · offered⌉)` — defaults are calibrated
-//!   by the 64-seed property sweep in
-//!   `crates/svc/tests/differential_properties.rs`.
+//! Both run one admission engine and, in virtual pace, one event loop
+//! that settles each dispatched job before the next event; they differ
+//! only in how a job becomes an outcome (an inline ladder call, or a
+//! round trip to a worker thread). So the oracle demands equality, not
+//! closeness: every [`SvcReport`] field and every deterministic
+//! `svc.*`/`core.*` snapshot line must match. The runtime-only
+//! `svc.runtime.*` lines are left out. What the oracle still tests is
+//! what genuinely differs — worker threads, wire frames, and the client
+//! tally — through exact invariants (one response per id, client tally
+//! == server report, every frame received and none rejected).
 //!
 //! The rendered report is grep-able line-oriented text whose final line
 //! is always `verdict: MATCH` or `verdict: DIVERGED`; every failed row
 //! additionally emits a typed `divergence<TAB>…` diagnostic line. CI
 //! greps that final line and archives the report.
+
+use std::collections::BTreeSet;
 
 use dams_core::{Instance, SelectionPolicy};
 use dams_diversity::{DiversityRequirement, HtId, TokenUniverse};
@@ -37,38 +35,12 @@ use crate::runtime::{run_runtime, Pace, RuntimeConfig, RuntimeReport, Transport}
 use crate::service::{Priority, Request, Service, SvcReport};
 use crate::wire::WireError;
 
-/// Allowed sim-vs-real drift for per-bucket accounting rows.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiffTolerance {
-    /// Absolute slack per row.
-    pub abs: u64,
-    /// Relative slack as a fraction of offered requests.
-    pub rel: f64,
-}
-
-impl Default for DiffTolerance {
-    fn default() -> Self {
-        // Calibrated against the 64-seed sweep: observed worst-case row
-        // drift stays well inside 4 + 8% of offered.
-        DiffTolerance { abs: 4, rel: 0.08 }
-    }
-}
-
-impl DiffTolerance {
-    /// The per-row slack for a scenario that offered `offered` requests.
-    pub fn budget(&self, offered: u64) -> u64 {
-        let rel = (self.rel * offered as f64).ceil() as u64;
-        self.abs.max(rel)
-    }
-}
-
-/// One compared accounting row.
+/// One compared accounting value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiffRow {
     pub metric: &'static str,
     pub sim: u64,
     pub real: u64,
-    pub tol: u64,
 }
 
 impl DiffRow {
@@ -77,11 +49,11 @@ impl DiffRow {
     }
 
     pub fn ok(&self) -> bool {
-        self.delta() <= self.tol
+        self.sim == self.real
     }
 }
 
-/// A named boolean invariant (zero-tolerance cross-check).
+/// A named boolean invariant (an exact cross-check).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiffInvariant {
     pub name: &'static str,
@@ -97,14 +69,21 @@ pub struct DiffReport {
     pub workers: usize,
     pub requests: u64,
     pub transport: Transport,
-    pub tol: DiffTolerance,
+    /// The terminal-accounting rows the report prints.
     pub rows: Vec<DiffRow>,
+    /// The other [`SvcReport`] fields, printed only where they diverge.
+    pub fields: Vec<DiffRow>,
+    /// Deterministic `svc.*`/`core.*` snapshot lines found on one side
+    /// only, as `sim-only<TAB>line` or `real-only<TAB>line`.
+    pub snapshot: Vec<String>,
     pub invariants: Vec<DiffInvariant>,
 }
 
 impl DiffReport {
     pub fn matched(&self) -> bool {
-        self.rows.iter().all(DiffRow::ok) && self.invariants.iter().all(|i| i.ok)
+        self.rows.iter().chain(&self.fields).all(DiffRow::ok)
+            && self.snapshot.is_empty()
+            && self.invariants.iter().all(|i| i.ok)
     }
 
     /// One scenario's section: header, rows, invariants, divergence
@@ -117,17 +96,12 @@ impl DiffReport {
         out.push_str(&format!("workers: {}\n", self.workers));
         out.push_str(&format!("requests: {}\n", self.requests));
         out.push_str(&format!("transport: {}\n", self.transport));
-        out.push_str(&format!(
-            "tolerance: abs={} rel={:.3}\n",
-            self.tol.abs, self.tol.rel
-        ));
         for r in &self.rows {
             out.push_str(&format!(
-                "row\t{}\tsim={}\treal={}\ttol={}\t{}\n",
+                "row\t{}\tsim={}\treal={}\t{}\n",
                 r.metric,
                 r.sim,
                 r.real,
-                r.tol,
                 if r.ok() { "ok" } else { "DIVERGED" }
             ));
         }
@@ -139,15 +113,17 @@ impl DiffReport {
                 if i.ok { "ok" } else { "DIVERGED" }
             ));
         }
-        for r in self.rows.iter().filter(|r| !r.ok()) {
+        for r in self.rows.iter().chain(&self.fields).filter(|r| !r.ok()) {
             out.push_str(&format!(
-                "divergence\t{}\tsim={}\treal={}\tdelta={}\ttol={}\n",
+                "divergence\t{}\tsim={}\treal={}\tdelta={}\n",
                 r.metric,
                 r.sim,
                 r.real,
-                r.delta(),
-                r.tol
+                r.delta()
             ));
+        }
+        for line in &self.snapshot {
+            out.push_str(&format!("divergence\tsnapshot\t{line}\n"));
         }
         for i in self.invariants.iter().filter(|i| !i.ok) {
             out.push_str(&format!("divergence\tinvariant:{}\t{}\n", i.name, i.detail));
@@ -189,7 +165,6 @@ pub fn render_multi(reports: &[DiffReport]) -> String {
 #[derive(Debug, Clone, Copy)]
 pub struct DiffConfig {
     pub overload: OverloadConfig,
-    pub tol: DiffTolerance,
     pub transport: Transport,
     pub tenants: u64,
 }
@@ -198,7 +173,6 @@ impl Default for DiffConfig {
     fn default() -> Self {
         DiffConfig {
             overload: OverloadConfig::default(),
-            tol: DiffTolerance::default(),
             transport: Transport::Duplex,
             tenants: 3,
         }
@@ -268,62 +242,44 @@ pub fn run_differential(cfg: &DiffConfig) -> Result<DiffOutcome, WireError> {
 
 /// Build the row-by-row diff between a sim report and a runtime report.
 pub fn diff_reports(cfg: &DiffConfig, sim: &SvcReport, real: &RuntimeReport) -> DiffReport {
-    let tol = cfg.tol.budget(sim.offered);
+    let r = &real.svc;
+    let row = |metric, sim, real| DiffRow { metric, sim, real };
     let rows = vec![
-        DiffRow {
-            metric: "offered",
-            sim: sim.offered,
-            real: real.svc.offered,
-            tol: 0,
-        },
-        DiffRow {
-            metric: "completed",
-            sim: sim.completed,
-            real: real.svc.completed,
-            tol,
-        },
-        DiffRow {
-            metric: "failed",
-            sim: sim.failed,
-            real: real.svc.failed,
-            tol,
-        },
-        DiffRow {
-            metric: "shed.queue_full",
-            sim: sim.shed_queue_full,
-            real: real.svc.shed_queue_full,
-            tol,
-        },
-        DiffRow {
-            metric: "shed.deadline_infeasible",
-            sim: sim.shed_deadline_infeasible,
-            real: real.svc.shed_deadline_infeasible,
-            tol,
-        },
-        DiffRow {
-            metric: "shed.circuit_open",
-            sim: sim.shed_circuit_open,
-            real: real.svc.shed_circuit_open,
-            tol,
-        },
-        DiffRow {
-            metric: "shed.anonymity_floor",
-            sim: sim.shed_anonymity_floor,
-            real: real.svc.shed_anonymity_floor,
-            tol,
-        },
-        DiffRow {
-            metric: "deadline.met",
-            sim: sim.deadline_met,
-            real: real.svc.deadline_met,
-            tol,
-        },
-        DiffRow {
-            metric: "deadline.missed",
-            sim: sim.deadline_missed,
-            real: real.svc.deadline_missed,
-            tol,
-        },
+        row("offered", sim.offered, r.offered),
+        row("completed", sim.completed, r.completed),
+        row("failed", sim.failed, r.failed),
+        row("shed.queue_full", sim.shed_queue_full, r.shed_queue_full),
+        row(
+            "shed.deadline_infeasible",
+            sim.shed_deadline_infeasible,
+            r.shed_deadline_infeasible,
+        ),
+        row(
+            "shed.circuit_open",
+            sim.shed_circuit_open,
+            r.shed_circuit_open,
+        ),
+        row(
+            "shed.anonymity_floor",
+            sim.shed_anonymity_floor,
+            r.shed_anonymity_floor,
+        ),
+        row("deadline.met", sim.deadline_met, r.deadline_met),
+        row("deadline.missed", sim.deadline_missed, r.deadline_missed),
+    ];
+    let fields = vec![
+        row("admitted_events", sim.admitted_events, r.admitted_events),
+        row(
+            "p50_latency_ticks",
+            sim.p50_latency_ticks,
+            r.p50_latency_ticks,
+        ),
+        row(
+            "p99_latency_ticks",
+            sim.p99_latency_ticks,
+            r.p99_latency_ticks,
+        ),
+        row("final_tick", sim.final_tick, r.final_tick),
     ];
 
     let shed_total = |r: &SvcReport| r.shed_total();
@@ -388,10 +344,30 @@ pub fn diff_reports(cfg: &DiffConfig, sim: &SvcReport, real: &RuntimeReport) -> 
         workers: cfg.overload.workers,
         requests: cfg.overload.requests,
         transport: cfg.transport,
-        tol: cfg.tol,
         rows,
+        fields,
+        snapshot: snapshot_diff(&sim.snapshot, &r.snapshot),
         invariants,
     }
+}
+
+/// Deterministic snapshot lines found on one side only, leaving out the
+/// runtime's own `svc.runtime.*` family.
+fn snapshot_diff(sim: &str, real: &str) -> Vec<String> {
+    let lines = |text| -> BTreeSet<&str> {
+        str::lines(text)
+            .filter(|l| !l.starts_with("svc.runtime."))
+            .collect()
+    };
+    let (sim, real) = (lines(sim), lines(real));
+    let only = |side: &'static str, a: &BTreeSet<&str>, b: &BTreeSet<&str>| {
+        a.difference(b)
+            .map(|l| format!("{side}\t{l}"))
+            .collect::<Vec<_>>()
+    };
+    let mut out = only("sim-only", &sim, &real);
+    out.extend(only("real-only", &real, &sim));
+    out
 }
 
 /// Render sim-vs-real goodput ramp rows as the `BENCH_runtime.json`
@@ -472,11 +448,32 @@ mod tests {
             metric: "synthetic",
             sim: 10,
             real: 20,
-            tol: 1,
         });
         let text = report.render();
-        assert!(text.contains("row\tsynthetic\tsim=10\treal=20\ttol=1\tDIVERGED"));
-        assert!(text.contains("divergence\tsynthetic\tsim=10\treal=20\tdelta=10\ttol=1"));
+        assert!(text.contains("row\tsynthetic\tsim=10\treal=20\tDIVERGED"));
+        assert!(text.contains("divergence\tsynthetic\tsim=10\treal=20\tdelta=10"));
+        assert!(text.ends_with("verdict: DIVERGED\n"));
+    }
+
+    #[test]
+    fn fields_and_snapshot_lines_print_only_when_they_diverge() {
+        let cfg = quick_cfg(5);
+        let out = run_differential(&cfg).unwrap();
+        let quiet = out.report.render();
+        assert!(!quiet.contains("final_tick"), "{quiet}");
+        assert!(
+            !quiet.contains("svc.runtime."),
+            "runtime-only lines leaked: {quiet}"
+        );
+        let mut sim = out.sim.clone();
+        sim.final_tick += 1;
+        sim.snapshot.push_str("svc.synthetic_total\tcounter\t1\n");
+        let text = diff_reports(&cfg, &sim, &out.real).render();
+        assert!(text.contains("divergence\tfinal_tick\t"), "{text}");
+        assert!(
+            text.contains("divergence\tsnapshot\tsim-only\tsvc.synthetic_total\tcounter\t1\n"),
+            "{text}"
+        );
         assert!(text.ends_with("verdict: DIVERGED\n"));
     }
 
@@ -488,13 +485,6 @@ mod tests {
         assert_eq!(text.matches("verdict:").count(), 1);
         assert!(text.contains("scenarios: 2"));
         assert!(text.ends_with("verdict: MATCH\n") || text.ends_with("verdict: DIVERGED\n"));
-    }
-
-    #[test]
-    fn tolerance_budget_takes_the_larger_bound() {
-        let tol = DiffTolerance { abs: 4, rel: 0.1 };
-        assert_eq!(tol.budget(10), 4, "abs floor");
-        assert_eq!(tol.budget(200), 20, "rel kicks in");
     }
 
     #[test]

@@ -3,31 +3,26 @@
 //!
 //! The full [`Service`](crate::service::Service) simulates queueing over
 //! an arrival schedule; a wallet instead makes one blocking selection at
-//! a time. [`Frontend`] applies the same protections without the queue:
-//! deadline-infeasible budgets and circuit-open exact requirements are
-//! refused with a typed [`ShedReason`] *before* any search runs, exact
-//! grants are derived from the same reserve arithmetic
-//! ([`crate::admission`]), and the breaker advances on a
-//! [`MonoClock`](crate::clock::MonoClock) — virtual ticks priced from
-//! each call's own work by default, or wall-clock ticks when embedded in
-//! a real runtime. Either way the breaker cooldown runs through the
-//! *same* code path: `advance` is simply a no-op on a wall clock.
+//! a time. [`Frontend`] runs each call through the same admission engine
+//! without the queue: admit (deadline-infeasible budgets, unsatisfiable
+//! floors and circuit-open exact requirements are refused with a typed
+//! [`ShedReason`] *before* any search runs), grant (the floored ladder
+//! and the reserve arithmetic of [`crate::admission`]), and settle (the
+//! tick price, breaker feedback, and the deadline verdict). The breaker
+//! runs on a virtual [`MonoClock`] that advances by each call's priced
+//! work; a call meets its deadline when that price fits its budget.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use dams_core::{
-    select_with_ladder_exec, CoreMetrics, DegradedSelection, Instance, LadderExec,
-    ModularInstance, SelectionPolicy, Tier,
-};
+use dams_core::{DegradedSelection, Instance, ModularInstance, SelectionPolicy};
 use dams_diversity::TokenId;
 use dams_obs::Registry;
 
-use crate::admission;
-use crate::breaker::{BreakerConfig, CircuitBreaker, CircuitState};
+use crate::breaker::{BreakerConfig, CircuitState};
 use crate::clock::MonoClock;
-use crate::obs::SvcMetrics;
-use crate::service::ShedReason;
+use crate::engine::Engine;
+use crate::service::{Priority, Request, ShedReason, SvcConfig};
+
+/// Seed salt of the frontend's breaker-jitter stream.
+const SEED_SALT: u64 = 0xf07e_57a7;
 
 /// Frontend tuning (the queueless subset of the service config).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,55 +54,39 @@ impl Default for FrontendConfig {
 pub struct Frontend<'a> {
     instance: &'a Instance,
     policy: SelectionPolicy,
-    cfg: FrontendConfig,
-    breaker: CircuitBreaker,
-    metrics: SvcMetrics,
-    core: CoreMetrics,
-    rng: StdRng,
-    /// The breaker/deadline clock: virtual ticks advanced by priced work,
-    /// or wall time in a real runtime (`advance` no-ops there).
+    engine: Engine,
+    /// The breaker/deadline clock: virtual ticks advanced by priced work.
     clock: MonoClock,
 }
 
 impl<'a> Frontend<'a> {
     /// Metrics land in `registry` under the usual `svc.*` / `core.*`
     /// names, so callers can merge them into their own observability.
-    /// Runs on the virtual tick clock; see [`Frontend::with_clock`].
     pub fn new(
         instance: &'a Instance,
         policy: SelectionPolicy,
         cfg: FrontendConfig,
         registry: &Registry,
     ) -> Self {
-        Self::with_clock(instance, policy, cfg, registry, MonoClock::ticks())
-    }
-
-    /// A frontend on an explicit clock — pass [`MonoClock::wall`] to run
-    /// the breaker cooldown in wall-clock ticks.
-    pub fn with_clock(
-        instance: &'a Instance,
-        policy: SelectionPolicy,
-        cfg: FrontendConfig,
-        registry: &Registry,
-        clock: MonoClock,
-    ) -> Self {
-        let metrics = SvcMetrics::in_registry(registry);
-        metrics.circuit_state.set(CircuitState::Closed.gauge_value());
+        let svc = SvcConfig {
+            ticks_per_candidate: cfg.ticks_per_candidate,
+            reserve_ticks: cfg.reserve_ticks,
+            breaker: cfg.breaker,
+            bfs_workers: cfg.bfs_workers,
+            seed: cfg.seed,
+            ..SvcConfig::default()
+        };
         Frontend {
             instance,
             policy,
-            cfg,
-            breaker: CircuitBreaker::new(cfg.breaker),
-            metrics,
-            core: CoreMetrics::in_registry(registry),
-            rng: StdRng::seed_from_u64(cfg.seed ^ 0xf07e_57a7),
-            clock,
+            engine: Engine::new(svc, registry, SEED_SALT),
+            clock: MonoClock::ticks(),
         }
     }
 
     /// The breaker's current state (for tests and introspection).
     pub fn circuit_state(&self) -> CircuitState {
-        self.breaker.state()
+        self.engine.circuit_state()
     }
 
     /// One admission-controlled selection. `budget_ticks` is the caller's
@@ -128,6 +107,8 @@ impl<'a> Frontend<'a> {
     /// [`Tier::anonymity_score`] meets `anonymity_floor` may answer, and
     /// a floor no tier meets is refused as
     /// [`ShedReason::AnonymityFloor`] before any search runs.
+    ///
+    /// [`Tier::anonymity_score`]: dams_core::Tier::anonymity_score
     pub fn select_floored(
         &mut self,
         target: TokenId,
@@ -174,119 +155,41 @@ impl<'a> Frontend<'a> {
         require_exact: bool,
         anonymity_floor: u32,
     ) -> Result<DegradedSelection, ShedReason> {
-        self.metrics.offered.inc();
-        if budget_ticks < self.cfg.reserve_ticks {
-            self.metrics.shed_deadline_infeasible.inc();
-            return Err(ShedReason::DeadlineInfeasible);
-        }
-        // Floor feasibility is static: if even the full ladder has no
-        // qualifying tier (or the required exact tier is floored out),
-        // breaker recovery can never make the request answerable.
-        if anonymity_floor > 0 {
-            let full = admission::floored_ladder(true, anonymity_floor);
-            let exact_floored =
-                require_exact && Tier::ExactBfs.anonymity_score() < anonymity_floor;
-            if full.is_empty() || exact_floored {
-                self.metrics.shed_anonymity_floor.inc();
-                return Err(ShedReason::AnonymityFloor);
-            }
-        }
-        let (exact_ok, tr) = self.breaker.exact_allowed(self.clock.now());
-        self.surface(tr);
-        if require_exact && !exact_ok {
-            self.metrics.shed_circuit_open.inc();
-            return Err(ShedReason::CircuitOpen);
-        }
-        // A floored-out exact tier gets no grant and gives no breaker
-        // feedback, exactly as if the breaker had denied it.
-        let exact_ok = exact_ok && Tier::ExactBfs.anonymity_score() >= anonymity_floor;
-        let ladder = admission::floored_ladder(exact_ok, anonymity_floor);
-        if ladder.is_empty() {
-            self.metrics.shed_anonymity_floor.inc();
-            return Err(ShedReason::AnonymityFloor);
-        }
-        self.metrics.admitted.inc();
-
-        let grant = admission::exact_grant(
-            budget_ticks,
-            self.cfg.reserve_ticks,
-            self.cfg.ticks_per_candidate,
-            exact_ok,
-        );
-        let outcome = select_with_ladder_exec(
-            instance,
+        let req = Request {
+            id: 0,
             target,
-            self.policy,
-            admission::grant_budget(grant),
-            &ladder,
-            &self.core,
-            &LadderExec {
-                workers: self.cfg.bfs_workers,
-                cache: None,
-                modular,
-            },
-        );
-
-        // Price the call and credit the clock (no-op on wall clocks:
-        // real time already passed while the search ran).
-        let cost = admission::price_outcome(
-            &outcome,
-            exact_ok,
-            grant,
-            self.cfg.ticks_per_candidate,
-        );
-        self.metrics.service.record(cost);
+            class: Priority::Interactive,
+            budget: budget_ticks,
+            require_exact,
+            anonymity_floor,
+        };
+        let now = self.clock.now();
+        let e = &mut self.engine;
+        e.metrics.offered.inc();
+        let granted = e.admit(now, &req).and_then(|()| {
+            e.metrics.admitted.inc();
+            e.grant(now, req, now)
+        });
+        let job = granted.inspect_err(|&reason| e.count_shed(reason))?;
+        let outcome = job.select(instance, modular, self.policy, &e.core, e.cfg.bfs_workers);
+        // The call's priced work advances the clock; the breaker hears
+        // about it at the post-advance tick.
+        let cost = e.price(&job, &outcome);
         self.clock.advance(cost);
-
-        match admission::breaker_feedback(&outcome, exact_ok) {
-            Some(true) => {
-                let jitter = self.rng.gen_range(0..=self.cfg.breaker.cooldown.max(4) / 4);
-                let tr = self.breaker.on_fallback(self.clock.now(), jitter);
-                self.surface(tr);
-            }
-            Some(false) => {
-                let tr = self.breaker.on_exact_success();
-                self.surface(tr);
-            }
-            None => {}
-        }
-
-        match outcome {
-            Ok(sel) => {
-                self.metrics.completed.inc();
-                self.metrics.deadline_met.inc();
-                if sel.tier != Tier::ExactBfs {
-                    self.metrics.degraded.inc();
-                }
-                Ok(sel)
-            }
-            Err(_) => {
-                self.metrics.failed.inc();
-                // Terminal selection errors surface as an infeasible
-                // deadline: the caller's budget cannot buy an answer.
-                Err(ShedReason::DeadlineInfeasible)
-            }
-        }
-    }
-
-    fn surface(&self, tr: Option<crate::breaker::Transition>) {
-        use crate::breaker::Transition;
-        let Some(tr) = tr else { return };
-        match tr {
-            Transition::Opened => self.metrics.circuit_opened.inc(),
-            Transition::HalfOpened => self.metrics.circuit_half_open.inc(),
-            Transition::Closed => self.metrics.circuit_closed.inc(),
-        }
-        self.metrics
-            .circuit_state
-            .set(self.breaker.state().gauge_value());
+        let now = self.clock.now();
+        e.settle(&job, &outcome, cost, now, now);
+        // Terminal selection errors surface as an infeasible deadline:
+        // the caller's budget cannot buy an answer.
+        outcome.map_err(|_| ShedReason::DeadlineInfeasible)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dams_core::Tier;
     use dams_diversity::{DiversityRequirement, HtId, TokenUniverse};
+    use dams_obs::Mode;
 
     fn instance(n: u32) -> Instance {
         Instance::fresh(TokenUniverse::new((0..n).map(HtId).collect()))
@@ -304,6 +207,29 @@ mod tests {
         let sel = f.select(TokenId(0), 1 << 20, false).expect("selects");
         assert_eq!(sel.tier, Tier::ExactBfs);
         assert_eq!(f.circuit_state(), CircuitState::Closed);
+    }
+
+    #[test]
+    fn a_call_priced_past_its_budget_misses_its_deadline() {
+        // A 70-tick budget clears the 64-tick reserve but buys a single
+        // exact candidate, so every call answers at the Progressive tier
+        // for far more ticks than it was given.
+        let inst = instance(128);
+        let registry = Registry::new();
+        let mut f = Frontend::new(&inst, policy(), FrontendConfig::default(), &registry);
+        for t in 0..16 {
+            let sel = f.select(TokenId(t), 70, false).expect("degrades");
+            assert_eq!(sel.tier, Tier::Progressive);
+        }
+        let snap = registry.snapshot();
+        let text = snap.render_text(Mode::Deterministic);
+        assert!(
+            text.contains("svc.service_ticks\thistogram\tcount=16 sum=2076 "),
+            "{text}"
+        );
+        assert_eq!(snap.counter("svc.completed_total"), Some(16));
+        assert_eq!(snap.counter("svc.deadline.met_total"), Some(0));
+        assert_eq!(snap.counter("svc.deadline.missed_total"), Some(16));
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //! * [`retry`] — full-jitter backoff policy for shed batch requests.
 //! * [`frontend`] — a queueless synchronous facade with the same
 //!   protections, for embedding in `dams-node`'s wallet.
+//! * [`runtime`] — the same service on real worker threads behind the
+//!   [`wire`] protocol, checked against the simulation by
+//!   [`differential`].
 //! * [`overload`] — the seeded overload harness: calibrates the tick
 //!   economy against an instance, drives open-loop arrival ramps at
 //!   multiples of capacity, and renders `BENCH_overload.json`.
@@ -30,6 +33,11 @@
 //!   per-request p99 stays flat (`BENCH_soak.json`).
 //! * [`obs`] — the `svc.*` metric family.
 //!
+//! The request path itself (admission, queues, dispatch, settlement,
+//! breaker feedback, retries and hedges, the terminal ledger) is written
+//! once, in a crate-private engine that [`service`], [`runtime`] and
+//! [`frontend`] all run.
+//!
 //! Everything runs on a virtual tick clock from explicit seeds, so an
 //! overload scenario replays byte-identically — including across exact
 //! search thread counts (`bfs_workers`), which the property tests
@@ -40,6 +48,7 @@ pub mod breaker;
 pub mod clock;
 pub mod cluster;
 pub mod differential;
+mod engine;
 pub mod frontend;
 pub mod obs;
 pub mod overload;
@@ -53,20 +62,18 @@ pub use breaker::{BreakerConfig, CircuitBreaker, CircuitState, Transition};
 pub use clock::{calibrate_wall, MonoClock, WallCalibration};
 pub use cluster::{run_cluster_overload, ClusterLoadReport};
 pub use differential::{
-    render_multi, render_runtime_bench_json, run_differential, DiffConfig, DiffOutcome,
-    DiffReport, DiffRow, DiffTolerance,
+    render_multi, render_runtime_bench_json, run_differential, DiffConfig, DiffOutcome, DiffReport,
+    DiffRow,
 };
+pub use engine::{TerminalFate, TerminalLedger};
 pub use frontend::{Frontend, FrontendConfig};
 pub use obs::{RuntimeMetrics, SvcMetrics};
-pub use runtime::{
-    run_runtime, ClientTally, Pace, RuntimeConfig, RuntimeReport, TerminalFate, TerminalLedger,
-    Transport,
-};
 pub use overload::{
     build_arrivals, calibrate, render_bench_json, run_overload, run_ramp, service_config,
     Calibration, OverloadConfig,
 };
 pub use retry::RetryPolicy;
+pub use runtime::{run_runtime, ClientTally, Pace, RuntimeConfig, RuntimeReport, Transport};
 pub use service::{Priority, Request, Service, ShedReason, SvcConfig, SvcReport};
 pub use soak::{
     render_soak_json, run_soak, SoakConfig, SoakPhase, SoakReport, MAINTENANCE_TOLERANCE,

@@ -2,68 +2,51 @@
 //! the service's admission/breaker semantics, driven over the wire
 //! protocol ([`crate::wire`]).
 //!
-//! # Two pacing modes, one admission code path
+//! # One engine, two paces
 //!
-//! Admission arithmetic (reserve/grant split, ladder choice, outcome
-//! pricing, breaker feedback) is shared with the virtual-tick
-//! [`Service`](crate::service::Service) through [`crate::admission`] and
-//! [`crate::clock::MonoClock`] — the runtime is the same decision
-//! procedure, executed by real threads.
+//! The server runs the crate's admission engine, the same one the
+//! virtual-tick [`Service`](crate::service::Service) and the `Frontend`
+//! run: arrival checks, class queues, the floored ladder and exact
+//! grant, dispatch, settlement, breaker feedback, retries and hedges.
+//! What the runtime adds is real: decoded and authenticated wire frames,
+//! worker threads, and in wall pace a real clock.
 //!
 //! * **Virtual pace** ([`Pace::Virtual`]) — the differential-oracle
 //!   mode. The client writes the whole trace over the wire and closes;
 //!   the server decodes and authenticates every frame, then replays the
-//!   arrivals on the virtual tick clock. Selections run on real worker
-//!   threads (a same-tick dispatch batch executes concurrently), but
-//!   settlement is deterministic: completions are drained to quiescence
-//!   before the clock advances, sorted by their dispatch-order sequence
-//!   numbers, and settled in that order. Racy completion-arrival order
-//!   therefore cannot change a single counter — which is what lets CI
-//!   re-run the real runtime three times and demand byte-identical
-//!   accounting.
+//!   arrivals through the engine's event loop, the same loop
+//!   [`Service::run`](crate::service::Service::run) runs. Each dispatched
+//!   job is a round trip to a worker thread, and it is settled before
+//!   the next event. A dispatch round never yields more than one job,
+//!   because the loop dispatches after every event and each event adds
+//!   one arrival or frees one worker. So at most one selection is in
+//!   flight, and the runtime's accounting equals the sim's exactly —
+//!   which is what lets CI re-run the real runtime three times and
+//!   demand byte-identical reports.
 //! * **Wall pace** ([`Pace::Wall`]) — arrivals are paced by real
 //!   sleeps (trace tick × calibrated `ns_per_tick`), deadlines are wall
 //!   deadlines mapped through the same tick economy, and workers settle
 //!   the shared [`TerminalLedger`] themselves at completion time:
 //!   genuinely racing settlements, first writer wins, hedge twins
-//!   deduplicate through the ledger. Only invariants (terminal
-//!   accounting, exactly-one-response-per-id) are asserted here, not
-//!   bit-determinism.
-//!
-//! # Where the runtime legitimately diverges from the sim
-//!
-//! The sim settles a request *at dispatch* (its event loop knows the
-//! outcome instantly); the runtime can only settle when the worker
-//! finishes. Three bounded consequences, absorbed by the differential
-//! tolerance and spelled out in DESIGN.md: hedge twins that are both
-//! in flight both consume a worker; breaker feedback lands after a
-//! dispatch batch instead of between its members; and backoff/jitter
-//! draws happen in a different order on the shared stream, so they
-//! yield different values than the sim's draws.
+//!   deduplicate through the ledger. The server calls the engine's
+//!   arrival, dispatch and settlement steps on the real clock. Only
+//!   invariants (terminal accounting, exactly-one-response-per-id) are
+//!   asserted here, not bit-determinism.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown as NetShutdown, TcpListener, TcpStream};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use dams_core::{
-    select_with_ladder_exec, CoreMetrics, DegradedSelection, Instance, LadderExec, SelectError,
-    SelectionPolicy, Tier,
-};
+use dams_core::{CoreMetrics, Instance, SelectionPolicy};
 use dams_obs::{Mode, Registry};
 use dams_workload::ArrivalEvent;
 
-use crate::admission;
-use crate::breaker::{CircuitBreaker, CircuitState, Transition};
 use crate::clock::MonoClock;
-use crate::obs::{RuntimeMetrics, SvcMetrics};
-use crate::service::{Priority, Request, ShedReason, SvcConfig, SvcReport};
+use crate::engine::{Engine, Job, Outcome, TerminalFate, TerminalLedger};
+use crate::obs::RuntimeMetrics;
+use crate::service::{self, SvcConfig, SvcReport};
 use crate::wire::{
     duplex_pair, write_frame, DuplexEnd, FrameReader, Hello, Message, WireError, WireOutcome,
     WireRequest, WireResponse,
@@ -119,93 +102,6 @@ impl Default for RuntimeConfig {
             tenants: 3,
         }
     }
-}
-
-/// The terminal fate of one request id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TerminalFate {
-    Completed { met: bool, degraded: bool },
-    Shed(ShedReason),
-    Failed,
-}
-
-/// First-writer-wins terminal accounting, shared between the engine and
-/// (in wall pace) the racing workers. Exactly one settlement per id ever
-/// succeeds; everything downstream — response frames, completion
-/// counters, hedge dedup — keys off that single success.
-#[derive(Debug, Default)]
-pub struct TerminalLedger {
-    inner: Mutex<HashMap<u64, TerminalFate>>,
-}
-
-impl TerminalLedger {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record `fate` for `id` unless a twin got there first. Returns
-    /// whether this call won the settlement.
-    pub fn settle(&self, id: u64, fate: TerminalFate) -> bool {
-        let mut map = self.inner.lock().expect("ledger lock");
-        match map.entry(id) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(fate);
-                true
-            }
-        }
-    }
-
-    pub fn contains(&self, id: u64) -> bool {
-        self.inner.lock().expect("ledger lock").contains_key(&id)
-    }
-
-    pub fn get(&self, id: u64) -> Option<TerminalFate> {
-        self.inner.lock().expect("ledger lock").get(&id).copied()
-    }
-
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("ledger lock").len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn counts(&self) -> LedgerCounts {
-        let map = self.inner.lock().expect("ledger lock");
-        let mut c = LedgerCounts::default();
-        for fate in map.values() {
-            match fate {
-                TerminalFate::Completed { met, .. } => {
-                    c.completed += 1;
-                    if *met {
-                        c.met += 1;
-                    } else {
-                        c.missed += 1;
-                    }
-                }
-                TerminalFate::Failed => c.failed += 1,
-                TerminalFate::Shed(ShedReason::QueueFull) => c.shed_queue_full += 1,
-                TerminalFate::Shed(ShedReason::DeadlineInfeasible) => c.shed_deadline += 1,
-                TerminalFate::Shed(ShedReason::CircuitOpen) => c.shed_circuit += 1,
-                TerminalFate::Shed(ShedReason::AnonymityFloor) => c.shed_floor += 1,
-            }
-        }
-        c
-    }
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-struct LedgerCounts {
-    completed: u64,
-    failed: u64,
-    met: u64,
-    missed: u64,
-    shed_queue_full: u64,
-    shed_deadline: u64,
-    shed_circuit: u64,
-    shed_floor: u64,
 }
 
 /// What the client observed on its side of the wire — the independent
@@ -330,27 +226,23 @@ fn wire_request(e: &ArrivalEvent) -> WireRequest {
 // Worker pool
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy)]
-struct Job {
-    /// Dispatch-order sequence — the deterministic settlement key.
-    seq: u64,
-    worker: usize,
-    req: Request,
-    hedge: bool,
-    enqueued: u64,
-    dispatched: u64,
-    exact_ok: bool,
-    grant: u64,
-    stall: u64,
+/// Everything the server's main thread hears about.
+enum ServerMsg {
+    /// A frame the wall-pace reader thread decoded.
+    Frame(Message),
+    /// The wall-pace reader thread reached end of stream (or a bad frame).
+    ReaderDone(Result<(), WireError>),
+    /// A worker finished a job.
+    Done(Done),
 }
 
 struct Done {
     job: Job,
-    outcome: Result<DegradedSelection, SelectError>,
-    /// Wall pace only: whether this worker's inline settlement won.
-    settled: bool,
+    outcome: Outcome,
     /// Wall pace only: the clock tick the worker finished at.
     finish_tick: u64,
+    /// Wall pace only: whether this worker's inline settlement won.
+    won: bool,
 }
 
 /// Wall-pace inline settlement context handed to each worker.
@@ -361,628 +253,101 @@ struct InlineSettle {
     metrics: RuntimeMetrics,
 }
 
-/// Where a worker reports completions: the virtual engine's dedicated
-/// drain channel, or the wall engine's unified message channel.
-enum DoneSink {
-    Direct(mpsc::Sender<Done>),
-    Wall(mpsc::Sender<WallMsg>),
-}
-
-impl DoneSink {
-    fn send(&self, done: Done) -> Result<(), ()> {
-        match self {
-            DoneSink::Direct(tx) => tx.send(done).map_err(drop),
-            DoneSink::Wall(tx) => tx.send(WallMsg::Done(done)).map_err(drop),
-        }
-    }
-}
-
 fn worker_loop(
     instance: &Instance,
     policy: SelectionPolicy,
     bfs_workers: usize,
     core: CoreMetrics,
     jobs: mpsc::Receiver<Job>,
-    done: DoneSink,
+    done: mpsc::Sender<ServerMsg>,
     inline: Option<InlineSettle>,
 ) {
-    let exec = LadderExec {
-        workers: bfs_workers,
-        cache: None,
-        modular: None,
-    };
     while let Ok(job) = jobs.recv() {
         let started = Instant::now();
-        // The dispatcher guarantees this ladder is non-empty (an emptied
-        // one sheds before a job is ever built); floor 0 reduces to the
-        // plain breaker ladder.
-        let ladder = admission::floored_ladder(job.exact_ok, job.req.anonymity_floor);
-        let outcome = select_with_ladder_exec(
-            instance,
-            job.req.target,
-            policy,
-            admission::grant_budget(job.grant),
-            &ladder,
-            &core,
-            &exec,
-        );
-        let mut settled = false;
-        let mut finish_tick = 0;
+        let outcome = job.select(instance, None, policy, &core, bfs_workers);
+        let (mut finish_tick, mut won) = (0, false);
         if let Some(inl) = &inline {
             // Racing settlement: first twin to reach the ledger wins.
             finish_tick = inl.clock.now();
-            let latency = finish_tick.saturating_sub(job.enqueued);
-            let fate = match &outcome {
-                Ok(sel) => TerminalFate::Completed {
-                    met: latency <= job.req.budget,
-                    degraded: sel.tier != Tier::ExactBfs,
-                },
-                Err(_) => TerminalFate::Failed,
-            };
-            settled = inl.ledger.settle(job.req.id, fate);
+            won = inl
+                .ledger
+                .settle(job.req.id, TerminalFate::of(&job, &outcome, finish_tick));
             inl.metrics
                 .wall_service
                 .record(started.elapsed().as_nanos() as u64);
-            inl.metrics
-                .wall_latency
-                .record(latency.saturating_mul(inl.ns_per_tick));
+            inl.metrics.wall_latency.record(
+                finish_tick
+                    .saturating_sub(job.enqueued)
+                    .saturating_mul(inl.ns_per_tick),
+            );
         }
-        if done
-            .send(Done {
-                job,
-                outcome,
-                settled,
-                finish_tick,
-            })
-            .is_err()
-        {
-            return;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Shared engine state
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct Queued {
-    req: Request,
-    attempt: u32,
-    hedge: bool,
-    enqueued: u64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EvKind {
-    Arrival { req: Request, attempt: u32, hedge: bool },
-    WorkerFree(usize),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Ev {
-    tick: u64,
-    seq: u64,
-    kind: EvKind,
-}
-
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.tick, self.seq).cmp(&(other.tick, other.seq))
-    }
-}
-
-/// The server engine: admission, queues, breaker, dispatch, settlement.
-/// One instance serves one connection (both pacing modes).
-struct Engine<'w> {
-    cfg: SvcConfig,
-    registry: Registry,
-    metrics: SvcMetrics,
-    rt_metrics: RuntimeMetrics,
-    breaker: CircuitBreaker,
-    rng: StdRng,
-    interactive: VecDeque<Queued>,
-    batch: VecDeque<Queued>,
-    idle: VecDeque<usize>,
-    ledger: Arc<TerminalLedger>,
-    job_tx: Vec<mpsc::Sender<Job>>,
-    done_rx: mpsc::Receiver<Done>,
-    resp: &'w mut Channel,
-    next_seq: u64,
-    offered_ids: u64,
-    dispatches: u64,
-    in_flight: usize,
-}
-
-impl<'w> Engine<'w> {
-    fn surface(&self, tr: Option<Transition>) {
-        let Some(tr) = tr else { return };
-        match tr {
-            Transition::Opened => self.metrics.circuit_opened.inc(),
-            Transition::HalfOpened => self.metrics.circuit_half_open.inc(),
-            Transition::Closed => self.metrics.circuit_closed.inc(),
-        }
-        self.metrics
-            .circuit_state
-            .set(self.breaker.state().gauge_value());
-    }
-
-    fn respond(&mut self, id: u64, fate: TerminalFate) -> Result<(), WireError> {
-        let outcome = match fate {
-            TerminalFate::Completed { met, degraded } => WireOutcome::Completed { met, degraded },
-            TerminalFate::Shed(r) => WireOutcome::Shed(r),
-            TerminalFate::Failed => WireOutcome::Failed,
-        };
-        self.rt_metrics.frames_sent.inc();
-        write_frame(self.resp, &Message::Response(WireResponse { id, outcome }))
-    }
-
-    /// Terminal settlement through the ledger; the winner writes the
-    /// response frame. Returns whether this call won.
-    fn settle_terminal(&mut self, id: u64, fate: TerminalFate) -> Result<bool, WireError> {
-        if self.ledger.settle(id, fate) {
-            self.respond(id, fate)?;
-            Ok(true)
-        } else {
-            Ok(false)
-        }
-    }
-
-    fn on_arrival(
-        &mut self,
-        now: u64,
-        req: Request,
-        attempt: u32,
-        hedge: bool,
-        timers: &mut Timers,
-    ) -> Result<(), WireError> {
-        if attempt == 1 && !hedge {
-            self.offered_ids += 1;
-            self.metrics.offered.inc();
-        }
-        if self.ledger.contains(req.id) {
-            if hedge {
-                self.metrics.hedges_wasted.inc();
-            }
-            return Ok(());
-        }
-        if req.budget < self.cfg.reserve_ticks {
-            return self.shed(now, req, attempt, hedge, ShedReason::DeadlineInfeasible, timers);
-        }
-        // Same floor feasibility check the virtual-tick service makes (a
-        // wire request always carries floor 0 today, but the differential
-        // oracle depends on the two paths staying line-for-line aligned).
-        if req.anonymity_floor > 0 {
-            let full = admission::floored_ladder(true, req.anonymity_floor);
-            let exact_floored =
-                req.require_exact && Tier::ExactBfs.anonymity_score() < req.anonymity_floor;
-            if full.is_empty() || exact_floored {
-                return self.shed(now, req, attempt, hedge, ShedReason::AnonymityFloor, timers);
-            }
-        }
-        if req.require_exact {
-            let (allowed, tr) = self.breaker.exact_allowed(now);
-            self.surface(tr);
-            if !allowed {
-                return self.shed(now, req, attempt, hedge, ShedReason::CircuitOpen, timers);
-            }
-        }
-        let queue = match req.class {
-            Priority::Interactive => &mut self.interactive,
-            Priority::Batch => &mut self.batch,
-        };
-        if queue.len() >= self.cfg.queue_capacity {
-            return self.shed(now, req, attempt, hedge, ShedReason::QueueFull, timers);
-        }
-        queue.push_back(Queued {
-            req,
-            attempt,
-            hedge,
-            enqueued: now,
+        let msg = ServerMsg::Done(Done {
+            job,
+            outcome,
+            finish_tick,
+            won,
         });
-        self.metrics.admitted.inc();
-        self.metrics
-            .queue_depth_peak
-            .set_max((self.interactive.len() + self.batch.len()) as i64);
-        Ok(())
-    }
-
-    fn shed(
-        &mut self,
-        now: u64,
-        req: Request,
-        attempt: u32,
-        hedge: bool,
-        reason: ShedReason,
-        timers: &mut Timers,
-    ) -> Result<(), WireError> {
-        match reason {
-            ShedReason::QueueFull => self.metrics.shed_queue_full.inc(),
-            ShedReason::DeadlineInfeasible => self.metrics.shed_deadline_infeasible.inc(),
-            ShedReason::CircuitOpen => self.metrics.shed_circuit_open.inc(),
-            ShedReason::AnonymityFloor => self.metrics.shed_anonymity_floor.inc(),
-        }
-        if hedge {
-            return Ok(());
-        }
-        let retryable = req.class == Priority::Batch
-            && reason != ShedReason::DeadlineInfeasible
-            && reason != ShedReason::AnonymityFloor
-            && self.cfg.retry.may_retry(attempt);
-        if retryable {
-            let backoff = self.cfg.retry.backoff_ticks(attempt, &mut self.rng);
-            self.metrics.retries.inc();
-            timers.push(now + backoff, req, attempt + 1, false);
-            if self.cfg.hedge_batch {
-                self.metrics.hedges_spawned.inc();
-                timers.push(now + backoff + 1 + backoff / 2, req, attempt + 1, true);
-            }
-        } else {
-            self.settle_terminal(req.id, TerminalFate::Shed(reason))?;
-        }
-        Ok(())
-    }
-
-    /// Pair idle workers with queued requests; jobs go to real threads.
-    fn dispatch_all(&mut self, now: u64) {
-        while !self.idle.is_empty() {
-            let Some(q) = self
-                .interactive
-                .pop_front()
-                .or_else(|| self.batch.pop_front())
-            else {
-                return;
-            };
-            if self.ledger.contains(q.req.id) {
-                if q.hedge {
-                    self.metrics.hedges_wasted.inc();
-                }
-                continue;
-            }
-            let Some(worker) = self.idle.pop_front() else {
-                return;
-            };
-            self.dispatch(now, worker, q);
-        }
-    }
-
-    fn dispatch(&mut self, now: u64, worker: usize, q: Queued) {
-        let waited = now.saturating_sub(q.enqueued);
-        self.metrics.queue_wait.record(waited);
-        let remaining = q.req.budget.saturating_sub(waited);
-        if remaining < self.cfg.reserve_ticks {
-            // Queue wait ate the budget; the timer heap is untouched here
-            // because DeadlineInfeasible sheds are never retried.
-            let mut no_timers = Timers::default();
-            let _ = self.shed(
-                now,
-                q.req,
-                q.attempt,
-                q.hedge,
-                ShedReason::DeadlineInfeasible,
-                &mut no_timers,
-            );
-            self.idle.push_back(worker);
+        if done.send(msg).is_err() {
             return;
         }
-        let (exact_ok, tr) = self.breaker.exact_allowed(now);
-        self.surface(tr);
-        // Floor narrowing, as in the service: a floored-out exact tier
-        // gets no grant, and an emptied ladder sheds typed (never
-        // retried, so the timer heap stays untouched).
-        let exact_ok =
-            exact_ok && Tier::ExactBfs.anonymity_score() >= q.req.anonymity_floor;
-        if admission::floored_ladder(exact_ok, q.req.anonymity_floor).is_empty() {
-            let mut no_timers = Timers::default();
-            let _ = self.shed(
-                now,
-                q.req,
-                q.attempt,
-                q.hedge,
-                ShedReason::AnonymityFloor,
-                &mut no_timers,
-            );
-            self.idle.push_back(worker);
-            return;
-        }
-        let grant = admission::exact_grant(
-            remaining,
-            self.cfg.reserve_ticks,
-            self.cfg.ticks_per_candidate,
-            exact_ok,
-        );
-        self.dispatches += 1;
-        let stall = if self.cfg.stall_every > 0
-            && self.dispatches.is_multiple_of(self.cfg.stall_every)
-        {
-            self.metrics.stalls_injected.inc();
-            self.metrics.stall_ticks.add(self.cfg.stall_ticks);
-            self.cfg.stall_ticks
-        } else {
-            0
-        };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let job = Job {
-            seq,
-            worker,
-            req: q.req,
-            hedge: q.hedge,
-            enqueued: q.enqueued,
-            dispatched: now,
-            exact_ok,
-            grant,
-            stall,
-        };
-        if self.job_tx[worker].send(job).is_ok() {
-            self.in_flight += 1;
-        } else {
-            // Worker died (cannot happen absent a panic); fail the id so
-            // accounting still closes.
-            let _ = self.settle_terminal(q.req.id, TerminalFate::Failed);
-            self.metrics.failed.inc();
-            self.idle.push_back(worker);
-        }
-    }
-
-    fn report(&self, final_tick: u64) -> SvcReport {
-        let c = self.ledger.counts();
-        SvcReport {
-            offered: self.offered_ids,
-            admitted_events: self.metrics.admitted.get(),
-            completed: c.completed,
-            failed: c.failed,
-            shed_queue_full: c.shed_queue_full,
-            shed_deadline_infeasible: c.shed_deadline,
-            shed_circuit_open: c.shed_circuit,
-            shed_anonymity_floor: c.shed_floor,
-            deadline_met: c.met,
-            deadline_missed: c.missed,
-            p50_latency_ticks: self.metrics.latency.quantile(0.5).unwrap_or(0),
-            p99_latency_ticks: self.metrics.latency.quantile(0.99).unwrap_or(0),
-            final_tick,
-            snapshot: self.registry.snapshot().render_text(Mode::Deterministic),
-        }
     }
 }
 
-/// Pending retry/hedge re-arrivals (virtual pace pushes them straight
-/// into the event heap; wall pace keeps them in a timer heap).
-#[derive(Default)]
-struct Timers {
-    heap: BinaryHeap<Reverse<Ev>>,
-    next_seq: u64,
+fn hung_up() -> WireError {
+    WireError::Io("worker pool hung up".into())
 }
 
-impl Timers {
-    fn push(&mut self, tick: u64, req: Request, attempt: u32, hedge: bool) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(Ev {
-            tick,
-            seq,
-            kind: EvKind::Arrival { req, attempt, hedge },
-        }));
-    }
-
-    fn next_due(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(e)| e.tick)
-    }
-
-    fn pop_due(&mut self, now: u64) -> Option<(u64, Request, u32, bool)> {
-        match self.heap.peek() {
-            Some(Reverse(e)) if e.tick <= now => {
-                let Reverse(e) = self.heap.pop().expect("peeked");
-                match e.kind {
-                    EvKind::Arrival { req, attempt, hedge } => Some((e.tick, req, attempt, hedge)),
-                    EvKind::WorkerFree(_) => unreachable!("timers only hold arrivals"),
-                }
-            }
-            _ => None,
+/// Count one frame the client sent; returns the request it carries.
+fn count_frame(rt: &RuntimeMetrics, msg: Message) -> Option<WireRequest> {
+    match msg {
+        Message::Request(r) => {
+            rt.frames_received.inc();
+            return Some(r);
         }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Virtual-pace server
-// ---------------------------------------------------------------------
-
-struct ServerOut {
-    svc: SvcReport,
-    frames_received: u64,
-    frames_rejected: u64,
-    sessions: u64,
-    wall_snapshot: String,
-}
-
-fn run_virtual_server(
-    engine: &mut Engine<'_>,
-    arrivals: Vec<(u64, Request)>,
-) -> Result<u64, WireError> {
-    // The event heap: trace arrivals + retries/hedges + worker frees.
-    // Timer pushes from shed() land in the same heap through a shim.
-    let mut events: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
-    let mut ev_seq = 0u64;
-    let push = |events: &mut BinaryHeap<Reverse<Ev>>, seq: &mut u64, tick, kind| {
-        events.push(Reverse(Ev {
-            tick,
-            seq: *seq,
-            kind,
-        }));
-        *seq += 1;
-    };
-    for (tick, req) in arrivals {
-        push(
-            &mut events,
-            &mut ev_seq,
-            tick,
-            EvKind::Arrival {
-                req,
-                attempt: 1,
-                hedge: false,
-            },
-        );
-    }
-    let mut final_tick = 0u64;
-    loop {
-        // Deterministic settlement: drain every in-flight completion
-        // before the clock can move, then settle in dispatch order.
-        if engine.in_flight > 0 {
-            let mut batch = Vec::with_capacity(engine.in_flight);
-            while engine.in_flight > 0 {
-                let done = engine
-                    .done_rx
-                    .recv()
-                    .map_err(|_| WireError::Io("worker pool hung up".into()))?;
-                engine.in_flight -= 1;
-                batch.push(done);
-            }
-            batch.sort_by_key(|d| d.job.seq);
-            for done in batch {
-                let finish = settle_virtual(engine, done, &mut events, &mut ev_seq)?;
-                final_tick = final_tick.max(finish);
-            }
+        Message::Hello(_) => {
+            rt.sessions.inc();
+            rt.frames_received.inc();
         }
-        let Some(Reverse(ev)) = events.pop() else { break };
-        final_tick = final_tick.max(ev.tick);
-        match ev.kind {
-            EvKind::Arrival { req, attempt, hedge } => {
-                // Retries/hedges scheduled by shed() go through a local
-                // timer struct, then migrate into the event heap.
-                let mut timers = Timers::default();
-                engine.on_arrival(ev.tick, req, attempt, hedge, &mut timers)?;
-                while let Some(Reverse(t)) = timers.heap.pop() {
-                    push(&mut events, &mut ev_seq, t.tick, t.kind);
-                }
-            }
-            EvKind::WorkerFree(w) => engine.idle.push_back(w),
-        }
-        engine.dispatch_all(ev.tick);
+        Message::Shutdown => rt.frames_received.inc(),
+        // A client never sends responses: a protocol violation, rejected.
+        Message::Response(_) => rt.frames_rejected.inc(),
     }
-    Ok(final_tick)
-}
-
-/// Settle one drained completion on the virtual clock (deterministic:
-/// callers pass completions in dispatch-seq order). Returns the finish
-/// tick.
-fn settle_virtual(
-    engine: &mut Engine<'_>,
-    done: Done,
-    events: &mut BinaryHeap<Reverse<Ev>>,
-    ev_seq: &mut u64,
-) -> Result<u64, WireError> {
-    let job = done.job;
-    let cost = admission::price_outcome(
-        &done.outcome,
-        job.exact_ok,
-        job.grant,
-        engine.cfg.ticks_per_candidate,
-    );
-    let finish = job.dispatched + cost + job.stall;
-    events.push(Reverse(Ev {
-        tick: finish,
-        seq: *ev_seq,
-        kind: EvKind::WorkerFree(job.worker),
-    }));
-    *ev_seq += 1;
-    if engine.ledger.contains(job.req.id) {
-        // A twin settled while this one was in flight — real-runtime
-        // semantics the sim cannot exhibit (it settles at dispatch).
-        // Work was burned, nothing else changes.
-        self::count_wasted_twin(engine, job.hedge);
-        return Ok(finish);
-    }
-    engine.metrics.service.record(cost);
-    match admission::breaker_feedback(&done.outcome, job.exact_ok) {
-        Some(true) => {
-            let jitter = engine
-                .rng
-                .gen_range(0..=engine.cfg.breaker.cooldown.max(4) / 4);
-            let tr = engine.breaker.on_fallback(job.dispatched, jitter);
-            engine.surface(tr);
-        }
-        Some(false) => {
-            let tr = engine.breaker.on_exact_success();
-            engine.surface(tr);
-        }
-        None => {}
-    }
-    match done.outcome {
-        Ok(sel) => {
-            let latency = finish - job.enqueued;
-            engine.metrics.latency.record(latency);
-            let met = latency <= job.req.budget;
-            if met {
-                engine.metrics.deadline_met.inc();
-            } else {
-                engine.metrics.deadline_missed.inc();
-            }
-            let degraded = sel.tier != Tier::ExactBfs;
-            if degraded {
-                engine.metrics.degraded.inc();
-            }
-            engine.metrics.completed.inc();
-            engine.settle_terminal(job.req.id, TerminalFate::Completed { met, degraded })?;
-        }
-        Err(_) => {
-            engine.metrics.failed.inc();
-            engine.settle_terminal(job.req.id, TerminalFate::Failed)?;
-        }
-    }
-    Ok(finish)
-}
-
-fn count_wasted_twin(engine: &Engine<'_>, hedge: bool) {
-    if hedge {
-        engine.metrics.hedges_wasted.inc();
-    }
+    None
 }
 
 // ---------------------------------------------------------------------
 // Wall-pace server
 // ---------------------------------------------------------------------
 
-enum WallMsg {
-    Frame(Message),
-    ReaderDone(Result<(), WireError>),
-    Done(Done),
-}
-
-fn run_wall_server(
-    engine: &mut Engine<'_>,
+/// Serve on the real clock until the client is done and every request
+/// is answered.
+fn run_wall(
+    engine: &mut Engine,
     clock: MonoClock,
     ns_per_tick: u64,
-    rx: mpsc::Receiver<WallMsg>,
-    sessions: &mut u64,
-    frames_received: &mut u64,
-    frames_rejected: &mut u64,
-) -> Result<u64, WireError> {
-    let mut timers = Timers::default();
+    job_tx: &[mpsc::Sender<Job>],
+    rx: mpsc::Receiver<ServerMsg>,
+    rt: &RuntimeMetrics,
+    respond: &mut impl FnMut(u64, TerminalFate) -> Result<(), WireError>,
+) -> Result<(), WireError> {
     let mut reader_done = false;
+    let mut in_flight = 0usize;
     loop {
         let now = clock.now();
-        while let Some((_due, req, attempt, hedge)) = timers.pop_due(now) {
-            engine.on_arrival(now, req, attempt, hedge, &mut timers)?;
+        while let Some(event) = engine.pop_due(now) {
+            engine.on_event(now, event);
         }
-        engine.dispatch_all(clock.now());
-        if reader_done
-            && engine.in_flight == 0
-            && engine.interactive.is_empty()
-            && engine.batch.is_empty()
-            && timers.is_empty()
-        {
+        while let Some(job) = engine.dispatch(clock.now()) {
+            job_tx[job.worker].send(job).map_err(|_| hung_up())?;
+            in_flight += 1;
+        }
+        for (id, fate) in engine.settled.drain(..) {
+            respond(id, fate)?;
+        }
+        if reader_done && in_flight == 0 && engine.is_drained() {
             break;
         }
-        let timeout = match timers.next_due() {
+        let timeout = match engine.next_due() {
             Some(due) => {
                 let ticks = due.saturating_sub(clock.now());
                 Duration::from_nanos(ticks.saturating_mul(ns_per_tick).clamp(50_000, 5_000_000))
@@ -990,35 +355,29 @@ fn run_wall_server(
             None => Duration::from_micros(500),
         };
         match rx.recv_timeout(timeout) {
-            Ok(WallMsg::Frame(Message::Hello(Hello { .. }))) => {
-                *sessions += 1;
-                *frames_received += 1;
-                engine.rt_metrics.sessions.inc();
-                engine.rt_metrics.frames_received.inc();
+            Ok(ServerMsg::Frame(msg)) => {
+                if let Some(r) = count_frame(rt, msg) {
+                    engine.arrive(clock.now(), r.to_request(), 1, false);
+                }
             }
-            Ok(WallMsg::Frame(Message::Request(r))) => {
-                *frames_received += 1;
-                engine.rt_metrics.frames_received.inc();
-                engine.on_arrival(clock.now(), r.to_request(), 1, false, &mut timers)?;
-            }
-            Ok(WallMsg::Frame(Message::Shutdown)) => {
-                *frames_received += 1;
-                engine.rt_metrics.frames_received.inc();
-            }
-            Ok(WallMsg::Frame(Message::Response(_))) => {
-                // Protocol violation from the client side; reject.
-                *frames_rejected += 1;
-                engine.rt_metrics.frames_rejected.inc();
-            }
-            Ok(WallMsg::ReaderDone(res)) => {
+            Ok(ServerMsg::ReaderDone(res)) => {
                 res?;
                 reader_done = true;
             }
-            Ok(WallMsg::Done(done)) => {
-                engine.in_flight -= 1;
-                let worker = done.job.worker;
-                settle_wall(engine, done)?;
-                engine.idle.push_back(worker);
+            Ok(ServerMsg::Done(done)) => {
+                // The worker already raced the ledger; the engine mirrors
+                // the winner into metrics and the response stream.
+                in_flight -= 1;
+                let job = done.job;
+                engine.idle.push_back(job.worker);
+                if done.won {
+                    let cost = engine.price(&job, &done.outcome);
+                    let finish = done.finish_tick;
+                    let fate = engine.settle(&job, &done.outcome, cost, finish, finish);
+                    respond(job.req.id, fate)?;
+                } else if job.hedge {
+                    engine.metrics.hedges_wasted.inc();
+                }
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => {
@@ -1026,58 +385,8 @@ fn run_wall_server(
             }
         }
     }
-    Ok(clock.now())
-}
-
-/// Settle one wall-pace completion: the worker already raced the ledger;
-/// the engine mirrors the winner into metrics and the response stream.
-fn settle_wall(engine: &mut Engine<'_>, done: Done) -> Result<(), WireError> {
-    let job = done.job;
-    let cost = admission::price_outcome(
-        &done.outcome,
-        job.exact_ok,
-        job.grant,
-        engine.cfg.ticks_per_candidate,
-    );
-    if !done.settled {
-        count_wasted_twin(engine, job.hedge);
-        return Ok(());
-    }
-    engine.metrics.service.record(cost);
-    match admission::breaker_feedback(&done.outcome, job.exact_ok) {
-        Some(true) => {
-            let jitter = engine
-                .rng
-                .gen_range(0..=engine.cfg.breaker.cooldown.max(4) / 4);
-            let tr = engine.breaker.on_fallback(done.finish_tick, jitter);
-            engine.surface(tr);
-        }
-        Some(false) => {
-            let tr = engine.breaker.on_exact_success();
-            engine.surface(tr);
-        }
-        None => {}
-    }
-    let fate = engine
-        .ledger
-        .get(job.req.id)
-        .expect("worker settled this id");
-    if let TerminalFate::Completed { met, degraded } = fate {
-        let latency = done.finish_tick.saturating_sub(job.enqueued);
-        engine.metrics.latency.record(latency);
-        if met {
-            engine.metrics.deadline_met.inc();
-        } else {
-            engine.metrics.deadline_missed.inc();
-        }
-        if degraded {
-            engine.metrics.degraded.inc();
-        }
-        engine.metrics.completed.inc();
-    } else {
-        engine.metrics.failed.inc();
-    }
-    engine.respond(job.req.id, fate)
+    engine.final_tick = clock.now();
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -1148,18 +457,10 @@ pub fn run_runtime(
             Ok(tally)
         });
 
-        let out = run_server(s, instance, policy, cfg, server)?;
-
+        let mut report = run_server(s, instance, policy, cfg, server)?;
         writer.join().expect("client writer panicked")?;
-        let tally = reader.join().expect("client reader panicked")?;
-        Ok(RuntimeReport {
-            svc: out.svc,
-            client: tally,
-            frames_received: out.frames_received,
-            frames_rejected: out.frames_rejected,
-            sessions: out.sessions,
-            wall_snapshot: out.wall_snapshot,
-        })
+        report.client = reader.join().expect("client reader panicked")?;
+        Ok(report)
     })
 }
 
@@ -1169,163 +470,110 @@ fn run_server<'scope, 'env>(
     policy: SelectionPolicy,
     cfg: &RuntimeConfig,
     server: Channel,
-) -> Result<ServerOut, WireError>
+) -> Result<RuntimeReport, WireError>
 where
     'env: 'scope,
 {
     let registry = Registry::new();
-    let metrics = SvcMetrics::in_registry(&registry);
-    let rt_metrics = RuntimeMetrics::in_registry(&registry);
-    metrics.circuit_state.set(CircuitState::Closed.gauge_value());
-    let ledger = Arc::new(TerminalLedger::new());
-    let workers = cfg.svc.workers.max(1);
-
-    // Per-worker job channels + one shared completion channel.
-    let mut job_tx = Vec::with_capacity(workers);
-    let (done_tx, done_rx) = mpsc::channel::<Done>();
-    let (wall_tx, wall_rx) = mpsc::channel::<WallMsg>();
+    let rt = RuntimeMetrics::in_registry(&registry);
+    let mut engine = Engine::new(cfg.svc, &registry, service::SEED_SALT);
     let wall = match cfg.pace {
-        Pace::Wall { ns_per_tick } => Some(MonoClock::wall(ns_per_tick.max(1))),
+        Pace::Wall { ns_per_tick } => Some((MonoClock::wall(ns_per_tick), ns_per_tick.max(1))),
         Pace::Virtual => None,
     };
-    for _ in 0..workers {
-        let (tx, rx) = mpsc::channel::<Job>();
-        job_tx.push(tx);
-        let core = CoreMetrics::in_registry(&registry);
-        let inline = wall.map(|clock| InlineSettle {
-            ledger: Arc::clone(&ledger),
-            clock,
-            ns_per_tick: match cfg.pace {
-                Pace::Wall { ns_per_tick } => ns_per_tick.max(1),
-                Pace::Virtual => 1,
-            },
-            metrics: rt_metrics.clone(),
-        });
-        let bfs_workers = cfg.svc.bfs_workers.max(1);
-        // Wall pace routes completions through the unified engine
-        // channel; virtual pace drains the dedicated one.
-        let sink = if wall.is_some() {
-            DoneSink::Wall(wall_tx.clone())
-        } else {
-            DoneSink::Direct(done_tx.clone())
-        };
-        s.spawn(move || {
-            worker_loop(instance, policy, bfs_workers, core, rx, sink, inline);
-        });
-    }
-    drop(done_tx);
 
-    let mut resp_chan = server.try_clone()?;
-    let mut engine = Engine {
-        cfg: cfg.svc,
-        metrics,
-        rt_metrics: rt_metrics.clone(),
-        breaker: CircuitBreaker::new(cfg.svc.breaker),
-        rng: StdRng::seed_from_u64(cfg.svc.seed ^ 0x5e1e_c75e),
-        interactive: VecDeque::new(),
-        batch: VecDeque::new(),
-        idle: (0..workers).collect(),
-        ledger: Arc::clone(&ledger),
-        job_tx,
-        done_rx,
-        resp: &mut resp_chan,
-        next_seq: 0,
-        offered_ids: 0,
-        dispatches: 0,
-        in_flight: 0,
-        registry,
+    // Per-worker job channels; every worker reports on the one server
+    // channel.
+    let (tx, rx) = mpsc::channel::<ServerMsg>();
+    let job_tx: Vec<mpsc::Sender<Job>> = (0..cfg.svc.workers.max(1))
+        .map(|_| {
+            let (job_tx, jobs) = mpsc::channel::<Job>();
+            let core = engine.core.clone();
+            let done = tx.clone();
+            let inline = wall.map(|(clock, ns_per_tick)| InlineSettle {
+                ledger: Arc::clone(&engine.ledger),
+                clock,
+                ns_per_tick,
+                metrics: rt.clone(),
+            });
+            let bfs_workers = cfg.svc.bfs_workers;
+            s.spawn(move || worker_loop(instance, policy, bfs_workers, core, jobs, done, inline));
+            job_tx
+        })
+        .collect();
+
+    let mut resp = server.try_clone()?;
+    let mut respond = |id: u64, fate: TerminalFate| {
+        let outcome = match fate {
+            TerminalFate::Completed { met, degraded } => WireOutcome::Completed { met, degraded },
+            TerminalFate::Shed(r) => WireOutcome::Shed(r),
+            TerminalFate::Failed => WireOutcome::Failed,
+        };
+        rt.frames_sent.inc();
+        write_frame(&mut resp, &Message::Response(WireResponse { id, outcome }))
     };
 
-    let mut sessions = 0u64;
-    let mut frames_received = 0u64;
-    let mut frames_rejected = 0u64;
-
-    let final_tick = match cfg.pace {
-        Pace::Virtual => {
-            // Phase 1: pull the entire trace off the wire (every frame
-            // decoded + digest-checked), then replay deterministically.
-            let mut reader = FrameReader::new(server);
-            let mut arrivals: Vec<(u64, Request)> = Vec::new();
-            loop {
-                match reader.read_frame() {
-                    Ok(Some(Message::Hello(_))) => {
-                        sessions += 1;
-                        frames_received += 1;
-                        engine.rt_metrics.sessions.inc();
-                        engine.rt_metrics.frames_received.inc();
-                    }
-                    Ok(Some(Message::Request(r))) => {
-                        frames_received += 1;
-                        engine.rt_metrics.frames_received.inc();
-                        arrivals.push((r.tick, r.to_request()));
-                    }
-                    Ok(Some(Message::Shutdown)) => {
-                        frames_received += 1;
-                        engine.rt_metrics.frames_received.inc();
-                    }
-                    Ok(Some(Message::Response(_))) => {
-                        frames_rejected += 1;
-                        engine.rt_metrics.frames_rejected.inc();
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        // A corrupt frame aborts the whole session: the
-                        // stream is self-authenticating, not self-healing.
-                        engine.rt_metrics.frames_rejected.inc();
-                        return Err(e);
-                    }
-                }
-            }
-            run_virtual_server(&mut engine, arrivals)?
-        }
-        Pace::Wall { ns_per_tick } => {
-            // Reader thread feeds the unified engine channel.
-            let rtx = wall_tx.clone();
+    match wall {
+        Some((clock, ns_per_tick)) => {
+            // Reader thread feeds the server channel.
             s.spawn(move || {
                 let mut reader = FrameReader::new(server);
                 loop {
-                    match reader.read_frame() {
-                        Ok(Some(msg)) => {
-                            if rtx.send(WallMsg::Frame(msg)).is_err() {
-                                return;
-                            }
-                        }
-                        Ok(None) => {
-                            let _ = rtx.send(WallMsg::ReaderDone(Ok(())));
-                            return;
-                        }
-                        Err(e) => {
-                            let _ = rtx.send(WallMsg::ReaderDone(Err(e)));
-                            return;
-                        }
+                    let msg = match reader.read_frame() {
+                        Ok(Some(msg)) => ServerMsg::Frame(msg),
+                        Ok(None) => ServerMsg::ReaderDone(Ok(())),
+                        Err(e) => ServerMsg::ReaderDone(Err(e)),
+                    };
+                    let last = matches!(msg, ServerMsg::ReaderDone(_));
+                    if tx.send(msg).is_err() || last {
+                        return;
                     }
                 }
             });
-            drop(wall_tx);
-            let clock = wall.expect("wall pace has a clock");
-            run_wall_server(
+            run_wall(
                 &mut engine,
                 clock,
-                ns_per_tick.max(1),
-                wall_rx,
-                &mut sessions,
-                &mut frames_received,
-                &mut frames_rejected,
-            )?
+                ns_per_tick,
+                &job_tx,
+                rx,
+                &rt,
+                &mut respond,
+            )?;
         }
-    };
+        None => {
+            drop(tx);
+            // Pull the entire trace off the wire (every frame decoded and
+            // digest-checked; a corrupt frame aborts the session — the
+            // stream is self-authenticating, not self-healing), then
+            // replay it through the engine's event loop.
+            let mut reader = FrameReader::new(server);
+            let mut arrivals = Vec::new();
+            while let Some(msg) = reader.read_frame()? {
+                if let Some(r) = count_frame(&rt, msg) {
+                    arrivals.push((r.tick, r.to_request()));
+                }
+            }
+            let execute = |job: &Job| {
+                job_tx[job.worker].send(*job).map_err(|_| hung_up())?;
+                match rx.recv() {
+                    Ok(ServerMsg::Done(done)) => Ok(done.outcome),
+                    _ => Err(hung_up()),
+                }
+            };
+            engine.run(&arrivals, execute, &mut respond)?;
+        }
+    }
 
-    // Stop the worker pool (their job senders live in the engine).
-    engine.job_tx.clear();
-    let svc = engine.report(final_tick);
-    let wall_snapshot = engine.registry.snapshot().render_text(Mode::WallClock);
-    drop(engine);
-    resp_chan.close_write();
-    Ok(ServerOut {
+    // Stop the worker pool.
+    drop(job_tx);
+    let svc = engine.report(&registry);
+    resp.close_write();
+    Ok(RuntimeReport {
         svc,
-        frames_received,
-        frames_rejected,
-        sessions,
-        wall_snapshot,
+        client: ClientTally::default(),
+        frames_received: rt.frames_received.get(),
+        frames_rejected: rt.frames_rejected.get(),
+        sessions: rt.sessions.get(),
+        wall_snapshot: registry.snapshot().render_text(Mode::WallClock),
     })
 }

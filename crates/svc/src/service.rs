@@ -2,6 +2,10 @@
 //! simulation of admission control, queueing, deadline propagation, and
 //! circuit breaking in front of `dams-core`'s degrade ladder.
 //!
+//! The request path itself is the crate's admission engine, which the
+//! real runtime and the `Frontend` also run; [`Service`] drives it on a
+//! virtual clock and runs each dispatched job inline.
+//!
 //! # Why a virtual clock
 //!
 //! Overload behaviour must be *provable*: the acceptance gate replays a
@@ -13,6 +17,8 @@
 //! same currency end-to-end. Every draw of randomness (arrival jitter,
 //! retry backoff, breaker jitter, stalls) comes from one seeded stream
 //! on the single event-loop thread.
+//!
+//! [`Deadline::Ticks`]: dams_core::Deadline::Ticks
 //!
 //! # Deadline propagation
 //!
@@ -44,21 +50,14 @@
 //! invariant under `bfs_workers`. The overload property tests assert
 //! exactly that.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::convert::Infallible;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use dams_core::{
-    select_with_ladder_exec, CoreMetrics, Instance, LadderExec, SelectionPolicy, Tier,
-};
+use dams_core::{Instance, SelectionPolicy};
 use dams_diversity::TokenId;
-use dams_obs::{Mode, Registry};
+use dams_obs::Registry;
 
-use crate::admission;
-use crate::breaker::{BreakerConfig, CircuitBreaker, CircuitState, Transition};
-use crate::obs::SvcMetrics;
+use crate::breaker::BreakerConfig;
+use crate::engine::Engine;
 use crate::retry::RetryPolicy;
 
 /// Priority class of a request.
@@ -113,6 +112,8 @@ pub struct Request {
     /// have (`0` = no floor). Ladder tiers below the floor are never run
     /// for this request; if none qualifies it is shed as
     /// [`ShedReason::AnonymityFloor`].
+    ///
+    /// [`Tier::anonymity_score`]: dams_core::Tier::anonymity_score
     pub anonymity_floor: u32,
 }
 
@@ -162,56 +163,10 @@ impl Default for SvcConfig {
     }
 }
 
-/// The terminal fate of one unique request id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Terminal {
-    Completed { met: bool },
-    Shed(ShedReason),
-    Failed,
-}
-
-#[derive(Debug, Clone)]
-enum EventKind {
-    Arrival { req: Request, attempt: u32, hedge: bool },
-    WorkerFree(usize),
-}
-
-#[derive(Debug, Clone)]
-struct Event {
-    tick: u64,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        (self.tick, self.seq) == (other.tick, other.seq)
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.tick, self.seq).cmp(&(other.tick, other.seq))
-    }
-}
-
-#[derive(Debug, Clone)]
-struct Queued {
-    req: Request,
-    attempt: u32,
-    hedge: bool,
-    enqueued: u64,
-}
-
 /// Aggregated outcome of one simulation run. Terminal accounting is per
 /// unique request id, so `completed + failed + shed_* == offered` holds
 /// exactly (the overload property tests assert it for every seed).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SvcReport {
     pub offered: u64,
     /// Admission grants (events — a retried request admits repeatedly).
@@ -260,51 +215,27 @@ impl SvcReport {
     }
 }
 
+/// Seed salt of the service's in-engine random stream (the runtime
+/// shares it, so both replay the same draws).
+pub(crate) const SEED_SALT: u64 = 0x5e1e_c75e;
+
 /// The service simulation (see the module docs).
 pub struct Service<'a> {
     instance: &'a Instance,
     policy: SelectionPolicy,
-    cfg: SvcConfig,
     registry: Registry,
-    metrics: SvcMetrics,
-    core: CoreMetrics,
-    breaker: CircuitBreaker,
-    rng: StdRng,
-    events: BinaryHeap<Reverse<Event>>,
-    next_seq: u64,
-    interactive: VecDeque<Queued>,
-    batch: VecDeque<Queued>,
-    idle: VecDeque<usize>,
-    terminal: HashMap<u64, Terminal>,
-    offered_ids: u64,
-    dispatches: u64,
-    final_tick: u64,
+    engine: Engine,
 }
 
 impl<'a> Service<'a> {
     pub fn new(instance: &'a Instance, policy: SelectionPolicy, cfg: SvcConfig) -> Self {
         let registry = Registry::new();
-        let metrics = SvcMetrics::in_registry(&registry);
-        let core = CoreMetrics::in_registry(&registry);
-        metrics.circuit_state.set(CircuitState::Closed.gauge_value());
+        let engine = Engine::new(cfg, &registry, SEED_SALT);
         Service {
             instance,
             policy,
-            cfg,
-            metrics,
-            core,
             registry,
-            breaker: CircuitBreaker::new(cfg.breaker),
-            rng: StdRng::seed_from_u64(cfg.seed ^ 0x5e1e_c75e),
-            events: BinaryHeap::new(),
-            next_seq: 0,
-            interactive: VecDeque::new(),
-            batch: VecDeque::new(),
-            idle: (0..cfg.workers.max(1)).collect(),
-            terminal: HashMap::new(),
-            offered_ids: 0,
-            dispatches: 0,
-            final_tick: 0,
+            engine,
         }
     }
 
@@ -314,334 +245,25 @@ impl<'a> Service<'a> {
     }
 
     /// Run the simulation over an arrival schedule and report. Arrivals
-    /// need not be sorted; ties settle in input order.
+    /// need not be sorted; ties settle in input order. Each dispatched
+    /// job runs inline on this thread.
     pub fn run(&mut self, arrivals: &[(u64, Request)]) -> SvcReport {
-        for &(tick, req) in arrivals {
-            self.push_event(
-                tick,
-                EventKind::Arrival {
-                    req,
-                    attempt: 1,
-                    hedge: false,
-                },
-            );
-        }
-        while let Some(Reverse(ev)) = self.events.pop() {
-            self.final_tick = self.final_tick.max(ev.tick);
-            match ev.kind {
-                EventKind::Arrival { req, attempt, hedge } => {
-                    self.on_arrival(ev.tick, req, attempt, hedge);
-                }
-                EventKind::WorkerFree(w) => {
-                    self.idle.push_back(w);
-                }
-            }
-            self.dispatch_all(ev.tick);
-        }
-        self.report()
-    }
-
-    fn push_event(&mut self, tick: u64, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.events.push(Reverse(Event { tick, seq, kind }));
-    }
-
-    fn on_arrival(&mut self, now: u64, req: Request, attempt: u32, hedge: bool) {
-        if attempt == 1 && !hedge {
-            self.offered_ids += 1;
-            self.metrics.offered.inc();
-        }
-        if self.terminal.contains_key(&req.id) {
-            // A twin (hedge or primary) already settled this id.
-            if hedge {
-                self.metrics.hedges_wasted.inc();
-            }
-            return;
-        }
-        // Admission: deadline feasibility first — a budget below the
-        // cheap-tier reserve can never finish, no matter the queue.
-        if req.budget < self.cfg.reserve_ticks {
-            self.shed(now, req, attempt, hedge, ShedReason::DeadlineInfeasible);
-            return;
-        }
-        // Anonymity floor next: if even the full ladder has no tier whose
-        // measured anonymity score meets the floor (or the request insists
-        // on an exact tier the floor rules out), no amount of queueing or
-        // breaker recovery can ever answer it compliantly.
-        if req.anonymity_floor > 0 {
-            let full = admission::floored_ladder(true, req.anonymity_floor);
-            let exact_floored =
-                req.require_exact && Tier::ExactBfs.anonymity_score() < req.anonymity_floor;
-            if full.is_empty() || exact_floored {
-                self.shed(now, req, attempt, hedge, ShedReason::AnonymityFloor);
-                return;
-            }
-        }
-        // Exact-only requests are refused outright while the circuit is
-        // open: queueing them would only burn their budget.
-        if req.require_exact {
-            let (allowed, tr) = self.breaker.exact_allowed(now);
-            self.surface(tr);
-            if !allowed {
-                self.shed(now, req, attempt, hedge, ShedReason::CircuitOpen);
-                return;
-            }
-        }
-        let queue = match req.class {
-            Priority::Interactive => &mut self.interactive,
-            Priority::Batch => &mut self.batch,
-        };
-        if queue.len() >= self.cfg.queue_capacity {
-            self.shed(now, req, attempt, hedge, ShedReason::QueueFull);
-            return;
-        }
-        queue.push_back(Queued {
-            req,
-            attempt,
-            hedge,
-            enqueued: now,
-        });
-        self.metrics.admitted.inc();
-        self.metrics
-            .queue_depth_peak
-            .set_max((self.interactive.len() + self.batch.len()) as i64);
-    }
-
-    /// Record a shed event and either schedule a retry (+ optional hedge)
-    /// or settle the id terminally.
-    fn shed(&mut self, now: u64, req: Request, attempt: u32, hedge: bool, reason: ShedReason) {
-        match reason {
-            ShedReason::QueueFull => self.metrics.shed_queue_full.inc(),
-            ShedReason::DeadlineInfeasible => self.metrics.shed_deadline_infeasible.inc(),
-            ShedReason::CircuitOpen => self.metrics.shed_circuit_open.inc(),
-            ShedReason::AnonymityFloor => self.metrics.shed_anonymity_floor.inc(),
-        }
-        // Hedge copies never settle the id: their primary twin does.
-        if hedge {
-            return;
-        }
-        // Deadline and floor sheds are terminal: a retry re-offers the
-        // same budget (resp. the same floor against the same measured
-        // tier scores), so it can never fare better.
-        let retryable = req.class == Priority::Batch
-            && reason != ShedReason::DeadlineInfeasible
-            && reason != ShedReason::AnonymityFloor
-            && self.cfg.retry.may_retry(attempt);
-        if retryable {
-            let backoff = self.cfg.retry.backoff_ticks(attempt, &mut self.rng);
-            self.metrics.retries.inc();
-            self.push_event(
-                now + backoff,
-                EventKind::Arrival {
-                    req,
-                    attempt: attempt + 1,
-                    hedge: false,
-                },
-            );
-            if self.cfg.hedge_batch {
-                // Staggered duplicate: whichever twin settles first wins,
-                // the other is deduplicated on arrival or dispatch.
-                self.metrics.hedges_spawned.inc();
-                self.push_event(
-                    now + backoff + 1 + backoff / 2,
-                    EventKind::Arrival {
-                        req,
-                        attempt: attempt + 1,
-                        hedge: true,
-                    },
-                );
-            }
-        } else {
-            self.terminal.insert(req.id, Terminal::Shed(reason));
-        }
-    }
-
-    fn surface(&self, tr: Option<Transition>) {
-        let Some(tr) = tr else { return };
-        match tr {
-            Transition::Opened => self.metrics.circuit_opened.inc(),
-            Transition::HalfOpened => self.metrics.circuit_half_open.inc(),
-            Transition::Closed => self.metrics.circuit_closed.inc(),
-        }
-        self.metrics
-            .circuit_state
-            .set(self.breaker.state().gauge_value());
-    }
-
-    /// Pair idle workers with queued requests until one side runs dry.
-    fn dispatch_all(&mut self, now: u64) {
-        while !self.idle.is_empty() {
-            let Some(q) = self
-                .interactive
-                .pop_front()
-                .or_else(|| self.batch.pop_front())
-            else {
-                return;
-            };
-            if self.terminal.contains_key(&q.req.id) {
-                if q.hedge {
-                    self.metrics.hedges_wasted.inc();
-                }
-                continue;
-            }
-            let Some(worker) = self.idle.pop_front() else {
-                return;
-            };
-            self.dispatch(now, worker, q);
-        }
-    }
-
-    fn dispatch(&mut self, now: u64, worker: usize, q: Queued) {
-        let waited = now - q.enqueued;
-        self.metrics.queue_wait.record(waited);
-        let remaining = q.req.budget.saturating_sub(waited);
-        if remaining < self.cfg.reserve_ticks {
-            // Queue wait ate the budget: shed instead of missing.
-            self.shed(now, q.req, q.attempt, q.hedge, ShedReason::DeadlineInfeasible);
-            self.idle.push_back(worker);
-            return;
-        }
-
-        let (exact_ok, tr) = self.breaker.exact_allowed(now);
-        self.surface(tr);
-        // The anonymity floor narrows the ladder *before* any budget is
-        // granted: a floored-out exact tier gets no grant (and gives no
-        // breaker feedback), exactly as if the breaker had denied it.
-        let exact_ok =
-            exact_ok && Tier::ExactBfs.anonymity_score() >= q.req.anonymity_floor;
-        let ladder = admission::floored_ladder(exact_ok, q.req.anonymity_floor);
-        if ladder.is_empty() {
-            self.shed(now, q.req, q.attempt, q.hedge, ShedReason::AnonymityFloor);
-            self.idle.push_back(worker);
-            return;
-        }
-        let grant_candidates = admission::exact_grant(
-            remaining,
-            self.cfg.reserve_ticks,
-            self.cfg.ticks_per_candidate,
-            exact_ok,
+        let (instance, policy) = (self.instance, self.policy);
+        let core = self.engine.core.clone();
+        let bfs_workers = self.engine.cfg.bfs_workers;
+        let Ok(()) = self.engine.run(
+            arrivals,
+            |job| Ok::<_, Infallible>(job.select(instance, None, policy, &core, bfs_workers)),
+            |_, _| Ok(()),
         );
-        let exec = LadderExec {
-            workers: self.cfg.bfs_workers,
-            cache: None,
-            modular: None,
-        };
-        let outcome = select_with_ladder_exec(
-            self.instance,
-            q.req.target,
-            self.policy,
-            admission::grant_budget(grant_candidates),
-            &ladder,
-            &self.core,
-            &exec,
-        );
-
-        self.dispatches += 1;
-        let stall = if self.cfg.stall_every > 0 && self.dispatches.is_multiple_of(self.cfg.stall_every) {
-            self.metrics.stalls_injected.inc();
-            self.metrics.stall_ticks.add(self.cfg.stall_ticks);
-            self.cfg.stall_ticks
-        } else {
-            0
-        };
-
-        let cost = admission::price_outcome(
-            &outcome,
-            exact_ok,
-            grant_candidates,
-            self.cfg.ticks_per_candidate,
-        );
-        self.metrics.service.record(cost);
-        let finish = now + cost + stall;
-        self.push_event(finish, EventKind::WorkerFree(worker));
-
-        // Breaker feedback: only grants count. A deadline-driven fallback
-        // (burned probe or zero-grant skip) strikes; an exact answer heals.
-        match admission::breaker_feedback(&outcome, exact_ok) {
-            Some(true) => {
-                let jitter = self.rng.gen_range(0..=self.cfg.breaker.cooldown.max(4) / 4);
-                let tr = self.breaker.on_fallback(now, jitter);
-                self.surface(tr);
-            }
-            Some(false) => {
-                let tr = self.breaker.on_exact_success();
-                self.surface(tr);
-            }
-            None => {}
-        }
-
-        match outcome {
-            Ok(sel) => {
-                let latency = finish - q.enqueued;
-                self.metrics.latency.record(latency);
-                let met = latency <= q.req.budget;
-                if met {
-                    self.metrics.deadline_met.inc();
-                } else {
-                    self.metrics.deadline_missed.inc();
-                }
-                if sel.tier != Tier::ExactBfs {
-                    self.metrics.degraded.inc();
-                }
-                self.metrics.completed.inc();
-                self.terminal.insert(q.req.id, Terminal::Completed { met });
-            }
-            Err(_) => {
-                self.metrics.failed.inc();
-                self.terminal.insert(q.req.id, Terminal::Failed);
-            }
-        }
-    }
-
-    fn report(&self) -> SvcReport {
-        let mut completed = 0;
-        let mut failed = 0;
-        let mut met = 0;
-        let mut missed = 0;
-        let mut shed_queue_full = 0;
-        let mut shed_deadline = 0;
-        let mut shed_circuit = 0;
-        let mut shed_floor = 0;
-        for t in self.terminal.values() {
-            match t {
-                Terminal::Completed { met: m } => {
-                    completed += 1;
-                    if *m {
-                        met += 1;
-                    } else {
-                        missed += 1;
-                    }
-                }
-                Terminal::Failed => failed += 1,
-                Terminal::Shed(ShedReason::QueueFull) => shed_queue_full += 1,
-                Terminal::Shed(ShedReason::DeadlineInfeasible) => shed_deadline += 1,
-                Terminal::Shed(ShedReason::CircuitOpen) => shed_circuit += 1,
-                Terminal::Shed(ShedReason::AnonymityFloor) => shed_floor += 1,
-            }
-        }
-        SvcReport {
-            offered: self.offered_ids,
-            admitted_events: self.metrics.admitted.get(),
-            completed,
-            failed,
-            shed_queue_full,
-            shed_deadline_infeasible: shed_deadline,
-            shed_circuit_open: shed_circuit,
-            shed_anonymity_floor: shed_floor,
-            deadline_met: met,
-            deadline_missed: missed,
-            p50_latency_ticks: self.metrics.latency.quantile(0.5).unwrap_or(0),
-            p99_latency_ticks: self.metrics.latency.quantile(0.99).unwrap_or(0),
-            final_tick: self.final_tick,
-            snapshot: self.registry.snapshot().render_text(Mode::Deterministic),
-        }
+        self.engine.report(&self.registry)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dams_core::Tier;
     use dams_diversity::{DiversityRequirement, HtId, TokenUniverse};
 
     fn instance(n: u32) -> Instance {

@@ -159,4 +159,15 @@ echo "adversary suite defended; replay byte-identical"
 echo "== bench snapshot =="
 ./scripts/bench_snapshot.sh BENCH_baseline.json 42
 
+echo "== committed artifacts =="
+# Drift gate: the gates above regenerated these artifacts from seed 42,
+# and each regenerates byte-identically, so a change that moves
+# simulated behaviour must commit the regenerated files.
+# BENCH_selection.json and BENCH_soak.json hold wall-clock timings and
+# are left out.
+git diff --exit-code -- BENCH_overload.json BENCH_runtime.json DIFF_report.txt \
+  BENCH_cluster.json BENCH_byzantine.json BYZ_report.txt \
+  BENCH_anonymity.json ANON_report.txt
+echo "committed artifacts match their regeneration"
+
 echo "all checks passed"
