@@ -13,8 +13,10 @@
 //! * [`bfs_reference`] — the seed implementation: per candidate it rebuilds
 //!   an [`HtHistogram`] for the cheap diversity pre-check and *clones the
 //!   entire [`dams_diversity::RingIndex`]* to append the candidate before
-//!   world enumeration. Kept verbatim as the oracle for the equivalence
-//!   sweep and as the baseline side of the `BENCH_selection.json` figure.
+//!   world enumeration, and it keeps the seed GetDTRSs,
+//!   [`dams_diversity::enumerate_dtrs_reference`]. Kept verbatim as the
+//!   oracle for the equivalence sweep and as the baseline side of the
+//!   `BENCH_selection.json` figure.
 //! * [`bfs`] / [`bfs_with`] — the optimized engine:
 //!   - the subset enumerator maintains a [`DeltaHistogram`] by ±1 token as
 //!     it walks candidates in lexicographic order, so the cheap recursive
@@ -22,6 +24,8 @@
 //!   - the expensive check runs [`dams_diversity::enumerate_worlds`] with
 //!     the candidate as an out-of-index *extra* ring (no index clone) and
 //!     forwards `BfsBudget.deadline` into the recursion;
+//!   - GetDTRSs runs on bitsets ([`dams_diversity::enumerate_dtrs`]),
+//!     whose output is byte-identical to the seed version's;
 //!   - outcomes are memoizable in an [`EvalCache`] keyed by canonical ring
 //!     content (sound across one `bfs()` call and across a whole batch on
 //!     a frozen instance — the verdict never depends on the target);
@@ -38,8 +42,8 @@
 //!     on small instances (or a single-CPU host) prefer `workers == 1`.
 
 use dams_diversity::{
-    enumerate_dtrs, Deadline, DeltaHistogram, DiversityRequirement, HtHistogram, RingSet, RsId,
-    TokenId, WorldOptions,
+    enumerate_dtrs, enumerate_dtrs_reference, Deadline, DeltaHistogram, DiversityRequirement,
+    HtHistogram, RingSet, RsId, TokenId, WorldOptions,
 };
 
 use crate::cache::{CachedOutcome, EvalCache};
@@ -642,7 +646,7 @@ fn check_candidate_reference(
         } else {
             instance.claim(rid)
         };
-        let dtrs = enumerate_dtrs(&combos, &ring_ids, slot, &instance.universe);
+        let dtrs = enumerate_dtrs_reference(&combos, &ring_ids, slot, &instance.universe);
         for d in dtrs {
             stats.diversity_checks += 1;
             let hist = HtHistogram::from_tokens(&d.tokens(), &instance.universe);

@@ -1,11 +1,13 @@
 //! Equivalence sweep for the PR-3 performance work.
 //!
 //! The optimized selection engines (incremental histograms, evaluation
-//! caches, parallel frontier) must return the *same* `Result<Selection,
-//! SelectError>` — ring, stats, and error alike — as the seed reference
-//! implementations on every instance. This file sweeps 64 seeded random
-//! instances through every engine configuration and also pins the cache
-//! accounting exported through `dams-obs`.
+//! caches, parallel frontier, the bitset GetDTRSs kernel) must return the
+//! *same* `Result<Selection, SelectError>` — ring, stats, and error alike —
+//! as the seed reference implementations on every instance. This file
+//! sweeps 64 seeded random instances through every engine configuration,
+//! 64 more shaped like perfbench's `select-exact` requests through the
+//! exact BFS, and also pins the cache accounting exported through
+//! `dams-obs`.
 
 use dams_core::{
     bfs, bfs_batch, bfs_reference, bfs_with, game_theoretic_from, game_theoretic_reference,
@@ -139,6 +141,59 @@ fn bfs_engines_agree_across_64_seeds() {
         let both = bfs_with(&instance, target, req, &options, Some(&cache));
         assert_eq!(reference, both, "seed {seed}: parallel cached");
     }
+}
+
+/// An instance shaped like perfbench's `select-exact` requests: 18 tokens
+/// over 5 HTs (round-robin, then shuffled) and four committed 3-token
+/// rings claiming (2, 1). Related sets of up to five rings make the DTRS
+/// enumeration, not the candidate walk, the dominant cost.
+fn select_exact_instance(rng: &mut XorShift) -> (Instance, TokenId) {
+    let (n_tokens, n_hts) = (18u64, 5u32);
+    let mut hts: Vec<HtId> = (0..n_tokens as u32).map(|i| HtId(i % n_hts)).collect();
+    for i in (1..hts.len()).rev() {
+        hts.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let mut rings = RingIndex::new();
+    let mut claims = Vec::new();
+    for _ in 0..4 {
+        let mut members = Vec::new();
+        while members.len() < 3 {
+            let t = TokenId(rng.below(n_tokens) as u32);
+            if !members.contains(&t) {
+                members.push(t);
+            }
+        }
+        rings.push(RingSet::new(members));
+        claims.push(DiversityRequirement::new(2.0, 1));
+    }
+    let target = TokenId(rng.below(n_tokens) as u32);
+    (
+        Instance::new(TokenUniverse::new(hts), rings, claims),
+        target,
+    )
+}
+
+#[test]
+fn bfs_matches_reference_on_select_exact_instances() {
+    // The optimized BFS runs the bitset GetDTRSs kernel and the reference
+    // the seed one; ring and SelectionStats must agree on every seed. A
+    // candidate cap, counted the same way on both sides, bounds the rare
+    // target whose search would run long.
+    let req = DiversityRequirement::new(0.5, 3);
+    let budget = BfsBudget {
+        max_candidates: 4_000,
+        ..BfsBudget::default()
+    };
+    let mut answered = 0;
+    for seed in 0..64u64 {
+        let mut rng = XorShift::new(seed ^ 0x5E1E_C7E8);
+        let (instance, target) = select_exact_instance(&mut rng);
+        let reference = bfs_reference(&instance, target, req, budget);
+        let optimized = bfs(&instance, target, req, budget);
+        assert_eq!(reference, optimized, "seed {seed}");
+        answered += usize::from(reference.is_ok());
+    }
+    assert!(answered >= 48, "only {answered} of 64 seeds answered");
 }
 
 #[test]

@@ -46,7 +46,7 @@ pub use combination::{
     WorldsExpired,
 };
 pub use deadline::Deadline;
-pub use dtrs::{enumerate_dtrs, Dtrs};
+pub use dtrs::{enumerate_dtrs, enumerate_dtrs_reference, Dtrs};
 pub use histogram::{DeltaHistogram, HtHistogram};
 pub use metrics::{batch_anonymity, ring_anonymity, BatchAnonymity, RingAnonymity};
 pub use neighbor::{EtaGuard, NeighborTracker};

@@ -46,7 +46,7 @@ use rand::{Rng, SeedableRng};
 use dams_blockchain::{signature_from_bytes, signature_to_bytes, Block, Chain, TxId};
 use dams_crypto::sha256::{sha256, Digest};
 use dams_crypto::{KeyPair, PublicKey, RingSignature, SchnorrGroup};
-use dams_diversity::{DiversityRequirement, HtId, RingSet, TokenUniverse};
+use dams_diversity::{HtId, RingSet, TokenUniverse};
 
 use crate::obs::NodeMetrics;
 
@@ -349,9 +349,9 @@ impl EquivocationProof {
 /// Re-verify the claimed (c, ℓ)-diversity of every RS carried by `block`
 /// against the receiver's own ledger — the per-block, adoption-time twin
 /// of [`dams_store::recheck_immutability`]. The HT of a token is its
-/// origin transaction (the auditor's reconstruction); claims with
-/// `ℓ < 1` or `c ≤ 0` assert nothing and are skipped, as are rings
-/// naming tokens the receiver has not seen (structural verification
+/// origin transaction (the auditor's reconstruction); claims that assert
+/// nothing (see [`dams_store::claimed_requirement`]) are skipped, as are
+/// rings naming tokens the receiver has not seen (structural verification
 /// rejects those anyway). Returns the height of the offending block on
 /// the first violated claim.
 pub fn recheck_block_diversity(chain: &Chain, block: &Block) -> Result<(), u64> {
@@ -375,9 +375,9 @@ pub fn recheck_block_diversity(chain: &Chain, block: &Block) -> Result<(), u64> 
     let universe = TokenUniverse::new(ht_of);
     for ct in &block.transactions {
         for input in &ct.tx.inputs {
-            if input.claimed_l < 1 || input.claimed_c <= 0.0 {
+            let Some(req) = dams_store::claimed_requirement(input) else {
                 continue;
-            }
+            };
             if input.ring.iter().any(|t| chain.token(*t).is_none()) {
                 continue;
             }
@@ -387,7 +387,6 @@ pub fn recheck_block_diversity(chain: &Chain, block: &Block) -> Result<(), u64> 
                     .iter()
                     .map(|t| dams_diversity::TokenId(t.0 as u32)),
             );
-            let req = DiversityRequirement::new(input.claimed_c, input.claimed_l);
             if !req.satisfied_by_ring(&ring, &universe) {
                 return Err(block.header.height.0);
             }
@@ -1009,6 +1008,62 @@ mod tests {
         assert!(d.is_banned(1));
         d.on_tick(1 + 2 * release, 0);
         assert!(d.release_staged().is_empty(), "voided with the ban");
+    }
+
+    /// A one-block ledger of two same-origin tokens, then a block whose
+    /// one spend rings both of them and claims `(c, 2)`.
+    fn chain_with_claim(c: f64) -> Chain {
+        use dams_blockchain::{
+            Amount, NoConfiguration, RingInput, TokenId, TokenOutput, Transaction,
+        };
+        let mut chain = Chain::new(SchnorrGroup::default());
+        let keys = identities(chain.group(), 2, 5);
+        chain.submit_coinbase(
+            keys.iter()
+                .map(|k| TokenOutput {
+                    owner: k.public,
+                    amount: Amount(1),
+                })
+                .collect(),
+        );
+        chain.seal_block().unwrap();
+        let mut tx = Transaction {
+            inputs: vec![],
+            outputs: vec![],
+            memo: b"claim".to_vec(),
+        };
+        let ring: Vec<PublicKey> = keys.iter().map(|k| k.public).collect();
+        let mut rng = StdRng::seed_from_u64(6);
+        let signature = dams_crypto::sign(
+            chain.group(),
+            &tx.signing_payload(),
+            &ring,
+            &keys[0],
+            &mut rng,
+        )
+        .unwrap();
+        tx.inputs.push(RingInput {
+            ring: vec![TokenId(0), TokenId(1)],
+            signature,
+            claimed_c: c,
+            claimed_l: 2,
+        });
+        chain.submit(tx, &NoConfiguration).unwrap();
+        chain.seal_block().unwrap();
+        chain
+    }
+
+    #[test]
+    fn nan_claim_asserts_nothing_on_adoption() {
+        // The ring signature does not cover the claim, so a peer can send
+        // any f64; NaN must be skipped like any claim that is not > 0.
+        let chain = chain_with_claim(f64::NAN);
+        let block = chain.blocks().last().unwrap();
+        assert_eq!(recheck_block_diversity(&chain, block), Ok(()));
+        // The same ring with a real claim is a violation (one HT, ℓ = 2).
+        let chain = chain_with_claim(1.0);
+        let block = chain.blocks().last().unwrap();
+        assert_eq!(recheck_block_diversity(&chain, block), Err(2));
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub use error::StoreError;
 pub use faults::StorageFault;
 pub use obs::StoreMetrics;
 pub use store::{
-    group_fingerprint, recheck_immutability, CatchUpBundle, ImmutabilityCheck, Recovered,
-    RecoveryReport, Store, StoreConfig,
+    claimed_requirement, group_fingerprint, recheck_immutability, CatchUpBundle, ImmutabilityCheck,
+    Recovered, RecoveryReport, Store, StoreConfig,
 };
 pub use wal::{ScanOutcome, TailStatus};

@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use dams_blockchain::{Chain, ChainError, NoConfiguration, TxId};
+use dams_blockchain::{Chain, ChainError, NoConfiguration, RingInput, TxId};
 use dams_crypto::sha256::sha256_parts;
 use dams_crypto::SchnorrGroup;
 use dams_diversity::{DiversityRequirement, HtId, RingSet, TokenUniverse};
@@ -653,10 +653,19 @@ pub struct ImmutabilityCheck {
     pub violations: Vec<(u64, u64)>,
 }
 
+/// The (c, ℓ) requirement `input` claims, or `None` when its claim asserts
+/// nothing: `ℓ < 1`, or a `c` that is not `> 0` (NaN included), the rule
+/// of the audit path. A ring signature does not cover its claim, so this
+/// must never panic on a value a peer sent.
+pub fn claimed_requirement(input: &RingInput) -> Option<DiversityRequirement> {
+    (input.claimed_l >= 1 && input.claimed_c > 0.0)
+        .then(|| DiversityRequirement::new(input.claimed_c, input.claimed_l))
+}
+
 /// Re-verify every committed RS's claimed (c, ℓ)-diversity against the
 /// recovered ledger (HT of a token = its origin transaction, exactly the
-/// auditor's reconstruction). Claims with `ℓ = 0` or `c ≤ 0` assert
-/// nothing and are skipped, mirroring the audit path.
+/// auditor's reconstruction). Claims that assert nothing (see
+/// [`claimed_requirement`]) are skipped.
 pub fn recheck_immutability(chain: &Chain) -> ImmutabilityCheck {
     let mut ht_ids: HashMap<TxId, u32> = HashMap::new();
     let mut ht_of = Vec::with_capacity(chain.token_count());
@@ -678,16 +687,15 @@ pub fn recheck_immutability(chain: &Chain) -> ImmutabilityCheck {
                 check.rings_checked += 1;
                 let idx = ring_index;
                 ring_index += 1;
-                if input.claimed_l < 1 || input.claimed_c <= 0.0 {
+                let Some(req) = claimed_requirement(input) else {
                     continue;
-                }
+                };
                 let ring = RingSet::new(
                     input
                         .ring
                         .iter()
                         .map(|t| dams_diversity::TokenId(t.0 as u32)),
                 );
-                let req = DiversityRequirement::new(input.claimed_c, input.claimed_l);
                 if !req.satisfied_by_ring(&ring, &universe) {
                     check.violations.push((block.header.height.0, idx));
                 }

@@ -349,6 +349,42 @@ fn false_diversity_claim_is_flagged_on_recovery() {
 }
 
 #[test]
+fn nan_claim_asserts_nothing_on_recovery() {
+    // The ring signature does not cover the claim and the codec reads its
+    // raw bits, so a committed claim can be NaN. Recovery must skip it
+    // like any claim that is not > 0, not panic.
+    let group = SchnorrGroup::default();
+    let mut rng = StdRng::seed_from_u64(12);
+    let mut chain = Chain::new(group);
+    let keys: Vec<KeyPair> = (0..3)
+        .map(|_| KeyPair::generate(&group, &mut rng))
+        .collect();
+    chain.submit_coinbase(
+        keys.iter()
+            .map(|k| TokenOutput {
+                owner: k.public,
+                amount: Amount(5),
+            })
+            .collect(),
+    );
+    chain.seal_block().expect("coinbase");
+    let ring = vec![TokenId(0), TokenId(1), TokenId(2)];
+    let tx = spend_tx(&chain, &keys, 0, ring, f64::NAN, 2, &mut rng);
+    chain
+        .submit(tx, &NoConfiguration)
+        .expect("chain accepts the claim");
+    chain.seal_block().expect("spend seals");
+
+    let check = dams_store::recheck_immutability(&chain);
+    assert_eq!((check.rings_checked, check.violations.len()), (1, 0));
+    let rec = open(&full_wal(&group, &chain), &[], group).expect("recovery succeeds");
+    assert!(
+        rec.report.clean(),
+        "a claim that asserts nothing is no violation"
+    );
+}
+
+#[test]
 fn rollback_refuses_to_forget_committed_rings() {
     let (group, chain, _) = reference_chain();
     let rec = open(&full_wal(&group, &chain), &[], group).expect("recover reference");

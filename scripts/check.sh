@@ -15,6 +15,34 @@ cargo test --workspace
 echo "== docs =="
 cargo doc --workspace --no-deps
 
+echo "== perfbench =="
+# The benchmark is a package of its own, outside the workspace: build it
+# the way the benchmark command does, run its unit tests, and run each
+# workload for one second. The digest covers the first requests' answers
+# and work counters, so it pins what the exact BFS and the spend path
+# return and count; a change that moves them must update these values.
+perfbench() {
+  cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- "$@"
+}
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+for expected in \
+  spend-long=deac307696b987424c4c6f2e99a5374dc9df4a53451876bc1138566e0d087e5b \
+  spend-wide=275653690d957d4661257e0bcef2494e969fb09118f0da2f732974687a69ddc7 \
+  select-exact=9d0cf2c8e9ca29455951e10b88cc233d6b13f5a4828fc26491851c9849a10f55; do
+  workload="${expected%%=*}" want="${expected#*=}"
+  if ! out="$(perfbench --workload "$workload" --seed 1 --seconds 1)"; then
+    echo "perfbench $workload exited non-zero" >&2
+    exit 1
+  fi
+  got="$(printf '%s\n' "$out" | sed -n 's/^{"digest": .*"sha256": "\([0-9a-f]*\)".*/\1/p')"
+  if [ "$got" != "$want" ]; then
+    echo "perfbench $workload digest ${got:-missing}, expected $want" >&2
+    exit 1
+  fi
+  echo "perfbench $workload ok, digest $want"
+done
+
 echo "== examples =="
 for ex in quickstart adversary evoting healthcare fee_saver storage_sharing; do
   cargo run --release -q -p dams-bench --example "$ex" > /dev/null
