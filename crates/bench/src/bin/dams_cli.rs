@@ -115,7 +115,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dams_core::{
-    select_with_fallback, select_with_ladder, BfsBudget, DegradeBudget, Instance,
+    select_with_ladder_exec, BfsBudget, CoreMetrics, DegradeBudget, Instance, LadderExec,
     PracticalAlgorithm, SelectionPolicy, Tier, TokenMagic,
 };
 use dams_obs::Mode;
@@ -608,7 +608,11 @@ fn run_bench_workload(seed: u64) {
     let universe = TokenUniverse::new((0..8u32).map(HtId).collect());
     let inst = Instance::fresh(universe);
     let policy = SelectionPolicy::new(DiversityRequirement::new(1.0, 2));
-    let _ = select_with_fallback(&inst, TokenId(0), policy, DegradeBudget::default());
+    let ladder = |target: u32, budget: DegradeBudget, tiers: &[Tier]| {
+        let (metrics, exec) = (CoreMetrics::global(), &LadderExec::default());
+        select_with_ladder_exec(&inst, TokenId(target), policy, budget, tiers, metrics, exec)
+    };
+    let _ = ladder(0, DegradeBudget::default(), &Tier::DEFAULT_LADDER);
     let starved = DegradeBudget {
         exact_timeout: None,
         bfs: BfsBudget {
@@ -617,14 +621,8 @@ fn run_bench_workload(seed: u64) {
             deadline: None,
         },
     };
-    let _ = select_with_fallback(&inst, TokenId(1), policy, starved);
-    let _ = select_with_ladder(
-        &inst,
-        TokenId(2),
-        policy,
-        DegradeBudget::default(),
-        &[Tier::GameTheoretic],
-    );
+    let _ = ladder(1, starved, &Tier::DEFAULT_LADDER);
+    let _ = ladder(2, DegradeBudget::default(), &[Tier::GameTheoretic]);
 
     // One TokenMagic selection per practical algorithm on a synthetic
     // batch (Table 3 defaults).

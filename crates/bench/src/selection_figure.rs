@@ -2,10 +2,11 @@
 //!
 //! Two rows, both at fixed seeds so CI runs are comparable:
 //!
-//! * `exact_bfs` — a TokenMagic-style batch of exact-BFS selections.
-//!   Baseline: [`bfs_reference`] per target (clone-heavy seed engine).
-//!   Optimized: [`bfs_batch`] with the incremental engine, a shared
-//!   [`EvalCache`], and parallel frontier evaluation.
+//! * `exact_bfs` — a TokenMagic-style batch of exact-BFS selections over
+//!   one frozen instance. Baseline: [`bfs_reference`] per target
+//!   (clone-heavy seed engine). Optimized: [`bfs_batch`] with the
+//!   incremental one-thread engine and a shared [`EvalCache`] — the
+//!   engine the served paths run.
 //! * `tm_g` — a batch of Game-theoretic selections on the Table 3
 //!   synthetic workload. Baseline: [`game_theoretic_reference`] per
 //!   target. Optimized: [`game_theoretic_with`] and a shared
@@ -29,9 +30,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dams_core::{
-    bfs_batch, bfs_reference, game_theoretic_reference, game_theoretic_with, BfsBudget,
-    BfsOptions, EvalCache, InitStrategy, Instance, ProfileCache, SelectError, Selection,
-    SelectionPolicy,
+    bfs_batch, bfs_reference, game_theoretic_reference, game_theoretic_with, BfsBudget, EvalCache,
+    InitStrategy, Instance, ProfileCache, SelectError, Selection, SelectionPolicy,
 };
 use dams_diversity::{DiversityRequirement, HtId, RingIndex, RingSet, TokenId, TokenUniverse};
 use dams_workload::SyntheticConfig;
@@ -198,18 +198,13 @@ fn bfs_workload(seed: u64) -> (Instance, Vec<TokenId>, DiversityRequirement, Bfs
 /// Time the exact-BFS row at `seed`, asserting result equivalence first.
 fn exact_bfs_row(seed: u64) -> FigureRow {
     let (instance, targets, req, budget) = bfs_workload(seed);
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(4);
-    let options = BfsOptions { budget, workers };
 
     let reference: Vec<Result<Selection, SelectError>> = targets
         .iter()
         .map(|&t| bfs_reference(&instance, t, req, budget))
         .collect();
     let cache = EvalCache::new();
-    let optimized = bfs_batch(&instance, &targets, req, &options, Some(&cache));
+    let optimized = bfs_batch(&instance, &targets, req, budget, Some(&cache));
     assert_eq!(reference, optimized, "optimized BFS diverged from the reference");
 
     let baseline_ns = median_ns(|| {
@@ -219,7 +214,7 @@ fn exact_bfs_row(seed: u64) -> FigureRow {
     });
     let optimized_ns = median_ns(|| {
         let cache = EvalCache::new();
-        std::hint::black_box(bfs_batch(&instance, &targets, req, &options, Some(&cache)));
+        std::hint::black_box(bfs_batch(&instance, &targets, req, budget, Some(&cache)));
     });
     FigureRow {
         baseline_ns,

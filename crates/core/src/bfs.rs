@@ -6,9 +6,10 @@
 //! eligible ring. Exponential, as Theorem 3.1 demands; used on small
 //! instances and to validate the approximation algorithms.
 //!
-//! # Performance architecture
+//! # Two engines
 //!
-//! Two implementations share the same semantics:
+//! Both walk candidates in the same lexicographic order, run the same
+//! checks and fold `SelectionStats` the same way:
 //!
 //! * [`bfs_reference`] — the seed implementation: per candidate it rebuilds
 //!   an [`HtHistogram`] for the cheap diversity pre-check and *clones the
@@ -17,29 +18,32 @@
 //!   [`dams_diversity::enumerate_dtrs_reference`]. Kept verbatim as the
 //!   oracle for the equivalence sweep and as the baseline side of the
 //!   `BENCH_selection.json` figure.
-//! * [`bfs`] / [`bfs_with`] — the optimized engine:
+//! * [`bfs`] / [`bfs_with`] — the optimized engine, on one thread:
 //!   - the subset enumerator maintains a [`DeltaHistogram`] by ±1 token as
-//!     it walks candidates in lexicographic order, so the cheap recursive
-//!     (c, ℓ) pre-check is allocation-free;
+//!     it walks candidates, so the cheap recursive (c, ℓ) pre-check is
+//!     allocation-free;
 //!   - the expensive check runs [`dams_diversity::enumerate_worlds`] with
 //!     the candidate as an out-of-index *extra* ring (no index clone) and
 //!     forwards `BfsBudget.deadline` into the recursion;
 //!   - GetDTRSs runs on bitsets ([`dams_diversity::enumerate_dtrs`]),
 //!     whose output is byte-identical to the seed version's;
-//!   - outcomes are memoizable in an [`EvalCache`] keyed by canonical ring
-//!     content (sound across one `bfs()` call and across a whole batch on
-//!     a frozen instance — the verdict never depends on the target);
-//!   - with `workers > 1`, passing candidates are evaluated in blocks by a
-//!     pool of `std::thread::scope` workers spawned once per call and fed
-//!     over channels (round-robin by slot, so distribution is
-//!     deterministic). Determinism: candidates are *recorded* in
-//!     lexicographic order at enumeration time and outcomes are folded
-//!     back in that order, so the winner is always the lexicographically
-//!     smallest eligible ring of the smallest size and `SelectionStats`
-//!     fold exactly as the sequential walk would have — results are
-//!     byte-identical to `workers == 1` and to [`bfs_reference`].
-//!     Parallelism pays when per-candidate world enumeration is heavy;
-//!     on small instances (or a single-CPU host) prefer `workers == 1`.
+//!   - outcomes are memoizable in an [`EvalCache`] keyed by the candidate's
+//!     sorted token list and nothing else, so a cache is sound only while
+//!     the instance and the requirement stay fixed: one call, or one
+//!     [`bfs_batch`] over a frozen instance (the verdict never depends on
+//!     the target).
+//!
+//! The engines differ only in their budgets. Both stop before candidate
+//! ordinal `max_candidates + 1`, and under [`Deadline::Ticks`]`(k)` before
+//! candidate ordinal `k + 1`. Only [`bfs`] forwards the deadline into world
+//! enumeration, where each candidate restarts a step count and gives up
+//! on step `k + 1`. So one `Ticks(k)` grant caps two separate counters in
+//! [`bfs`], while [`bfs_reference`] has no world-step cap at all: when the
+//! winner sits at candidate `w ≤ k` but some candidate up to it needs more
+//! than `k` world steps, the reference answers and [`bfs`] reports
+//! [`SelectError::BudgetExhausted`]. (An [`EvalCache`] hit skips world
+//! enumeration, and with it that step cap.) Under counter budgets alone
+//! the two return identical results.
 
 use dams_diversity::{
     enumerate_dtrs, enumerate_dtrs_reference, Deadline, DeltaHistogram, DiversityRequirement,
@@ -61,12 +65,15 @@ pub struct BfsBudget {
     /// Optional deadline, checked between candidates *and* inside world
     /// enumeration. Expiry surfaces as [`SelectError::BudgetExhausted`],
     /// same as the counters. A [`Deadline::At`] instant bounds wall time
-    /// (host-dependent); a [`Deadline::Ticks`] budget is charged one unit
-    /// per candidate examined (and per world-enumeration step within a
-    /// candidate), so expiry — and therefore which tier of the degrade
-    /// ladder answers — is bit-reproducible across hosts and worker
-    /// counts. `Some(Deadline::Ticks(0))` is treated as already elapsed
-    /// before any work.
+    /// (host-dependent). A [`Deadline::Ticks`]`(k)` grant caps two separate
+    /// counters against the same `k`: the search examines at most `k`
+    /// candidates, and for each candidate [`bfs`] restarts a
+    /// world-enumeration step count and gives up on step `k + 1`
+    /// ([`bfs_reference`] applies only the candidate cap; see the module
+    /// docs). Both counters are deterministic, so expiry — and therefore
+    /// which tier of the degrade ladder answers — is bit-reproducible
+    /// across hosts. `Some(Deadline::Ticks(0))` is treated as already
+    /// elapsed before any work.
     pub deadline: Option<Deadline>,
 }
 
@@ -80,332 +87,60 @@ impl Default for BfsBudget {
     }
 }
 
-/// Execution options for [`bfs_with`]: the budget plus the degree of
-/// frontier parallelism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BfsOptions {
-    /// Work limits (see [`BfsBudget`]).
-    pub budget: BfsBudget,
-    /// Worker threads for candidate evaluation; `0` and `1` both mean
-    /// sequential. Results are identical for every value.
-    pub workers: usize,
-}
-
-impl Default for BfsOptions {
-    fn default() -> Self {
-        BfsOptions {
-            budget: BfsBudget::default(),
-            workers: 1,
-        }
-    }
-}
-
-impl From<BfsBudget> for BfsOptions {
-    fn from(budget: BfsBudget) -> Self {
-        BfsOptions { budget, workers: 1 }
-    }
-}
-
 /// Run the exact BFS for `target` with requirement `req`.
 ///
 /// `instance.rings` must already hold every ring of the batch; the related
 /// set of each candidate is computed per Definition 1. This is the
-/// sequential optimized engine; see [`bfs_with`] for parallelism and
-/// caching.
+/// optimized engine without a cache; see [`bfs_with`] to share one.
 pub fn bfs(
     instance: &Instance,
     target: TokenId,
     req: DiversityRequirement,
     budget: BfsBudget,
 ) -> Result<Selection, SelectError> {
-    bfs_with(instance, target, req, &BfsOptions { budget, workers: 1 }, None)
+    bfs_with(instance, target, req, budget, None)
 }
 
 /// Run several targets through [`bfs_with`] sharing one evaluation cache —
-/// the TokenMagic-batch usage: candidate verdicts do not depend on the
-/// target, so later targets hit outcomes computed for earlier ones.
+/// the batch usage on one frozen instance: candidate verdicts do not
+/// depend on the target, so later targets hit outcomes computed for
+/// earlier ones.
 pub fn bfs_batch(
     instance: &Instance,
     targets: &[TokenId],
     req: DiversityRequirement,
-    options: &BfsOptions,
+    budget: BfsBudget,
     cache: Option<&EvalCache>,
 ) -> Vec<Result<Selection, SelectError>> {
     targets
         .iter()
-        .map(|&t| bfs_with(instance, t, req, options, cache))
+        .map(|&t| bfs_with(instance, t, req, budget, cache))
         .collect()
 }
 
-/// Fold more than this many enumeration records eagerly, so all-pruned
-/// frontiers do not accumulate unbounded bookkeeping.
-const RECORD_FLUSH: usize = 4096;
-
-/// Per-worker block multiplier: a block of `workers * 4` passing candidates
-/// is dispatched to the pool per flush, balancing channel round-trips
-/// against wasted evaluation past the winner (discarded, so results stay
-/// byte-identical).
-const BLOCK_PER_WORKER: usize = 4;
-
-/// One enumerated candidate, recorded in lexicographic order.
-enum Record {
-    /// Failed the cheap incremental diversity pre-check.
-    Pruned,
-    /// Passed the pre-check; outcome pending at the given block index.
-    Eval(usize),
-    /// `max_candidates` or the deadline tripped at this ordinal.
-    Stop,
-}
-
-/// An expensive-evaluation outcome tagged with its block slot:
-/// `(eligible, dtrs_checks)` or the error that aborted the search.
-type SlotOutcome = (usize, Result<(bool, u64), SelectError>);
-
-/// Channel ends of the per-call worker pool: jobs are `(slot, candidate)`
-/// pairs distributed round-robin; results come back tagged with the slot.
-/// The workers themselves are scoped threads owned by [`bfs_with`] —
-/// spawned once per call, not per block.
-struct PoolHandles {
-    job_txs: Vec<std::sync::mpsc::Sender<(usize, RingSet)>>,
-    result_rx: std::sync::mpsc::Receiver<SlotOutcome>,
-}
-
-struct Engine<'a> {
-    instance: &'a Instance,
-    target: TokenId,
-    req: DiversityRequirement,
-    budget: BfsBudget,
-    pool: Option<&'a PoolHandles>,
-    cache: Option<&'a EvalCache>,
-    block_size: usize,
-    /// Stats folded so far (candidates up to the last flush).
-    stats: SelectionStats,
-    /// Enumeration records since the last flush, lexicographic order.
-    records: Vec<Record>,
-    /// Candidate rings awaiting the expensive check, indexed by `Eval`.
-    pending: Vec<RingSet>,
-    /// Set once a winner or an error is known; stops the enumeration.
-    result: Option<Result<Selection, SelectError>>,
-}
-
-impl<'a> Engine<'a> {
-    /// Handle one enumerated candidate; returns `false` to stop.
-    fn on_candidate(&mut self, mixins: &[TokenId], delta: &DeltaHistogram) -> bool {
-        // Ordinal of this candidate among all examined so far: everything
-        // folded plus every record since the last flush folds to exactly
-        // one `candidates_examined` increment.
-        let ordinal = self.stats.candidates_examined + self.records.len() as u64 + 1;
-        if ordinal > self.budget.max_candidates {
-            self.records.push(Record::Stop);
-            self.flush();
-            return false;
-        }
-        if let Some(deadline) = self.budget.deadline {
-            // Work charged so far at candidate granularity: every fully
-            // examined candidate is one unit, so `ordinal - 1` units have
-            // been spent when this candidate is considered. Ticks expiry
-            // is therefore deterministic and identical for any worker
-            // count (the ordinal is fixed by lexicographic enumeration).
-            if deadline.expired(ordinal - 1) {
-                self.records.push(Record::Stop);
-                self.flush();
-                return false;
-            }
-        }
-        // Cheap diversity pre-check from the incrementally-maintained
-        // histogram (`delta` already includes the target's HT).
-        if !delta.satisfies(&self.req) {
-            self.records.push(Record::Pruned);
-            if self.records.len() >= RECORD_FLUSH {
-                self.flush();
-                return self.result.is_none();
-            }
-            return true;
-        }
-        let mut tokens = mixins.to_vec();
-        tokens.push(self.target);
-        self.records.push(Record::Eval(self.pending.len()));
-        self.pending.push(RingSet::new(tokens));
-        if self.pending.len() >= self.block_size {
-            self.flush();
-            return self.result.is_none();
-        }
-        true
-    }
-
-    /// Evaluate the pending block and fold all records, in lexicographic
-    /// order, into `stats` — stopping at the first winner or error exactly
-    /// like the sequential walk.
-    fn flush(&mut self) {
-        if self.records.is_empty() {
-            return;
-        }
-        let outcomes = self.evaluate_pending();
-        for rec in self.records.drain(..) {
-            match rec {
-                Record::Stop => {
-                    self.stats.candidates_examined += 1;
-                    self.result = Some(Err(SelectError::BudgetExhausted));
-                    break;
-                }
-                Record::Pruned => {
-                    self.stats.candidates_examined += 1;
-                    self.stats.diversity_checks += 1;
-                    self.stats.pruned += 1;
-                }
-                Record::Eval(j) => {
-                    self.stats.candidates_examined += 1;
-                    self.stats.diversity_checks += 1;
-                    match &outcomes[j] {
-                        Err(e) => {
-                            self.result = Some(Err(e.clone()));
-                            break;
-                        }
-                        Ok((false, checks)) => {
-                            self.stats.diversity_checks += checks;
-                        }
-                        Ok((true, checks)) => {
-                            self.stats.diversity_checks += checks;
-                            self.result = Some(Ok(Selection {
-                                ring: self.pending[j].clone(),
-                                modules: Vec::new(),
-                                algorithm: Algorithm::Bfs,
-                                stats: self.stats,
-                            }));
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        self.records.clear();
-        self.pending.clear();
-    }
-
-    /// Run the expensive check for every pending candidate, dispatched to
-    /// the worker pool when one exists and the block is worth it.
-    fn evaluate_pending(&self) -> Vec<Result<(bool, u64), SelectError>> {
-        let pending = &self.pending;
-        let pool = match self.pool {
-            Some(pool) if pending.len() > 1 => pool,
-            _ => {
-                return pending
-                    .iter()
-                    .map(|rs| eval_expensive(self.instance, rs, self.req, self.budget, self.cache))
-                    .collect();
-            }
-        };
-        // A worker can only disappear if its thread died; rather than
-        // panicking the whole search, fall back to evaluating the affected
-        // candidates inline. `eval_expensive` is deterministic, so the
-        // degraded path stays byte-identical to the pooled one.
-        let workers = pool.job_txs.len();
-        let mut dispatched = 0usize;
-        for (i, rs) in pending.iter().enumerate() {
-            if pool.job_txs[i % workers].send((i, rs.clone())).is_ok() {
-                dispatched += 1;
-            }
-        }
-        let mut outcomes: Vec<Option<Result<(bool, u64), SelectError>>> =
-            vec![None; pending.len()];
-        for _ in 0..dispatched {
-            match pool.result_rx.recv() {
-                Ok((i, o)) => outcomes[i] = Some(o),
-                Err(_) => break,
-            }
-        }
-        outcomes
-            .into_iter()
-            .enumerate()
-            .map(|(i, o)| {
-                o.unwrap_or_else(|| {
-                    eval_expensive(self.instance, &pending[i], self.req, self.budget, self.cache)
-                })
-            })
-            .collect()
-    }
-}
-
 /// The optimized exact BFS: incremental pre-check, clone-free world
-/// enumeration, optional memoization and frontier parallelism. See the
-/// module docs for the determinism argument.
+/// enumeration and optional memoization. It walks candidates in the same
+/// lexicographic order as [`bfs_reference`] and folds `SelectionStats`
+/// the same way, so the two return identical selections (see the module
+/// docs for where their budgets differ).
 pub fn bfs_with(
     instance: &Instance,
     target: TokenId,
     req: DiversityRequirement,
-    options: &BfsOptions,
+    budget: BfsBudget,
     cache: Option<&EvalCache>,
 ) -> Result<Selection, SelectError> {
     let n = instance.universe.len();
     if (target.0 as usize) >= n {
         return Err(SelectError::UnknownToken);
     }
+    let mut stats = SelectionStats::default();
 
     // σ = T \ t_τ (line 1).
     let sigma: Vec<TokenId> = (0..n as u32)
         .map(TokenId)
         .filter(|t| *t != target)
         .collect();
-
-    let workers = options.workers.max(1);
-    if workers <= 1 {
-        return run_search(instance, target, req, options.budget, cache, None, 1, &sigma);
-    }
-
-    // Spawn the pool once for the whole call; workers drain their job
-    // channel until it closes (when `pool` drops after the search returns).
-    let budget = options.budget;
-    std::thread::scope(|s| {
-        let (result_tx, result_rx) = std::sync::mpsc::channel();
-        let mut job_txs = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = std::sync::mpsc::channel::<(usize, RingSet)>();
-            job_txs.push(tx);
-            let result_tx = result_tx.clone();
-            s.spawn(move || {
-                while let Ok((i, rs)) = rx.recv() {
-                    let outcome = eval_expensive(instance, &rs, req, budget, cache);
-                    if result_tx.send((i, outcome)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(result_tx);
-        let pool = PoolHandles { job_txs, result_rx };
-        run_search(instance, target, req, budget, cache, Some(&pool), workers, &sigma)
-    })
-}
-
-/// The enumeration loop shared by the sequential and pooled paths.
-#[allow(clippy::too_many_arguments)]
-fn run_search(
-    instance: &Instance,
-    target: TokenId,
-    req: DiversityRequirement,
-    budget: BfsBudget,
-    cache: Option<&EvalCache>,
-    pool: Option<&PoolHandles>,
-    workers: usize,
-    sigma: &[TokenId],
-) -> Result<Selection, SelectError> {
-    let mut engine = Engine {
-        instance,
-        target,
-        req,
-        budget,
-        pool,
-        cache,
-        block_size: if pool.is_some() {
-            workers * BLOCK_PER_WORKER
-        } else {
-            1
-        },
-        stats: SelectionStats::default(),
-        records: Vec::new(),
-        pending: Vec::new(),
-        result: None,
-    };
 
     // The incremental histogram over {target} ∪ mixins; the enumerator
     // keeps it in sync by ±1 token per lexicographic step.
@@ -417,11 +152,47 @@ fn run_search(
     // mirroring the paper's `i = ℓ_τ − 1` start.
     let min_mixins = req.l.saturating_sub(1);
     for i in min_mixins..=sigma.len() {
-        for_each_subset_tracked(sigma, i, instance, &mut delta, &mut |mixins, d| {
-            engine.on_candidate(mixins, d)
+        let mut result: Option<Result<Selection, SelectError>> = None;
+        for_each_subset_tracked(&sigma, i, instance, &mut delta, &mut |mixins, hist| {
+            stats.candidates_examined += 1;
+            // `candidates_examined - 1` candidates have been fully
+            // examined, one unit each, when this one is considered.
+            if stats.candidates_examined > budget.max_candidates
+                || budget
+                    .deadline
+                    .is_some_and(|d| d.expired(stats.candidates_examined - 1))
+            {
+                result = Some(Err(SelectError::BudgetExhausted));
+                return false;
+            }
+            // Cheap diversity pre-check from the incrementally-maintained
+            // histogram (`hist` already includes the target's HT).
+            stats.diversity_checks += 1;
+            if !hist.satisfies(&req) {
+                stats.pruned += 1;
+                return true;
+            }
+            let mut tokens = mixins.to_vec();
+            tokens.push(target);
+            let rs = RingSet::new(tokens);
+            match eval_expensive(instance, &rs, req, budget, cache) {
+                Ok((eligible, checks)) => {
+                    stats.diversity_checks += checks;
+                    if !eligible {
+                        return true;
+                    }
+                    result = Some(Ok(Selection {
+                        ring: rs,
+                        modules: Vec::new(),
+                        algorithm: Algorithm::Bfs,
+                        stats,
+                    }));
+                }
+                Err(e) => result = Some(Err(e)),
+            }
+            false
         });
-        engine.flush();
-        if let Some(result) = engine.result.take() {
+        if let Some(result) = result {
             return result;
         }
     }
@@ -893,21 +664,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_cached_match_sequential_on_example1() {
+    fn cached_matches_uncached_on_example1() {
         let inst = example1();
         let req = DiversityRequirement::new(2.0, 1);
-        let sequential = bfs(&inst, TokenId(2), req, BfsBudget::default()).unwrap();
-        for workers in [2, 4] {
-            let opts = BfsOptions {
-                budget: BfsBudget::default(),
-                workers,
-            };
-            let cache = EvalCache::with_capacity(64);
-            let cold = bfs_with(&inst, TokenId(2), req, &opts, Some(&cache)).unwrap();
-            let warm = bfs_with(&inst, TokenId(2), req, &opts, Some(&cache)).unwrap();
-            assert_eq!(sequential, cold, "workers={workers} (cold cache)");
-            assert_eq!(sequential, warm, "workers={workers} (warm cache)");
-        }
+        let uncached = bfs(&inst, TokenId(2), req, BfsBudget::default()).unwrap();
+        let cache = EvalCache::with_capacity(64);
+        let cold = bfs_with(&inst, TokenId(2), req, BfsBudget::default(), Some(&cache)).unwrap();
+        let warm = bfs_with(&inst, TokenId(2), req, BfsBudget::default(), Some(&cache)).unwrap();
+        assert_eq!(uncached, cold, "cold cache");
+        assert_eq!(uncached, warm, "warm cache");
     }
 
     #[test]
@@ -945,22 +710,18 @@ mod tests {
             bfs(&inst, TokenId(0), req, zero).unwrap_err(),
             SelectError::BudgetExhausted
         );
-        // A starved budget expires identically run after run, and for any
-        // worker count — the property the selection service's virtual
-        // deadline propagation depends on.
+        // A starved budget expires identically run after run — the
+        // property the selection service's virtual deadline propagation
+        // depends on.
         let starved = BfsBudget {
             deadline: Some(Deadline::Ticks(3)),
             ..BfsBudget::default()
         };
-        for workers in [1, 2, 4] {
-            let opts = BfsOptions {
-                budget: starved,
-                workers,
-            };
+        for run in 0..3 {
             assert_eq!(
-                bfs_with(&inst, TokenId(0), req, &opts, None).unwrap_err(),
+                bfs(&inst, TokenId(0), req, starved).unwrap_err(),
                 SelectError::BudgetExhausted,
-                "workers={workers}"
+                "run {run}"
             );
         }
         // A generous tick budget matches the unbudgeted answer exactly.

@@ -8,12 +8,14 @@
 //! * [`EvalCache`] memoizes the *expensive* half of an exact-BFS candidate
 //!   check (possible-world enumeration + non-eliminated constraint + DTRS
 //!   diversity) keyed by the canonical ring content — the sorted token list
-//!   of the candidate ring. Because a candidate's verdict depends only on
-//!   its token set, the committed rings, the claims, and the requirement
-//!   under evaluation, a cache is sound exactly as long as those stay fixed:
-//!   one `bfs()` call trivially qualifies, and so does a whole TokenMagic
-//!   batch over one frozen instance (the batch commits nothing until all
-//!   selections are made). The stored outcome carries the DTRS-check count
+//!   of the candidate ring, and nothing else. A candidate's verdict depends
+//!   on its token set, the committed rings, the claims, and the requirement
+//!   under evaluation, but the key names only the first; so a cache is
+//!   sound exactly as long as the others stay fixed: one `bfs()` call
+//!   trivially qualifies, and so does a whole TokenMagic batch over one
+//!   frozen instance and one requirement (the batch commits nothing until
+//!   all selections are made). A later batch, after rings were committed,
+//!   needs a fresh cache. The stored outcome carries the DTRS-check count
 //!   alongside the verdict so replaying a hit updates `SelectionStats`
 //!   exactly like recomputing would — cached and uncached runs return
 //!   byte-identical selections, differing only in the cache counters.
@@ -65,8 +67,9 @@ impl<K: Eq + Hash + Clone, V: Copy> FifoMap<K, V> {
     }
 
     /// Insert, returning how many entries were evicted to make room.
-    /// Re-inserting an existing key overwrites in place (no FIFO churn —
-    /// relevant only under parallel races recomputing the same candidate).
+    /// Re-inserting an existing key overwrites in place (no FIFO churn), so
+    /// two threads sharing a cache that both compute one candidate leave a
+    /// single entry.
     fn insert(&mut self, key: K, value: V) -> u64 {
         if self.map.insert(key.clone(), value).is_some() {
             return 0;
@@ -102,8 +105,8 @@ pub struct CachedOutcome {
 }
 
 /// Candidate-ring outcome cache for the exact BFS (see module docs for the
-/// soundness contract). Thread-safe; share one instance across the workers
-/// of a parallel `bfs()` call or the selections of a TokenMagic batch.
+/// soundness contract). Thread-safe; share one instance across the
+/// selections of one batch over a frozen instance.
 pub struct EvalCache {
     inner: Mutex<FifoMap<Vec<TokenId>, CachedOutcome>>,
     metrics: CoreMetrics,

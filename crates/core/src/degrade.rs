@@ -21,7 +21,7 @@
 
 use dams_diversity::{Deadline, TokenId};
 
-use crate::bfs::{bfs_with, BfsBudget, BfsOptions};
+use crate::bfs::{bfs_with, BfsBudget};
 use crate::cache::EvalCache;
 use crate::config::SelectionPolicy;
 use crate::game::game_theoretic;
@@ -159,68 +159,15 @@ impl DegradedSelection {
     }
 }
 
-/// Run the default ladder: exact BFS, then Progressive, then
-/// Game-theoretic, degrading whenever a tier's budget is exhausted.
-pub fn select_with_fallback(
-    instance: &Instance,
-    target: TokenId,
-    policy: SelectionPolicy,
-    budget: DegradeBudget,
-) -> Result<DegradedSelection, SelectError> {
-    select_with_ladder(instance, target, policy, budget, &Tier::DEFAULT_LADDER)
-}
-
-/// Run an explicit ladder of tiers in order.
-///
-/// A tier failing with [`SelectError::BudgetExhausted`] hands over to the
-/// next; [`SelectError::UnknownToken`] always propagates; any other error
-/// from the **exact** tier propagates too (a proof of infeasibility is
-/// final), while approximation-tier failures hand over — greedy and
-/// best-response dynamics can dead-end on instances another heuristic
-/// still solves. When every tier fails, the last error propagates.
-pub fn select_with_ladder(
-    instance: &Instance,
-    target: TokenId,
-    policy: SelectionPolicy,
-    budget: DegradeBudget,
-    ladder: &[Tier],
-) -> Result<DegradedSelection, SelectError> {
-    select_with_ladder_observed(instance, target, policy, budget, ladder, CoreMetrics::global())
-}
-
-/// [`select_with_ladder`] recording into an explicit metric set instead of
-/// the process-wide registry. Tests build a fresh `dams_obs::Registry`,
-/// bind [`CoreMetrics::in_registry`] to it, and then assert exact tier
-/// counts from its snapshot ("fell back to Progressive exactly k times")
-/// without interference from parallel test threads.
-pub fn select_with_ladder_observed(
-    instance: &Instance,
-    target: TokenId,
-    policy: SelectionPolicy,
-    budget: DegradeBudget,
-    ladder: &[Tier],
-    metrics: &CoreMetrics,
-) -> Result<DegradedSelection, SelectError> {
-    select_with_ladder_exec(
-        instance,
-        target,
-        policy,
-        budget,
-        ladder,
-        metrics,
-        &LadderExec::default(),
-    )
-}
-
 /// Execution knobs for the ladder that do not change *what* is selected,
-/// only how the exact tier computes it: worker threads for candidate
-/// evaluation (byte-identical results for any count, as in
-/// [`crate::bfs::BfsOptions`]) and an optional shared evaluation cache.
-/// The selection service threads its pool configuration through here.
+/// only how it is computed: an optional shared evaluation cache for the
+/// exact tier and an optional precomputed modular view for the
+/// approximation tiers.
 #[derive(Clone, Copy, Default)]
 pub struct LadderExec<'a> {
-    /// Worker threads for exact-tier candidate evaluation (`0`/`1` mean
-    /// sequential).
+    /// Unused: the exact search runs on one thread. Kept only because
+    /// existing callers still name it in struct literals; no code reads
+    /// it.
     pub workers: usize,
     /// Shared candidate-outcome cache consulted by the exact tier.
     pub cache: Option<&'a EvalCache>,
@@ -233,7 +180,21 @@ pub struct LadderExec<'a> {
     pub modular: Option<&'a ModularInstance>,
 }
 
-/// [`select_with_ladder_observed`] with explicit execution knobs.
+/// Run a ladder of tiers in order ([`Tier::DEFAULT_LADDER`] is exact BFS,
+/// then Progressive, then Game-theoretic), recording into `metrics`.
+///
+/// A tier failing with [`SelectError::BudgetExhausted`] hands over to the
+/// next; [`SelectError::UnknownToken`] always propagates; any other error
+/// from the **exact** tier propagates too (a proof of infeasibility is
+/// final), while approximation-tier failures hand over — greedy and
+/// best-response dynamics can dead-end on instances another heuristic
+/// still solves. When every tier fails, the last error propagates.
+///
+/// Pass [`CoreMetrics::global`] to record into the process-wide registry.
+/// Tests instead bind [`CoreMetrics::in_registry`] to a fresh
+/// `dams_obs::Registry` and assert exact tier counts from its snapshot
+/// ("fell back to Progressive exactly k times") without interference from
+/// other test threads.
 ///
 /// Deadline semantics: when `budget.bfs.deadline` is already set (the
 /// selection service propagates its remaining virtual budget there), it is
@@ -281,14 +242,11 @@ pub fn select_with_ladder_exec(
                     metrics.degrade_deadline_infeasible.inc();
                     Err(SelectError::DeadlineInfeasible)
                 } else {
-                    let options = BfsOptions {
-                        budget: BfsBudget {
-                            deadline: exact_deadline,
-                            ..budget.bfs
-                        },
-                        workers: exec.workers,
+                    let bfs_budget = BfsBudget {
+                        deadline: exact_deadline,
+                        ..budget.bfs
                     };
-                    bfs_with(instance, target, policy.effective(), &options, exec.cache)
+                    bfs_with(instance, target, policy.effective(), bfs_budget, exec.cache)
                         .map(|selection| (selection, Guarantee::Exact))
                 }
             }
@@ -379,6 +337,19 @@ mod tests {
         Instance::fresh(universe)
     }
 
+    /// The ladder with default execution knobs, recording into the
+    /// process-wide registry.
+    fn select(
+        inst: &Instance,
+        target: TokenId,
+        policy: SelectionPolicy,
+        budget: DegradeBudget,
+        ladder: &[Tier],
+    ) -> Result<DegradedSelection, SelectError> {
+        let (metrics, exec) = (CoreMetrics::global(), &LadderExec::default());
+        select_with_ladder_exec(inst, target, policy, budget, ladder, metrics, exec)
+    }
+
     fn starved() -> DegradeBudget {
         DegradeBudget {
             exact_timeout: None,
@@ -394,8 +365,8 @@ mod tests {
     fn exact_tier_answers_within_budget() {
         let inst = fresh_instance(6);
         let policy = SelectionPolicy::new(DiversityRequirement::new(1.0, 2));
-        let sel = select_with_fallback(&inst, TokenId(0), policy, DegradeBudget::default())
-            .unwrap();
+        let budget = DegradeBudget::default();
+        let sel = select(&inst, TokenId(0), policy, budget, &Tier::DEFAULT_LADDER).unwrap();
         assert_eq!(sel.tier, Tier::ExactBfs);
         assert_eq!(sel.guarantee, Guarantee::Exact);
         assert!(!sel.degraded());
@@ -407,7 +378,7 @@ mod tests {
         let inst = fresh_instance(8);
         let req = DiversityRequirement::new(1.0, 3);
         let policy = SelectionPolicy::new(req);
-        let sel = select_with_fallback(&inst, TokenId(0), policy, starved()).unwrap();
+        let sel = select(&inst, TokenId(0), policy, starved(), &Tier::DEFAULT_LADDER).unwrap();
         assert_eq!(sel.tier, Tier::Progressive);
         assert_eq!(sel.attempts, vec![(Tier::ExactBfs, SelectError::BudgetExhausted)]);
         assert!(sel.degraded());
@@ -430,7 +401,7 @@ mod tests {
             exact_timeout: Some(std::time::Duration::ZERO),
             bfs: BfsBudget::default(),
         };
-        let sel = select_with_fallback(&inst, TokenId(0), policy, budget).unwrap();
+        let sel = select(&inst, TokenId(0), policy, budget, &Tier::DEFAULT_LADDER).unwrap();
         assert_ne!(sel.tier, Tier::ExactBfs);
         assert!(sel.degraded());
     }
@@ -440,7 +411,7 @@ mod tests {
         let inst = fresh_instance(6);
         let req = DiversityRequirement::new(1.0, 2);
         let policy = SelectionPolicy::new(req);
-        let sel = select_with_ladder(
+        let sel = select(
             &inst,
             TokenId(0),
             policy,
@@ -462,7 +433,7 @@ mod tests {
         let inst = fresh_instance(4);
         let policy = SelectionPolicy::new(DiversityRequirement::new(1.0, 1));
         assert_eq!(
-            select_with_fallback(&inst, TokenId(99), policy, starved()).unwrap_err(),
+            select(&inst, TokenId(99), policy, starved(), &Tier::DEFAULT_LADDER).unwrap_err(),
             SelectError::UnknownToken
         );
     }
@@ -474,9 +445,9 @@ mod tests {
         let universe = TokenUniverse::new(vec![HtId(0); 4]);
         let inst = Instance::fresh(universe);
         let policy = SelectionPolicy::new(DiversityRequirement::new(1.0, 2));
+        let budget = DegradeBudget::default();
         assert_eq!(
-            select_with_fallback(&inst, TokenId(0), policy, DegradeBudget::default())
-                .unwrap_err(),
+            select(&inst, TokenId(0), policy, budget, &Tier::DEFAULT_LADDER).unwrap_err(),
             SelectError::Infeasible
         );
     }
@@ -488,7 +459,7 @@ mod tests {
         let universe = TokenUniverse::new(vec![HtId(0); 8]);
         let inst = Instance::fresh(universe);
         let policy = SelectionPolicy::new(DiversityRequirement::new(1.0, 2));
-        let err = select_with_fallback(&inst, TokenId(0), policy, starved()).unwrap_err();
+        let err = select(&inst, TokenId(0), policy, starved(), &Tier::DEFAULT_LADDER).unwrap_err();
         assert_eq!(err, SelectError::Infeasible);
     }
 
@@ -510,13 +481,14 @@ mod tests {
         };
         let registry = dams_obs::Registry::new();
         let metrics = CoreMetrics::in_registry(&registry);
-        let sel = select_with_ladder_observed(
+        let sel = select_with_ladder_exec(
             &inst,
             TokenId(0),
             policy,
             budget,
             &Tier::DEFAULT_LADDER,
             &metrics,
+            &LadderExec::default(),
         )
         .unwrap();
         assert_eq!(sel.tier, Tier::Progressive);
@@ -543,8 +515,7 @@ mod tests {
             },
         };
         assert_eq!(
-            select_with_ladder(&inst, TokenId(0), policy, budget, &[Tier::ExactBfs])
-                .unwrap_err(),
+            select(&inst, TokenId(0), policy, budget, &[Tier::ExactBfs]).unwrap_err(),
             SelectError::DeadlineInfeasible
         );
     }
@@ -559,13 +530,14 @@ mod tests {
         };
         let registry = dams_obs::Registry::new();
         let metrics = CoreMetrics::in_registry(&registry);
-        let sel = select_with_ladder_observed(
+        let sel = select_with_ladder_exec(
             &inst,
             TokenId(0),
             policy,
             budget,
             &Tier::DEFAULT_LADDER,
             &metrics,
+            &LadderExec::default(),
         )
         .unwrap();
         assert_eq!(
@@ -581,20 +553,20 @@ mod tests {
     #[test]
     fn tick_budget_steers_the_ladder_deterministically() {
         // A generous tick budget lets the exact tier answer; a starved one
-        // degrades — and both outcomes are identical across worker counts.
+        // degrades — and both outcomes replay identically.
         let inst = fresh_instance(8);
         let req = DiversityRequirement::new(1.0, 3);
         let policy = SelectionPolicy::new(req);
         for (ticks, expect_exact) in [(1u64 << 30, true), (2, false)] {
-            let mut tiers = Vec::new();
-            for workers in [1usize, 2, 4] {
-                let budget = DegradeBudget {
-                    exact_timeout: None,
-                    bfs: BfsBudget {
-                        deadline: Some(dams_diversity::Deadline::Ticks(ticks)),
-                        ..BfsBudget::default()
-                    },
-                };
+            let budget = DegradeBudget {
+                exact_timeout: None,
+                bfs: BfsBudget {
+                    deadline: Some(dams_diversity::Deadline::Ticks(ticks)),
+                    ..BfsBudget::default()
+                },
+            };
+            let mut answers = Vec::new();
+            for _ in 0..3 {
                 let registry = dams_obs::Registry::new();
                 let metrics = CoreMetrics::in_registry(&registry);
                 let sel = select_with_ladder_exec(
@@ -604,15 +576,15 @@ mod tests {
                     budget,
                     &Tier::DEFAULT_LADDER,
                     &metrics,
-                    &LadderExec { workers, ..LadderExec::default() },
+                    &LadderExec::default(),
                 )
                 .unwrap();
                 assert_eq!(sel.tier == Tier::ExactBfs, expect_exact, "ticks={ticks}");
-                tiers.push((sel.tier, sel.selection.ring.clone()));
+                answers.push((sel.tier, sel.selection.ring.clone()));
             }
             assert!(
-                tiers.windows(2).all(|w| w[0] == w[1]),
-                "worker count changed the answer: {tiers:?}"
+                answers.windows(2).all(|w| w[0] == w[1]),
+                "replay changed the answer: {answers:?}"
             );
         }
     }

@@ -875,9 +875,9 @@ impl DiversityIndex {
             .snapshot(batch as usize)
             .expect("locator points at a live batch");
         let exec = LadderExec {
-            workers: exec.workers,
             cache: exec.cache,
             modular: snap.modular.as_ref(),
+            ..LadderExec::default()
         };
         let degraded = select_with_ladder_exec(
             &snap.instance,

@@ -58,7 +58,6 @@ pub mod history;
 pub mod index;
 pub mod instance;
 pub mod obs;
-pub mod parallel;
 pub mod progressive;
 pub mod ratio;
 pub mod selection;
@@ -66,15 +65,14 @@ pub mod tokenmagic;
 
 pub use attack_aware::{sample_ring, MixinPool, SamplingMode};
 pub use baselines::{random, smallest};
-pub use bfs::{bfs, bfs_batch, bfs_reference, bfs_with, BfsBudget, BfsOptions};
+pub use bfs::{bfs, bfs_batch, bfs_reference, bfs_with, BfsBudget};
 pub use cache::{CachedOutcome, EvalCache, ProfileCache, DEFAULT_CACHE_CAPACITY};
 pub use config::{
     dtrs_diverse_fast, dtrs_token_sets_fast, psi, satisfies_first_configuration, SelectionPolicy,
 };
 pub use dams_diversity::Deadline;
 pub use degrade::{
-    select_with_fallback, select_with_ladder, select_with_ladder_exec,
-    select_with_ladder_observed, DegradeBudget, DegradedSelection, Guarantee, LadderExec, Tier,
+    select_with_ladder_exec, DegradeBudget, DegradedSelection, Guarantee, LadderExec, Tier,
 };
 pub use game::{
     game_theoretic, game_theoretic_from, game_theoretic_reference, game_theoretic_with,
@@ -87,7 +85,6 @@ pub use index::{
 };
 pub use instance::{DecomposeError, Instance, ModularInstance, Module, ModuleId, ModuleKind};
 pub use obs::CoreMetrics;
-pub use parallel::generate_parallel;
 pub use progressive::progressive;
 pub use ratio::{optimal_modular, RatioParams};
 pub use selection::{Algorithm, SelectError, Selection, SelectionStats};

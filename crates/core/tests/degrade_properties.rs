@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dams_core::{
-    bfs, select_with_ladder_observed, BfsBudget, CoreMetrics, DegradeBudget, SelectError,
+    bfs, select_with_ladder_exec, BfsBudget, CoreMetrics, DegradeBudget, LadderExec, SelectError,
     SelectionPolicy, Tier,
 };
 use dams_diversity::{DiversityRequirement, HtHistogram, HtId, TokenId, TokenUniverse};
@@ -62,13 +62,14 @@ fn run_ladder(
     metrics: &CoreMetrics,
 ) -> Result<dams_core::DegradedSelection, SelectError> {
     let (instance, policy, target) = random_case(seed);
-    select_with_ladder_observed(
+    select_with_ladder_exec(
         &instance,
         target,
         policy,
         budget,
         &Tier::DEFAULT_LADDER,
         metrics,
+        &LadderExec::default(),
     )
 }
 
@@ -84,13 +85,14 @@ fn tier_guarantee_is_consistent_with_exact_answer() {
     for seed in 0..SEEDS {
         let (instance, policy, target) = random_case(seed);
         let exact = bfs(&instance, target, policy.effective(), BfsBudget::default());
-        let got = select_with_ladder_observed(
+        let got = select_with_ladder_exec(
             &instance,
             target,
             policy,
             generous(),
             &Tier::DEFAULT_LADDER,
             &metrics,
+            &LadderExec::default(),
         );
         match (exact, got) {
             (Ok(optimal), Ok(sel)) => {

@@ -1,20 +1,22 @@
-//! Equivalence sweep for the PR-3 performance work.
+//! Equivalence sweep for the optimized selection engines.
 //!
-//! The optimized selection engines (incremental histograms, evaluation
-//! caches, parallel frontier, the bitset GetDTRSs kernel) must return the
-//! *same* `Result<Selection, SelectError>` — ring, stats, and error alike —
-//! as the seed reference implementations on every instance. This file
-//! sweeps 64 seeded random instances through every engine configuration,
-//! 64 more shaped like perfbench's `select-exact` requests through the
-//! exact BFS, and also pins the cache accounting exported through
-//! `dams-obs`.
+//! The optimized engines (incremental histograms, evaluation caches, the
+//! bitset GetDTRSs kernel) must return the *same*
+//! `Result<Selection, SelectError>` — ring, stats, and error alike — as
+//! the seed reference implementations on every instance. This file sweeps
+//! 64 seeded random instances through every engine configuration, 64 more
+//! shaped like perfbench's `select-exact` requests through the exact BFS,
+//! pins the budget boundary at the winning candidate, and also pins the
+//! cache accounting exported through `dams-obs`.
 
 use dams_core::{
     bfs, bfs_batch, bfs_reference, bfs_with, game_theoretic_from, game_theoretic_reference,
-    game_theoretic_with, BfsBudget, BfsOptions, EvalCache, InitStrategy, Instance, ModularInstance,
-    Module, ModuleId, ModuleKind, ProfileCache, SelectionPolicy,
+    game_theoretic_with, BfsBudget, EvalCache, InitStrategy, Instance, ModularInstance, Module,
+    ModuleId, ModuleKind, ProfileCache, SelectError, SelectionPolicy,
 };
-use dams_diversity::{DiversityRequirement, HtId, RingIndex, RingSet, RsId, TokenId, TokenUniverse};
+use dams_diversity::{
+    Deadline, DiversityRequirement, HtId, RingIndex, RingSet, RsId, TokenId, TokenUniverse,
+};
 use dams_obs::Registry;
 
 /// Deterministic xorshift64* — no RNG dependency, stable across platforms.
@@ -123,24 +125,72 @@ fn bfs_engines_agree_across_64_seeds() {
         let optimized = bfs(&instance, target, req, budget);
         assert_eq!(reference, optimized, "seed {seed}: sequential optimized");
 
-        for workers in [2usize, 3] {
-            let options = BfsOptions { budget, workers };
-            let parallel = bfs_with(&instance, target, req, &options, None);
-            assert_eq!(reference, parallel, "seed {seed}: workers={workers}");
-        }
-
         let cache = EvalCache::new();
-        let options = BfsOptions { budget, workers: 1 };
-        let cold = bfs_with(&instance, target, req, &options, Some(&cache));
-        let warm = bfs_with(&instance, target, req, &options, Some(&cache));
+        let cold = bfs_with(&instance, target, req, budget, Some(&cache));
+        let warm = bfs_with(&instance, target, req, budget, Some(&cache));
         assert_eq!(reference, cold, "seed {seed}: cached cold");
         assert_eq!(reference, warm, "seed {seed}: cached warm");
-
-        // Parallel + warm cache together, the full production configuration.
-        let options = BfsOptions { budget, workers: 2 };
-        let both = bfs_with(&instance, target, req, &options, Some(&cache));
-        assert_eq!(reference, both, "seed {seed}: parallel cached");
     }
+}
+
+#[test]
+fn bfs_engines_agree_at_every_candidate_cap() {
+    // The winner sits at candidate ordinal `w`: a cap of `w` or more must
+    // let both engines answer, and anything below must exhaust both. The
+    // same holds for a `Ticks(k)` grant with `k < w`, which stops both
+    // engines before the winner. At `k >= w` the reference answers, while
+    // the optimized engine also caps world-enumeration steps at `k` (see
+    // the `bfs` module docs): it either answers identically or exhausts.
+    let mut swept = 0;
+    for seed in 0..256u64 {
+        let mut rng = XorShift::new(seed ^ 0xCA9_B0DE);
+        let (instance, req, target) = random_instance(&mut rng);
+        let Ok(winner) = bfs_reference(&instance, target, req, BfsBudget::default()) else {
+            continue;
+        };
+        let w = winner.stats.candidates_examined;
+        if w < 4 {
+            continue;
+        }
+        for max_candidates in 0..=w + 1 {
+            let budget = BfsBudget {
+                max_candidates,
+                ..BfsBudget::default()
+            };
+            let reference = bfs_reference(&instance, target, req, budget);
+            assert_eq!(reference.is_ok(), max_candidates >= w, "seed {seed}");
+            let optimized = bfs(&instance, target, req, budget);
+            assert_eq!(
+                reference, optimized,
+                "seed {seed}: max_candidates={max_candidates}"
+            );
+        }
+        for k in 0..=w + 1 {
+            let budget = BfsBudget {
+                deadline: Some(Deadline::Ticks(k)),
+                ..BfsBudget::default()
+            };
+            let reference = bfs_reference(&instance, target, req, budget);
+            let optimized = bfs(&instance, target, req, budget);
+            if k < w {
+                assert_eq!(reference, optimized, "seed {seed}: Ticks({k})");
+            } else {
+                assert_eq!(reference.as_ref(), Ok(&winner), "seed {seed}: Ticks({k})");
+                assert!(
+                    optimized == reference || optimized == Err(SelectError::BudgetExhausted),
+                    "seed {seed}: Ticks({k}) gave {optimized:?}"
+                );
+            }
+        }
+        swept += 1;
+        if swept == 12 {
+            break;
+        }
+    }
+    assert!(
+        swept >= 8,
+        "only {swept} instances had a winner past ordinal 3"
+    );
 }
 
 /// An instance shaped like perfbench's `select-exact` requests: 18 tokens
@@ -221,19 +271,18 @@ fn game_engines_agree_across_64_seeds() {
 
 #[test]
 fn bfs_cache_accounting_is_exact() {
-    // On a cold sequential run every expensive-check lookup misses and the
+    // On a cold run every expensive-check lookup misses and the
     // outcome is stored; an identical warm run hits on every lookup. The
     // exported counters must account for every evaluation:
     // hits + misses == total lookups, and misses == stored outcomes.
     let mut rng = XorShift::new(7);
     let (instance, req, target) = random_instance(&mut rng);
     let budget = BfsBudget::default();
-    let options = BfsOptions { budget, workers: 1 };
 
     let registry = Registry::new();
     let cache = EvalCache::in_registry(1 << 16, &registry);
 
-    let cold = bfs_with(&instance, target, req, &options, Some(&cache));
+    let cold = bfs_with(&instance, target, req, budget, Some(&cache));
     let snap = registry.snapshot();
     let cold_hits = snap.counter("core.cache.hits_total").unwrap();
     let cold_misses = snap.counter("core.cache.misses_total").unwrap();
@@ -245,7 +294,7 @@ fn bfs_cache_accounting_is_exact() {
     );
     assert_eq!(snap.counter("core.cache.evictions_total"), Some(0));
 
-    let warm = bfs_with(&instance, target, req, &options, Some(&cache));
+    let warm = bfs_with(&instance, target, req, budget, Some(&cache));
     assert_eq!(cold, warm);
     let snap = registry.snapshot();
     assert_eq!(
@@ -262,14 +311,13 @@ fn bfs_cache_accounting_is_exact() {
 
 #[test]
 fn bfs_batch_shares_cache_across_targets() {
-    // A TokenMagic-style batch over one frozen instance: a candidate ring
-    // whose content recurs for a later target reuses the stored outcome,
-    // and every target's result equals its standalone reference run. Not
-    // every instance produces recurring rings (the key is the full ring
-    // content, target included), so sweep a few seeds and require reuse in
+    // A batch over one frozen instance: a candidate ring whose content
+    // recurs for a later target reuses the stored outcome, and every
+    // target's result equals its standalone reference run. Not every
+    // instance produces recurring rings (the key is the full ring content,
+    // target included), so sweep a few seeds and require reuse in
     // aggregate.
     let budget = BfsBudget::default();
-    let options = BfsOptions { budget, workers: 1 };
     let mut total_hits = 0u64;
     for seed in 0..8u64 {
         let mut rng = XorShift::new(seed.wrapping_mul(101) + 11);
@@ -279,7 +327,7 @@ fn bfs_batch_shares_cache_across_targets() {
 
         let registry = Registry::new();
         let cache = EvalCache::in_registry(1 << 16, &registry);
-        let batch = bfs_batch(&instance, &targets, req, &options, Some(&cache));
+        let batch = bfs_batch(&instance, &targets, req, budget, Some(&cache));
         for (i, (&t, got)) in targets.iter().zip(&batch).enumerate() {
             let reference = bfs_reference(&instance, t, req, budget);
             assert_eq!(&reference, got, "seed {seed} target {i}");

@@ -91,11 +91,7 @@ fn assert_equivalent(index: &DiversityIndex, chain: &Chain, seed: u64) {
         .unwrap_or_else(|e| panic!("seed {seed}: rebuild failed: {e}"));
     let registry = Registry::new();
     let metrics = CoreMetrics::in_registry(&registry);
-    let exec = LadderExec {
-        workers: 1,
-        cache: None,
-        modular: None,
-    };
+    let exec = LadderExec::default();
     let policy = SelectionPolicy::new(DiversityRequirement::new(1.0, 2));
     let ladder = [Tier::ExactBfs, Tier::Progressive, Tier::GameTheoretic];
     for target in (0..index.token_count()).step_by(3) {

@@ -50,7 +50,12 @@ pub fn exact_grant(remaining: u64, reserve_ticks: u64, ticks_per_candidate: u64,
     remaining.saturating_sub(reserve_ticks) / ticks_per_candidate.max(1)
 }
 
-/// The degrade budget carrying a candidate grant as a virtual deadline.
+/// The degrade budget carrying a candidate grant as a virtual deadline,
+/// `Deadline::Ticks(grant_candidates)`. That one grant caps two separate
+/// counters in the exact search: it examines at most `grant_candidates`
+/// candidates, and each candidate's world enumeration gives up on step
+/// `grant_candidates + 1` (see [`BfsBudget::deadline`]). Either cap
+/// exhausts the exact tier, which then hands over to the next tier.
 pub fn grant_budget(grant_candidates: u64) -> DegradeBudget {
     DegradeBudget {
         exact_timeout: None,

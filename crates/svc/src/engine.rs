@@ -162,7 +162,6 @@ impl Job {
         modular: Option<&ModularInstance>,
         policy: SelectionPolicy,
         core: &CoreMetrics,
-        bfs_workers: usize,
     ) -> Outcome {
         // Never empty: the grant step sheds a request whose floor empties
         // the ladder.
@@ -175,9 +174,8 @@ impl Job {
             &ladder,
             core,
             &LadderExec {
-                workers: bfs_workers,
-                cache: None,
                 modular,
+                ..LadderExec::default()
             },
         )
     }

@@ -32,8 +32,6 @@ pub struct FrontendConfig {
     /// Ticks held back from the exact grant for the cheap tiers.
     pub reserve_ticks: u64,
     pub breaker: BreakerConfig,
-    /// Threads inside one exact search.
-    pub bfs_workers: usize,
     /// Seed for breaker jitter.
     pub seed: u64,
 }
@@ -44,7 +42,6 @@ impl Default for FrontendConfig {
             ticks_per_candidate: 4,
             reserve_ticks: 64,
             breaker: BreakerConfig::default(),
-            bfs_workers: 1,
             seed: 0,
         }
     }
@@ -72,7 +69,6 @@ impl<'a> Frontend<'a> {
             ticks_per_candidate: cfg.ticks_per_candidate,
             reserve_ticks: cfg.reserve_ticks,
             breaker: cfg.breaker,
-            bfs_workers: cfg.bfs_workers,
             seed: cfg.seed,
             ..SvcConfig::default()
         };
@@ -171,7 +167,7 @@ impl<'a> Frontend<'a> {
             e.grant(now, req, now)
         });
         let job = granted.inspect_err(|&reason| e.count_shed(reason))?;
-        let outcome = job.select(instance, modular, self.policy, &e.core, e.cfg.bfs_workers);
+        let outcome = job.select(instance, modular, self.policy, &e.core);
         // The call's priced work advances the clock; the breaker hears
         // about it at the post-advance tick.
         let cost = e.price(&job, &outcome);

@@ -39,8 +39,7 @@
 //! [`frontend`] all run.
 //!
 //! Everything runs on a virtual tick clock from explicit seeds, so an
-//! overload scenario replays byte-identically — including across exact
-//! search thread counts (`bfs_workers`), which the property tests
+//! overload scenario replays byte-identically, which the property tests
 //! assert on rendered snapshots.
 
 pub mod admission;

@@ -100,8 +100,6 @@ pub struct OverloadConfig {
     pub seed: u64,
     /// Logical service capacity.
     pub workers: usize,
-    /// Exact-search threads (must not change any outcome).
-    pub bfs_workers: usize,
     /// Unique requests to offer.
     pub requests: u64,
     /// Arrival rate as a multiple of calibrated capacity.
@@ -120,7 +118,6 @@ impl Default for OverloadConfig {
         OverloadConfig {
             seed: 0,
             workers: 2,
-            bfs_workers: 1,
             requests: 96,
             load: 4.0,
             universe: 10,
@@ -138,7 +135,6 @@ pub fn service_config(cfg: &OverloadConfig, calib: &Calibration) -> SvcConfig {
         ticks_per_candidate: calib.ticks_per_candidate,
         reserve_ticks: calib.reserve_ticks,
         hedge_batch: true,
-        bfs_workers: cfg.bfs_workers.max(1),
         stall_every: if cfg.stalls { 7 } else { 0 },
         stall_ticks: if cfg.stalls { calib.mean_exact_ticks } else { 0 },
         seed: cfg.seed,

@@ -256,7 +256,6 @@ struct InlineSettle {
 fn worker_loop(
     instance: &Instance,
     policy: SelectionPolicy,
-    bfs_workers: usize,
     core: CoreMetrics,
     jobs: mpsc::Receiver<Job>,
     done: mpsc::Sender<ServerMsg>,
@@ -264,7 +263,7 @@ fn worker_loop(
 ) {
     while let Ok(job) = jobs.recv() {
         let started = Instant::now();
-        let outcome = job.select(instance, None, policy, &core, bfs_workers);
+        let outcome = job.select(instance, None, policy, &core);
         let (mut finish_tick, mut won) = (0, false);
         if let Some(inl) = &inline {
             // Racing settlement: first twin to reach the ledger wins.
@@ -496,8 +495,7 @@ where
                 ns_per_tick,
                 metrics: rt.clone(),
             });
-            let bfs_workers = cfg.svc.bfs_workers;
-            s.spawn(move || worker_loop(instance, policy, bfs_workers, core, jobs, done, inline));
+            s.spawn(move || worker_loop(instance, policy, core, jobs, done, inline));
             job_tx
         })
         .collect();

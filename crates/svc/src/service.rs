@@ -32,23 +32,24 @@
 //! reserve   = calibrated worst-case cost of the cheap tiers
 //! ```
 //!
-//! The exact BFS receives `Deadline::Ticks(grant)` — charged per
-//! candidate examined — so a request that waited long degrades down the
-//! ladder *automatically*, and the reserve guarantees the degraded
-//! answer still lands inside the deadline. A grant of zero skips the
-//! exact probe entirely (`SelectError::DeadlineInfeasible`), and a
-//! remainder below the reserve is shed as [`ShedReason::DeadlineInfeasible`]
-//! rather than dispatched to miss.
+//! The exact BFS receives `Deadline::Ticks(grant)`. That one grant caps
+//! two separate counters: the candidates examined, and for each
+//! candidate the steps of its world enumeration (see
+//! `dams_core::BfsBudget::deadline`). So a request that waited long
+//! degrades down the ladder *automatically*, and the reserve guarantees
+//! the degraded answer still lands inside the deadline. A grant of zero
+//! skips the exact probe entirely (`SelectError::DeadlineInfeasible`),
+//! and a remainder below the reserve is shed as
+//! [`ShedReason::DeadlineInfeasible`] rather than dispatched to miss.
 //!
-//! # Determinism across worker counts
+//! # Determinism
 //!
 //! `workers` (logical service capacity) is semantic: more workers means
-//! fewer sheds, by design. `bfs_workers` (threads inside one exact
-//! search) is **not**: `dams-core`'s parallel BFS returns byte-identical
-//! selections and stats for any worker count, so the whole simulation —
-//! every shed, every breaker transition, every snapshot byte — is
-//! invariant under `bfs_workers`. The overload property tests assert
-//! exactly that.
+//! fewer sheds, by design. Each selection runs on one thread and is
+//! priced by its work counters, not by wall time, so a seed fixes the
+//! whole simulation — every shed, every breaker transition, every
+//! snapshot byte. The overload property tests replay every seed and
+//! assert exactly that.
 
 use std::convert::Infallible;
 
@@ -133,9 +134,6 @@ pub struct SvcConfig {
     pub retry: RetryPolicy,
     /// Hedge retried batch requests with a staggered duplicate.
     pub hedge_batch: bool,
-    /// Threads inside one exact search (non-semantic; any value produces
-    /// byte-identical behaviour).
-    pub bfs_workers: usize,
     /// Chaos: every `stall_every`-th dispatch stalls its worker
     /// (`0` disables).
     pub stall_every: u64,
@@ -155,7 +153,6 @@ impl Default for SvcConfig {
             breaker: BreakerConfig::default(),
             retry: RetryPolicy::default(),
             hedge_batch: false,
-            bfs_workers: 1,
             stall_every: 0,
             stall_ticks: 0,
             seed: 0,
@@ -184,7 +181,7 @@ pub struct SvcReport {
     /// Virtual tick the last event settled at.
     pub final_tick: u64,
     /// Deterministic-mode text snapshot of the service registry —
-    /// byte-identical for one seed, any `bfs_workers`.
+    /// byte-identical for one seed.
     pub snapshot: String,
 }
 
@@ -250,10 +247,9 @@ impl<'a> Service<'a> {
     pub fn run(&mut self, arrivals: &[(u64, Request)]) -> SvcReport {
         let (instance, policy) = (self.instance, self.policy);
         let core = self.engine.core.clone();
-        let bfs_workers = self.engine.cfg.bfs_workers;
         let Ok(()) = self.engine.run(
             arrivals,
-            |job| Ok::<_, Infallible>(job.select(instance, None, policy, &core, bfs_workers)),
+            |job| Ok::<_, Infallible>(job.select(instance, None, policy, &core)),
             |_, _| Ok(()),
         );
         self.engine.report(&self.registry)
@@ -476,10 +472,9 @@ mod tests {
     #[test]
     fn same_seed_same_snapshot() {
         let inst = instance(8);
-        let run = |bfs_workers: usize| {
+        let run = || {
             let cfg = SvcConfig {
                 workers: 2,
-                bfs_workers,
                 seed: 7,
                 ..SvcConfig::default()
             };
@@ -488,8 +483,6 @@ mod tests {
                 (0..10).map(|i| (1 + i * 50, req(i, 4096))).collect();
             svc.run(&arrivals).snapshot
         };
-        let a = run(1);
-        assert_eq!(a, run(1), "same config must replay identically");
-        assert_eq!(a, run(2), "bfs_workers must not change behaviour");
+        assert_eq!(run(), run(), "same config must replay identically");
     }
 }

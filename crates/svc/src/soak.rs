@@ -3,7 +3,7 @@
 //!
 //! Each phase (a target chain size) has two halves:
 //!
-//! 1. **Grow** — stream [`BlockDelta`]s from the constant-memory
+//! 1. **Grow** — stream [`BlockDelta`](dams_core::BlockDelta)s from the constant-memory
 //!    [`ChainStream`] into a [`DiversityIndex`] until the chain reaches
 //!    the phase's token count, recording the per-block maintenance cost
 //!    the index reports (`IndexStats::last_block_ops`).

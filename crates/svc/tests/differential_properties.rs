@@ -32,7 +32,6 @@ fn scenario(seed: u64) -> DiffConfig {
         overload: OverloadConfig {
             seed,
             workers: workers[(seed / 3) as usize % 3],
-            bfs_workers: 1,
             requests: 48,
             load: loads[seed as usize % 3],
             universe: 10,

@@ -81,7 +81,6 @@ fn hedge_heavy_trace(requests: u64) -> (SvcConfig, Vec<ArrivalEvent>) {
             max_backoff: 16,
         },
         hedge_batch: true,
-        bfs_workers: 1,
         stall_every: 0,
         stall_ticks: 0,
         seed: 99,
