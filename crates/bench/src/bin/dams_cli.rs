@@ -5,7 +5,7 @@
 //! dams-cli attack  --rings "1,2;1,2;2,3"
 //! dams-cli audit   --spends 5 [--seed N]
 //! dams-cli hardness --rings "1,2;1,2;2,3,4"
-//! dams-cli bench   [--out BENCH_baseline.json] [--selection-out BENCH_selection.json] [--seed N] [--tokens N]
+//! dams-cli bench   [--out BENCH_baseline.json] [--selection-out BENCH_selection.json] [--seed N]
 //! dams-cli bench --anonymity [--seed N] [--out BENCH_anonymity.json] [--report ANON_report.txt]
 //! dams-cli run     --store-dir DIR [--blocks N] [--seed N] [--crash-after-appends N]
 //! dams-cli recover --store-dir DIR
@@ -15,7 +15,6 @@
 //!                [--tenants N] [--out BENCH_runtime.json] [--diff-report DIFF_report.txt] [--trace-out FILE]
 //! dams-cli cluster-sim [--seed N] [--node-counts "1,3,5"] [--out BENCH_cluster.json] [--report CLUSTER_report.txt]
 //! dams-cli cluster-sim --byzantine [--seed N] [--honest N] [--max-f N] [--out BENCH_byzantine.json] [--report BYZ_report.txt]
-//! dams-cli --faults 7 [--metrics text|json]
 //! ```
 //!
 //! * `select` — generate a synthetic batch (Table 3 defaults) and run one
@@ -27,17 +26,12 @@
 //! * `hardness` — count the token–RS combinations (possible worlds) of
 //!   literal rings via the Theorem 3.1 reduction.
 //! * `bench` — run a representative workload across every selection
-//!   algorithm, the degrade ladder, and the faulted node simulation, then
-//!   write the full metrics snapshot to a JSON baseline file. Also runs
-//!   the selection perf figure (optimized engines vs. seed references)
-//!   and writes its rows to `--selection-out`, including the streaming
-//!   rows: chains of 10³ … `--tokens` tokens (default 10⁶) grown through
-//!   the incremental diversity index, with per-block maintenance cost
-//!   and served-request percentiles per size. `--tokens` accepts only
-//!   the published decade sizes and errors on anything else — a silently
-//!   clamped size would mislabel the measurement. With `--anonymity` it
-//!   instead replays the seeded adversary suite (cascade taint,
-//!   guess-newest, closed-set graph matching) over realistic chains at
+//!   algorithm, the degrade ladder, and the five-node cluster scenario,
+//!   then write the full metrics snapshot to a JSON baseline file. Also
+//!   runs the selection perf figure (optimized engines vs. seed
+//!   references) and writes its rows to `--selection-out`. With
+//!   `--anonymity` it instead replays the seeded adversary suite (cascade
+//!   taint, guess-newest, closed-set graph matching) over realistic chains at
 //!   each degrade-ladder tier's measured ring size, under both baseline
 //!   and attack-aware sampling, at adversary strengths `f = 0..=3`;
 //!   then runs the 64-seed floor-gated admission sweep (frontend +
@@ -74,6 +68,9 @@
 //!   `--requests` selections per decade through one frontend, write the
 //!   per-phase rows to `--out` (default `BENCH_soak.json`), and exit
 //!   non-zero unless p99 work and per-block maintenance stay flat.
+//!   `--tokens` accepts only the published decade sizes and errors on
+//!   anything else — a silently clamped size would mislabel the
+//!   measurement.
 //! * `serve --real` — run the *real* concurrent runtime front end: the
 //!   same seeded trace a `serve-sim` scenario would replay is exported
 //!   to the wire (length-prefixed self-authenticating frames over an
@@ -92,6 +89,7 @@
 //!   verification). Writes per-size rows (goodput, convergence ticks,
 //!   catch-up split) to `--out` and the full per-size convergence
 //!   reports to `--report`; exits non-zero unless every size converges.
+//!   One `--seed` and size always reproduce the same run.
 //!   With `--byzantine` it instead runs the adversarial-peer gauntlet:
 //!   at each strength `f = 0..=--max-f`, the standard adversary mix
 //!   (equivocator, spammer, withholder, ring-poisoner) joins `--honest`
@@ -102,11 +100,6 @@
 //!   baseline, offense tallies, bans) to `--out` and the concatenated
 //!   Byzantine reports (each ending in a grep-able `verdict:` line) to
 //!   `--report`; exits non-zero unless every strength is defended.
-//! * `--faults N` — replay the scripted adversarial simulation (drop +
-//!   duplicate + reorder + delay + corrupt + partition/heal +
-//!   crash/restore through each replica's durable store) from seed N and
-//!   print the fault report. The same seed always reproduces the same
-//!   run.
 //! * `--metrics text|json` — after any command, print the process-wide
 //!   metrics snapshot in deterministic mode (timers show only counts), so
 //!   two runs with the same seed emit byte-identical output.
@@ -137,22 +130,6 @@ fn main() {
     };
     let seed: u64 = get("--seed").and_then(|v| v.parse().ok()).unwrap_or(42);
     let metrics_format = parse_metrics_flag(&args);
-
-    // `--faults <seed>` works from any position (including as the leading
-    // argument) so a failing property test's seed pastes straight in.
-    if args.iter().any(|a| a == "--faults") {
-        let seed: u64 = get("--faults")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| die("--faults requires a u64 seed"));
-        let ok = replay_faults(seed);
-        // Metrics print even on a failed run — a diverged replica's
-        // counters are exactly what the investigation wants.
-        print_metrics(metrics_format);
-        if !ok {
-            std::process::exit(1);
-        }
-        return;
-    }
 
     match cmd.as_str() {
         "select" => {
@@ -509,26 +486,17 @@ fn main() {
             let out = get("--out").unwrap_or_else(|| "BENCH_baseline.json".into());
             let selection_out = get("--selection-out")
                 .unwrap_or_else(|| "BENCH_selection.json".into());
-            let max_tokens = parse_supported_tokens(get("--tokens"));
-            let sizes: Vec<u64> = SUPPORTED_TOKEN_SIZES
-                .iter()
-                .copied()
-                .filter(|&n| n <= max_tokens)
-                .collect();
             run_bench_workload(seed);
             // The selection figure runs before the snapshot is written so
             // its cache traffic (core.cache.*) lands in the baseline too.
-            let figure = dams_bench::selection_figure(seed).with_streaming(&sizes, 200);
+            let figure = dams_bench::selection_figure(seed);
             if let Err(e) = std::fs::write(&selection_out, figure.render_json()) {
                 die(&format!("cannot write {selection_out}: {e}"));
             }
-            let (p99_flat, maintenance_flat) = figure.streaming_flat();
             println!(
-                "wrote {selection_out} (exact_bfs {:.2}x, tm_g {:.2}x; streaming to {} \
-                 tokens, p99 flat: {p99_flat}, maintenance flat: {maintenance_flat})",
+                "wrote {selection_out} (exact_bfs {:.2}x, tm_g {:.2}x)",
                 figure.exact_bfs.speedup(),
                 figure.tm_g.speedup(),
-                figure.streaming.last().map_or(0, |p| p.tokens),
             );
             let snapshot = dams_obs::global().snapshot();
             let json = snapshot.render_json(Mode::Full);
@@ -542,7 +510,7 @@ fn main() {
     print_metrics(metrics_format);
 }
 
-/// Chain sizes (tokens) the streaming rows are published at. Other sizes
+/// Chain sizes (tokens) the soak phases are published at. Other sizes
 /// are refused, never clamped: a silently clamped `--tokens 500000` would
 /// label a 10⁵ measurement as 5·10⁵.
 const SUPPORTED_TOKEN_SIZES: [u64; 4] = [1_000, 10_000, 100_000, 1_000_000];
@@ -641,39 +609,9 @@ fn run_bench_workload(seed: u64) {
         let _ = tm.select_for(&instance, TokenId(0), &mut rng);
     }
 
-    // The adversarial node simulation populates the chain.* and node.*
+    // The five-node cluster scenario populates the chain.* and node.*
     // families (blocks sealed/adopted, verify latency, bus faults).
-    let _ = dams_node::run_faulted_simulation(seed);
-}
-
-/// Replay the scripted adversarial simulation from `seed` and print the
-/// report a failing property test would want reproduced. Returns whether
-/// the replicas converged on one tip and one batch list.
-fn replay_faults(seed: u64) -> bool {
-    let report = dams_node::run_faulted_simulation(seed);
-    println!("faulted simulation, seed {seed}:");
-    println!(
-        "  converged: {} | batch consensus: {} | height: {} | ticks: {}",
-        report.converged,
-        report.batch_consensus,
-        report.height,
-        report
-            .ticks
-            .map_or_else(|| "budget exhausted".into(), |t| t.to_string()),
-    );
-    if let Some(tip) = report.tip {
-        println!("  tip: {}", hex(&tip));
-    }
-    let s = &report.stats;
-    println!(
-        "  wire: {} sent, {} delivered, {} dropped, {} duplicated, {} delayed, {} corrupted",
-        s.sent, s.delivered, s.dropped, s.duplicated, s.delayed, s.corrupted
-    );
-    println!(
-        "  rejected: {} undecodable, {} inbox-full, {} partition-blocked",
-        s.decode_rejected, s.inbox_rejected, s.partition_blocked
-    );
-    report.converged && report.batch_consensus
+    let _ = dams_node::run_cluster_scenario(seed, 5);
 }
 
 /// Run the replication scenario and the sharded load harness at each
@@ -1008,8 +946,7 @@ fn usage() -> ! {
          \x20                    [--transport duplex|tcp] [--tenants N] [--out FILE] [--diff-report FILE] [--trace-out FILE]\n\
          \x20      dams-cli cluster-sim [--seed N] [--node-counts \"1,3,5\"] [--out FILE] [--report FILE]\n\
          \x20      dams-cli cluster-sim --byzantine [--seed N] [--honest N] [--max-f N] [--out FILE] [--report FILE]\n\
-         \x20      dams-cli bench --anonymity [--seed N] [--out FILE] [--report FILE]\n\
-         \x20      dams-cli --faults <seed>   replay a faulted node simulation"
+         \x20      dams-cli bench --anonymity [--seed N] [--out FILE] [--report FILE]"
     );
     std::process::exit(2);
 }

@@ -16,13 +16,8 @@
 //! reported — the figure measures the same answers computed faster, never
 //! different answers. Times are medians over several repeats; the
 //! optimized side gets a *fresh* cache per repeat (a batch starts cold).
-//!
-//! A third section, `streaming`, scales the chain instead of the batch:
-//! one row per token decade (10³ … 10⁶), produced by the soak harness
-//! ([`dams_svc::run_soak`]). Each row reports the incremental index's
-//! per-block maintenance cost and the served-request work/latency
-//! percentiles at that chain size — the gate asserts both stay flat as
-//! the chain grows three orders of magnitude.
+//! Chain-scale rows (10³ … 10⁶ tokens) live in `BENCH_soak.json`, which
+//! the soak harness ([`dams_svc::run_soak`]) writes.
 
 use std::time::Instant;
 
@@ -55,49 +50,15 @@ impl FigureRow {
     }
 }
 
-/// The full figure: both engine rows, the streaming-scale rows, plus the
-/// seed they were measured at.
+/// The full figure: both engine rows plus the seed they were measured at.
 #[derive(Debug, Clone)]
 pub struct SelectionFigure {
     pub seed: u64,
     pub exact_bfs: FigureRow,
     pub tm_g: FigureRow,
-    /// One row per chain size (tokens), from the soak harness. Empty
-    /// until [`SelectionFigure::with_streaming`] runs.
-    pub streaming: Vec<dams_svc::SoakPhase>,
 }
 
 impl SelectionFigure {
-    /// Grow a streamed chain through the incremental diversity index and
-    /// measure one row per entry of `token_sizes` (ascending).
-    pub fn with_streaming(mut self, token_sizes: &[u64], requests_per_phase: usize) -> Self {
-        let report = dams_svc::run_soak(&dams_svc::SoakConfig {
-            seed: self.seed,
-            phases: token_sizes.to_vec(),
-            requests_per_phase,
-            ..dams_svc::SoakConfig::default()
-        });
-        self.streaming = report.phases;
-        self
-    }
-
-    /// The chain-length-independence gates over the streaming rows (true
-    /// vacuously when streaming was not measured).
-    pub fn streaming_flat(&self) -> (bool, bool) {
-        let report = dams_svc::SoakReport {
-            lambda: 0,
-            seed: self.seed,
-            phases: self.streaming.clone(),
-        };
-        if self.streaming.is_empty() {
-            return (true, true);
-        }
-        (
-            report.p99_flat(dams_svc::P99_TOLERANCE),
-            report.maintenance_flat(dams_svc::MAINTENANCE_TOLERANCE),
-        )
-    }
-
     /// Render as the `BENCH_selection.json` document.
     pub fn render_json(&self) -> String {
         fn row(r: &FigureRow) -> String {
@@ -108,39 +69,12 @@ impl SelectionFigure {
                 r.speedup()
             )
         }
-        let (p99_flat, maintenance_flat) = self.streaming_flat();
-        let mut out = format!(
-            "{{\n  \"seed\": {},\n  \"exact_bfs\": {},\n  \"tm_g\": {},\n",
+        format!(
+            "{{\n  \"seed\": {},\n  \"exact_bfs\": {},\n  \"tm_g\": {}\n}}\n",
             self.seed,
             row(&self.exact_bfs),
             row(&self.tm_g)
-        );
-        out.push_str(&format!("  \"streaming_p99_flat\": {p99_flat},\n"));
-        out.push_str(&format!(
-            "  \"streaming_maintenance_flat\": {maintenance_flat},\n"
-        ));
-        out.push_str("  \"streaming\": [\n");
-        for (i, p) in self.streaming.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"tokens\": {}, \"blocks\": {}, \"batches\": {}, \
-                 \"max_block_ops\": {}, \"mean_block_ops\": {:.2}, \
-                 \"p50_work\": {}, \"p99_work\": {}, \"p50_request_ns\": {}, \
-                 \"p99_request_ns\": {}, \"snapshot_rebuild_ns\": {}}}{}\n",
-                p.tokens,
-                p.blocks,
-                p.batches,
-                p.max_block_ops,
-                p.mean_block_ops,
-                p.p50_work,
-                p.p99_work,
-                p.p50_request_ns,
-                p.p99_request_ns,
-                p.snapshot_rebuild_ns,
-                if i + 1 == self.streaming.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        )
     }
 }
 
@@ -260,15 +194,12 @@ fn tm_g_row(seed: u64) -> FigureRow {
     }
 }
 
-/// Measure both engine rows at `seed` (streaming rows are opt-in via
-/// [`SelectionFigure::with_streaming`] — they grow a chain and belong to
-/// release-mode bench runs).
+/// Measure both engine rows at `seed`.
 pub fn selection_figure(seed: u64) -> SelectionFigure {
     SelectionFigure {
         seed,
         exact_bfs: exact_bfs_row(seed),
         tm_g: tm_g_row(seed),
-        streaming: Vec::new(),
     }
 }
 
@@ -288,41 +219,11 @@ mod tests {
                 baseline_ns: 9,
                 optimized_ns: 3,
             },
-            streaming: Vec::new(),
         };
         let json = fig.render_json();
         assert!(json.contains("\"exact_bfs\""));
         assert!(json.contains("\"speedup\": 2.500"));
         assert!(json.contains("\"speedup\": 3.000"));
-        assert!(json.contains("\"streaming\": ["));
-    }
-
-    #[test]
-    fn streaming_rows_land_in_the_figure() {
-        // Small sizes: this validates plumbing, not million-token scale
-        // (that is the release-mode bench run's job).
-        let fig = SelectionFigure {
-            seed: 5,
-            exact_bfs: FigureRow {
-                baseline_ns: 1,
-                optimized_ns: 1,
-            },
-            tm_g: FigureRow {
-                baseline_ns: 1,
-                optimized_ns: 1,
-            },
-            streaming: Vec::new(),
-        }
-        .with_streaming(&[400, 1_600], 32);
-        assert_eq!(fig.streaming.len(), 2);
-        assert!(fig.streaming[0].tokens >= 400);
-        assert!(fig.streaming[1].tokens >= 4 * fig.streaming[0].tokens.min(400));
-        let (p99_flat, maintenance_flat) = fig.streaming_flat();
-        assert!(p99_flat && maintenance_flat, "{:?}", fig.streaming);
-        let json = fig.render_json();
-        assert!(json.contains("\"streaming_p99_flat\": true"));
-        assert!(json.contains("\"max_block_ops\""));
-        assert!(json.contains("\"snapshot_rebuild_ns\""));
     }
 
     #[test]

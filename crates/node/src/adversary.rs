@@ -48,7 +48,7 @@ use crate::error::NodeError;
 use crate::faults::{FaultConfig, FaultStats};
 use crate::gossip::{frame_attested_block, frame_tip, Cluster, GossipStats};
 use crate::network::SimNode;
-use crate::peers::{Attestation, ClusterConfig};
+use crate::peers::Attestation;
 
 /// The attack playbooks the gauntlet exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -337,14 +337,8 @@ fn drive(
     actors: &[ActorKind],
 ) -> Result<(Cluster, Option<u64>), NodeError> {
     let group = SchnorrGroup::default();
-    let mut cluster = Cluster::with_byzantine(
-        honest,
-        actors,
-        group,
-        seed,
-        FaultConfig::lossless(),
-        ClusterConfig::default(),
-    )?;
+    let mut cluster =
+        Cluster::with_byzantine(honest, actors, group, seed, FaultConfig::lossless())?;
     for _ in 0..4 {
         cluster.mine_on(0, 2)?;
         step_and_announce(&mut cluster);

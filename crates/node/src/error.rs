@@ -1,7 +1,7 @@
 //! The node half of the typed error taxonomy.
 //!
 //! Everything a simulated node can fail at — chain state operations,
-//! wire decoding, resource exhaustion, snapshot recovery — funnels into
+//! wire decoding, resource exhaustion, store recovery — funnels into
 //! [`NodeError`], so the network layer is panic-free: a Byzantine peer,
 //! a corrupted wire message, or a block flood degrades a node's service,
 //! never its process.
@@ -20,13 +20,9 @@ pub enum NodeError {
     /// The bounded inbox is full — the announcement was rejected
     /// (back-pressure instead of unbounded growth under a block flood).
     InboxFull { capacity: usize },
-    /// An operation referenced a node id the bus does not know.
+    /// An operation referenced a node id the cluster does not know, or
+    /// a slot not in the state the operation needs.
     UnknownPeer(usize),
-    /// A snapshot's first block is not the canonical genesis, so the
-    /// replica cannot be rebuilt from it.
-    SnapshotGenesisMismatch,
-    /// A snapshot block failed verified replay at the given position.
-    SnapshotBlockInvalid { index: usize, cause: ChainError },
     /// The durable store failed — the inner error carries the byte
     /// offset / crc context a recovery report needs.
     Store(StoreError),
@@ -56,12 +52,6 @@ impl std::fmt::Display for NodeError {
                 write!(f, "inbox full ({capacity} messages), announcement rejected")
             }
             NodeError::UnknownPeer(id) => write!(f, "unknown peer id {id}"),
-            NodeError::SnapshotGenesisMismatch => {
-                write!(f, "snapshot does not start at the canonical genesis")
-            }
-            NodeError::SnapshotBlockInvalid { index, cause } => {
-                write!(f, "snapshot block {index} failed verified replay: {cause}")
-            }
             NodeError::Store(e) => write!(f, "durable store failed: {e}"),
             NodeError::SyncRejected { reason } => {
                 write!(f, "catch-up frame rejected: {reason}")
@@ -121,11 +111,6 @@ mod tests {
             CodecError::Truncated.into(),
             NodeError::InboxFull { capacity: 4 },
             NodeError::UnknownPeer(2),
-            NodeError::SnapshotGenesisMismatch,
-            NodeError::SnapshotBlockInvalid {
-                index: 3,
-                cause: ChainError::NotExtendingTip,
-            },
             StoreError::CorruptRecord {
                 offset: 16,
                 expected_crc: 1,

@@ -1,22 +1,15 @@
-//! A deterministic fault-injecting message bus.
+//! A deterministic fault-injecting transport.
 //!
-//! Wraps the [`crate::network::SimNode`] replicas in an adversarial
-//! network that **drops**, **duplicates**, **reorders**, **delays**, and
-//! **corrupts** gossip traffic (at the wire level — messages travel as
-//! encoded bytes through the real codec) and can **partition** the node
-//! set and later heal it. Every fault decision is drawn from a single
-//! seeded PRNG stream, so an entire adversarial run — including which
-//! byte of which message was flipped — replays exactly from one `u64`
-//! seed.
+//! [`FaultChannel`] carries raw frames between numbered endpoints and
+//! **drops**, **duplicates**, **reorders**, **delays**, and **corrupts**
+//! them, and can **partition** the endpoints and later heal them. It
+//! knows nothing about blocks: frames go in, `(src, dest, bytes)` triples
+//! come out when due. Every fault decision is drawn from a single seeded
+//! PRNG stream, so an entire adversarial run — including which byte of
+//! which frame was flipped — replays exactly from one `u64` seed.
 //!
-//! The fault gauntlet itself lives in [`FaultChannel`], a transport that
-//! knows nothing about blocks: raw frames go in, `(dest, bytes)` pairs
-//! come out when due. [`FaultyBus`] wires it to block announcements;
-//! [`crate::gossip::Cluster`] runs its richer typed gossip protocol
-//! (push announcements, tip anti-entropy, pull range repair) over the
-//! very same channel, so cluster scenarios inherit the identical fault
-//! model and replay from one seed.
-//!
+//! [`crate::gossip::Cluster`] runs its typed gossip protocol (push
+//! announcements, tip anti-entropy, pull range repair) over this channel.
 //! Recovery relies on the node-layer robustness machinery: bounded
 //! inboxes and orphan pools, TTL eviction, exponential-backoff parent
 //! requests, and periodic anti-entropy tip announcements. The claim the
@@ -28,13 +21,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use dams_blockchain::{block_to_bytes, decode_block, Amount, BatchList, Block, TokenOutput};
-use dams_crypto::sha256::Digest;
-use dams_crypto::{KeyPair, SchnorrGroup};
-use dams_store::{MemBackend, RecoveryReport, StorageFault, Store, StoreConfig};
-
 use crate::error::NodeError;
-use crate::network::{BlockAnnouncement, NodeLimits, SimNode};
 use crate::obs::NodeMetrics;
 
 /// Per-delivery fault probabilities and knobs. All probabilities are in
@@ -48,7 +35,7 @@ pub struct FaultConfig {
     pub dup_prob: f64,
     /// Probability a message copy is delayed by 1..=`max_delay` ticks.
     pub delay_prob: f64,
-    /// Maximum delivery delay, in bus ticks.
+    /// Maximum delivery delay, in channel ticks.
     pub max_delay: u64,
     /// Probability one byte of the encoded message is flipped.
     pub corrupt_prob: f64,
@@ -83,10 +70,15 @@ impl FaultConfig {
     }
 }
 
-/// What the adversary did, and what the nodes survived.
+/// What the adversary did, and what the receivers made of it.
+///
+/// The delivery-side fields (`decode_rejected`, `delivered`,
+/// `inbox_rejected`) count only frames that reached a live replica:
+/// frames addressed to a down, dormant or Byzantine slot count in `sent`
+/// and the fault fields, but in no delivery-side field.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Message copies handed to the bus (before fault decisions).
+    /// Frame copies handed to the channel (before fault decisions).
     pub sent: u64,
     /// Copies dropped in flight.
     pub dropped: u64,
@@ -96,13 +88,15 @@ pub struct FaultStats {
     pub delayed: u64,
     /// Copies with a byte flipped.
     pub corrupted: u64,
-    /// Deliveries rejected by the wire decoder (corruption caught).
+    /// Frames a live receiver refused at decode, digest or attribution
+    /// checks (corruption caught).
     pub decode_rejected: u64,
-    /// Deliveries rejected by a full inbox (back-pressure).
+    /// Staged blocks a full inbox refused at release (back-pressure).
     pub inbox_rejected: u64,
     /// Sends suppressed because source and destination were partitioned.
     pub partition_blocked: u64,
-    /// Copies that reached a node's inbox.
+    /// Block frames that passed every check and were staged. Tip, range,
+    /// evidence and refusal frames are not counted.
     pub delivered: u64,
 }
 
@@ -118,39 +112,14 @@ struct InFlight {
     due: u64,
 }
 
-/// Wire frame: the block's id (its header hash) followed by its encoding.
-/// Receivers recompute the hash; a frame whose payload does not hash to
-/// its id is discarded — the inv/getdata discipline real gossip layers
-/// use, and what makes *every* single-byte corruption detectable (the
-/// header hash covers the timestamp, which block validation alone cannot
-/// cross-check).
-pub(crate) fn frame_block(block: &Block) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&block.hash());
-    out.extend_from_slice(&block_to_bytes(block));
-    out
-}
-
-/// Decode and authenticate a frame. `None` for anything malformed.
-pub(crate) fn unframe_block(group: &SchnorrGroup, frame: &[u8]) -> Option<Block> {
-    if frame.len() < 32 {
-        return None;
-    }
-    let (id, body) = frame.split_at(32);
-    let block = decode_block(group, body).ok()?;
-    (block.hash().as_slice() == id).then_some(block)
-}
-
 /// The seeded fault gauntlet as a reusable transport.
 ///
-/// Every frame handed to [`FaultChannel::send`] runs the full adversary:
-/// duplication, drops, single-byte corruption, delivery delay, and (on
-/// [`FaultChannel::advance`]) same-tick reordering. Endpoints can be
-/// split into partition components; sends across the split are
-/// suppressed and counted. All randomness comes from one seeded PRNG,
-/// exposed via [`FaultChannel::rng_mut`] so a scenario's other draws
-/// (key material, shuffles) share the stream and the whole run replays
-/// from a single `u64`.
+/// Every frame handed to [`FaultChannel::send_from`] runs the full
+/// adversary: duplication, drops, single-byte corruption, delivery delay,
+/// and (on [`FaultChannel::advance_attributed`]) same-tick reordering.
+/// Endpoints can be split into partition components; sends across the
+/// split are suppressed and counted. All randomness comes from one
+/// seeded PRNG, so the whole run replays from a single `u64`.
 pub struct FaultChannel {
     cfg: FaultConfig,
     rng: StdRng,
@@ -179,21 +148,9 @@ impl FaultChannel {
         self.tick
     }
 
-    /// Number of endpoints the channel connects.
-    pub fn endpoints(&self) -> usize {
-        self.partition.len()
-    }
-
     /// Whether nothing is in flight.
     pub fn idle(&self) -> bool {
         self.in_flight.is_empty()
-    }
-
-    /// The channel's seeded PRNG. Callers draw scenario randomness (key
-    /// material, delivery shuffles) from here so one seed replays the
-    /// entire run.
-    pub fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
     }
 
     /// Split the network: endpoints listed in `isolated` form one
@@ -216,13 +173,6 @@ impl FaultChannel {
 
     pub fn reachable(&self, a: usize, b: usize) -> bool {
         self.partition[a] == self.partition[b]
-    }
-
-    /// Push one frame through the fault gauntlet toward `dest` without a
-    /// meaningful source (the frame is attributed to `dest` itself).
-    /// Receivers that care about attribution use [`FaultChannel::send_from`].
-    pub fn send(&mut self, dest: usize, bytes: Vec<u8>) {
-        self.send_from(dest, dest, bytes);
     }
 
     /// Push one frame from `src` toward `dest` through the fault gauntlet.
@@ -281,18 +231,9 @@ impl FaultChannel {
         });
     }
 
-    /// Advance one tick and collect every frame due for delivery,
-    /// shuffled when reordering is on.
-    pub fn advance(&mut self) -> Vec<(usize, Vec<u8>)> {
-        self.advance_attributed()
-            .into_iter()
-            .map(|(_, dest, bytes)| (dest, bytes))
-            .collect()
-    }
-
-    /// [`FaultChannel::advance`] keeping the transport-level source of
-    /// each frame: `(src, dest, bytes)` triples. The source is what the
-    /// peer-defense layer attributes misbehavior to.
+    /// Advance one tick and collect every frame due for delivery as
+    /// `(src, dest, bytes)` triples, shuffled when reordering is on. The
+    /// source is what the peer-defense layer attributes misbehavior to.
     pub fn advance_attributed(&mut self) -> Vec<(usize, usize, Vec<u8>)> {
         self.tick += 1;
         let mut due: Vec<InFlight> = Vec::new();
@@ -318,456 +259,9 @@ impl FaultChannel {
     }
 }
 
-/// The fault-injecting bus: block announcements over a [`FaultChannel`].
-pub struct FaultyBus {
-    pub nodes: Vec<SimNode>,
-    group: SchnorrGroup,
-    channel: FaultChannel,
-}
-
-impl FaultyBus {
-    /// A bus of `count` nodes whose every fault decision derives from
-    /// `seed`.
-    pub fn new(count: usize, group: SchnorrGroup, seed: u64, cfg: FaultConfig) -> Self {
-        Self::with_limits(count, group, seed, cfg, NodeLimits::default())
-    }
-
-    pub fn with_limits(
-        count: usize,
-        group: SchnorrGroup,
-        seed: u64,
-        cfg: FaultConfig,
-        limits: NodeLimits,
-    ) -> Self {
-        FaultyBus {
-            nodes: (0..count)
-                .map(|i| SimNode::with_limits(i, group, limits))
-                .collect(),
-            group,
-            channel: FaultChannel::new(count, seed, cfg),
-        }
-    }
-
-    pub fn tick(&self) -> u64 {
-        self.channel.tick()
-    }
-
-    /// What the adversary did so far, and what the nodes survived.
-    pub fn stats(&self) -> FaultStats {
-        self.channel.stats
-    }
-
-    /// Attach a fresh in-memory durable store to every node that lacks
-    /// one. Storage never draws from the bus's seeded PRNG, so a durable
-    /// run replays byte-identically to a volatile one.
-    pub fn make_durable(&mut self) -> Result<(), NodeError> {
-        for node in &mut self.nodes {
-            if node.has_store() {
-                continue;
-            }
-            let recovered = Store::open(
-                Box::new(MemBackend::new()),
-                Box::new(MemBackend::new()),
-                self.group,
-                StoreConfig::default(),
-            )?;
-            node.attach_store(recovered)?;
-        }
-        Ok(())
-    }
-
-    /// Inject a storage fault into node `id`'s durable WAL bytes — the
-    /// disk half of the fault model. Takes effect at the next
-    /// [`FaultyBus::crash_and_restore`] of that node.
-    pub fn inject_storage_fault(
-        &mut self,
-        id: usize,
-        fault: &StorageFault,
-    ) -> Result<(), NodeError> {
-        let node = self.nodes.get_mut(id).ok_or(NodeError::UnknownPeer(id))?;
-        let store = node
-            .store_mut()
-            .ok_or(NodeError::Store(dams_store::StoreError::FaultUnsupported))?;
-        store.inject_wal_fault(fault)?;
-        Ok(())
-    }
-
-    /// Split the network: nodes listed in `isolated` form one component,
-    /// everyone else the other. Unknown ids yield a typed error.
-    pub fn partition(&mut self, isolated: &[usize]) -> Result<(), NodeError> {
-        self.channel.partition(isolated)
-    }
-
-    /// Heal all partitions: every node can talk to every other again.
-    pub fn heal(&mut self) {
-        self.channel.heal();
-    }
-
-    fn reachable(&self, a: usize, b: usize) -> bool {
-        self.channel.reachable(a, b)
-    }
-
-    /// Gossip a block from `origin` to every reachable peer, as encoded
-    /// bytes subject to the fault model.
-    pub fn gossip(&mut self, origin: usize, block: &Block) -> Result<(), NodeError> {
-        if origin >= self.nodes.len() {
-            return Err(NodeError::UnknownPeer(origin));
-        }
-        let bytes = frame_block(block);
-        for dest in 0..self.nodes.len() {
-            if dest == origin {
-                continue;
-            }
-            self.channel.send_reachable(origin, dest, bytes.clone());
-        }
-        Ok(())
-    }
-
-    /// Mine one coinbase block of `outputs` fresh tokens on `origin` and
-    /// gossip it. Key material comes from the bus's seeded stream, so the
-    /// whole run stays replayable.
-    pub fn mine_and_gossip(
-        &mut self,
-        origin: usize,
-        outputs: usize,
-    ) -> Result<Block, NodeError> {
-        if origin >= self.nodes.len() {
-            return Err(NodeError::UnknownPeer(origin));
-        }
-        let group = self.group;
-        let outs: Vec<TokenOutput> = (0..outputs)
-            .map(|_| TokenOutput {
-                owner: KeyPair::generate(&group, self.channel.rng_mut()).public,
-                amount: Amount(1),
-            })
-            .collect();
-        let node = &mut self.nodes[origin];
-        node.chain_mut().submit_coinbase(outs);
-        // Durable seal when a store is attached: the sealed block is
-        // WAL-appended + fsynced before it leaves the miner.
-        let block = node.seal_block()?;
-        self.gossip(origin, &block)?;
-        Ok(block)
-    }
-
-    /// Crash `id` mid-run: volatile state (inbox, orphans) is lost, and
-    /// the replica is rebuilt. With a durable store attached, recovery is
-    /// the real path a node takes from disk — power-loss the store, then
-    /// replay `checkpoint + WAL tail` with full re-verification. Without
-    /// one, the legacy chain-snapshot replay is used.
-    pub fn crash_and_restore(&mut self, id: usize) -> Result<(), NodeError> {
-        self.crash_and_restore_reported(id).map(|_| ())
-    }
-
-    /// [`FaultyBus::crash_and_restore`], also returning the recovery
-    /// report when the node recovered through its durable store.
-    pub fn crash_and_restore_reported(
-        &mut self,
-        id: usize,
-    ) -> Result<Option<RecoveryReport>, NodeError> {
-        let node = self.nodes.get_mut(id).ok_or(NodeError::UnknownPeer(id))?;
-        let limits = *node.limits();
-        // Any in-flight traffic addressed to the crashed node dies with it.
-        if let Some(mut store) = node.take_store() {
-            self.channel.drop_addressed_to(id);
-            store.crash();
-            let (wal, cp) = store.into_backends();
-            let (revived, report) = SimNode::restore_from_store(
-                id,
-                self.group,
-                limits,
-                wal,
-                cp,
-                StoreConfig::default(),
-            )?;
-            self.nodes[id] = revived;
-            return Ok(Some(report));
-        }
-        let snapshot = node.snapshot();
-        self.channel.drop_addressed_to(id);
-        let revived = SimNode::restore(id, self.group, limits, &snapshot)?;
-        self.nodes[id] = revived;
-        Ok(None)
-    }
-
-    /// Advance one tick: deliver due messages (shuffled when reordering
-    /// is on), let every node process its inbox, and route parent
-    /// requests through the same faulty channel.
-    ///
-    /// Returns how many blocks were appended across all nodes.
-    pub fn step(&mut self) -> usize {
-        for (dest, bytes) in self.channel.advance() {
-            match unframe_block(&self.group, &bytes) {
-                Some(block) => {
-                    if self.nodes[dest]
-                        .deliver(BlockAnnouncement { block })
-                        .is_ok()
-                    {
-                        self.channel.stats.delivered += 1;
-                        NodeMetrics::global().bus_delivered.inc();
-                    } else {
-                        self.channel.stats.inbox_rejected += 1;
-                    }
-                }
-                None => {
-                    self.channel.stats.decode_rejected += 1;
-                    NodeMetrics::global().bus_decode_rejected.inc();
-                }
-            }
-        }
-
-        let mut appended = 0;
-        for n in &mut self.nodes {
-            appended += n.process_inbox();
-        }
-
-        // Parent-request protocol: route each request to the first
-        // reachable peer that can serve the block, through the same
-        // faulty channel (responses can be dropped too — the requester's
-        // backoff covers that).
-        for i in 0..self.nodes.len() {
-            let requests = self.nodes[i].parent_requests();
-            for hash in requests {
-                let served: Option<Vec<u8>> = (0..self.nodes.len())
-                    .filter(|&j| j != i && self.reachable(i, j))
-                    .find_map(|j| self.nodes[j].serve_block(hash))
-                    .map(|b| frame_block(&b));
-                if let Some(bytes) = served {
-                    self.channel.send(i, bytes);
-                }
-            }
-        }
-        appended
-    }
-
-    /// Anti-entropy: every node announces its tip to all reachable peers.
-    /// Receivers that already have it drop the duplicate; stragglers gain
-    /// an orphan whose parent requests walk the gap.
-    pub fn announce_tips(&mut self) {
-        for i in 0..self.nodes.len() {
-            if let Ok(Some(tip)) = self
-                .nodes[i]
-                .tip_hash()
-                .map(|h| self.nodes[i].serve_block(h))
-            {
-                if tip.header.height.0 > 0 {
-                    let _ = self.gossip(i, &tip);
-                }
-            }
-        }
-    }
-
-    /// Drive the bus until the replicas converge and the network drains,
-    /// re-announcing tips every few ticks as anti-entropy. Returns the
-    /// number of ticks consumed, or `None` if `max_ticks` elapsed without
-    /// convergence.
-    pub fn run_until_quiet(&mut self, max_ticks: u64) -> Option<u64> {
-        let start = self.channel.tick();
-        for _ in 0..max_ticks {
-            self.step();
-            if self.channel.idle() && self.converged() {
-                return Some(self.channel.tick() - start);
-            }
-            if self.channel.tick().is_multiple_of(4) {
-                self.announce_tips();
-            }
-        }
-        None
-    }
-
-    /// Whether all nodes share the same tip (consensus).
-    pub fn converged(&self) -> bool {
-        let tips: Vec<Option<Digest>> =
-            self.nodes.iter().map(|n| n.tip_hash().ok()).collect();
-        tips.iter().all(Option::is_some) && tips.windows(2).all(|w| w[0] == w[1])
-    }
-
-    /// Whether all nodes derive identical batch lists at λ.
-    pub fn batch_consensus(&self, lambda: usize) -> bool {
-        let lists: Vec<BatchList> = self
-            .nodes
-            .iter()
-            .map(|n| BatchList::build(n.chain(), lambda))
-            .collect();
-        lists.windows(2).all(|w| w[0].batches() == w[1].batches())
-    }
-}
-
-/// Outcome of one scripted adversarial run (see
-/// [`run_faulted_simulation`]).
-#[derive(Debug, Clone)]
-pub struct FaultReport {
-    pub seed: u64,
-    /// All replicas ended on the same tip.
-    pub converged: bool,
-    /// All replicas derived the same batch list at the run's λ.
-    pub batch_consensus: bool,
-    /// The common tip (when converged).
-    pub tip: Option<Digest>,
-    /// Final chain height of node 0 (including genesis).
-    pub height: usize,
-    /// Ticks the run took, `None` when it hit the tick budget.
-    pub ticks: Option<u64>,
-    pub stats: FaultStats,
-}
-
-/// The scripted end-to-end adversarial scenario, replayable from `seed`:
-/// five durably-stored replicas mine under the default fault model,
-/// suffer a partition (mining continues on the majority side), heal,
-/// lose one node to a crash (recovered from its WAL + checkpoint by
-/// verified replay), keep mining, and must still converge on one tip and
-/// one batch list.
-pub fn run_faulted_simulation(seed: u64) -> FaultReport {
-    const NODES: usize = 5;
-    const LAMBDA: usize = 4;
-    let group = SchnorrGroup::default();
-    let mut bus = FaultyBus::new(NODES, group, seed, FaultConfig::default());
-    // All replicas run durably: adoption is WAL-append → fsync → apply,
-    // and the phase-3 crash recovers through the store's verified replay.
-    // (Fresh in-memory stores cannot fail to open; if they somehow do,
-    // the run degrades to volatile nodes rather than panicking.)
-    let _ = bus.make_durable();
-
-    // Phase 1: healthy-but-faulty mining.
-    for _ in 0..4 {
-        let _ = bus.mine_and_gossip(0, 2);
-        bus.step();
-    }
-
-    // Phase 2: partition {3, 4} away; the majority keeps mining.
-    let _ = bus.partition(&[3, 4]);
-    for _ in 0..3 {
-        let _ = bus.mine_and_gossip(0, 2);
-        bus.step();
-    }
-
-    // Phase 3: heal, then crash node 2 and restore it from snapshot.
-    bus.heal();
-    bus.step();
-    let _ = bus.crash_and_restore(2);
-
-    // Phase 4: more mining after recovery, then settle.
-    for _ in 0..2 {
-        let _ = bus.mine_and_gossip(0, 2);
-        bus.step();
-    }
-    let ticks = bus.run_until_quiet(600);
-
-    FaultReport {
-        seed,
-        converged: bus.converged(),
-        batch_consensus: bus.batch_consensus(LAMBDA),
-        tip: bus.nodes[0].tip_hash().ok(),
-        height: bus.nodes[0].chain().height(),
-        ticks,
-        stats: bus.stats(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lossless_bus_behaves_like_reference() {
-        let group = SchnorrGroup::default();
-        let mut bus = FaultyBus::new(3, group, 7, FaultConfig::lossless());
-        for _ in 0..3 {
-            bus.mine_and_gossip(0, 2).unwrap();
-        }
-        assert!(bus.run_until_quiet(100).is_some());
-        assert!(bus.converged());
-        assert!(bus.batch_consensus(3));
-        assert_eq!(bus.stats().dropped, 0);
-        assert_eq!(bus.stats().corrupted, 0);
-    }
-
-    #[test]
-    fn same_seed_replays_identically() {
-        let a = run_faulted_simulation(42);
-        let b = run_faulted_simulation(42);
-        assert_eq!(a.stats, b.stats, "fault schedule must replay exactly");
-        assert_eq!(a.tip, b.tip);
-        assert_eq!(a.height, b.height);
-        assert_eq!(a.ticks, b.ticks);
-    }
-
-    #[test]
-    fn different_seeds_draw_different_fault_schedules() {
-        let a = run_faulted_simulation(1);
-        let b = run_faulted_simulation(2);
-        // Chains differ (different minted keys), so tips must differ.
-        assert_ne!(a.tip, b.tip);
-    }
-
-    #[test]
-    fn scripted_scenario_converges() {
-        let report = run_faulted_simulation(1234);
-        assert!(report.converged, "replicas diverged: {report:?}");
-        assert!(report.batch_consensus, "batch lists diverged: {report:?}");
-        assert_eq!(report.height, 10, "genesis + 9 mined blocks");
-        assert!(report.ticks.is_some(), "hit the tick budget: {report:?}");
-    }
-
-    #[test]
-    fn corruption_is_detected_not_adopted() {
-        let group = SchnorrGroup::default();
-        let cfg = FaultConfig {
-            corrupt_prob: 1.0,
-            drop_prob: 0.0,
-            dup_prob: 0.0,
-            delay_prob: 0.0,
-            max_delay: 0,
-            reorder: false,
-        };
-        let mut bus = FaultyBus::new(2, group, 5, cfg);
-        bus.mine_and_gossip(0, 2).unwrap();
-        for _ in 0..20 {
-            bus.step();
-        }
-        // Every copy was corrupted. Header flips fail the authenticated
-        // frame (decode_rejected); transaction-body flips pass the frame
-        // but fail the content hash in block validation
-        // (blocks_discarded). Either way no tampered block is adopted.
-        assert_eq!(bus.nodes[1].chain().height(), 1);
-        assert!(
-            bus.stats().decode_rejected + bus.nodes[1].stats().blocks_discarded > 0,
-            "{:?}",
-            bus.stats()
-        );
-    }
-
-    #[test]
-    fn partition_blocks_traffic_until_heal() {
-        let group = SchnorrGroup::default();
-        let mut bus = FaultyBus::new(3, group, 11, FaultConfig::lossless());
-        bus.partition(&[2]).unwrap();
-        bus.mine_and_gossip(0, 1).unwrap();
-        assert!(bus.run_until_quiet(50).is_none(), "cannot converge split");
-        assert!(bus.stats().partition_blocked > 0);
-        assert_eq!(bus.nodes[2].chain().height(), 1);
-        bus.heal();
-        assert!(bus.run_until_quiet(100).is_some());
-        assert!(bus.converged());
-    }
-
-    #[test]
-    fn unknown_ids_are_typed_errors() {
-        let group = SchnorrGroup::default();
-        let mut bus = FaultyBus::new(2, group, 1, FaultConfig::lossless());
-        assert_eq!(
-            bus.partition(&[5]).unwrap_err(),
-            NodeError::UnknownPeer(5)
-        );
-        assert_eq!(
-            bus.crash_and_restore(9).unwrap_err(),
-            NodeError::UnknownPeer(9)
-        );
-        assert_eq!(
-            bus.mine_and_gossip(7, 1).unwrap_err(),
-            NodeError::UnknownPeer(7)
-        );
-    }
 
     #[test]
     fn channel_replays_and_drops_addressed_frames() {
@@ -775,24 +269,40 @@ mod tests {
         let mut b = FaultChannel::new(3, 9, FaultConfig::default());
         for ch in [&mut a, &mut b] {
             for i in 0..20 {
-                ch.send(i % 3, vec![i as u8; 8]);
+                ch.send_from(0, i % 3, vec![i as u8; 8]);
             }
         }
         let mut da = Vec::new();
         let mut db = Vec::new();
         for _ in 0..12 {
-            da.extend(a.advance());
-            db.extend(b.advance());
+            da.extend(a.advance_attributed());
+            db.extend(b.advance_attributed());
         }
         assert_eq!(da, db, "channel schedule must replay from the seed");
         assert_eq!(a.stats, b.stats);
 
         let mut c = FaultChannel::new(2, 1, FaultConfig::lossless());
-        c.send(0, vec![1]);
-        c.send(1, vec![2]);
+        c.send_from(1, 0, vec![1]);
+        c.send_from(0, 1, vec![2]);
         c.drop_addressed_to(1);
-        let due = c.advance();
-        assert_eq!(due, vec![(0, vec![1])]);
+        let due = c.advance_attributed();
+        assert_eq!(due, vec![(1, 0, vec![1])]);
         assert!(c.idle());
+    }
+
+    #[test]
+    fn partition_blocks_traffic_until_heal() {
+        let mut c = FaultChannel::new(3, 11, FaultConfig::lossless());
+        assert_eq!(c.partition(&[5]).unwrap_err(), NodeError::UnknownPeer(5));
+        c.partition(&[2]).unwrap();
+        assert!(!c.send_reachable(0, 2, vec![1]), "crossed the split");
+        assert!(!c.send_reachable(2, 1, vec![2]), "crossed the split");
+        assert!(c.send_reachable(0, 1, vec![3]), "same side must talk");
+        assert_eq!(c.stats.partition_blocked, 2);
+        assert_eq!(c.advance_attributed(), vec![(0, 1, vec![3])]);
+        c.heal();
+        assert!(c.send_reachable(0, 2, vec![4]));
+        assert_eq!(c.advance_attributed(), vec![(0, 2, vec![4])]);
+        assert_eq!(c.stats.sent, 2, "blocked sends never enter the channel");
     }
 }

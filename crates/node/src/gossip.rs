@@ -55,7 +55,7 @@ use dams_store::{ImmutabilityCheck, MemBackend, RecoveryReport, Store, StoreConf
 use crate::adversary::{Actor, ActorKind};
 use crate::error::NodeError;
 use crate::faults::{FaultChannel, FaultConfig, FaultStats};
-use crate::network::{BlockAnnouncement, NodeLimits, SimNode};
+use crate::network::{NodeLimits, SimNode};
 use crate::obs::NodeMetrics;
 use crate::peers::{
     recheck_block_diversity, Attestation, ClusterConfig, EquivocationProof, Intake, Misbehavior,
@@ -271,7 +271,6 @@ enum Slot {
 pub struct Cluster {
     slots: Vec<Slot>,
     group: SchnorrGroup,
-    limits: NodeLimits,
     channel: FaultChannel,
     stats: GossipStats,
     cfg: ClusterConfig,
@@ -304,54 +303,24 @@ impl Cluster {
         seed: u64,
         cfg: FaultConfig,
     ) -> Result<Self, NodeError> {
-        Self::with_limits(live, group, seed, cfg, NodeLimits::default())
-    }
-
-    pub fn with_limits(
-        live: usize,
-        group: SchnorrGroup,
-        seed: u64,
-        cfg: FaultConfig,
-        limits: NodeLimits,
-    ) -> Result<Self, NodeError> {
-        Self::build(live, &[], group, seed, cfg, ClusterConfig::default(), limits)
+        Self::with_byzantine(live, &[], group, seed, cfg)
     }
 
     /// A cluster of `honest` durable replicas plus one Byzantine slot per
-    /// entry of `actors` (ids `honest..honest + f`), plus the dormant
+    /// entry of `actor_kinds` (ids `honest..honest + f`), plus the dormant
     /// joiner slot. The adversaries hold registered identities — the
     /// threat model is Byzantine *peers*, not unauthenticated strangers.
     pub fn with_byzantine(
         honest: usize,
-        actors: &[ActorKind],
-        group: SchnorrGroup,
-        seed: u64,
-        fault_cfg: FaultConfig,
-        cluster_cfg: ClusterConfig,
-    ) -> Result<Self, NodeError> {
-        Self::build(
-            honest,
-            actors,
-            group,
-            seed,
-            fault_cfg,
-            cluster_cfg,
-            NodeLimits::default(),
-        )
-    }
-
-    fn build(
-        live: usize,
         actor_kinds: &[ActorKind],
         group: SchnorrGroup,
         seed: u64,
         cfg: FaultConfig,
-        cluster_cfg: ClusterConfig,
-        limits: NodeLimits,
     ) -> Result<Self, NodeError> {
-        let mut slots = Vec::with_capacity(live + actor_kinds.len() + 1);
-        for id in 0..live {
-            let mut node = SimNode::with_limits(id, group, limits);
+        let cluster_cfg = ClusterConfig::default();
+        let mut slots = Vec::with_capacity(honest + actor_kinds.len() + 1);
+        for id in 0..honest {
+            let mut node = SimNode::new(id, group);
             let recovered = Store::open(
                 Box::new(MemBackend::new()),
                 Box::new(MemBackend::new()),
@@ -361,12 +330,8 @@ impl Cluster {
             node.attach_store(recovered)?;
             slots.push(Slot::Live(Box::new(node)));
         }
-        for (i, _) in actor_kinds.iter().enumerate() {
-            slots.push(Slot::Byz(Box::new(SimNode::with_limits(
-                live + i,
-                group,
-                limits,
-            ))));
+        for i in 0..actor_kinds.len() {
+            slots.push(Slot::Byz(Box::new(SimNode::new(honest + i, group))));
         }
         slots.push(Slot::Dormant);
         let endpoints = slots.len();
@@ -393,7 +358,7 @@ impl Cluster {
             .iter()
             .enumerate()
             .map(|(i, &kind)| {
-                let id = live + i;
+                let id = honest + i;
                 Actor::new(
                     kind,
                     id,
@@ -406,7 +371,6 @@ impl Cluster {
         Ok(Cluster {
             slots,
             group,
-            limits,
             channel: FaultChannel::new(endpoints, seed, cfg),
             stats: GossipStats::default(),
             cfg: cluster_cfg,
@@ -482,6 +446,11 @@ impl Cluster {
     /// comes from the dedicated mint stream and is retained so
     /// adversarial actors can later spend "their own" coins.
     pub fn mine_on(&mut self, origin: usize, outputs: usize) -> Result<Block, NodeError> {
+        // The slot is checked before any key is drawn, so a failed call
+        // leaves the mint stream where it was.
+        let Some(Slot::Live(node)) = self.slots.get_mut(origin) else {
+            return Err(NodeError::UnknownPeer(origin));
+        };
         let group = self.group;
         let out_keys: Vec<KeyPair> = (0..outputs)
             .map(|_| KeyPair::generate(&group, &mut self.mint_rng))
@@ -493,14 +462,9 @@ impl Cluster {
                 amount: Amount(1),
             })
             .collect();
-        let (block, token_count) = {
-            let Some(Slot::Live(node)) = self.slots.get_mut(origin) else {
-                return Err(NodeError::UnknownPeer(origin));
-            };
-            node.chain_mut().submit_coinbase(outs);
-            let block = node.seal_block()?;
-            (block, node.chain().token_count() as u64)
-        };
+        node.chain_mut().submit_coinbase(outs);
+        let block = node.seal_block()?;
+        let token_count = node.chain().token_count() as u64;
         let first_id = token_count - outputs as u64;
         for (i, kp) in out_keys.into_iter().enumerate() {
             self.minted_keys.push((first_id + i as u64, kp));
@@ -638,7 +602,7 @@ impl Cluster {
                         // never answers anything.
                         if let Ok(GossipFrame::Block { block, .. }) = decode_frame(&group, &bytes)
                         {
-                            let _ = shadow.deliver(BlockAnnouncement { block });
+                            let _ = shadow.deliver(block);
                         }
                         continue;
                     }
@@ -816,7 +780,7 @@ impl Cluster {
                         metrics.peers_diversity_rejects.inc();
                         continue;
                     }
-                    if node.deliver(BlockAnnouncement { block }).is_err() {
+                    if node.deliver(block).is_err() {
                         chan_stats.inbox_rejected += 1;
                     }
                 }
@@ -900,8 +864,14 @@ impl Cluster {
                 return Err(NodeError::UnknownPeer(id));
             }
         };
-        let (mut node, report) =
-            SimNode::restore_from_store(id, self.group, self.limits, wal, cp, StoreConfig::default())?;
+        let (mut node, report) = SimNode::restore_from_store(
+            id,
+            self.group,
+            NodeLimits::default(),
+            wal,
+            cp,
+            StoreConfig::default(),
+        )?;
         let mut applied = 0;
         for peer_id in 0..self.slots.len() {
             if peer_id == id || !self.channel.reachable(id, peer_id) {
@@ -929,7 +899,7 @@ impl Cluster {
             Some(Slot::Live(peer)) => serve_bundle(peer)?,
             _ => return Err(NodeError::UnknownPeer(from)),
         };
-        let (node, report) = bootstrap_from_bundle(id, self.group, self.limits, &frame)?;
+        let (node, report) = bootstrap_from_bundle(id, self.group, NodeLimits::default(), &frame)?;
         self.slots[id] = Slot::Live(Box::new(node));
         Ok(report)
     }
@@ -1146,9 +1116,16 @@ impl ClusterReport {
         ));
         let f = &self.fault_stats;
         out.push_str(&format!(
-            "  faults: {} sent, {} dropped, {} duplicated, {} delayed, {} corrupted, \
-             {} decode-rejected, {} partition-blocked\n",
-            f.sent, f.dropped, f.duplicated, f.delayed, f.corrupted, f.decode_rejected,
+            "  faults: {} sent, {} delivered, {} dropped, {} duplicated, {} delayed, \
+             {} corrupted, {} decode-rejected, {} inbox-rejected, {} partition-blocked\n",
+            f.sent,
+            f.delivered,
+            f.dropped,
+            f.duplicated,
+            f.delayed,
+            f.corrupted,
+            f.decode_rejected,
+            f.inbox_rejected,
             f.partition_blocked
         ));
         out.push_str(&format!(
@@ -1433,6 +1410,71 @@ mod tests {
                         if requested == cap * 10 && c == cap)),
             "{:?}",
             defense.records()
+        );
+    }
+
+    #[test]
+    fn unknown_ids_are_typed_errors() {
+        let group = SchnorrGroup::default();
+        let mut cluster = Cluster::new(2, group, 1, FaultConfig::lossless()).unwrap();
+        assert_eq!(
+            cluster.partition(&[5]).unwrap_err(),
+            NodeError::UnknownPeer(5)
+        );
+        assert_eq!(cluster.kill(9).unwrap_err(), NodeError::UnknownPeer(9));
+        assert_eq!(cluster.restart(9).unwrap_err(), NodeError::UnknownPeer(9));
+        assert_eq!(cluster.join(9, 0).unwrap_err(), NodeError::UnknownPeer(9));
+        assert_eq!(
+            cluster.mine_on(7, 1).unwrap_err(),
+            NodeError::UnknownPeer(7)
+        );
+        // Known ids in the wrong state are refused the same way: a live
+        // replica cannot restart, a joiner needs a live server, and the
+        // dormant slot cannot mine.
+        assert_eq!(cluster.restart(0).unwrap_err(), NodeError::UnknownPeer(0));
+        assert_eq!(cluster.join(2, 9).unwrap_err(), NodeError::UnknownPeer(9));
+        assert_eq!(
+            cluster.mine_on(2, 1).unwrap_err(),
+            NodeError::UnknownPeer(2)
+        );
+        assert_eq!(
+            cluster.live_ids(),
+            vec![0, 1],
+            "failed calls change nothing"
+        );
+    }
+
+    #[test]
+    fn different_seeds_draw_different_fault_schedules() {
+        let run = |seed| {
+            let group = SchnorrGroup::default();
+            let mut cluster = Cluster::new(3, group, seed, FaultConfig::default()).unwrap();
+            for _ in 0..4 {
+                cluster.mine_on(0, 2).unwrap();
+                cluster.step();
+            }
+            (
+                cluster.node(0).unwrap().tip_hash().unwrap(),
+                cluster.fault_stats(),
+            )
+        };
+        let (tip_a, faults_a) = run(1);
+        let (tip_b, faults_b) = run(2);
+        // Chains differ (different minted keys), so tips must differ.
+        assert_ne!(tip_a, tip_b);
+        assert_ne!(faults_a, faults_b, "fault schedules must differ");
+    }
+
+    #[test]
+    fn failed_mine_on_leaves_the_mint_stream_untouched() {
+        let group = SchnorrGroup::default();
+        let mut a = Cluster::new(2, group, 31, FaultConfig::lossless()).unwrap();
+        let mut b = Cluster::new(2, group, 31, FaultConfig::lossless()).unwrap();
+        assert_eq!(b.mine_on(7, 2).unwrap_err(), NodeError::UnknownPeer(7));
+        assert_eq!(
+            a.mine_on(0, 2).unwrap().hash(),
+            b.mine_on(0, 2).unwrap().hash(),
+            "a failed mine_on moved the mint stream"
         );
     }
 

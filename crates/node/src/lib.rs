@@ -29,9 +29,7 @@ pub mod views;
 
 pub use auditor::{audit, chain_view, AuditReport, ChainView};
 pub use error::NodeError;
-pub use faults::{
-    run_faulted_simulation, FaultChannel, FaultConfig, FaultReport, FaultStats, FaultyBus,
-};
+pub use faults::{FaultChannel, FaultConfig, FaultStats};
 pub use adversary::{
     run_byzantine_scenario, selection_snapshot, ActorKind, ByzantineReport, SCENARIO_HEIGHT,
     SCENARIO_HORIZON,
@@ -45,7 +43,7 @@ pub use peers::{
     Standing,
 };
 pub use indexing::{block_delta, index_of_chain};
-pub use network::{BlockAnnouncement, Bus, NodeLimits, NodeStats, SimNode};
+pub use network::{NodeLimits, NodeStats, SimNode};
 pub use sync::{bootstrap_from_bundle, catch_up_tail, recheck_node, serve_bundle, SyncReport};
 pub use obs::NodeMetrics;
 pub use report::render_report;

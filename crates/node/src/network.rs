@@ -1,18 +1,19 @@
-//! An in-process network simulation: nodes exchange blocks through a lossy
-//! message bus, replay them locally, and converge on identical chain state
-//! and TokenMagic batch lists — §4's consensus argument ("users have a
-//! consensus about the block list ... users can have a consensus about
-//! the batch list too") as an executable property.
+//! The simulated replica: a chain plus a bounded inbox and orphan pool.
+//! Replicas that see the same blocks, in any order, converge on identical
+//! chain state and TokenMagic batch lists — §4's consensus argument
+//! ("users have a consensus about the block list ... users can have a
+//! consensus about the batch list too") as an executable property.
 //!
 //! The node layer is panic-free and resource-bounded: the inbox and the
 //! orphan pool have hard capacities with TTL eviction, missing parents are
 //! re-requested under exponential backoff, and every failure surfaces as a
-//! typed [`NodeError`] instead of crashing the replica. The deterministic
-//! adversary exercising all of this lives in [`crate::faults`].
+//! typed [`NodeError`] instead of crashing the replica. The network these
+//! replicas talk over is [`crate::gossip::Cluster`], which runs the
+//! seeded fault model of [`crate::faults`].
 
 use std::collections::VecDeque;
 
-use dams_blockchain::{block_to_bytes, decode_block, BatchList, Block, Chain, NoConfiguration};
+use dams_blockchain::{Block, Chain, NoConfiguration};
 use dams_core::DiversityIndex;
 use dams_crypto::sha256::Digest;
 use dams_crypto::SchnorrGroup;
@@ -22,17 +23,11 @@ use crate::error::NodeError;
 use crate::indexing::{block_delta, index_of_chain};
 use crate::obs::NodeMetrics;
 
-/// A network message: one block, addressed to everyone (gossip).
-#[derive(Debug, Clone)]
-pub struct BlockAnnouncement {
-    pub block: Block,
-}
-
 /// Resource bounds of a node: how much out-of-order traffic it buffers
 /// before applying back-pressure, and how patiently it waits for parents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeLimits {
-    /// Maximum queued announcements; beyond this, `deliver` rejects.
+    /// Maximum queued blocks; beyond this, `deliver` rejects.
     pub inbox_capacity: usize,
     /// Maximum parked orphan blocks; beyond this, the oldest is evicted.
     pub orphan_capacity: usize,
@@ -87,7 +82,7 @@ struct Orphan {
 pub struct SimNode {
     pub id: usize,
     chain: Chain,
-    inbox: VecDeque<BlockAnnouncement>,
+    inbox: VecDeque<Block>,
     orphans: Vec<Orphan>,
     limits: NodeLimits,
     /// Logical clock: one tick per `process_inbox` call.
@@ -147,10 +142,6 @@ impl SimNode {
 
     pub fn stats(&self) -> &NodeStats {
         &self.stats
-    }
-
-    pub fn limits(&self) -> &NodeLimits {
-        &self.limits
     }
 
     pub fn tip_hash(&self) -> Result<Digest, NodeError> {
@@ -348,10 +339,10 @@ impl SimNode {
         Ok((node, report))
     }
 
-    /// Deliver an announcement to this node's inbox. Rejects (typed, not
+    /// Deliver a block to this node's inbox. Rejects (typed, not
     /// panicking, not allocating) when the inbox is at capacity — the
     /// gossip layer treats that like a dropped packet and retries later.
-    pub fn deliver(&mut self, msg: BlockAnnouncement) -> Result<(), NodeError> {
+    pub fn deliver(&mut self, block: Block) -> Result<(), NodeError> {
         if self.inbox.len() >= self.limits.inbox_capacity {
             self.stats.inbox_rejected += 1;
             NodeMetrics::global().inbox_rejected.inc();
@@ -359,7 +350,7 @@ impl SimNode {
                 capacity: self.limits.inbox_capacity,
             });
         }
-        self.inbox.push_back(msg);
+        self.inbox.push_back(block);
         NodeMetrics::global()
             .inbox_high_watermark
             .set_max(self.inbox.len() as i64);
@@ -382,8 +373,8 @@ impl SimNode {
     /// Returns how many blocks were appended.
     pub fn process_inbox(&mut self) -> usize {
         self.tick += 1;
-        while let Some(msg) = self.inbox.pop_front() {
-            self.park_orphan(msg.block);
+        while let Some(block) = self.inbox.pop_front() {
+            self.park_orphan(block);
         }
         let appended = self.drain_orphans();
         self.evict_expired_orphans();
@@ -577,185 +568,79 @@ impl SimNode {
         self.orphans.len()
     }
 
-    /// Number of queued, unprocessed announcements.
+    /// Number of queued, unprocessed blocks.
     pub fn inbox_len(&self) -> usize {
         self.inbox.len()
-    }
-
-    /// Snapshot the node's chain as encoded blocks — the durable state a
-    /// crash survives. Inbox and orphans are volatile and intentionally
-    /// not captured.
-    pub fn snapshot(&self) -> Vec<Vec<u8>> {
-        self.chain.blocks().iter().map(block_to_bytes).collect()
-    }
-
-    /// Rebuild a replica from a snapshot by *verified replay*: the first
-    /// block must be the canonical genesis, and every subsequent block is
-    /// re-validated (structure, signatures, key images) before adoption.
-    /// A corrupted snapshot yields a typed error, never a partial node.
-    pub fn restore(
-        id: usize,
-        group: SchnorrGroup,
-        limits: NodeLimits,
-        snapshot: &[Vec<u8>],
-    ) -> Result<Self, NodeError> {
-        let mut node = SimNode::with_limits(id, group, limits);
-        let mut blocks = snapshot.iter().enumerate();
-        match blocks.next() {
-            Some((_, bytes)) => {
-                let genesis = decode_block(&group, bytes)?;
-                if genesis.hash() != node.tip_hash()? {
-                    return Err(NodeError::SnapshotGenesisMismatch);
-                }
-            }
-            None => return Err(NodeError::SnapshotGenesisMismatch),
-        }
-        for (index, bytes) in blocks {
-            let block = decode_block(&group, bytes)?;
-            node.chain
-                .verify_block(&block, &NoConfiguration)
-                .and_then(|()| node.chain.adopt_block(block))
-                .map_err(|cause| NodeError::SnapshotBlockInvalid { index, cause })?;
-        }
-        Ok(node)
-    }
-}
-
-/// A lossless, reordering message bus between nodes — the reference
-/// fault-free network ([`crate::faults::FaultyBus`] is the adversarial
-/// one).
-pub struct Bus {
-    pub nodes: Vec<SimNode>,
-}
-
-impl Bus {
-    pub fn new(count: usize, group: SchnorrGroup) -> Self {
-        Bus {
-            nodes: (0..count).map(|i| SimNode::new(i, group)).collect(),
-        }
-    }
-
-    /// Gossip a block from `origin` to every other node, optionally
-    /// shuffling delivery order via the given permutation of node ids.
-    /// Full inboxes count as drops (the node's own back-pressure).
-    pub fn gossip(&mut self, origin: usize, block: Block, order: &[usize]) {
-        for &i in order {
-            if i != origin && i < self.nodes.len() {
-                let _ = self.nodes[i].deliver(BlockAnnouncement {
-                    block: block.clone(),
-                });
-            }
-        }
-    }
-
-    /// Run inbox processing on every node until quiescent, serving parent
-    /// requests between rounds so stragglers can backfill.
-    pub fn settle(&mut self) {
-        loop {
-            let mut progressed = false;
-            for n in &mut self.nodes {
-                progressed |= n.process_inbox() > 0;
-            }
-            progressed |= self.serve_parent_requests() > 0;
-            if !progressed {
-                break;
-            }
-        }
-    }
-
-    /// Answer every pending parent request from whichever node has the
-    /// block. Returns how many responses were delivered.
-    fn serve_parent_requests(&mut self) -> usize {
-        let mut served = 0;
-        for i in 0..self.nodes.len() {
-            let requests = self.nodes[i].parent_requests();
-            for hash in requests {
-                let block = self
-                    .nodes
-                    .iter()
-                    .filter(|n| n.id != i)
-                    .find_map(|n| n.serve_block(hash));
-                if let Some(block) = block {
-                    if self.nodes[i].deliver(BlockAnnouncement { block }).is_ok() {
-                        served += 1;
-                    }
-                }
-            }
-        }
-        served
-    }
-
-    /// Whether all nodes share the same tip (consensus).
-    pub fn converged(&self) -> bool {
-        let tips: Vec<Option<Digest>> =
-            self.nodes.iter().map(|n| n.tip_hash().ok()).collect();
-        tips.iter().all(Option::is_some) && tips.windows(2).all(|w| w[0] == w[1])
-    }
-
-    /// Whether all nodes derive identical batch lists at λ.
-    pub fn batch_consensus(&self, lambda: usize) -> bool {
-        let lists: Vec<BatchList> = self
-            .nodes
-            .iter()
-            .map(|n| BatchList::build(n.chain(), lambda))
-            .collect();
-        lists
-            .windows(2)
-            .all(|w| w[0].batches() == w[1].batches())
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use dams_blockchain::{Amount, TokenOutput};
+    use dams_blockchain::{Amount, BatchList, TokenOutput};
     use dams_crypto::KeyPair;
     use rand::rngs::StdRng;
-    use rand::seq::SliceRandom;
     use rand::SeedableRng;
 
-    /// Mine `blocks` coinbase blocks on node 0 and gossip them.
-    fn mine_and_gossip(bus: &mut Bus, blocks: usize, per_block: usize, seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..blocks {
-            let group = *bus.nodes[0].chain().group();
-            let outs: Vec<TokenOutput> = (0..per_block)
-                .map(|_| TokenOutput {
-                    owner: KeyPair::generate(&group, &mut rng).public,
-                    amount: Amount(1),
-                })
-                .collect();
-            let chain = bus.nodes[0].chain_mut();
-            chain.submit_coinbase(outs);
-            chain.seal_block().unwrap();
-            let block = chain.blocks().last().expect("just sealed").clone();
-            let mut order: Vec<usize> = (0..bus.nodes.len()).collect();
-            order.shuffle(&mut rng);
-            bus.gossip(0, block, &order);
+    /// Mine one coinbase block of `outputs` fresh tokens on `miner`.
+    pub(crate) fn mine_one(miner: &mut SimNode, outputs: usize, rng: &mut StdRng) -> Block {
+        let group = *miner.chain().group();
+        let outs = (0..outputs)
+            .map(|_| TokenOutput {
+                owner: KeyPair::generate(&group, rng).public,
+                amount: Amount(1),
+            })
+            .collect();
+        miner.chain_mut().submit_coinbase(outs);
+        miner.seal_block().unwrap()
+    }
+
+    /// Process the followers' inboxes until nothing moves, answering
+    /// every parent request from the miner's chain.
+    fn settle(miner: &SimNode, followers: &mut [SimNode]) {
+        loop {
+            let mut progressed = false;
+            for node in followers.iter_mut() {
+                progressed |= node.process_inbox() > 0;
+                for hash in node.parent_requests() {
+                    if let Some(block) = miner.serve_block(hash) {
+                        progressed |= node.deliver(block).is_ok();
+                    }
+                }
+            }
+            if !progressed {
+                return;
+            }
         }
     }
 
-    fn mine_one(bus: &mut Bus, rng: &mut StdRng) -> Block {
-        let g = *bus.nodes[0].chain().group();
-        let outs = vec![TokenOutput {
-            owner: KeyPair::generate(&g, rng).public,
-            amount: Amount(1),
-        }];
-        let chain = bus.nodes[0].chain_mut();
-        chain.submit_coinbase(outs);
-        chain.seal_block().unwrap();
-        chain.blocks().last().expect("just sealed").clone()
+    /// Whether every follower holds the miner's tip and batch list at λ.
+    fn in_sync(miner: &SimNode, followers: &[SimNode], lambda: usize) -> bool {
+        let batches = BatchList::build(miner.chain(), lambda);
+        followers.iter().all(|n| {
+            n.tip_hash() == miner.tip_hash()
+                && BatchList::build(n.chain(), lambda).batches() == batches.batches()
+        })
     }
 
     #[test]
     fn nodes_converge_on_chain_and_batches() {
         let group = SchnorrGroup::default();
-        let mut bus = Bus::new(4, group);
-        mine_and_gossip(&mut bus, 6, 3, 1);
-        bus.settle();
-        assert!(bus.converged(), "tips diverged");
-        assert!(bus.batch_consensus(7), "batch lists diverged");
-        for n in &bus.nodes {
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut miner = SimNode::new(0, group);
+        let mut followers: Vec<SimNode> = (1..4).map(|i| SimNode::new(i, group)).collect();
+        for _ in 0..6 {
+            let block = mine_one(&mut miner, 3, &mut rng);
+            for node in &mut followers {
+                node.deliver(block.clone()).unwrap();
+            }
+        }
+        settle(&miner, &mut followers);
+        assert!(
+            in_sync(&miner, &followers, 7),
+            "tips or batch lists diverged"
+        );
+        for n in &followers {
             assert!(n.chain().audit());
             assert_eq!(n.chain().token_count(), 18);
         }
@@ -764,31 +649,33 @@ mod tests {
     #[test]
     fn out_of_order_delivery_heals() {
         let group = SchnorrGroup::default();
-        let mut bus = Bus::new(2, group);
+        let mut miner = SimNode::new(0, group);
+        let mut followers = [SimNode::new(1, group)];
         // Mine 3 blocks but deliver to node 1 in reverse order: the orphan
         // pool must reassemble them.
         let mut rng = StdRng::seed_from_u64(2);
-        let blocks: Vec<Block> = (0..3).map(|_| mine_one(&mut bus, &mut rng)).collect();
+        let blocks: Vec<Block> = (0..3).map(|_| mine_one(&mut miner, 1, &mut rng)).collect();
         for b in blocks.into_iter().rev() {
-            bus.nodes[1].deliver(BlockAnnouncement { block: b }).unwrap();
+            followers[0].deliver(b).unwrap();
         }
-        bus.settle();
-        assert!(bus.converged());
+        settle(&miner, &mut followers);
+        assert!(in_sync(&miner, &followers, 1));
     }
 
     #[test]
     fn tampered_block_discarded() {
         let group = SchnorrGroup::default();
-        let mut bus = Bus::new(2, group);
+        let mut miner = SimNode::new(0, group);
+        let mut followers = [SimNode::new(1, group)];
         let mut rng = StdRng::seed_from_u64(3);
-        let mut block = mine_one(&mut bus, &mut rng);
+        let mut block = mine_one(&mut miner, 1, &mut rng);
         // Tamper with the content after sealing.
         block.transactions.clear();
-        bus.nodes[1].deliver(BlockAnnouncement { block }).unwrap();
-        bus.settle();
+        followers[0].deliver(block).unwrap();
+        settle(&miner, &mut followers);
         // Node 1 keeps only genesis; no convergence with poisoned data.
-        assert_eq!(bus.nodes[1].chain().height(), 1);
-        assert_eq!(bus.nodes[1].stats().blocks_discarded, 1);
+        assert_eq!(followers[0].chain().height(), 1);
+        assert_eq!(followers[0].stats().blocks_discarded, 1);
     }
 
     #[test]
@@ -799,12 +686,12 @@ mod tests {
             ..NodeLimits::default()
         };
         let mut node = SimNode::with_limits(0, group, limits);
-        let mut bus = Bus::new(1, group);
+        let mut miner = SimNode::new(1, group);
         let mut rng = StdRng::seed_from_u64(4);
-        let block = mine_one(&mut bus, &mut rng);
-        assert!(node.deliver(BlockAnnouncement { block: block.clone() }).is_ok());
-        assert!(node.deliver(BlockAnnouncement { block: block.clone() }).is_ok());
-        let err = node.deliver(BlockAnnouncement { block }).unwrap_err();
+        let block = mine_one(&mut miner, 1, &mut rng);
+        assert!(node.deliver(block.clone()).is_ok());
+        assert!(node.deliver(block.clone()).is_ok());
+        let err = node.deliver(block).unwrap_err();
         assert_eq!(err, NodeError::InboxFull { capacity: 2 });
         assert_eq!(node.stats().inbox_rejected, 1);
     }
@@ -817,14 +704,14 @@ mod tests {
             orphan_ttl: 2,
             ..NodeLimits::default()
         };
-        let mut bus = Bus::new(1, group);
+        let mut miner = SimNode::new(0, group);
         let mut rng = StdRng::seed_from_u64(5);
         // Mine 5 distinct blocks; withhold their common ancestry from the
         // victim so every one is an orphan there.
-        let blocks: Vec<Block> = (0..5).map(|_| mine_one(&mut bus, &mut rng)).collect();
+        let blocks: Vec<Block> = (0..5).map(|_| mine_one(&mut miner, 1, &mut rng)).collect();
         let mut node = SimNode::with_limits(9, group, limits);
         for b in blocks.into_iter().skip(1) {
-            node.deliver(BlockAnnouncement { block: b }).unwrap();
+            node.deliver(b).unwrap();
         }
         node.process_inbox();
         assert!(node.orphan_count() <= 3, "pool exceeded capacity");
@@ -846,15 +733,15 @@ mod tests {
             orphan_ttl: 3,
             ..NodeLimits::default()
         };
-        let mut bus = Bus::new(1, group);
+        let mut miner = SimNode::new(0, group);
         let mut rng = StdRng::seed_from_u64(11);
-        let b1 = mine_one(&mut bus, &mut rng);
-        let b2 = mine_one(&mut bus, &mut rng);
-        let b3 = mine_one(&mut bus, &mut rng);
+        let b1 = mine_one(&mut miner, 1, &mut rng);
+        let b2 = mine_one(&mut miner, 1, &mut rng);
+        let b3 = mine_one(&mut miner, 1, &mut rng);
         let mut node = SimNode::with_limits(9, group, limits);
         // b3 parks at tick 1; with ttl=3 it survives through tick 4 and
         // expires on tick 5.
-        node.deliver(BlockAnnouncement { block: b3 }).unwrap();
+        node.deliver(b3).unwrap();
         for _ in 0..4 {
             node.process_inbox();
         }
@@ -862,11 +749,11 @@ mod tests {
         // b2 (b3's parent) arrives on the exact tick b3 expires. b2's own
         // parent b1 is still missing, so neither can be adopted yet — but
         // b3's ancestry is now assembling and must not be TTL-evicted.
-        node.deliver(BlockAnnouncement { block: b2 }).unwrap();
+        node.deliver(b2).unwrap();
         node.process_inbox();
         assert_eq!(node.orphan_count(), 2, "b3 evicted at the boundary tick");
         // Completing the ancestry adopts all three blocks.
-        node.deliver(BlockAnnouncement { block: b1 }).unwrap();
+        node.deliver(b1).unwrap();
         node.process_inbox();
         assert_eq!(node.chain().height(), 4, "orphan chain not adopted");
         assert_eq!(node.orphan_count(), 0);
@@ -875,12 +762,12 @@ mod tests {
     #[test]
     fn serve_range_clips_to_tip_and_cap() {
         let group = SchnorrGroup::default();
-        let mut bus = Bus::new(1, group);
+        let mut node = SimNode::new(0, group);
         let mut rng = StdRng::seed_from_u64(12);
         for _ in 0..5 {
-            mine_one(&mut bus, &mut rng);
+            mine_one(&mut node, 1, &mut rng);
         }
-        let node = &bus.nodes[0]; // height 6 (genesis + 5)
+        // Height 6: genesis + 5 mined blocks.
         let all = node.serve_range(1, 6, 100);
         assert_eq!(all.len(), 5);
         assert_eq!(all[0].header.height.0, 1);
@@ -895,18 +782,18 @@ mod tests {
     #[test]
     fn duplicate_announcements_are_dropped_not_pooled() {
         let group = SchnorrGroup::default();
-        let mut bus = Bus::new(1, group);
+        let mut miner = SimNode::new(0, group);
         let mut rng = StdRng::seed_from_u64(6);
-        let b1 = mine_one(&mut bus, &mut rng);
-        let b2 = mine_one(&mut bus, &mut rng);
+        let b1 = mine_one(&mut miner, 1, &mut rng);
+        let b2 = mine_one(&mut miner, 1, &mut rng);
         let mut node = SimNode::new(9, group);
         for _ in 0..3 {
-            node.deliver(BlockAnnouncement { block: b2.clone() }).unwrap();
+            node.deliver(b2.clone()).unwrap();
         }
         node.process_inbox();
         assert_eq!(node.orphan_count(), 1, "duplicates must collapse");
-        node.deliver(BlockAnnouncement { block: b1.clone() }).unwrap();
-        node.deliver(BlockAnnouncement { block: b1 }).unwrap();
+        node.deliver(b1.clone()).unwrap();
+        node.deliver(b1).unwrap();
         node.process_inbox();
         assert_eq!(node.chain().height(), 3, "both blocks adopted once");
         assert!(node.stats().duplicates_dropped >= 3);
@@ -915,15 +802,19 @@ mod tests {
     #[test]
     fn parent_requests_backfill_a_gap() {
         let group = SchnorrGroup::default();
-        let mut bus = Bus::new(2, group);
+        let mut miner = SimNode::new(0, group);
+        let mut followers = [SimNode::new(1, group)];
         let mut rng = StdRng::seed_from_u64(7);
         // Node 0 mines 4 blocks; node 1 only hears about the last one.
-        let blocks: Vec<Block> = (0..4).map(|_| mine_one(&mut bus, &mut rng)).collect();
+        let blocks: Vec<Block> = (0..4).map(|_| mine_one(&mut miner, 1, &mut rng)).collect();
         let last = blocks.last().unwrap().clone();
-        bus.nodes[1].deliver(BlockAnnouncement { block: last }).unwrap();
-        bus.settle();
-        assert!(bus.converged(), "parent requests should walk the gap");
-        assert!(bus.nodes[1].stats().parent_requests >= 3);
+        followers[0].deliver(last).unwrap();
+        settle(&miner, &mut followers);
+        assert!(
+            in_sync(&miner, &followers, 1),
+            "parent requests should walk the gap"
+        );
+        assert!(followers[0].stats().parent_requests >= 3);
     }
 
     #[test]
@@ -934,12 +825,12 @@ mod tests {
             orphan_ttl: 10_000,
             ..NodeLimits::default()
         };
-        let mut bus = Bus::new(1, group);
+        let mut miner = SimNode::new(0, group);
         let mut rng = StdRng::seed_from_u64(8);
-        let _b1 = mine_one(&mut bus, &mut rng);
-        let b2 = mine_one(&mut bus, &mut rng);
+        let _b1 = mine_one(&mut miner, 1, &mut rng);
+        let b2 = mine_one(&mut miner, 1, &mut rng);
         let mut node = SimNode::with_limits(9, group, limits);
-        node.deliver(BlockAnnouncement { block: b2 }).unwrap();
+        node.deliver(b2).unwrap();
         let mut total = 0;
         for _ in 0..200 {
             node.process_inbox();
@@ -959,12 +850,17 @@ mod tests {
     #[test]
     fn index_tracks_gossip_adoption_in_lock_step() {
         let group = SchnorrGroup::default();
-        let mut bus = Bus::new(2, group);
-        bus.nodes[1].enable_index(5).unwrap();
-        mine_and_gossip(&mut bus, 6, 3, 21);
-        bus.settle();
-        assert!(bus.converged());
-        let node = &bus.nodes[1];
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut miner = SimNode::new(0, group);
+        let mut followers = [SimNode::new(1, group)];
+        followers[0].enable_index(5).unwrap();
+        for _ in 0..6 {
+            let block = mine_one(&mut miner, 3, &mut rng);
+            followers[0].deliver(block).unwrap();
+        }
+        settle(&miner, &mut followers);
+        assert!(in_sync(&miner, &followers, 5));
+        let node = &followers[0];
         let index = node.index().expect("index enabled");
         assert_eq!(index.token_count(), node.chain().token_count() as u64);
         assert_eq!(
@@ -985,12 +881,7 @@ mod tests {
         let mut node = SimNode::new(0, group);
         node.enable_index(4).unwrap();
         for _ in 0..5 {
-            let outs = vec![TokenOutput {
-                owner: KeyPair::generate(&group, &mut rng).public,
-                amount: Amount(1),
-            }];
-            node.chain_mut().submit_coinbase(outs);
-            node.seal_block().unwrap();
+            mine_one(&mut node, 1, &mut rng);
         }
         let index = node.index().unwrap();
         assert_eq!(index.token_count(), 5);
@@ -1022,12 +913,7 @@ mod tests {
         node.attach_store(recovered).unwrap();
         node.enable_index(3).unwrap();
         for _ in 0..6 {
-            let outs = vec![TokenOutput {
-                owner: KeyPair::generate(&group, &mut rng).public,
-                amount: Amount(1),
-            }];
-            node.chain_mut().submit_coinbase(outs);
-            node.seal_block().unwrap();
+            mine_one(&mut node, 1, &mut rng);
         }
         let undone = node.rollback_to(3).unwrap();
         assert_eq!(undone, 3);
@@ -1038,55 +924,7 @@ mod tests {
         let rebuilt = crate::indexing::index_of_chain(node.chain(), 3).unwrap();
         assert_eq!(index_fingerprints(index), index_fingerprints(&rebuilt));
         // Re-extend after the reorg: the same index keeps tracking.
-        let outs = vec![TokenOutput {
-            owner: KeyPair::generate(&group, &mut rng).public,
-            amount: Amount(1),
-        }];
-        node.chain_mut().submit_coinbase(outs);
-        node.seal_block().unwrap();
+        mine_one(&mut node, 1, &mut rng);
         assert_eq!(node.index().unwrap().token_count(), 4);
-    }
-
-    #[test]
-    fn snapshot_restore_roundtrips_and_verifies() {
-        let group = SchnorrGroup::default();
-        let mut bus = Bus::new(1, group);
-        let mut rng = StdRng::seed_from_u64(9);
-        for _ in 0..4 {
-            mine_one(&mut bus, &mut rng);
-        }
-        let snapshot = bus.nodes[0].snapshot();
-        let revived =
-            SimNode::restore(7, group, NodeLimits::default(), &snapshot).unwrap();
-        assert_eq!(revived.tip_hash().unwrap(), bus.nodes[0].tip_hash().unwrap());
-        assert_eq!(revived.chain().token_count(), bus.nodes[0].chain().token_count());
-        assert!(revived.chain().audit());
-    }
-
-    #[test]
-    fn corrupted_snapshot_is_rejected() {
-        let group = SchnorrGroup::default();
-        let mut bus = Bus::new(1, group);
-        let mut rng = StdRng::seed_from_u64(10);
-        for _ in 0..3 {
-            mine_one(&mut bus, &mut rng);
-        }
-        let mut snapshot = bus.nodes[0].snapshot();
-        // Flip a byte inside the second block's body.
-        let len = snapshot[2].len();
-        snapshot[2][len / 2] ^= 0xFF;
-        let err = SimNode::restore(7, group, NodeLimits::default(), &snapshot).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                NodeError::Codec(_) | NodeError::SnapshotBlockInvalid { .. }
-            ),
-            "{err:?}"
-        );
-        // Empty snapshots are equally typed, not panics.
-        assert_eq!(
-            SimNode::restore(7, group, NodeLimits::default(), &[]).unwrap_err(),
-            NodeError::SnapshotGenesisMismatch
-        );
     }
 }

@@ -6,9 +6,10 @@
 //! the per-object stats cannot express: the deepest inbox and the fullest
 //! orphan pool seen by any replica.
 //!
-//! Every recorded value derives from the simulation's seeded PRNG stream,
+//! Every recorded value derives from the simulation's seeded PRNG streams,
 //! so a fixed seed yields a byte-identical deterministic snapshot — the
-//! property `dams-cli --faults <seed> --metrics json` is tested on.
+//! property `dams-cli cluster-sim --seed <seed> --metrics json` is tested
+//! on.
 
 use std::sync::OnceLock;
 
@@ -17,7 +18,7 @@ use dams_obs::{Counter, Gauge, Registry};
 /// Handles to every `node.*` metric.
 #[derive(Clone)]
 pub struct NodeMetrics {
-    /// `node.bus.sent_total` — message copies handed to the faulty bus.
+    /// `node.bus.sent_total` — frame copies handed to the fault channel.
     pub bus_sent: Counter,
     /// `node.bus.dropped_total` — copies dropped in flight.
     pub bus_dropped: Counter,
@@ -27,11 +28,13 @@ pub struct NodeMetrics {
     pub bus_delayed: Counter,
     /// `node.bus.corrupted_total` — copies with a byte flipped.
     pub bus_corrupted: Counter,
-    /// `node.bus.decode_rejected_total` — deliveries the wire decoder refused.
+    /// `node.bus.decode_rejected_total` — frames a live receiver refused
+    /// at decode, digest or attribution checks.
     pub bus_decode_rejected: Counter,
     /// `node.bus.partition_blocked_total` — sends suppressed by a partition.
     pub bus_partition_blocked: Counter,
-    /// `node.bus.delivered_total` — copies that reached a node's inbox.
+    /// `node.bus.delivered_total` — block frames that passed every check
+    /// and were staged.
     pub bus_delivered: Counter,
     /// `node.inbox.rejected_total` — deliveries refused by a full inbox.
     pub inbox_rejected: Counter,

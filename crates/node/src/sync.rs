@@ -35,7 +35,7 @@ use dams_store::wal::{self, TailStatus, TAG_BLOCK};
 use dams_store::{group_fingerprint, CatchUpBundle, MemBackend, StoreConfig};
 
 use crate::error::NodeError;
-use crate::network::{BlockAnnouncement, NodeLimits, SimNode};
+use crate::network::{NodeLimits, SimNode};
 use crate::obs::NodeMetrics;
 
 /// What a catch-up did: how much was adopted cheaply (checkpoint-attested
@@ -191,7 +191,7 @@ pub fn catch_up_tail(node: &mut SimNode, peer: &mut SimNode) -> Result<u64, Node
         let Ok(block) = decode_block(&group, &payload[1..]) else {
             return reject("tail stream block failed to decode");
         };
-        node.deliver(BlockAnnouncement { block })?;
+        node.deliver(block)?;
         applied += node.process_inbox() as u64;
     }
     applied += node.process_inbox() as u64;
@@ -209,33 +209,44 @@ pub fn recheck_node(node: &SimNode) -> dams_store::ImmutabilityCheck {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{FaultConfig, FaultyBus};
+    use crate::network::tests::mine_one;
     use dams_crypto::SchnorrGroup;
+    use dams_store::Store;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
-    /// A durable 2-node bus with `blocks` mined on node 0 and settled.
-    fn mined_bus(blocks: usize, seed: u64) -> FaultyBus {
+    /// A durable miner and follower that both adopted `blocks` blocks
+    /// mined on the miner, plus the key stream to mine more.
+    fn mined_pair(blocks: usize, seed: u64) -> (SimNode, SimNode, StdRng) {
         let group = SchnorrGroup::default();
-        let mut bus = FaultyBus::new(2, group, seed, FaultConfig::lossless());
-        bus.make_durable().unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let [mut miner, mut follower] = [0, 1].map(|id| {
+            let mut node = SimNode::new(id, group);
+            let store = Store::open(
+                Box::new(MemBackend::new()),
+                Box::new(MemBackend::new()),
+                group,
+                StoreConfig::default(),
+            )
+            .unwrap();
+            node.attach_store(store).unwrap();
+            node
+        });
         for _ in 0..blocks {
-            bus.mine_and_gossip(0, 2).unwrap();
-            bus.step();
+            let block = mine_one(&mut miner, 2, &mut rng);
+            follower.deliver(block).unwrap();
+            assert_eq!(follower.process_inbox(), 1);
         }
-        bus.run_until_quiet(100).unwrap();
-        bus
+        (miner, follower, rng)
     }
 
     #[test]
     fn bundle_bootstrap_splits_prefix_and_tail() {
-        let mut bus = mined_bus(6, 3);
-        let frame = serve_bundle(&mut bus.nodes[0]).unwrap();
-        let (joiner, report) = bootstrap_from_bundle(
-            9,
-            *bus.nodes[0].chain().group(),
-            *bus.nodes[0].limits(),
-            &frame,
-        )
-        .unwrap();
+        let (mut miner, ..) = mined_pair(6, 3);
+        let frame = serve_bundle(&mut miner).unwrap();
+        let (joiner, report) =
+            bootstrap_from_bundle(9, *miner.chain().group(), NodeLimits::default(), &frame)
+                .unwrap();
         assert!(report.clean, "{report:?}");
         assert_eq!(report.height, 6);
         assert_eq!(
@@ -250,19 +261,16 @@ mod tests {
             "tail not O(interval): {report:?}"
         );
         assert!(report.prefix_adopted >= 4, "checkpoint unused: {report:?}");
-        assert_eq!(
-            joiner.tip_hash().unwrap(),
-            bus.nodes[0].tip_hash().unwrap()
-        );
+        assert_eq!(joiner.tip_hash().unwrap(), miner.tip_hash().unwrap());
         assert!(joiner.has_store(), "joiner must come up durable");
     }
 
     #[test]
     fn tampered_bundle_is_rejected_whole() {
-        let mut bus = mined_bus(3, 4);
-        let group = *bus.nodes[0].chain().group();
-        let limits = *bus.nodes[0].limits();
-        let mut frame = serve_bundle(&mut bus.nodes[0]).unwrap();
+        let (mut miner, ..) = mined_pair(3, 4);
+        let group = *miner.chain().group();
+        let limits = NodeLimits::default();
+        let mut frame = serve_bundle(&mut miner).unwrap();
         let mid = frame.len() / 2;
         frame[mid] ^= 0x40;
         let err = bootstrap_from_bundle(9, group, limits, &frame)
@@ -281,18 +289,11 @@ mod tests {
 
     #[test]
     fn tail_stream_catches_a_lagging_replica_up() {
-        let mut bus = mined_bus(3, 5);
+        let (mut serving, mut lagging, mut rng) = mined_pair(3, 5);
         // Node 1 stops hearing gossip; node 0 mines on.
-        bus.partition(&[1]).unwrap();
         for _ in 0..3 {
-            bus.mine_and_gossip(0, 1).unwrap();
-            bus.step();
+            mine_one(&mut serving, 1, &mut rng);
         }
-        let (mut lagging, mut serving) = {
-            let mut it = bus.nodes.drain(..);
-            let serving = it.next().unwrap();
-            (it.next().unwrap(), serving)
-        };
         assert_eq!(lagging.chain().height(), 4);
         let applied = catch_up_tail(&mut lagging, &mut serving).unwrap();
         assert_eq!(applied, 3, "exactly the missing blocks stream");
@@ -309,15 +310,8 @@ mod tests {
 
     #[test]
     fn corrupted_tail_stream_is_rejected_whole() {
-        let mut bus = mined_bus(2, 6);
-        bus.partition(&[1]).unwrap();
-        bus.mine_and_gossip(0, 1).unwrap();
-        bus.step();
-        let (lagging, mut serving) = {
-            let mut it = bus.nodes.drain(..);
-            let serving = it.next().unwrap();
-            (it.next().unwrap(), serving)
-        };
+        let (mut serving, lagging, mut rng) = mined_pair(2, 6);
+        mine_one(&mut serving, 1, &mut rng);
         let before = lagging.chain().height();
         // Corrupt the stream by lying about the resume point: an offset
         // off a record boundary yields an empty stream (no torn frames),

@@ -1,45 +1,43 @@
-//! Seed-sweep properties for the fault-injection harness: the §4
-//! consensus argument must hold under drops, duplicates, reordering,
+//! Seed-sweep properties for the fault model: the §4 consensus argument
+//! must hold on a [`Cluster`] under drops, duplicates, reordering,
 //! delays, partitions, and crash/restart — for *every* seed, not a lucky
 //! one. Each property sweeps 64 PRNG seeds; a failure message names the
-//! seed so the run replays exactly (`dams_cli --faults <seed>`).
+//! seed, and the run replays exactly from it.
 
-use dams_crypto::sha256::Digest;
 use dams_crypto::SchnorrGroup;
-use dams_node::{run_faulted_simulation, FaultConfig, FaultyBus};
+use dams_node::{Cluster, FaultConfig};
 
 const SEEDS: u64 = 64;
 
-fn tips(bus: &FaultyBus) -> Vec<Digest> {
-    bus.nodes.iter().map(|n| n.tip_hash().unwrap()).collect()
-}
-
 /// Partition-then-heal: a minority side cut off during mining must catch
-/// back up after the heal, ending on the identical tip hash and batch
-/// list as the majority.
+/// back up after the heal, ending on the identical tip and batch list as
+/// the majority.
 #[test]
 fn partition_then_heal_converges_across_seeds() {
     let group = SchnorrGroup::default();
     for seed in 0..SEEDS {
-        let mut bus = FaultyBus::new(3, group, seed, FaultConfig::default());
+        let mut cluster = Cluster::new(3, group, seed, FaultConfig::default()).unwrap();
         for _ in 0..3 {
-            bus.mine_and_gossip(0, 2).unwrap();
-            bus.step();
+            cluster.mine_on(0, 2).unwrap();
+            cluster.step();
         }
-        bus.partition(&[2]).unwrap();
+        cluster.partition(&[2]).unwrap();
         for _ in 0..2 {
-            bus.mine_and_gossip(0, 2).unwrap();
-            bus.step();
+            cluster.mine_on(0, 2).unwrap();
+            cluster.step();
         }
-        bus.heal();
-        let ticks = bus.run_until_quiet(400);
+        cluster.heal();
+        let ticks = cluster.run_until_converged(400);
         assert!(ticks.is_some(), "seed {seed}: no convergence after heal");
-        let tips = tips(&bus);
+        assert!(cluster.converged(), "seed {seed}: divergent tips");
         assert!(
-            tips.windows(2).all(|w| w[0] == w[1]),
-            "seed {seed}: divergent tips {tips:?}"
+            cluster.batch_consensus(3),
+            "seed {seed}: batch lists diverge"
         );
-        assert!(bus.batch_consensus(3), "seed {seed}: batch lists diverge");
+        assert!(
+            cluster.fault_stats().partition_blocked > 0,
+            "seed {seed}: partition inert"
+        );
     }
 }
 
@@ -59,58 +57,65 @@ fn duplicated_reordered_delivery_is_idempotent_across_seeds() {
     };
     const MINED: usize = 5;
     for seed in 0..SEEDS {
-        let mut bus = FaultyBus::new(3, group, seed, cfg);
+        let mut cluster = Cluster::new(3, group, seed, cfg).unwrap();
         for _ in 0..MINED {
-            bus.mine_and_gossip(0, 2).unwrap();
-            bus.step();
+            cluster.mine_on(0, 2).unwrap();
+            cluster.step();
         }
-        let ticks = bus.run_until_quiet(300);
+        let ticks = cluster.run_until_converged(300);
         assert!(ticks.is_some(), "seed {seed}: no convergence");
-        for node in &bus.nodes {
+        for id in cluster.live_ids() {
             // Genesis + each mined block exactly once, despite duplicates.
             assert_eq!(
-                node.chain().height(),
+                cluster.node(id).unwrap().chain().height(),
                 MINED + 1,
-                "seed {seed}: duplicate application"
+                "seed {seed}: duplicate application on node {id}"
             );
         }
-        assert!(bus.batch_consensus(4), "seed {seed}: batch lists diverge");
-        assert!(bus.stats().duplicated > 0, "seed {seed}: fault model inert");
+        assert!(
+            cluster.batch_consensus(4),
+            "seed {seed}: batch lists diverge"
+        );
+        assert!(
+            cluster.fault_stats().duplicated > 0,
+            "seed {seed}: fault model inert"
+        );
     }
 }
 
-/// Crash/restart: a replica rebuilt from its snapshot by verified replay
-/// must reconverge with the survivors on the same tip and batch list.
+/// Crash/restart: a replica killed mid-run and restarted from its own
+/// durable store by verified replay must reconverge with the survivors
+/// on the same tip and batch list.
 #[test]
 fn crash_restart_reconverges_across_seeds() {
     let group = SchnorrGroup::default();
     for seed in 0..SEEDS {
-        let mut bus = FaultyBus::new(3, group, seed, FaultConfig::default());
+        let mut cluster = Cluster::new(3, group, seed, FaultConfig::default()).unwrap();
         for _ in 0..3 {
-            bus.mine_and_gossip(0, 2).unwrap();
-            bus.step();
+            cluster.mine_on(0, 2).unwrap();
+            cluster.step();
         }
-        bus.crash_and_restore(1).unwrap();
+        cluster.kill(1).unwrap();
+        let (report, _) = cluster.restart(1).unwrap();
+        assert!(report.clean(), "seed {seed}: recovery flagged {report:?}");
         for _ in 0..2 {
-            bus.mine_and_gossip(0, 2).unwrap();
-            bus.step();
+            cluster.mine_on(0, 2).unwrap();
+            cluster.step();
         }
-        let ticks = bus.run_until_quiet(400);
+        let ticks = cluster.run_until_converged(400);
         assert!(ticks.is_some(), "seed {seed}: no reconvergence after crash");
-        let tips = tips(&bus);
+        assert!(cluster.converged(), "seed {seed}: divergent tips");
         assert!(
-            tips.windows(2).all(|w| w[0] == w[1]),
-            "seed {seed}: divergent tips {tips:?}"
+            cluster.batch_consensus(3),
+            "seed {seed}: batch lists diverge"
         );
-        assert!(bus.batch_consensus(3), "seed {seed}: batch lists diverge");
     }
 }
 
 /// Partition + heal interleaving with corrupted traffic still in flight
 /// across the heal: healing restores *reachability*, never integrity. A
 /// frame corrupted while the partition stood must still be refused when
-/// it finally lands after the heal, and the wire accounting must prove
-/// no copy slipped through unexamined.
+/// it finally lands after the heal.
 #[test]
 fn corrupt_frame_in_flight_across_heal_is_rejected_across_seeds() {
     let group = SchnorrGroup::default();
@@ -123,59 +128,39 @@ fn corrupt_frame_in_flight_across_heal_is_rejected_across_seeds() {
         reorder: true,
     };
     for seed in 0..SEEDS {
-        let mut bus = FaultyBus::new(3, group, seed, cfg);
-        bus.partition(&[2]).unwrap();
+        let mut cluster = Cluster::new(3, group, seed, cfg).unwrap();
+        cluster.partition(&[2]).unwrap();
         // The announcement to node 1 is corrupted and delayed in flight;
         // the copy for partitioned node 2 is suppressed at the source.
-        bus.mine_and_gossip(0, 1).unwrap();
-        bus.heal();
+        cluster.mine_on(0, 1).unwrap();
+        cluster.heal();
         for _ in 0..12 {
-            bus.step();
+            cluster.step();
         }
-        // The corrupted frame lands after the heal and is still refused —
-        // at the authenticated-frame decoder (header flip) or at full
-        // block validation (body flip). Either way no replica but the
-        // miner ever adopts anything.
-        assert_eq!(bus.nodes[0].chain().height(), 2, "seed {seed}");
-        for node in &bus.nodes[1..] {
+        // The corrupted frame lands after the heal and is still refused:
+        // a flipped bit fails the frame digest or the kind's length
+        // check. No replica but the miner ever adopts anything.
+        assert_eq!(cluster.node(0).unwrap().chain().height(), 2, "seed {seed}");
+        for id in [1, 2] {
             assert_eq!(
-                node.chain().height(),
+                cluster.node(id).unwrap().chain().height(),
                 1,
                 "seed {seed}: corrupted frame was applied after the heal"
             );
         }
-        let s = bus.stats();
-        let discarded: u64 = bus.nodes.iter().map(|n| n.stats().blocks_discarded).sum();
+        let s = cluster.fault_stats();
         assert!(
             s.corrupted >= 1 && s.delayed >= 1,
             "seed {seed}: fault model inert {s:?}"
         );
         assert!(s.partition_blocked >= 1, "seed {seed}: partition inert");
         assert!(
-            s.decode_rejected + discarded >= 1,
+            s.decode_rejected >= 1,
             "seed {seed}: corrupt frame rejected nowhere {s:?}"
         );
-        // Every sent copy is accounted for: delivered to an inbox,
-        // refused at decode, or refused by a full inbox — none vanish
-        // across the heal boundary.
         assert_eq!(
-            s.delivered + s.decode_rejected + s.inbox_rejected,
-            s.sent,
-            "seed {seed}: accounting leak {s:?}"
+            s.delivered, 0,
+            "seed {seed}: a corrupt frame was staged {s:?}"
         );
-    }
-}
-
-/// The full scripted adversarial scenario (drop + duplicate + reorder +
-/// delay + corrupt + partition/heal + crash/restore) converges for every
-/// seed — the acceptance criterion of the fault-injection work.
-#[test]
-fn scripted_simulation_converges_across_seeds() {
-    for seed in 0..SEEDS {
-        let report = run_faulted_simulation(seed);
-        assert!(report.converged, "seed {seed}: {report:?}");
-        assert!(report.batch_consensus, "seed {seed}: {report:?}");
-        assert!(report.ticks.is_some(), "seed {seed}: tick budget exhausted");
-        assert_eq!(report.height, 10, "seed {seed}: lost mined blocks");
     }
 }

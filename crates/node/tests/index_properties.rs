@@ -27,7 +27,7 @@ use dams_core::{
 };
 use dams_crypto::{KeyPair, SchnorrGroup};
 use dams_diversity::DiversityRequirement;
-use dams_node::{block_delta, index_of_chain, BlockAnnouncement, NodeLimits, SimNode, Wallet};
+use dams_node::{block_delta, index_of_chain, NodeLimits, SimNode, Wallet};
 use dams_obs::Registry;
 use dams_store::{MemBackend, Store, StoreConfig};
 
@@ -64,7 +64,7 @@ fn deterministic_budget() -> DegradeBudget {
 
 /// Deliver `block` to the node's inbox and pump it through adoption.
 fn adopt(node: &mut SimNode, block: Block) {
-    node.deliver(BlockAnnouncement { block }).expect("inbox has room");
+    node.deliver(block).expect("inbox has room");
     assert_eq!(node.process_inbox(), 1, "block must adopt immediately");
 }
 

@@ -1,40 +1,58 @@
-//! Property tests for the network layer: consensus must hold under every
+//! Property tests for the replica layer: consensus must hold under every
 //! delivery order and any gossip interleaving.
 
 use proptest::prelude::*;
 
-use dams_blockchain::{Amount, TokenOutput};
+use dams_blockchain::{Amount, BatchList, Block, TokenOutput};
 use dams_crypto::{KeyPair, SchnorrGroup};
-use dams_node::{BlockAnnouncement, Bus};
+use dams_node::SimNode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Mine `blocks` coinbase blocks on node 0, collecting them.
-fn mine(bus: &mut Bus, blocks: usize, seed: u64) -> Vec<dams_blockchain::Block> {
+/// Mine `blocks` coinbase blocks on `miner`, collecting them.
+fn mine(miner: &mut SimNode, blocks: usize, seed: u64) -> Vec<Block> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::new();
-    for _ in 0..blocks {
-        let group = *bus.nodes[0].chain().group();
-        let outs: Vec<TokenOutput> = (0..2)
-            .map(|_| TokenOutput {
-                owner: KeyPair::generate(&group, &mut rng).public,
-                amount: Amount(1),
-            })
-            .collect();
-        // Node 0 mines locally through its public chain handle.
-        let node = &mut bus.nodes[0];
-        let chain = node_chain_mut(node);
-        chain.submit_coinbase(outs);
-        chain.seal_block().unwrap();
-        out.push(chain.blocks().last().expect("sealed").clone());
-    }
-    out
+    let group = *miner.chain().group();
+    (0..blocks)
+        .map(|_| {
+            let outs = (0..2)
+                .map(|_| TokenOutput {
+                    owner: KeyPair::generate(&group, &mut rng).public,
+                    amount: Amount(1),
+                })
+                .collect();
+            miner.chain_mut().submit_coinbase(outs);
+            miner.seal_block().unwrap()
+        })
+        .collect()
 }
 
-/// Test-only access to a node's chain (the `SimNode` field is private; we
-/// go through a helper the crate exposes for mining nodes).
-fn node_chain_mut(node: &mut dams_node::SimNode) -> &mut dams_blockchain::Chain {
-    node.chain_mut()
+/// Process the followers' inboxes until nothing moves, answering every
+/// parent request from the miner's chain.
+fn settle(miner: &SimNode, followers: &mut [SimNode]) {
+    loop {
+        let mut progressed = false;
+        for node in followers.iter_mut() {
+            progressed |= node.process_inbox() > 0;
+            for hash in node.parent_requests() {
+                if let Some(block) = miner.serve_block(hash) {
+                    progressed |= node.deliver(block).is_ok();
+                }
+            }
+        }
+        if !progressed {
+            return;
+        }
+    }
+}
+
+/// Whether every follower holds the miner's tip and batch list at λ.
+fn in_sync(miner: &SimNode, followers: &[SimNode], lambda: usize) -> bool {
+    let batches = BatchList::build(miner.chain(), lambda);
+    followers.iter().all(|n| {
+        n.tip_hash() == miner.tip_hash()
+            && BatchList::build(n.chain(), lambda).batches() == batches.batches()
+    })
 }
 
 proptest! {
@@ -47,20 +65,20 @@ proptest! {
         seed in 0u64..100,
     ) {
         let group = SchnorrGroup::default();
-        let mut bus = Bus::new(3, group);
-        let blocks = mine(&mut bus, 5, seed);
+        let mut miner = SimNode::new(0, group);
+        let mut followers = [SimNode::new(1, group), SimNode::new(2, group)];
+        let blocks = mine(&mut miner, 5, seed);
         // Deliver to nodes 1 and 2 in the permuted order.
         let mut order: Vec<usize> = (0..blocks.len()).collect();
         order.sort_by_key(|&i| perm[i]);
         for &i in &order {
-            bus.nodes[1].deliver(BlockAnnouncement { block: blocks[i].clone() }).unwrap();
+            followers[0].deliver(blocks[i].clone()).unwrap();
         }
         for &i in order.iter().rev() {
-            bus.nodes[2].deliver(BlockAnnouncement { block: blocks[i].clone() }).unwrap();
+            followers[1].deliver(blocks[i].clone()).unwrap();
         }
-        bus.settle();
-        prop_assert!(bus.converged());
-        prop_assert!(bus.batch_consensus(4));
+        settle(&miner, &mut followers);
+        prop_assert!(in_sync(&miner, &followers, 4));
     }
 
     /// Dropping an interior block no longer stalls convergence: later
@@ -70,23 +88,24 @@ proptest! {
     #[test]
     fn missing_block_heals_via_parent_requests(drop_idx in 0usize..4, seed in 0u64..50) {
         let group = SchnorrGroup::default();
-        let mut bus = Bus::new(2, group);
-        let blocks = mine(&mut bus, 4, seed);
+        let mut miner = SimNode::new(0, group);
+        let mut followers = [SimNode::new(1, group)];
+        let blocks = mine(&mut miner, 4, seed);
         for (i, b) in blocks.iter().enumerate() {
             if i != drop_idx {
-                bus.nodes[1].deliver(BlockAnnouncement { block: b.clone() }).unwrap();
+                followers[0].deliver(b.clone()).unwrap();
             }
         }
-        bus.settle();
+        settle(&miner, &mut followers);
         if drop_idx < blocks.len() - 1 {
-            prop_assert!(bus.converged(), "parent requests should heal gap {drop_idx}");
+            prop_assert!(in_sync(&miner, &followers, 4), "parent requests should heal gap {drop_idx}");
         } else {
-            prop_assert!(!bus.converged(), "nothing signals a missing tip");
+            prop_assert!(!in_sync(&miner, &followers, 4), "nothing signals a missing tip");
         }
         // Redelivering the dropped block converges (and is idempotent for
         // the interior cases that already healed).
-        bus.nodes[1].deliver(BlockAnnouncement { block: blocks[drop_idx].clone() }).unwrap();
-        bus.settle();
-        prop_assert!(bus.converged());
+        followers[0].deliver(blocks[drop_idx].clone()).unwrap();
+        settle(&miner, &mut followers);
+        prop_assert!(in_sync(&miner, &followers, 4));
     }
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Produce BENCH_baseline.json (a full-mode metrics snapshot of one
 # representative run across every selection algorithm, the degrade
-# ladder, and the faulted node simulation) plus BENCH_selection.json
-# (the selection perf figure: optimized engines vs. seed references).
+# ladder, and the five-node faulted cluster scenario) plus
+# BENCH_selection.json (the selection perf figure: optimized engines vs.
+# seed references).
 #
 #   scripts/bench_snapshot.sh [OUT] [SEED] [SELECTION_OUT] [OVERLOAD_OUT] [CLUSTER_OUT] [SOAK_OUT] [BYZ_OUT] [ANON_OUT]
 #
@@ -99,27 +100,6 @@ for row in ("exact_bfs", "tm_g"):
         sys.exit(f"{path}: {row} speedup {speedup:.2f}x is below the 2x floor")
     print(f"{path}: {row} {speedup:.2f}x (baseline {doc[row]['baseline_ns']} ns, "
           f"optimized {doc[row]['optimized_ns']} ns)")
-
-# Streaming rows: the figure must cover the 10^5 and 10^6 decades, the
-# per-block index maintenance cost must be bounded (chain-length
-# independent), and the deterministic p99 request work must stay flat.
-rows = doc.get("streaming", [])
-if not rows:
-    sys.exit(f"{path} has no streaming rows")
-tokens = [r["tokens"] for r in rows]
-for decade in (100_000, 1_000_000):
-    if not any(decade <= t < 10 * decade for t in tokens):
-        sys.exit(f"{path}: streaming rows {tokens} miss the {decade}-token decade")
-if not doc.get("streaming_p99_flat"):
-    sys.exit(f"{path}: p99 request work grew with the chain: "
-             f"{[r['p99_work'] for r in rows]}")
-if not doc.get("streaming_maintenance_flat"):
-    sys.exit(f"{path}: per-block maintenance grew with the chain: "
-             f"{[r['max_block_ops'] for r in rows]}")
-first, last = rows[0], rows[-1]
-print(f"{path}: streaming {first['tokens']} -> {last['tokens']} tokens, "
-      f"p99 work {first['p99_work']} -> {last['p99_work']}, "
-      f"max block ops {first['max_block_ops']} -> {last['max_block_ops']}")
 EOF
 
 # Soak gate: the dedicated soak artifact must hold a phase in every

@@ -55,11 +55,17 @@ cargo run --release -q -p dams-bench --bin paper-experiments -- \
 
 echo "== metrics determinism =="
 # Two runs of the same seeded scenario must render byte-identical
-# deterministic snapshots (the dams-obs contract; see DESIGN.md).
+# deterministic snapshots (the dams-obs contract; see DESIGN.md). Both
+# runs write to the same paths, because the printed `wrote ...` line
+# names them.
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
-cargo run --release -q -p dams-bench --bin dams-cli -- --faults 42 --metrics json > "$tmpdir/a.json"
-cargo run --release -q -p dams-bench --bin dams-cli -- --faults 42 --metrics json > "$tmpdir/b.json"
+for run in a b; do
+  cargo run --release -q -p dams-bench --bin dams-cli -- cluster-sim \
+    --node-counts 5 --seed 42 --metrics json \
+    --out "$tmpdir/determinism_cluster.json" \
+    --report "$tmpdir/determinism_report.txt" > "$tmpdir/$run.json"
+done
 cmp "$tmpdir/a.json" "$tmpdir/b.json"
 echo "deterministic snapshots identical"
 

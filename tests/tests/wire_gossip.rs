@@ -5,16 +5,34 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dams_blockchain::{
-    block_to_bytes, decode_block, Amount, CodecError, TokenOutput,
-};
+use dams_blockchain::{block_to_bytes, decode_block, Amount, BatchList, CodecError, TokenOutput};
 use dams_crypto::{KeyPair, SchnorrGroup};
-use dams_node::{BlockAnnouncement, Bus};
+use dams_node::SimNode;
+
+/// Process the followers' inboxes until nothing moves, answering every
+/// parent request from the miner's chain.
+fn settle(miner: &SimNode, followers: &mut [SimNode]) {
+    loop {
+        let mut progressed = false;
+        for node in followers.iter_mut() {
+            progressed |= node.process_inbox() > 0;
+            for hash in node.parent_requests() {
+                if let Some(block) = miner.serve_block(hash) {
+                    progressed |= node.deliver(block).is_ok();
+                }
+            }
+        }
+        if !progressed {
+            return;
+        }
+    }
+}
 
 #[test]
 fn byte_gossip_converges() {
     let group = SchnorrGroup::default();
-    let mut bus = Bus::new(3, group);
+    let mut miner = SimNode::new(0, group);
+    let mut followers = [SimNode::new(1, group), SimNode::new(2, group)];
     let mut rng = StdRng::seed_from_u64(1);
 
     // Node 0 mines 4 blocks; each is shipped as bytes.
@@ -26,26 +44,21 @@ fn byte_gossip_converges() {
                 amount: Amount(1),
             })
             .collect();
-        let chain = bus.nodes[0].chain_mut();
-        chain.submit_coinbase(outs);
-        chain.seal_block().unwrap();
-        wire.push(block_to_bytes(chain.blocks().last().expect("sealed")));
+        miner.chain_mut().submit_coinbase(outs);
+        wire.push(block_to_bytes(&miner.seal_block().unwrap()));
     }
 
     // Peers decode from bytes (validating group membership en route).
     for bytes in &wire {
         let block = decode_block(&group, bytes).expect("well-formed wire block");
-        bus.nodes[1]
-            .deliver(BlockAnnouncement {
-                block: block.clone(),
-            })
-            .unwrap();
-        bus.nodes[2].deliver(BlockAnnouncement { block }).unwrap();
+        followers[0].deliver(block.clone()).unwrap();
+        followers[1].deliver(block).unwrap();
     }
-    bus.settle();
-    assert!(bus.converged());
-    assert!(bus.batch_consensus(5));
-    for n in &bus.nodes {
+    settle(&miner, &mut followers);
+    let batches = BatchList::build(miner.chain(), 5);
+    for n in &followers {
+        assert_eq!(n.tip_hash(), miner.tip_hash());
+        assert_eq!(BatchList::build(n.chain(), 5).batches(), batches.batches());
         assert!(n.chain().audit());
         assert_eq!(n.chain().token_count(), 12);
     }
@@ -54,16 +67,15 @@ fn byte_gossip_converges() {
 #[test]
 fn corrupted_wire_block_never_reaches_the_chain() {
     let group = SchnorrGroup::default();
-    let mut bus = Bus::new(2, group);
+    let mut miner = SimNode::new(0, group);
+    let mut follower = SimNode::new(1, group);
     let mut rng = StdRng::seed_from_u64(2);
     let outs = vec![TokenOutput {
         owner: KeyPair::generate(&group, &mut rng).public,
         amount: Amount(1),
     }];
-    let chain = bus.nodes[0].chain_mut();
-    chain.submit_coinbase(outs);
-    chain.seal_block().unwrap();
-    let mut bytes = block_to_bytes(chain.blocks().last().expect("sealed"));
+    miner.chain_mut().submit_coinbase(outs);
+    let mut bytes = block_to_bytes(&miner.seal_block().unwrap());
 
     // Flip bits across the block: corruption in the transaction payload
     // fails decode or the content hash; corruption in the header breaks
@@ -82,12 +94,12 @@ fn corrupted_wire_block_never_reaches_the_chain() {
             | Err(CodecError::TrailingBytes(_))
             | Err(CodecError::InvalidElement(_)) => decode_failures += 1,
             Ok(block) => {
-                let before = bus.nodes[1].chain().height();
-                bus.nodes[1].deliver(BlockAnnouncement { block }).unwrap();
-                bus.nodes[1].process_inbox();
+                let before = follower.chain().height();
+                follower.deliver(block).unwrap();
+                follower.process_inbox();
                 // Either the prev_hash no longer links (orphan forever) or
                 // the content hash mismatch discards it.
-                if bus.nodes[1].chain().height() == before {
+                if follower.chain().height() == before {
                     adoption_discards += 1;
                 }
             }
@@ -96,7 +108,7 @@ fn corrupted_wire_block_never_reaches_the_chain() {
     }
     assert!(decode_failures + adoption_discards > 0);
     assert_eq!(
-        bus.nodes[1].chain().height(),
+        follower.chain().height(),
         1,
         "no corrupted block may be adopted"
     );
