@@ -5,40 +5,12 @@
 //! super RS. Rebuilding the view from scratch
 //! ([`crate::ModularInstance::decompose`]) costs O(n²) per commit; this
 //! incremental structure applies the merge directly in O(n) — what a
-//! long-running wallet or node keeps between spends.
+//! simulated batch keeps between spends.
 
-use dams_diversity::{DiversityRequirement, HtId, RingIndex, RingSet, RsId, TokenId, TokenUniverse};
+use dams_diversity::{DiversityRequirement, RingIndex, RingSet, RsId, TokenUniverse};
 
 use crate::instance::{ModularInstance, Module, ModuleId, ModuleKind};
 use crate::selection::Selection;
-
-/// Why an externally committed ring could not be folded into the history.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AbsorbError {
-    /// The ring references a token outside the tracked universe — extend
-    /// the universe first ([`ModularHistory::extend_universe`]).
-    UnknownToken(TokenId),
-    /// The ring is neither nested in one module nor a union of whole
-    /// modules: it violates the first practical configuration against this
-    /// history, so the incremental merge does not exist.
-    NotModuleAligned,
-}
-
-impl std::fmt::Display for AbsorbError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AbsorbError::UnknownToken(t) => {
-                write!(f, "ring references token {} outside the universe", t.0)
-            }
-            AbsorbError::NotModuleAligned => write!(
-                f,
-                "ring is not a union of whole modules (first practical configuration violated)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for AbsorbError {}
 
 /// A batch's evolving modular view plus its committed-ring history.
 #[derive(Debug, Clone)]
@@ -68,30 +40,6 @@ impl ModularHistory {
             rings: RingIndex::new(),
             claims: Vec::new(),
             subset_counts: vec![0; n],
-        }
-    }
-
-    /// Start from an existing modular instance (e.g. a workload generator's
-    /// output, whose super RSs count as one committed ring each).
-    pub fn from_instance(instance: ModularInstance, claim: DiversityRequirement) -> Self {
-        let mut rings = RingIndex::new();
-        let mut claims = Vec::new();
-        let mut subset_counts = Vec::with_capacity(instance.modules().len());
-        for m in instance.modules() {
-            match m.kind {
-                ModuleKind::SuperRs(_) => {
-                    rings.push(m.tokens.clone());
-                    claims.push(claim);
-                    subset_counts.push(1);
-                }
-                ModuleKind::FreshToken => subset_counts.push(0),
-            }
-        }
-        ModularHistory {
-            instance,
-            rings,
-            claims,
-            subset_counts,
         }
     }
 
@@ -128,85 +76,8 @@ impl ModularHistory {
                 "stale module id {id:?}"
             );
         }
-        self.merge(&merged, selection.ring.clone(), claim);
-    }
-
-    /// The tracked token universe.
-    pub fn universe(&self) -> &TokenUniverse {
-        &self.instance.universe
-    }
-
-    /// Append newly minted tokens as fresh-token modules. O(n) in the new
-    /// universe size — how a long-running wallet tracks a growing chain
-    /// without re-decomposing it.
-    pub fn extend_universe<I: IntoIterator<Item = HtId>>(&mut self, hts: I) {
-        let mut ht_of: Vec<HtId> = (0..self.instance.universe.len() as u32)
-            .map(|t| self.instance.universe.ht(TokenId(t)))
-            .collect();
-        let start = ht_of.len();
-        ht_of.extend(hts);
-        if ht_of.len() == start {
-            return;
-        }
-        let mut modules: Vec<Module> = self.instance.modules().to_vec();
-        for t in start..ht_of.len() {
-            let id = ModuleId(modules.len());
-            self.subset_counts.push(0);
-            modules.push(Module {
-                id,
-                kind: ModuleKind::FreshToken,
-                tokens: RingSet::new([TokenId(t as u32)]),
-            });
-        }
-        self.instance = ModularInstance::from_modules(TokenUniverse::new(ht_of), modules);
-    }
-
-    /// Fold in a ring committed by someone else (observed on-chain rather
-    /// than produced by [`Self::commit`]): nested rings bump the containing
-    /// module's subset count; module-aligned rings merge, exactly as a
-    /// commit would. O(n). Fails — without mutating — when the ring is not
-    /// aligned with the current partition (the history would need a full
-    /// re-decomposition, and may be non-laminar outright).
-    pub fn absorb_ring(
-        &mut self,
-        ring: &RingSet,
-        claim: DiversityRequirement,
-    ) -> Result<(), AbsorbError> {
-        let n = self.instance.universe.len() as u32;
-        if let Some(&t) = ring.tokens().iter().find(|t| t.0 >= n) {
-            return Err(AbsorbError::UnknownToken(t));
-        }
-        let touched: std::collections::BTreeSet<ModuleId> =
-            ring.tokens().iter().map(|&t| self.instance.module_of(t)).collect();
-        if touched.len() == 1 {
-            let id = *touched.iter().next().expect("nonempty ring");
-            if self.instance.module(id).tokens != *ring {
-                // Strict subset of one module: a nested ring. The partition
-                // stands; the module swallows one more committed ring.
-                self.rings.push(ring.clone());
-                self.claims.push(claim);
-                self.subset_counts[id.0] += 1;
-                return Ok(());
-            }
-        }
-        let union_len: usize = touched.iter().map(|&m| self.instance.module(m).len()).sum();
-        if union_len != ring.len() {
-            return Err(AbsorbError::NotModuleAligned);
-        }
-        self.merge(&touched, ring.clone(), claim);
-        Ok(())
-    }
-
-    /// Merge `merged` modules into one super RS defined by `ring` (their
-    /// exact union). Shared by [`Self::commit`] and [`Self::absorb_ring`].
-    fn merge(
-        &mut self,
-        merged: &std::collections::BTreeSet<ModuleId>,
-        ring: RingSet,
-        claim: DiversityRequirement,
-    ) {
         let rs_id = RsId(self.rings.len() as u32);
-        self.rings.push(ring.clone());
+        self.rings.push(selection.ring.clone());
         self.claims.push(claim);
 
         // Rebuild the module list with the merged module appended last.
@@ -232,7 +103,7 @@ impl ModularHistory {
         new_modules.push(Module {
             id: ModuleId(new_modules.len()),
             kind: ModuleKind::SuperRs(rs_id),
-            tokens: ring,
+            tokens: selection.ring.clone(),
         });
         self.instance =
             ModularInstance::from_modules(self.instance.universe.clone(), new_modules);
@@ -331,131 +202,6 @@ mod tests {
         } else {
             assert_eq!(h.subset_count(merged_id), 2);
         }
-    }
-
-    #[test]
-    fn from_instance_counts_generator_supers() {
-        let universe = TokenUniverse::new((0..6u32).map(HtId).collect());
-        let modules = vec![
-            Module {
-                id: ModuleId(0),
-                kind: ModuleKind::SuperRs(RsId(0)),
-                tokens: RingSet::new([TokenId(0), TokenId(1)]),
-            },
-            Module {
-                id: ModuleId(1),
-                kind: ModuleKind::SuperRs(RsId(1)),
-                tokens: RingSet::new([TokenId(2), TokenId(3)]),
-            },
-            Module {
-                id: ModuleId(2),
-                kind: ModuleKind::FreshToken,
-                tokens: RingSet::new([TokenId(4)]),
-            },
-            Module {
-                id: ModuleId(3),
-                kind: ModuleKind::FreshToken,
-                tokens: RingSet::new([TokenId(5)]),
-            },
-        ];
-        let inst = ModularInstance::from_modules(universe, modules);
-        let req = DiversityRequirement::new(1.0, 2);
-        let h = ModularHistory::from_instance(inst, req);
-        assert_eq!(h.rings().len(), 2);
-        assert_eq!(h.subset_count(ModuleId(0)), 1);
-        assert_eq!(h.subset_count(ModuleId(2)), 0);
-    }
-
-    #[test]
-    fn extend_universe_appends_fresh_modules() {
-        let mut h = ModularHistory::fresh(universe());
-        let req = DiversityRequirement::new(1.0, 3);
-        let sel = progressive(h.instance(), TokenId(0), SelectionPolicy::new(req)).unwrap();
-        h.commit(&sel, req);
-        let before = h.instance().modules().len();
-        h.extend_universe([HtId(50), HtId(50), HtId(51)]);
-        assert_eq!(h.universe().len(), 27);
-        assert_eq!(h.instance().modules().len(), before + 3);
-        assert_eq!(h.instance().fresh_count(), 24 - sel.ring.len() + 3);
-        // New tokens are selectable immediately.
-        let sel2 = progressive(h.instance(), TokenId(24), SelectionPolicy::new(req)).unwrap();
-        assert!(sel2.ring.contains(TokenId(24)));
-        // No-op extension leaves everything untouched.
-        h.extend_universe(std::iter::empty());
-        assert_eq!(h.universe().len(), 27);
-    }
-
-    #[test]
-    fn absorb_ring_matches_commit_and_decompose() {
-        let req = DiversityRequirement::new(1.0, 3);
-        // Mirror a chain observer: selections are committed by the wallet
-        // (h1) and absorbed as raw rings by a follower (h2).
-        let mut h1 = ModularHistory::fresh(universe());
-        let mut h2 = ModularHistory::fresh(universe());
-        for t in [0u32, 9, 15] {
-            let sel = progressive(h1.instance(), TokenId(t), SelectionPolicy::new(req)).unwrap();
-            h1.commit(&sel, req);
-            h2.absorb_ring(&sel.ring, req).unwrap();
-        }
-        let canon = |inst: &ModularInstance| {
-            let mut v: Vec<Vec<u32>> = inst
-                .modules()
-                .iter()
-                .map(|m| m.tokens.tokens().iter().map(|t| t.0).collect())
-                .collect();
-            v.sort();
-            v
-        };
-        assert_eq!(canon(h1.instance()), canon(h2.instance()));
-        assert_eq!(h1.rings().len(), h2.rings().len());
-        // And both agree with the from-scratch decomposition.
-        let raw = Instance::new(universe(), h2.rings().clone(), h2.claims().to_vec());
-        let full = ModularInstance::decompose(&raw).unwrap();
-        assert_eq!(canon(&full), canon(h2.instance()));
-    }
-
-    #[test]
-    fn absorb_nested_ring_bumps_subset_count() {
-        let req = DiversityRequirement::new(1.0, 2);
-        let mut h = ModularHistory::fresh(universe());
-        let sel = progressive(h.instance(), TokenId(0), SelectionPolicy::new(req)).unwrap();
-        h.commit(&sel, req);
-        let merged_id = ModuleId(h.instance().modules().len() - 1);
-        assert_eq!(h.subset_count(merged_id), 1);
-        // A strict-subset ring nests without changing the partition.
-        let nested = RingSet::new(sel.ring.tokens().iter().copied().take(sel.ring.len() - 1));
-        if !nested.is_empty() && nested.len() < sel.ring.len() {
-            let modules_before = h.instance().modules().len();
-            h.absorb_ring(&nested, req).unwrap();
-            assert_eq!(h.instance().modules().len(), modules_before);
-            assert_eq!(h.subset_count(merged_id), 2);
-        }
-    }
-
-    #[test]
-    fn absorb_rejects_misaligned_and_unknown_rings() {
-        let req = DiversityRequirement::new(1.0, 2);
-        let mut h = ModularHistory::fresh(universe());
-        let sel = progressive(h.instance(), TokenId(0), SelectionPolicy::new(req)).unwrap();
-        h.commit(&sel, req);
-        let rings_before = h.rings().len();
-        // Straddles the merged module's boundary: not module-aligned.
-        let mut straddle = vec![sel.ring.tokens()[0]];
-        straddle.extend(
-            (0..24u32)
-                .map(TokenId)
-                .filter(|t| !sel.ring.contains(*t))
-                .take(1),
-        );
-        assert_eq!(
-            h.absorb_ring(&RingSet::new(straddle), req),
-            Err(AbsorbError::NotModuleAligned)
-        );
-        assert_eq!(
-            h.absorb_ring(&RingSet::new([TokenId(999)]), req),
-            Err(AbsorbError::UnknownToken(TokenId(999)))
-        );
-        assert_eq!(h.rings().len(), rings_before, "failed absorbs must not mutate");
     }
 
     #[test]

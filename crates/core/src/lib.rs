@@ -78,7 +78,7 @@ pub use game::{
     game_theoretic, game_theoretic_from, game_theoretic_reference, game_theoretic_with,
     InitStrategy,
 };
-pub use history::{AbsorbError, ModularHistory};
+pub use history::ModularHistory;
 pub use index::{
     recompute_equivalence, BatchSnapshot, BlockDelta, DeltaRing, DiversityIndex, IndexError,
     IndexStats, IndexedSelection,

@@ -16,10 +16,7 @@ pub mod blsag;
 pub mod group;
 pub mod hd;
 pub mod keys;
-pub mod mlsag;
-pub mod pedersen;
 pub mod prime;
-pub mod range_proof;
 pub mod sha256;
 
 pub use blsag::{linked, sign, verify, verify_batch, BatchItem, BatchVerifier, RingSignature, SignError};
@@ -27,6 +24,3 @@ pub use group::{Element, FixedBaseTable, Scalar, SchnorrGroup};
 pub use prime::FixedBaseWindow;
 pub use hd::KeyChain;
 pub use keys::{KeyImage, KeyPair, PublicKey, SecretKey};
-pub use mlsag::{sign_mlsag, verify_mlsag, MlsagError, MlsagSignature};
-pub use pedersen::{Commitment, Opening, PedersenParams};
-pub use range_proof::{prove_range, verify_range, BitProof, RangeProof};

@@ -6,18 +6,17 @@
 //! * **External vectors** — the NIST FIPS 180-2 SHA-256 short-message
 //!   suite. These digests are published constants; a failure means the
 //!   hash itself is wrong.
-//! * **Regression digests** — fixed-seed bLSAG signatures and Pedersen
-//!   commitments hashed into one digest each. These pin the *current*
-//!   behaviour: any change to challenge derivation, transcript framing,
-//!   group parameters, or blinding arithmetic flips the digest and must
-//!   be an intentional, reviewed change (it would invalidate every
-//!   signature and commitment already on a chain).
+//! * **Regression digest** — a fixed-seed bLSAG signature hashed into
+//!   one digest. This pins the *current* behaviour: any change to
+//!   challenge derivation, transcript framing or group parameters flips
+//!   the digest and must be an intentional, reviewed change (it would
+//!   invalidate every signature already on a chain).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dams_crypto::sha256::{sha256, Digest, Sha256};
-use dams_crypto::{linked, sign, verify, KeyPair, PedersenParams, SchnorrGroup};
+use dams_crypto::{linked, sign, verify, KeyPair, SchnorrGroup};
 
 fn hex(d: &Digest) -> String {
     d.iter().map(|b| format!("{b:02x}")).collect()
@@ -107,53 +106,5 @@ fn blsag_sign_verify_link_regression() {
         hex(&digest_u64s(&transcript)),
         "1414457e3a14daa3b3cbb9a2e3a9d2cee5923bb816f4378d90fdb105f7fdf0db",
         "bLSAG signature bytes changed for a fixed seed"
-    );
-}
-
-#[test]
-fn pedersen_commit_open_regression() {
-    let group = SchnorrGroup::default();
-    let params = PedersenParams::new(group);
-    let mut rng = StdRng::seed_from_u64(11);
-
-    // Explicit blinding: the commitment is a pure function of (a, b).
-    let fixed = params.commit(42, group.scalar(123_456_789));
-    assert!(params.open(
-        fixed,
-        dams_crypto::Opening {
-            amount: 42,
-            blinding: group.scalar(123_456_789)
-        }
-    ));
-    assert!(!params.open(
-        fixed,
-        dams_crypto::Opening {
-            amount: 43,
-            blinding: group.scalar(123_456_789)
-        }
-    ));
-
-    // Seeded random openings: balance check plus a digest over the
-    // commitment values and openings.
-    let (c_in, o_in) = params.commit_random(100, &mut rng);
-    let (c_out_a, o_out_a) = params.commit_random(60, &mut rng);
-    let (c_out_b, o_out_b) = params.commit_random(40, &mut rng);
-    let excess = params.excess(&[o_in], &[o_out_a, o_out_b]);
-    assert!(params.balanced(&[c_in], &[c_out_a, c_out_b], excess));
-
-    let transcript = [
-        fixed.value(),
-        c_in.value(),
-        o_in.blinding.value(),
-        c_out_a.value(),
-        o_out_a.blinding.value(),
-        c_out_b.value(),
-        o_out_b.blinding.value(),
-        excess.value(),
-    ];
-    assert_eq!(
-        hex(&digest_u64s(&transcript)),
-        "687265f4f5f5e9a59cf5e89be065a2204afb531847f1e7d16309ff8804728ada",
-        "Pedersen commitment bytes changed for a fixed seed"
     );
 }

@@ -4,9 +4,7 @@ use proptest::prelude::*;
 
 use dams_crypto::prime::{is_prime, mul_mod, pow_mod};
 use dams_crypto::sha256::{sha256, sha256_parts};
-use dams_crypto::{
-    prove_range, sign, verify, verify_range, KeyPair, PedersenParams, SchnorrGroup,
-};
+use dams_crypto::{sign, verify, KeyPair, SchnorrGroup};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -90,32 +88,5 @@ proptest! {
         let k1 = KeyPair::from_secret(&grp, s1);
         let k2 = KeyPair::from_secret(&grp, s2);
         prop_assert_ne!(k1.key_image(&grp), k2.key_image(&grp));
-    }
-
-    #[test]
-    fn pedersen_homomorphism(
-        a in 0u64..1_000_000,
-        b in 0u64..1_000_000,
-        r1 in 1u64..1_000_000,
-        r2 in 1u64..1_000_000,
-    ) {
-        let p = PedersenParams::new(SchnorrGroup::default());
-        let g = *p.group();
-        let lhs = p.add(p.commit(a, g.scalar(r1)), p.commit(b, g.scalar(r2)));
-        let rhs = p.commit(a + b, g.scalar_add(g.scalar(r1), g.scalar(r2)));
-        prop_assert_eq!(lhs, rhs);
-    }
-
-    #[test]
-    fn range_proofs_roundtrip(amount in 0u64..4096, seed in 0u64..500) {
-        use rand::{rngs::StdRng, SeedableRng};
-        let p = PedersenParams::new(SchnorrGroup::default());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (c, o) = p.commit_random(amount, &mut rng);
-        let proof = prove_range(&p, c, o, 12, &mut rng);
-        prop_assert!(verify_range(&p, c, &proof));
-        // The proof is bound to its commitment.
-        let (other, _) = p.commit_random(amount, &mut rng);
-        prop_assert!(!verify_range(&p, other, &proof));
     }
 }

@@ -20,7 +20,7 @@
 //!   range request clamped to the range cap, and watches the claim: tips
 //!   that repeatedly fail to materialize are stale-tip spam.
 //! * **Range request** — `kind ‖ sha256 ‖ (requester ‖ from ‖ to)`, the
-//!   pull half. Requests over [`ClusterConfig::max_range_blocks`] get a
+//!   pull half. Requests over [`MAX_RANGE_BLOCKS`] get a
 //!   typed **refusal** frame back (and a `RangeAbuse` record), never a
 //!   silent truncation.
 //! * **Evidence** — `kind ‖ sha256 ‖ equivocation-proof`, gossiped so
@@ -58,8 +58,8 @@ use crate::faults::{FaultChannel, FaultConfig, FaultStats};
 use crate::network::{NodeLimits, SimNode};
 use crate::obs::NodeMetrics;
 use crate::peers::{
-    recheck_block_diversity, Attestation, ClusterConfig, EquivocationProof, Intake, Misbehavior,
-    PeerDefense, FK_BLOCK, FK_EVIDENCE, FK_RANGE, FK_TIP,
+    recheck_block_diversity, Attestation, EquivocationProof, Intake, Misbehavior, PeerDefense,
+    FK_BLOCK, FK_EVIDENCE, FK_RANGE, FK_TIP, MAX_RANGE_BLOCKS,
 };
 use crate::sync::{bootstrap_from_bundle, catch_up_tail, recheck_node, serve_bundle, SyncReport};
 
@@ -273,7 +273,6 @@ pub struct Cluster {
     group: SchnorrGroup,
     channel: FaultChannel,
     stats: GossipStats,
-    cfg: ClusterConfig,
     /// Registered identity keys, one per slot (the simulated PKI; the
     /// public halves form the directory each [`PeerDefense`] holds).
     identities: Vec<KeyPair>,
@@ -317,7 +316,6 @@ impl Cluster {
         seed: u64,
         cfg: FaultConfig,
     ) -> Result<Self, NodeError> {
-        let cluster_cfg = ClusterConfig::default();
         let mut slots = Vec::with_capacity(honest + actor_kinds.len() + 1);
         for id in 0..honest {
             let mut node = SimNode::new(id, group);
@@ -349,7 +347,6 @@ impl Cluster {
                     id,
                     group,
                     directory.clone(),
-                    cluster_cfg,
                     seed ^ 0xdefe_a5ed_0000_0000 ^ (id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
                 )
             })
@@ -373,7 +370,6 @@ impl Cluster {
             group,
             channel: FaultChannel::new(endpoints, seed, cfg),
             stats: GossipStats::default(),
-            cfg: cluster_cfg,
             identities,
             defenses,
             mint_rng: StdRng::seed_from_u64(seed ^ 0x317e_d0c0_1157_a9e5),
@@ -412,11 +408,6 @@ impl Cluster {
     /// Replica `id`'s peer-defense table.
     pub fn defense(&self, id: usize) -> Option<&PeerDefense> {
         self.defenses.get(id)
-    }
-
-    /// The gossip-layer configuration this cluster runs.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
     }
 
     pub fn gossip_stats(&self) -> GossipStats {
@@ -583,7 +574,6 @@ impl Cluster {
                 stats,
                 identities,
                 sign_rng,
-                cfg,
                 ..
             } = self;
             let chan_stats = &mut channel.stats;
@@ -693,7 +683,7 @@ impl Cluster {
                             if height > local {
                                 // Clamp the pull to the server's cap — an
                                 // oversized request would be refused whole.
-                                let target = height.min(local + cfg.max_range_blocks as u64);
+                                let target = height.min(local + MAX_RANGE_BLOCKS as u64);
                                 if defense.watch_tip(src, target) {
                                     outgoing.push((dest, src, frame_range(dest, local, target)));
                                     stats.range_requests += 1;
@@ -709,7 +699,7 @@ impl Cluster {
                             match node.serve_range_checked(
                                 from as usize,
                                 to as usize,
-                                cfg.max_range_blocks,
+                                MAX_RANGE_BLOCKS,
                             ) {
                                 Ok(blocks) => {
                                     stats.range_blocks_served += blocks.len() as u64;
@@ -1392,7 +1382,7 @@ mod tests {
             cluster.step();
         }
         cluster.run_until_converged(100).unwrap();
-        let cap = cluster.config().max_range_blocks as u64;
+        let cap = MAX_RANGE_BLOCKS as u64;
         // A hand-rolled range request far over the cap, "from" node 1.
         let abusive = frame_range(1, 0, cap * 10);
         cluster.channel.send_from(1, 0, abusive);

@@ -39,8 +39,7 @@ pub use gossip::{
     run_cluster_scenario, Cluster, ClusterReport, GossipFrame, GossipStats,
 };
 pub use peers::{
-    Attestation, ClusterConfig, EquivocationProof, Misbehavior, MisbehaviorRecord, PeerDefense,
-    Standing,
+    Attestation, EquivocationProof, Misbehavior, MisbehaviorRecord, PeerDefense, Standing,
 };
 pub use indexing::{block_delta, index_of_chain};
 pub use network::{NodeLimits, NodeStats, SimNode};
@@ -50,4 +49,4 @@ pub use report::render_report;
 pub use validate::{validate_ring, Verdict};
 pub use verifier::{AllOf, RecencyConfiguration, TokenMagicConfiguration};
 pub use views::{BatchProvider, FullNode, LightNode};
-pub use wallet::{SpendSession, Wallet, WalletError};
+pub use wallet::{Wallet, WalletError};

@@ -28,7 +28,7 @@
 //!   voids its staged blocks, and gossips the proof so every honest peer
 //!   converges on the same verdict without trusting the reporter.
 //! * **Staged adoption** — remote block announcements wait
-//!   [`ClusterConfig::stage_ticks`] in a staging area before delivery,
+//!   [`STAGE_TICKS`] in a staging area before delivery,
 //!   the equivocation-detection window: conflicting attestations arriving
 //!   within it void each other, so an equivocator's blocks never reach an
 //!   honest chain.
@@ -50,79 +50,47 @@ use dams_diversity::{HtId, RingSet, TokenUniverse};
 
 use crate::obs::NodeMetrics;
 
-/// Gossip-layer knobs, one struct so scenarios can tighten or relax the
-/// defense uniformly. `Default` is what every stock cluster runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClusterConfig {
-    /// Blocks a single range request may stream — a lagging node recovers
-    /// a long gap over several tip→request→serve rounds instead of one
-    /// unbounded burst. Requests above the cap are refused whole and
-    /// attributed as [`Misbehavior::RangeAbuse`].
-    pub max_range_blocks: usize,
-    /// Ticks a remote block announcement is staged before delivery — the
-    /// equivocation-detection window. Must exceed the fault channel's
-    /// worst-case delivery delay for conflicting announcements to meet.
-    pub stage_ticks: u64,
-    /// Peer score at which frames are silenced for a jittered window.
-    pub quarantine_score: f64,
-    /// Peer score at which the peer is removed for good.
-    pub ban_score: f64,
-    /// Base score decay per tick.
-    pub decay_per_tick: f64,
-    /// Seeded jitter added to each tick's decay, drawn from `[0, jitter)`.
-    pub decay_jitter: f64,
-    /// Base quarantine duration in ticks (a jitter of up to half this is
-    /// added per sentence).
-    pub quarantine_ticks: u64,
-    /// Frames a quarantined peer may push at us before the quarantine
-    /// escalates to a ban (a peer respecting backoff stays far below).
-    pub quarantine_pressure: u64,
-    /// Ticks an issued range request may go unanswered (while the
-    /// claimed height fails to materialize) before it counts as a strike.
-    pub range_timeout: u64,
-    /// Consecutive unanswered-range strikes before a
-    /// [`Misbehavior::StaleTipSpam`] record is filed.
-    pub stale_tip_strikes: u32,
-    /// Token bucket `(capacity, refill-per-tick)` for block frames.
-    pub block_bucket: (f64, f64),
-    /// Token bucket for tip announcements.
-    pub tip_bucket: (f64, f64),
-    /// Token bucket for range requests.
-    pub range_bucket: (f64, f64),
-    /// Token bucket for evidence and refusal frames.
-    pub evidence_bucket: (f64, f64),
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            max_range_blocks: 16,
-            stage_ticks: 8,
-            quarantine_score: 60.0,
-            ban_score: 120.0,
-            decay_per_tick: 1.0,
-            decay_jitter: 0.5,
-            quarantine_ticks: 16,
-            quarantine_pressure: 96,
-            range_timeout: 10,
-            stale_tip_strikes: 2,
-            // Capacities leave honest bursts (a 16-block range serve plus
-            // duplicated copies) comfortable headroom; sustained floods
-            // drain them within a tick or two.
-            block_bucket: (48.0, 6.0),
-            tip_bucket: (8.0, 1.0),
-            range_bucket: (8.0, 1.0),
-            evidence_bucket: (8.0, 1.0),
-        }
-    }
-}
-
 /// Frame-kind index into the per-peer token buckets.
 pub const FK_BLOCK: usize = 0;
 pub const FK_TIP: usize = 1;
 pub const FK_RANGE: usize = 2;
 pub const FK_EVIDENCE: usize = 3;
 const FK_COUNT: usize = 4;
+
+/// Blocks a single range request may stream — a lagging node recovers a
+/// long gap over several tip→request→serve rounds instead of one
+/// unbounded burst. Requests above the cap are refused whole and
+/// attributed as [`Misbehavior::RangeAbuse`].
+pub const MAX_RANGE_BLOCKS: usize = 16;
+/// Ticks a remote block announcement is staged before delivery — the
+/// equivocation-detection window. Must exceed the fault channel's
+/// worst-case delivery delay for conflicting announcements to meet.
+pub const STAGE_TICKS: u64 = 8;
+/// Peer score at which frames are silenced for a jittered window.
+pub const QUARANTINE_SCORE: f64 = 60.0;
+/// Peer score at which the peer is removed for good.
+pub const BAN_SCORE: f64 = 120.0;
+/// Base score decay per tick.
+pub const DECAY_PER_TICK: f64 = 1.0;
+/// Seeded jitter added to each tick's decay, drawn from `[0, DECAY_JITTER)`.
+pub const DECAY_JITTER: f64 = 0.5;
+/// Base quarantine duration in ticks (a jitter of up to half this is
+/// added per sentence).
+pub const QUARANTINE_TICKS: u64 = 16;
+/// Frames a quarantined peer may push at us before the quarantine
+/// escalates to a ban (a peer respecting backoff stays far below).
+pub const QUARANTINE_PRESSURE: u64 = 96;
+/// Ticks an issued range request may go unanswered (while the claimed
+/// height fails to materialize) before it counts as a strike.
+pub const RANGE_TIMEOUT: u64 = 10;
+/// Consecutive unanswered-range strikes before a
+/// [`Misbehavior::StaleTipSpam`] record is filed.
+pub const STALE_TIP_STRIKES: u32 = 2;
+/// Token bucket `(capacity, refill-per-tick)` per frame kind, indexed by
+/// `FK_*`. Capacities leave honest bursts (a 16-block range serve plus
+/// duplicated copies) comfortable headroom; sustained floods drain them
+/// within a tick or two.
+pub const BUCKETS: [(f64, f64); FK_COUNT] = [(48.0, 6.0), (8.0, 1.0), (8.0, 1.0), (8.0, 1.0)];
 
 /// A typed, attributable offense. Severity is what it adds to the peer's
 /// score; equivocation and diversity violations are protocol betrayals
@@ -429,17 +397,12 @@ struct PeerState {
 }
 
 impl PeerState {
-    fn new(cfg: &ClusterConfig) -> Self {
+    fn new() -> Self {
         PeerState {
             score: 0.0,
             standing: Standing::Good,
             was_quarantined: false,
-            buckets: [
-                cfg.block_bucket.0,
-                cfg.tip_bucket.0,
-                cfg.range_bucket.0,
-                cfg.evidence_bucket.0,
-            ],
+            buckets: BUCKETS.map(|(cap, _)| cap),
             last_flood: None,
             pressure: 0,
             stale_strikes: 0,
@@ -463,7 +426,6 @@ pub enum Intake {
 /// shared state.
 pub struct PeerDefense {
     id: usize,
-    cfg: ClusterConfig,
     group: SchnorrGroup,
     directory: Vec<PublicKey>,
     peers: Vec<PeerState>,
@@ -480,17 +442,10 @@ impl PeerDefense {
     /// Jitter draws come from `seed` (callers derive it from the cluster
     /// seed and the node id so every replica's decay schedule differs but
     /// replays exactly).
-    pub fn new(
-        id: usize,
-        group: SchnorrGroup,
-        directory: Vec<PublicKey>,
-        cfg: ClusterConfig,
-        seed: u64,
-    ) -> Self {
-        let peers = (0..directory.len()).map(|_| PeerState::new(&cfg)).collect();
+    pub fn new(id: usize, group: SchnorrGroup, directory: Vec<PublicKey>, seed: u64) -> Self {
+        let peers = (0..directory.len()).map(|_| PeerState::new()).collect();
         PeerDefense {
             id,
-            cfg,
             group,
             directory,
             peers,
@@ -501,10 +456,6 @@ impl PeerDefense {
             pending: Vec::new(),
             proofs: Vec::new(),
         }
-    }
-
-    pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
     }
 
     pub fn directory(&self) -> &[PublicKey] {
@@ -550,18 +501,12 @@ impl PeerDefense {
     /// materialize — however they arrived.
     pub fn on_tick(&mut self, now: u64, local_height: u64) {
         self.now = now;
-        let refills = [
-            self.cfg.block_bucket,
-            self.cfg.tip_bucket,
-            self.cfg.range_bucket,
-            self.cfg.evidence_bucket,
-        ];
         for p in &mut self.peers {
-            for (k, (cap, refill)) in refills.iter().enumerate() {
+            for (k, (cap, refill)) in BUCKETS.iter().enumerate() {
                 p.buckets[k] = (p.buckets[k] + refill).min(*cap);
             }
-            let jitter = self.rng.gen_range(0.0..self.cfg.decay_jitter.max(f64::MIN_POSITIVE));
-            p.score = (p.score - self.cfg.decay_per_tick - jitter).max(0.0);
+            let jitter = self.rng.gen_range(0.0..DECAY_JITTER);
+            p.score = (p.score - DECAY_PER_TICK - jitter).max(0.0);
             if let Standing::Quarantined { until } = p.standing {
                 if now >= until {
                     p.standing = Standing::Good;
@@ -573,8 +518,6 @@ impl PeerDefense {
         // Range-watch expiry: a pending whose claimed height materialized
         // (from anywhere) clears its peer's strike streak; one that timed
         // out unserved is a strike.
-        let timeout = self.cfg.range_timeout;
-        let strikes_needed = self.cfg.stale_tip_strikes.max(1);
         let mut expired: Vec<PendingRange> = Vec::new();
         self.pending.retain(|w| {
             if w.served || local_height >= w.claimed_height {
@@ -583,7 +526,7 @@ impl PeerDefense {
                 }
                 return false;
             }
-            if now.saturating_sub(w.issued_at) > timeout {
+            if now.saturating_sub(w.issued_at) > RANGE_TIMEOUT {
                 expired.push(*w);
                 return false;
             }
@@ -597,7 +540,7 @@ impl PeerDefense {
                 p.stale_strikes += 1;
                 p.stale_strikes
             };
-            if strikes >= strikes_needed {
+            if strikes >= STALE_TIP_STRIKES {
                 if let Some(p) = self.peers.get_mut(w.peer) {
                     p.stale_strikes = 0;
                 }
@@ -627,7 +570,7 @@ impl PeerDefense {
             Standing::Quarantined { .. } => {
                 state.pressure += 1;
                 metrics.peers_frames_dropped.inc();
-                if state.pressure >= self.cfg.quarantine_pressure {
+                if state.pressure >= QUARANTINE_PRESSURE {
                     self.ban(src);
                 }
                 return Intake::Drop;
@@ -672,16 +615,16 @@ impl PeerDefense {
             return Standing::Banned;
         }
         state.score += offense.severity();
-        let escalate_ban = state.score >= self.cfg.ban_score
+        let escalate_ban = state.score >= BAN_SCORE
             || state.was_quarantined
             || matches!(state.standing, Standing::Quarantined { .. });
         if escalate_ban {
             self.ban(peer);
             return Standing::Banned;
         }
-        if state.score >= self.cfg.quarantine_score {
-            let jitter = self.rng.gen_range(0..=self.cfg.quarantine_ticks / 2);
-            let until = self.now + self.cfg.quarantine_ticks + jitter;
+        if state.score >= QUARANTINE_SCORE {
+            let jitter = self.rng.gen_range(0..=QUARANTINE_TICKS / 2);
+            let until = self.now + QUARANTINE_TICKS + jitter;
             state.standing = Standing::Quarantined { until };
             state.was_quarantined = true;
             NodeMetrics::global().peers_quarantined.inc();
@@ -794,7 +737,7 @@ impl PeerDefense {
     pub fn stage(&mut self, origin: usize, block: Block) {
         self.staged.push(Staged {
             origin,
-            release_at: self.now + self.cfg.stage_ticks,
+            release_at: self.now + STAGE_TICKS,
             block,
         });
     }
@@ -838,11 +781,7 @@ mod tests {
         let group = SchnorrGroup::default();
         let ids = identities(&group, n, 7);
         let dir: Vec<PublicKey> = ids.iter().map(|k| k.public).collect();
-        (
-            PeerDefense::new(0, group, dir, ClusterConfig::default(), 99),
-            ids,
-            group,
-        )
+        (PeerDefense::new(0, group, dir, 99), ids, group)
     }
 
     #[test]
@@ -899,8 +838,7 @@ mod tests {
     fn flood_drains_bucket_and_records_once_per_tick() {
         let (mut d, _, _) = defense(2);
         d.on_tick(1, 0);
-        let cap = ClusterConfig::default().tip_bucket.0 as usize;
-        for _ in 0..cap {
+        for _ in 0..BUCKETS[FK_TIP].0 as usize {
             assert_eq!(d.intake(1, FK_TIP), Intake::Allow);
         }
         assert_eq!(d.intake(1, FK_TIP), Intake::Drop);
@@ -943,8 +881,7 @@ mod tests {
         d.record(1, Misbehavior::RangeAbuse { requested: 99, cap: 16 });
         d.record(1, Misbehavior::RangeAbuse { requested: 99, cap: 16 });
         assert!(matches!(d.standing(1), Standing::Quarantined { .. }));
-        let pressure = ClusterConfig::default().quarantine_pressure;
-        for _ in 0..pressure {
+        for _ in 0..QUARANTINE_PRESSURE {
             assert_eq!(d.intake(1, FK_TIP), Intake::Drop);
         }
         assert_eq!(d.standing(1), Standing::Banned);
@@ -953,20 +890,19 @@ mod tests {
     #[test]
     fn unanswered_range_watches_strike_into_stale_tip_spam() {
         let (mut d, _, _) = defense(2);
-        let cfg = ClusterConfig::default();
         let mut now = 1;
         d.on_tick(now, 3);
         assert!(d.watch_tip(1, 50));
         assert!(!d.watch_tip(1, 50), "one outstanding watch per peer");
         // Strike 1.
-        for _ in 0..=cfg.range_timeout + 1 {
+        for _ in 0..=RANGE_TIMEOUT + 1 {
             now += 1;
             d.on_tick(now, 3);
         }
         assert!(d.records().is_empty(), "first strike is not yet an offense");
         // Strike 2 → record.
         assert!(d.watch_tip(1, 50));
-        for _ in 0..=cfg.range_timeout + 1 {
+        for _ in 0..=RANGE_TIMEOUT + 1 {
             now += 1;
             d.on_tick(now, 3);
         }
@@ -980,7 +916,7 @@ mod tests {
         // A served watch never strikes.
         assert!(d.watch_tip(0, 50));
         d.note_block_from(0);
-        for _ in 0..=cfg.range_timeout + 1 {
+        for _ in 0..=RANGE_TIMEOUT + 1 {
             now += 1;
             d.on_tick(now, 3);
         }
@@ -988,6 +924,14 @@ mod tests {
             .records()
             .iter()
             .all(|r| r.peer != 0), "{:?}", d.records());
+    }
+
+    #[test]
+    fn staging_window_outlasts_the_default_channel_delay() {
+        // Conflicting announcements can only void each other if both
+        // arrive inside the window, so it must exceed the worst-case
+        // delivery delay of the channel stock clusters run on.
+        assert!(STAGE_TICKS > crate::faults::FaultConfig::default().max_delay);
     }
 
     #[test]
@@ -999,14 +943,13 @@ mod tests {
         d.stage(1, genesis.clone());
         assert!(d.is_staged(&genesis.hash()));
         assert!(d.release_staged().is_empty(), "window not yet elapsed");
-        let release = ClusterConfig::default().stage_ticks;
-        d.on_tick(1 + release, 0);
+        d.on_tick(1 + STAGE_TICKS, 0);
         assert_eq!(d.release_staged().len(), 1);
         // A banned origin's staged blocks are voided.
         d.stage(1, genesis.clone());
         d.record(1, Misbehavior::Equivocation { height: 1 });
         assert!(d.is_banned(1));
-        d.on_tick(1 + 2 * release, 0);
+        d.on_tick(1 + 2 * STAGE_TICKS, 0);
         assert!(d.release_staged().is_empty(), "voided with the ban");
     }
 
@@ -1068,17 +1011,8 @@ mod tests {
 
     #[test]
     fn severities_rank_betrayals_over_noise() {
-        assert!(
-            Misbehavior::Equivocation { height: 1 }.severity()
-                >= ClusterConfig::default().ban_score
-        );
-        assert!(
-            Misbehavior::DiversityViolation { height: 1 }.severity()
-                >= ClusterConfig::default().ban_score
-        );
-        assert!(
-            Misbehavior::FloodExceeded { kind: FK_TIP }.severity()
-                < ClusterConfig::default().quarantine_score
-        );
+        assert!(Misbehavior::Equivocation { height: 1 }.severity() >= BAN_SCORE);
+        assert!(Misbehavior::DiversityViolation { height: 1 }.severity() >= BAN_SCORE);
+        assert!(Misbehavior::FloodExceeded { kind: FK_TIP }.severity() < QUARANTINE_SCORE);
     }
 }

@@ -23,7 +23,6 @@ pub mod real;
 pub mod sampler;
 pub mod streaming;
 pub mod synthetic;
-pub mod trace;
 
 pub use adversarial::BurstSchedule;
 pub use arrivals::{parse_trace, render_trace, ArrivalEvent, TraceError};
@@ -34,4 +33,3 @@ pub use sampler::{measure, measure_framework, MeasuredPoint};
 pub use simulation::{simulate_batch, SimulationConfig, SimulationOutcome};
 pub use streaming::{ChainStream, StreamConfig};
 pub use synthetic::{small_universe, HtModel, SyntheticConfig};
-pub use trace::{run_trace, TraceConfig, TraceOutcome};

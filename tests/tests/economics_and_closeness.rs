@@ -1,12 +1,12 @@
-//! Integration tests tying the economic layer (fees, confidential
-//! amounts) and the t-closeness metric to the DA-MS selections.
+//! Integration tests tying the economic layer (fees) and the
+//! t-closeness metric to the DA-MS selections.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dams_blockchain::{confidential::ConfidentialLedger, Amount, FeeSchedule};
+use dams_blockchain::{Amount, FeeSchedule};
 use dams_core::{game_theoretic, progressive, SelectionPolicy};
-use dams_crypto::{KeyPair, PedersenParams, SchnorrGroup};
+use dams_crypto::{KeyPair, SchnorrGroup};
 use dams_diversity::{is_t_close, total_variation, DiversityRequirement, TokenId};
 use dams_workload::{monero_snapshot, SyntheticConfig};
 
@@ -93,47 +93,6 @@ fn homogeneous_rings_are_the_t_closeness_worst_case() {
             );
         }
     }
-}
-
-#[test]
-fn confidential_spend_with_da_ms_ring() {
-    // Confidential amounts + DA-MS rings in one flow: quotas hidden,
-    // selection diverse, balance enforced.
-    let group = SchnorrGroup::default();
-    let params = PedersenParams::new(group);
-    let mut rng = StdRng::seed_from_u64(4);
-    let mut ledger = ConfidentialLedger::new(params);
-    let keys: Vec<KeyPair> = (0..12)
-        .map(|_| KeyPair::generate(&group, &mut rng))
-        .collect();
-    for (i, k) in keys.iter().enumerate() {
-        ledger.mint(k.public, 10 + i as u64, &mut rng);
-    }
-    // Algorithmic view: 12 tokens over 4 HTs.
-    let universe = dams_diversity::TokenUniverse::new(
-        (0..12u32).map(|i| dams_diversity::HtId(i / 3)).collect(),
-    );
-    let inst = dams_core::Instance::fresh(universe);
-    let modular = dams_core::ModularInstance::decompose(&inst).unwrap();
-    let policy = SelectionPolicy::new(DiversityRequirement::new(1.0, 3));
-    let sel = progressive(&modular, TokenId(4), policy).unwrap();
-
-    let amount = ledger
-        .opening(dams_blockchain::TokenId(4))
-        .expect("own token")
-        .amount;
-    let ring_ids: Vec<dams_blockchain::TokenId> = sel
-        .ring
-        .tokens()
-        .iter()
-        .map(|t| dams_blockchain::TokenId(t.0 as u64))
-        .collect();
-    let receiver = KeyPair::generate(&group, &mut rng).public;
-    let spend = ledger.build_spend(&ring_ids, dams_blockchain::TokenId(4), &keys[4], &[(receiver, amount)], &mut rng);
-    let minted = ledger.apply(&spend).unwrap();
-    assert_eq!(minted.len(), 1);
-    // Double spend still caught under the DA-MS ring.
-    assert!(ledger.apply(&spend).is_err());
 }
 
 #[test]
