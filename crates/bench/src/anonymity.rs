@@ -27,7 +27,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dams_core::{
-    select_with_ladder_exec, CoreMetrics, DegradeBudget, Instance, LadderExec, SamplingMode,
+    select_with_ladder_exec, BfsBudget, CoreMetrics, Instance, LadderExec, SamplingMode,
     SelectionPolicy, Tier,
 };
 use dams_diversity::{
@@ -144,17 +144,11 @@ fn tier_ring_size(tier: Tier) -> usize {
     let policy = SelectionPolicy::new(DiversityRequirement::new(1.0, 3));
     let registry = Registry::new();
     let metrics = CoreMetrics::in_registry(&registry);
-    // Calibration is offline: no wall-clock timeout, so the measured ring
-    // sizes are the same on every host (the counter budgets still apply).
-    let budget = DegradeBudget {
-        exact_timeout: None,
-        ..DegradeBudget::default()
-    };
     let sel = select_with_ladder_exec(
         &inst,
         TokenId(0),
         policy,
-        budget,
+        BfsBudget::default(),
         &[tier],
         &metrics,
         &LadderExec::default(),

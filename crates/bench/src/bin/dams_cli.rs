@@ -74,8 +74,8 @@
 //! * `serve --real` — run the *real* concurrent runtime front end: the
 //!   same seeded trace a `serve-sim` scenario would replay is exported
 //!   to the wire (length-prefixed self-authenticating frames over an
-//!   in-process duplex pipe or loopback TCP), driven through a
-//!   thread-per-core worker pool, and diffed against the virtual-tick
+//!   in-process duplex pipe or loopback TCP), served by a worker thread
+//!   on the same work-tick clock, and diffed against the virtual-tick
 //!   `Service` model at each `--loads` multiple. Writes the grep-able
 //!   differential report (`--diff-report`, ends `verdict: MATCH` or
 //!   `verdict: DIVERGED`) and the sim-vs-real ramp rows (`--out`);
@@ -108,8 +108,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dams_core::{
-    select_with_ladder_exec, BfsBudget, CoreMetrics, DegradeBudget, Instance, LadderExec,
-    PracticalAlgorithm, SelectionPolicy, Tier, TokenMagic,
+    select_with_ladder_exec, BfsBudget, CoreMetrics, Instance, LadderExec, PracticalAlgorithm,
+    SelectionPolicy, Tier, TokenMagic,
 };
 use dams_obs::Mode;
 use dams_diversity::{
@@ -273,8 +273,7 @@ fn main() {
             for p in &report.phases {
                 println!(
                     "{} tokens ({} blocks, {} batches): {} served / {} shed | \
-                     maintenance ops max {} mean {:.1} | work p50 {} p99 {} | \
-                     latency p50 {}ns p99 {}ns | rebuild baseline {}ns",
+                     maintenance ops max {} mean {:.1} | work p50 {} p99 {}",
                     p.tokens,
                     p.blocks,
                     p.batches,
@@ -284,9 +283,6 @@ fn main() {
                     p.mean_block_ops,
                     p.p50_work,
                     p.p99_work,
-                    p.p50_request_ns,
-                    p.p99_request_ns,
-                    p.snapshot_rebuild_ns,
                 );
             }
             let p99_flat = report.p99_flat(dams_svc::P99_TOLERANCE);
@@ -576,21 +572,18 @@ fn run_bench_workload(seed: u64) {
     let universe = TokenUniverse::new((0..8u32).map(HtId).collect());
     let inst = Instance::fresh(universe);
     let policy = SelectionPolicy::new(DiversityRequirement::new(1.0, 2));
-    let ladder = |target: u32, budget: DegradeBudget, tiers: &[Tier]| {
+    let ladder = |target: u32, budget: BfsBudget, tiers: &[Tier]| {
         let (metrics, exec) = (CoreMetrics::global(), &LadderExec::default());
         select_with_ladder_exec(&inst, TokenId(target), policy, budget, tiers, metrics, exec)
     };
-    let _ = ladder(0, DegradeBudget::default(), &Tier::DEFAULT_LADDER);
-    let starved = DegradeBudget {
-        exact_timeout: None,
-        bfs: BfsBudget {
-            max_candidates: 0,
-            max_worlds: 4,
-            deadline: None,
-        },
+    let _ = ladder(0, BfsBudget::default(), &Tier::DEFAULT_LADDER);
+    let starved = BfsBudget {
+        max_candidates: 0,
+        max_worlds: 4,
+        deadline: None,
     };
     let _ = ladder(1, starved, &Tier::DEFAULT_LADDER);
-    let _ = ladder(2, DegradeBudget::default(), &[Tier::GameTheoretic]);
+    let _ = ladder(2, BfsBudget::default(), &[Tier::GameTheoretic]);
 
     // One TokenMagic selection per practical algorithm on a synthetic
     // batch (Table 3 defaults).

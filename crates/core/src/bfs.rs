@@ -64,10 +64,9 @@ pub struct BfsBudget {
     pub max_worlds: usize,
     /// Optional deadline, checked between candidates *and* inside world
     /// enumeration. Expiry surfaces as [`SelectError::BudgetExhausted`],
-    /// same as the counters. A [`Deadline::At`] instant bounds wall time
-    /// (host-dependent). A [`Deadline::Ticks`]`(k)` grant caps two separate
-    /// counters against the same `k`: the search examines at most `k`
-    /// candidates, and for each candidate [`bfs`] restarts a
+    /// same as the counters. A [`Deadline::Ticks`]`(k)` grant caps two
+    /// separate counters against the same `k`: the search examines at most
+    /// `k` candidates, and for each candidate [`bfs`] restarts a
     /// world-enumeration step count and gives up on step `k + 1`
     /// ([`bfs_reference`] applies only the candidate cap; see the module
     /// docs). Both counters are deterministic, so expiry — and therefore
@@ -677,7 +676,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_reports_budget_exhausted() {
-        // An already-expired deadline must error promptly. (The abort
+        // An already-elapsed deadline must error promptly. (The abort
         // *inside* a single candidate's world enumeration is unit-tested
         // deterministically in dams-diversity::combination; here the
         // between-candidates check fires first.)
@@ -687,7 +686,7 @@ mod tests {
         let claims = vec![DiversityRequirement::new(2.0, 1); 4];
         let inst = Instance::new(universe, rings, claims);
         let expired = BfsBudget {
-            deadline: Some(Deadline::At(std::time::Instant::now())),
+            deadline: Some(Deadline::Ticks(0)),
             ..BfsBudget::default()
         };
         assert_eq!(

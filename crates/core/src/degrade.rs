@@ -4,8 +4,8 @@
 //! serving live traffic cannot always afford it. This module wraps the
 //! three selection algorithms in a **tiered fallback chain**:
 //!
-//! 1. [`Tier::ExactBfs`] — the exact search, bounded by a wall-clock
-//!    deadline and candidate/world counters ([`BfsBudget`]);
+//! 1. [`Tier::ExactBfs`] — the exact search, bounded by candidate/world
+//!    counters and an optional work-tick deadline ([`BfsBudget`]);
 //! 2. [`Tier::Progressive`] — the O(n²) greedy (Algorithm 4), with the
 //!    Theorem 6.5 approximation ratio;
 //! 3. [`Tier::GameTheoretic`] — the O(n³) potential game (Algorithm 5),
@@ -19,7 +19,7 @@
 //! an approximation can never find a ring where the exact search showed
 //! none exists.
 
-use dams_diversity::{Deadline, TokenId};
+use dams_diversity::TokenId;
 
 use crate::bfs::{bfs_with, BfsBudget};
 use crate::cache::EvalCache;
@@ -119,26 +119,6 @@ impl std::fmt::Display for Guarantee {
     }
 }
 
-/// Budget for the degrading selector. Only the exact tier consumes it:
-/// the approximation tiers are polynomial and always run to completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradeBudget {
-    /// Wall-clock time granted to the exact search before falling back.
-    /// `None` leaves only the counter limits.
-    pub exact_timeout: Option<std::time::Duration>,
-    /// Counter limits forwarded to the exact search.
-    pub bfs: BfsBudget,
-}
-
-impl Default for DegradeBudget {
-    fn default() -> Self {
-        DegradeBudget {
-            exact_timeout: Some(std::time::Duration::from_millis(50)),
-            bfs: BfsBudget::default(),
-        }
-    }
-}
-
 /// A selection annotated with the tier that produced it, its guarantee,
 /// and the budget failures that forced the degradation.
 #[derive(Debug, Clone, PartialEq)]
@@ -196,12 +176,11 @@ pub struct LadderExec<'a> {
 /// ("fell back to Progressive exactly k times") without interference from
 /// other test threads.
 ///
-/// Deadline semantics: when `budget.bfs.deadline` is already set (the
-/// selection service propagates its remaining virtual budget there), it is
-/// used as-is and `budget.exact_timeout` is ignored; otherwise
-/// `exact_timeout` is converted to a wall-clock [`Deadline::At`] on entry.
-/// A deadline that is **already elapsed** skips the exact tier without
-/// burning a BFS probe: the attempt is recorded as
+/// Deadline semantics: `budget` bounds only the exact tier — the
+/// approximation tiers are polynomial and always run to completion. The
+/// selection service propagates its remaining work-tick budget in
+/// `budget.deadline`. A deadline that is **already elapsed** skips the
+/// exact tier without burning a BFS probe: the attempt is recorded as
 /// [`SelectError::DeadlineInfeasible`] (counted in
 /// `core.degrade.deadline_infeasible_total`) and the ladder moves straight
 /// to the cheapest tier that can still answer.
@@ -210,20 +189,12 @@ pub fn select_with_ladder_exec(
     instance: &Instance,
     target: TokenId,
     policy: SelectionPolicy,
-    budget: DegradeBudget,
+    budget: BfsBudget,
     ladder: &[Tier],
     metrics: &CoreMetrics,
     exec: &LadderExec<'_>,
 ) -> Result<DegradedSelection, SelectError> {
     assert!(!ladder.is_empty(), "empty tier ladder");
-
-    // Resolve the exact tier's deadline once, so a wall-clock timeout is
-    // anchored at entry rather than at the (possibly later) exact rung.
-    let exact_deadline: Option<Deadline> = budget.bfs.deadline.or_else(|| {
-        budget
-            .exact_timeout
-            .map(|t| Deadline::At(std::time::Instant::now() + t))
-    });
 
     // The approximation tiers need the modular view; decompose lazily so a
     // non-laminar history can still be served by the exact tier.
@@ -236,17 +207,13 @@ pub fn select_with_ladder_exec(
         let _attempt_span = tier_timer.start_span();
         let outcome = match tier {
             Tier::ExactBfs => {
-                if exact_deadline.is_some_and(|d| d.already_elapsed()) {
+                if budget.deadline.is_some_and(|d| d.already_elapsed()) {
                     // No budget left at all: skip the probe entirely so an
                     // overloaded caller pays nothing for the exact rung.
                     metrics.degrade_deadline_infeasible.inc();
                     Err(SelectError::DeadlineInfeasible)
                 } else {
-                    let bfs_budget = BfsBudget {
-                        deadline: exact_deadline,
-                        ..budget.bfs
-                    };
-                    bfs_with(instance, target, policy.effective(), bfs_budget, exec.cache)
+                    bfs_with(instance, target, policy.effective(), budget, exec.cache)
                         .map(|selection| (selection, Guarantee::Exact))
                 }
             }
@@ -343,21 +310,18 @@ mod tests {
         inst: &Instance,
         target: TokenId,
         policy: SelectionPolicy,
-        budget: DegradeBudget,
+        budget: BfsBudget,
         ladder: &[Tier],
     ) -> Result<DegradedSelection, SelectError> {
         let (metrics, exec) = (CoreMetrics::global(), &LadderExec::default());
         select_with_ladder_exec(inst, target, policy, budget, ladder, metrics, exec)
     }
 
-    fn starved() -> DegradeBudget {
-        DegradeBudget {
-            exact_timeout: None,
-            bfs: BfsBudget {
-                max_candidates: 0,
-                max_worlds: 4,
-                deadline: None,
-            },
+    fn starved() -> BfsBudget {
+        BfsBudget {
+            max_candidates: 0,
+            max_worlds: 4,
+            deadline: None,
         }
     }
 
@@ -365,7 +329,7 @@ mod tests {
     fn exact_tier_answers_within_budget() {
         let inst = fresh_instance(6);
         let policy = SelectionPolicy::new(DiversityRequirement::new(1.0, 2));
-        let budget = DegradeBudget::default();
+        let budget = BfsBudget::default();
         let sel = select(&inst, TokenId(0), policy, budget, &Tier::DEFAULT_LADDER).unwrap();
         assert_eq!(sel.tier, Tier::ExactBfs);
         assert_eq!(sel.guarantee, Guarantee::Exact);
@@ -394,19 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_degrades() {
-        let inst = fresh_instance(8);
-        let policy = SelectionPolicy::new(DiversityRequirement::new(1.0, 2));
-        let budget = DegradeBudget {
-            exact_timeout: Some(std::time::Duration::ZERO),
-            bfs: BfsBudget::default(),
-        };
-        let sel = select(&inst, TokenId(0), policy, budget, &Tier::DEFAULT_LADDER).unwrap();
-        assert_ne!(sel.tier, Tier::ExactBfs);
-        assert!(sel.degraded());
-    }
-
-    #[test]
     fn game_tier_reports_poa_guarantee() {
         let inst = fresh_instance(6);
         let req = DiversityRequirement::new(1.0, 2);
@@ -415,7 +366,7 @@ mod tests {
             &inst,
             TokenId(0),
             policy,
-            DegradeBudget::default(),
+            BfsBudget::default(),
             &[Tier::GameTheoretic],
         )
         .unwrap();
@@ -445,7 +396,7 @@ mod tests {
         let universe = TokenUniverse::new(vec![HtId(0); 4]);
         let inst = Instance::fresh(universe);
         let policy = SelectionPolicy::new(DiversityRequirement::new(1.0, 2));
-        let budget = DegradeBudget::default();
+        let budget = BfsBudget::default();
         assert_eq!(
             select(&inst, TokenId(0), policy, budget, &Tier::DEFAULT_LADDER).unwrap_err(),
             SelectError::Infeasible
@@ -472,12 +423,9 @@ mod tests {
         let inst = fresh_instance(8);
         let req = DiversityRequirement::new(1.0, 3);
         let policy = SelectionPolicy::new(req);
-        let budget = DegradeBudget {
-            exact_timeout: None,
-            bfs: BfsBudget {
-                deadline: Some(dams_diversity::Deadline::Ticks(0)),
-                ..BfsBudget::default()
-            },
+        let budget = BfsBudget {
+            deadline: Some(dams_diversity::Deadline::Ticks(0)),
+            ..BfsBudget::default()
         };
         let registry = dams_obs::Registry::new();
         let metrics = CoreMetrics::in_registry(&registry);
@@ -507,46 +455,13 @@ mod tests {
     fn elapsed_deadline_on_exact_only_ladder_is_an_error() {
         let inst = fresh_instance(6);
         let policy = SelectionPolicy::new(DiversityRequirement::new(1.0, 2));
-        let budget = DegradeBudget {
-            exact_timeout: None,
-            bfs: BfsBudget {
-                deadline: Some(dams_diversity::Deadline::Ticks(0)),
-                ..BfsBudget::default()
-            },
+        let budget = BfsBudget {
+            deadline: Some(dams_diversity::Deadline::Ticks(0)),
+            ..BfsBudget::default()
         };
         assert_eq!(
             select(&inst, TokenId(0), policy, budget, &[Tier::ExactBfs]).unwrap_err(),
             SelectError::DeadlineInfeasible
-        );
-    }
-
-    #[test]
-    fn elapsed_wall_clock_deadline_also_skips_the_probe() {
-        let inst = fresh_instance(8);
-        let policy = SelectionPolicy::new(DiversityRequirement::new(1.0, 2));
-        let budget = DegradeBudget {
-            exact_timeout: Some(std::time::Duration::ZERO),
-            bfs: BfsBudget::default(),
-        };
-        let registry = dams_obs::Registry::new();
-        let metrics = CoreMetrics::in_registry(&registry);
-        let sel = select_with_ladder_exec(
-            &inst,
-            TokenId(0),
-            policy,
-            budget,
-            &Tier::DEFAULT_LADDER,
-            &metrics,
-            &LadderExec::default(),
-        )
-        .unwrap();
-        assert_eq!(
-            sel.attempts,
-            vec![(Tier::ExactBfs, SelectError::DeadlineInfeasible)]
-        );
-        assert_eq!(
-            registry.snapshot().counter("core.bfs.candidates_total"),
-            Some(0)
         );
     }
 
@@ -558,12 +473,9 @@ mod tests {
         let req = DiversityRequirement::new(1.0, 3);
         let policy = SelectionPolicy::new(req);
         for (ticks, expect_exact) in [(1u64 << 30, true), (2, false)] {
-            let budget = DegradeBudget {
-                exact_timeout: None,
-                bfs: BfsBudget {
-                    deadline: Some(dams_diversity::Deadline::Ticks(ticks)),
-                    ..BfsBudget::default()
-                },
+            let budget = BfsBudget {
+                deadline: Some(dams_diversity::Deadline::Ticks(ticks)),
+                ..BfsBudget::default()
             };
             let mut answers = Vec::new();
             for _ in 0..3 {

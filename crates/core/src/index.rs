@@ -37,10 +37,9 @@ use std::sync::{Arc, Mutex};
 
 use dams_diversity::{DiversityRequirement, HtId, RingIndex, RingSet, TokenId, TokenUniverse};
 
+use crate::bfs::BfsBudget;
 use crate::config::SelectionPolicy;
-use crate::degrade::{
-    select_with_ladder_exec, DegradeBudget, DegradedSelection, LadderExec, Tier,
-};
+use crate::degrade::{select_with_ladder_exec, DegradedSelection, LadderExec, Tier};
 use crate::instance::{Instance, ModularInstance, Module, ModuleId, ModuleKind};
 use crate::obs::CoreMetrics;
 use crate::selection::SelectError;
@@ -862,7 +861,7 @@ impl DiversityIndex {
         &self,
         target: u64,
         policy: SelectionPolicy,
-        budget: DegradeBudget,
+        budget: BfsBudget,
         ladder: &[Tier],
         metrics: &CoreMetrics,
         exec: &LadderExec<'_>,
@@ -1168,12 +1167,9 @@ mod tests {
             apply_all(&mut index, &deltas);
             recompute_equivalence(&index, &deltas).unwrap();
             let policy = SelectionPolicy::new(DiversityRequirement::new(1.0, 2));
-            let budget = DegradeBudget {
-                exact_timeout: None,
-                bfs: crate::bfs::BfsBudget {
-                    max_candidates: 2_000,
-                    ..crate::bfs::BfsBudget::default()
-                },
+            let budget = BfsBudget {
+                max_candidates: 2_000,
+                ..BfsBudget::default()
             };
             for target in (0..index.token_count()).step_by(7) {
                 let via_index = index.select(

@@ -71,9 +71,7 @@ pub use config::{
     dtrs_diverse_fast, dtrs_token_sets_fast, psi, satisfies_first_configuration, SelectionPolicy,
 };
 pub use dams_diversity::Deadline;
-pub use degrade::{
-    select_with_ladder_exec, DegradeBudget, DegradedSelection, Guarantee, LadderExec, Tier,
-};
+pub use degrade::{select_with_ladder_exec, DegradedSelection, Guarantee, LadderExec, Tier};
 pub use game::{
     game_theoretic, game_theoretic_from, game_theoretic_reference, game_theoretic_with,
     InitStrategy,

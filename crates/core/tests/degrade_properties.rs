@@ -13,8 +13,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dams_core::{
-    bfs, select_with_ladder_exec, BfsBudget, CoreMetrics, DegradeBudget, LadderExec, SelectError,
-    SelectionPolicy, Tier,
+    bfs, select_with_ladder_exec, BfsBudget, CoreMetrics, LadderExec, SelectError, SelectionPolicy,
+    Tier,
 };
 use dams_diversity::{DiversityRequirement, HtHistogram, HtId, TokenId, TokenUniverse};
 use dams_obs::{Mode, Registry};
@@ -22,22 +22,16 @@ use dams_obs::{Mode, Registry};
 const SEEDS: u64 = 64;
 
 /// A generous budget: no deadline, default (huge) counter limits.
-fn generous() -> DegradeBudget {
-    DegradeBudget {
-        exact_timeout: None,
-        bfs: BfsBudget::default(),
-    }
+fn generous() -> BfsBudget {
+    BfsBudget::default()
 }
 
 /// A starved exact budget: the BFS exhausts before examining anything.
-fn starved() -> DegradeBudget {
-    DegradeBudget {
-        exact_timeout: None,
-        bfs: BfsBudget {
-            max_candidates: 0,
-            max_worlds: 4,
-            deadline: None,
-        },
+fn starved() -> BfsBudget {
+    BfsBudget {
+        max_candidates: 0,
+        max_worlds: 4,
+        deadline: None,
     }
 }
 
@@ -58,7 +52,7 @@ fn random_case(seed: u64) -> (dams_core::Instance, SelectionPolicy, TokenId) {
 /// Run the default ladder for one seed into `metrics`.
 fn run_ladder(
     seed: u64,
-    budget: DegradeBudget,
+    budget: BfsBudget,
     metrics: &CoreMetrics,
 ) -> Result<dams_core::DegradedSelection, SelectError> {
     let (instance, policy, target) = random_case(seed);

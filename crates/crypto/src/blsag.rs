@@ -18,11 +18,9 @@
 //! functional simulation (which is all the paper's evaluation requires of
 //! Steps 2–3), useless against a real adversary. See DESIGN.md.
 
-use std::collections::HashMap;
-
 use rand::Rng;
 
-use crate::group::{Element, FixedBaseTable, Scalar, SchnorrGroup};
+use crate::group::{Element, Scalar, SchnorrGroup};
 use crate::keys::{hash_point, KeyImage, KeyPair, PublicKey};
 
 /// A linkable ring signature: the challenge seed `c_0`, one response per
@@ -54,34 +52,7 @@ impl std::fmt::Display for SignError {
 
 impl std::error::Error for SignError {}
 
-/// Serialize a ring for the challenge transcript.
-fn ring_bytes(ring: &[PublicKey]) -> Vec<[u8; 8]> {
-    ring.iter().map(|p| p.value().to_le_bytes()).collect()
-}
-
-/// Hash the running transcript into the next challenge, with the ring
-/// already serialized (verification reuses one serialization for all `n`
-/// challenges of a signature).
-fn challenge_serialized(
-    group: &SchnorrGroup,
-    message: &[u8],
-    ring: &[[u8; 8]],
-    l: Element,
-    r: Element,
-) -> Scalar {
-    let mut parts: Vec<&[u8]> = Vec::with_capacity(ring.len() + 3);
-    parts.push(message);
-    for b in ring {
-        parts.push(b);
-    }
-    let lb = l.value().to_le_bytes();
-    let rb = r.value().to_le_bytes();
-    parts.push(&lb);
-    parts.push(&rb);
-    group.hash_to_scalar(&parts)
-}
-
-/// Hash the running transcript into the next challenge.
+/// Hash the running transcript `(m, ring, L, R)` into the next challenge.
 fn challenge(
     group: &SchnorrGroup,
     message: &[u8],
@@ -89,7 +60,14 @@ fn challenge(
     l: Element,
     r: Element,
 ) -> Scalar {
-    challenge_serialized(group, message, &ring_bytes(ring), l, r)
+    let ring: Vec<[u8; 8]> = ring.iter().map(|p| p.value().to_le_bytes()).collect();
+    let (lb, rb) = (l.value().to_le_bytes(), r.value().to_le_bytes());
+    let mut parts: Vec<&[u8]> = Vec::with_capacity(ring.len() + 3);
+    parts.push(message);
+    parts.extend(ring.iter().map(|b| b.as_slice()));
+    parts.push(&lb);
+    parts.push(&rb);
+    group.hash_to_scalar(&parts)
 }
 
 /// Produce a ring signature on `message` over `ring` with the given signer.
@@ -184,106 +162,6 @@ pub fn verify(
 /// Whether two signatures were produced by the same key pair (double spend).
 pub fn linked(a: &RingSignature, b: &RingSignature) -> bool {
     a.key_image == b.key_image
-}
-
-/// One signature of a batch: the message, its ring, and the signature.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchItem<'a> {
-    pub message: &'a [u8],
-    pub ring: &'a [PublicKey],
-    pub signature: &'a RingSignature,
-}
-
-/// Amortizing verifier for a block of ring signatures.
-///
-/// Checks each signature with exactly the semantics of [`verify`] (the
-/// results are identical, signature by signature) while sharing work
-/// across the block:
-///
-/// * `H_p(P)` is computed once per *distinct* public key, not once per
-///   ring slot — in a block whose rings draw from a common mixin pool,
-///   this removes almost all `hash_to_element` SHA-256 work;
-/// * every exponentiation base (the generator, each public key, each
-///   hash point, each key image) gets a [`FixedBaseTable`] built lazily
-///   on its second use, so repeated bases — `g` and `I` appear once per
-///   ring slot, pool keys once per ring — cost ≤ 15 modular
-///   multiplications per exponentiation instead of ~90;
-/// * a ring is serialized once per signature rather than once per
-///   challenge.
-///
-/// Tables and memos persist across [`Self::verify`] calls: verify a whole
-/// block through one `BatchVerifier` (or use [`verify_batch`]).
-pub struct BatchVerifier<'g> {
-    group: &'g SchnorrGroup,
-    hash_points: HashMap<PublicKey, Element>,
-    /// Base residue → (uses so far, table once the base repays building one).
-    pow_memo: HashMap<u64, (u32, Option<FixedBaseTable>)>,
-}
-
-impl<'g> BatchVerifier<'g> {
-    /// A fresh verifier for `group` with empty memos.
-    pub fn new(group: &'g SchnorrGroup) -> Self {
-        BatchVerifier {
-            group,
-            hash_points: HashMap::new(),
-            pow_memo: HashMap::new(),
-        }
-    }
-
-    /// `H_p(pk)`, computed at most once per distinct key.
-    fn hash_point(&mut self, pk: PublicKey) -> Element {
-        *self
-            .hash_points
-            .entry(pk)
-            .or_insert_with(|| hash_point(self.group, pk))
-    }
-
-    /// `base^e`, building a fixed-base table on the base's second use
-    /// (break-even is three uses; the bases that matter appear many times).
-    fn pow(&mut self, base: Element, e: Scalar) -> Element {
-        let entry = self.pow_memo.entry(base.value()).or_insert((0, None));
-        entry.0 += 1;
-        if entry.1.is_none() && entry.0 >= 2 {
-            entry.1 = Some(FixedBaseTable::new(self.group, base));
-        }
-        match &entry.1 {
-            Some(table) => table.pow(e),
-            None => self.group.pow(base, e),
-        }
-    }
-
-    /// Verify one signature; same result as [`verify`] on the same inputs.
-    pub fn verify(&mut self, message: &[u8], ring: &[PublicKey], sig: &RingSignature) -> bool {
-        let group = *self.group;
-        let n = ring.len();
-        if n == 0 || sig.responses.len() != n || !group.contains(sig.key_image.0) {
-            return false;
-        }
-        let serialized = ring_bytes(ring);
-        let mut c = sig.c0;
-        for (&pk, &response) in ring.iter().zip(&sig.responses) {
-            let hp = self.hash_point(pk);
-            let l = group.mul(
-                self.pow(group.generator(), response),
-                self.pow(pk.element(), c),
-            );
-            let r = group.mul(self.pow(hp, response), self.pow(sig.key_image.0, c));
-            c = challenge_serialized(&group, message, &serialized, l, r);
-        }
-        c == sig.c0
-    }
-}
-
-/// Verify a block of signatures through one shared [`BatchVerifier`].
-///
-/// Equivalent to mapping [`verify`] over `items`, but hash points and
-/// fixed-base tables are amortized across the whole block.
-pub fn verify_batch(group: &SchnorrGroup, items: &[BatchItem<'_>]) -> Vec<bool> {
-    let mut verifier = BatchVerifier::new(group);
-    items
-        .iter()
-        .map(|item| verifier.verify(item.message, item.ring, item.signature))
-        .collect()
 }
 
 #[cfg(test)]
@@ -403,81 +281,6 @@ mod tests {
         let mut sig = sign(&grp, b"m", &ring, &keys[0], &mut rng).unwrap();
         sig.responses.pop();
         assert!(!verify(&grp, b"m", &ring, &sig));
-    }
-
-    #[test]
-    fn batch_verify_matches_singular_verify() {
-        // A block of signatures over overlapping rings from one key pool,
-        // including tampered and wrong-message entries: the batch verdicts
-        // must equal the per-signature verdicts bit for bit.
-        let (grp, keys, ring) = setup(6, 30);
-        let mut rng = StdRng::seed_from_u64(31);
-        let mut messages: Vec<Vec<u8>> = Vec::new();
-        let mut rings: Vec<Vec<PublicKey>> = Vec::new();
-        let mut sigs: Vec<RingSignature> = Vec::new();
-        for (i, signer) in keys.iter().enumerate() {
-            // Alternate between the full ring and a sub-ring (still
-            // containing the signer) so ring shapes vary across the block.
-            let sub: Vec<PublicKey> = if i % 2 == 0 {
-                ring.clone()
-            } else {
-                ring.iter().copied().skip(i % 3).collect()
-            };
-            if !sub.contains(&signer.public) {
-                continue;
-            }
-            let msg = format!("tx {i}").into_bytes();
-            let sig = sign(&grp, &msg, &sub, signer, &mut rng).unwrap();
-            messages.push(msg);
-            rings.push(sub);
-            sigs.push(sig);
-        }
-        // Corrupt one signature and one message.
-        let last = sigs.len() - 1;
-        sigs[last].responses[0] = grp.scalar(sigs[last].responses[0].value() ^ 1);
-        messages[0].push(b'!');
-
-        let items: Vec<BatchItem> = (0..sigs.len())
-            .map(|i| BatchItem {
-                message: &messages[i],
-                ring: &rings[i],
-                signature: &sigs[i],
-            })
-            .collect();
-        let batch = verify_batch(&grp, &items);
-        let singular: Vec<bool> = (0..sigs.len())
-            .map(|i| verify(&grp, &messages[i], &rings[i], &sigs[i]))
-            .collect();
-        assert_eq!(batch, singular);
-        assert!(!batch[0], "tampered message must fail");
-        assert!(!batch[last], "tampered response must fail");
-        assert!(batch[1..last].iter().all(|&ok| ok), "untouched sigs pass");
-    }
-
-    #[test]
-    fn batch_verifier_reusable_across_blocks() {
-        let (grp, keys, ring) = setup(4, 32);
-        let mut rng = StdRng::seed_from_u64(33);
-        let mut verifier = BatchVerifier::new(&grp);
-        for round in 0..3u32 {
-            let msg = round.to_le_bytes();
-            let sig = sign(&grp, &msg, &ring, &keys[round as usize % 4], &mut rng).unwrap();
-            assert!(verifier.verify(&msg, &ring, &sig));
-            assert!(!verifier.verify(b"other", &ring, &sig));
-        }
-    }
-
-    #[test]
-    fn batch_verifier_rejects_malformed() {
-        let (grp, keys, ring) = setup(3, 34);
-        let mut rng = StdRng::seed_from_u64(35);
-        let sig = sign(&grp, b"m", &ring, &keys[0], &mut rng).unwrap();
-        let mut verifier = BatchVerifier::new(&grp);
-        assert!(!verifier.verify(b"m", &[], &sig));
-        let mut short = sig.clone();
-        short.responses.pop();
-        assert!(!verifier.verify(b"m", &ring, &short));
-        assert!(verifier.verify(b"m", &ring, &sig));
     }
 
     #[test]

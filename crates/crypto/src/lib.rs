@@ -19,7 +19,7 @@ pub mod keys;
 pub mod prime;
 pub mod sha256;
 
-pub use blsag::{linked, sign, verify, verify_batch, BatchItem, BatchVerifier, RingSignature, SignError};
+pub use blsag::{linked, sign, verify, RingSignature, SignError};
 pub use group::{Element, FixedBaseTable, Scalar, SchnorrGroup};
 pub use prime::FixedBaseWindow;
 pub use hd::KeyChain;

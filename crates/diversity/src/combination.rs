@@ -36,18 +36,10 @@ pub struct WorldOptions<'a> {
     pub extra: Option<(RsId, &'a RingSet)>,
     /// Deadline, checked *inside* the recursion so one candidate with a
     /// huge possible-world set cannot blow far past the budget (see
-    /// `BfsBudget.deadline`). A [`Deadline::Ticks`] budget is charged one
-    /// unit per recursion step, making expiry deterministic; a
-    /// [`Deadline::At`] instant is polled every `DEADLINE_STRIDE` (1024) steps.
+    /// `BfsBudget.deadline`). It is charged one unit per recursion step,
+    /// so expiry is deterministic.
     pub deadline: Option<Deadline>,
 }
-
-/// How many recursion steps pass between wall-clock deadline checks.
-/// Checking `Instant::now()` per step would dominate the enumeration
-/// itself; every 1024 steps bounds the overshoot to microseconds.
-/// (Virtual `Ticks` deadlines are exact: they compare against the step
-/// counter itself and are checked every step.)
-const DEADLINE_STRIDE: u32 = 1024;
 
 struct WorldEnum<'a> {
     index: &'a RingIndex,
@@ -75,22 +67,11 @@ impl<'a> WorldEnum<'a> {
             return;
         }
         self.steps += 1;
-        // Virtual deadlines are exact (one work unit per step, checked
-        // every step); wall-clock deadlines are polled at step 1 (so an
-        // already-expired deadline aborts before any work) and every
-        // DEADLINE_STRIDE steps thereafter.
-        match self.deadline {
-            Some(d @ Deadline::Ticks(_)) if d.expired(self.steps - 1) => {
-                self.expired = true;
-                return;
-            }
-            Some(d @ Deadline::At(_))
-                if self.steps % u64::from(DEADLINE_STRIDE) == 1 && d.expired(self.steps) =>
-            {
-                self.expired = true;
-                return;
-            }
-            _ => {}
+        // One work unit per step, checked every step, so a zero budget
+        // aborts before any work.
+        if self.deadline.is_some_and(|d| d.expired(self.steps - 1)) {
+            self.expired = true;
+            return;
         }
         if depth == order.len() {
             // Permute back to the caller's ring order.
@@ -342,25 +323,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(reference, overlay);
-    }
-
-    #[test]
-    fn expired_deadline_aborts_enumeration() {
-        // Two large identical rings → 90 worlds; a deadline already in the
-        // past must abort with WorldsExpired instead of enumerating them.
-        let big: Vec<u32> = (1..=10).collect();
-        let idx = RingIndex::from_rings([ring(&big), ring(&big)]);
-        let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
-        let res = enumerate_worlds(
-            &idx,
-            &[RsId(0), RsId(1)],
-            &WorldOptions {
-                limit: usize::MAX,
-                extra: None,
-                deadline: Some(Deadline::At(past)),
-            },
-        );
-        assert_eq!(res, Err(WorldsExpired));
     }
 
     #[test]

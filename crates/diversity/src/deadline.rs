@@ -1,55 +1,38 @@
-//! Deadlines that work both on the wall clock and in virtual time.
+//! Work-unit deadlines for the exact algorithms.
 //!
 //! The exact algorithms accept an optional [`Deadline`] that bounds how
-//! long they may run. Two currencies are supported:
-//!
-//! * [`Deadline::At`] — a wall-clock expiry instant. This is what a live
-//!   node serving real traffic uses; expiry depends on the host's speed,
-//!   so results are *not* reproducible across machines.
-//! * [`Deadline::Ticks`] — a budget of abstract **work units** (the caller
-//!   defines the unit: BFS candidates examined, world-enumeration steps,
-//!   …). Expiry depends only on the work performed, so an entire
-//!   overload scenario — which requests degrade, which tier answers,
-//!   every metric — replays byte-identically from a seed. This is the
-//!   currency the selection service (`dams-svc`) propagates end-to-end:
-//!   queue wait is charged in the same ticks, so a request that waited
-//!   long arrives at the solver with a small `Ticks` budget and steers
-//!   itself down the degradation ladder deterministically.
+//! much work they may do. The budget is counted in abstract **work
+//! units** (the caller defines the unit: BFS candidates examined,
+//! world-enumeration steps, …). Expiry depends only on the work
+//! performed, so an entire overload scenario — which requests degrade,
+//! which tier answers, every metric — replays byte-identically from a
+//! seed on any host. The selection service (`dams-svc`) propagates this
+//! budget end-to-end: queue wait is charged in the same ticks, so a
+//! request that waited long arrives at the solver with a small budget and
+//! steers itself down the degradation ladder deterministically.
 //!
 //! `Deadline::Ticks(0)` is *already elapsed*: every consumer must treat it
 //! as expired before performing any work (see
 //! [`Deadline::already_elapsed`]).
 
-use std::time::{Duration, Instant};
-
 /// An expiry condition for budgeted work (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Deadline {
-    /// Expires when the wall clock reaches the instant.
-    At(Instant),
     /// Expires once the consumer has charged this many work units.
     Ticks(u64),
 }
 
 impl Deadline {
-    /// A wall-clock deadline `d` from now.
-    pub fn after(d: Duration) -> Self {
-        Deadline::At(Instant::now() + d)
-    }
-
-    /// A virtual deadline of `n` work units.
+    /// A deadline of `n` work units.
     pub fn ticks(n: u64) -> Self {
         Deadline::Ticks(n)
     }
 
     /// Whether the deadline has passed, given `work` units already spent.
-    /// (`work` is ignored by wall-clock deadlines.)
     #[inline]
     pub fn expired(&self, work: u64) -> bool {
-        match self {
-            Deadline::At(t) => Instant::now() >= *t,
-            Deadline::Ticks(n) => work >= *n,
-        }
+        let Deadline::Ticks(n) = *self;
+        work >= n
     }
 
     /// Whether no work at all can be afforded: the deadline is expired
@@ -58,12 +41,6 @@ impl Deadline {
     #[inline]
     pub fn already_elapsed(&self) -> bool {
         self.expired(0)
-    }
-
-    /// Whether this deadline only depends on charged work (so any run is
-    /// bit-reproducible regardless of host speed).
-    pub fn is_virtual(&self) -> bool {
-        matches!(self, Deadline::Ticks(_))
     }
 }
 
@@ -78,24 +55,11 @@ mod tests {
         assert!(!d.expired(2));
         assert!(d.expired(3));
         assert!(d.expired(u64::MAX));
-        assert!(d.is_virtual());
     }
 
     #[test]
     fn zero_ticks_is_already_elapsed() {
         assert!(Deadline::Ticks(0).already_elapsed());
         assert!(!Deadline::Ticks(1).already_elapsed());
-    }
-
-    #[test]
-    fn wall_clock_deadlines_expire_by_time() {
-        let past = Deadline::At(Instant::now() - Duration::from_millis(1));
-        assert!(past.already_elapsed());
-        assert!(past.expired(0));
-        assert!(!past.is_virtual());
-        let future = Deadline::after(Duration::from_secs(3600));
-        assert!(!future.already_elapsed());
-        // Work units are irrelevant to a wall-clock deadline.
-        assert!(!future.expired(u64::MAX));
     }
 }

@@ -13,8 +13,7 @@
 //! 2. Verdict bit-identity — behavioural: run the degrade ladder for a
 //!    sample of targets through the live index *and* through a fresh
 //!    [`index_of_chain`] rebuild, under the same deterministic counter
-//!    budget (no wall-clock timeouts — those would make "identical"
-//!    unfalsifiable), and `assert_eq!` the full
+//!    budget, and `assert_eq!` the full
 //!    [`dams_core::IndexedSelection`] including tier, ring, and stats.
 
 use rand::rngs::StdRng;
@@ -22,8 +21,8 @@ use rand::SeedableRng;
 
 use dams_blockchain::{Amount, Block, Chain, NoConfiguration, TokenOutput};
 use dams_core::{
-    recompute_equivalence, BfsBudget, CoreMetrics, DegradeBudget, DiversityIndex, LadderExec,
-    PracticalAlgorithm, SelectionPolicy, Tier,
+    recompute_equivalence, BfsBudget, CoreMetrics, DiversityIndex, LadderExec, PracticalAlgorithm,
+    SelectionPolicy, Tier,
 };
 use dams_crypto::{KeyPair, SchnorrGroup};
 use dams_diversity::DiversityRequirement;
@@ -49,16 +48,12 @@ fn mem_store(group: SchnorrGroup) -> dams_store::Recovered {
     .expect("fresh store opens")
 }
 
-/// Counter-only budget: enough exact search for λ-sized batches, zero
-/// wall-clock nondeterminism.
-fn deterministic_budget() -> DegradeBudget {
-    DegradeBudget {
-        exact_timeout: None,
-        bfs: BfsBudget {
-            max_candidates: 400,
-            max_worlds: 64,
-            deadline: None,
-        },
+/// Counter-only budget: enough exact search for λ-sized batches.
+fn deterministic_budget() -> BfsBudget {
+    BfsBudget {
+        max_candidates: 400,
+        max_worlds: 64,
+        deadline: None,
     }
 }
 

@@ -24,10 +24,6 @@
 //! * [`Mode::Full`] — everything, including nanosecond sums, bucket
 //!   counts, and estimated p50/p90/p99. This is what perf baselines
 //!   (`BENCH_*.json`) record.
-//! * [`Mode::WallClock`] — the complement of `Deterministic`: *only*
-//!   [`Unit::Nanos`] histograms, in full detail. The wall-time sidecar a
-//!   real (non-simulated) runtime prints next to its deterministic
-//!   accounting without polluting the reproducible snapshot.
 //!
 //! Value-domain histograms ([`Unit::Count`] — ring sizes, batch sizes)
 //! are fully deterministic and render identically in both modes.

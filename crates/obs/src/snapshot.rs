@@ -14,12 +14,6 @@ pub enum Mode {
     /// Render everything, including nanosecond sums, bucket layouts, and
     /// quantile estimates.
     Full,
-    /// The wall-clock sidecar: render *only* [`Unit::Nanos`] histograms,
-    /// in full detail. The complement of [`Mode::Deterministic`] — a real
-    /// runtime emits a deterministic snapshot for diffing plus this
-    /// sidecar for the host-dependent timings, with no metric appearing
-    /// fully in both.
-    WallClock,
 }
 
 /// The captured value of one metric.
@@ -83,14 +77,6 @@ impl Snapshot {
     pub fn render_text(&self, mode: Mode) -> String {
         let mut out = String::new();
         for e in &self.entries {
-            if mode == Mode::WallClock
-                && !matches!(
-                    &e.value,
-                    SnapshotValue::Histogram { unit: Unit::Nanos, .. }
-                )
-            {
-                continue;
-            }
             match &e.value {
                 SnapshotValue::Counter(v) => {
                     let _ = writeln!(out, "{}\tcounter\t{v}", e.name);
@@ -135,19 +121,8 @@ impl Snapshot {
     /// in sorted order and no map iteration is involved, so the document
     /// is stable: the same snapshot always renders the same bytes.
     pub fn render_json(&self, mode: Mode) -> String {
-        let entries: Vec<&SnapshotEntry> = self
-            .entries
-            .iter()
-            .filter(|e| {
-                mode != Mode::WallClock
-                    || matches!(
-                        &e.value,
-                        SnapshotValue::Histogram { unit: Unit::Nanos, .. }
-                    )
-            })
-            .collect();
         let mut out = String::from("{\n");
-        for (i, e) in entries.iter().enumerate() {
+        for (i, e) in self.entries.iter().enumerate() {
             let _ = write!(out, "  {}: ", json_string(&e.name));
             match &e.value {
                 SnapshotValue::Counter(v) => {
@@ -193,7 +168,7 @@ impl Snapshot {
                     }
                 }
             }
-            out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
+            out.push_str(if i + 1 < self.entries.len() { ",\n" } else { "\n" });
         }
         out.push_str("}\n");
         out
@@ -262,19 +237,6 @@ mod tests {
         assert!(full.contains("\"sum\":1234"));
         let det_json = snap.render_json(Mode::Deterministic);
         assert!(!det_json.contains("1234"));
-    }
-
-    #[test]
-    fn wallclock_mode_is_the_nanos_sidecar() {
-        let snap = sample().snapshot();
-        let wall = snap.render_text(Mode::WallClock);
-        let lines: Vec<&str> = wall.lines().collect();
-        assert_eq!(lines.len(), 1, "only the timer survives:\n{wall}");
-        assert!(wall.contains("chain.verify.block_ns\thistogram\tcount=1 sum=1234"));
-        let wall_json = snap.render_json(Mode::WallClock);
-        assert!(wall_json.contains("\"sum\":1234"));
-        assert!(!wall_json.contains("core.select.ring_size"));
-        assert!(wall_json.ends_with("}\n"));
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //! * the breaker feedback classification (deadline-driven fallback vs
 //!   exact success).
 
-use dams_core::{
-    BfsBudget, Deadline, DegradeBudget, DegradedSelection, SelectError, Tier,
-};
+use dams_core::{BfsBudget, Deadline, DegradedSelection, SelectError, Tier};
 
 /// The tier ladder a request runs: full while exact budgets are granted,
 /// cheap-only while the circuit is open.
@@ -50,19 +48,16 @@ pub fn exact_grant(remaining: u64, reserve_ticks: u64, ticks_per_candidate: u64,
     remaining.saturating_sub(reserve_ticks) / ticks_per_candidate.max(1)
 }
 
-/// The degrade budget carrying a candidate grant as a virtual deadline,
-/// `Deadline::Ticks(grant_candidates)`. That one grant caps two separate
+/// The exact-tier budget carrying a candidate grant as a work-tick
+/// deadline, `Deadline::Ticks(grant_candidates)`. That one grant caps two separate
 /// counters in the exact search: it examines at most `grant_candidates`
 /// candidates, and each candidate's world enumeration gives up on step
 /// `grant_candidates + 1` (see [`BfsBudget::deadline`]). Either cap
 /// exhausts the exact tier, which then hands over to the next tier.
-pub fn grant_budget(grant_candidates: u64) -> DegradeBudget {
-    DegradeBudget {
-        exact_timeout: None,
-        bfs: BfsBudget {
-            deadline: Some(Deadline::Ticks(grant_candidates)),
-            ..BfsBudget::default()
-        },
+pub fn grant_budget(grant_candidates: u64) -> BfsBudget {
+    BfsBudget {
+        deadline: Some(Deadline::Ticks(grant_candidates)),
+        ..BfsBudget::default()
     }
 }
 
@@ -160,9 +155,13 @@ mod tests {
 
     #[test]
     fn grant_budget_carries_a_tick_deadline() {
-        let b = grant_budget(17);
-        assert_eq!(b.bfs.deadline, Some(Deadline::Ticks(17)));
-        assert_eq!(b.exact_timeout, None);
+        assert_eq!(
+            grant_budget(17),
+            BfsBudget {
+                deadline: Some(Deadline::Ticks(17)),
+                ..BfsBudget::default()
+            }
+        );
     }
 
     #[test]

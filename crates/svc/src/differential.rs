@@ -2,20 +2,20 @@
 //!
 //! The virtual-tick [`Service`] is the *model*: deterministic, inline,
 //! trivially auditable. The [`runtime`](crate::runtime) is the
-//! *implementation*: real threads and a real wire. This module replays
+//! *implementation*: a real thread and a real wire. This module replays
 //! the **same seeded open-loop arrival trace** through both and diffs
 //! their accounting.
 //!
 //! # Exact equality
 //!
-//! Both run one admission engine and, in virtual pace, one event loop
-//! that settles each dispatched job before the next event; they differ
-//! only in how a job becomes an outcome (an inline ladder call, or a
-//! round trip to a worker thread). So the oracle demands equality, not
+//! Both run one admission engine and one event loop that settles each
+//! dispatched job before the next event; they differ only in how a job
+//! becomes an outcome (an inline ladder call, or a round trip to a
+//! worker thread). So the oracle demands equality, not
 //! closeness: every [`SvcReport`] field and every deterministic
 //! `svc.*`/`core.*` snapshot line must match. The runtime-only
 //! `svc.runtime.*` lines are left out. What the oracle still tests is
-//! what genuinely differs — worker threads, wire frames, and the client
+//! what genuinely differs — the worker thread, wire frames, and the client
 //! tally — through exact invariants (one response per id, client tally
 //! == server report, every frame received and none rejected).
 //!
@@ -31,7 +31,7 @@ use dams_diversity::{DiversityRequirement, HtId, TokenUniverse};
 use dams_workload::ArrivalEvent;
 
 use crate::overload::{build_arrivals, calibrate, service_config, OverloadConfig};
-use crate::runtime::{run_runtime, Pace, RuntimeConfig, RuntimeReport, Transport};
+use crate::runtime::{run_runtime, RuntimeConfig, RuntimeReport, Transport};
 use crate::service::{Priority, Request, Service, SvcReport};
 use crate::wire::WireError;
 
@@ -208,8 +208,8 @@ pub fn trace_from_arrivals(arrivals: &[(u64, Request)], tenants: u64) -> Vec<Arr
         .collect()
 }
 
-/// Replay one seeded scenario through the sim and the real runtime
-/// (virtual pace) and diff the accounting.
+/// Replay one seeded scenario through the sim and the real runtime and
+/// diff the accounting.
 pub fn run_differential(cfg: &DiffConfig) -> Result<DiffOutcome, WireError> {
     let universe = TokenUniverse::new((0..cfg.overload.universe.max(4)).map(HtId).collect());
     let instance = Instance::fresh(universe);
@@ -225,7 +225,6 @@ pub fn run_differential(cfg: &DiffConfig) -> Result<DiffOutcome, WireError> {
 
     let rt_cfg = RuntimeConfig {
         svc: svc_cfg,
-        pace: Pace::Virtual,
         transport: cfg.transport,
         tenants: cfg.tenants.max(1),
     };

@@ -9,19 +9,17 @@
 //! * **dispatch** — the queue-wait debit, the floored ladder and the
 //!   exact grant ([`Engine::grant`]), and the chaos stall;
 //! * **settlement** — the tick price, breaker feedback with its seeded
-//!   jitter, the deadline verdict, and the terminal ledger;
+//!   jitter, the deadline verdict, and the terminal ledger (the first
+//!   settlement of an id wins);
 //! * **retry and hedge scheduling** for shed batch requests, with twin
 //!   dedup on arrival and on dispatch.
 //!
-//! Three drivers run it. They differ only where they must:
+//! Two drivers run it. They differ only where they must:
 //!
-//! * [`Service::run`](crate::service::Service::run) and the runtime's
-//!   virtual pace are one event loop, [`Engine::run`]. A dispatched job
-//!   becomes an outcome by an inline ladder call in the service and by a
-//!   round trip to a worker thread in the runtime.
-//! * The runtime's wall pace keeps a real clock and lets its workers race
-//!   to settle the shared [`TerminalLedger`] (first writer wins). It calls
-//!   the same arrival, dispatch and settlement steps.
+//! * [`Service::run`](crate::service::Service::run) and the
+//!   [`runtime`](crate::runtime) are one event loop, [`Engine::run`]. A
+//!   dispatched job becomes an outcome by an inline ladder call in the
+//!   service and by a round trip to the worker thread in the runtime.
 //! * [`Frontend`](crate::frontend::Frontend) runs one request through
 //!   admit → grant → settle. It has no queue and no ledger entry.
 //!
@@ -32,11 +30,10 @@
 //! is idle or both queues are empty. So the next round can pair at most
 //! one worker with one request: a round never yields more than one job.
 //! [`Engine::run`] settles that job before it takes the next event, so
-//! in virtual pace at most one selection is in flight, and the runtime
-//! settles each request exactly where the sim does.
+//! at most one selection is ever in flight, and the runtime settles each
+//! request exactly where the sim does.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::collections::{hash_map::Entry, BTreeMap, HashMap, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -65,7 +62,7 @@ pub enum TerminalFate {
 
 impl TerminalFate {
     /// The fate of `job` when it finishes at tick `finish`.
-    pub(crate) fn of(job: &Job, outcome: &Outcome, finish: u64) -> Self {
+    fn of(job: &Job, outcome: &Outcome, finish: u64) -> Self {
         match outcome {
             Ok(sel) => TerminalFate::Completed {
                 met: finish.saturating_sub(job.enqueued) <= job.req.budget,
@@ -76,55 +73,9 @@ impl TerminalFate {
     }
 }
 
-/// First-writer-wins terminal accounting, shared between the engine and
-/// (in wall pace) the racing workers. Exactly one settlement per id ever
-/// succeeds; everything downstream — response frames, completion
-/// counters, hedge dedup — keys off that single success.
-#[derive(Debug, Default)]
-pub struct TerminalLedger {
-    inner: Mutex<HashMap<u64, TerminalFate>>,
-}
-
-impl TerminalLedger {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn map(&self) -> std::sync::MutexGuard<'_, HashMap<u64, TerminalFate>> {
-        self.inner.lock().expect("ledger lock")
-    }
-
-    /// Record `fate` for `id` unless a twin got there first. Returns
-    /// whether this call won the settlement.
-    pub fn settle(&self, id: u64, fate: TerminalFate) -> bool {
-        let mut map = self.map();
-        if map.contains_key(&id) {
-            return false;
-        }
-        map.insert(id, fate);
-        true
-    }
-
-    pub fn contains(&self, id: u64) -> bool {
-        self.map().contains_key(&id)
-    }
-
-    pub fn get(&self, id: u64) -> Option<TerminalFate> {
-        self.map().get(&id).copied()
-    }
-
-    pub fn len(&self) -> usize {
-        self.map().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// An event on the engine's clock.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Event {
+enum Event {
     Arrival {
         req: Request,
         attempt: u32,
@@ -145,10 +96,9 @@ struct Queued {
 /// engine needs to settle it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Job {
-    pub worker: usize,
-    pub req: Request,
-    pub hedge: bool,
-    pub enqueued: u64,
+    worker: usize,
+    req: Request,
+    enqueued: u64,
     exact_ok: bool,
     grant: u64,
     stall: u64,
@@ -183,17 +133,18 @@ impl Job {
 
 /// The admission engine (see the module docs).
 pub(crate) struct Engine {
-    pub cfg: SvcConfig,
+    cfg: SvcConfig,
     pub metrics: SvcMetrics,
     pub core: CoreMetrics,
     breaker: CircuitBreaker,
     rng: StdRng,
     interactive: VecDeque<Queued>,
     batch: VecDeque<Queued>,
-    pub idle: VecDeque<usize>,
-    pub ledger: Arc<TerminalLedger>,
+    idle: VecDeque<usize>,
+    /// The terminal fate of every settled id.
+    ledger: HashMap<u64, TerminalFate>,
     /// Ids this engine settled that the driver has not answered yet.
-    pub settled: Vec<(u64, TerminalFate)>,
+    settled: Vec<(u64, TerminalFate)>,
     /// Pending events keyed by `(tick, insertion order)`, so ties pop in
     /// the order they were scheduled.
     events: BTreeMap<(u64, u64), Event>,
@@ -201,7 +152,7 @@ pub(crate) struct Engine {
     offered_ids: u64,
     dispatches: u64,
     /// The tick the last event settled at.
-    pub final_tick: u64,
+    final_tick: u64,
 }
 
 impl Engine {
@@ -222,7 +173,7 @@ impl Engine {
             interactive: VecDeque::new(),
             batch: VecDeque::new(),
             idle: (0..cfg.workers.max(1)).collect(),
-            ledger: Arc::default(),
+            ledger: HashMap::new(),
             settled: Vec::new(),
             events: BTreeMap::new(),
             next_seq: 0,
@@ -284,7 +235,6 @@ impl Engine {
         Ok(Job {
             worker: 0,
             req,
-            hedge: false,
             enqueued,
             exact_ok,
             grant: admission::exact_grant(
@@ -382,7 +332,7 @@ impl Engine {
     // Queues, retries and the ledger (the service and the runtime)
     // -----------------------------------------------------------------
 
-    pub fn on_event(&mut self, now: u64, event: Event) {
+    fn on_event(&mut self, now: u64, event: Event) {
         match event {
             Event::Arrival {
                 req,
@@ -394,7 +344,7 @@ impl Engine {
     }
 
     /// Admit one arrival into its class queue, or shed it.
-    pub fn arrive(&mut self, now: u64, req: Request, attempt: u32, hedge: bool) {
+    fn arrive(&mut self, now: u64, req: Request, attempt: u32, hedge: bool) {
         if attempt == 1 && !hedge {
             self.offered_ids += 1;
             self.metrics.offered.inc();
@@ -427,7 +377,7 @@ impl Engine {
     /// Whether a twin (hedge or primary) already settled `id`; a hedge
     /// that lost the race counts as wasted.
     fn twin_settled(&self, id: u64, hedge: bool) -> bool {
-        let settled = self.ledger.contains(id);
+        let settled = self.ledger.contains_key(&id);
         if settled && hedge {
             self.metrics.hedges_wasted.inc();
         }
@@ -470,7 +420,7 @@ impl Engine {
 
     /// Pair an idle worker with the next queued request that survives
     /// dedup and the grant step. `None` once either side runs dry.
-    pub fn dispatch(&mut self, now: u64) -> Option<Job> {
+    fn dispatch(&mut self, now: u64) -> Option<Job> {
         while !self.idle.is_empty() {
             let q = self
                 .interactive
@@ -497,7 +447,6 @@ impl Engine {
                     };
                     return Some(Job {
                         worker,
-                        hedge: q.hedge,
                         stall,
                         ..job
                     });
@@ -514,7 +463,8 @@ impl Engine {
     /// Settle `id` terminally unless a twin got there first; the winner
     /// waits in `settled` for the driver to answer it.
     fn record_terminal(&mut self, id: u64, fate: TerminalFate) {
-        if self.ledger.settle(id, fate) {
+        if let Entry::Vacant(slot) = self.ledger.entry(id) {
+            slot.insert(fate);
             self.settled.push((id, fate));
         }
     }
@@ -524,27 +474,8 @@ impl Engine {
         self.next_seq += 1;
     }
 
-    /// Pop the next event due at or before `now` (wall pace).
-    pub fn pop_due(&mut self, now: u64) -> Option<Event> {
-        let (&(tick, _), _) = self.events.first_key_value()?;
-        if tick > now {
-            return None;
-        }
-        self.events.pop_first().map(|(_, event)| event)
-    }
-
-    /// The tick the next scheduled event is due at.
-    pub fn next_due(&self) -> Option<u64> {
-        self.events.first_key_value().map(|(&(tick, _), _)| tick)
-    }
-
-    /// No request queued and no event scheduled.
-    pub fn is_drained(&self) -> bool {
-        self.interactive.is_empty() && self.batch.is_empty() && self.events.is_empty()
-    }
-
-    /// The discrete-event loop behind [`Service::run`] and the runtime's
-    /// virtual pace. Arrivals need not be sorted; ties settle in input
+    /// The discrete-event loop behind [`Service::run`] and the runtime.
+    /// Arrivals need not be sorted; ties settle in input
     /// order. `execute` turns a job into its outcome; `respond` hears
     /// every terminal settlement. The loop dispatches after every event
     /// and settles each job before the next event (see the module docs).
@@ -599,7 +530,7 @@ impl Engine {
             snapshot: registry.snapshot().render_text(Mode::Deterministic),
             ..SvcReport::default()
         };
-        for fate in self.ledger.map().values() {
+        for fate in self.ledger.values() {
             match fate {
                 TerminalFate::Completed { met, .. } => {
                     r.completed += 1;

@@ -9,15 +9,14 @@
 //! [`ShedReason`] *before* any search runs), grant (the floored ladder
 //! and the reserve arithmetic of [`crate::admission`]), and settle (the
 //! tick price, breaker feedback, and the deadline verdict). The breaker
-//! runs on a virtual [`MonoClock`] that advances by each call's priced
-//! work; a call meets its deadline when that price fits its budget.
+//! runs on a work-tick clock that advances by each call's priced work; a
+//! call meets its deadline when that price fits its budget.
 
 use dams_core::{DegradedSelection, Instance, ModularInstance, SelectionPolicy};
 use dams_diversity::TokenId;
 use dams_obs::Registry;
 
 use crate::breaker::{BreakerConfig, CircuitState};
-use crate::clock::MonoClock;
 use crate::engine::Engine;
 use crate::service::{Priority, Request, ShedReason, SvcConfig};
 
@@ -52,8 +51,8 @@ pub struct Frontend<'a> {
     instance: &'a Instance,
     policy: SelectionPolicy,
     engine: Engine,
-    /// The breaker/deadline clock: virtual ticks advanced by priced work.
-    clock: MonoClock,
+    /// The breaker/deadline clock: work ticks, advanced by priced work.
+    now: u64,
 }
 
 impl<'a> Frontend<'a> {
@@ -76,7 +75,7 @@ impl<'a> Frontend<'a> {
             instance,
             policy,
             engine: Engine::new(svc, registry, SEED_SALT),
-            clock: MonoClock::ticks(),
+            now: 0,
         }
     }
 
@@ -159,7 +158,7 @@ impl<'a> Frontend<'a> {
             require_exact,
             anonymity_floor,
         };
-        let now = self.clock.now();
+        let now = self.now;
         let e = &mut self.engine;
         e.metrics.offered.inc();
         let granted = e.admit(now, &req).and_then(|()| {
@@ -171,9 +170,8 @@ impl<'a> Frontend<'a> {
         // The call's priced work advances the clock; the breaker hears
         // about it at the post-advance tick.
         let cost = e.price(&job, &outcome);
-        self.clock.advance(cost);
-        let now = self.clock.now();
-        e.settle(&job, &outcome, cost, now, now);
+        self.now = self.now.saturating_add(cost);
+        e.settle(&job, &outcome, cost, self.now, self.now);
         // Terminal selection errors surface as an infeasible deadline:
         // the caller's budget cannot buy an answer.
         outcome.map_err(|_| ShedReason::DeadlineInfeasible)

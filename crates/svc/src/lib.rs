@@ -19,7 +19,7 @@
 //! * [`retry`] — full-jitter backoff policy for shed batch requests.
 //! * [`frontend`] — a queueless synchronous facade with the same
 //!   protections, for embedding in `dams-node`'s wallet.
-//! * [`runtime`] — the same service on real worker threads behind the
+//! * [`runtime`] — the same service on a real worker thread behind the
 //!   [`wire`] protocol, checked against the simulation by
 //!   [`differential`].
 //! * [`overload`] — the seeded overload harness: calibrates the tick
@@ -38,13 +38,13 @@
 //! once, in a crate-private engine that [`service`], [`runtime`] and
 //! [`frontend`] all run.
 //!
-//! Everything runs on a virtual tick clock from explicit seeds, so an
+//! Everything runs on one clock, work ticks, from explicit seeds: no
+//! budget, deadline or breaker cooldown reads the wall clock, so an
 //! overload scenario replays byte-identically, which the property tests
 //! assert on rendered snapshots.
 
 pub mod admission;
 pub mod breaker;
-pub mod clock;
 pub mod cluster;
 pub mod differential;
 mod engine;
@@ -58,13 +58,12 @@ pub mod soak;
 pub mod wire;
 
 pub use breaker::{BreakerConfig, CircuitBreaker, CircuitState, Transition};
-pub use clock::{calibrate_wall, MonoClock, WallCalibration};
 pub use cluster::{run_cluster_overload, ClusterLoadReport};
 pub use differential::{
     render_multi, render_runtime_bench_json, run_differential, DiffConfig, DiffOutcome, DiffReport,
     DiffRow,
 };
-pub use engine::{TerminalFate, TerminalLedger};
+pub use engine::TerminalFate;
 pub use frontend::{Frontend, FrontendConfig};
 pub use obs::{RuntimeMetrics, SvcMetrics};
 pub use overload::{
@@ -72,7 +71,7 @@ pub use overload::{
     Calibration, OverloadConfig,
 };
 pub use retry::RetryPolicy;
-pub use runtime::{run_runtime, ClientTally, Pace, RuntimeConfig, RuntimeReport, Transport};
+pub use runtime::{run_runtime, ClientTally, RuntimeConfig, RuntimeReport, Transport};
 pub use service::{Priority, Request, Service, ShedReason, SvcConfig, SvcReport};
 pub use soak::{
     render_soak_json, run_soak, SoakConfig, SoakPhase, SoakReport, MAINTENANCE_TOLERANCE,

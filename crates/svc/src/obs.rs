@@ -94,18 +94,13 @@ impl SvcMetrics {
 /// * `svc.runtime.frames.{sent,received,rejected}_total` — wire frames
 ///   the server wrote / decoded / refused (deterministic for a given
 ///   trace, so they live in the deterministic snapshot);
-/// * `svc.runtime.sessions_total` — wallet sessions opened via HELLO;
-/// * `svc.runtime.wall.latency_ns` / `svc.runtime.wall.service_ns` —
-///   wall-clock distributions ([`Unit::Nanos`]): hidden by deterministic
-///   snapshots, rendered in full by the `Mode::WallClock` sidecar.
+/// * `svc.runtime.sessions_total` — wallet sessions opened via HELLO.
 #[derive(Debug, Clone)]
 pub struct RuntimeMetrics {
     pub frames_sent: Counter,
     pub frames_received: Counter,
     pub frames_rejected: Counter,
     pub sessions: Counter,
-    pub wall_latency: Histogram,
-    pub wall_service: Histogram,
 }
 
 impl RuntimeMetrics {
@@ -116,8 +111,6 @@ impl RuntimeMetrics {
             frames_received: registry.counter("svc.runtime.frames.received_total"),
             frames_rejected: registry.counter("svc.runtime.frames.rejected_total"),
             sessions: registry.counter("svc.runtime.sessions_total"),
-            wall_latency: registry.histogram("svc.runtime.wall.latency_ns", Unit::Nanos),
-            wall_service: registry.histogram("svc.runtime.wall.service_ns", Unit::Nanos),
         }
     }
 }
@@ -142,19 +135,14 @@ mod tests {
     }
 
     #[test]
-    fn runtime_family_registers_and_hides_wall_timers_deterministically() {
-        use dams_obs::Mode;
+    fn runtime_family_registers() {
         let registry = Registry::new();
         let m = RuntimeMetrics::in_registry(&registry);
         m.frames_sent.add(3);
         m.sessions.inc();
-        m.wall_latency.record(1_500);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("svc.runtime.frames.sent_total"), Some(3));
         assert_eq!(snap.counter("svc.runtime.sessions_total"), Some(1));
-        let det = snap.render_text(Mode::Deterministic);
-        assert!(det.contains("svc.runtime.wall.latency_ns\ttimer\tcount=1"));
-        assert!(!det.contains("p99"), "nanos detail must stay out: {det}");
     }
 
     #[test]

@@ -27,8 +27,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dams_core::{
-    bfs, select_with_ladder_exec, BfsBudget, CoreMetrics, DegradeBudget, Instance,
-    LadderExec, SelectionPolicy, Tier,
+    bfs, select_with_ladder_exec, BfsBudget, CoreMetrics, Instance, LadderExec, SelectionPolicy,
+    Tier,
 };
 use dams_diversity::{DiversityRequirement, HtId, TokenId, TokenUniverse};
 use dams_obs::Registry;
@@ -69,10 +69,7 @@ pub fn calibrate(
             instance,
             target,
             policy,
-            DegradeBudget {
-                exact_timeout: None,
-                bfs: BfsBudget::default(),
-            },
+            BfsBudget::default(),
             &cheap_ladder,
             &metrics,
             &LadderExec::default(),

@@ -1,67 +1,44 @@
-//! The real concurrent runtime front end: actual worker threads behind
-//! the service's admission/breaker semantics, driven over the wire
-//! protocol ([`crate::wire`]).
+//! The real concurrent runtime front end: a worker thread behind the
+//! service's admission/breaker semantics, driven over the wire protocol
+//! ([`crate::wire`]).
 //!
-//! # One engine, two paces
+//! # One engine, one clock
 //!
 //! The server runs the crate's admission engine, the same one the
 //! virtual-tick [`Service`](crate::service::Service) and the `Frontend`
 //! run: arrival checks, class queues, the floored ladder and exact
 //! grant, dispatch, settlement, breaker feedback, retries and hedges.
-//! What the runtime adds is real: decoded and authenticated wire frames,
-//! worker threads, and in wall pace a real clock.
+//! What the runtime adds is real: decoded and authenticated wire frames
+//! over an in-process pipe or loopback TCP, and a worker thread.
 //!
-//! * **Virtual pace** ([`Pace::Virtual`]) — the differential-oracle
-//!   mode. The client writes the whole trace over the wire and closes;
-//!   the server decodes and authenticates every frame, then replays the
-//!   arrivals through the engine's event loop, the same loop
-//!   [`Service::run`](crate::service::Service::run) runs. Each dispatched
-//!   job is a round trip to a worker thread, and it is settled before
-//!   the next event. A dispatch round never yields more than one job,
-//!   because the loop dispatches after every event and each event adds
-//!   one arrival or frees one worker. So at most one selection is in
-//!   flight, and the runtime's accounting equals the sim's exactly —
-//!   which is what lets CI re-run the real runtime three times and
-//!   demand byte-identical reports.
-//! * **Wall pace** ([`Pace::Wall`]) — arrivals are paced by real
-//!   sleeps (trace tick × calibrated `ns_per_tick`), deadlines are wall
-//!   deadlines mapped through the same tick economy, and workers settle
-//!   the shared [`TerminalLedger`] themselves at completion time:
-//!   genuinely racing settlements, first writer wins, hedge twins
-//!   deduplicate through the ledger. The server calls the engine's
-//!   arrival, dispatch and settlement steps on the real clock. Only
-//!   invariants (terminal accounting, exactly-one-response-per-id) are
-//!   asserted here, not bit-determinism.
+//! The client writes the whole trace over the wire and closes; the server
+//! decodes and authenticates every frame, then replays the arrivals
+//! through the engine's event loop on the work-tick clock, the same loop
+//! [`Service::run`](crate::service::Service::run) runs. Each dispatched
+//! job is a round trip to the worker thread, and it is settled before the
+//! next event. A dispatch round never yields more than one job, because
+//! the loop dispatches after every event and each event adds one arrival
+//! or frees one worker. So at most one selection is in flight: one
+//! thread runs every job while the engine models `cfg.svc.workers`
+//! worker slots, and the runtime's accounting equals the sim's exactly —
+//! which is what lets CI re-run the real runtime three times and demand
+//! byte-identical reports.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown as NetShutdown, TcpListener, TcpStream};
 use std::sync::mpsc;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use dams_core::{CoreMetrics, Instance, SelectionPolicy};
-use dams_obs::{Mode, Registry};
+use dams_core::{Instance, SelectionPolicy};
+use dams_obs::Registry;
 use dams_workload::ArrivalEvent;
 
-use crate::clock::MonoClock;
-use crate::engine::{Engine, Job, Outcome, TerminalFate, TerminalLedger};
+use crate::engine::{Engine, Job, Outcome, TerminalFate};
 use crate::obs::RuntimeMetrics;
 use crate::service::{self, SvcConfig, SvcReport};
 use crate::wire::{
     duplex_pair, write_frame, DuplexEnd, FrameReader, Hello, Message, WireError, WireOutcome,
     WireRequest, WireResponse,
 };
-
-/// How request arrivals are paced through the server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Pace {
-    /// Replay on the virtual tick clock (deterministic; the
-    /// differential-oracle mode).
-    Virtual,
-    /// Pace arrivals in real time at `ns_per_tick` nanoseconds per
-    /// virtual tick (from [`crate::clock::calibrate_wall`]).
-    Wall { ns_per_tick: u64 },
-}
 
 /// Which byte transport carries the frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,11 +59,10 @@ impl std::fmt::Display for Transport {
 }
 
 /// Runtime configuration: the service semantics plus the runtime's own
-/// pacing/transport/session choices.
+/// transport/session choices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
     pub svc: SvcConfig,
-    pub pace: Pace,
     pub transport: Transport,
     /// Wallet sessions the client opens (requests carry a tenant id;
     /// `trace.tenant` should stay below this).
@@ -97,7 +73,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             svc: SvcConfig::default(),
-            pace: Pace::Virtual,
             transport: Transport::Duplex,
             tenants: 3,
         }
@@ -131,9 +106,6 @@ pub struct RuntimeReport {
     pub frames_rejected: u64,
     /// Wallet sessions opened.
     pub sessions: u64,
-    /// Wall-clock sidecar snapshot ([`Mode::WallClock`]): only the
-    /// nanosecond timers, rendered in full. Empty-ish in virtual pace.
-    pub wall_snapshot: String,
 }
 
 // ---------------------------------------------------------------------
@@ -223,77 +195,11 @@ fn wire_request(e: &ArrivalEvent) -> WireRequest {
 }
 
 // ---------------------------------------------------------------------
-// Worker pool
+// Server
 // ---------------------------------------------------------------------
 
-/// Everything the server's main thread hears about.
-enum ServerMsg {
-    /// A frame the wall-pace reader thread decoded.
-    Frame(Message),
-    /// The wall-pace reader thread reached end of stream (or a bad frame).
-    ReaderDone(Result<(), WireError>),
-    /// A worker finished a job.
-    Done(Done),
-}
-
-struct Done {
-    job: Job,
-    outcome: Outcome,
-    /// Wall pace only: the clock tick the worker finished at.
-    finish_tick: u64,
-    /// Wall pace only: whether this worker's inline settlement won.
-    won: bool,
-}
-
-/// Wall-pace inline settlement context handed to each worker.
-struct InlineSettle {
-    ledger: Arc<TerminalLedger>,
-    clock: MonoClock,
-    ns_per_tick: u64,
-    metrics: RuntimeMetrics,
-}
-
-fn worker_loop(
-    instance: &Instance,
-    policy: SelectionPolicy,
-    core: CoreMetrics,
-    jobs: mpsc::Receiver<Job>,
-    done: mpsc::Sender<ServerMsg>,
-    inline: Option<InlineSettle>,
-) {
-    while let Ok(job) = jobs.recv() {
-        let started = Instant::now();
-        let outcome = job.select(instance, None, policy, &core);
-        let (mut finish_tick, mut won) = (0, false);
-        if let Some(inl) = &inline {
-            // Racing settlement: first twin to reach the ledger wins.
-            finish_tick = inl.clock.now();
-            won = inl
-                .ledger
-                .settle(job.req.id, TerminalFate::of(&job, &outcome, finish_tick));
-            inl.metrics
-                .wall_service
-                .record(started.elapsed().as_nanos() as u64);
-            inl.metrics.wall_latency.record(
-                finish_tick
-                    .saturating_sub(job.enqueued)
-                    .saturating_mul(inl.ns_per_tick),
-            );
-        }
-        let msg = ServerMsg::Done(Done {
-            job,
-            outcome,
-            finish_tick,
-            won,
-        });
-        if done.send(msg).is_err() {
-            return;
-        }
-    }
-}
-
 fn hung_up() -> WireError {
-    WireError::Io("worker pool hung up".into())
+    WireError::Io("worker thread hung up".into())
 }
 
 /// Count one frame the client sent; returns the request it carries.
@@ -315,85 +221,11 @@ fn count_frame(rt: &RuntimeMetrics, msg: Message) -> Option<WireRequest> {
 }
 
 // ---------------------------------------------------------------------
-// Wall-pace server
-// ---------------------------------------------------------------------
-
-/// Serve on the real clock until the client is done and every request
-/// is answered.
-fn run_wall(
-    engine: &mut Engine,
-    clock: MonoClock,
-    ns_per_tick: u64,
-    job_tx: &[mpsc::Sender<Job>],
-    rx: mpsc::Receiver<ServerMsg>,
-    rt: &RuntimeMetrics,
-    respond: &mut impl FnMut(u64, TerminalFate) -> Result<(), WireError>,
-) -> Result<(), WireError> {
-    let mut reader_done = false;
-    let mut in_flight = 0usize;
-    loop {
-        let now = clock.now();
-        while let Some(event) = engine.pop_due(now) {
-            engine.on_event(now, event);
-        }
-        while let Some(job) = engine.dispatch(clock.now()) {
-            job_tx[job.worker].send(job).map_err(|_| hung_up())?;
-            in_flight += 1;
-        }
-        for (id, fate) in engine.settled.drain(..) {
-            respond(id, fate)?;
-        }
-        if reader_done && in_flight == 0 && engine.is_drained() {
-            break;
-        }
-        let timeout = match engine.next_due() {
-            Some(due) => {
-                let ticks = due.saturating_sub(clock.now());
-                Duration::from_nanos(ticks.saturating_mul(ns_per_tick).clamp(50_000, 5_000_000))
-            }
-            None => Duration::from_micros(500),
-        };
-        match rx.recv_timeout(timeout) {
-            Ok(ServerMsg::Frame(msg)) => {
-                if let Some(r) = count_frame(rt, msg) {
-                    engine.arrive(clock.now(), r.to_request(), 1, false);
-                }
-            }
-            Ok(ServerMsg::ReaderDone(res)) => {
-                res?;
-                reader_done = true;
-            }
-            Ok(ServerMsg::Done(done)) => {
-                // The worker already raced the ledger; the engine mirrors
-                // the winner into metrics and the response stream.
-                in_flight -= 1;
-                let job = done.job;
-                engine.idle.push_back(job.worker);
-                if done.won {
-                    let cost = engine.price(&job, &done.outcome);
-                    let finish = done.finish_tick;
-                    let fate = engine.settle(&job, &done.outcome, cost, finish, finish);
-                    respond(job.req.id, fate)?;
-                } else if job.hedge {
-                    engine.metrics.hedges_wasted.inc();
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Err(WireError::Io("wall server channel hung up".into()));
-            }
-        }
-    }
-    engine.final_tick = clock.now();
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
 // Top-level runner
 // ---------------------------------------------------------------------
 
 /// Run the full client/server exchange for one trace and report both
-/// sides. See the module docs for the two pacing modes.
+/// sides (see the module docs).
 pub fn run_runtime(
     instance: &Instance,
     policy: SelectionPolicy,
@@ -402,26 +234,16 @@ pub fn run_runtime(
 ) -> Result<RuntimeReport, WireError> {
     let (client, server) = make_transport(cfg.transport)?;
     let tenants = cfg.tenants.max(1);
-    let trace_owned: Vec<ArrivalEvent> = trace.to_vec();
-    let pace = cfg.pace;
 
     std::thread::scope(|s| -> Result<RuntimeReport, WireError> {
-        // Client writer: sessions, the paced trace, then shutdown.
+        // Client writer: sessions, the trace, then shutdown.
         let writer_chan = client.try_clone()?;
         let writer = s.spawn(move || -> Result<(), WireError> {
             let mut w = writer_chan;
             for t in 0..tenants {
                 write_frame(&mut w, &Message::Hello(Hello { tenant: t }))?;
             }
-            let origin = Instant::now();
-            for e in &trace_owned {
-                if let Pace::Wall { ns_per_tick } = pace {
-                    let due = Duration::from_nanos(e.tick.saturating_mul(ns_per_tick));
-                    let elapsed = origin.elapsed();
-                    if due > elapsed {
-                        std::thread::sleep(due - elapsed);
-                    }
-                }
+            for e in trace {
                 write_frame(&mut w, &Message::Request(wire_request(e)))?;
             }
             write_frame(&mut w, &Message::Shutdown)?;
@@ -476,32 +298,23 @@ where
     let registry = Registry::new();
     let rt = RuntimeMetrics::in_registry(&registry);
     let mut engine = Engine::new(cfg.svc, &registry, service::SEED_SALT);
-    let wall = match cfg.pace {
-        Pace::Wall { ns_per_tick } => Some((MonoClock::wall(ns_per_tick), ns_per_tick.max(1))),
-        Pace::Virtual => None,
-    };
 
-    // Per-worker job channels; every worker reports on the one server
-    // channel.
-    let (tx, rx) = mpsc::channel::<ServerMsg>();
-    let job_tx: Vec<mpsc::Sender<Job>> = (0..cfg.svc.workers.max(1))
-        .map(|_| {
-            let (job_tx, jobs) = mpsc::channel::<Job>();
-            let core = engine.core.clone();
-            let done = tx.clone();
-            let inline = wall.map(|(clock, ns_per_tick)| InlineSettle {
-                ledger: Arc::clone(&engine.ledger),
-                clock,
-                ns_per_tick,
-                metrics: rt.clone(),
-            });
-            s.spawn(move || worker_loop(instance, policy, core, jobs, done, inline));
-            job_tx
-        })
-        .collect();
+    // The worker thread: one job in, one outcome out. It exits when
+    // `job_tx` drops at the end of this function.
+    let (job_tx, jobs) = mpsc::channel::<Job>();
+    let (done_tx, done) = mpsc::channel::<Outcome>();
+    let core = engine.core.clone();
+    s.spawn(move || {
+        while let Ok(job) = jobs.recv() {
+            let outcome = job.select(instance, None, policy, &core);
+            if done_tx.send(outcome).is_err() {
+                return;
+            }
+        }
+    });
 
     let mut resp = server.try_clone()?;
-    let mut respond = |id: u64, fate: TerminalFate| {
+    let respond = |id: u64, fate: TerminalFate| {
         let outcome = match fate {
             TerminalFate::Completed { met, degraded } => WireOutcome::Completed { met, degraded },
             TerminalFate::Shed(r) => WireOutcome::Shed(r),
@@ -511,59 +324,23 @@ where
         write_frame(&mut resp, &Message::Response(WireResponse { id, outcome }))
     };
 
-    match wall {
-        Some((clock, ns_per_tick)) => {
-            // Reader thread feeds the server channel.
-            s.spawn(move || {
-                let mut reader = FrameReader::new(server);
-                loop {
-                    let msg = match reader.read_frame() {
-                        Ok(Some(msg)) => ServerMsg::Frame(msg),
-                        Ok(None) => ServerMsg::ReaderDone(Ok(())),
-                        Err(e) => ServerMsg::ReaderDone(Err(e)),
-                    };
-                    let last = matches!(msg, ServerMsg::ReaderDone(_));
-                    if tx.send(msg).is_err() || last {
-                        return;
-                    }
-                }
-            });
-            run_wall(
-                &mut engine,
-                clock,
-                ns_per_tick,
-                &job_tx,
-                rx,
-                &rt,
-                &mut respond,
-            )?;
-        }
-        None => {
-            drop(tx);
-            // Pull the entire trace off the wire (every frame decoded and
-            // digest-checked; a corrupt frame aborts the session — the
-            // stream is self-authenticating, not self-healing), then
-            // replay it through the engine's event loop.
-            let mut reader = FrameReader::new(server);
-            let mut arrivals = Vec::new();
-            while let Some(msg) = reader.read_frame()? {
-                if let Some(r) = count_frame(&rt, msg) {
-                    arrivals.push((r.tick, r.to_request()));
-                }
-            }
-            let execute = |job: &Job| {
-                job_tx[job.worker].send(*job).map_err(|_| hung_up())?;
-                match rx.recv() {
-                    Ok(ServerMsg::Done(done)) => Ok(done.outcome),
-                    _ => Err(hung_up()),
-                }
-            };
-            engine.run(&arrivals, execute, &mut respond)?;
+    // Pull the entire trace off the wire (every frame decoded and
+    // digest-checked; a corrupt frame aborts the session — the stream is
+    // self-authenticating, not self-healing), then replay it through the
+    // engine's event loop.
+    let mut reader = FrameReader::new(server);
+    let mut arrivals = Vec::new();
+    while let Some(msg) = reader.read_frame()? {
+        if let Some(r) = count_frame(&rt, msg) {
+            arrivals.push((r.tick, r.to_request()));
         }
     }
+    let execute = |job: &Job| {
+        job_tx.send(*job).map_err(|_| hung_up())?;
+        done.recv().map_err(|_| hung_up())
+    };
+    engine.run(&arrivals, execute, respond)?;
 
-    // Stop the worker pool.
-    drop(job_tx);
     let svc = engine.report(&registry);
     resp.close_write();
     Ok(RuntimeReport {
@@ -572,6 +349,5 @@ where
         frames_received: rt.frames_received.get(),
         frames_rejected: rt.frames_rejected.get(),
         sessions: rt.sessions.get(),
-        wall_snapshot: registry.snapshot().render_text(Mode::WallClock),
     })
 }

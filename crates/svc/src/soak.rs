@@ -14,13 +14,9 @@
 //!    module partition — no per-request decomposition, no O(chain) work.
 //!
 //! The flatness gate compares the **deterministic work counters**
-//! (diversity checks + candidates examined) across phases: wall-clock
-//! nanoseconds are reported for the artifact but the pass/fail signal
-//! must not depend on machine speed. A snapshot-rebuild baseline row
-//! (`chain_view`-style: rebuild the batch view from all blocks up to the
-//! tip) is measured alongside to show what the index saves.
-
-use std::time::Instant;
+//! (diversity checks + candidates examined) across phases, so the
+//! pass/fail signal does not depend on machine speed, and the whole
+//! report replays byte-identically from its seed.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -82,13 +78,6 @@ pub struct SoakPhase {
     /// examined): the machine-independent flatness signal.
     pub p50_work: u64,
     pub p99_work: u64,
-    /// Wall-clock per-request latency (reported, not gated).
-    pub p50_request_ns: u64,
-    pub p99_request_ns: u64,
-    /// Wall-clock cost of ONE from-scratch snapshot rebuild of a served
-    /// batch's view at this chain size — the O(history) baseline the
-    /// index replaces.
-    pub snapshot_rebuild_ns: u64,
 }
 
 /// The whole soak run.
@@ -139,9 +128,6 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     };
     let mut stream = ChainStream::new(stream_cfg);
     let mut index = DiversityIndex::new(cfg.lambda);
-    // All blocks ever applied — retained ONLY to price the snapshot-
-    // rebuild baseline; the index itself never reads this again.
-    let mut history = Vec::new();
 
     let policy = SelectionPolicy::new(DiversityRequirement::new(1.0, 2));
     let registry = Registry::new();
@@ -160,7 +146,6 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         while index.token_count() < target_tokens {
             let delta = stream.next_block();
             index.apply_block(&delta).expect("stream is contiguous");
-            history.push(delta);
             let ops = index.stats().last_block_ops;
             max_block_ops = max_block_ops.max(ops);
             phase_ops += ops;
@@ -169,14 +154,11 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
 
         // Serve.
         let mut work = Vec::with_capacity(cfg.requests_per_phase);
-        let mut ns = Vec::with_capacity(cfg.requests_per_phase);
         let mut completed = 0u64;
         let mut shed = 0u64;
-        let mut served_batch = 0usize;
         for _ in 0..cfg.requests_per_phase {
             let token = rng.gen_range(0..index.token_count());
             let batch = index.batch_of(token).expect("token is indexed");
-            let started = Instant::now();
             let snap = index.snapshot(batch).expect("indexed batch");
             let local = snap
                 .tokens
@@ -189,35 +171,18 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
                 cfg.budget_ticks,
                 false,
             );
-            let elapsed = started.elapsed().as_nanos() as u64;
             match outcome {
                 Ok(sel) => {
                     completed += 1;
-                    served_batch = batch;
                     work.push(
                         sel.selection.stats.diversity_checks
                             + sel.selection.stats.candidates_examined,
                     );
-                    ns.push(elapsed);
                 }
                 Err(_) => shed += 1,
             }
         }
         work.sort_unstable();
-        ns.sort_unstable();
-
-        // Baseline: what ONE request would cost if the batch view were
-        // rebuilt from raw chain history instead of read from the index
-        // (scan all blocks for the batch's tokens, then decompose).
-        let rebuild_started = Instant::now();
-        let baseline = rebuild_batch_view(&history, &index, served_batch);
-        let snapshot_rebuild_ns = rebuild_started.elapsed().as_nanos() as u64;
-        // The rebuilt view must agree with the index (cheap sanity check).
-        assert_eq!(
-            baseline,
-            index.batch_tokens(served_batch).len(),
-            "baseline rebuild diverged from the index"
-        );
 
         phases.push(SoakPhase {
             tokens: index.token_count(),
@@ -229,9 +194,6 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             mean_block_ops: phase_ops as f64 / phase_blocks.max(1) as f64,
             p50_work: percentile(&work, 50),
             p99_work: percentile(&work, 99),
-            p50_request_ns: percentile(&ns, 50),
-            p99_request_ns: percentile(&ns, 99),
-            snapshot_rebuild_ns,
         });
     }
 
@@ -240,31 +202,6 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         seed: cfg.seed,
         phases,
     }
-}
-
-/// The O(history) baseline: scan every block up to the tip to recover one
-/// batch's token membership (what a snapshot pipeline without the index
-/// must do before it can even decompose). Returns the batch's token count
-/// so the caller can cross-check it against the index.
-fn rebuild_batch_view(
-    history: &[dams_core::BlockDelta],
-    index: &DiversityIndex,
-    batch: usize,
-) -> usize {
-    let lambda = index.lambda();
-    let mut batches: Vec<u64> = Vec::new();
-    let mut current = 0u64;
-    for delta in history {
-        current += delta.minted.len() as u64;
-        if current >= lambda as u64 {
-            batches.push(current);
-            current = 0;
-        }
-    }
-    if current > 0 || batches.is_empty() {
-        batches.push(current);
-    }
-    batches.get(batch).copied().unwrap_or(0) as usize
 }
 
 /// Render the soak report as the `BENCH_soak.json` artifact (hand-rolled
@@ -292,9 +229,7 @@ pub fn render_soak_json(cfg: &SoakConfig, report: &SoakReport) -> String {
         out.push_str(&format!(
             "    {{\"tokens\": {}, \"blocks\": {}, \"batches\": {}, \
              \"completed\": {}, \"shed\": {}, \"max_block_ops\": {}, \
-             \"mean_block_ops\": {:.2}, \"p50_work\": {}, \"p99_work\": {}, \
-             \"p50_request_ns\": {}, \"p99_request_ns\": {}, \
-             \"snapshot_rebuild_ns\": {}}}{}\n",
+             \"mean_block_ops\": {:.2}, \"p50_work\": {}, \"p99_work\": {}}}{}\n",
             p.tokens,
             p.blocks,
             p.batches,
@@ -304,9 +239,6 @@ pub fn render_soak_json(cfg: &SoakConfig, report: &SoakReport) -> String {
             p.mean_block_ops,
             p.p50_work,
             p.p99_work,
-            p.p50_request_ns,
-            p.p99_request_ns,
-            p.snapshot_rebuild_ns,
             if i + 1 == report.phases.len() { "" } else { "," },
         ));
     }
@@ -361,16 +293,11 @@ mod tests {
     }
 
     #[test]
-    fn soak_is_deterministic_in_work_counters() {
-        let a = run_soak(&small());
-        let b = run_soak(&small());
-        let strip = |r: &SoakReport| -> Vec<(u64, u64, u64, u64)> {
-            r.phases
-                .iter()
-                .map(|p| (p.tokens, p.p50_work, p.p99_work, p.max_block_ops))
-                .collect()
-        };
-        assert_eq!(strip(&a), strip(&b));
+    fn soak_replays_byte_identically() {
+        let cfg = small();
+        let (a, b) = (run_soak(&cfg), run_soak(&cfg));
+        assert_eq!(a, b);
+        assert_eq!(render_soak_json(&cfg, &a), render_soak_json(&cfg, &b));
     }
 
     #[test]
@@ -389,8 +316,6 @@ mod tests {
             "\"tokens\"",
             "\"max_block_ops\"",
             "\"p99_work\"",
-            "\"p99_request_ns\"",
-            "\"snapshot_rebuild_ns\"",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }

@@ -67,8 +67,9 @@ pub enum WireError {
         kind: &'static str,
         detail: &'static str,
     },
-    /// The transport failed mid-frame (wall-clock runs only; the
-    /// in-process transport never errors).
+    /// An I/O failure: the TCP transport failed mid-frame, or the
+    /// runtime's worker thread hung up (the in-process transport itself
+    /// never errors).
     Io(String),
 }
 
@@ -101,8 +102,7 @@ pub struct Hello {
 /// trace's `ArrivalEvent` plus the service's `Request`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireRequest {
-    /// Virtual arrival tick (the replay schedule; wall-pace clients use
-    /// it to pace their sends).
+    /// Arrival tick: where the server's event loop replays the request.
     pub tick: u64,
     pub id: u64,
     pub tenant: u64,

@@ -1,7 +1,8 @@
 //! The sim-vs-real differential acceptance gate: a 64-seed sweep
 //! replaying the same seeded open-loop trace through the virtual-tick
-//! `Service` (the model) and the real concurrent runtime (threads, wire
-//! frames, the client tally) and demanding their accounting is equal.
+//! `Service` (the model) and the real concurrent runtime (a worker
+//! thread, wire frames, the client tally) and demanding their accounting
+//! is equal.
 //!
 //! The seed index also walks the scenario matrix — offered load ramps
 //! 1× / 2× / 4× and worker counts {1, 2, 4} — so the 64 runs cover every
@@ -116,9 +117,10 @@ fn sweep_matrix_covers_ramps_and_worker_counts() {
 
 #[test]
 fn back_to_back_runs_are_byte_identical() {
-    // The in-test twin of CI's flake guard: the virtual-pace runtime is
-    // deterministic, so re-running a scenario must reproduce the exact
-    // report text, snapshot, and per-bucket counts despite real threads.
+    // The in-test twin of CI's flake guard: the runtime runs on work
+    // ticks, so re-running a scenario must reproduce the exact report
+    // text, snapshot, and per-bucket counts despite its real worker
+    // thread and wire.
     for seed in [0, 17, 42] {
         let cfg = scenario(seed);
         let a = run_differential(&cfg).expect("first run");

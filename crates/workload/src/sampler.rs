@@ -1,7 +1,7 @@
 //! Experiment-instance sampling: the paper samples 1000 problem instances
 //! per configuration point and reports mean ring size and running time.
-//! This module provides the shared sampling loop used by the figure
-//! harness and the Criterion benches.
+//! This module provides the sampling loop the figure harness
+//! (`dams_bench::series`) times selections with.
 
 use std::time::Instant;
 
@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dams_core::{ModularInstance, PracticalAlgorithm, SelectionPolicy, TokenMagic};
-use dams_diversity::{NeighborTracker, TokenId};
+use dams_diversity::TokenId;
 
 /// One measured point: mean ring size and mean per-selection time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,24 +81,6 @@ where
     }
 }
 
-/// Run the full TokenMagic framework (Algorithm 1 outer loop) once and
-/// time it; used by framework-overhead experiments.
-pub fn measure_framework(
-    algorithm: PracticalAlgorithm,
-    policy: SelectionPolicy,
-    instance: &ModularInstance,
-    target: TokenId,
-    seed: u64,
-) -> (Option<usize>, f64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let tm = TokenMagic::new(algorithm, policy);
-    let tracker = NeighborTracker::new();
-    let start = Instant::now();
-    let result = tm.generate(instance, target, &tracker, &mut rng);
-    let micros = start.elapsed().as_nanos() as f64 / 1_000.0;
-    (result.ok().map(|s| s.size()), micros)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,29 +131,5 @@ mod tests {
         });
         assert_eq!(a.mean_size.to_bits(), b.mean_size.to_bits());
         assert_eq!(a.successes, b.successes);
-    }
-
-    #[test]
-    fn framework_measurement_runs() {
-        let cfg = SyntheticConfig {
-            num_super: 6,
-            super_size: (2, 3),
-            num_fresh: 2,
-            sigma: 6.0,
-            ht_model: None,
-        };
-        let mut rng = StdRng::seed_from_u64(11);
-        let inst = cfg.generate(&mut rng);
-        let (size, micros) = measure_framework(
-            PracticalAlgorithm::Smallest,
-            SelectionPolicy::new(DiversityRequirement::new(1.0, 2)),
-            &inst,
-            TokenId(0),
-            5,
-        );
-        assert!(micros > 0.0);
-        if let Some(s) = size {
-            assert!(s >= 1);
-        }
     }
 }

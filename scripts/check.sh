@@ -143,9 +143,9 @@ echo "f=1 adversarial-peer scenario defended (converged, adversary banned)"
 
 echo "== sim-vs-real differential =="
 # Differential gate: replay the seeded overload trace through the real
-# concurrent runtime (worker threads, wire frames, completion drains)
-# and the virtual-tick model, and require the accounting to match at
-# every load point. The report and ramp land at the repo root for CI
+# concurrent runtime (a worker thread behind wire frames) and the
+# virtual-tick model, and require the accounting to match at every load
+# point. The report and ramp land at the repo root for CI
 # artifact upload.
 cli serve --real --seed 42 --loads 1,2,4 \
   --out BENCH_runtime.json --diff-report DIFF_report.txt
@@ -153,9 +153,9 @@ if [ "$(tail -n 1 DIFF_report.txt)" != "verdict: MATCH" ]; then
   echo "differential report does not end with verdict: MATCH" >&2
   exit 1
 fi
-# Flake guard: the virtual-pace runtime is deterministic despite real
-# threads — three back-to-back runs must produce byte-identical reports
-# and ramp rows.
+# Flake guard: the runtime budgets in work ticks, so it is deterministic
+# despite its real thread and wire — three back-to-back runs must produce
+# byte-identical reports and ramp rows.
 for i in 1 2 3; do
   cli serve --real --seed 42 --loads 1,2,4 \
     --out "$tmpdir/bench_runtime_$i.json" \
@@ -197,14 +197,14 @@ echo "== bench snapshot =="
 ./scripts/bench_snapshot.sh BENCH_baseline.json 42
 
 echo "== committed artifacts =="
-# Drift gate: the gates above regenerated these artifacts from seed 42,
-# and each regenerates byte-identically, so a change that moves
-# simulated behaviour must commit the regenerated files.
-# BENCH_selection.json and BENCH_soak.json hold wall-clock timings and
-# are left out.
+# Drift gate: the gates above regenerated every committed artifact from
+# seed 42, and each regenerates byte-identically, so a change that moves
+# simulated behaviour must commit the regenerated files. Wall time is
+# never committed: BENCH_selection.json and BENCH_baseline.json are
+# gitignored, and perfbench measures wall time end to end.
 git diff --exit-code -- BENCH_overload.json BENCH_runtime.json DIFF_report.txt \
   BENCH_cluster.json BENCH_byzantine.json BYZ_report.txt \
-  BENCH_anonymity.json ANON_report.txt
+  BENCH_anonymity.json ANON_report.txt BENCH_soak.json
 echo "committed artifacts match their regeneration"
 
 echo "all checks passed"
