@@ -113,8 +113,8 @@ use dams_core::{
 };
 use dams_obs::Mode;
 use dams_diversity::{
-    analyze, batch_anonymity, matching::reduction_graph, DiversityRequirement, HtHistogram, HtId,
-    NeighborTracker, RingIndex, RingSet, TokenId, TokenUniverse,
+    analyze, matching::reduction_graph, DiversityRequirement, HtHistogram, HtId, RingIndex,
+    RingSet, TokenId, TokenUniverse,
 };
 use dams_workload::{simulate_batch, SimulationConfig, SyntheticConfig};
 
@@ -123,12 +123,8 @@ fn main() {
     let Some(cmd) = args.first() else {
         usage();
     };
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let seed: u64 = get("--seed").and_then(|v| v.parse().ok()).unwrap_or(42);
+    let get = |name: &str| flag::<String>(&args, name);
+    let seed: u64 = flag(&args, "--seed").unwrap_or(42);
     let metrics_format = parse_metrics_flag(&args);
 
     match cmd.as_str() {
@@ -140,9 +136,14 @@ fn main() {
                 Some("tm_g") => PracticalAlgorithm::GameTheoretic,
                 Some(other) => die(&format!("unknown algorithm {other}")),
             };
-            let c: f64 = get("--c").and_then(|v| v.parse().ok()).unwrap_or(0.6);
-            let l: usize = get("--l").and_then(|v| v.parse().ok()).unwrap_or(20);
-            let target: u32 = get("--target").and_then(|v| v.parse().ok()).unwrap_or(0);
+            let c: f64 = flag(&args, "--c").unwrap_or(0.6);
+            let l: usize = flag(&args, "--l").unwrap_or(20);
+            let Some(req) = dams_store::claimed_requirement(c, l) else {
+                die(&format!(
+                    "select needs --c > 0 and --l >= 1, got --c {c} --l {l}"
+                ));
+            };
+            let target: u32 = flag(&args, "--target").unwrap_or(0);
             let mut rng = StdRng::seed_from_u64(seed);
             let instance = SyntheticConfig::default().generate(&mut rng);
             println!(
@@ -152,10 +153,7 @@ fn main() {
                 instance.fresh_count(),
                 instance.universe.distinct_hts()
             );
-            let tm = TokenMagic::new(
-                algorithm,
-                SelectionPolicy::new(DiversityRequirement::new(c, l)),
-            );
+            let tm = TokenMagic::new(algorithm, SelectionPolicy::new(req));
             match tm.select_for(&instance, TokenId(target), &mut rng) {
                 Ok(sel) => {
                     let hist = HtHistogram::from_ring(&sel.ring, &instance.universe);
@@ -200,7 +198,7 @@ fn main() {
             );
         }
         "audit" => {
-            let spends: usize = get("--spends").and_then(|v| v.parse().ok()).unwrap_or(5);
+            let spends: usize = flag(&args, "--spends").unwrap_or(5);
             let universe = dams_diversity::TokenUniverse::new(
                 (0..60u32).map(|i| dams_diversity::HtId(i / 3)).collect(),
             );
@@ -218,9 +216,6 @@ fn main() {
                 "committed {} of {spends} spends (mean ring {:.1}); {} linkable",
                 out.committed, out.mean_ring_size, out.resolved_at_end
             );
-            // Rerun the committed rings through the anonymity metrics.
-            let _ = NeighborTracker::new();
-            let _ = batch_anonymity; // metrics summarised inside simulate_batch
         }
         "hardness" => {
             let rings = parse_rings(&get("--rings").unwrap_or_else(|| die("--rings required")));
@@ -240,9 +235,8 @@ fn main() {
         }
         "run" => {
             let dir = get("--store-dir").unwrap_or_else(|| die("--store-dir required"));
-            let blocks: u64 = get("--blocks").and_then(|v| v.parse().ok()).unwrap_or(8);
-            let crash_after: Option<u64> =
-                get("--crash-after-appends").and_then(|v| v.parse().ok());
+            let blocks: u64 = flag(&args, "--blocks").unwrap_or(8);
+            let crash_after: Option<u64> = flag(&args, "--crash-after-appends");
             run_durable(&dir, blocks, seed, crash_after);
         }
         "recover" => {
@@ -256,8 +250,8 @@ fn main() {
         }
         "serve-sim" if args.iter().any(|a| a == "--soak") => {
             let out = get("--out").unwrap_or_else(|| "BENCH_soak.json".into());
-            let requests: usize = get("--requests").and_then(|v| v.parse().ok()).unwrap_or(200);
-            let max_tokens = parse_supported_tokens(get("--tokens"));
+            let requests: usize = flag(&args, "--requests").unwrap_or(200);
+            let max_tokens = supported_tokens(flag(&args, "--tokens"));
             let phases: Vec<u64> = SUPPORTED_TOKEN_SIZES
                 .iter()
                 .copied()
@@ -304,8 +298,8 @@ fn main() {
         }
         "serve-sim" => {
             let out = get("--out").unwrap_or_else(|| "BENCH_overload.json".into());
-            let workers: usize = get("--workers").and_then(|v| v.parse().ok()).unwrap_or(2);
-            let requests: u64 = get("--requests").and_then(|v| v.parse().ok()).unwrap_or(96);
+            let workers: usize = flag(&args, "--workers").unwrap_or(2);
+            let requests: u64 = flag(&args, "--requests").unwrap_or(96);
             let loads: Vec<f64> = get("--loads")
                 .unwrap_or_else(|| "0.5,1,2,4".into())
                 .split(',')
@@ -350,9 +344,9 @@ fn main() {
             }
             let out = get("--out").unwrap_or_else(|| "BENCH_runtime.json".into());
             let report_out = get("--diff-report").unwrap_or_else(|| "DIFF_report.txt".into());
-            let workers: usize = get("--workers").and_then(|v| v.parse().ok()).unwrap_or(2);
-            let requests: u64 = get("--requests").and_then(|v| v.parse().ok()).unwrap_or(96);
-            let tenants: u64 = get("--tenants").and_then(|v| v.parse().ok()).unwrap_or(3);
+            let workers: usize = flag(&args, "--workers").unwrap_or(2);
+            let requests: u64 = flag(&args, "--requests").unwrap_or(96);
+            let tenants: u64 = flag(&args, "--tenants").unwrap_or(3);
             let transport = match get("--transport").as_deref() {
                 Some("tcp") => dams_svc::Transport::Tcp,
                 Some("duplex") | None => dams_svc::Transport::Duplex,
@@ -433,8 +427,8 @@ fn main() {
         "cluster-sim" if args.iter().any(|a| a == "--byzantine") => {
             let out = get("--out").unwrap_or_else(|| "BENCH_byzantine.json".into());
             let report_out = get("--report").unwrap_or_else(|| "BYZ_report.txt".into());
-            let honest: usize = get("--honest").and_then(|v| v.parse().ok()).unwrap_or(4);
-            let max_f: usize = get("--max-f").and_then(|v| v.parse().ok()).unwrap_or(3);
+            let honest: usize = flag(&args, "--honest").unwrap_or(4);
+            let max_f: usize = flag(&args, "--max-f").unwrap_or(3);
             if honest <= max_f {
                 die("--honest must exceed --max-f (the defense assumes an honest majority)");
             }
@@ -460,7 +454,7 @@ fn main() {
             if node_counts.is_empty() {
                 die("--node-counts needs at least one size");
             }
-            let requests: u64 = get("--requests").and_then(|v| v.parse().ok()).unwrap_or(96);
+            let requests: u64 = flag(&args, "--requests").unwrap_or(96);
             let ok = run_cluster_sim(seed, &node_counts, requests, &out, &report_out);
             print_metrics(metrics_format);
             if !ok {
@@ -511,15 +505,12 @@ fn main() {
 /// label a 10⁵ measurement as 5·10⁵.
 const SUPPORTED_TOKEN_SIZES: [u64; 4] = [1_000, 10_000, 100_000, 1_000_000];
 
-/// Parse `--tokens`; absent means the full 10⁶ sweep. Unsupported sizes
+/// Check `--tokens`; absent means the full 10⁶ sweep. Unsupported sizes
 /// are an error listing the supported ones.
-fn parse_supported_tokens(flag: Option<String>) -> u64 {
-    let Some(raw) = flag else {
+fn supported_tokens(tokens: Option<u64>) -> u64 {
+    let Some(n) = tokens else {
         return *SUPPORTED_TOKEN_SIZES.last().expect("non-empty");
     };
-    let n: u64 = raw
-        .parse()
-        .unwrap_or_else(|_| die(&format!("bad --tokens value {raw}")));
     if !SUPPORTED_TOKEN_SIZES.contains(&n) {
         die(&format!(
             "--tokens {n} is not a supported chain size (supported: {}); refusing to clamp",
@@ -531,6 +522,20 @@ fn parse_supported_tokens(flag: Option<String>) -> u64 {
         ));
     }
     n
+}
+
+/// The value after `name`, parsed as `T`; `None` when the flag is absent.
+/// A flag given last with no value, or a value that does not parse, exits
+/// 2 naming the flag instead of silently running the default.
+fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    let i = args.iter().position(|a| a == name)?;
+    let Some(raw) = args.get(i + 1) else {
+        die(&format!("{name} needs a value"));
+    };
+    match raw.parse() {
+        Ok(value) => Some(value),
+        Err(_) => die(&format!("bad {name} value {raw:?}")),
+    }
 }
 
 /// The `--metrics` flag: `text`, `json`, or (with no / a flag-like value)

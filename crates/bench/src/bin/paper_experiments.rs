@@ -15,6 +15,12 @@ use dams_bench::harness::{render, render_fig3, render_fig4, shape_report};
 use dams_bench::series;
 use dams_core::BfsBudget;
 
+/// Every experiment name the CLI accepts; any other name exits 2.
+const NAMES: [&str; 13] = [
+    "all", "table2", "table3", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+    "eta", "related",
+];
+
 struct Args {
     what: BTreeSet<String>,
     samples: usize,
@@ -45,15 +51,19 @@ fn parse_args() -> Args {
             "--check-shapes" => check_shapes = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: paper-experiments [all|table2|table3|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|eta|related]... \
-                     [--samples N] [--max-rs N] [--check-shapes]"
+                    "usage: paper-experiments [{}]... [--samples N] [--max-rs N] [--check-shapes]",
+                    NAMES.join("|")
                 );
                 std::process::exit(0);
             }
             other if other.starts_with('-') => die(&format!("unknown flag {other}")),
-            other => {
+            other if NAMES.contains(&other) => {
                 what.insert(other.to_string());
             }
+            other => die(&format!(
+                "unknown experiment {other} (want one of {})",
+                NAMES.join(", ")
+            )),
         }
     }
     if what.is_empty() {

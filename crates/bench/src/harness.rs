@@ -38,14 +38,9 @@ pub struct ShapeReport {
     pub rows_skipped: usize,
 }
 
-/// The qualitative claims a measured figure must satisfy (one per figure;
-/// see DESIGN.md's shape table). Each failed claim is returned as text.
-pub fn shape_violations(figure: &Figure) -> Vec<String> {
-    shape_report(figure).violations
-}
-
-/// [`shape_violations`] with the row accounting exposed, so callers can
-/// print how much of a figure was actually checked.
+/// Check the qualitative claims a measured figure must satisfy (one per
+/// figure; see DESIGN.md's shape table), with the row accounting exposed
+/// so callers can print how much of the figure was actually checked.
 pub fn shape_report(figure: &Figure) -> ShapeReport {
     let mut report = ShapeReport::default();
     let issues = &mut report.violations;
@@ -159,8 +154,7 @@ pub fn render_fig3(hist: &[(usize, usize)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::series::{fig8, FigureRow};
-    use dams_workload::MeasuredPoint;
+    use crate::series::{fig8, FigureRow, MeasuredPoint};
 
     fn point(size: f64) -> MeasuredPoint {
         MeasuredPoint {
@@ -198,7 +192,7 @@ mod tests {
                 points: vec![point(10.0), point(11.0), point(8.0), point(9.5)],
             }],
         };
-        assert!(!shape_violations(&fig).is_empty());
+        assert!(!shape_report(&fig).violations.is_empty());
     }
 
     #[test]
@@ -211,7 +205,7 @@ mod tests {
                 points: vec![point(12.0), point(13.0), point(9.0), point(8.0)],
             }],
         };
-        assert!(shape_violations(&fig).is_empty());
+        assert!(shape_report(&fig).violations.is_empty());
     }
 
     fn nan_point() -> MeasuredPoint {

@@ -1,12 +1,12 @@
 //! # dams-bench
 //!
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (§7). See `src/bin/paper_experiments.rs` for the CLI and
-//! `benches/` for the Criterion targets.
+//! evaluation (§7). [`series`] runs and times each figure, [`harness`]
+//! renders and shape-checks it, and `src/bin/paper_experiments.rs` is the
+//! CLI that prints them.
 
 pub mod anonymity;
 pub mod harness;
-pub mod microbench;
 pub mod selection_figure;
 pub mod series;
 

@@ -1,13 +1,19 @@
 //! Experiment definitions: one function per paper figure/table, each
 //! returning printable rows. The defaults mirror Tables 2 and 3; the
-//! sample count is configurable (the paper uses 1000 per point).
+//! sample count is configurable (the paper uses 1000 per point). This
+//! module is the one timer of the paper's figures: [`measure`] times the
+//! selections of Figures 5–10 and [`fig4`] the exact BFS of Figure 4.
+
+use std::time::Instant;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
-use dams_core::{bfs, BfsBudget, Instance, PracticalAlgorithm, SelectionPolicy};
+use dams_core::{
+    bfs, BfsBudget, Instance, ModularInstance, PracticalAlgorithm, SelectionPolicy, TokenMagic,
+};
 use dams_diversity::{DiversityRequirement, RingIndex, TokenId};
-use dams_workload::{measure, monero_snapshot, output_histogram, MeasuredPoint, SyntheticConfig};
+use dams_workload::{monero_snapshot, output_histogram, SyntheticConfig};
 
 /// The four practical approaches compared throughout §7.
 pub const APPROACHES: [PracticalAlgorithm; 4] = [
@@ -34,6 +40,76 @@ pub const SYN_SIGMA: [f64; 5] = [8.0, 10.0, 12.0, 14.0, 16.0];
 pub const SYN_DEFAULT_C: f64 = 0.6;
 pub const SYN_DEFAULT_L: usize = 20;
 
+/// One measured point: mean ring size and mean per-selection time.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MeasuredPoint {
+    /// Mean |r_τ| over successful selections.
+    pub mean_size: f64,
+    /// Mean wall time per selection in microseconds.
+    pub mean_micros: f64,
+    /// Number of successful selections (failures excluded, counted apart).
+    pub successes: usize,
+    /// Number of infeasible/failed selections.
+    pub failures: usize,
+}
+
+/// Run `samples` selections of `algorithm` on instances produced by
+/// `make_instance`, each time targeting a random token.
+///
+/// `make_instance` receives the sample index so callers can regenerate a
+/// fresh instance per sample (the paper's methodology) or reuse one.
+pub fn measure<F>(
+    algorithm: PracticalAlgorithm,
+    policy: SelectionPolicy,
+    samples: usize,
+    seed: u64,
+    mut make_instance: F,
+) -> MeasuredPoint
+where
+    F: FnMut(usize, &mut StdRng) -> ModularInstance,
+{
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut total_size = 0usize;
+    let mut total_nanos = 0u128;
+    let mut successes = 0usize;
+    let mut failures = 0usize;
+
+    for sample in 0..samples {
+        let instance = make_instance(sample, &mut rng);
+        let target = TokenId(rng.gen_range(0..instance.universe.len() as u32));
+        let tm = TokenMagic::new(algorithm, policy);
+        let start = Instant::now();
+        // Direct per-token selection: the figure experiments time the
+        // selection algorithm itself (Algorithm 1's outer loop runs the
+        // same algorithm |T| times and would only scale all curves by |T|).
+        let result = tm.select_for(&instance, target, &mut rng);
+        let elapsed = start.elapsed().as_nanos();
+        match result {
+            Ok(sel) => {
+                total_size += sel.size();
+                total_nanos += elapsed;
+                successes += 1;
+            }
+            Err(_) => failures += 1,
+        }
+    }
+
+    MeasuredPoint {
+        mean_size: if successes > 0 {
+            total_size as f64 / successes as f64
+        } else {
+            f64::NAN
+        },
+        mean_micros: if successes > 0 {
+            total_nanos as f64 / successes as f64 / 1_000.0
+        } else {
+            f64::NAN
+        },
+        successes,
+        failures,
+    }
+}
+
 /// One row of a figure: the x value and the per-approach measurements in
 /// `APPROACHES` order.
 #[derive(Debug, Clone)]
@@ -58,7 +134,7 @@ fn sweep<F>(
     xs: Vec<(String, SelectionPolicy, F)>,
 ) -> Figure
 where
-    F: Fn(usize, &mut StdRng) -> dams_core::ModularInstance + Clone,
+    F: Fn(usize, &mut StdRng) -> ModularInstance + Clone,
 {
     let mut rows = Vec::with_capacity(xs.len());
     for (i, (x, policy, make)) in xs.into_iter().enumerate() {
@@ -256,7 +332,7 @@ pub fn fig4(max_rs: usize, budget: BfsBudget, seed: u64) -> Vec<Fig4Point> {
         // Consume tokens in id order: token i is the i-th spend.
         let target = TokenId(i as u32);
         let instance = Instance::new(universe.clone(), rings.clone(), claims.clone());
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let result = bfs(&instance, target, req, budget);
         let micros = start.elapsed().as_nanos() as f64 / 1_000.0;
         match result {
@@ -342,8 +418,7 @@ pub struct RelatedGrowthRow {
 /// new ring grows with the whole chain (toward "all RSs on the
 /// blockchain"); with TokenMagic batches it stays bounded by the batch.
 pub fn related_growth(max_rings: usize, seed: u64) -> Vec<RelatedGrowthRow> {
-    use dams_diversity::{RingIndex, RingSet};
-    use rand::Rng;
+    use dams_diversity::RingSet;
 
     let lambda = 64u32;
     let ring_size = 8usize;
@@ -386,6 +461,48 @@ pub fn related_growth(max_rings: usize, seed: u64) -> Vec<RelatedGrowthRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn policy() -> SelectionPolicy {
+        SelectionPolicy::new(DiversityRequirement::new(0.6, 10))
+    }
+
+    #[test]
+    fn measure_reports_successes() {
+        let cfg = SyntheticConfig {
+            num_super: 10,
+            super_size: (3, 6),
+            num_fresh: 5,
+            sigma: 8.0,
+            ht_model: None,
+        };
+        let p = measure(PracticalAlgorithm::Smallest, policy(), 10, 7, |_, rng| {
+            cfg.generate(rng)
+        });
+        assert_eq!(p.successes + p.failures, 10);
+        if p.successes > 0 {
+            assert!(p.mean_size >= 1.0);
+            assert!(p.mean_micros > 0.0);
+        }
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let cfg = SyntheticConfig {
+            num_super: 8,
+            super_size: (2, 4),
+            num_fresh: 2,
+            sigma: 6.0,
+            ht_model: None,
+        };
+        let a = measure(PracticalAlgorithm::Progressive, policy(), 5, 3, |_, rng| {
+            cfg.generate(rng)
+        });
+        let b = measure(PracticalAlgorithm::Progressive, policy(), 5, 3, |_, rng| {
+            cfg.generate(rng)
+        });
+        assert_eq!(a.mean_size.to_bits(), b.mean_size.to_bits());
+        assert_eq!(a.successes, b.successes);
+    }
 
     #[test]
     fn related_growth_shows_batching_bound() {

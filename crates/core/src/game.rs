@@ -107,7 +107,9 @@ impl<'a> ProfileEval<'a> {
     }
 }
 
-/// How the best-response dynamics are initialised (ablation hook).
+/// How the best-response dynamics are initialised. Every selector starts
+/// from `CoverageGreedy`; the equivalence and convergence tests also start
+/// from `AllSelected` to check the dynamics do not depend on the start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InitStrategy {
     /// Algorithm 5's phase 1: greedy coverage to ℓ distinct HTs.

@@ -30,14 +30,6 @@ impl BipartiteGraph {
         BipartiteGraph { right, adj }
     }
 
-    pub fn left_len(&self) -> usize {
-        self.adj.len()
-    }
-
-    pub fn right_len(&self) -> usize {
-        self.right
-    }
-
     /// Enumerate all perfect matchings (every *left* vertex matched to a
     /// distinct right vertex; for square graphs this is the classic perfect
     /// matching). Each matching maps left index → right index.

@@ -8,12 +8,11 @@
 //! that what the wallet *intended* (a diverse, unresolvable ring) is what
 //! the public record actually *shows*.
 
-use std::collections::HashMap;
-
-use dams_blockchain::{Chain, TxId};
+use dams_blockchain::Chain;
 use dams_diversity::{
-    analyze, batch_anonymity, Analysis, BatchAnonymity, HtId, RingIndex, RingSet, TokenUniverse,
+    analyze, batch_anonymity, Analysis, BatchAnonymity, RingIndex, TokenUniverse,
 };
+use dams_store::{chain_universe, claimed_requirement, ledger_ring};
 
 /// The algorithmic view reconstructed from a chain.
 pub struct ChainView {
@@ -25,47 +24,22 @@ pub struct ChainView {
     pub claims: Vec<(f64, usize)>,
 }
 
-/// Build the view from a chain: HT = origin transaction, rings = all ring
-/// inputs of all committed transactions.
+/// Build the view from a chain: HT = origin transaction (the chain's
+/// [`chain_universe`]), rings = all ring inputs of all committed
+/// transactions.
 pub fn chain_view(chain: &Chain) -> ChainView {
-    // HT labels: dense renumbering of origin TxIds.
-    let mut ht_ids: HashMap<TxId, u32> = HashMap::new();
-    let n = chain.token_count();
-    let mut ht_of = Vec::with_capacity(n);
-    let mut synthetic = 0u32;
-    for i in 0..n as u64 {
-        let next = ht_ids.len() as u32 + synthetic;
-        let id = match chain.token(dams_blockchain::TokenId(i)) {
-            Some(rec) => *ht_ids.entry(rec.origin).or_insert(next),
-            // Unreachable for a well-formed chain (token ids are dense);
-            // a missing record gets a fresh singleton HT label instead of
-            // panicking the auditor.
-            None => {
-                synthetic += 1;
-                next
-            }
-        };
-        ht_of.push(HtId(id));
-    }
-    let universe = TokenUniverse::new(ht_of);
-
     let mut rings = RingIndex::new();
     let mut claims = Vec::new();
     for block in chain.blocks() {
         for ct in &block.transactions {
             for input in &ct.tx.inputs {
-                rings.push(RingSet::new(
-                    input
-                        .ring
-                        .iter()
-                        .map(|t| dams_diversity::TokenId(t.0 as u32)),
-                ));
+                rings.push(ledger_ring(&input.ring));
                 claims.push((input.claimed_c, input.claimed_l));
             }
         }
     }
     ChainView {
-        universe,
+        universe: chain_universe(chain),
         rings,
         claims,
     }
@@ -90,11 +64,11 @@ pub fn audit(chain: &Chain) -> AuditReport {
     let mut claim_violations = Vec::new();
     for (i, (_, ring)) in view.rings.iter().enumerate() {
         let (c, l) = view.claims[i];
-        if l >= 1 && c > 0.0 {
-            let req = dams_diversity::DiversityRequirement::new(c, l);
-            if !req.satisfied_by_ring(ring, &view.universe) {
-                claim_violations.push(i);
-            }
+        let Some(req) = claimed_requirement(c, l) else {
+            continue;
+        };
+        if !req.satisfied_by_ring(ring, &view.universe) {
+            claim_violations.push(i);
         }
     }
     AuditReport {
@@ -194,10 +168,9 @@ mod tests {
         assert!(report.anonymity.mean_candidates >= 2.0);
     }
 
-    #[test]
-    fn audit_flags_claim_violation() {
-        // A ring whose two members share an origin cannot satisfy a claim
-        // needing 2 distinct HTs.
+    /// A chain whose one ring claims 2 distinct HTs over two tokens that
+    /// share an origin, so its claim cannot hold.
+    fn violated_claim_chain() -> Chain {
         let mut rng = StdRng::seed_from_u64(2);
         let mut chain = Chain::new(SchnorrGroup::default());
         let keys: Vec<KeyPair> = (0..2)
@@ -241,7 +214,24 @@ mod tests {
             )
             .unwrap();
         chain.seal_block().unwrap();
-        let report = audit(&chain);
+        chain
+    }
+
+    #[test]
+    fn audit_flags_claim_violation() {
+        let report = audit(&violated_claim_chain());
         assert_eq!(report.claim_violations, vec![0]);
+    }
+
+    #[test]
+    fn audit_and_store_recheck_name_the_same_ring() {
+        let chain = violated_claim_chain();
+        let rechecked: Vec<usize> = dams_store::recheck_immutability(&chain)
+            .violations
+            .iter()
+            .map(|&(_, ring)| ring as usize)
+            .collect();
+        assert_eq!(rechecked, vec![0]);
+        assert_eq!(audit(&chain).claim_violations, rechecked);
     }
 }

@@ -178,17 +178,6 @@ impl SimNode {
         self.index.as_ref()
     }
 
-    /// Mutable index access (journal pruning, stats inspection in tests).
-    pub fn index_mut(&mut self) -> Option<&mut DiversityIndex> {
-        self.index.as_mut()
-    }
-
-    /// Drop the index (e.g. to shed memory on a replica that stops
-    /// serving selections).
-    pub fn disable_index(&mut self) -> Option<DiversityIndex> {
-        self.index.take()
-    }
-
     /// Fold an adopted block into the index. A rejected delta means chain
     /// and index disagree — defensively rebuild from the chain (the chain
     /// is authoritative); if even the rebuild fails, drop the index rather
@@ -566,11 +555,6 @@ impl SimNode {
     /// Number of currently parked orphans (for tests and monitoring).
     pub fn orphan_count(&self) -> usize {
         self.orphans.len()
-    }
-
-    /// Number of queued, unprocessed blocks.
-    pub fn inbox_len(&self) -> usize {
-        self.inbox.len()
     }
 }
 

@@ -43,10 +43,9 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dams_blockchain::{signature_from_bytes, signature_to_bytes, Block, Chain, TxId};
+use dams_blockchain::{signature_from_bytes, signature_to_bytes, Block, Chain};
 use dams_crypto::sha256::{sha256, Digest};
 use dams_crypto::{KeyPair, PublicKey, RingSignature, SchnorrGroup};
-use dams_diversity::{HtId, RingSet, TokenUniverse};
 
 use crate::obs::NodeMetrics;
 
@@ -316,9 +315,9 @@ impl EquivocationProof {
 
 /// Re-verify the claimed (c, ℓ)-diversity of every RS carried by `block`
 /// against the receiver's own ledger — the per-block, adoption-time twin
-/// of [`dams_store::recheck_immutability`]. The HT of a token is its
-/// origin transaction (the auditor's reconstruction); claims that assert
-/// nothing (see [`dams_store::claimed_requirement`]) are skipped, as are
+/// of [`dams_store::recheck_immutability`], over the same
+/// [`dams_store::chain_universe`]. Claims that assert nothing (see
+/// [`dams_store::claimed_requirement`]) are skipped, as are
 /// rings naming tokens the receiver has not seen (structural verification
 /// rejects those anyway). Returns the height of the offending block on
 /// the first violated claim.
@@ -330,32 +329,17 @@ pub fn recheck_block_diversity(chain: &Chain, block: &Block) -> Result<(), u64> 
     {
         return Ok(());
     }
-    let mut ht_ids: HashMap<TxId, u32> = HashMap::new();
-    let mut ht_of = Vec::with_capacity(chain.token_count());
-    for i in 0..chain.token_count() as u64 {
-        let next = ht_ids.len() as u32;
-        let id = match chain.token(dams_blockchain::TokenId(i)) {
-            Some(rec) => *ht_ids.entry(rec.origin).or_insert(next),
-            None => next,
-        };
-        ht_of.push(HtId(id));
-    }
-    let universe = TokenUniverse::new(ht_of);
+    let universe = dams_store::chain_universe(chain);
     for ct in &block.transactions {
         for input in &ct.tx.inputs {
-            let Some(req) = dams_store::claimed_requirement(input) else {
+            let Some(req) = dams_store::claimed_requirement(input.claimed_c, input.claimed_l)
+            else {
                 continue;
             };
             if input.ring.iter().any(|t| chain.token(*t).is_none()) {
                 continue;
             }
-            let ring = RingSet::new(
-                input
-                    .ring
-                    .iter()
-                    .map(|t| dams_diversity::TokenId(t.0 as u32)),
-            );
-            if !req.satisfied_by_ring(&ring, &universe) {
+            if !req.satisfied_by_ring(&dams_store::ledger_ring(&input.ring), &universe) {
                 return Err(block.header.height.0);
             }
         }
@@ -470,13 +454,6 @@ impl PeerDefense {
 
     pub fn is_banned(&self, peer: usize) -> bool {
         matches!(self.standing(peer), Standing::Banned)
-    }
-
-    /// Peers currently banned.
-    pub fn banned_peers(&self) -> Vec<usize> {
-        (0..self.peers.len())
-            .filter(|&p| self.is_banned(p))
-            .collect()
     }
 
     /// Every offense filed so far, in filing order.

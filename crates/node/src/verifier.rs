@@ -15,7 +15,8 @@
 use std::collections::HashMap;
 
 use dams_blockchain::{BatchList, Chain, RingConfiguration, TokenId};
-use dams_diversity::{DiversityRequirement, HtHistogram, HtId, RingIndex, RingSet};
+use dams_diversity::{DiversityRequirement, HtHistogram, HtId, RingIndex};
+use dams_store::ledger_ring;
 
 /// The TokenMagic verifier configuration. Holds the committed ring
 /// history (at the algorithmic layer) and the batch parameter λ.
@@ -55,15 +56,6 @@ impl TokenMagicConfiguration {
     pub fn history(&self) -> &RingIndex {
         &self.history
     }
-}
-
-/// Convert ledger token ids to the algorithmic ring representation.
-fn ledger_ring(tokens: &[TokenId]) -> RingSet {
-    RingSet::new(
-        tokens
-            .iter()
-            .map(|t| dams_diversity::TokenId(t.0 as u32)),
-    )
 }
 
 /// HT histogram of a ledger ring using transaction origins as HTs.

@@ -70,11 +70,6 @@ impl MemBackend {
             volatile: Vec::new(),
         }
     }
-
-    /// The durable image — what a post-crash recovery would see.
-    pub fn durable_bytes(&self) -> &[u8] {
-        &self.durable
-    }
 }
 
 impl Backend for MemBackend {

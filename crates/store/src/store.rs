@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use dams_blockchain::{Chain, ChainError, NoConfiguration, RingInput, TxId};
+use dams_blockchain::{Chain, ChainError, NoConfiguration, TxId};
 use dams_crypto::sha256::sha256_parts;
 use dams_crypto::SchnorrGroup;
 use dams_diversity::{DiversityRequirement, HtId, RingSet, TokenUniverse};
@@ -509,11 +509,6 @@ impl Store {
         (self.wal, self.cp)
     }
 
-    /// Inject a storage fault into the WAL's durable bytes.
-    pub fn inject_wal_fault(&mut self, fault: &crate::faults::StorageFault) -> Result<(), StoreError> {
-        self.wal.inject(fault)
-    }
-
     /// Current WAL length in bytes (header + framed records).
     pub fn wal_len(&self) -> u64 {
         self.wal_len
@@ -653,32 +648,46 @@ pub struct ImmutabilityCheck {
     pub violations: Vec<(u64, u64)>,
 }
 
-/// The (c, ℓ) requirement `input` claims, or `None` when its claim asserts
-/// nothing: `ℓ < 1`, or a `c` that is not `> 0` (NaN included), the rule
-/// of the audit path. A ring signature does not cover its claim, so this
-/// must never panic on a value a peer sent.
-pub fn claimed_requirement(input: &RingInput) -> Option<DiversityRequirement> {
-    (input.claimed_l >= 1 && input.claimed_c > 0.0)
-        .then(|| DiversityRequirement::new(input.claimed_c, input.claimed_l))
+/// The (c, ℓ) requirement a claim of `(c, l)` asserts, or `None` when it
+/// asserts nothing: `ℓ < 1`, or a `c` that is not `> 0` (NaN included).
+/// A ring signature does not cover its claim, so this must never panic on
+/// a value a peer sent.
+pub fn claimed_requirement(c: f64, l: usize) -> Option<DiversityRequirement> {
+    (l >= 1 && c > 0.0).then(|| DiversityRequirement::new(c, l))
+}
+
+/// The chain's token→HT universe: the HT of a token is its origin
+/// transaction, labelled densely in first-seen order. A token with no
+/// record (unreachable on a well-formed chain, whose token ids are dense)
+/// gets a fresh singleton label instead of a panic.
+pub fn chain_universe(chain: &Chain) -> TokenUniverse {
+    let mut labels: HashMap<TxId, u32> = HashMap::new();
+    let mut next = 0u32;
+    let ht_of = (0..chain.token_count() as u64)
+        .map(|i| {
+            let label = match chain.token(dams_blockchain::TokenId(i)) {
+                Some(rec) => *labels.entry(rec.origin).or_insert(next),
+                None => next,
+            };
+            if label == next {
+                next += 1;
+            }
+            HtId(label)
+        })
+        .collect();
+    TokenUniverse::new(ht_of)
+}
+
+/// A ledger ring in the algorithmic representation.
+pub fn ledger_ring(tokens: &[dams_blockchain::TokenId]) -> RingSet {
+    RingSet::new(tokens.iter().map(|t| dams_diversity::TokenId(t.0 as u32)))
 }
 
 /// Re-verify every committed RS's claimed (c, ℓ)-diversity against the
-/// recovered ledger (HT of a token = its origin transaction, exactly the
-/// auditor's reconstruction). Claims that assert nothing (see
-/// [`claimed_requirement`]) are skipped.
+/// recovered ledger's [`chain_universe`], the auditor's reconstruction.
+/// Claims that assert nothing (see [`claimed_requirement`]) are skipped.
 pub fn recheck_immutability(chain: &Chain) -> ImmutabilityCheck {
-    let mut ht_ids: HashMap<TxId, u32> = HashMap::new();
-    let mut ht_of = Vec::with_capacity(chain.token_count());
-    for i in 0..chain.token_count() as u64 {
-        let next = ht_ids.len() as u32;
-        let id = match chain.token(dams_blockchain::TokenId(i)) {
-            Some(rec) => *ht_ids.entry(rec.origin).or_insert(next),
-            None => next,
-        };
-        ht_of.push(HtId(id));
-    }
-    let universe = TokenUniverse::new(ht_of);
-
+    let universe = chain_universe(chain);
     let mut check = ImmutabilityCheck::default();
     let mut ring_index = 0u64;
     for block in chain.blocks() {
@@ -687,16 +696,10 @@ pub fn recheck_immutability(chain: &Chain) -> ImmutabilityCheck {
                 check.rings_checked += 1;
                 let idx = ring_index;
                 ring_index += 1;
-                let Some(req) = claimed_requirement(input) else {
+                let Some(req) = claimed_requirement(input.claimed_c, input.claimed_l) else {
                     continue;
                 };
-                let ring = RingSet::new(
-                    input
-                        .ring
-                        .iter()
-                        .map(|t| dams_diversity::TokenId(t.0 as u32)),
-                );
-                if !req.satisfied_by_ring(&ring, &universe) {
+                if !req.satisfied_by_ring(&ledger_ring(&input.ring), &universe) {
                     check.violations.push((block.header.height.0, idx));
                 }
             }

@@ -1,7 +1,7 @@
 //! Open-loop arrival generation for the selection service's overload
 //! experiments.
 //!
-//! A *closed-loop* driver (like [`crate::sampler`]) waits for each
+//! A *closed-loop* driver (like the figure timer in `dams-bench`) waits for each
 //! response before issuing the next request, so it can never overload the
 //! system under test — the system's own latency throttles it. Overload
 //! behaviour only shows under **open-loop** load: arrivals keep coming at

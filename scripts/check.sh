@@ -53,8 +53,10 @@ for path in examples/*.rs; do
 done
 
 echo "== experiment shapes (quick) =="
+# paper-experiments is the one timer of the paper's figures: fig4 times
+# the exact BFS per ring, fig5 and fig8 the four selectors per point.
 cargo run --release -q -p dams-bench --bin paper-experiments -- \
-  fig5 fig8 --samples 30 --check-shapes > /dev/null
+  fig4 fig5 fig8 --samples 30 --max-rs 4 --check-shapes > /dev/null
 
 echo "== metrics determinism =="
 # Two runs of the same seeded scenario must render byte-identical
