@@ -3,6 +3,7 @@
 //! decoding. Hand-rolled little-endian framing — no serialization crate,
 //! no reflection, every byte accounted for.
 
+use dams_crypto::group::Scalar;
 use dams_crypto::{KeyImage, PublicKey, RingSignature, SchnorrGroup};
 
 use crate::block::{Block, BlockHeader};
@@ -20,6 +21,9 @@ pub enum CodecError {
     TrailingBytes(usize),
     /// A group element failed subgroup validation.
     InvalidElement(u64),
+    /// A scalar at or above the group order `q`: it would reduce to a
+    /// valid scalar, but re-encode to different bytes.
+    NonCanonicalScalar(u64),
 }
 
 impl std::fmt::Display for CodecError {
@@ -29,6 +33,7 @@ impl std::fmt::Display for CodecError {
             CodecError::LengthOutOfBounds(n) => write!(f, "length {n} out of bounds"),
             CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes"),
             CodecError::InvalidElement(v) => write!(f, "invalid group element {v}"),
+            CodecError::NonCanonicalScalar(v) => write!(f, "non-canonical scalar {v}"),
         }
     }
 }
@@ -94,6 +99,16 @@ fn decode_key_image(group: &SchnorrGroup, raw: u64) -> Result<KeyImage, CodecErr
     KeyImage::from_value(group, raw).ok_or(CodecError::InvalidElement(raw))
 }
 
+/// Wrap a raw scalar, rejecting any value outside `0..q` so that every
+/// decoded signature re-encodes to the bytes it came from.
+fn decode_scalar(group: &SchnorrGroup, raw: u64) -> Result<Scalar, CodecError> {
+    if raw < group.order() {
+        Ok(group.scalar(raw))
+    } else {
+        Err(CodecError::NonCanonicalScalar(raw))
+    }
+}
+
 // --- ring signatures ---
 
 /// Encode a ring signature.
@@ -107,11 +122,11 @@ pub fn encode_signature(sig: &RingSignature, out: &mut Vec<u8>) {
 }
 
 fn decode_signature(group: &SchnorrGroup, r: &mut Reader) -> Result<RingSignature, CodecError> {
-    let c0 = group.scalar(r.u64()?);
+    let c0 = decode_scalar(group, r.u64()?)?;
     let n = r.len()?;
     let mut responses = Vec::with_capacity(n);
     for _ in 0..n {
-        responses.push(group.scalar(r.u64()?));
+        responses.push(decode_scalar(group, r.u64()?)?);
     }
     let key_image = decode_key_image(group, r.u64()?)?;
     Ok(RingSignature {
@@ -350,6 +365,74 @@ mod tests {
             &ring_keys,
             &ct.tx.inputs[0].signature
         ));
+    }
+
+    /// The spend block's signature and the public keys of its ring.
+    fn sample_signature() -> (SchnorrGroup, RingSignature, Vec<u8>, Vec<PublicKey>) {
+        let (group, blocks) = sample_blocks();
+        let tx = &blocks[2].transactions[0].tx;
+        let ring_keys = blocks[1].transactions[0]
+            .tx
+            .outputs
+            .iter()
+            .map(|o| o.owner)
+            .collect();
+        (
+            group,
+            tx.inputs[0].signature.clone(),
+            tx.signing_payload(),
+            ring_keys,
+        )
+    }
+
+    #[test]
+    fn honest_encodings_reencode_byte_identically() {
+        let (group, blocks) = sample_blocks();
+        for b in &blocks {
+            let bytes = block_to_bytes(b);
+            assert_eq!(
+                block_to_bytes(&decode_block(&group, &bytes).unwrap()),
+                bytes
+            );
+        }
+        let (group, sig, _, _) = sample_signature();
+        let bytes = signature_to_bytes(&sig);
+        let decoded = signature_from_bytes(&group, &bytes).unwrap();
+        assert_eq!(signature_to_bytes(&decoded), bytes);
+    }
+
+    /// Add `q` to the raw scalar at `offset` of an encoded signature. The
+    /// result reduces to the same scalar, so a decoder that reduced raw
+    /// scalars would accept a second encoding of one valid signature.
+    fn shifted_by_q(group: &SchnorrGroup, bytes: &[u8], offset: usize) -> (Vec<u8>, u64) {
+        let mut shifted = bytes.to_vec();
+        let raw = u64::from_le_bytes(bytes[offset..offset + 8].try_into().unwrap());
+        let lifted = raw + group.order();
+        shifted[offset..offset + 8].copy_from_slice(&lifted.to_le_bytes());
+        (shifted, lifted)
+    }
+
+    #[test]
+    fn non_canonical_c0_rejected() {
+        let (group, sig, payload, ring_keys) = sample_signature();
+        assert!(dams_crypto::verify(&group, &payload, &ring_keys, &sig));
+        let (bytes, lifted) = shifted_by_q(&group, &signature_to_bytes(&sig), 0);
+        assert_eq!(
+            signature_from_bytes(&group, &bytes).unwrap_err(),
+            CodecError::NonCanonicalScalar(lifted)
+        );
+    }
+
+    #[test]
+    fn non_canonical_response_rejected() {
+        let (group, sig, payload, ring_keys) = sample_signature();
+        assert!(dams_crypto::verify(&group, &payload, &ring_keys, &sig));
+        // c0 and the response count precede the first response.
+        let (bytes, lifted) = shifted_by_q(&group, &signature_to_bytes(&sig), 16);
+        assert_eq!(
+            signature_from_bytes(&group, &bytes).unwrap_err(),
+            CodecError::NonCanonicalScalar(lifted)
+        );
     }
 
     #[test]

@@ -8,11 +8,21 @@
 //!
 //! for each ring slot `i`:  `L_i = g^{s_i} * P_i^{c_i}`,
 //!                          `R_i = H_p(P_i)^{s_i} * I^{c_i}`,
-//!                          `c_{i+1} = H(m, L_i, R_i)`,
+//!                          `c_{i+1} = H(m, P_0, …, P_{n-1}, L_i, R_i)`,
 //!
-//! and the signer closes the ring at her own slot using her secret key.
-//! Verification recomputes the challenges around the ring and checks the
-//! cycle closes.
+//! and the signer closes the ring at their own slot using their secret
+//! key. Verification recomputes the challenges around the ring and checks
+//! the cycle closes.
+//!
+//! The challenge hash is exactly `sha256_parts(&[m, P_0, …, P_{n-1}, L_i,
+//! R_i])` with every key and element as 8 little-endian bytes — each part
+//! preceded by its length as a little-endian `u64` — and `c_{i+1}` is the
+//! digest's first 8 bytes, read little-endian and reduced mod `q`. `sign`
+//! and `verify` absorb the `(m, ring)` prefix into one SHA-256 state once
+//! per signature and clone it for each slot, so a pass hashes the ring
+//! once instead of once per member. `R_i` is one double exponentiation
+//! (`SchnorrGroup::pow2`), sharing a single squaring chain between `s_i`
+//! and `c_i`.
 //!
 //! **Security caveat:** the group is 62 bits — fine for a faithful
 //! functional simulation (which is all the paper's evaluation requires of
@@ -22,6 +32,7 @@ use rand::Rng;
 
 use crate::group::{Element, Scalar, SchnorrGroup};
 use crate::keys::{hash_point, KeyImage, KeyPair, PublicKey};
+use crate::sha256::{digest_to_u64, Sha256};
 
 /// A linkable ring signature: the challenge seed `c_0`, one response per
 /// ring member, and the signer's key image.
@@ -52,22 +63,42 @@ impl std::fmt::Display for SignError {
 
 impl std::error::Error for SignError {}
 
-/// Hash the running transcript `(m, ring, L, R)` into the next challenge.
-fn challenge(
+/// Absorb one length-framed part, as [`crate::sha256::sha256_parts`] does.
+fn absorb(h: &mut Sha256, part: &[u8]) {
+    h.update(&(part.len() as u64).to_le_bytes());
+    h.update(part);
+}
+
+/// The transcript prefix `(m, ring)`, absorbed once per signature.
+fn transcript(message: &[u8], ring: &[PublicKey]) -> Sha256 {
+    let mut h = Sha256::new();
+    absorb(&mut h, message);
+    for p in ring {
+        absorb(&mut h, &p.value().to_le_bytes());
+    }
+    h
+}
+
+/// `H(m, ring, L, R)`: finish a copy of the prefix with `L` and `R`.
+fn challenge(group: &SchnorrGroup, prefix: &Sha256, l: Element, r: Element) -> Scalar {
+    let mut h = prefix.clone();
+    absorb(&mut h, &l.value().to_le_bytes());
+    absorb(&mut h, &r.value().to_le_bytes());
+    group.scalar(digest_to_u64(&h.finalize()))
+}
+
+/// One ring slot: the challenge `c_{i+1}` that follows `(P_i, s_i, c_i)`.
+fn next_challenge(
     group: &SchnorrGroup,
-    message: &[u8],
-    ring: &[PublicKey],
-    l: Element,
-    r: Element,
+    prefix: &Sha256,
+    member: PublicKey,
+    s: Scalar,
+    c: Scalar,
+    image: KeyImage,
 ) -> Scalar {
-    let ring: Vec<[u8; 8]> = ring.iter().map(|p| p.value().to_le_bytes()).collect();
-    let (lb, rb) = (l.value().to_le_bytes(), r.value().to_le_bytes());
-    let mut parts: Vec<&[u8]> = Vec::with_capacity(ring.len() + 3);
-    parts.push(message);
-    parts.extend(ring.iter().map(|b| b.as_slice()));
-    parts.push(&lb);
-    parts.push(&rb);
-    group.hash_to_scalar(&parts)
+    let l = group.mul(group.base_pow(s), group.pow(member.element(), c));
+    let r = group.pow2(hash_point(group, member), s, image.0, c);
+    challenge(group, prefix, l, r)
 }
 
 /// Produce a ring signature on `message` over `ring` with the given signer.
@@ -93,6 +124,7 @@ pub fn sign<R: Rng + ?Sized>(
         .ok_or(SignError::SignerNotInRing)?;
 
     let image = signer.key_image(group);
+    let prefix = transcript(message, ring);
     let mut responses: Vec<Scalar> = (0..n)
         .map(|_| group.scalar(rng.gen_range(1..group.order())))
         .collect();
@@ -102,21 +134,14 @@ pub fn sign<R: Rng + ?Sized>(
     let alpha = group.scalar(rng.gen_range(1..group.order()));
     let l0 = group.base_pow(alpha);
     let r0 = group.pow(hash_point(group, signer.public), alpha);
-    challenges[(secret_index + 1) % n] = challenge(group, message, ring, l0, r0);
+    challenges[(secret_index + 1) % n] = challenge(group, &prefix, l0, r0);
 
     // Walk the ring from the seeded slot back to the signer.
     let mut i = (secret_index + 1) % n;
     while i != secret_index {
-        let l = group.mul(
-            group.base_pow(responses[i]),
-            group.pow(ring[i].element(), challenges[i]),
-        );
-        let r = group.mul(
-            group.pow(hash_point(group, ring[i]), responses[i]),
-            group.pow(image.0, challenges[i]),
-        );
         let next = (i + 1) % n;
-        challenges[next] = challenge(group, message, ring, l, r);
+        challenges[next] =
+            next_challenge(group, &prefix, ring[i], responses[i], challenges[i], image);
         i = next;
     }
 
@@ -144,17 +169,10 @@ pub fn verify(
     if n == 0 || sig.responses.len() != n || !group.contains(sig.key_image.0) {
         return false;
     }
+    let prefix = transcript(message, ring);
     let mut c = sig.c0;
-    for i in 0..n {
-        let l = group.mul(
-            group.base_pow(sig.responses[i]),
-            group.pow(ring[i].element(), c),
-        );
-        let r = group.mul(
-            group.pow(hash_point(group, ring[i]), sig.responses[i]),
-            group.pow(sig.key_image.0, c),
-        );
-        c = challenge(group, message, ring, l, r);
+    for (member, s) in ring.iter().zip(&sig.responses) {
+        c = next_challenge(group, &prefix, *member, *s, c, sig.key_image);
     }
     c == sig.c0
 }
@@ -176,6 +194,26 @@ mod tests {
         let keys: Vec<KeyPair> = (0..n).map(|_| KeyPair::generate(&grp, &mut rng)).collect();
         let ring: Vec<PublicKey> = keys.iter().map(|k| k.public).collect();
         (grp, keys, ring)
+    }
+
+    #[test]
+    fn challenge_matches_sha256_parts_of_the_whole_transcript() {
+        use crate::sha256::sha256_parts;
+        let (grp, _, ring) = setup(5, 30);
+        let (l, r) = (grp.base_pow(grp.scalar(7)), grp.base_pow(grp.scalar(11)));
+        let keys: Vec<[u8; 8]> = ring.iter().map(|p| p.value().to_le_bytes()).collect();
+        let (lb, rb) = (l.value().to_le_bytes(), r.value().to_le_bytes());
+        // Message lengths that leave the prefix at different offsets of a
+        // 64-byte block.
+        for len in [0usize, 1, 7, 23, 55, 64, 200] {
+            let message = vec![0xAB; len];
+            let mut parts: Vec<&[u8]> = vec![&message];
+            parts.extend(keys.iter().map(|k| k.as_slice()));
+            parts.extend([lb.as_slice(), rb.as_slice()]);
+            let expect = grp.scalar(digest_to_u64(&sha256_parts(&parts)));
+            let prefix = transcript(&message, &ring);
+            assert_eq!(challenge(&grp, &prefix, l, r), expect, "len={len}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use std::sync::OnceLock;
 
-use crate::prime::{is_safe_prime, mul_mod, next_safe_prime, pow_mod, FixedBaseWindow};
+use crate::prime::{is_safe_prime, mul_mod, next_safe_prime, FixedBaseWindow, Montgomery};
 use crate::sha256::{digest_to_u64, sha256_parts};
 
 /// A group element (a quadratic residue modulo `p`), kept opaque so that
@@ -43,6 +43,8 @@ pub struct SchnorrGroup {
     p: u64,
     q: u64,
     g: Element,
+    /// Montgomery context for `p`, shared by every exponentiation.
+    mont: Montgomery,
 }
 
 impl Default for SchnorrGroup {
@@ -69,7 +71,12 @@ impl SchnorrGroup {
         // 4 = 2^2 is always a quadratic residue and, since q is prime and
         // 4 != 1, it generates the full order-q subgroup.
         let g = Element(4 % p);
-        Some(SchnorrGroup { p, q, g })
+        Some(SchnorrGroup {
+            p,
+            q,
+            g,
+            mont: Montgomery::new(p),
+        })
     }
 
     /// Build a group from the smallest safe prime at or above `start`.
@@ -96,17 +103,17 @@ impl SchnorrGroup {
     /// `g^e`.
     ///
     /// For the [`SchnorrGroup::default`] group this uses a process-wide
-    /// precomputed [`FixedBaseTable`] for `g` (≤ 15 modular multiplications
-    /// instead of ~90 square-and-multiply steps); any other group falls back
-    /// to the generic [`Self::pow`]. Both paths compute the same value.
+    /// fixed-base window for `g` (≤ 16 Montgomery multiplications instead
+    /// of ~93 for square-and-multiply); any other group falls back to the
+    /// generic [`Self::pow`]. Both paths compute the same value.
     pub fn base_pow(&self, e: Scalar) -> Element {
-        static DEFAULT_G: OnceLock<FixedBaseTable> = OnceLock::new();
+        static DEFAULT_G: OnceLock<FixedBaseWindow> = OnceLock::new();
         let table = DEFAULT_G.get_or_init(|| {
             let grp = SchnorrGroup::default();
-            FixedBaseTable::new(&grp, grp.g)
+            FixedBaseWindow::new(grp.g.0, grp.p)
         });
         if table.modulus() == self.p {
-            table.pow(e)
+            Element(table.pow(e.0))
         } else {
             self.pow(self.g, e)
         }
@@ -114,7 +121,13 @@ impl SchnorrGroup {
 
     /// `a^e`.
     pub fn pow(&self, a: Element, e: Scalar) -> Element {
-        Element(pow_mod(a.0, e.0, self.p))
+        Element(self.mont.pow(a.0, e.0))
+    }
+
+    /// `a^x · b^y`, with one squaring chain shared by both exponents —
+    /// equal to `mul(pow(a, x), pow(b, y))` at about 60% of its cost.
+    pub(crate) fn pow2(&self, a: Element, x: Scalar, b: Element, y: Scalar) -> Element {
+        Element(self.mont.pow2(a.0, x.0, b.0, y.0))
     }
 
     /// `a * b` in the group.
@@ -142,14 +155,6 @@ impl SchnorrGroup {
         Scalar(mul_mod(a.0, b.0, self.q))
     }
 
-    /// Hash arbitrary labelled parts to a scalar (`H_s` in ring-signature
-    /// notation).
-    pub fn hash_to_scalar(&self, parts: &[&[u8]]) -> Scalar {
-        // Rejection-free: a 64-bit reduction bias of ~2^-61 is irrelevant at
-        // simulation scale.
-        self.scalar(digest_to_u64(&sha256_parts(parts)))
-    }
-
     /// Hash arbitrary labelled parts to a group element (`H_p`): map the
     /// digest to a nonzero residue and square it into the QR subgroup.
     pub fn hash_to_element(&self, parts: &[&[u8]]) -> Element {
@@ -173,40 +178,7 @@ impl SchnorrGroup {
 
     /// Whether `a` is a member of the order-`q` subgroup.
     pub fn contains(&self, a: Element) -> bool {
-        a.0 != 0 && a.0 < self.p && pow_mod(a.0, self.q, self.p) == 1
-    }
-}
-
-/// Fixed-base windowed exponentiation table for one group element.
-///
-/// Wraps [`FixedBaseWindow`] (4-bit windows, 16 × 16 entries) in the typed
-/// group API. Build once per base that is exponentiated repeatedly — the
-/// generator (see [`SchnorrGroup::base_pow`]), a signature's key image
-/// (raised once per ring slot during verification), or a per-ring
-/// `hash_to_element` base reused across a block of signatures. Construction
-/// costs 240 modular multiplications; each [`Self::pow`] at most 15,
-/// versus ~90 for generic square-and-multiply — break-even at three uses.
-#[derive(Debug, Clone)]
-pub struct FixedBaseTable {
-    window: FixedBaseWindow,
-}
-
-impl FixedBaseTable {
-    /// Precompute the table for `base` in `group`.
-    pub fn new(group: &SchnorrGroup, base: Element) -> Self {
-        FixedBaseTable {
-            window: FixedBaseWindow::new(base.0, group.p),
-        }
-    }
-
-    /// `base^e` — identical to [`SchnorrGroup::pow`] on the same inputs.
-    pub fn pow(&self, e: Scalar) -> Element {
-        Element(self.window.pow(e.0))
-    }
-
-    /// The modulus of the group the table was built in.
-    pub fn modulus(&self) -> u64 {
-        self.window.modulus()
+        a.0 != 0 && a.0 < self.p && self.mont.pow(a.0, self.q) == 1
     }
 }
 
@@ -276,29 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_to_scalar_is_deterministic_and_spread() {
-        let grp = SchnorrGroup::default();
-        let a = grp.hash_to_scalar(&[b"x"]);
-        let b = grp.hash_to_scalar(&[b"x"]);
-        let c = grp.hash_to_scalar(&[b"y"]);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn fixed_base_table_matches_generic_pow() {
-        let grp = SchnorrGroup::default();
-        for base_seed in [2u64, 777, 123_456_789] {
-            let base = grp.base_pow(grp.scalar(base_seed));
-            let table = FixedBaseTable::new(&grp, base);
-            for e in [0u64, 1, 2, grp.order() - 1, 0xDEAD_BEEF_CAFE] {
-                let e = Scalar(e % grp.order());
-                assert_eq!(table.pow(e), grp.pow(base, e), "base_seed={base_seed}");
-            }
-        }
-    }
-
-    #[test]
     fn base_pow_fast_path_matches_generic_for_all_groups() {
         // Default group takes the table fast path; p = 23 takes the
         // fallback. Both must equal the generic pow.
@@ -308,6 +257,25 @@ mod tests {
             for e in [0u64, 1, 5, grp.order() - 1] {
                 let e = Scalar(e);
                 assert_eq!(grp.base_pow(e), grp.pow(grp.generator(), e));
+            }
+        }
+    }
+
+    #[test]
+    fn pow2_matches_product_of_pows() {
+        let default = SchnorrGroup::default();
+        let small = SchnorrGroup::new(23).unwrap();
+        for grp in [default, small] {
+            let q = grp.order();
+            let scalars = [0, 1, 2, q / 2, q - 1, 0xDEAD_BEEF_CAFE % q];
+            for (i, &x) in scalars.iter().enumerate() {
+                let a = grp.base_pow(Scalar((x ^ 0x55) % q));
+                let b = grp.hash_to_element(&[b"pow2", &x.to_le_bytes()]);
+                for &y in &scalars[i..] {
+                    let (x, y) = (Scalar(x), Scalar(y));
+                    let expect = grp.mul(grp.pow(a, x), grp.pow(b, y));
+                    assert_eq!(grp.pow2(a, x, b, y), expect, "p={} x={x:?} y={y:?}", grp.p);
+                }
             }
         }
     }

@@ -65,14 +65,7 @@ impl KeyImage {
 impl KeyPair {
     /// Sample a fresh key pair with the given RNG.
     pub fn generate<R: Rng + ?Sized>(group: &SchnorrGroup, rng: &mut R) -> Self {
-        // Order q is prime and > 2^60; rejection below is effectively free.
-        let x = loop {
-            let candidate = rng.gen_range(1..group.order());
-            if candidate != 0 {
-                break candidate;
-            }
-        };
-        Self::from_secret(group, x)
+        Self::from_secret(group, rng.gen_range(1..group.order()))
     }
 
     /// Deterministic key pair from a raw secret (used by tests and the

@@ -19,8 +19,7 @@ pub mod keys;
 pub mod prime;
 pub mod sha256;
 
-pub use blsag::{linked, sign, verify, RingSignature, SignError};
-pub use group::{Element, FixedBaseTable, Scalar, SchnorrGroup};
-pub use prime::FixedBaseWindow;
+pub use blsag::{sign, verify, RingSignature, SignError};
+pub use group::SchnorrGroup;
 pub use hd::KeyChain;
-pub use keys::{KeyImage, KeyPair, PublicKey, SecretKey};
+pub use keys::{KeyImage, KeyPair, PublicKey};

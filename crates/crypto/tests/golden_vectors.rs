@@ -15,8 +15,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use dams_crypto::blsag::linked;
 use dams_crypto::sha256::{sha256, Digest, Sha256};
-use dams_crypto::{linked, sign, verify, KeyPair, SchnorrGroup};
+use dams_crypto::{sign, verify, KeyPair, SchnorrGroup};
 
 fn hex(d: &Digest) -> String {
     d.iter().map(|b| format!("{b:02x}")).collect()

@@ -92,7 +92,8 @@ fn corrupted_wire_block_never_reaches_the_chain() {
             Err(CodecError::Truncated)
             | Err(CodecError::LengthOutOfBounds(_))
             | Err(CodecError::TrailingBytes(_))
-            | Err(CodecError::InvalidElement(_)) => decode_failures += 1,
+            | Err(CodecError::InvalidElement(_))
+            | Err(CodecError::NonCanonicalScalar(_)) => decode_failures += 1,
             Ok(block) => {
                 let before = follower.chain().height();
                 follower.deliver(block).unwrap();
