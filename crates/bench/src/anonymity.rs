@@ -34,6 +34,7 @@ use dams_diversity::{
     ring, run_attack, AttackConfig, AttackReport, DiversityRequirement, HtId, RingIndex, TokenId,
     TokenUniverse,
 };
+use dams_obs::json::{Document, Object, Value};
 use dams_obs::Registry;
 use dams_svc::{
     build_arrivals, calibrate, service_config, Frontend, FrontendConfig, OverloadConfig, Request,
@@ -363,80 +364,56 @@ impl AnonymityFigure {
             && self.floor.answered > 0
     }
 
-    /// The `BENCH_anonymity.json` document (hand-rolled: the workspace is
-    /// hermetic, no serde).
+    /// The `BENCH_anonymity.json` document.
     pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"bench\": \"anonymity\",\n");
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"replay_identical\": {},", self.replay_identical);
         let (base, aa) = self.mode_totals();
-        let _ = writeln!(out, "  \"deanonymized_baseline_total\": {base},");
-        let _ = writeln!(out, "  \"deanonymized_attack_aware_total\": {aa},");
-        out.push_str("  \"tiers\": [\n");
-        for (i, t) in self.tiers.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{\"tier\": \"{}\", \"ring_size\": {}, \"measured_score\": {}, \
-                 \"declared_score\": {}}}{}",
-                t.tier,
-                t.ring_size,
-                t.measured_score,
-                t.declared_score,
-                if i + 1 == self.tiers.len() { "" } else { "," },
-            );
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{\"tier\": \"{}\", \"mode\": \"{}\", \"strength\": {}, \
-                 \"ring_size\": {}, \"rings\": {}, \"deanonymized\": {}, \
-                 \"deanonymized_fraction\": {:.4}, \"mean_candidates\": {:.4}, \
-                 \"min_candidates\": {}, \"mean_ht_entropy_bits\": {:.4}, \
-                 \"cascade_depth\": {}}}{}",
-                r.tier,
-                r.mode,
-                r.strength,
-                r.ring_size,
-                r.rings,
-                r.deanonymized,
-                r.deanonymized_fraction,
-                r.mean_candidates,
-                r.min_candidates,
-                r.mean_ht_entropy_bits,
-                r.cascade_depth,
-                if i + 1 == self.rows.len() { "" } else { "," },
-            );
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"floor_sweep\": {\n");
-        let _ = writeln!(out, "    \"seeds\": {},", self.floor.seeds);
-        let _ = writeln!(out, "    \"answered\": {},", self.floor.answered);
-        let _ = writeln!(
-            out,
-            "    \"shed_anonymity_floor\": {},",
-            self.floor.shed_anonymity_floor
-        );
-        let _ = writeln!(
-            out,
-            "    \"answered_below_floor\": {},",
-            self.floor.answered_below_floor
-        );
-        let _ = writeln!(
-            out,
-            "    \"service_shed_anonymity_floor\": {},",
-            self.floor.service_shed_anonymity_floor
-        );
-        let _ = writeln!(
-            out,
-            "    \"service_accounting_ok\": {}",
-            self.floor.service_accounting_ok
-        );
-        out.push_str("  }\n}\n");
-        out
+        let tiers = self.tiers.iter().map(|t| {
+            Object::new()
+                .field("tier", t.tier.to_string())
+                .field("ring_size", t.ring_size)
+                .field("measured_score", t.measured_score)
+                .field("declared_score", t.declared_score)
+        });
+        let rows = self.rows.iter().map(|r| {
+            Object::new()
+                .field("tier", r.tier.to_string())
+                .field("mode", r.mode.to_string())
+                .field("strength", r.strength)
+                .field("ring_size", r.ring_size)
+                .field("rings", r.rings)
+                .field("deanonymized", r.deanonymized)
+                .field(
+                    "deanonymized_fraction",
+                    Value::Fixed(r.deanonymized_fraction, 4),
+                )
+                .field("mean_candidates", Value::Fixed(r.mean_candidates, 4))
+                .field("min_candidates", r.min_candidates)
+                .field(
+                    "mean_ht_entropy_bits",
+                    Value::Fixed(r.mean_ht_entropy_bits, 4),
+                )
+                .field("cascade_depth", r.cascade_depth)
+        });
+        let floor = Object::new()
+            .field("seeds", self.floor.seeds)
+            .field("answered", self.floor.answered)
+            .field("shed_anonymity_floor", self.floor.shed_anonymity_floor)
+            .field("answered_below_floor", self.floor.answered_below_floor)
+            .field(
+                "service_shed_anonymity_floor",
+                self.floor.service_shed_anonymity_floor,
+            )
+            .field("service_accounting_ok", self.floor.service_accounting_ok);
+        Document::new()
+            .field("bench", "anonymity")
+            .field("seed", self.seed)
+            .field("replay_identical", self.replay_identical)
+            .field("deanonymized_baseline_total", base)
+            .field("deanonymized_attack_aware_total", aa)
+            .rows("tiers", tiers)
+            .rows("rows", rows)
+            .block("floor_sweep", floor)
+            .render()
     }
 
     /// The grep-able `ANON_report.txt` companion.

@@ -74,12 +74,12 @@
 //! * `serve --real` — run the *real* concurrent runtime front end: the
 //!   same seeded trace a `serve-sim` scenario would replay is exported
 //!   to the wire (length-prefixed self-authenticating frames over an
-//!   in-process duplex pipe or loopback TCP), served by a worker thread
-//!   on the same work-tick clock, and diffed against the virtual-tick
-//!   `Service` model at each `--loads` multiple. Writes the grep-able
-//!   differential report (`--diff-report`, ends `verdict: MATCH` or
-//!   `verdict: DIVERGED`) and the sim-vs-real ramp rows (`--out`);
-//!   exits non-zero unless every load point matches.
+//!   in-process duplex pipe or loopback TCP), decoded and served by the
+//!   virtual-tick `Service` behind the wire on the same work-tick clock,
+//!   and diffed against the `Service` model at each `--loads` multiple.
+//!   Writes the grep-able differential report (`--diff-report`, ends
+//!   `verdict: MATCH` or `verdict: DIVERGED`) and the sim-vs-real ramp
+//!   rows (`--out`); exits non-zero unless every load point matches.
 //! * `cluster-sim` — run the partition-tolerant replication scenario
 //!   (`dams-node`) and the sharded scale-out load harness (`dams-svc`) at
 //!   each `--node-counts` size: gossip dissemination under the default
@@ -111,11 +111,12 @@ use dams_core::{
     select_with_ladder_exec, BfsBudget, CoreMetrics, Instance, LadderExec, PracticalAlgorithm,
     SelectionPolicy, Tier, TokenMagic,
 };
-use dams_obs::Mode;
 use dams_diversity::{
     analyze, matching::reduction_graph, DiversityRequirement, HtHistogram, HtId, RingIndex,
     RingSet, TokenId, TokenUniverse,
 };
+use dams_obs::json::{Document, Object, Value};
+use dams_obs::Mode;
 use dams_workload::{simulate_batch, SimulationConfig, SyntheticConfig};
 
 fn main() {
@@ -655,37 +656,37 @@ fn run_cluster_sim(
         rows.push((nodes, scenario, load));
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"cluster\",\n");
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"requests\": {requests},\n"));
-    json.push_str("  \"offered_load\": 4.00,\n");
-    json.push_str("  \"rows\": [\n");
-    for (i, (nodes, scenario, load)) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"nodes\": {nodes}, \"goodput\": {:.4}, \"offered\": {}, \
-             \"completed\": {}, \"shed\": {}, \"convergence_ticks\": {}, \
-             \"height\": {}, \"catchup_prefix_blocks\": {}, \
-             \"catchup_tail_blocks\": {}, \"restart_tail_blocks\": {}, \
-             \"blocks_served\": {}, \"converged\": {}}}{}\n",
-            load.goodput(),
-            load.offered,
-            load.completed,
-            load.shed,
-            scenario
-                .ticks
-                .map_or_else(|| "null".into(), |t| t.to_string()),
-            scenario.height,
-            scenario.joiner.map_or(0, |j| j.prefix_adopted),
-            scenario.joiner.map_or(0, |j| j.tail_verified),
-            scenario.restart.map_or(0, |(_, applied)| applied),
-            scenario.blocks_served,
-            scenario.ok(),
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    json.push_str("  ]\n}\n");
+    let json_rows = rows.iter().map(|(nodes, scenario, load)| {
+        Object::new()
+            .field("nodes", *nodes)
+            .field("goodput", Value::Fixed(load.goodput(), 4))
+            .field("offered", load.offered)
+            .field("completed", load.completed)
+            .field("shed", load.shed)
+            .field("convergence_ticks", scenario.ticks)
+            .field("height", scenario.height)
+            .field(
+                "catchup_prefix_blocks",
+                scenario.joiner.map_or(0, |j| j.prefix_adopted),
+            )
+            .field(
+                "catchup_tail_blocks",
+                scenario.joiner.map_or(0, |j| j.tail_verified),
+            )
+            .field(
+                "restart_tail_blocks",
+                scenario.restart.map_or(0, |(_, applied)| applied),
+            )
+            .field("blocks_served", scenario.blocks_served)
+            .field("converged", scenario.ok())
+    });
+    let json = Document::new()
+        .field("bench", "cluster")
+        .field("seed", seed)
+        .field("requests", requests)
+        .field("offered_load", Value::Fixed(4.0, 2))
+        .rows("rows", json_rows)
+        .render();
     if let Err(e) = std::fs::write(out, &json) {
         die(&format!("cannot write {out}: {e}"));
     }
@@ -739,50 +740,36 @@ fn run_byzantine_sim(seed: u64, honest: usize, max_f: usize, out: &str, report_o
         .get(1)
         .map(|(_, r)| if f0_goodput > 0.0 { r.goodput / f0_goodput } else { 0.0 });
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"byzantine\",\n");
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"honest\": {honest},\n"));
-    json.push_str("  \"goodput_gate\": {\n");
-    json.push_str("    \"max_deviation\": 0.10,\n");
-    json.push_str(&format!(
-        "    \"f1_over_f0\": {}\n",
-        f1_ratio.map_or_else(|| "null".into(), |r| format!("{r:.4}")),
-    ));
-    json.push_str("  },\n");
-    json.push_str("  \"rows\": [\n");
-    for (i, (f, report)) in rows.iter().enumerate() {
-        let kinds: Vec<String> =
-            report.actors.iter().map(|a| format!("\"{}\"", a.label())).collect();
-        let offenses: Vec<String> = report
+    let json_rows = rows.iter().map(|(f, report)| {
+        let actors: Vec<&str> = report.actors.iter().map(|a| a.label()).collect();
+        let offenses = report
             .offenses
             .iter()
-            .map(|(label, n)| format!("\"{label}\": {n}"))
-            .collect();
-        json.push_str(&format!(
-            "    {{\"f\": {f}, \"actors\": [{}], \"goodput\": {:.4}, \
-             \"baseline_goodput\": {:.4}, \"convergence_ticks\": {}, \
-             \"height\": {}, \"all_banned\": {}, \"no_poison\": {}, \
-             \"snapshot_match\": {}, \"honest_accusations\": {}, \
-             \"offenses\": {{{}}}, \"converged\": {}}}{}\n",
-            kinds.join(", "),
-            report.goodput,
-            report.baseline_goodput,
-            report
-                .ticks
-                .map_or_else(|| "null".into(), |t| t.to_string()),
-            report.height,
-            report.all_banned,
-            report.no_poison,
-            report.snapshot_match,
-            report.honest_accusations,
-            offenses.join(", "),
-            report.ok(),
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    json.push_str("  ]\n}\n");
+            .fold(Object::new(), |o, (label, n)| o.field(label.clone(), *n));
+        Object::new()
+            .field("f", *f)
+            .field("actors", actors)
+            .field("goodput", Value::Fixed(report.goodput, 4))
+            .field("baseline_goodput", Value::Fixed(report.baseline_goodput, 4))
+            .field("convergence_ticks", report.ticks)
+            .field("height", report.height)
+            .field("all_banned", report.all_banned)
+            .field("no_poison", report.no_poison)
+            .field("snapshot_match", report.snapshot_match)
+            .field("honest_accusations", report.honest_accusations)
+            .field("offenses", offenses)
+            .field("converged", report.ok())
+    });
+    let goodput_gate = Object::new()
+        .field("max_deviation", Value::Fixed(0.10, 2))
+        .field("f1_over_f0", f1_ratio.map(|r| Value::Fixed(r, 4)));
+    let json = Document::new()
+        .field("bench", "byzantine")
+        .field("seed", seed)
+        .field("honest", honest)
+        .block("goodput_gate", goodput_gate)
+        .rows("rows", json_rows)
+        .render();
     if let Err(e) = std::fs::write(out, &json) {
         die(&format!("cannot write {out}: {e}"));
     }

@@ -29,6 +29,7 @@ use dams_core::{
     InitStrategy, Instance, ProfileCache, SelectError, Selection, SelectionPolicy,
 };
 use dams_diversity::{DiversityRequirement, HtId, RingIndex, RingSet, TokenId, TokenUniverse};
+use dams_obs::json::{Document, Object, Value};
 use dams_workload::SyntheticConfig;
 
 /// Median-of-`repeats` wall-clock per side of one figure row.
@@ -61,20 +62,17 @@ pub struct SelectionFigure {
 impl SelectionFigure {
     /// Render as the `BENCH_selection.json` document.
     pub fn render_json(&self) -> String {
-        fn row(r: &FigureRow) -> String {
-            format!(
-                "{{\"baseline_ns\": {}, \"optimized_ns\": {}, \"speedup\": {:.3}}}",
-                r.baseline_ns,
-                r.optimized_ns,
-                r.speedup()
-            )
-        }
-        format!(
-            "{{\n  \"seed\": {},\n  \"exact_bfs\": {},\n  \"tm_g\": {}\n}}\n",
-            self.seed,
-            row(&self.exact_bfs),
-            row(&self.tm_g)
-        )
+        let row = |r: &FigureRow| {
+            Object::new()
+                .field("baseline_ns", r.baseline_ns)
+                .field("optimized_ns", r.optimized_ns)
+                .field("speedup", Value::Fixed(r.speedup(), 3))
+        };
+        Document::new()
+            .field("seed", self.seed)
+            .field("exact_bfs", row(&self.exact_bfs))
+            .field("tm_g", row(&self.tm_g))
+            .render()
     }
 }
 

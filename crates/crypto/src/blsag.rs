@@ -123,7 +123,9 @@ pub fn sign<R: Rng + ?Sized>(
         .position(|p| *p == signer.public)
         .ok_or(SignError::SignerNotInRing)?;
 
-    let image = signer.key_image(group);
+    // `H_p(P)` of the signer serves the key image and the seed commitment.
+    let hp = hash_point(group, signer.public);
+    let image = KeyImage(group.pow(hp, signer.secret.0));
     let prefix = transcript(message, ring);
     let mut responses: Vec<Scalar> = (0..n)
         .map(|_| group.scalar(rng.gen_range(1..group.order())))
@@ -133,7 +135,7 @@ pub fn sign<R: Rng + ?Sized>(
     // Seed the ring at the slot after the signer with a random commitment.
     let alpha = group.scalar(rng.gen_range(1..group.order()));
     let l0 = group.base_pow(alpha);
-    let r0 = group.pow(hash_point(group, signer.public), alpha);
+    let r0 = group.pow(hp, alpha);
     challenges[(secret_index + 1) % n] = challenge(group, &prefix, l0, r0);
 
     // Walk the ring from the seeded slot back to the signer.

@@ -43,9 +43,9 @@ impl KeyChain {
             &self.chain.to_le_bytes(),
             &index.to_le_bytes(),
         ]);
-        // Reduce into the scalar field; a zero draw (probability ~2^-61)
-        // is lifted by KeyPair::from_secret.
-        KeyPair::from_secret(&self.group, digest_to_u64(&digest) % self.group.order())
+        // `from_secret` reduces into the scalar field and lifts a zero
+        // draw (probability ~2^-61).
+        KeyPair::from_secret(&self.group, digest_to_u64(&digest))
     }
 
     /// Derive the first `n` key pairs.

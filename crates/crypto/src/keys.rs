@@ -69,9 +69,11 @@ impl KeyPair {
     }
 
     /// Deterministic key pair from a raw secret (used by tests and the
-    /// deterministic workload generators).
+    /// deterministic workload generators). The secret is reduced mod q
+    /// first, and a zero scalar is lifted to 1, so no raw secret yields
+    /// the identity as public key or key image.
     pub fn from_secret(group: &SchnorrGroup, x: u64) -> Self {
-        let x = group.scalar(x.max(1));
+        let x = group.scalar((x % group.order()).max(1));
         let public = PublicKey(group.base_pow(x));
         KeyPair {
             secret: SecretKey(x),
@@ -127,6 +129,23 @@ mod tests {
         let grp = SchnorrGroup::default();
         let kp = KeyPair::from_secret(&grp, 0);
         assert_ne!(kp.public.value(), 1, "identity public key forbidden");
+    }
+
+    #[test]
+    fn nonzero_multiples_of_q_are_lifted_like_zero() {
+        let grp = SchnorrGroup::default();
+        let q = grp.order();
+        let one = KeyPair::from_secret(&grp, 1);
+        for x in [q, 2 * q, u64::MAX - u64::MAX % q] {
+            let kp = KeyPair::from_secret(&grp, x);
+            assert_eq!(kp.secret, one.secret, "secret, x = {x}");
+            assert_eq!(kp.public, one.public, "public key, x = {x}");
+            assert_eq!(
+                kp.key_image(&grp),
+                one.key_image(&grp),
+                "key image, x = {x}"
+            );
+        }
     }
 
     #[test]

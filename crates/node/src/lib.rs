@@ -4,8 +4,7 @@
 //!
 //! * [`verifier`] — Step-3 ring-configuration checks miners run when
 //!   blocking transactions (TokenMagic batch membership, the first
-//!   practical configuration, a claimed-diversity floor, Monero-style
-//!   recency, and combinators);
+//!   practical configuration, and a claimed-diversity floor);
 //! * [`views`] — full-node / light-node batch views with the §4 consensus
 //!   property;
 //! * [`validate`] — the polynomial Definition-5 validator wallets run
@@ -20,7 +19,6 @@ pub mod peers;
 pub mod indexing;
 pub mod network;
 pub mod obs;
-pub mod report;
 pub mod sync;
 pub mod validate;
 pub mod verifier;
@@ -45,8 +43,7 @@ pub use indexing::{block_delta, index_of_chain};
 pub use network::{NodeLimits, NodeStats, SimNode};
 pub use sync::{bootstrap_from_bundle, catch_up_tail, recheck_node, serve_bundle, SyncReport};
 pub use obs::NodeMetrics;
-pub use report::render_report;
 pub use validate::{validate_ring, Verdict};
-pub use verifier::{AllOf, RecencyConfiguration, TokenMagicConfiguration};
+pub use verifier::TokenMagicConfiguration;
 pub use views::{BatchProvider, FullNode, LightNode};
 pub use wallet::{Wallet, WalletError};

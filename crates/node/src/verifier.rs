@@ -110,50 +110,6 @@ impl RingConfiguration for TokenMagicConfiguration {
     }
 }
 
-/// Monero's recency rule from §2.1, as a second pluggable configuration:
-/// at least half of the ring must come from the most recent `window`
-/// blocks.
-pub struct RecencyConfiguration {
-    /// How many trailing blocks count as "recent" (Monero: ~1.8 days).
-    pub window: u64,
-}
-
-impl RingConfiguration for RecencyConfiguration {
-    fn check(&self, chain: &Chain, ring: &[TokenId]) -> Result<(), String> {
-        let tip = chain.height() as u64 - 1;
-        let cutoff = tip.saturating_sub(self.window);
-        let recent = ring
-            .iter()
-            .filter(|t| {
-                chain
-                    .token(**t)
-                    .is_some_and(|rec| rec.block.0 > cutoff)
-            })
-            .count();
-        if recent * 2 >= ring.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "only {recent}/{} ring members from the last {} blocks",
-                ring.len(),
-                self.window
-            ))
-        }
-    }
-}
-
-/// Chain several configurations; all must pass.
-pub struct AllOf<'a>(pub Vec<&'a dyn RingConfiguration>);
-
-impl RingConfiguration for AllOf<'_> {
-    fn check(&self, chain: &Chain, ring: &[TokenId]) -> Result<(), String> {
-        for cfg in &self.0 {
-            cfg.check(chain, ring)?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,26 +172,5 @@ mod tests {
         assert!(cfg.check(&chain, &[TokenId(0), TokenId(1)]).is_err());
         // Cross-origin pair: q = [1,1]: 1 < 2·1 → ok.
         assert!(cfg.check(&chain, &[TokenId(0), TokenId(2)]).is_ok());
-    }
-
-    #[test]
-    fn recency_rule() {
-        let chain = chain_with_blocks(&[2, 2, 2]); // blocks 1..3 hold tokens
-        let cfg = RecencyConfiguration { window: 1 };
-        // Tokens 4, 5 are in the last block (3 > 3-1): recent.
-        assert!(cfg.check(&chain, &[TokenId(4), TokenId(5)]).is_ok());
-        assert!(cfg.check(&chain, &[TokenId(4), TokenId(0)]).is_ok()); // 1/2 recent
-        assert!(cfg
-            .check(&chain, &[TokenId(0), TokenId(1), TokenId(4)])
-            .is_err()); // 1/3 recent
-    }
-
-    #[test]
-    fn all_of_combines() {
-        let chain = chain_with_blocks(&[4]);
-        let tm = TokenMagicConfiguration::new(4);
-        let rec = RecencyConfiguration { window: 10 };
-        let combined = AllOf(vec![&tm, &rec]);
-        assert!(combined.check(&chain, &[TokenId(0), TokenId(1)]).is_ok());
     }
 }

@@ -3,7 +3,8 @@
 //! The workspace's observability layer: named **counters**, **gauges**,
 //! **log2-bucketed histograms** (with quantile estimation), and RAII
 //! **span timers**, collected in a [`Registry`] that renders to a stable
-//! sorted text format and a JSON document.
+//! sorted text format and a JSON document. [`json`] is the one writer of
+//! the other `BENCH_*.json` artifacts.
 //!
 //! Like `dams-prng` and `dams-proptest`, this crate is hermetic: zero
 //! external dependencies, `std` only. Handles are `Arc`-backed atomics,
@@ -36,6 +37,7 @@
 //! `_total`, gauges name a level (`node.inbox.high_watermark`), timers
 //! end in `_ns`.
 
+pub mod json;
 mod metrics;
 mod registry;
 mod snapshot;

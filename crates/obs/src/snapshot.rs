@@ -2,6 +2,7 @@
 
 use std::fmt::Write as _;
 
+use crate::json::json_string;
 use crate::metrics::Unit;
 
 /// How a snapshot renders (see the crate-level determinism contract).
@@ -173,27 +174,6 @@ impl Snapshot {
         out.push_str("}\n");
         out
     }
-}
-
-/// Escape a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

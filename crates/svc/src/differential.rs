@@ -2,22 +2,21 @@
 //!
 //! The virtual-tick [`Service`] is the *model*: deterministic, inline,
 //! trivially auditable. The [`runtime`](crate::runtime) is the
-//! *implementation*: a real thread and a real wire. This module replays
-//! the **same seeded open-loop arrival trace** through both and diffs
-//! their accounting.
+//! *implementation*: the same service behind a real wire, with client
+//! threads on the other end. This module replays the **same seeded
+//! open-loop arrival trace** through both and diffs their accounting.
 //!
 //! # Exact equality
 //!
-//! Both run one admission engine and one event loop that settles each
-//! dispatched job before the next event; they differ only in how a job
-//! becomes an outcome (an inline ladder call, or a round trip to a
-//! worker thread). So the oracle demands equality, not
+//! Both serve the trace with one [`Service`] event loop; the runtime
+//! only decodes the trace from wire frames first and answers each
+//! settlement with a frame. So the oracle demands equality, not
 //! closeness: every [`SvcReport`] field and every deterministic
 //! `svc.*`/`core.*` snapshot line must match. The runtime-only
 //! `svc.runtime.*` lines are left out. What the oracle still tests is
-//! what genuinely differs — the worker thread, wire frames, and the client
-//! tally — through exact invariants (one response per id, client tally
-//! == server report, every frame received and none rejected).
+//! what genuinely differs — the wire and the client tally — through
+//! exact invariants (one response per id, client tally == server
+//! report, every frame received and none rejected).
 //!
 //! The rendered report is grep-able line-oriented text whose final line
 //! is always `verdict: MATCH` or `verdict: DIVERGED`; every failed row
@@ -28,6 +27,7 @@ use std::collections::BTreeSet;
 
 use dams_core::{Instance, SelectionPolicy};
 use dams_diversity::{DiversityRequirement, HtId, TokenUniverse};
+use dams_obs::json::{Document, Object, Value};
 use dams_workload::ArrivalEvent;
 
 use crate::overload::{build_arrivals, calibrate, service_config, OverloadConfig};
@@ -370,46 +370,44 @@ fn snapshot_diff(sim: &str, real: &str) -> Vec<String> {
 }
 
 /// Render sim-vs-real goodput ramp rows as the `BENCH_runtime.json`
-/// document (hand-rolled: the workspace is hermetic, no serde).
-pub fn render_runtime_bench_json(
-    base: &OverloadConfig,
-    rows: &[(f64, DiffOutcome)],
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"runtime-differential\",\n");
-    out.push_str(&format!("  \"seed\": {},\n", base.seed));
-    out.push_str(&format!("  \"workers\": {},\n", base.workers));
-    out.push_str(&format!("  \"requests\": {},\n", base.requests));
-    out.push_str("  \"rows\": [\n");
-    for (i, (load, o)) in rows.iter().enumerate() {
-        let goodput = |r: &SvcReport| {
-            if r.offered == 0 {
-                0.0
-            } else {
-                r.deadline_met as f64 / r.offered as f64
-            }
+/// document.
+pub fn render_runtime_bench_json(base: &OverloadConfig, rows: &[(f64, DiffOutcome)]) -> String {
+    let side = |r: &SvcReport| {
+        let goodput = if r.offered == 0 {
+            0.0
+        } else {
+            r.deadline_met as f64 / r.offered as f64
         };
-        out.push_str(&format!(
-            "    {{\"load\": {:.2}, \"sim\": {{\"offered\": {}, \"completed\": {}, \"deadline_met\": {}, \"goodput\": {:.4}}}, \"real\": {{\"offered\": {}, \"completed\": {}, \"deadline_met\": {}, \"goodput\": {:.4}, \"frames_received\": {}, \"client_responses\": {}}}, \"verdict\": \"{}\"}}{}\n",
-            load,
-            o.sim.offered,
-            o.sim.completed,
-            o.sim.deadline_met,
-            goodput(&o.sim),
-            o.real.svc.offered,
-            o.real.svc.completed,
-            o.real.svc.deadline_met,
-            goodput(&o.real.svc),
-            o.real.frames_received,
-            o.real.client.responses,
-            if o.report.matched() { "MATCH" } else { "DIVERGED" },
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+        Object::new()
+            .field("offered", r.offered)
+            .field("completed", r.completed)
+            .field("deadline_met", r.deadline_met)
+            .field("goodput", Value::Fixed(goodput, 4))
+    };
+    let rows = rows.iter().map(|(load, o)| {
+        let real = side(&o.real.svc)
+            .field("frames_received", o.real.frames_received)
+            .field("client_responses", o.real.client.responses);
+        Object::new()
+            .field("load", Value::Fixed(*load, 2))
+            .field("sim", side(&o.sim))
+            .field("real", real)
+            .field(
+                "verdict",
+                if o.report.matched() {
+                    "MATCH"
+                } else {
+                    "DIVERGED"
+                },
+            )
+    });
+    Document::new()
+        .field("bench", "runtime-differential")
+        .field("seed", base.seed)
+        .field("workers", base.workers)
+        .field("requests", base.requests)
+        .rows("rows", rows)
+        .render()
 }
 
 #[cfg(test)]

@@ -16,10 +16,10 @@
 //!
 //! Two drivers run it. They differ only where they must:
 //!
-//! * [`Service::run`](crate::service::Service::run) and the
-//!   [`runtime`](crate::runtime) are one event loop, [`Engine::run`]. A
-//!   dispatched job becomes an outcome by an inline ladder call in the
-//!   service and by a round trip to the worker thread in the runtime.
+//! * [`Service`](crate::service::Service) runs the event loop,
+//!   [`Engine::run`], over an arrival schedule. The
+//!   [`runtime`](crate::runtime) is this driver behind the wire: it
+//!   decodes the trace's frames and calls the same loop.
 //! * [`Frontend`](crate::frontend::Frontend) runs one request through
 //!   admit → grant → settle. It has no queue and no ledger entry.
 //!
@@ -29,9 +29,8 @@
 //! adds one arrival or frees one worker. After a round, either no worker
 //! is idle or both queues are empty. So the next round can pair at most
 //! one worker with one request: a round never yields more than one job.
-//! [`Engine::run`] settles that job before it takes the next event, so
-//! at most one selection is ever in flight, and the runtime settles each
-//! request exactly where the sim does.
+//! [`Engine::run`] runs and settles that job before it takes the next
+//! event, so at most one selection is ever in flight.
 
 use std::collections::{hash_map::Entry, BTreeMap, HashMap, VecDeque};
 
@@ -329,7 +328,7 @@ impl Engine {
     }
 
     // -----------------------------------------------------------------
-    // Queues, retries and the ledger (the service and the runtime)
+    // Queues, retries and the ledger (the event loop)
     // -----------------------------------------------------------------
 
     fn on_event(&mut self, now: u64, event: Event) {
@@ -474,17 +473,18 @@ impl Engine {
         self.next_seq += 1;
     }
 
-    /// The discrete-event loop behind [`Service::run`] and the runtime.
-    /// Arrivals need not be sorted; ties settle in input
-    /// order. `execute` turns a job into its outcome; `respond` hears
-    /// every terminal settlement. The loop dispatches after every event
-    /// and settles each job before the next event (see the module docs).
+    /// The discrete-event loop behind [`Service::serve`]. Arrivals need
+    /// not be sorted; ties settle in input order. Each dispatched job
+    /// runs its ladder over `instance` inline; `respond` hears every
+    /// terminal settlement. The loop dispatches after every event and
+    /// settles each job before the next event (see the module docs).
     ///
-    /// [`Service::run`]: crate::service::Service::run
+    /// [`Service::serve`]: crate::service::Service::serve
     pub fn run<E>(
         &mut self,
+        instance: &Instance,
+        policy: SelectionPolicy,
         arrivals: &[(u64, Request)],
-        mut execute: impl FnMut(&Job) -> Result<Outcome, E>,
         mut respond: impl FnMut(u64, TerminalFate) -> Result<(), E>,
     ) -> Result<(), E> {
         for &(tick, req) in arrivals {
@@ -504,7 +504,7 @@ impl Engine {
             while let Some(job) = self.dispatch(now) {
                 jobs += 1;
                 debug_assert_eq!(jobs, 1, "a dispatch round yields at most one job");
-                let outcome = execute(&job)?;
+                let outcome = job.select(instance, None, policy, &self.core);
                 let cost = self.price(&job, &outcome);
                 let finish = now + cost + job.stall;
                 self.schedule(finish, Event::WorkerFree(job.worker));

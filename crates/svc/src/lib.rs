@@ -19,9 +19,9 @@
 //! * [`retry`] — full-jitter backoff policy for shed batch requests.
 //! * [`frontend`] — a queueless synchronous facade with the same
 //!   protections, for embedding in `dams-node`'s wallet.
-//! * [`runtime`] — the same service on a real worker thread behind the
-//!   [`wire`] protocol, checked against the simulation by
-//!   [`differential`].
+//! * [`runtime`] — the same service behind the [`wire`] protocol, with
+//!   real client threads on the other end, checked against the
+//!   simulation by [`differential`].
 //! * [`overload`] — the seeded overload harness: calibrates the tick
 //!   economy against an instance, drives open-loop arrival ramps at
 //!   multiples of capacity, and renders `BENCH_overload.json`.
@@ -35,8 +35,8 @@
 //!
 //! The request path itself (admission, queues, dispatch, settlement,
 //! breaker feedback, retries and hedges, the terminal ledger) is written
-//! once, in a crate-private engine that [`service`], [`runtime`] and
-//! [`frontend`] all run.
+//! once, in a crate-private engine that [`service`] (and through it
+//! [`runtime`]) and [`frontend`] run.
 //!
 //! Everything runs on one clock, work ticks, from explicit seeds: no
 //! budget, deadline or breaker cooldown reads the wall clock, so an

@@ -31,6 +31,7 @@ use dams_core::{
     Tier,
 };
 use dams_diversity::{DiversityRequirement, HtId, TokenId, TokenUniverse};
+use dams_obs::json::{Document, Object, Value};
 use dams_obs::Registry;
 use dams_workload::OpenLoop;
 
@@ -214,41 +215,31 @@ pub fn run_ramp(base: &OverloadConfig, loads: &[f64]) -> Vec<(f64, SvcReport)> {
         .collect()
 }
 
-/// Render ramp rows as the `BENCH_overload.json` document (hand-rolled:
-/// the workspace is hermetic, no serde).
+/// Render ramp rows as the `BENCH_overload.json` document.
 pub fn render_bench_json(base: &OverloadConfig, rows: &[(f64, SvcReport)]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"overload\",\n");
-    out.push_str(&format!("  \"seed\": {},\n", base.seed));
-    out.push_str(&format!("  \"workers\": {},\n", base.workers));
-    out.push_str(&format!("  \"requests\": {},\n", base.requests));
-    out.push_str("  \"rows\": [\n");
-    for (i, (load, r)) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"offered_load\": {load:.2}, \"offered\": {}, \"admitted\": {}, \
-             \"completed\": {}, \"goodput\": {:.4}, \"shed_queue_full\": {}, \
-             \"shed_deadline_infeasible\": {}, \"shed_circuit_open\": {}, \
-             \"shed_anonymity_floor\": {}, \
-             \"deadline_met_rate\": {:.4}, \"p50_latency_ticks\": {}, \
-             \"p99_latency_ticks\": {}, \"final_tick\": {}}}{}\n",
-            r.offered,
-            r.admitted_events,
-            r.completed,
-            r.goodput(),
-            r.shed_queue_full,
-            r.shed_deadline_infeasible,
-            r.shed_circuit_open,
-            r.shed_anonymity_floor,
-            r.deadline_met_rate(),
-            r.p50_latency_ticks,
-            r.p99_latency_ticks,
-            r.final_tick,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows = rows.iter().map(|(load, r)| {
+        Object::new()
+            .field("offered_load", Value::Fixed(*load, 2))
+            .field("offered", r.offered)
+            .field("admitted", r.admitted_events)
+            .field("completed", r.completed)
+            .field("goodput", Value::Fixed(r.goodput(), 4))
+            .field("shed_queue_full", r.shed_queue_full)
+            .field("shed_deadline_infeasible", r.shed_deadline_infeasible)
+            .field("shed_circuit_open", r.shed_circuit_open)
+            .field("shed_anonymity_floor", r.shed_anonymity_floor)
+            .field("deadline_met_rate", Value::Fixed(r.deadline_met_rate(), 4))
+            .field("p50_latency_ticks", r.p50_latency_ticks)
+            .field("p99_latency_ticks", r.p99_latency_ticks)
+            .field("final_tick", r.final_tick)
+    });
+    Document::new()
+        .field("bench", "overload")
+        .field("seed", base.seed)
+        .field("workers", base.workers)
+        .field("requests", base.requests)
+        .rows("rows", rows)
+        .render()
 }
 
 #[cfg(test)]

@@ -1,44 +1,33 @@
-//! The real concurrent runtime front end: a worker thread behind the
-//! service's admission/breaker semantics, driven over the wire protocol
-//! ([`crate::wire`]).
+//! The real concurrent runtime front end: the virtual-tick
+//! [`Service`] behind the wire protocol ([`crate::wire`]).
 //!
 //! # One engine, one clock
 //!
-//! The server runs the crate's admission engine, the same one the
-//! virtual-tick [`Service`](crate::service::Service) and the `Frontend`
-//! run: arrival checks, class queues, the floored ladder and exact
-//! grant, dispatch, settlement, breaker feedback, retries and hedges.
-//! What the runtime adds is real: decoded and authenticated wire frames
-//! over an in-process pipe or loopback TCP, and a worker thread.
-//!
-//! The client writes the whole trace over the wire and closes; the server
-//! decodes and authenticates every frame, then replays the arrivals
-//! through the engine's event loop on the work-tick clock, the same loop
-//! [`Service::run`](crate::service::Service::run) runs. Each dispatched
-//! job is a round trip to the worker thread, and it is settled before the
-//! next event. A dispatch round never yields more than one job, because
-//! the loop dispatches after every event and each event adds one arrival
-//! or frees one worker. So at most one selection is in flight: one
-//! thread runs every job while the engine models `cfg.svc.workers`
-//! worker slots, and the runtime's accounting equals the sim's exactly —
-//! which is what lets CI re-run the real runtime three times and demand
-//! byte-identical reports.
+//! The client writes the whole trace over the wire and closes. The
+//! server decodes and authenticates every frame, over an in-process pipe
+//! or loopback TCP, and counts them in the `svc.runtime.*` family of the
+//! service's own registry. It then serves the decoded arrivals with
+//! [`Service::serve`], the event loop [`Service::run`] runs, on the same
+//! work-tick clock, and sends each terminal fate back as a response
+//! frame the moment the request settles. What the runtime adds is real:
+//! the frames, the transport, and the client threads that write the
+//! trace and tally the responses. So the runtime's accounting equals the
+//! sim's exactly — which is what lets CI re-run the real runtime three
+//! times and demand byte-identical reports.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown as NetShutdown, TcpListener, TcpStream};
-use std::sync::mpsc;
 
 use dams_core::{Instance, SelectionPolicy};
-use dams_obs::Registry;
 use dams_workload::ArrivalEvent;
 
-use crate::engine::{Engine, Job, Outcome, TerminalFate};
 use crate::obs::RuntimeMetrics;
-use crate::service::{self, SvcConfig, SvcReport};
+use crate::service::{Service, SvcConfig, SvcReport};
 use crate::wire::{
     duplex_pair, write_frame, DuplexEnd, FrameReader, Hello, Message, WireError, WireOutcome,
     WireRequest, WireResponse,
 };
+use crate::TerminalFate;
 
 /// Which byte transport carries the frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,10 +187,6 @@ fn wire_request(e: &ArrivalEvent) -> WireRequest {
 // Server
 // ---------------------------------------------------------------------
 
-fn hung_up() -> WireError {
-    WireError::Io("worker thread hung up".into())
-}
-
 /// Count one frame the client sent; returns the request it carries.
 fn count_frame(rt: &RuntimeMetrics, msg: Message) -> Option<WireRequest> {
     match msg {
@@ -218,6 +203,49 @@ fn count_frame(rt: &RuntimeMetrics, msg: Message) -> Option<WireRequest> {
         Message::Response(_) => rt.frames_rejected.inc(),
     }
     None
+}
+
+/// Decode the whole trace off the wire, then serve it through a
+/// [`Service`], answering each terminal fate with a response frame.
+fn run_server(
+    instance: &Instance,
+    policy: SelectionPolicy,
+    cfg: &RuntimeConfig,
+    server: Channel,
+) -> Result<RuntimeReport, WireError> {
+    let mut service = Service::new(instance, policy, cfg.svc);
+    let rt = RuntimeMetrics::in_registry(service.registry());
+
+    let mut resp = server.try_clone()?;
+    let respond = |id: u64, fate: TerminalFate| {
+        let outcome = match fate {
+            TerminalFate::Completed { met, degraded } => WireOutcome::Completed { met, degraded },
+            TerminalFate::Shed(r) => WireOutcome::Shed(r),
+            TerminalFate::Failed => WireOutcome::Failed,
+        };
+        rt.frames_sent.inc();
+        write_frame(&mut resp, &Message::Response(WireResponse { id, outcome }))
+    };
+
+    // Pull the entire trace off the wire (every frame decoded and
+    // digest-checked; a corrupt frame aborts the session — the stream is
+    // self-authenticating, not self-healing), then serve it.
+    let mut reader = FrameReader::new(server);
+    let mut arrivals = Vec::new();
+    while let Some(msg) = reader.read_frame()? {
+        if let Some(r) = count_frame(&rt, msg) {
+            arrivals.push((r.tick, r.to_request()));
+        }
+    }
+    let svc = service.serve(&arrivals, respond)?;
+    resp.close_write();
+    Ok(RuntimeReport {
+        svc,
+        client: ClientTally::default(),
+        frames_received: rt.frames_received.get(),
+        frames_rejected: rt.frames_rejected.get(),
+        sessions: rt.sessions.get(),
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -278,76 +306,9 @@ pub fn run_runtime(
             Ok(tally)
         });
 
-        let mut report = run_server(s, instance, policy, cfg, server)?;
+        let mut report = run_server(instance, policy, cfg, server)?;
         writer.join().expect("client writer panicked")?;
         report.client = reader.join().expect("client reader panicked")?;
         Ok(report)
-    })
-}
-
-fn run_server<'scope, 'env>(
-    s: &'scope std::thread::Scope<'scope, 'env>,
-    instance: &'env Instance,
-    policy: SelectionPolicy,
-    cfg: &RuntimeConfig,
-    server: Channel,
-) -> Result<RuntimeReport, WireError>
-where
-    'env: 'scope,
-{
-    let registry = Registry::new();
-    let rt = RuntimeMetrics::in_registry(&registry);
-    let mut engine = Engine::new(cfg.svc, &registry, service::SEED_SALT);
-
-    // The worker thread: one job in, one outcome out. It exits when
-    // `job_tx` drops at the end of this function.
-    let (job_tx, jobs) = mpsc::channel::<Job>();
-    let (done_tx, done) = mpsc::channel::<Outcome>();
-    let core = engine.core.clone();
-    s.spawn(move || {
-        while let Ok(job) = jobs.recv() {
-            let outcome = job.select(instance, None, policy, &core);
-            if done_tx.send(outcome).is_err() {
-                return;
-            }
-        }
-    });
-
-    let mut resp = server.try_clone()?;
-    let respond = |id: u64, fate: TerminalFate| {
-        let outcome = match fate {
-            TerminalFate::Completed { met, degraded } => WireOutcome::Completed { met, degraded },
-            TerminalFate::Shed(r) => WireOutcome::Shed(r),
-            TerminalFate::Failed => WireOutcome::Failed,
-        };
-        rt.frames_sent.inc();
-        write_frame(&mut resp, &Message::Response(WireResponse { id, outcome }))
-    };
-
-    // Pull the entire trace off the wire (every frame decoded and
-    // digest-checked; a corrupt frame aborts the session — the stream is
-    // self-authenticating, not self-healing), then replay it through the
-    // engine's event loop.
-    let mut reader = FrameReader::new(server);
-    let mut arrivals = Vec::new();
-    while let Some(msg) = reader.read_frame()? {
-        if let Some(r) = count_frame(&rt, msg) {
-            arrivals.push((r.tick, r.to_request()));
-        }
-    }
-    let execute = |job: &Job| {
-        job_tx.send(*job).map_err(|_| hung_up())?;
-        done.recv().map_err(|_| hung_up())
-    };
-    engine.run(&arrivals, execute, respond)?;
-
-    let svc = engine.report(&registry);
-    resp.close_write();
-    Ok(RuntimeReport {
-        svc,
-        client: ClientTally::default(),
-        frames_received: rt.frames_received.get(),
-        frames_rejected: rt.frames_rejected.get(),
-        sessions: rt.sessions.get(),
     })
 }

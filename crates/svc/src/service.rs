@@ -3,8 +3,10 @@
 //! circuit breaking in front of `dams-core`'s degrade ladder.
 //!
 //! The request path itself is the crate's admission engine, which the
-//! real runtime and the `Frontend` also run; [`Service`] drives it on a
-//! virtual clock and runs each dispatched job inline.
+//! `Frontend` also runs; [`Service`] drives it on a virtual clock and
+//! runs each dispatched job inline. The real runtime is this service
+//! behind the wire: it calls [`Service::serve`] on the decoded trace and
+//! sends each terminal fate back as a response frame.
 //!
 //! # Why a virtual clock
 //!
@@ -58,7 +60,7 @@ use dams_diversity::TokenId;
 use dams_obs::Registry;
 
 use crate::breaker::BreakerConfig;
-use crate::engine::Engine;
+use crate::engine::{Engine, TerminalFate};
 use crate::retry::RetryPolicy;
 
 /// Priority class of a request.
@@ -212,9 +214,8 @@ impl SvcReport {
     }
 }
 
-/// Seed salt of the service's in-engine random stream (the runtime
-/// shares it, so both replay the same draws).
-pub(crate) const SEED_SALT: u64 = 0x5e1e_c75e;
+/// Seed salt of the service's in-engine random stream.
+const SEED_SALT: u64 = 0x5e1e_c75e;
 
 /// The service simulation (see the module docs).
 pub struct Service<'a> {
@@ -245,14 +246,21 @@ impl<'a> Service<'a> {
     /// need not be sorted; ties settle in input order. Each dispatched
     /// job runs inline on this thread.
     pub fn run(&mut self, arrivals: &[(u64, Request)]) -> SvcReport {
-        let (instance, policy) = (self.instance, self.policy);
-        let core = self.engine.core.clone();
-        let Ok(()) = self.engine.run(
-            arrivals,
-            |job| Ok::<_, Infallible>(job.select(instance, None, policy, &core)),
-            |_, _| Ok(()),
-        );
-        self.engine.report(&self.registry)
+        let Ok(report) = self.serve(arrivals, |_, _| Ok::<_, Infallible>(()));
+        report
+    }
+
+    /// [`Service::run`], answering as it goes: `respond` hears each
+    /// request id's terminal fate the moment the id settles. The first
+    /// error `respond` returns ends the run.
+    pub fn serve<E>(
+        &mut self,
+        arrivals: &[(u64, Request)],
+        respond: impl FnMut(u64, TerminalFate) -> Result<(), E>,
+    ) -> Result<SvcReport, E> {
+        self.engine
+            .run(self.instance, self.policy, arrivals, respond)?;
+        Ok(self.engine.report(&self.registry))
     }
 }
 

@@ -23,6 +23,7 @@ use rand::{Rng, SeedableRng};
 
 use dams_core::{DiversityIndex, Instance, SelectionPolicy};
 use dams_diversity::{DiversityRequirement, TokenId, TokenUniverse};
+use dams_obs::json::{Document, Object, Value};
 use dams_obs::Registry;
 use dams_workload::{ChainStream, StreamConfig};
 
@@ -204,46 +205,32 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     }
 }
 
-/// Render the soak report as the `BENCH_soak.json` artifact (hand-rolled
-/// JSON: the workspace is hermetic, no serde).
+/// Render the soak report as the `BENCH_soak.json` artifact.
 pub fn render_soak_json(cfg: &SoakConfig, report: &SoakReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"soak\",\n");
-    out.push_str(&format!("  \"seed\": {},\n", report.seed));
-    out.push_str(&format!("  \"lambda\": {},\n", report.lambda));
-    out.push_str(&format!(
-        "  \"requests_per_phase\": {},\n",
-        cfg.requests_per_phase
-    ));
-    out.push_str(&format!(
-        "  \"p99_flat\": {},\n",
-        report.p99_flat(P99_TOLERANCE)
-    ));
-    out.push_str(&format!(
-        "  \"maintenance_flat\": {},\n",
-        report.maintenance_flat(MAINTENANCE_TOLERANCE)
-    ));
-    out.push_str("  \"phases\": [\n");
-    for (i, p) in report.phases.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"tokens\": {}, \"blocks\": {}, \"batches\": {}, \
-             \"completed\": {}, \"shed\": {}, \"max_block_ops\": {}, \
-             \"mean_block_ops\": {:.2}, \"p50_work\": {}, \"p99_work\": {}}}{}\n",
-            p.tokens,
-            p.blocks,
-            p.batches,
-            p.completed,
-            p.shed,
-            p.max_block_ops,
-            p.mean_block_ops,
-            p.p50_work,
-            p.p99_work,
-            if i + 1 == report.phases.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let phases = report.phases.iter().map(|p| {
+        Object::new()
+            .field("tokens", p.tokens)
+            .field("blocks", p.blocks)
+            .field("batches", p.batches)
+            .field("completed", p.completed)
+            .field("shed", p.shed)
+            .field("max_block_ops", p.max_block_ops)
+            .field("mean_block_ops", Value::Fixed(p.mean_block_ops, 2))
+            .field("p50_work", p.p50_work)
+            .field("p99_work", p.p99_work)
+    });
+    Document::new()
+        .field("bench", "soak")
+        .field("seed", report.seed)
+        .field("lambda", report.lambda)
+        .field("requests_per_phase", cfg.requests_per_phase)
+        .field("p99_flat", report.p99_flat(P99_TOLERANCE))
+        .field(
+            "maintenance_flat",
+            report.maintenance_flat(MAINTENANCE_TOLERANCE),
+        )
+        .rows("phases", phases)
+        .render()
 }
 
 /// Gate: deterministic p99 work may grow at most 1.5× across three

@@ -67,9 +67,8 @@ pub enum WireError {
         kind: &'static str,
         detail: &'static str,
     },
-    /// An I/O failure: the TCP transport failed mid-frame, or the
-    /// runtime's worker thread hung up (the in-process transport itself
-    /// never errors).
+    /// An I/O failure: the TCP transport failed mid-frame (the
+    /// in-process transport itself never errors).
     Io(String),
 }
 

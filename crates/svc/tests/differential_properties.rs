@@ -168,7 +168,7 @@ fn tcp_transport_matches_duplex_accounting() {
 
 #[test]
 fn single_worker_runtime_reproduces_the_sim_exactly() {
-    // The smallest pool: every printed row, one worker thread, equal to
+    // The smallest pool: every printed row, one worker slot, equal to
     // the sim's.
     for seed in [2, 9, 31] {
         let cfg = DiffConfig {

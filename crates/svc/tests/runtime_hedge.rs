@@ -2,7 +2,7 @@
 //! over the wire.
 //!
 //! A hedge-heavy trace (tiny queue, batch traffic, retries with hedged
-//! twins) runs through the runtime's worker thread and wire protocol.
+//! twins) runs through the runtime's wire protocol.
 //! The runtime spawns hedges, deduplicates them through the engine's
 //! terminal ledger, answers every id exactly once on the wire, and
 //! replays byte-identically.

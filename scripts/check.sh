@@ -145,7 +145,7 @@ echo "f=1 adversarial-peer scenario defended (converged, adversary banned)"
 
 echo "== sim-vs-real differential =="
 # Differential gate: replay the seeded overload trace through the real
-# concurrent runtime (a worker thread behind wire frames) and the
+# concurrent runtime (the Service behind wire frames) and the
 # virtual-tick model, and require the accounting to match at every load
 # point. The report and ramp land at the repo root for CI
 # artifact upload.
@@ -156,8 +156,8 @@ if [ "$(tail -n 1 DIFF_report.txt)" != "verdict: MATCH" ]; then
   exit 1
 fi
 # Flake guard: the runtime budgets in work ticks, so it is deterministic
-# despite its real thread and wire — three back-to-back runs must produce
-# byte-identical reports and ramp rows.
+# despite its client threads and real wire — three back-to-back runs must
+# produce byte-identical reports and ramp rows.
 for i in 1 2 3; do
   cli serve --real --seed 42 --loads 1,2,4 \
     --out "$tmpdir/bench_runtime_$i.json" \
