@@ -134,7 +134,9 @@ fn tier_instance() -> Instance {
 /// The homogeneous fresh instance the floor sweep serves (the same shape
 /// as the overload harness's own).
 fn sweep_instance() -> Instance {
-    Instance::fresh(TokenUniverse::new((0..24u32).map(|i| HtId(i % 8)).collect()))
+    Instance::fresh(TokenUniverse::new(
+        (0..24u32).map(|i| HtId(i % 8)).collect(),
+    ))
 }
 
 /// The ring size `tier` produces on the calibration instance (minimum 2:
@@ -264,7 +266,11 @@ fn floor_sweep(seed: u64) -> FloorSweep {
             // Floors range one past the best declared score, so some
             // requests are unsatisfiable by construction.
             let floor = rng.gen_range(0..=max_declared + 1);
-            let budget = if rng.gen_range(0..4) == 0 { 80 } else { 1 << 20 };
+            let budget = if rng.gen_range(0..4) == 0 {
+                80
+            } else {
+                1 << 20
+            };
             match frontend.select_floored(TokenId(i % 8), budget, false, floor) {
                 Ok(sel) => {
                     sweep.answered += 1;
@@ -344,8 +350,7 @@ impl AnonymityFigure {
 
     /// Every gate the figure must pass (mirrored by the snapshot script).
     pub fn ok(&self) -> bool {
-        let grid_complete =
-            self.rows.len() == Tier::DEFAULT_LADDER.len() * 2 * STRENGTHS.len();
+        let grid_complete = self.rows.len() == Tier::DEFAULT_LADDER.len() * 2 * STRENGTHS.len();
         let scores_backed = self
             .tiers
             .iter()
@@ -458,13 +463,13 @@ impl AnonymityFigure {
             self.floor.shed_anonymity_floor,
             self.floor.answered_below_floor,
             self.floor.service_shed_anonymity_floor,
-            if self.floor.service_accounting_ok { "ok" } else { "BROKEN" },
+            if self.floor.service_accounting_ok {
+                "ok"
+            } else {
+                "BROKEN"
+            },
         );
-        let _ = writeln!(
-            out,
-            "verdict: {}",
-            if self.ok() { "PASS" } else { "FAIL" }
-        );
+        let _ = writeln!(out, "verdict: {}", if self.ok() { "PASS" } else { "FAIL" });
         out
     }
 }

@@ -230,9 +230,7 @@ fn main() {
                 tokens.len(),
                 worlds
             );
-            println!(
-                "counting these is the #P-complete EPMBG problem of Theorem 3.1"
-            );
+            println!("counting these is the #P-complete EPMBG problem of Theorem 3.1");
         }
         "run" => {
             let dir = get("--store-dir").unwrap_or_else(|| die("--store-dir required"));
@@ -392,7 +390,11 @@ fn main() {
                     o.real.frames_received,
                     o.real.client.responses,
                     o.real.client.duplicates,
-                    if o.report.matched() { "MATCH" } else { "DIVERGED" },
+                    if o.report.matched() {
+                        "MATCH"
+                    } else {
+                        "DIVERGED"
+                    },
                 );
                 rows.push((load, o));
             }
@@ -475,8 +477,8 @@ fn main() {
         }
         "bench" => {
             let out = get("--out").unwrap_or_else(|| "BENCH_baseline.json".into());
-            let selection_out = get("--selection-out")
-                .unwrap_or_else(|| "BENCH_selection.json".into());
+            let selection_out =
+                get("--selection-out").unwrap_or_else(|| "BENCH_selection.json".into());
             run_bench_workload(seed);
             // The selection figure runs before the snapshot is written so
             // its cache traffic (core.cache.*) lands in the baseline too.
@@ -641,7 +643,11 @@ fn run_cluster_sim(
         println!(
             "{nodes} nodes: {} | goodput {:.2} ({}/{} completed) | height {} | \
              catch-up {}+{} blocks (prefix+tail)",
-            if scenario.ok() { "CONVERGED" } else { "DIVERGED" },
+            if scenario.ok() {
+                "CONVERGED"
+            } else {
+                "DIVERGED"
+            },
             load.goodput(),
             load.completed,
             load.offered,
@@ -693,7 +699,10 @@ fn run_cluster_sim(
     if let Err(e) = std::fs::write(report_out, &report_text) {
         die(&format!("cannot write {report_out}: {e}"));
     }
-    println!("wrote {out} ({} cluster sizes) and {report_out}", rows.len());
+    println!(
+        "wrote {out} ({} cluster sizes) and {report_out}",
+        rows.len()
+    );
     all_ok
 }
 
@@ -716,12 +725,20 @@ fn run_byzantine_sim(seed: u64, honest: usize, max_f: usize, out: &str, report_o
         println!(
             "f={f} vs {honest} honest: {} | goodput {:.3} (baseline {:.3}) | height {} | \
              {} offense records | banned {}",
-            if report.ok() { "CONVERGED" } else { "COMPROMISED" },
+            if report.ok() {
+                "CONVERGED"
+            } else {
+                "COMPROMISED"
+            },
             report.goodput,
             report.baseline_goodput,
             report.height,
             offense_total,
-            if report.all_banned { "all" } else { "INCOMPLETE" },
+            if report.all_banned {
+                "all"
+            } else {
+                "INCOMPLETE"
+            },
         );
         report_text.push_str(&format!(
             "=== f={f} byzantine vs {honest} honest (seed {seed}) ===\n"
@@ -736,9 +753,13 @@ fn run_byzantine_sim(seed: u64, honest: usize, max_f: usize, out: &str, report_o
     // f=1 the honest replicas' block adoptions per tick stay within 10%
     // of the adversary-free run.
     let f0_goodput = rows[0].1.goodput;
-    let f1_ratio = rows
-        .get(1)
-        .map(|(_, r)| if f0_goodput > 0.0 { r.goodput / f0_goodput } else { 0.0 });
+    let f1_ratio = rows.get(1).map(|(_, r)| {
+        if f0_goodput > 0.0 {
+            r.goodput / f0_goodput
+        } else {
+            0.0
+        }
+    });
 
     let json_rows = rows.iter().map(|(f, report)| {
         let actors: Vec<&str> = report.actors.iter().map(|a| a.label()).collect();
@@ -834,8 +855,7 @@ fn run_durable(dir: &str, blocks: u64, seed: u64, crash_after: Option<u64>) {
         println!("store already at height {start} >= target {blocks}; nothing to mine");
     }
     for height in start + 1..=blocks {
-        let mut rng =
-            StdRng::seed_from_u64(seed ^ height.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut rng = StdRng::seed_from_u64(seed ^ height.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let outs: Vec<TokenOutput> = (0..2)
             .map(|_| TokenOutput {
                 owner: dams_crypto::KeyPair::generate(&group, &mut rng).public,

@@ -110,7 +110,9 @@ fn main() {
         println!();
     }
     if want("related") {
-        println!("# related-set growth — global mixin selection vs TokenMagic batching (lambda = 64)");
+        println!(
+            "# related-set growth — global mixin selection vs TokenMagic batching (lambda = 64)"
+        );
         println!("rings\tglobal\tbatched");
         for r in series::related_growth(400, 3) {
             println!("{}\t{:.0}\t{:.0}", r.rings, r.global_mean, r.batched_mean);

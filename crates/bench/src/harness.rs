@@ -9,7 +9,11 @@ use crate::series::{Figure, APPROACHES};
 /// Render a figure as a TSV table: `x  <alg>_size  <alg>_us ...`.
 pub fn render(figure: &Figure) -> String {
     let mut out = String::new();
-    let _ = write!(out, "# {} — x axis: {}\n{}", figure.name, figure.x_axis, figure.x_axis);
+    let _ = write!(
+        out,
+        "# {} — x axis: {}\n{}",
+        figure.name, figure.x_axis, figure.x_axis
+    );
     for alg in APPROACHES {
         let _ = write!(out, "\t{}_size\t{}_us", alg.label(), alg.label());
     }
@@ -129,7 +133,8 @@ enum Direction {
 
 /// Render the Figure 4 sequence.
 pub fn render_fig4(points: &[crate::series::Fig4Point]) -> String {
-    let mut out = String::from("# fig4 — TM_B per-RS generation time\nrs_index\tmicros\tring_size\n");
+    let mut out =
+        String::from("# fig4 — TM_B per-RS generation time\nrs_index\tmicros\tring_size\n");
     for p in points {
         let _ = writeln!(
             out,
@@ -144,7 +149,9 @@ pub fn render_fig4(points: &[crate::series::Fig4Point]) -> String {
 
 /// Render Figure 3.
 pub fn render_fig3(hist: &[(usize, usize)]) -> String {
-    let mut out = String::from("# fig3 — outputs per transaction (simulated Monero snapshot)\noutputs\ttransactions\n");
+    let mut out = String::from(
+        "# fig3 — outputs per transaction (simulated Monero snapshot)\noutputs\ttransactions\n",
+    );
     for (o, n) in hist {
         let _ = writeln!(out, "{o}\t{n}");
     }

@@ -124,7 +124,12 @@ fn bfs_workload(seed: u64) -> (Instance, Vec<TokenId>, DiversityRequirement, Bfs
     // (0.5, 3) forces a perfectly spread 5-HT ring: every smaller or less
     // balanced candidate is enumerated and rejected first, so the search
     // does real work at every size.
-    (instance, targets, DiversityRequirement::new(0.5, 3), BfsBudget::default())
+    (
+        instance,
+        targets,
+        DiversityRequirement::new(0.5, 3),
+        BfsBudget::default(),
+    )
 }
 
 /// Time the exact-BFS row at `seed`, asserting result equivalence first.
@@ -137,7 +142,10 @@ fn exact_bfs_row(seed: u64) -> FigureRow {
         .collect();
     let cache = EvalCache::new();
     let optimized = bfs_batch(&instance, &targets, req, budget, Some(&cache));
-    assert_eq!(reference, optimized, "optimized BFS diverged from the reference");
+    assert_eq!(
+        reference, optimized,
+        "optimized BFS diverged from the reference"
+    );
 
     let baseline_ns = median_ns(|| {
         for &t in &targets {
@@ -171,7 +179,10 @@ fn tm_g_row(seed: u64) -> FigureRow {
         .iter()
         .map(|&t| game_theoretic_with(&instance, t, policy, init, Some(&cache)))
         .collect();
-    assert_eq!(reference, optimized, "optimized TM_G diverged from the reference");
+    assert_eq!(
+        reference, optimized,
+        "optimized TM_G diverged from the reference"
+    );
 
     let baseline_ns = median_ns(|| {
         for &t in &targets {

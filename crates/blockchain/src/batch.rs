@@ -68,10 +68,7 @@ impl BatchList {
         // list (corrupted state — construction always adds genesis) the
         // loop never ran and `current_first` is `None`, so no batch forms.
         if let Some(first) = current_first {
-            let last = chain
-                .blocks()
-                .last()
-                .map_or(first, |b| b.header.height);
+            let last = chain.blocks().last().map_or(first, |b| b.header.height);
             batches.push(Batch {
                 index: batches.len(),
                 first_block: first,

@@ -57,9 +57,15 @@ impl std::fmt::Display for VerifyError {
                 write!(f, "key image {i} appears twice in one transaction")
             }
             VerifyError::MalformedRing { input_index } => {
-                write!(f, "ring of input {input_index} is unsorted or has duplicates")
+                write!(
+                    f,
+                    "ring of input {input_index} is unsorted or has duplicates"
+                )
             }
-            VerifyError::ConfigurationViolation { input_index, reason } => {
+            VerifyError::ConfigurationViolation {
+                input_index,
+                reason,
+            } => {
                 write!(f, "input {input_index} violates configuration: {reason}")
             }
             VerifyError::NoInputs => write!(f, "transaction has no inputs"),
@@ -318,7 +324,10 @@ impl Chain {
                     owner: out.owner,
                     amount: out.amount,
                 });
-                self.by_owner.entry(out.owner.value()).or_default().push(tid);
+                self.by_owner
+                    .entry(out.owner.value())
+                    .or_default()
+                    .push(tid);
                 output_ids.push(tid);
             }
             committed.push(CommittedTransaction { id, tx, output_ids });
@@ -363,8 +372,7 @@ impl Chain {
         config: &dyn RingConfiguration,
     ) -> Result<(), ChainError> {
         let tip = self.tip()?;
-        if block.header.prev_hash != tip.hash() || block.header.height.0 as usize != self.height()
-        {
+        if block.header.prev_hash != tip.hash() || block.header.height.0 as usize != self.height() {
             return Err(ChainError::NotExtendingTip);
         }
         if Block::content_hash(&block.transactions) != block.header.content_hash {
@@ -439,7 +447,10 @@ impl Chain {
                     owner: out.owner,
                     amount: out.amount,
                 });
-                self.by_owner.entry(out.owner.value()).or_default().push(tid);
+                self.by_owner
+                    .entry(out.owner.value())
+                    .or_default()
+                    .push(tid);
             }
             self.next_tx = self.next_tx.max(ct.id.0 + 1);
         }
@@ -475,7 +486,9 @@ mod tests {
     fn harness(n: usize) -> Harness {
         let group = SchnorrGroup::default();
         let mut rng = StdRng::seed_from_u64(42);
-        let keys: Vec<KeyPair> = (0..n).map(|_| KeyPair::generate(&group, &mut rng)).collect();
+        let keys: Vec<KeyPair> = (0..n)
+            .map(|_| KeyPair::generate(&group, &mut rng))
+            .collect();
         let mut chain = Chain::new(group);
         chain.submit_coinbase(
             keys.iter()
@@ -571,7 +584,10 @@ mod tests {
         let mut tx = spend(&mut h, vec![TokenId(0), TokenId(1)], 0);
         tx.inputs[0].ring = vec![TokenId(0), TokenId(99)];
         let err = h.chain.submit(tx, &NoConfiguration).unwrap_err();
-        assert!(matches!(err, VerifyError::UnknownToken(TokenId(99))), "{err:?}");
+        assert!(
+            matches!(err, VerifyError::UnknownToken(TokenId(99))),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -614,7 +630,9 @@ mod tests {
         h.chain.seal_block().unwrap();
         assert!(h.chain.audit());
         // Tamper with a committed transaction.
-        h.chain.blocks[2].transactions[0].output_ids.push(TokenId(77));
+        h.chain.blocks[2].transactions[0]
+            .output_ids
+            .push(TokenId(77));
         assert!(!h.chain.audit());
     }
 

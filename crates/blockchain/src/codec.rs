@@ -145,10 +145,7 @@ pub fn signature_to_bytes(sig: &RingSignature) -> Vec<u8> {
 }
 
 /// Decode a standalone ring-signature encoding, rejecting trailing bytes.
-pub fn signature_from_bytes(
-    group: &SchnorrGroup,
-    buf: &[u8],
-) -> Result<RingSignature, CodecError> {
+pub fn signature_from_bytes(group: &SchnorrGroup, buf: &[u8]) -> Result<RingSignature, CodecError> {
     let mut r = Reader::new(buf);
     let sig = decode_signature(group, &mut r)?;
     r.finish()?;
@@ -466,10 +463,7 @@ mod tests {
         let pos = 80;
         bytes[pos..pos + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         let err = decode_block(&group, &bytes).unwrap_err();
-        assert!(
-            matches!(err, CodecError::LengthOutOfBounds(_)),
-            "{err:?}"
-        );
+        assert!(matches!(err, CodecError::LengthOutOfBounds(_)), "{err:?}");
     }
 
     #[test]

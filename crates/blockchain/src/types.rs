@@ -49,7 +49,9 @@ mod tests {
     fn amount_arithmetic() {
         assert_eq!(Amount(2) + Amount(3), Amount(5));
         assert_eq!(
-            [Amount(1), Amount(2), Amount(3)].into_iter().sum::<Amount>(),
+            [Amount(1), Amount(2), Amount(3)]
+                .into_iter()
+                .sum::<Amount>(),
             Amount(6)
         );
         assert_eq!(Amount(u64::MAX).checked_add(Amount(1)), None);

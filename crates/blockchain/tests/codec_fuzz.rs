@@ -22,7 +22,9 @@ const SEEDS: u64 = 64;
 fn realistic_block() -> (SchnorrGroup, Block) {
     let group = SchnorrGroup::default();
     let mut rng = StdRng::seed_from_u64(404);
-    let keys: Vec<KeyPair> = (0..4).map(|_| KeyPair::generate(&group, &mut rng)).collect();
+    let keys: Vec<KeyPair> = (0..4)
+        .map(|_| KeyPair::generate(&group, &mut rng))
+        .collect();
     let mut chain = Chain::new(group);
     chain.submit_coinbase(
         keys.iter()

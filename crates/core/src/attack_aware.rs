@@ -222,7 +222,10 @@ mod tests {
                 &mut rng,
             );
             for &t in ring.tokens() {
-                assert!(t == TokenId(20) || !avoid.contains(&t), "picked avoided {t:?}");
+                assert!(
+                    t == TokenId(20) || !avoid.contains(&t),
+                    "picked avoided {t:?}"
+                );
             }
         }
     }

@@ -690,7 +690,13 @@ mod tests {
             ..BfsBudget::default()
         };
         assert_eq!(
-            bfs(&inst, TokenId(9), DiversityRequirement::new(2.0, 1), expired).unwrap_err(),
+            bfs(
+                &inst,
+                TokenId(9),
+                DiversityRequirement::new(2.0, 1),
+                expired
+            )
+            .unwrap_err(),
             SelectError::BudgetExhausted
         );
     }

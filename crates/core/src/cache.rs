@@ -138,7 +138,11 @@ impl EvalCache {
 
     /// Look up a candidate by its canonical (sorted) token content.
     pub fn lookup(&self, tokens: &[TokenId]) -> Option<CachedOutcome> {
-        let out = self.inner.lock().unwrap_or_else(PoisonError::into_inner).get(tokens);
+        let out = self
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(tokens);
         match out {
             Some(v) => {
                 self.metrics.cache_hits.inc();
@@ -169,7 +173,10 @@ impl EvalCache {
 
     /// Current number of stored outcomes.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner).len()
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// True when nothing is cached yet.
@@ -219,7 +226,11 @@ impl ProfileCache {
 
     /// Look up a profile by its selection bitset words.
     pub fn lookup(&self, profile: &[u64]) -> Option<(bool, u32)> {
-        let out = self.inner.lock().unwrap_or_else(PoisonError::into_inner).get(profile);
+        let out = self
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(profile);
         match out {
             Some(v) => {
                 self.metrics.cache_hits.inc();
@@ -249,7 +260,10 @@ impl ProfileCache {
 
     /// Current number of stored profiles.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner).len()
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// True when nothing is cached yet.

@@ -6,9 +6,7 @@
 //! * **Second configuration:** to guarantee all DTRSs satisfy `(c, ℓ)`, the
 //!   ring itself must satisfy `(c, ℓ+1)` (Theorem 6.4).
 
-use dams_diversity::{
-    DiversityRequirement, HtHistogram, HtId, RingIndex, RingSet, TokenUniverse,
-};
+use dams_diversity::{DiversityRequirement, HtHistogram, HtId, RingIndex, RingSet, TokenUniverse};
 
 use crate::instance::{ModularInstance, ModuleId};
 
@@ -179,8 +177,7 @@ mod tests {
         let combos = enumerate_combinations(&idx, &rings);
         let exact = enumerate_dtrs(&combos, &rings, 1, &u);
         let fast = dtrs_token_sets_fast(idx.ring(RsId(1)), &u, 2);
-        let fast_hts: std::collections::BTreeSet<HtId> =
-            fast.iter().map(|(h, _)| *h).collect();
+        let fast_hts: std::collections::BTreeSet<HtId> = fast.iter().map(|(h, _)| *h).collect();
         let exact_hts: std::collections::BTreeSet<HtId> =
             exact.iter().map(|d| d.determined_ht).collect();
         assert!(

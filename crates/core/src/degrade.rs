@@ -344,7 +344,10 @@ mod tests {
         let policy = SelectionPolicy::new(req);
         let sel = select(&inst, TokenId(0), policy, starved(), &Tier::DEFAULT_LADDER).unwrap();
         assert_eq!(sel.tier, Tier::Progressive);
-        assert_eq!(sel.attempts, vec![(Tier::ExactBfs, SelectError::BudgetExhausted)]);
+        assert_eq!(
+            sel.attempts,
+            vec![(Tier::ExactBfs, SelectError::BudgetExhausted)]
+        );
         assert!(sel.degraded());
         // The degraded answer still satisfies the (c, ℓ) requirement.
         assert!(sel.selection.ring.contains(TokenId(0)));
@@ -448,7 +451,10 @@ mod tests {
         assert!(req.satisfied_by(&hist));
         let snap = registry.snapshot();
         assert_eq!(snap.counter("core.bfs.candidates_total"), Some(0));
-        assert_eq!(snap.counter("core.degrade.deadline_infeasible_total"), Some(1));
+        assert_eq!(
+            snap.counter("core.degrade.deadline_infeasible_total"),
+            Some(1)
+        );
     }
 
     #[test]
@@ -505,7 +511,9 @@ mod tests {
     fn displays_are_informative() {
         assert_eq!(Tier::ExactBfs.to_string(), "exact-bfs");
         assert!(Guarantee::Exact.to_string().contains("exact"));
-        assert!(Guarantee::ProgressiveRatio(2.5).to_string().contains("2.500"));
+        assert!(Guarantee::ProgressiveRatio(2.5)
+            .to_string()
+            .contains("2.500"));
         assert!(Guarantee::PriceOfAnarchy(3.0).to_string().contains("PoA"));
     }
 }

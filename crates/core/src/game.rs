@@ -175,8 +175,7 @@ pub fn game_theoretic_with(
                     let better = match best {
                         None => true,
                         Some((b, bid)) => {
-                            gamma < b
-                                || (gamma == b && m.len() < instance.module(bid).len())
+                            gamma < b || (gamma == b && m.len() < instance.module(bid).len())
                         }
                     };
                     if better {
@@ -495,8 +494,8 @@ fn module_hts(instance: &ModularInstance, id: ModuleId) -> BTreeSet<HtId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::progressive::tests::example3;
     use crate::progressive::progressive;
+    use crate::progressive::tests::example3;
     use dams_diversity::DiversityRequirement;
 
     #[test]
@@ -572,11 +571,13 @@ mod tests {
                 for init in [InitStrategy::CoverageGreedy, InitStrategy::AllSelected] {
                     let reference = game_theoretic_reference(&inst, target, policy, init);
                     let optimized = game_theoretic_from(&inst, target, policy, init);
-                    assert_eq!(reference, optimized, "l={l} target={target:?} init={init:?}");
+                    assert_eq!(
+                        reference, optimized,
+                        "l={l} target={target:?} init={init:?}"
+                    );
                     // A shared profile cache must not change results either.
                     let cache = ProfileCache::with_capacity(1024);
-                    let cached =
-                        game_theoretic_with(&inst, target, policy, init, Some(&cache));
+                    let cached = game_theoretic_with(&inst, target, policy, init, Some(&cache));
                     let cached_again =
                         game_theoretic_with(&inst, target, policy, init, Some(&cache));
                     assert_eq!(reference, cached, "cached l={l} target={target:?}");

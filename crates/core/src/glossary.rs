@@ -21,7 +21,7 @@
 //! | `v_i` | subset count of a super RS | [`crate::ModularInstance::subset_count`] |
 //! | `x_i` / `a_i` | a module / a player | [`crate::Module`] |
 //! | `α_i`, `γ_i` | coverage-phase greedy score | computed inside [`fn@crate::progressive`] / [`crate::game_theoretic`] |
-//! | `β_i` | slack-reduction score | computed inside [`fn@crate::progressive`] 
+//! | `β_i` | slack-reduction score | computed inside [`fn@crate::progressive`]
 //! | `δ` | diversity slack `q_1 − c·(q_ℓ+…+q_θ)` | [`dams_diversity::DiversityRequirement::slack`] |
 //! | `λ` | tokens per TokenMagic batch | `dams_blockchain::BatchList::build`'s parameter |
 //! | `η` | feasibility-guard parameter | [`dams_diversity::EtaGuard`] |

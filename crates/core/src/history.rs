@@ -81,9 +81,8 @@ impl ModularHistory {
         self.claims.push(claim);
 
         // Rebuild the module list with the merged module appended last.
-        let mut new_modules: Vec<Module> = Vec::with_capacity(
-            self.instance.modules().len() + 1 - merged.len(),
-        );
+        let mut new_modules: Vec<Module> =
+            Vec::with_capacity(self.instance.modules().len() + 1 - merged.len());
         let mut new_counts: Vec<usize> = Vec::with_capacity(new_modules.capacity());
         let mut merged_v = 1usize; // the new ring itself
         for m in self.instance.modules() {
@@ -105,8 +104,7 @@ impl ModularHistory {
             kind: ModuleKind::SuperRs(rs_id),
             tokens: selection.ring.clone(),
         });
-        self.instance =
-            ModularInstance::from_modules(self.instance.universe.clone(), new_modules);
+        self.instance = ModularInstance::from_modules(self.instance.universe.clone(), new_modules);
         self.subset_counts = new_counts;
     }
 
@@ -161,11 +159,7 @@ mod tests {
             let sel = progressive(h.instance(), TokenId(t), SelectionPolicy::new(req)).unwrap();
             h.commit(&sel, req);
         }
-        let raw = Instance::new(
-            universe(),
-            h.rings().clone(),
-            h.claims().to_vec(),
-        );
+        let raw = Instance::new(universe(), h.rings().clone(), h.claims().to_vec());
         let full = ModularInstance::decompose(&raw).unwrap();
         assert_eq!(full.super_count(), h.instance().super_count());
         assert_eq!(full.fresh_count(), h.instance().fresh_count());

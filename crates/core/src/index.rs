@@ -482,7 +482,9 @@ impl DiversityIndex {
                 continue;
             }
             if !entry.fp_before.iter().any(|&(b, _)| b == batch) {
-                entry.fp_before.push((batch, self.batches[batch].fingerprint));
+                entry
+                    .fp_before
+                    .push((batch, self.batches[batch].fingerprint));
             }
             let mut local: Vec<u32> = ring
                 .tokens
@@ -911,10 +913,7 @@ impl DiversityIndex {
 /// histograms, ring lists, claims, cross-batch counts, and the ordered
 /// module partition with subset counts. Returns a description of the first
 /// divergence. O(n²) in history — a test/audit tool, never a serving path.
-pub fn recompute_equivalence(
-    index: &DiversityIndex,
-    deltas: &[BlockDelta],
-) -> Result<(), String> {
+pub fn recompute_equivalence(index: &DiversityIndex, deltas: &[BlockDelta]) -> Result<(), String> {
     // 1. Batch partition from scratch.
     struct RawBatch {
         tokens: Vec<(u64, u64)>,
@@ -953,7 +952,8 @@ pub fn recompute_equivalence(
     }
 
     // 2. Rings in global commit order, assigned to their batch.
-    let mut batch_rings: Vec<Vec<(Vec<u64>, f64, usize)>> = (0..raw.len()).map(|_| Vec::new()).collect();
+    let mut batch_rings: Vec<Vec<(Vec<u64>, f64, usize)>> =
+        (0..raw.len()).map(|_| Vec::new()).collect();
     for delta in deltas {
         for ring in &delta.rings {
             if ring.tokens.is_empty() {
@@ -999,9 +999,11 @@ pub fn recompute_equivalence(
             .enumerate()
             .map(|(i, &t)| (t, i as u32))
             .collect();
-        let rings = RingIndex::from_rings(batch_rings[bi].iter().map(|(toks, _, _)| {
-            RingSet::new(toks.iter().map(|t| TokenId(local_of[t])))
-        }));
+        let rings = RingIndex::from_rings(
+            batch_rings[bi]
+                .iter()
+                .map(|(toks, _, _)| RingSet::new(toks.iter().map(|t| TokenId(local_of[t])))),
+        );
         let claims: Vec<DiversityRequirement> = batch_rings[bi]
             .iter()
             .map(|&(_, c, l)| DiversityRequirement::new(c.max(f64::MIN_POSITIVE), l.max(1)))
@@ -1141,9 +1143,7 @@ mod tests {
             let tokens = index.token_count();
             // Apply the tail, then roll it back.
             apply_all(&mut index, &deltas[split..]);
-            index
-                .rollback_to_height(deltas[split - 1].height)
-                .unwrap();
+            index.rollback_to_height(deltas[split - 1].height).unwrap();
             assert_eq!(index.token_count(), tokens, "seed {seed}");
             assert_eq!(index.batch_count(), fps.len(), "seed {seed}");
             for (b, fp) in fps.iter().enumerate() {

@@ -125,9 +125,8 @@ impl CoreMetrics {
             cache_hits: registry.counter("core.cache.hits_total"),
             cache_misses: registry.counter("core.cache.misses_total"),
             cache_evictions: registry.counter("core.cache.evictions_total"),
-            select_total: ALGOS.map(|a| {
-                registry.counter(&format!("core.select.{}.rings_total", algo_segment(a)))
-            }),
+            select_total: ALGOS
+                .map(|a| registry.counter(&format!("core.select.{}.rings_total", algo_segment(a)))),
             select_size: ALGOS.map(|a| {
                 registry.histogram(
                     &format!("core.select.{}.ring_size", algo_segment(a)),
@@ -144,8 +143,7 @@ impl CoreMetrics {
                 registry.counter(&format!("core.degrade.answered.{}_total", tier_segment(i)))
             }),
             degrade_fallbacks: registry.counter("core.degrade.fallbacks_total"),
-            degrade_deadline_infeasible: registry
-                .counter("core.degrade.deadline_infeasible_total"),
+            degrade_deadline_infeasible: registry.counter("core.degrade.deadline_infeasible_total"),
             degrade_tier_time: std::array::from_fn(|i| {
                 registry.histogram(
                     &format!("core.degrade.tier.{}_ns", tier_segment(i)),
@@ -213,7 +211,10 @@ mod tests {
         m.degrade_answered[0].inc();
         let snap = registry.snapshot();
         assert_eq!(snap.counter("core.bfs.candidates_total"), Some(3));
-        assert_eq!(snap.counter("core.degrade.answered.exact_bfs_total"), Some(1));
+        assert_eq!(
+            snap.counter("core.degrade.answered.exact_bfs_total"),
+            Some(1)
+        );
         assert_eq!(snap.counter("core.select.tm_p.rings_total"), Some(0));
     }
 
@@ -224,6 +225,9 @@ mod tests {
         let b = CoreMetrics::in_registry(&registry);
         a.dtrs_evaluations.add(2);
         b.dtrs_evaluations.add(5);
-        assert_eq!(registry.snapshot().counter("core.dtrs.evaluations_total"), Some(7));
+        assert_eq!(
+            registry.snapshot().counter("core.dtrs.evaluations_total"),
+            Some(7)
+        );
     }
 }

@@ -216,7 +216,10 @@ pub(crate) mod tests {
         let inst = example3();
         let policy = SelectionPolicy::new(DiversityRequirement::new(1.0, 4));
         let sel = progressive(&inst, T11, policy).unwrap();
-        assert!(sel.modules.contains(&ModuleId(3)), "phase 2 adds s4: {sel:?}");
+        assert!(
+            sel.modules.contains(&ModuleId(3)),
+            "phase 2 adds s4: {sel:?}"
+        );
         assert_eq!(sel.size(), 9, "s2 + s3 + s4 = 4 + 2 + 3: {sel:?}");
     }
 

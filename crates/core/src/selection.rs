@@ -91,7 +91,10 @@ impl std::fmt::Display for SelectError {
         match self {
             SelectError::UnknownToken => write!(f, "target token outside the mixin universe"),
             SelectError::Infeasible => {
-                write!(f, "no eligible ring exists; relax the diversity requirement")
+                write!(
+                    f,
+                    "no eligible ring exists; relax the diversity requirement"
+                )
             }
             SelectError::BudgetExhausted => write!(f, "exact search budget exhausted"),
             SelectError::DeadlineInfeasible => {

@@ -125,8 +125,7 @@ impl TokenMagic {
         let admissible: Vec<Selection> = cand_tau
             .into_iter()
             .filter(|s| {
-                self.eta == 0.0
-                    || guard.admits_push(tracker, &s.ring, instance.universe.len())
+                self.eta == 0.0 || guard.admits_push(tracker, &s.ring, instance.universe.len())
             })
             .collect();
         if admissible.is_empty() {
@@ -134,7 +133,10 @@ impl TokenMagic {
         }
         // Line 7: uniform random pick.
         let pick = rng.gen_range(0..admissible.len());
-        admissible.into_iter().nth(pick).ok_or(SelectError::Infeasible)
+        admissible
+            .into_iter()
+            .nth(pick)
+            .ok_or(SelectError::Infeasible)
     }
 }
 
@@ -160,10 +162,7 @@ pub fn generate_with_relaxation<R: Rng + ?Sized>(
     let mut policy = tm.policy;
     let mut last_err = SelectError::Infeasible;
     for _ in 0..=max_steps {
-        let attempt = TokenMagic {
-            policy,
-            ..*tm
-        };
+        let attempt = TokenMagic { policy, ..*tm };
         match attempt.generate(instance, target, tracker, rng) {
             Ok(sel) => return Ok((sel, policy)),
             Err(e @ SelectError::UnknownToken) => return Err(e),
@@ -314,8 +313,7 @@ mod tests {
             SelectionPolicy::new(DiversityRequirement::new(0.5, 4)),
         );
         assert!(
-            super::generate_with_relaxation(&tm, &inst, TokenId(0), &tracker, 2, &mut rng)
-                .is_err()
+            super::generate_with_relaxation(&tm, &inst, TokenId(0), &tracker, 2, &mut rng).is_err()
         );
     }
 

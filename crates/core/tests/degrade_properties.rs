@@ -110,7 +110,10 @@ fn tier_guarantee_is_consistent_with_exact_answer() {
             }
             (Err(_), Err(_)) => {} // consistently infeasible
             (Ok(optimal), Err(e)) => {
-                panic!("seed {seed}: exact found a {}-ring but ladder failed: {e}", optimal.size())
+                panic!(
+                    "seed {seed}: exact found a {}-ring but ladder failed: {e}",
+                    optimal.size()
+                )
             }
             (Err(e), Ok(sel)) => panic!(
                 "seed {seed}: exact failed ({e}) but ladder answered at {:?}",
@@ -130,7 +133,10 @@ fn tier_guarantee_is_consistent_with_exact_answer() {
             .counter("core.degrade.answered.game_theoretic_total")
             .unwrap();
     assert_eq!(by_tier, answered);
-    assert_eq!(snap.histogram_count("core.degrade.ring_size"), Some(answered));
+    assert_eq!(
+        snap.histogram_count("core.degrade.ring_size"),
+        Some(answered)
+    );
     assert!(answered > 0, "sweep produced no feasible instances at all");
 }
 
@@ -177,14 +183,21 @@ fn starved_budget_falls_back_and_counts_fallbacks() {
     for seed in 0..SEEDS {
         if let Ok(sel) = run_ladder(seed, starved(), &metrics) {
             ok += 1;
-            assert_ne!(sel.tier, Tier::ExactBfs, "seed {seed}: starved BFS answered");
+            assert_ne!(
+                sel.tier,
+                Tier::ExactBfs,
+                "seed {seed}: starved BFS answered"
+            );
             assert!(sel.degraded());
             expected_fallbacks += sel.attempts.len() as u64;
         }
     }
     assert!(ok > 0, "sweep produced no feasible instances at all");
     let snap = registry.snapshot();
-    assert_eq!(snap.counter("core.degrade.answered.exact_bfs_total"), Some(0));
+    assert_eq!(
+        snap.counter("core.degrade.answered.exact_bfs_total"),
+        Some(0)
+    );
     assert_eq!(
         snap.counter("core.degrade.fallbacks_total"),
         Some(expected_fallbacks)

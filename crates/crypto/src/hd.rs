@@ -75,8 +75,7 @@ mod tests {
     fn different_indices_different_keys() {
         let c = KeyChain::new(group(), [1u8; 32], 0);
         let keys = c.derive_range(50);
-        let set: std::collections::HashSet<u64> =
-            keys.iter().map(|k| k.public.value()).collect();
+        let set: std::collections::HashSet<u64> = keys.iter().map(|k| k.public.value()).collect();
         assert_eq!(set.len(), 50, "collision in derived keys");
     }
 

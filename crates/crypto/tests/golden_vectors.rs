@@ -84,7 +84,9 @@ fn digest_u64s(values: &[u64]) -> Digest {
 fn blsag_sign_verify_link_regression() {
     let group = SchnorrGroup::default();
     let mut rng = StdRng::seed_from_u64(7);
-    let pairs: Vec<KeyPair> = (0..4).map(|_| KeyPair::generate(&group, &mut rng)).collect();
+    let pairs: Vec<KeyPair> = (0..4)
+        .map(|_| KeyPair::generate(&group, &mut rng))
+        .collect();
     let mut ring: Vec<_> = pairs.iter().map(|p| p.public).collect();
     ring.sort();
     let signer = &pairs[2];

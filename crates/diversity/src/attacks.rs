@@ -244,11 +244,12 @@ pub fn guess_newest(trace: &ChainTrace, resolved: &[Option<TokenId>]) -> NewestO
         if resolved.get(i).copied().flatten().is_some() {
             continue;
         }
-        let newest = ring
-            .tokens()
-            .iter()
-            .copied()
-            .max_by_key(|t| (trace.birth_height.get(t.0 as usize).copied().unwrap_or(0), t.0));
+        let newest = ring.tokens().iter().copied().max_by_key(|t| {
+            (
+                trace.birth_height.get(t.0 as usize).copied().unwrap_or(0),
+                t.0,
+            )
+        });
         if let Some(g) = newest {
             guesses += 1;
             if g == trace.truth[i] {
@@ -342,14 +343,12 @@ fn deanonymized_count(
         let by_matching = analysis.resolved(RsId(i as u32)) == Some(truth);
         let by_newest = !by_cascade
             && !by_matching
-            && ring
-                .tokens()
-                .iter()
-                .copied()
-                .max_by_key(|t| {
-                    (trace.birth_height.get(t.0 as usize).copied().unwrap_or(0), t.0)
-                })
-                == Some(truth);
+            && ring.tokens().iter().copied().max_by_key(|t| {
+                (
+                    trace.birth_height.get(t.0 as usize).copied().unwrap_or(0),
+                    t.0,
+                )
+            }) == Some(truth);
         if by_cascade || by_matching || by_newest {
             hit += 1;
         }

@@ -110,7 +110,13 @@ pub fn analyze(index: &RingIndex, side_info: &[TokenRsPair]) -> Analysis {
     let mut match_of_token: Vec<Option<usize>> = vec![None; n_tokens];
     for r in 0..n_rings {
         let mut visited = vec![false; n_tokens];
-        let _ = try_kuhn(r, &adj, &mut visited, &mut match_of_ring, &mut match_of_token);
+        let _ = try_kuhn(
+            r,
+            &adj,
+            &mut visited,
+            &mut match_of_ring,
+            &mut match_of_token,
+        );
     }
 
     let saturated = match_of_ring.iter().all(Option::is_some);
@@ -196,8 +202,7 @@ pub fn analyze(index: &RingIndex, side_info: &[TokenRsPair]) -> Analysis {
             out.consumed_somewhere.insert(token_ids[t]);
         }
     }
-    out.consumed_somewhere
-        .extend(pinned_tokens.iter().copied());
+    out.consumed_somewhere.extend(pinned_tokens.iter().copied());
     out
 }
 
@@ -384,9 +389,19 @@ mod tests {
                 ring(&[2, 4]),
                 ring(&[4, 5, 6]),
             ],
-            vec![ring(&[1, 2, 3]), ring(&[2, 3]), ring(&[3, 4]), ring(&[1, 4])],
+            vec![
+                ring(&[1, 2, 3]),
+                ring(&[2, 3]),
+                ring(&[3, 4]),
+                ring(&[1, 4]),
+            ],
             vec![ring(&[1]), ring(&[2, 3])],
-            vec![ring(&[0, 2]), ring(&[0, 1]), ring(&[0, 1, 2]), ring(&[0, 3])],
+            vec![
+                ring(&[0, 2]),
+                ring(&[0, 1]),
+                ring(&[0, 1, 2]),
+                ring(&[0, 3]),
+            ],
         ];
         for rings in cases {
             let idx = RingIndex::from_rings(rings);
@@ -470,9 +485,7 @@ mod tests {
         // 200 disjoint 11-token rings: the matching analysis is linear-ish
         // and must leave everything unresolved.
         let rings: Vec<crate::types::RingSet> = (0..200u32)
-            .map(|i| {
-                crate::types::RingSet::new((0..11).map(|k| TokenId(i * 11 + k)))
-            })
+            .map(|i| crate::types::RingSet::new((0..11).map(|k| TokenId(i * 11 + k))))
             .collect();
         let idx = RingIndex::from_rings(rings);
         let a = analyze(&idx, &[]);

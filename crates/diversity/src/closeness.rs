@@ -35,8 +35,7 @@ fn distribution<I: IntoIterator<Item = HtId>>(hts: I) -> BTreeMap<HtId, f64> {
 pub fn total_variation(ring: &RingSet, universe: &TokenUniverse) -> f64 {
     let p = distribution(ring.tokens().iter().map(|t| universe.ht(*t)));
     let q = distribution(universe.tokens().map(|t| universe.ht(t)));
-    let keys: std::collections::BTreeSet<HtId> =
-        p.keys().chain(q.keys()).copied().collect();
+    let keys: std::collections::BTreeSet<HtId> = p.keys().chain(q.keys()).copied().collect();
     0.5 * keys
         .into_iter()
         .map(|h| (p.get(&h).unwrap_or(&0.0) - q.get(&h).unwrap_or(&0.0)).abs())

@@ -112,11 +112,7 @@ pub fn enumerate_combinations(index: &RingIndex, rings: &[RsId]) -> Vec<Combinat
 /// The exact algorithms only ever ask "is the set of combinations empty?"
 /// or "do all combinations agree?"; a limit lets callers bail out early on
 /// pathological instances.
-pub fn enumerate_with_limit(
-    index: &RingIndex,
-    rings: &[RsId],
-    limit: usize,
-) -> Vec<Combination> {
+pub fn enumerate_with_limit(index: &RingIndex, rings: &[RsId], limit: usize) -> Vec<Combination> {
     // No deadline is configured, so the enumeration cannot expire; an
     // (impossible) `WorldsExpired` degrades to the empty world set rather
     // than panicking a library path.

@@ -452,10 +452,7 @@ mod tests {
         let rings: Vec<RsId> = idx.ids().collect();
         let combos = enumerate_combinations(&idx, &rings);
         let dtrs = enumerate_dtrs(&combos, &rings, 4, &uni);
-        let target = Dtrs::new(
-            vec![TokenRsPair::new(TokenId(2), RsId(0))],
-            HtId(1),
-        );
+        let target = Dtrs::new(vec![TokenRsPair::new(TokenId(2), RsId(0))], HtId(1));
         assert!(
             dtrs.contains(&target),
             "expected {{<t2,r1>}} among {dtrs:?}"

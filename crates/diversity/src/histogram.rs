@@ -248,14 +248,7 @@ mod tests {
 
     fn uni() -> TokenUniverse {
         // tokens 0..6 with HTs: h0,h0,h0,h1,h1,h2
-        TokenUniverse::new(vec![
-            HtId(0),
-            HtId(0),
-            HtId(0),
-            HtId(1),
-            HtId(1),
-            HtId(2),
-        ])
+        TokenUniverse::new(vec![HtId(0), HtId(0), HtId(0), HtId(1), HtId(1), HtId(2)])
     }
 
     #[test]

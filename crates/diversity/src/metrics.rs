@@ -53,12 +53,7 @@ pub fn ring_anonymity(
     for &t in cands {
         *counts.entry(universe.ht(t)).or_insert(0) += 1;
     }
-    let max_share = counts
-        .values()
-        .copied()
-        .max()
-        .unwrap_or(0) as f64
-        / n as f64;
+    let max_share = counts.values().copied().max().unwrap_or(0) as f64 / n as f64;
     let entropy = counts
         .values()
         .map(|&c| {
@@ -109,7 +104,10 @@ pub fn batch_anonymity(analysis: &Analysis, universe: &TokenUniverse) -> BatchAn
     BatchAnonymity {
         rings,
         resolved: per_ring.iter().filter(|m| m.candidate_count <= 1).count(),
-        mean_candidates: per_ring.iter().map(|m| m.candidate_count as f64).sum::<f64>()
+        mean_candidates: per_ring
+            .iter()
+            .map(|m| m.candidate_count as f64)
+            .sum::<f64>()
             / rings as f64,
         min_candidates: per_ring
             .iter()

@@ -141,12 +141,7 @@ mod tests {
     #[test]
     fn candidate_ring_pulls_in_transitive_layers() {
         // chain: candidate {1} — r0 {1,2} — r1 {2,3} — r2 {3,4}; r3 {9} isolated
-        let idx = RingIndex::from_rings([
-            ring(&[1, 2]),
-            ring(&[2, 3]),
-            ring(&[3, 4]),
-            ring(&[9]),
-        ]);
+        let idx = RingIndex::from_rings([ring(&[1, 2]), ring(&[2, 3]), ring(&[3, 4]), ring(&[9])]);
         let rel = idx.related_set(&ring(&[1]), None);
         assert_eq!(rel, vec![RsId(0), RsId(1), RsId(2)]);
     }

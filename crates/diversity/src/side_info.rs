@@ -93,13 +93,7 @@ mod tests {
     #[test]
     fn threshold_matches_theorem() {
         // ring of 5 tokens, most-frequent HT appears twice → threshold 3.
-        let uni = TokenUniverse::new(vec![
-            HtId(0),
-            HtId(0),
-            HtId(1),
-            HtId(2),
-            HtId(3),
-        ]);
+        let uni = TokenUniverse::new(vec![HtId(0), HtId(0), HtId(1), HtId(2), HtId(3)]);
         let r = ring(&[0, 1, 2, 3, 4]);
         assert_eq!(side_info_threshold(&r, &uni), 3);
     }
@@ -112,11 +106,7 @@ mod tests {
         use crate::chain_reaction::analyze_exact;
         // target r0 = {1,2,3,4}: HTs h0,h0,h1,h2 → q_M = 2, threshold = 2.
         // Other rings share tokens 3, 4.
-        let idx = RingIndex::from_rings([
-            ring(&[1, 2, 3, 4]),
-            ring(&[3, 5]),
-            ring(&[4, 6]),
-        ]);
+        let idx = RingIndex::from_rings([ring(&[1, 2, 3, 4]), ring(&[3, 5]), ring(&[4, 6])]);
         let uni = TokenUniverse::new(vec![
             HtId(9), // t0 filler
             HtId(0),
@@ -131,8 +121,7 @@ mod tests {
         // Reveal 1 pair (< threshold): adversary must not learn r0's HT.
         let a = analyze_exact(&idx, &[TokenRsPair::new(TokenId(3), RsId(1))]);
         let cands = &a.candidates[&RsId(0)];
-        let hts: std::collections::BTreeSet<HtId> =
-            cands.iter().map(|t| uni.ht(*t)).collect();
+        let hts: std::collections::BTreeSet<HtId> = cands.iter().map(|t| uni.ht(*t)).collect();
         assert!(hts.len() > 1, "HT leaked with sub-threshold side info");
     }
 }

@@ -167,7 +167,10 @@ fn toy_traces_are_well_formed() {
         let mut seen: Vec<TokenId> = Vec::new();
         for (i, ring) in trace.rings.iter().enumerate() {
             let t = trace.truth[i];
-            assert!(ring.tokens().contains(&t), "seed {seed}: ring {i} lacks truth");
+            assert!(
+                ring.tokens().contains(&t),
+                "seed {seed}: ring {i} lacks truth"
+            );
             assert!(!seen.contains(&t), "seed {seed}: double spend of {t:?}");
             seen.push(t);
         }

@@ -84,7 +84,9 @@ impl ActorKind {
     /// The standard adversary mix at strength `f`: the first `f` kinds,
     /// cycling — so f=1 fields an equivocator, f=4 one of each.
     pub fn mix(f: usize) -> Vec<ActorKind> {
-        (0..f).map(|i| ActorKind::ALL[i % ActorKind::ALL.len()]).collect()
+        (0..f)
+            .map(|i| ActorKind::ALL[i % ActorKind::ALL.len()])
+            .collect()
     }
 }
 
@@ -500,7 +502,11 @@ impl ByzantineReport {
         ));
         out.push_str(&format!(
             "  verdict: {}\n",
-            if self.ok() { "CONVERGED" } else { "COMPROMISED" }
+            if self.ok() {
+                "CONVERGED"
+            } else {
+                "COMPROMISED"
+            }
         ));
         out
     }
@@ -569,10 +575,7 @@ pub fn run_byzantine_scenario(
         snapshot_match: snapshot.is_some() && snapshot == baseline_snapshot,
         goodput,
         baseline_goodput,
-        offenses: tally
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
+        offenses: tally.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
         honest_accusations,
         fault_stats: cluster.fault_stats(),
         gossip_stats: cluster.gossip_stats(),
@@ -609,8 +612,7 @@ mod tests {
 
     #[test]
     fn equivocator_is_caught_and_banned() {
-        let report =
-            run_byzantine_scenario(7, 3, &[ActorKind::Equivocator]).unwrap();
+        let report = run_byzantine_scenario(7, 3, &[ActorKind::Equivocator]).unwrap();
         assert!(report.ok(), "{}", report.render());
         assert!(
             report

@@ -116,16 +116,13 @@ mod tests {
         };
         let payload = shell.signing_payload();
         let ring_keys = vec![keys[0].public, keys[3].public];
-        let sig = dams_crypto::sign(chain.group(), &payload, &ring_keys, &keys[0], &mut rng)
-            .unwrap();
+        let sig =
+            dams_crypto::sign(chain.group(), &payload, &ring_keys, &keys[0], &mut rng).unwrap();
         chain
             .submit(
                 Transaction {
                     inputs: vec![RingInput {
-                        ring: vec![
-                            dams_blockchain::TokenId(0),
-                            dams_blockchain::TokenId(3),
-                        ],
+                        ring: vec![dams_blockchain::TokenId(0), dams_blockchain::TokenId(3)],
                         signature: sig,
                         claimed_c: 2.0,
                         claimed_l: 1,
@@ -145,7 +142,7 @@ mod tests {
         let chain = sample_chain();
         let view = chain_view(&chain);
         assert_eq!(view.universe.len(), 7); // 6 coinbase + 1 spend output
-        // first three tokens share an origin, next three another
+                                            // first three tokens share an origin, next three another
         assert_eq!(
             view.universe.ht(dams_diversity::TokenId(0)),
             view.universe.ht(dams_diversity::TokenId(2))
@@ -199,10 +196,7 @@ mod tests {
             .submit(
                 Transaction {
                     inputs: vec![RingInput {
-                        ring: vec![
-                            dams_blockchain::TokenId(0),
-                            dams_blockchain::TokenId(1),
-                        ],
+                        ring: vec![dams_blockchain::TokenId(0), dams_blockchain::TokenId(1)],
                         signature: sig,
                         claimed_c: 1.0,
                         claimed_l: 2,

@@ -58,10 +58,16 @@ impl std::fmt::Display for NodeError {
             }
             NodeError::Index(e) => write!(f, "diversity index out of step: {e}"),
             NodeError::RollbackNeedsStore => {
-                write!(f, "rollback requires a durable store to attest RS immutability")
+                write!(
+                    f,
+                    "rollback requires a durable store to attest RS immutability"
+                )
             }
             NodeError::RangeRefused { requested, cap } => {
-                write!(f, "range request for {requested} blocks exceeds cap {cap}, refused")
+                write!(
+                    f,
+                    "range request for {requested} blocks exceeds cap {cap}, refused"
+                )
             }
         }
     }
@@ -135,6 +141,9 @@ mod tests {
     #[test]
     fn conversions_nest_correctly() {
         let e: NodeError = VerifyError::NoInputs.into();
-        assert_eq!(e, NodeError::Chain(ChainError::Verify(VerifyError::NoInputs)));
+        assert_eq!(
+            e,
+            NodeError::Chain(ChainError::Verify(VerifyError::NoInputs))
+        );
     }
 }

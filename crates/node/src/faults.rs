@@ -214,15 +214,14 @@ impl FaultChannel {
             self.stats.corrupted += 1;
             metrics.bus_corrupted.inc();
         }
-        let due = if self.cfg.max_delay > 0
-            && self.rng.gen_bool(self.cfg.delay_prob.clamp(0.0, 1.0))
-        {
-            self.stats.delayed += 1;
-            metrics.bus_delayed.inc();
-            self.tick + self.rng.gen_range(1..=self.cfg.max_delay)
-        } else {
-            self.tick
-        };
+        let due =
+            if self.cfg.max_delay > 0 && self.rng.gen_bool(self.cfg.delay_prob.clamp(0.0, 1.0)) {
+                self.stats.delayed += 1;
+                metrics.bus_delayed.inc();
+                self.tick + self.rng.gen_range(1..=self.cfg.max_delay)
+            } else {
+                self.tick
+            };
         self.in_flight.push(InFlight {
             src,
             dest,

@@ -590,8 +590,7 @@ impl Cluster {
                         // A Byzantine slot's shadow tracker swallows block
                         // frames so its actor knows the honest tip; it
                         // never answers anything.
-                        if let Ok(GossipFrame::Block { block, .. }) = decode_frame(&group, &bytes)
-                        {
+                        if let Ok(GossipFrame::Block { block, .. }) = decode_frame(&group, &bytes) {
                             let _ = shadow.deliver(block);
                         }
                         continue;
@@ -632,8 +631,7 @@ impl Cluster {
                                 stats.dup_announces += 1;
                                 metrics.gossip_dup_announce.inc();
                                 defense.note_block_from(src);
-                            } else if let Some(proof) = defense.observe_attestation(&attestation)
-                            {
+                            } else if let Some(proof) = defense.observe_attestation(&attestation) {
                                 // Caught red-handed: two signed claims at
                                 // one height. Ban locally, void the
                                 // equivocator's staged blocks, and hand
@@ -692,7 +690,11 @@ impl Cluster {
                             }
                         }
                     }
-                    Ok(GossipFrame::Range { requester, from, to }) => {
+                    Ok(GossipFrame::Range {
+                        requester,
+                        from,
+                        to,
+                    }) => {
                         if requester != src {
                             reject = true;
                         } else {
@@ -725,11 +727,7 @@ impl Cluster {
                                     defense.record(src, Misbehavior::RangeAbuse { requested, cap });
                                     stats.range_refusals += 1;
                                     metrics.gossip_range_refusals.inc();
-                                    outgoing.push((
-                                        dest,
-                                        src,
-                                        frame_refusal(dest, requested, cap),
-                                    ));
+                                    outgoing.push((dest, src, frame_refusal(dest, requested, cap)));
                                 }
                                 Err(_) => reject = true,
                             }
@@ -992,8 +990,7 @@ impl Cluster {
                 _ => None,
             })
             .collect();
-        checks.iter().all(|c| c.violations.is_empty())
-            && checks.windows(2).all(|w| w[0] == w[1])
+        checks.iter().all(|c| c.violations.is_empty()) && checks.windows(2).all(|w| w[0] == w[1])
     }
 
     /// Total blocks served to peers by all live replicas' stores.
@@ -1067,7 +1064,11 @@ impl ClusterReport {
         ));
         out.push_str(&format!(
             "  batch consensus: {}\n",
-            if self.batch_consensus { "identical batch lists" } else { "DIVERGENT" }
+            if self.batch_consensus {
+                "identical batch lists"
+            } else {
+                "DIVERGENT"
+            }
         ));
         out.push_str(&format!(
             "  immutability: {}\n",
@@ -1101,8 +1102,13 @@ impl ClusterReport {
         out.push_str(&format!(
             "  gossip: {} announcements, {} range requests, {} range blocks served, \
              {} frames rejected, {} blocks applied, {} dup announces, {} refusals\n",
-            g.announcements, g.range_requests, g.range_blocks_served, g.frames_rejected,
-            g.blocks_applied, g.dup_announces, g.range_refusals
+            g.announcements,
+            g.range_requests,
+            g.range_blocks_served,
+            g.frames_rejected,
+            g.blocks_applied,
+            g.dup_announces,
+            g.range_refusals
         ));
         let f = &self.fault_stats;
         out.push_str(&format!(
@@ -1257,10 +1263,7 @@ mod tests {
         }
         let (report, applied) = cluster.restart(1).unwrap();
         assert!(report.clean(), "{report:?}");
-        assert_eq!(
-            report.height, 3,
-            "local store recovers the pre-crash chain"
-        );
+        assert_eq!(report.height, 3, "local store recovers the pre-crash chain");
         assert_eq!(applied, 2, "tail stream applies exactly the missed blocks");
         assert!(cluster.run_until_converged(200).is_some());
         assert!(cluster.converged());
@@ -1392,11 +1395,8 @@ mod tests {
         assert_eq!(stats.range_refusals, 1, "{stats:?}");
         let defense = cluster.defense(0).unwrap();
         assert!(
-            defense
-                .records()
-                .iter()
-                .any(|r| r.peer == 1
-                    && matches!(r.offense, Misbehavior::RangeAbuse { requested, cap: c }
+            defense.records().iter().any(|r| r.peer == 1
+                && matches!(r.offense, Misbehavior::RangeAbuse { requested, cap: c }
                         if requested == cap * 10 && c == cap)),
             "{:?}",
             defense.records()
@@ -1512,8 +1512,7 @@ mod tests {
         // attack, not a decode success.
         let chain = dams_blockchain::Chain::new(group);
         let genesis = chain.blocks()[0].clone();
-        let stapled =
-            Attestation::sign(&group, 0, 0, [9u8; 32], &identity, &mut rng).unwrap();
+        let stapled = Attestation::sign(&group, 0, 0, [9u8; 32], &identity, &mut rng).unwrap();
         let bad = frame_attested_block(&stapled, &genesis);
         assert!(decode_frame(&group, &bad).is_err());
         let good_att =

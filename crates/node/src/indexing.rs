@@ -85,7 +85,11 @@ mod tests {
             assert_eq!(index.batch_count(), bl.batches().len());
             for (i, batch) in bl.batches().iter().enumerate() {
                 let tokens: Vec<u64> = batch.tokens.iter().map(|t| t.0).collect();
-                assert_eq!(index.batch_tokens(i), tokens.as_slice(), "λ={lambda} batch {i}");
+                assert_eq!(
+                    index.batch_tokens(i),
+                    tokens.as_slice(),
+                    "λ={lambda} batch {i}"
+                );
                 assert_eq!(index.batch_closed(i), batch.closed);
                 assert_eq!(index.batch_first_block(i), batch.first_block.0);
             }

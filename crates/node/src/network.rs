@@ -469,8 +469,7 @@ impl SimNode {
         // per tick.
         let pooled: Vec<Digest> = self.orphans.iter().map(|o| o.block.hash()).collect();
         self.orphans.retain(|o| {
-            tick.saturating_sub(o.parked_at) <= ttl
-                || pooled.contains(&o.block.header.prev_hash)
+            tick.saturating_sub(o.parked_at) <= ttl || pooled.contains(&o.block.header.prev_hash)
         });
         let expired = (before - self.orphans.len()) as u64;
         self.stats.orphans_evicted += expired;
@@ -877,7 +876,10 @@ pub(crate) mod tests {
     fn rollback_without_store_is_refused() {
         let group = SchnorrGroup::default();
         let mut node = SimNode::new(0, group);
-        assert_eq!(node.rollback_to(0).unwrap_err(), NodeError::RollbackNeedsStore);
+        assert_eq!(
+            node.rollback_to(0).unwrap_err(),
+            NodeError::RollbackNeedsStore
+        );
     }
 
     #[test]

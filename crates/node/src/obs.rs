@@ -143,8 +143,7 @@ impl NodeMetrics {
             store_restore_flagged: registry.counter("node.store.restore_flagged_total"),
             gossip_announcements: registry.counter("node.gossip.announcements_total"),
             gossip_range_requests: registry.counter("node.gossip.range_requests_total"),
-            gossip_range_blocks_served: registry
-                .counter("node.gossip.range_blocks_served_total"),
+            gossip_range_blocks_served: registry.counter("node.gossip.range_blocks_served_total"),
             gossip_frames_rejected: registry.counter("node.gossip.frames_rejected_total"),
             sync_bundles_served: registry.counter("node.sync.bundles_served_total"),
             sync_bootstraps: registry.counter("node.sync.bootstraps_total"),

@@ -322,11 +322,7 @@ impl EquivocationProof {
 /// rejects those anyway). Returns the height of the offending block on
 /// the first violated claim.
 pub fn recheck_block_diversity(chain: &Chain, block: &Block) -> Result<(), u64> {
-    if block
-        .transactions
-        .iter()
-        .all(|ct| ct.tx.inputs.is_empty())
-    {
+    if block.transactions.iter().all(|ct| ct.tx.inputs.is_empty()) {
         return Ok(());
     }
     let universe = dams_store::chain_universe(chain);
@@ -447,9 +443,7 @@ impl PeerDefense {
     }
 
     pub fn standing(&self, peer: usize) -> Standing {
-        self.peers
-            .get(peer)
-            .map_or(Standing::Good, |p| p.standing)
+        self.peers.get(peer).map_or(Standing::Good, |p| p.standing)
     }
 
     pub fn is_banned(&self, peer: usize) -> bool {
@@ -765,16 +759,14 @@ mod tests {
     fn attestation_roundtrip_and_verify() {
         let (_, ids, group) = defense(3);
         let mut rng = StdRng::seed_from_u64(1);
-        let att =
-            Attestation::sign(&group, 1, 5, [7u8; 32], &ids[1], &mut rng).unwrap();
+        let att = Attestation::sign(&group, 1, 5, [7u8; 32], &ids[1], &mut rng).unwrap();
         assert!(att.verify(&group, &ids.iter().map(|k| k.public).collect::<Vec<_>>()));
         let bytes = att.to_bytes();
         let (back, used) = Attestation::decode(&group, &bytes).unwrap();
         assert_eq!(used, bytes.len());
         assert_eq!(back, att);
         // Signed by the wrong identity → fails against the directory.
-        let forged =
-            Attestation::sign(&group, 1, 5, [7u8; 32], &ids[2], &mut rng).unwrap();
+        let forged = Attestation::sign(&group, 1, 5, [7u8; 32], &ids[2], &mut rng).unwrap();
         assert!(!forged.verify(&group, &ids.iter().map(|k| k.public).collect::<Vec<_>>()));
     }
 
@@ -833,11 +825,23 @@ mod tests {
         let (mut d, _, _) = defense(2);
         d.on_tick(1, 0);
         assert_eq!(
-            d.record(1, Misbehavior::RangeAbuse { requested: 99, cap: 16 }),
+            d.record(
+                1,
+                Misbehavior::RangeAbuse {
+                    requested: 99,
+                    cap: 16
+                }
+            ),
             Standing::Good
         );
         // Second offense crosses quarantine.
-        let s = d.record(1, Misbehavior::RangeAbuse { requested: 99, cap: 16 });
+        let s = d.record(
+            1,
+            Misbehavior::RangeAbuse {
+                requested: 99,
+                cap: 16,
+            },
+        );
         assert!(matches!(s, Standing::Quarantined { .. }), "{s:?}");
         // Long quiet: quarantine expires and the score decays away.
         for t in 2..200 {
@@ -855,8 +859,20 @@ mod tests {
     fn quarantine_pressure_escalates_to_ban() {
         let (mut d, _, _) = defense(2);
         d.on_tick(1, 0);
-        d.record(1, Misbehavior::RangeAbuse { requested: 99, cap: 16 });
-        d.record(1, Misbehavior::RangeAbuse { requested: 99, cap: 16 });
+        d.record(
+            1,
+            Misbehavior::RangeAbuse {
+                requested: 99,
+                cap: 16,
+            },
+        );
+        d.record(
+            1,
+            Misbehavior::RangeAbuse {
+                requested: 99,
+                cap: 16,
+            },
+        );
         assert!(matches!(d.standing(1), Standing::Quarantined { .. }));
         for _ in 0..QUARANTINE_PRESSURE {
             assert_eq!(d.intake(1, FK_TIP), Intake::Drop);
@@ -897,10 +913,7 @@ mod tests {
             now += 1;
             d.on_tick(now, 3);
         }
-        assert!(d
-            .records()
-            .iter()
-            .all(|r| r.peer != 0), "{:?}", d.records());
+        assert!(d.records().iter().all(|r| r.peer != 0), "{:?}", d.records());
     }
 
     #[test]

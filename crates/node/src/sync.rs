@@ -60,8 +60,7 @@ pub struct SyncReport {
 /// Wire layout: `sha256(payload) ‖ payload` with
 /// `payload = cp_len u64le ‖ checkpoint ‖ wal`.
 fn encode_bundle(bundle: &CatchUpBundle) -> Vec<u8> {
-    let mut payload =
-        Vec::with_capacity(8 + bundle.checkpoint.len() + bundle.wal.len());
+    let mut payload = Vec::with_capacity(8 + bundle.checkpoint.len() + bundle.wal.len());
     payload.extend_from_slice(&(bundle.checkpoint.len() as u64).to_le_bytes());
     payload.extend_from_slice(&bundle.checkpoint);
     payload.extend_from_slice(&bundle.wal);
@@ -129,9 +128,7 @@ pub fn bootstrap_from_bundle(
         Box::new(MemBackend::from_durable(cp)),
         StoreConfig::default(),
     )?;
-    let prefix = recovery
-        .checkpoint_height
-        .min(recovery.records_replayed);
+    let prefix = recovery.checkpoint_height.min(recovery.records_replayed);
     let report = SyncReport {
         height: recovery.height,
         prefix_adopted: prefix,

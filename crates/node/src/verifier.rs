@@ -148,10 +148,7 @@ mod tests {
     fn first_configuration_enforced() {
         let chain = chain_with_blocks(&[8]);
         let mut cfg = TokenMagicConfiguration::new(8);
-        cfg.commit(
-            &[TokenId(0), TokenId(1)],
-            DiversityRequirement::new(1.0, 1),
-        );
+        cfg.commit(&[TokenId(0), TokenId(1)], DiversityRequirement::new(1.0, 1));
         // superset: ok
         assert!(cfg
             .check(&chain, &[TokenId(0), TokenId(1), TokenId(2)])
@@ -166,8 +163,8 @@ mod tests {
     fn diversity_floor_enforced() {
         // Two blocks of 2 → two HTs; λ = 4 puts them in one batch.
         let chain = chain_with_blocks(&[2, 2]);
-        let cfg = TokenMagicConfiguration::new(4)
-            .with_required_claim(DiversityRequirement::new(2.0, 2));
+        let cfg =
+            TokenMagicConfiguration::new(4).with_required_claim(DiversityRequirement::new(2.0, 2));
         // Same-origin pair: q = [2], θ = 1 < ℓ → rejected.
         assert!(cfg.check(&chain, &[TokenId(0), TokenId(1)]).is_err());
         // Cross-origin pair: q = [1,1]: 1 < 2·1 → ok.

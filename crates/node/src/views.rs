@@ -112,7 +112,10 @@ mod tests {
         let light = LightNode::new(&full);
         for t in 0..18u64 {
             let from_light = light.mixin_universe(TokenId(t));
-            let from_full = full.batch_list().mixin_universe(TokenId(t)).map(<[_]>::to_vec);
+            let from_full = full
+                .batch_list()
+                .mixin_universe(TokenId(t))
+                .map(<[_]>::to_vec);
             assert_eq!(from_light, from_full);
         }
     }

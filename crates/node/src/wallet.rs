@@ -78,11 +78,7 @@ impl Wallet {
     }
 
     /// Generate and register a fresh key; returns its public half.
-    pub fn new_address<R: Rng + ?Sized>(
-        &mut self,
-        chain: &Chain,
-        rng: &mut R,
-    ) -> PublicKey {
+    pub fn new_address<R: Rng + ?Sized>(&mut self, chain: &Chain, rng: &mut R) -> PublicKey {
         let kp = KeyPair::generate(chain.group(), rng);
         self.keys.insert(kp.public.value(), kp);
         kp.public
@@ -108,9 +104,9 @@ impl Wallet {
             .map(dams_blockchain::TokenId)
             .filter(|t| {
                 chain.token(*t).is_some_and(|rec| {
-                    self.keys.get(&rec.owner.value()).is_some_and(|kp| {
-                        !chain.image_consumed(kp.key_image(chain.group()))
-                    })
+                    self.keys
+                        .get(&rec.owner.value())
+                        .is_some_and(|kp| !chain.image_consumed(kp.key_image(chain.group())))
                 })
             })
             .collect()
@@ -185,7 +181,12 @@ impl Wallet {
             .collect();
         let ring_keys: Vec<PublicKey> = ring_ids
             .iter()
-            .map(|t| chain.token(*t).map(|rec| rec.owner).ok_or(WalletError::NotOurs(*t)))
+            .map(|t| {
+                chain
+                    .token(*t)
+                    .map(|rec| rec.owner)
+                    .ok_or(WalletError::NotOurs(*t))
+            })
             .collect::<Result<_, _>>()?;
         let sig = dams_crypto::sign(chain.group(), &payload, &ring_keys, &signer, rng)
             .map_err(WalletError::Signing)?;
@@ -240,11 +241,7 @@ mod tests {
         // the same passphrase and confirm it sees them all.
         let mut rng = StdRng::seed_from_u64(8);
         let mut chain_ledger = Chain::new(SchnorrGroup::default());
-        let kc = dams_crypto::KeyChain::from_passphrase(
-            *chain_ledger.group(),
-            "open sesame",
-            0,
-        );
+        let kc = dams_crypto::KeyChain::from_passphrase(*chain_ledger.group(), "open sesame", 0);
         let keys = kc.derive_range(6);
         chain_ledger.submit_coinbase(
             keys.iter()
@@ -262,11 +259,7 @@ mod tests {
             PracticalAlgorithm::Smallest,
         );
         restored.restore_from_chain(
-            &dams_crypto::KeyChain::from_passphrase(
-                *chain_ledger.group(),
-                "open sesame",
-                0,
-            ),
+            &dams_crypto::KeyChain::from_passphrase(*chain_ledger.group(), "open sesame", 0),
             6,
         );
         assert_eq!(restored.spendable(&chain_ledger).len(), 6);
@@ -276,11 +269,7 @@ mod tests {
             PracticalAlgorithm::Smallest,
         );
         wrong.restore_from_chain(
-            &dams_crypto::KeyChain::from_passphrase(
-                *chain_ledger.group(),
-                "open sesame?",
-                0,
-            ),
+            &dams_crypto::KeyChain::from_passphrase(*chain_ledger.group(), "open sesame?", 0),
             6,
         );
         assert!(wrong.spendable(&chain_ledger).is_empty());

@@ -30,11 +30,7 @@ fn signature_offense(kind: ActorKind) -> &'static str {
 }
 
 fn assert_defended(report: &ByzantineReport, ctx: &str) {
-    assert!(
-        report.ok(),
-        "{ctx}: gauntlet failed\n{}",
-        report.render()
-    );
+    assert!(report.ok(), "{ctx}: gauntlet failed\n{}", report.render());
     assert_eq!(report.height, SCENARIO_HEIGHT, "{ctx}");
     assert!(report.snapshot_match, "{ctx}: selection verdicts diverged");
     assert!(report.no_poison, "{ctx}: poisoned ring adopted");
@@ -59,10 +55,7 @@ fn gauntlet_64_runs_across_actor_strength_and_size() {
                 for s in 0..4u64 {
                     let seed = (ki as u64) * 1009 + (f as u64) * 101 + (honest as u64) * 11 + s;
                     let actors = vec![kind; f];
-                    let ctx = format!(
-                        "kind {} f {f} honest {honest} seed {seed}",
-                        kind.label()
-                    );
+                    let ctx = format!("kind {} f {f} honest {honest} seed {seed}", kind.label());
                     let report = run_byzantine_scenario(seed, honest, &actors)
                         .unwrap_or_else(|e| panic!("{ctx}: {e}"));
                     assert_defended(&report, &ctx);
@@ -104,7 +97,11 @@ fn gauntlet_replays_identically_from_one_seed() {
     let actors = ActorKind::mix(2);
     let a = run_byzantine_scenario(29, 4, &actors).unwrap();
     let b = run_byzantine_scenario(29, 4, &actors).unwrap();
-    assert_eq!(a.render(), b.render(), "gauntlet must replay byte-identically");
+    assert_eq!(
+        a.render(),
+        b.render(),
+        "gauntlet must replay byte-identically"
+    );
     assert_eq!(a.snapshot, b.snapshot);
     assert_eq!(a.ticks, b.ticks);
     assert_eq!(a.offenses, b.offenses);
@@ -119,7 +116,8 @@ fn honest_peers_are_never_accused_on_a_lossless_transport() {
         let report = run_byzantine_scenario(7, 4, &[kind]).unwrap();
         assert_defended(&report, &format!("attribution {}", kind.label()));
         assert_eq!(
-            report.honest_accusations, 0,
+            report.honest_accusations,
+            0,
             "kind {}: honest peer accused\n{}",
             kind.label(),
             report.render()

@@ -10,12 +10,12 @@
 //! acceptance: this is the wire half of the Byzantine-defense argument
 //! (the transport may mangle anything; attribution must survive it).
 
+use dams_blockchain::{Amount, Chain, TokenOutput};
+use dams_crypto::{KeyPair, PublicKey, SchnorrGroup};
 use dams_node::{
     decode_frame, frame_attested_block, frame_evidence, frame_range, frame_refusal, frame_tip,
     Attestation, EquivocationProof, GossipFrame,
 };
-use dams_blockchain::{Amount, Chain, TokenOutput};
-use dams_crypto::{KeyPair, PublicKey, SchnorrGroup};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -56,7 +56,10 @@ fn fixture() -> Fixture {
     let a = Attestation::sign(&group, 0, 3, [1u8; 32], &identity, &mut rng).unwrap();
     let b = Attestation::sign(&group, 0, 3, [2u8; 32], &identity, &mut rng).unwrap();
     let proof = EquivocationProof { a, b };
-    assert!(proof.verify(&group, &directory), "fixture proof must verify");
+    assert!(
+        proof.verify(&group, &directory),
+        "fixture proof must verify"
+    );
 
     Fixture {
         group,
@@ -82,16 +85,37 @@ fn golden_vectors_roundtrip_every_kind() {
                 assert!(attestation.verify(&fx.group, &fx.directory));
                 assert_eq!(attestation.hash, block.hash());
             }
-            ("tip", GossipFrame::Tip { sender, height, tip }) => {
+            (
+                "tip",
+                GossipFrame::Tip {
+                    sender,
+                    height,
+                    tip,
+                },
+            ) => {
                 assert_eq!((*sender, *height, *tip), (0, 7, [9u8; 32]));
             }
-            ("range", GossipFrame::Range { requester, from, to }) => {
+            (
+                "range",
+                GossipFrame::Range {
+                    requester,
+                    from,
+                    to,
+                },
+            ) => {
                 assert_eq!((*requester, *from, *to), (1, 2, 9));
             }
             ("evidence", GossipFrame::Evidence(proof)) => {
                 assert!(proof.verify(&fx.group, &fx.directory));
             }
-            ("refusal", GossipFrame::Refusal { server, requested, cap }) => {
+            (
+                "refusal",
+                GossipFrame::Refusal {
+                    server,
+                    requested,
+                    cap,
+                },
+            ) => {
                 assert_eq!((*server, *requested, *cap), (0, 99, 16));
             }
             (name, other) => panic!("golden {name} decoded as wrong kind: {other:?}"),

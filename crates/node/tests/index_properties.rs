@@ -127,8 +127,10 @@ fn run_seed(seed: u64) -> u64 {
 
     // Observer side: the indexed, durable node, fed only by gossip.
     let mut node = SimNode::new(0, group);
-    node.attach_store(mem_store(group)).expect("attach fresh store");
-    node.enable_index(LAMBDA).expect("index on genesis-only chain");
+    node.attach_store(mem_store(group))
+        .expect("attach fresh store");
+    node.enable_index(LAMBDA)
+        .expect("index on genesis-only chain");
     let mut adoptions = 0usize;
 
     // Fund: 3 coinbase blocks, 2 txs × 2 tokens each (distinct txs give
@@ -189,7 +191,11 @@ fn run_seed(seed: u64) -> u64 {
     let undone = node.rollback_to(target).expect("coinbase tail unwinds");
     assert_eq!(undone, 3, "seed {seed}");
     let index = node.index().expect("index survives rollback");
-    assert_eq!(index.stats().blocks_rolled_back, 3, "journaled undo, not rebuild");
+    assert_eq!(
+        index.stats().blocks_rolled_back,
+        3,
+        "journaled undo, not rebuild"
+    );
     assert_equivalent(index, node.chain(), seed);
 
     // Redeliver the reorged-away tail: adoption is idempotent re-entry.
@@ -240,7 +246,9 @@ fn run_seed(seed: u64) -> u64 {
         chain.tip().expect("tip").hash(),
         "seed {seed}: recovered node lost blocks"
     );
-    revived.enable_index(LAMBDA).expect("index over recovered chain");
+    revived
+        .enable_index(LAMBDA)
+        .expect("index over recovered chain");
     assert_equivalent(revived.index().expect("enabled"), revived.chain(), seed);
 
     rings

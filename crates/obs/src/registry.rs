@@ -171,10 +171,13 @@ mod tests {
     #[test]
     fn labeled_counters_are_distinct_stable_series() {
         let r = Registry::new();
-        r.counter_labeled("node.gossip.delivered_total", "node", "1").add(2);
-        r.counter_labeled("node.gossip.delivered_total", "node", "0").add(7);
+        r.counter_labeled("node.gossip.delivered_total", "node", "1")
+            .add(2);
+        r.counter_labeled("node.gossip.delivered_total", "node", "0")
+            .add(7);
         assert_eq!(
-            r.counter_labeled("node.gossip.delivered_total", "node", "1").get(),
+            r.counter_labeled("node.gossip.delivered_total", "node", "1")
+                .get(),
             2
         );
         let snap = r.snapshot();

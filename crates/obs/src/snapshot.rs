@@ -51,27 +51,36 @@ impl Snapshot {
     /// The captured counter value, `None` when `name` is not a counter in
     /// this snapshot. The assertable-oracle accessor tests lean on.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.entries.iter().find(|e| e.name == name).and_then(|e| match e.value {
-            SnapshotValue::Counter(v) => Some(v),
-            _ => None,
-        })
+        self.entries
+            .iter()
+            .find(|e| e.name == name)
+            .and_then(|e| match e.value {
+                SnapshotValue::Counter(v) => Some(v),
+                _ => None,
+            })
     }
 
     /// The captured gauge value, `None` when `name` is not a gauge.
     pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.entries.iter().find(|e| e.name == name).and_then(|e| match e.value {
-            SnapshotValue::Gauge(v) => Some(v),
-            _ => None,
-        })
+        self.entries
+            .iter()
+            .find(|e| e.name == name)
+            .and_then(|e| match e.value {
+                SnapshotValue::Gauge(v) => Some(v),
+                _ => None,
+            })
     }
 
     /// The captured observation count of a histogram, `None` when `name`
     /// is not a histogram.
     pub fn histogram_count(&self, name: &str) -> Option<u64> {
-        self.entries.iter().find(|e| e.name == name).and_then(|e| match e.value {
-            SnapshotValue::Histogram { count, .. } => Some(count),
-            _ => None,
-        })
+        self.entries
+            .iter()
+            .find(|e| e.name == name)
+            .and_then(|e| match e.value {
+                SnapshotValue::Histogram { count, .. } => Some(count),
+                _ => None,
+            })
     }
 
     /// Render as sorted `name<TAB>kind<TAB>fields` lines, one per metric.
@@ -169,7 +178,11 @@ impl Snapshot {
                     }
                 }
             }
-            out.push_str(if i + 1 < self.entries.len() { ",\n" } else { "\n" });
+            out.push_str(if i + 1 < self.entries.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
         }
         out.push_str("}\n");
         out
@@ -210,7 +223,10 @@ mod tests {
         let snap = sample().snapshot();
         let det = snap.render_text(Mode::Deterministic);
         assert!(det.contains("chain.verify.block_ns\ttimer\tcount=1"));
-        assert!(!det.contains("1234"), "raw nanoseconds must not leak:\n{det}");
+        assert!(
+            !det.contains("1234"),
+            "raw nanoseconds must not leak:\n{det}"
+        );
         // The value-domain histogram still renders fully.
         assert!(det.contains("core.select.ring_size\thistogram\tcount=2 sum=13"));
         let full = snap.render_json(Mode::Full);

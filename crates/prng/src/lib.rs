@@ -97,12 +97,7 @@ impl SeedableRng for Xoshiro256PlusPlus {
         // All-zero state is the one forbidden point; splitmix64 maps no
         // seed to four zero outputs, so this cannot produce it.
         Xoshiro256PlusPlus {
-            s: [
-                sm.next_u64(),
-                sm.next_u64(),
-                sm.next_u64(),
-                sm.next_u64(),
-            ],
+            s: [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()],
         }
     }
 }

@@ -140,14 +140,20 @@ mod tests {
         let cases = vec![
             StoreError::Io("disk on fire".into()),
             StoreError::BadHeader,
-            StoreError::GroupMismatch { expected: 1, got: 2 },
+            StoreError::GroupMismatch {
+                expected: 1,
+                got: 2,
+            },
             StoreError::CorruptRecord {
                 offset: 16,
                 expected_crc: 0xDEAD,
                 got_crc: 0xBEEF,
             },
             StoreError::InteriorCorruption { offset: 40 },
-            StoreError::BadRecordLength { offset: 16, len: u64::MAX },
+            StoreError::BadRecordLength {
+                offset: 16,
+                len: u64::MAX,
+            },
             StoreError::Undecodable {
                 offset: 16,
                 cause: CodecError::Truncated,
@@ -158,11 +164,26 @@ mod tests {
                 height: 3,
                 cause: ChainError::NotExtendingTip,
             },
-            StoreError::CheckpointAheadOfWal { height: 8, wal_height: 5 },
-            StoreError::CheckpointStateMismatch { height: 4, field: "tip" },
-            StoreError::ImmutabilityViolated { height: 2, ring_index: 0 },
-            StoreError::RollbackForbidden { target: 1, rs_height: 2 },
-            StoreError::RollbackBelowCheckpoint { target: 1, checkpoint: 4 },
+            StoreError::CheckpointAheadOfWal {
+                height: 8,
+                wal_height: 5,
+            },
+            StoreError::CheckpointStateMismatch {
+                height: 4,
+                field: "tip",
+            },
+            StoreError::ImmutabilityViolated {
+                height: 2,
+                ring_index: 0,
+            },
+            StoreError::RollbackForbidden {
+                target: 1,
+                rs_height: 2,
+            },
+            StoreError::RollbackBelowCheckpoint {
+                target: 1,
+                checkpoint: 4,
+            },
             StoreError::FaultUnsupported,
         ];
         for e in cases {

@@ -126,7 +126,10 @@ mod tests {
         assert_eq!(out.records.len(), 4);
         let a = &out.records[2];
         let b = &out.records[3];
-        assert_eq!(&w[a.payload_start..a.payload_end], &w[b.payload_start..b.payload_end]);
+        assert_eq!(
+            &w[a.payload_start..a.payload_end],
+            &w[b.payload_start..b.payload_end]
+        );
     }
 
     #[test]
@@ -134,9 +137,16 @@ mod tests {
         for off in [0u64, 13, 997, u64::MAX] {
             let mut w = sample_wal();
             let clean = w.clone();
-            StorageFault::BitFlip { offset: off, bit: 3 }.apply(&mut w);
+            StorageFault::BitFlip {
+                offset: off,
+                bit: 3,
+            }
+            .apply(&mut w);
             assert_ne!(w, clean);
-            assert_eq!(&w[..WAL_HEADER_LEN as usize], &clean[..WAL_HEADER_LEN as usize]);
+            assert_eq!(
+                &w[..WAL_HEADER_LEN as usize],
+                &clean[..WAL_HEADER_LEN as usize]
+            );
         }
     }
 

@@ -126,7 +126,11 @@ impl RecoveryReport {
         ));
         out.push_str(&format!(
             "  corruption detected: {}\n",
-            if self.corruption_detected { "YES" } else { "no" }
+            if self.corruption_detected {
+                "YES"
+            } else {
+                "no"
+            }
         ));
         out.push_str(&format!(
             "  immutability: {} RSs re-checked, {}\n",
@@ -134,7 +138,11 @@ impl RecoveryReport {
             if self.immutability_violations.is_empty() {
                 "all keep their claimed (c, l)-diversity".into()
             } else {
-                format!("{} VIOLATIONS {:?}", self.immutability_violations.len(), self.immutability_violations)
+                format!(
+                    "{} VIOLATIONS {:?}",
+                    self.immutability_violations.len(),
+                    self.immutability_violations
+                )
             }
         ));
         out.push_str(&format!(
@@ -425,12 +433,7 @@ impl Store {
         if self.cfg.checkpoint_interval == 0 {
             return Ok(false);
         }
-        let height = chain
-            .tip()
-            .map_err(replay_err(0, 0))?
-            .header
-            .height
-            .0;
+        let height = chain.tip().map_err(replay_err(0, 0))?.header.height.0;
         if height < self.last_checkpoint_height + self.cfg.checkpoint_interval {
             return Ok(false);
         }
@@ -455,12 +458,7 @@ impl Store {
     /// committed RS (claimed diversity is forever) or the target undercuts
     /// the durable checkpoint.
     pub fn rollback_to(&mut self, chain: &Chain, target: u64) -> Result<Chain, StoreError> {
-        let current = chain
-            .tip()
-            .map_err(replay_err(0, 0))?
-            .header
-            .height
-            .0;
+        let current = chain.tip().map_err(replay_err(0, 0))?.header.height.0;
         if target >= current {
             // Nothing to remove; hand back an equivalent chain.
             return rebuild_prefix(chain, current);
@@ -472,10 +470,7 @@ impl Store {
             });
         }
         for block in &chain.blocks()[(target + 1) as usize..] {
-            let has_rs = block
-                .transactions
-                .iter()
-                .any(|ct| !ct.tx.inputs.is_empty());
+            let has_rs = block.transactions.iter().any(|ct| !ct.tx.inputs.is_empty());
             if has_rs {
                 return Err(StoreError::RollbackForbidden {
                     target,
@@ -599,13 +594,14 @@ fn replay_err(offset: u64, height: u64) -> impl Fn(ChainError) -> StoreError {
 /// Check the replayed prefix against a checkpoint's attestation: tip hash
 /// at its height, key-image set, and committed-ring fingerprints.
 fn verify_checkpoint_attestation(chain: &Chain, cp: &Checkpoint) -> Result<(), StoreError> {
-    let attested = chain
-        .blocks()
-        .get(cp.height as usize)
-        .ok_or(StoreError::CheckpointAheadOfWal {
-            height: cp.height,
-            wal_height: chain.blocks().len().saturating_sub(1) as u64,
-        })?;
+    let attested =
+        chain
+            .blocks()
+            .get(cp.height as usize)
+            .ok_or(StoreError::CheckpointAheadOfWal {
+                height: cp.height,
+                wal_height: chain.blocks().len().saturating_sub(1) as u64,
+            })?;
     if attested.hash() != cp.tip {
         return Err(StoreError::CheckpointStateMismatch {
             height: cp.height,

@@ -49,7 +49,9 @@ pub fn decode_header(bytes: &[u8]) -> Result<u64, StoreError> {
     if bytes.len() < WAL_HEADER_LEN as usize || bytes[..8] != WAL_MAGIC {
         return Err(StoreError::BadHeader);
     }
-    Ok(u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")))
+    Ok(u64::from_le_bytes(
+        bytes[8..16].try_into().expect("8 bytes"),
+    ))
 }
 
 /// Frame one record: `len ‖ crc32 ‖ payload`.
@@ -112,7 +114,10 @@ impl TailStatus {
     /// Whether this tail is evidence of *corruption* (flagged to the
     /// operator) rather than an ordinary torn write.
     pub fn is_corruption(&self) -> bool {
-        matches!(self, TailStatus::CorruptTail { .. } | TailStatus::BadLength { .. })
+        matches!(
+            self,
+            TailStatus::CorruptTail { .. } | TailStatus::BadLength { .. }
+        )
     }
 }
 
@@ -143,8 +148,7 @@ pub fn scan(bytes: &[u8]) -> Result<ScanOutcome, StoreError> {
             break;
         }
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as u64;
-        let stored_crc =
-            u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
+        let stored_crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
         if len == 0 || len > MAX_RECORD_LEN {
             tail = TailStatus::BadLength { offset, len };
             break;

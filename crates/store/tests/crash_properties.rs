@@ -74,8 +74,9 @@ fn reference_chain() -> (SchnorrGroup, Chain, Vec<KeyPair>) {
     let mut chain = Chain::new(group);
     let mut keys = Vec::new();
     for _ in 0..3 {
-        let block_keys: Vec<KeyPair> =
-            (0..3).map(|_| KeyPair::generate(&group, &mut rng)).collect();
+        let block_keys: Vec<KeyPair> = (0..3)
+            .map(|_| KeyPair::generate(&group, &mut rng))
+            .collect();
         chain.submit_coinbase(
             block_keys
                 .iter()
@@ -221,8 +222,7 @@ fn every_injected_fault_is_detected_never_silently_applied() {
                     }
                     StorageFault::BitFlip { .. } => {
                         assert!(
-                            rec.report.corruption_detected
-                                || rec.report.records_truncated > 0,
+                            rec.report.corruption_detected || rec.report.records_truncated > 0,
                             "seed {seed}: bit flip invisible to recovery: {:?}",
                             rec.report
                         );
@@ -281,7 +281,10 @@ fn checkpoint_attests_and_accelerates_recovery() {
     let (wal_bytes, cp_bytes) = checkpointed_images(group, &chain);
     let rec = open(&wal_bytes, &cp_bytes, group).expect("recovery with checkpoint");
     assert!(rec.report.checkpoint_loaded);
-    assert_eq!(rec.report.checkpoint_height, chain.blocks().len() as u64 - 1);
+    assert_eq!(
+        rec.report.checkpoint_height,
+        chain.blocks().len() as u64 - 1
+    );
     assert!(rec.report.clean());
     assert_eq!(rec.report.tip, chain.tip().unwrap().hash());
 
@@ -315,7 +318,9 @@ fn false_diversity_claim_is_flagged_on_recovery() {
     let group = SchnorrGroup::default();
     let mut rng = StdRng::seed_from_u64(11);
     let mut chain = Chain::new(group);
-    let keys: Vec<KeyPair> = (0..4).map(|_| KeyPair::generate(&group, &mut rng)).collect();
+    let keys: Vec<KeyPair> = (0..4)
+        .map(|_| KeyPair::generate(&group, &mut rng))
+        .collect();
     chain.submit_coinbase(
         keys.iter()
             .map(|k| TokenOutput {
@@ -338,14 +343,19 @@ fn false_diversity_claim_is_flagged_on_recovery() {
         2,
         &mut rng,
     );
-    chain.submit(tx, &NoConfiguration).expect("chain accepts the claim");
+    chain
+        .submit(tx, &NoConfiguration)
+        .expect("chain accepts the claim");
     chain.seal_block().expect("spend seals");
 
     let full = full_wal(&group, &chain);
     let rec = open(&full, &[], group).expect("recovery itself succeeds");
     assert_eq!(rec.report.rings_checked, 1);
     assert_eq!(rec.report.immutability_violations, vec![(2, 0)]);
-    assert!(!rec.report.clean(), "a violated claim must fail the verdict");
+    assert!(
+        !rec.report.clean(),
+        "a violated claim must fail the verdict"
+    );
 }
 
 #[test]
@@ -462,7 +472,11 @@ fn wal_tail_streams_only_missing_records() {
     assert_eq!(server.blocks_served(), 3, "3 of 6 blocks are missing");
     let mut rebuilt = prefix.clone();
     rebuilt.extend_from_slice(&tail);
-    assert_eq!(rebuilt, full_wal(&group, &chain), "prefix + tail = full WAL");
+    assert_eq!(
+        rebuilt,
+        full_wal(&group, &chain),
+        "prefix + tail = full WAL"
+    );
 
     // A fully caught-up peer gets an empty stream; so does an offset that
     // is not a record boundary of this WAL (never torn frames).

@@ -4,8 +4,7 @@
 
 use dams_store::crc32;
 use dams_store::wal::{
-    decode_header, encode_header, frame_record, scan, TailStatus, RECORD_HEADER_LEN,
-    WAL_HEADER_LEN,
+    decode_header, encode_header, frame_record, scan, TailStatus, RECORD_HEADER_LEN, WAL_HEADER_LEN,
 };
 
 /// IEEE CRC-32 check value — every conforming implementation maps
@@ -38,7 +37,11 @@ fn record_golden_bytes() {
     let rec = frame_record(b"dams-golden");
     assert_eq!(rec.len(), RECORD_HEADER_LEN as usize + 11);
     assert_eq!(&rec[0..4], &11u32.to_le_bytes(), "length, little endian");
-    assert_eq!(&rec[4..8], &0x160B_B440u32.to_le_bytes(), "crc32, little endian");
+    assert_eq!(
+        &rec[4..8],
+        &0x160B_B440u32.to_le_bytes(),
+        "crc32, little endian"
+    );
     assert_eq!(&rec[8..], b"dams-golden");
 }
 
@@ -54,5 +57,8 @@ fn golden_image_scans_clean() {
     assert_eq!(out.records.len(), 2);
     assert_eq!(out.tail, TailStatus::Clean);
     assert_eq!(out.records[0].offset, WAL_HEADER_LEN);
-    assert_eq!(out.records[1].offset, WAL_HEADER_LEN + RECORD_HEADER_LEN + 11);
+    assert_eq!(
+        out.records[1].offset,
+        WAL_HEADER_LEN + RECORD_HEADER_LEN + 11
+    );
 }

@@ -41,7 +41,12 @@ pub fn floored_ladder(exact_ok: bool, floor: u32) -> Vec<Tier> {
 
 /// The exact-tier candidate grant for a request with `remaining` ticks of
 /// budget. The caller must already have checked `remaining ≥ reserve`.
-pub fn exact_grant(remaining: u64, reserve_ticks: u64, ticks_per_candidate: u64, exact_ok: bool) -> u64 {
+pub fn exact_grant(
+    remaining: u64,
+    reserve_ticks: u64,
+    ticks_per_candidate: u64,
+    exact_ok: bool,
+) -> u64 {
     if !exact_ok {
         return 0;
     }
@@ -173,8 +178,7 @@ mod tests {
 
     #[test]
     fn deadline_infeasible_strikes_only_with_a_grant() {
-        let err: Result<DegradedSelection, SelectError> =
-            Err(SelectError::DeadlineInfeasible);
+        let err: Result<DegradedSelection, SelectError> = Err(SelectError::DeadlineInfeasible);
         assert_eq!(breaker_feedback(&err, true), Some(true));
         assert_eq!(breaker_feedback(&err, false), None);
     }

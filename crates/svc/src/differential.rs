@@ -430,10 +430,7 @@ mod tests {
     fn differential_matches_on_a_smoke_seed() {
         let out = run_differential(&quick_cfg(7)).expect("runtime runs");
         let text = out.report.render();
-        assert!(
-            out.report.matched(),
-            "sim and runtime diverged:\n{text}"
-        );
+        assert!(out.report.matched(), "sim and runtime diverged:\n{text}");
         assert!(text.ends_with("verdict: MATCH\n"));
         assert!(text.contains("row\toffered"));
     }

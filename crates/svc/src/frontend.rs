@@ -271,7 +271,9 @@ mod tests {
             Err(ShedReason::AnonymityFloor)
         );
         assert_eq!(
-            registry.snapshot().counter("svc.shed.anonymity_floor_total"),
+            registry
+                .snapshot()
+                .counter("svc.shed.anonymity_floor_total"),
             Some(2)
         );
     }
@@ -303,6 +305,12 @@ mod tests {
         );
         // Non-exact callers still get degraded answers while open.
         assert!(f.select(TokenId(1), 1 << 20, false).is_ok());
-        assert!(registry.snapshot().counter("svc.circuit.opened_total").unwrap() >= 1);
+        assert!(
+            registry
+                .snapshot()
+                .counter("svc.circuit.opened_total")
+                .unwrap()
+                >= 1
+        );
     }
 }

@@ -134,7 +134,11 @@ pub fn service_config(cfg: &OverloadConfig, calib: &Calibration) -> SvcConfig {
         reserve_ticks: calib.reserve_ticks,
         hedge_batch: true,
         stall_every: if cfg.stalls { 7 } else { 0 },
-        stall_ticks: if cfg.stalls { calib.mean_exact_ticks } else { 0 },
+        stall_ticks: if cfg.stalls {
+            calib.mean_exact_ticks
+        } else {
+            0
+        },
         seed: cfg.seed,
         ..SvcConfig::default()
     }

@@ -92,7 +92,9 @@ mod tests {
         let p = RetryPolicy::default();
         let draw = |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
-            (1..=4).map(|a| p.backoff_ticks(a, &mut rng)).collect::<Vec<_>>()
+            (1..=4)
+                .map(|a| p.backoff_ticks(a, &mut rng))
+                .collect::<Vec<_>>()
         };
         assert_eq!(draw(3), draw(3));
         assert_ne!(draw(3), draw(4), "different seeds should differ");

@@ -293,8 +293,7 @@ mod tests {
     fn uncontended_requests_complete_at_the_exact_tier() {
         let inst = instance(8);
         let mut svc = Service::new(&inst, policy(), SvcConfig::default());
-        let arrivals: Vec<(u64, Request)> =
-            (0..4).map(|i| (i * 10_000, req(i, 1 << 20))).collect();
+        let arrivals: Vec<(u64, Request)> = (0..4).map(|i| (i * 10_000, req(i, 1 << 20))).collect();
         let report = svc.run(&arrivals);
         assert_eq!(report.offered, 4);
         assert_eq!(report.completed, 4);
@@ -302,7 +301,11 @@ mod tests {
         assert_eq!(report.deadline_met, 4);
         let snap = svc.registry().snapshot();
         assert_eq!(snap.counter("svc.degraded_total"), Some(0));
-        assert!(snap.counter("core.degrade.answered.exact_bfs_total").unwrap() >= 4);
+        assert!(
+            snap.counter("core.degrade.answered.exact_bfs_total")
+                .unwrap()
+                >= 4
+        );
     }
 
     #[test]
@@ -422,14 +425,21 @@ mod tests {
             anonymity_floor: Tier::ExactBfs.anonymity_score() + 1,
             ..req(2, 1 << 20)
         };
-        let report = svc.run(&[(1, impossible), (2, exact_only_floored), (3, exact_vs_floor)]);
+        let report = svc.run(&[
+            (1, impossible),
+            (2, exact_only_floored),
+            (3, exact_vs_floor),
+        ]);
         assert_eq!(report.shed_anonymity_floor, 2);
         assert_eq!(report.completed, 1);
         let snap = svc.registry().snapshot();
         assert_eq!(snap.counter("svc.shed.anonymity_floor_total"), Some(2));
         // The answered request degraded to a tier meeting its floor.
         assert_eq!(snap.counter("svc.degraded_total"), Some(1));
-        assert_eq!(snap.counter("core.degrade.answered.exact_bfs_total"), Some(0));
+        assert_eq!(
+            snap.counter("core.degrade.answered.exact_bfs_total"),
+            Some(0)
+        );
     }
 
     #[test]

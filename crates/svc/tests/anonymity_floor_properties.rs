@@ -21,7 +21,9 @@ use dams_svc::{
 const SEEDS: u64 = 64;
 
 fn instance() -> Instance {
-    Instance::fresh(TokenUniverse::new((0..24u32).map(|i| HtId(i % 8)).collect()))
+    Instance::fresh(TokenUniverse::new(
+        (0..24u32).map(|i| HtId(i % 8)).collect(),
+    ))
 }
 
 fn policy() -> SelectionPolicy {
@@ -50,7 +52,11 @@ fn frontend_never_answers_below_the_declared_floor() {
         let mut frontend = Frontend::new(&inst, policy(), cfg, &registry);
         for i in 0..24u32 {
             let floor = rng.gen_range(0..=max_declared + 1);
-            let budget = if rng.gen_range(0..4u32) == 0 { 60 } else { 1 << 20 };
+            let budget = if rng.gen_range(0..4u32) == 0 {
+                60
+            } else {
+                1 << 20
+            };
             let require_exact = rng.gen_range(0..8u32) == 0;
             match frontend.select_floored(TokenId(i % 8), budget, require_exact, floor) {
                 Ok(sel) => {
@@ -104,19 +110,20 @@ fn floored_overload_replays_byte_identically_and_sheds_typed() {
             .map(|t| t.anonymity_score())
             .max()
             .unwrap_or(0);
-        let arrivals: Vec<(u64, Request)> = build_arrivals(&over, &calib, inst.universe.len() as u64)
-            .into_iter()
-            .enumerate()
-            .map(|(i, (tick, req))| {
-                (
-                    tick,
-                    Request {
-                        anonymity_floor: (i as u32) % (max_declared + 2),
-                        ..req
-                    },
-                )
-            })
-            .collect();
+        let arrivals: Vec<(u64, Request)> =
+            build_arrivals(&over, &calib, inst.universe.len() as u64)
+                .into_iter()
+                .enumerate()
+                .map(|(i, (tick, req))| {
+                    (
+                        tick,
+                        Request {
+                            anonymity_floor: (i as u32) % (max_declared + 2),
+                            ..req
+                        },
+                    )
+                })
+                .collect();
         let run = || {
             let mut service = Service::new(&inst, policy, service_config(&over, &calib));
             service.run(&arrivals)

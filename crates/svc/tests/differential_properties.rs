@@ -63,7 +63,10 @@ fn sweep_real_runtime_accounting_closes_exactly() {
             out.real.client.responses, r.offered,
             "seed {seed}: wire responses != offered"
         );
-        assert_eq!(out.real.client.duplicates, 0, "seed {seed}: duplicate responses");
+        assert_eq!(
+            out.real.client.duplicates, 0,
+            "seed {seed}: duplicate responses"
+        );
     }
 }
 
@@ -138,7 +141,10 @@ fn back_to_back_runs_are_byte_identical() {
             a.real.svc.snapshot, b.real.svc.snapshot,
             "seed {seed}: runtime metric snapshot not reproducible"
         );
-        assert_eq!(a.trace_text, b.trace_text, "seed {seed}: trace text drifted");
+        assert_eq!(
+            a.trace_text, b.trace_text,
+            "seed {seed}: trace text drifted"
+        );
     }
 }
 
@@ -154,7 +160,10 @@ fn tcp_transport_matches_duplex_accounting() {
             ..scenario(seed)
         };
         let tcp = run_differential(&tcp_cfg).expect("tcp runs");
-        assert!(tcp.report.matched(), "seed {seed}: tcp run diverged from sim");
+        assert!(
+            tcp.report.matched(),
+            "seed {seed}: tcp run diverged from sim"
+        );
         assert_eq!(
             duplex.real.svc, tcp.real.svc,
             "seed {seed}: transport changed the accounting"

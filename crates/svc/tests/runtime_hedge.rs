@@ -7,9 +7,9 @@
 //! terminal ledger, answers every id exactly once on the wire, and
 //! replays byte-identically.
 
-use dams_svc::{run_runtime, RetryPolicy, RuntimeConfig, SvcConfig, Transport};
 use dams_core::{Instance, SelectionPolicy};
 use dams_diversity::{DiversityRequirement, HtId, TokenUniverse};
+use dams_svc::{run_runtime, RetryPolicy, RuntimeConfig, SvcConfig, Transport};
 use dams_workload::ArrivalEvent;
 
 fn instance(n: u32) -> Instance {

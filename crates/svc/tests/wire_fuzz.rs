@@ -11,7 +11,9 @@
 //! alters bytes on the wire fails here before it can silently break
 //! cross-version interop.
 
-use dams_svc::wire::{decode_frame, Hello, Message, WireError, WireOutcome, WireRequest, WireResponse};
+use dams_svc::wire::{
+    decode_frame, Hello, Message, WireError, WireOutcome, WireRequest, WireResponse,
+};
 use dams_svc::ShedReason;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -139,12 +141,18 @@ fn single_bit_flip_is_always_rejected_typed() {
     }
     // The typed error space must actually be exercised: at minimum the
     // digest check and the length accounting both fire somewhere.
-    assert!(by_error.contains_key("digest"), "digest never fired: {by_error:?}");
+    assert!(
+        by_error.contains_key("digest"),
+        "digest never fired: {by_error:?}"
+    );
     assert!(
         by_error.contains_key("truncated"),
         "length accounting never fired: {by_error:?}"
     );
-    assert!(!by_error.contains_key("io"), "decode never does IO: {by_error:?}");
+    assert!(
+        !by_error.contains_key("io"),
+        "decode never does IO: {by_error:?}"
+    );
 }
 
 #[test]

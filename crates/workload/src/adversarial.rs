@@ -54,7 +54,11 @@ impl BurstSchedule {
     /// call it exactly once per tick to keep replays aligned.
     pub fn intensity(&mut self, tick: u64) -> u64 {
         let phase = tick % self.period;
-        let level = if phase < self.width { self.peak } else { self.base };
+        let level = if phase < self.width {
+            self.peak
+        } else {
+            self.base
+        };
         level + self.rng.gen_range(0..=self.jitter)
     }
 }

@@ -154,12 +154,10 @@ pub fn parse_trace(text: &str) -> Result<Vec<ArrivalEvent>, TraceError> {
             tick: num("tick", fields[0])?,
             id: num("id", fields[1])?,
             tenant: num("tenant", fields[2])?,
-            target: u32::try_from(num("target", fields[3])?).map_err(|_| {
-                TraceError::BadField {
-                    line: line_no,
-                    field: "target",
-                    value: fields[3].into(),
-                }
+            target: u32::try_from(num("target", fields[3])?).map_err(|_| TraceError::BadField {
+                line: line_no,
+                field: "target",
+                value: fields[3].into(),
             })?,
             interactive,
             budget: num("budget", fields[5])?,

@@ -207,13 +207,7 @@ mod tests {
     fn non_careless_rings_satisfy_the_requirement() {
         let cfg = AttackTraceConfig::default();
         for mode in [SamplingMode::Baseline, SamplingMode::AttackAware] {
-            let t = generate_attack_trace(
-                &AttackTraceConfig {
-                    mode,
-                    ..cfg
-                },
-                21,
-            );
+            let t = generate_attack_trace(&AttackTraceConfig { mode, ..cfg }, 21);
             for ring in t.rings.iter().filter(|r| r.len() > 1) {
                 assert!(
                     cfg.requirement.satisfied_by_ring(ring, &t.universe),

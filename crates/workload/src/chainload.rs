@@ -151,14 +151,7 @@ mod tests {
 
     fn interleaved_universe() -> TokenUniverse {
         // HT groups deliberately non-contiguous: [0,1,0,2,1,0]
-        TokenUniverse::new(vec![
-            HtId(0),
-            HtId(1),
-            HtId(0),
-            HtId(2),
-            HtId(1),
-            HtId(0),
-        ])
+        TokenUniverse::new(vec![HtId(0), HtId(1), HtId(0), HtId(2), HtId(1), HtId(0)])
     }
 
     #[test]
@@ -166,8 +159,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let w = ChainWorkload::materialize(interleaved_universe(), &mut rng);
         assert_eq!(w.chain.token_count(), 6);
-        let origin =
-            |t: u32| w.chain.token(w.ledger_id(TokenId(t))).unwrap().origin;
+        let origin = |t: u32| w.chain.token(w.ledger_id(TokenId(t))).unwrap().origin;
         // same algorithm HT ⇒ same ledger origin
         assert_eq!(origin(0), origin(2));
         assert_eq!(origin(0), origin(5));
@@ -191,7 +183,8 @@ mod tests {
     fn double_spend_caught_on_chain() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut w = ChainWorkload::materialize(interleaved_universe(), &mut rng);
-        w.spend(&ring(&[0, 2]), TokenId(0), 0.6, 2, &mut rng).unwrap();
+        w.spend(&ring(&[0, 2]), TokenId(0), 0.6, 2, &mut rng)
+            .unwrap();
         let err = w
             .spend(&ring(&[0, 3, 5]), TokenId(0), 0.6, 2, &mut rng)
             .unwrap_err();
@@ -207,8 +200,10 @@ mod tests {
         // real in a second ring — key images differ, both commit.
         let mut rng = StdRng::seed_from_u64(4);
         let mut w = ChainWorkload::materialize(interleaved_universe(), &mut rng);
-        w.spend(&ring(&[0, 2]), TokenId(0), 0.6, 2, &mut rng).unwrap();
-        w.spend(&ring(&[2, 3]), TokenId(2), 0.6, 2, &mut rng).unwrap();
+        w.spend(&ring(&[0, 2]), TokenId(0), 0.6, 2, &mut rng)
+            .unwrap();
+        w.spend(&ring(&[2, 3]), TokenId(2), 0.6, 2, &mut rng)
+            .unwrap();
         assert!(w.chain.audit());
     }
 }

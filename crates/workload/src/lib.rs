@@ -24,8 +24,8 @@ pub mod arrivals;
 pub mod attack_trace;
 pub mod chainload;
 pub mod openloop;
-pub mod simulation;
 pub mod real;
+pub mod simulation;
 pub mod streaming;
 pub mod synthetic;
 

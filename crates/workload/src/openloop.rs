@@ -70,7 +70,10 @@ impl OpenLoop {
             tick = tick.saturating_add(gap);
             out.push(tick);
             primary += 1;
-            if self.burst_every > 0 && self.burst_size > 0 && primary.is_multiple_of(self.burst_every) {
+            if self.burst_every > 0
+                && self.burst_size > 0
+                && primary.is_multiple_of(self.burst_every)
+            {
                 for _ in 0..self.burst_size {
                     if out.len() >= n {
                         break;

@@ -103,7 +103,9 @@ impl ChainStream {
     pub fn next_block(&mut self) -> BlockDelta {
         let cfg = self.cfg;
         let mut minted = Vec::new();
-        let txs = self.rng.gen_range(cfg.txs_per_block.0..=cfg.txs_per_block.1.max(1));
+        let txs = self
+            .rng
+            .gen_range(cfg.txs_per_block.0..=cfg.txs_per_block.1.max(1));
         for _ in 0..txs.max(1) {
             let ht = self.next_ht;
             self.next_ht += 1;

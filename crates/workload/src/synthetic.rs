@@ -67,7 +67,9 @@ impl SyntheticConfig {
         let total: usize = sizes.iter().sum::<usize>() + self.num_fresh;
 
         // HT per token from the configured model, shifted to dense ids.
-        let model = self.ht_model.unwrap_or(HtModel::Normal { sigma: self.sigma });
+        let model = self
+            .ht_model
+            .unwrap_or(HtModel::Normal { sigma: self.sigma });
         let raw: Vec<i64> = match model {
             HtModel::Normal { sigma } => (0..total)
                 .map(|_| (normal_sample(rng) * sigma).round() as i64)
@@ -96,11 +98,8 @@ impl SyntheticConfig {
             }
         };
         let min = raw.iter().copied().min().unwrap_or(0);
-        let universe = TokenUniverse::new(
-            raw.into_iter()
-                .map(|v| HtId((v - min) as u32))
-                .collect(),
-        );
+        let universe =
+            TokenUniverse::new(raw.into_iter().map(|v| HtId((v - min) as u32)).collect());
 
         // Partition tokens into modules: contiguous id blocks are fine —
         // HT assignment is already random, so block membership is

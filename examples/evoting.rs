@@ -17,12 +17,8 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, Rng, SeedableRng};
 
-use dams_core::{
-    progressive, Instance, ModularInstance, SelectionPolicy,
-};
-use dams_diversity::{
-    analyze, DiversityRequirement, HtId, RingIndex, TokenId, TokenUniverse,
-};
+use dams_core::{progressive, Instance, ModularInstance, SelectionPolicy};
+use dams_diversity::{analyze, DiversityRequirement, HtId, RingIndex, TokenId, TokenUniverse};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(7);
@@ -31,11 +27,7 @@ fn main() {
     // is one "historical transaction" — ballots issued together).
     let voters = 120usize;
     let batches = 30usize;
-    let universe = TokenUniverse::new(
-        (0..voters)
-            .map(|i| HtId((i % batches) as u32))
-            .collect(),
-    );
+    let universe = TokenUniverse::new((0..voters).map(|i| HtId((i % batches) as u32)).collect());
     println!("precinct: {voters} ballots issued in {batches} registration batches");
 
     // Election day: voters arrive in random order; each casts a ballot

@@ -57,8 +57,8 @@ fn main() {
     for &record in &[0u32, 5, 9, 14] {
         let instance = Instance::new(universe.clone(), committed.clone(), claims.clone());
         let modular = ModularInstance::decompose(&instance).expect("history stays laminar");
-        let sel = progressive(&modular, TokenId(record), policy)
-            .expect("clinic requirement is feasible");
+        let sel =
+            progressive(&modular, TokenId(record), policy).expect("clinic requirement is feasible");
         chain
             .spend(&sel.ring, TokenId(record), req.c, req.l, &mut rng)
             .expect("ring signature verifies on-chain");

@@ -9,9 +9,10 @@ use dams_core::{
     game_theoretic, progressive, smallest, Instance, ModularInstance, SelectionPolicy,
 };
 use dams_diversity::{
-    analyze, analyze_exact, homogeneity::{probe_analyzed, probe_ring},
-    DiversityRequirement, HtId, RingIndex, RingSet, RsId, SideInformation, TokenId,
-    TokenRsPair, TokenUniverse,
+    analyze, analyze_exact,
+    homogeneity::{probe_analyzed, probe_ring},
+    DiversityRequirement, HtId, RingIndex, RingSet, RsId, SideInformation, TokenId, TokenRsPair,
+    TokenUniverse,
 };
 use dams_workload::SyntheticConfig;
 

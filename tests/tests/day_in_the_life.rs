@@ -44,13 +44,15 @@ fn full_stack_day() {
     let schedule = FeeSchedule::new(Amount(10), Amount(2));
     let mut total_fee = Amount(0);
     let receiver = KeyPair::generate(chain.group(), &mut rng).public;
-    for (wallet, token) in [
-        (&alice, 0u64),
-        (&bob, 20),
-        (&alice, 7),
-    ] {
+    for (wallet, token) in [(&alice, 0u64), (&bob, 20), (&alice, 7)] {
         let ring = wallet
-            .spend(&mut chain, dams_blockchain::TokenId(token), receiver, &NoConfiguration, &mut rng)
+            .spend(
+                &mut chain,
+                dams_blockchain::TokenId(token),
+                receiver,
+                &NoConfiguration,
+                &mut rng,
+            )
             .unwrap_or_else(|e| panic!("spend of {token} failed: {e}"));
         // Reconstruct the fee from the committed transaction.
         let fee = Amount(schedule.base.0 + schedule.per_ring_member.0 * ring.len() as u64);

@@ -121,7 +121,10 @@ fn fee_rate_block_selection_rewards_small_rings() {
     let schedule = FeeSchedule::new(Amount(100), Amount(1));
     let pending = vec![mk_tx(40, &mut rng), mk_tx(8, &mut rng), mk_tx(12, &mut rng)];
     let chosen = select_for_block(&schedule, &pending, 25);
-    let sizes: Vec<usize> = chosen.iter().map(|t| FeeSchedule::ring_members(t)).collect();
+    let sizes: Vec<usize> = chosen
+        .iter()
+        .map(|t| FeeSchedule::ring_members(t))
+        .collect();
     assert!(sizes.contains(&8), "{sizes:?}");
     assert!(!sizes.contains(&40), "{sizes:?}");
 }

@@ -120,13 +120,7 @@ fn commit_ring_feeds_the_guard() {
 fn relaxing_requirement_recovers_feasibility() {
     // §4: "if the framework cannot return an eligible RS, they can relax
     // the diversity requirement by increasing c or decreasing ℓ."
-    let universe = TokenUniverse::new(vec![
-        HtId(0),
-        HtId(0),
-        HtId(1),
-        HtId(1),
-        HtId(2),
-    ]);
+    let universe = TokenUniverse::new(vec![HtId(0), HtId(0), HtId(1), HtId(1), HtId(2)]);
     let inst = Instance::fresh(universe);
     let modular = ModularInstance::decompose(&inst).unwrap();
     let strict = SelectionPolicy::new(DiversityRequirement::new(0.4, 3));

@@ -5,9 +5,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 
-use dams_core::{
-    progressive, Instance, ModularHistory, ModularInstance, SelectionPolicy,
-};
+use dams_core::{progressive, Instance, ModularHistory, ModularInstance, SelectionPolicy};
 use dams_diversity::{DiversityRequirement, HtId, TokenId, TokenUniverse};
 
 proptest! {

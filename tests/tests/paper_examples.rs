@@ -112,8 +112,7 @@ mod example_2 {
         let combos = enumerate_combinations(&idx, &all);
         let dtrs = enumerate_dtrs(&combos, &all, 4, &universe());
         assert!(dtrs.iter().any(|d| {
-            d.pairs == vec![TokenRsPair::new(TokenId(2), RsId(0))]
-                && d.determined_ht == HtId(1)
+            d.pairs == vec![TokenRsPair::new(TokenId(2), RsId(0))] && d.determined_ht == HtId(1)
         }));
     }
 
@@ -171,11 +170,7 @@ mod section_6_dead_end {
         // r1 = {t1,t2,t3} claims (1,2); r2 = {t1,t2,t4} claims (2,3);
         // r3 = {t1,t2,t3,t4} claims (1,3). The fourth user wants t2.
         let universe = TokenUniverse::new(vec![HtId(0), HtId(1), HtId(2), HtId(3)]);
-        let rings = RingIndex::from_rings([
-            ids(&[0, 1, 2]),
-            ids(&[0, 1, 3]),
-            ids(&[0, 1, 2, 3]),
-        ]);
+        let rings = RingIndex::from_rings([ids(&[0, 1, 2]), ids(&[0, 1, 3]), ids(&[0, 1, 2, 3])]);
         let claims = vec![
             DiversityRequirement::new(1.0, 2),
             DiversityRequirement::new(2.0, 3),

@@ -9,9 +9,7 @@ use dams_core::{
     game_theoretic, progressive, satisfies_first_configuration, Instance, ModularInstance,
     PracticalAlgorithm, SelectionPolicy, TokenMagic,
 };
-use dams_diversity::{
-    analyze, DiversityRequirement, NeighborTracker, RingIndex, TokenId,
-};
+use dams_diversity::{analyze, DiversityRequirement, NeighborTracker, RingIndex, TokenId};
 use dams_workload::{chainload::ChainWorkload, monero_snapshot, SyntheticConfig};
 
 #[test]
@@ -30,7 +28,9 @@ fn synthetic_batch_end_to_end() {
 
     // Commit on a real chain with a real linkable ring signature.
     let mut chain = ChainWorkload::materialize(instance.universe.clone(), &mut rng);
-    chain.spend(&sel.ring, TokenId(0), req.c, req.l, &mut rng).unwrap();
+    chain
+        .spend(&sel.ring, TokenId(0), req.c, req.l, &mut rng)
+        .unwrap();
     assert!(chain.chain.audit());
     // Double spend caught by the key image.
     assert!(chain
@@ -89,7 +89,9 @@ fn tokenmagic_framework_hides_target_on_chain() {
     assert!(sel.ring.contains(target));
 
     let mut chain = ChainWorkload::materialize(instance.universe.clone(), &mut rng);
-    chain.spend(&sel.ring, target, req.c, req.l, &mut rng).unwrap();
+    chain
+        .spend(&sel.ring, target, req.c, req.l, &mut rng)
+        .unwrap();
     assert!(chain.chain.audit());
 }
 

@@ -29,9 +29,8 @@ fn small_rings(n: u32, max_rings: usize) -> impl Strategy<Value = Vec<RingSet>> 
 
 /// Strategy: a universe of `n` tokens over up to `h` HTs.
 fn universe(n: usize, h: u32) -> impl Strategy<Value = TokenUniverse> {
-    prop::collection::vec(0..h, n).prop_map(|v| {
-        TokenUniverse::new(v.into_iter().map(HtId).collect())
-    })
+    prop::collection::vec(0..h, n)
+        .prop_map(|v| TokenUniverse::new(v.into_iter().map(HtId).collect()))
 }
 
 proptest! {
@@ -187,13 +186,7 @@ proptest! {
 #[test]
 fn theorem_6_1_fast_vs_exact_on_nested_history() {
     // History: r0 ⊂ r1 ⊂ r2 with hand-picked HTs.
-    let uni = TokenUniverse::new(vec![
-        HtId(0),
-        HtId(0),
-        HtId(1),
-        HtId(2),
-        HtId(3),
-    ]);
+    let uni = TokenUniverse::new(vec![HtId(0), HtId(0), HtId(1), HtId(2), HtId(3)]);
     let rings: Vec<RingSet> = vec![
         RingSet::new([TokenId(0), TokenId(1)]),
         RingSet::new([TokenId(0), TokenId(1), TokenId(2)]),
@@ -210,8 +203,7 @@ fn theorem_6_1_fast_vs_exact_on_nested_history() {
 
     let exact_hts: std::collections::BTreeSet<HtId> =
         exact.iter().map(|d| d.determined_ht).collect();
-    let fast_hts: std::collections::BTreeSet<HtId> =
-        fast.iter().map(|(h, _)| *h).collect();
+    let fast_hts: std::collections::BTreeSet<HtId> = fast.iter().map(|(h, _)| *h).collect();
     assert!(
         exact_hts.is_subset(&fast_hts),
         "fast path missed an exact DTRS: exact {exact:?} vs fast {fast:?}"

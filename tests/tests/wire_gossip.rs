@@ -86,7 +86,10 @@ fn corrupted_wire_block_never_reaches_the_chain() {
     // skip the 8 timestamp bytes at offset 72.)
     let mut decode_failures = 0;
     let mut adoption_discards = 0;
-    for pos in (0..bytes.len()).step_by(7).filter(|p| !(72..80).contains(p)) {
+    for pos in (0..bytes.len())
+        .step_by(7)
+        .filter(|p| !(72..80).contains(p))
+    {
         bytes[pos] ^= 0x55;
         match decode_block(&group, &bytes) {
             Err(CodecError::Truncated)
