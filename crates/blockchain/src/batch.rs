@@ -157,6 +157,8 @@ mod tests {
                 assert!(b.tokens.len() >= 7, "closed batch below λ: {b:?}");
                 // and closing is tight: removing the last block would dip below λ
             }
+            assert!(b.first_block <= b.last_block, "{b:?}");
+            assert!(b.tokens.windows(2).all(|w| w[0] < w[1]), "{b:?}");
         }
     }
 
@@ -178,6 +180,7 @@ mod tests {
         let uni = bl.mixin_universe(TokenId(0)).unwrap();
         assert_eq!(uni, b.tokens.as_slice());
         assert!(bl.batch_of(TokenId(999)).is_none());
+        assert!(bl.mixin_universe(TokenId(999)).is_none());
     }
 
     #[test]
@@ -194,10 +197,10 @@ mod tests {
 
     #[test]
     fn deterministic_consensus() {
-        let chain = chain_with(8, 3);
-        let a = BatchList::build(&chain, 5);
-        let b = BatchList::build(&chain, 5);
-        assert_eq!(a.batches(), b.batches(), "full and light nodes agree");
+        // Two nodes that saw the same blocks derive identical batch lists.
+        let a = BatchList::build(&chain_with(8, 3), 5);
+        let b = BatchList::build(&chain_with(8, 3), 5);
+        assert_eq!(a.batches(), b.batches(), "two nodes agree");
     }
 
     #[test]

@@ -4,10 +4,14 @@
 
 use std::collections::{HashMap, HashSet};
 
-use dams_crypto::{verify as verify_ring_sig, KeyImage, PublicKey, SchnorrGroup};
+use rand::Rng;
+
+use dams_crypto::{
+    sign as sign_ring, verify as verify_ring_sig, KeyImage, KeyPair, PublicKey, SchnorrGroup,
+};
 
 use crate::block::{Block, BlockHeader};
-use crate::transaction::{CommittedTransaction, Transaction};
+use crate::transaction::{CommittedTransaction, RingInput, Transaction};
 use crate::types::{Amount, BlockHeight, TokenId, TxId};
 
 /// Per-token ledger metadata.
@@ -225,6 +229,44 @@ impl Chain {
         let mut images: Vec<u64> = self.consumed_images.iter().copied().collect();
         images.sort_unstable();
         images
+    }
+
+    /// Sign one ring input of `tx` over the ledger's keys: the ring sorted
+    /// by ledger id (the order [`Chain::verify_transaction`] requires), each
+    /// member's key read from its token record, and
+    /// [`Transaction::signing_payload`] as the message. The caller pushes
+    /// the returned input onto `tx.inputs`. A member the ledger does not
+    /// know is [`VerifyError::UnknownToken`]; a signer whose key is not in
+    /// the ring is [`VerifyError::BadSignature`], since no valid signature
+    /// exists.
+    pub fn sign_ring_input<R: Rng + ?Sized>(
+        &self,
+        tx: &Transaction,
+        ring: &[TokenId],
+        signer: &KeyPair,
+        (claimed_c, claimed_l): (f64, usize),
+        rng: &mut R,
+    ) -> Result<RingInput, VerifyError> {
+        let mut ring = ring.to_vec();
+        ring.sort_unstable();
+        let ring_keys = ring
+            .iter()
+            .map(|&t| {
+                self.token(t)
+                    .map(|rec| rec.owner)
+                    .ok_or(VerifyError::UnknownToken(t))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let signature = sign_ring(&self.group, &tx.signing_payload(), &ring_keys, signer, rng)
+            .map_err(|_| VerifyError::BadSignature {
+                input_index: tx.inputs.len(),
+            })?;
+        Ok(RingInput {
+            ring,
+            signature,
+            claimed_c,
+            claimed_l,
+        })
     }
 
     /// Step 3 verification of a transaction against the current state.
@@ -471,7 +513,7 @@ impl Chain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transaction::{RingInput, TokenOutput};
+    use crate::transaction::TokenOutput;
     use dams_crypto::KeyPair;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -504,38 +546,20 @@ mod tests {
 
     /// Build a valid spend of `spend_idx` over ring token ids `ring`.
     fn spend(h: &mut Harness, ring: Vec<TokenId>, spend_idx: usize) -> Transaction {
-        let outputs = vec![TokenOutput {
-            owner: h.keys[spend_idx].public,
-            amount: Amount(10),
-        }];
-        let tx_shell = Transaction {
+        let mut tx = Transaction {
             inputs: vec![],
-            outputs: outputs.clone(),
+            outputs: vec![TokenOutput {
+                owner: h.keys[spend_idx].public,
+                amount: Amount(10),
+            }],
             memo: vec![],
         };
-        let payload = tx_shell.signing_payload();
-        let ring_keys: Vec<_> = ring
-            .iter()
-            .map(|t| h.chain.token(*t).unwrap().owner)
-            .collect();
-        let sig = dams_crypto::sign(
-            h.chain.group(),
-            &payload,
-            &ring_keys,
-            &h.keys[spend_idx],
-            &mut h.rng,
-        )
-        .unwrap();
-        Transaction {
-            inputs: vec![RingInput {
-                ring,
-                signature: sig,
-                claimed_c: 0.6,
-                claimed_l: 2,
-            }],
-            outputs,
-            memo: vec![],
-        }
+        let input = h
+            .chain
+            .sign_ring_input(&tx, &ring, &h.keys[spend_idx], (0.6, 2), &mut h.rng)
+            .unwrap();
+        tx.inputs.push(input);
+        tx
     }
 
     #[test]
@@ -547,6 +571,32 @@ mod tests {
         h.chain.seal_block().unwrap();
         assert_eq!(h.chain.token_count(), 5);
         assert!(h.chain.audit());
+    }
+
+    #[test]
+    fn ring_signer_sorts_the_ring_and_types_its_failures() {
+        let mut h = harness(4);
+        let tx = spend(&mut h, vec![TokenId(2), TokenId(0)], 0);
+        assert_eq!(tx.inputs[0].ring, vec![TokenId(0), TokenId(2)]);
+        h.chain.submit(tx.clone(), &NoConfiguration).unwrap();
+        let shell = Transaction {
+            inputs: vec![],
+            ..tx
+        };
+        let sign = |ring: &[TokenId], signer: &KeyPair, rng: &mut StdRng| {
+            h.chain
+                .sign_ring_input(&shell, ring, signer, (0.6, 2), rng)
+                .unwrap_err()
+        };
+        let mut rng = StdRng::seed_from_u64(1);
+        assert_eq!(
+            sign(&[TokenId(1), TokenId(9)], &h.keys[1], &mut rng),
+            VerifyError::UnknownToken(TokenId(9))
+        );
+        assert_eq!(
+            sign(&[TokenId(1), TokenId(2)], &h.keys[3], &mut rng),
+            VerifyError::BadSignature { input_index: 0 }
+        );
     }
 
     #[test]

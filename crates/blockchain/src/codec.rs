@@ -298,33 +298,20 @@ mod tests {
                 .collect(),
         );
         chain.seal_block().unwrap();
-        let outputs = vec![TokenOutput {
-            owner: keys[1].public,
-            amount: Amount(2),
-        }];
-        let shell = Transaction {
+        let mut tx = Transaction {
             inputs: vec![],
-            outputs: outputs.clone(),
+            outputs: vec![TokenOutput {
+                owner: keys[1].public,
+                amount: Amount(2),
+            }],
             memo: b"memo".to_vec(),
         };
-        let payload = shell.signing_payload();
-        let ring_keys: Vec<_> = keys.iter().map(|k| k.public).collect();
-        let sig = dams_crypto::sign(&group, &payload, &ring_keys, &keys[0], &mut rng).unwrap();
-        chain
-            .submit(
-                Transaction {
-                    inputs: vec![RingInput {
-                        ring: vec![TokenId(0), TokenId(1), TokenId(2)],
-                        signature: sig,
-                        claimed_c: 0.6,
-                        claimed_l: 2,
-                    }],
-                    outputs,
-                    memo: b"memo".to_vec(),
-                },
-                &NoConfiguration,
-            )
+        let ring = [TokenId(0), TokenId(1), TokenId(2)];
+        let input = chain
+            .sign_ring_input(&tx, &ring, &keys[0], (0.6, 2), &mut rng)
             .unwrap();
+        tx.inputs.push(input);
+        chain.submit(tx, &NoConfiguration).unwrap();
         chain.seal_block().unwrap();
         (group, chain.blocks().to_vec())
     }

@@ -8,8 +8,8 @@
 //! past a checksum.
 
 use dams_blockchain::{
-    block_to_bytes, decode_block, Amount, Block, Chain, NoConfiguration, RingInput, TokenId,
-    TokenOutput, Transaction,
+    block_to_bytes, decode_block, Amount, Block, Chain, NoConfiguration, TokenId, TokenOutput,
+    Transaction,
 };
 use dams_crypto::{KeyPair, SchnorrGroup};
 use rand::rngs::StdRng;
@@ -36,33 +36,19 @@ fn realistic_block() -> (SchnorrGroup, Block) {
     );
     chain.seal_block().expect("coinbase seals");
 
-    let outputs = vec![TokenOutput {
-        owner: keys[1].public,
-        amount: Amount(10),
-    }];
-    let shell = Transaction {
+    let mut tx = Transaction {
         inputs: vec![],
-        outputs: outputs.clone(),
-        memo: b"codec fuzz".to_vec(),
-    };
-    let payload = shell.signing_payload();
-    let ring: Vec<TokenId> = [0u64, 1, 2].into_iter().map(TokenId).collect();
-    let ring_keys: Vec<_> = ring
-        .iter()
-        .map(|t| chain.token(*t).expect("minted").owner)
-        .collect();
-    let sig = dams_crypto::sign(chain.group(), &payload, &ring_keys, &keys[1], &mut rng)
-        .expect("signable");
-    let tx = Transaction {
-        inputs: vec![RingInput {
-            ring,
-            signature: sig,
-            claimed_c: 0.6,
-            claimed_l: 2,
+        outputs: vec![TokenOutput {
+            owner: keys[1].public,
+            amount: Amount(10),
         }],
-        outputs,
         memo: b"codec fuzz".to_vec(),
     };
+    let ring = [TokenId(0), TokenId(1), TokenId(2)];
+    let input = chain
+        .sign_ring_input(&tx, &ring, &keys[1], (0.6, 2), &mut rng)
+        .expect("signable");
+    tx.inputs.push(input);
     chain.submit(tx, &NoConfiguration).expect("valid spend");
     chain.seal_block().expect("spend seals");
     let block = chain.blocks().last().expect("sealed block").clone();

@@ -86,6 +86,21 @@ impl Default for BfsBudget {
     }
 }
 
+/// The exact-tier budget carrying a candidate grant as a work-tick
+/// deadline, `Deadline::Ticks(grant_candidates)`. That one grant caps two
+/// separate counters in the exact search: it examines at most
+/// `grant_candidates` candidates, and each candidate's world enumeration
+/// gives up on step `grant_candidates + 1` (see [`BfsBudget::deadline`]).
+/// Either cap exhausts the exact tier, which then hands over to the next
+/// tier. The svc admission engine and `Wallet::spend` (dams-node) both
+/// grant with it.
+pub fn grant_budget(grant_candidates: u64) -> BfsBudget {
+    BfsBudget {
+        deadline: Some(Deadline::Ticks(grant_candidates)),
+        ..BfsBudget::default()
+    }
+}
+
 /// Run the exact BFS for `target` with requirement `req`.
 ///
 /// `instance.rings` must already hold every ring of the batch; the related

@@ -23,7 +23,11 @@
 //!   exact optimum for validating them;
 //! * [`degrade`] — deadline-budgeted graceful degradation chaining
 //!   exact BFS → Progressive → Game-theoretic, reporting which tier
-//!   answered and its approximation guarantee.
+//!   answered and its approximation guarantee;
+//! * [`index`] — the streaming per-batch diversity index every served
+//!   selection and `Wallet::spend` (dams-node) read their batch from;
+//! * [`validate`] — the polynomial Definition-5 validator a wallet runs on
+//!   the ladder's answer before it signs.
 //!
 //! # Example
 //!
@@ -62,10 +66,11 @@ pub mod progressive;
 pub mod ratio;
 pub mod selection;
 pub mod tokenmagic;
+pub mod validate;
 
 pub use attack_aware::{sample_ring, MixinPool, SamplingMode};
 pub use baselines::{random, smallest};
-pub use bfs::{bfs, bfs_batch, bfs_reference, bfs_with, BfsBudget};
+pub use bfs::{bfs, bfs_batch, bfs_reference, bfs_with, grant_budget, BfsBudget};
 pub use cache::{CachedOutcome, EvalCache, ProfileCache, DEFAULT_CACHE_CAPACITY};
 pub use config::{
     dtrs_diverse_fast, dtrs_token_sets_fast, psi, satisfies_first_configuration, SelectionPolicy,
@@ -87,3 +92,4 @@ pub use progressive::progressive;
 pub use ratio::{optimal_modular, RatioParams};
 pub use selection::{Algorithm, SelectError, Selection, SelectionStats};
 pub use tokenmagic::{commit_ring, generate_with_relaxation, PracticalAlgorithm, TokenMagic};
+pub use validate::{validate_ring, Verdict};

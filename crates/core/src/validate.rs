@@ -3,11 +3,11 @@
 //! immutability (via the Theorem 6.1 fast DTRS path under the first
 //! practical configuration).
 //!
-//! This is what a wallet runs before broadcasting, and what an auditor
-//! runs over a block's rings; it is polynomial, unlike the BFS-internal
-//! exact checks.
+//! `Wallet::spend` (dams-node) runs it on the ladder's answer against the
+//! spent token's batch snapshot before it signs; a refused ring is never
+//! signed. It is polynomial, unlike the BFS-internal exact checks.
 
-use dams_core::{dtrs_diverse_fast, satisfies_first_configuration};
+use crate::config::{dtrs_diverse_fast, satisfies_first_configuration};
 use dams_diversity::{
     analyze, DiversityRequirement, HtHistogram, RingIndex, RingSet, TokenUniverse,
 };

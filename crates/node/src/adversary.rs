@@ -37,8 +37,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dams_blockchain::{
-    block_to_bytes, Amount, BatchList, NoConfiguration, RingInput, TokenId, TokenOutput,
-    Transaction,
+    block_to_bytes, Amount, BatchList, NoConfiguration, TokenId, TokenOutput, Transaction,
 };
 use dams_crypto::sha256::{sha256, Digest};
 use dams_crypto::{KeyPair, SchnorrGroup};
@@ -265,13 +264,6 @@ impl Actor {
         let coins = by_origin.into_values().find(|v| v.len() >= 2)?;
         let spender = coins[0].1;
         let ring: Vec<TokenId> = coins.iter().map(|&(t, _)| TokenId(t)).collect();
-        let ring_keys: Vec<_> = ring
-            .iter()
-            .filter_map(|&t| chain.token(t).map(|r| r.owner))
-            .collect();
-        if ring_keys.len() != ring.len() {
-            return None;
-        }
         let payee = KeyPair::generate(&self.group, &mut self.rng);
         let mut tx = Transaction {
             inputs: vec![],
@@ -281,20 +273,10 @@ impl Actor {
             }],
             memo: b"looks legitimate".to_vec(),
         };
-        let sig = dams_crypto::sign(
-            &self.group,
-            &tx.signing_payload(),
-            &ring_keys,
-            &spender,
-            &mut self.rng,
-        )
-        .ok()?;
-        tx.inputs.push(RingInput {
-            ring,
-            signature: sig,
-            claimed_c: 1.0,
-            claimed_l: 2,
-        });
+        let input = chain
+            .sign_ring_input(&tx, &ring, &spender, (1.0, 2), &mut self.rng)
+            .ok()?;
+        tx.inputs.push(input);
         let mut fork = chain.clone();
         fork.submit(tx, &NoConfiguration).ok()?;
         fork.seal_block().ok()?;

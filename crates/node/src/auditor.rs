@@ -81,7 +81,7 @@ pub fn audit(chain: &Chain) -> AuditReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dams_blockchain::{Amount, NoConfiguration, RingInput, TokenOutput, Transaction};
+    use dams_blockchain::{Amount, NoConfiguration, TokenOutput, Transaction};
     use dams_crypto::{KeyPair, SchnorrGroup};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -105,34 +105,20 @@ mod tests {
             chain.seal_block().unwrap();
         }
         // Spend token 0 over ring {0, 3} (cross-origin → diverse).
-        let outputs = vec![TokenOutput {
-            owner: keys[0].public,
-            amount: Amount(1),
-        }];
-        let shell = Transaction {
+        let mut tx = Transaction {
             inputs: vec![],
-            outputs: outputs.clone(),
+            outputs: vec![TokenOutput {
+                owner: keys[0].public,
+                amount: Amount(1),
+            }],
             memo: vec![],
         };
-        let payload = shell.signing_payload();
-        let ring_keys = vec![keys[0].public, keys[3].public];
-        let sig =
-            dams_crypto::sign(chain.group(), &payload, &ring_keys, &keys[0], &mut rng).unwrap();
-        chain
-            .submit(
-                Transaction {
-                    inputs: vec![RingInput {
-                        ring: vec![dams_blockchain::TokenId(0), dams_blockchain::TokenId(3)],
-                        signature: sig,
-                        claimed_c: 2.0,
-                        claimed_l: 1,
-                    }],
-                    outputs,
-                    memo: vec![],
-                },
-                &NoConfiguration,
-            )
+        let ring = [dams_blockchain::TokenId(0), dams_blockchain::TokenId(3)];
+        let input = chain
+            .sign_ring_input(&tx, &ring, &keys[0], (2.0, 1), &mut rng)
             .unwrap();
+        tx.inputs.push(input);
+        chain.submit(tx, &NoConfiguration).unwrap();
         chain.seal_block().unwrap();
         chain
     }
@@ -182,31 +168,17 @@ mod tests {
                 .collect(),
         );
         chain.seal_block().unwrap();
-        let outputs = vec![];
-        let shell = Transaction {
+        let mut tx = Transaction {
             inputs: vec![],
-            outputs: outputs.clone(),
+            outputs: vec![],
             memo: b"x".to_vec(),
         };
-        let payload = shell.signing_payload();
-        let ring_keys = vec![keys[0].public, keys[1].public];
-        let sig =
-            dams_crypto::sign(chain.group(), &payload, &ring_keys, &keys[0], &mut rng).unwrap();
-        chain
-            .submit(
-                Transaction {
-                    inputs: vec![RingInput {
-                        ring: vec![dams_blockchain::TokenId(0), dams_blockchain::TokenId(1)],
-                        signature: sig,
-                        claimed_c: 1.0,
-                        claimed_l: 2,
-                    }],
-                    outputs,
-                    memo: b"x".to_vec(),
-                },
-                &NoConfiguration,
-            )
+        let ring = [dams_blockchain::TokenId(0), dams_blockchain::TokenId(1)];
+        let input = chain
+            .sign_ring_input(&tx, &ring, &keys[0], (1.0, 2), &mut rng)
             .unwrap();
+        tx.inputs.push(input);
+        chain.submit(tx, &NoConfiguration).unwrap();
         chain.seal_block().unwrap();
         chain
     }

@@ -2,13 +2,18 @@
 //!
 //! Verifier-side node integration tying the substrates together:
 //!
+//! * [`network`] — [`SimNode`], a replica: chain, durable store and the
+//!   incremental diversity index, kept in lock-step on every sealed or
+//!   adopted block;
+//! * [`wallet`] — [`Wallet::spend`], the one spend path: the token's batch
+//!   snapshot → degrade ladder → Definition-5 validation → sign → submit →
+//!   seal on a [`SimNode`];
 //! * [`verifier`] — Step-3 ring-configuration checks miners run when
 //!   blocking transactions (TokenMagic batch membership, the first
-//!   practical configuration, and a claimed-diversity floor);
-//! * [`views`] — full-node / light-node batch views with the §4 consensus
-//!   property;
-//! * [`validate`] — the polynomial Definition-5 validator wallets run
-//!   before broadcasting and auditors run over blocks.
+//!   practical configuration, and a claimed-diversity floor).
+//!
+//! The Definition-5 validator lives in dams-core and is re-exported here
+//! as [`validate_ring`] and [`Verdict`].
 
 pub mod adversary;
 pub mod auditor;
@@ -20,9 +25,7 @@ pub mod network;
 pub mod obs;
 pub mod peers;
 pub mod sync;
-pub mod validate;
 pub mod verifier;
-pub mod views;
 pub mod wallet;
 
 pub use adversary::{
@@ -30,6 +33,7 @@ pub use adversary::{
     SCENARIO_HORIZON,
 };
 pub use auditor::{audit, chain_view, AuditReport, ChainView};
+pub use dams_core::{validate_ring, Verdict};
 pub use error::NodeError;
 pub use faults::{FaultChannel, FaultConfig, FaultStats};
 pub use gossip::{
@@ -43,7 +47,5 @@ pub use peers::{
     Attestation, EquivocationProof, Misbehavior, MisbehaviorRecord, PeerDefense, Standing,
 };
 pub use sync::{bootstrap_from_bundle, catch_up_tail, recheck_node, serve_bundle, SyncReport};
-pub use validate::{validate_ring, Verdict};
 pub use verifier::TokenMagicConfiguration;
-pub use views::{BatchProvider, FullNode, LightNode};
-pub use wallet::{Wallet, WalletError};
+pub use wallet::{Spend, Wallet, WalletError};

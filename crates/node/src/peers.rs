@@ -946,9 +946,7 @@ mod tests {
     /// A one-block ledger of two same-origin tokens, then a block whose
     /// one spend rings both of them and claims `(c, 2)`.
     fn chain_with_claim(c: f64) -> Chain {
-        use dams_blockchain::{
-            Amount, NoConfiguration, RingInput, TokenId, TokenOutput, Transaction,
-        };
+        use dams_blockchain::{Amount, NoConfiguration, TokenId, TokenOutput, Transaction};
         let mut chain = Chain::new(SchnorrGroup::default());
         let keys = identities(chain.group(), 2, 5);
         chain.submit_coinbase(
@@ -965,22 +963,11 @@ mod tests {
             outputs: vec![],
             memo: b"claim".to_vec(),
         };
-        let ring: Vec<PublicKey> = keys.iter().map(|k| k.public).collect();
         let mut rng = StdRng::seed_from_u64(6);
-        let signature = dams_crypto::sign(
-            chain.group(),
-            &tx.signing_payload(),
-            &ring,
-            &keys[0],
-            &mut rng,
-        )
-        .unwrap();
-        tx.inputs.push(RingInput {
-            ring: vec![TokenId(0), TokenId(1)],
-            signature,
-            claimed_c: c,
-            claimed_l: 2,
-        });
+        let input = chain
+            .sign_ring_input(&tx, &[TokenId(0), TokenId(1)], &keys[0], (c, 2), &mut rng)
+            .unwrap();
+        tx.inputs.push(input);
         chain.submit(tx, &NoConfiguration).unwrap();
         chain.seal_block().unwrap();
         chain

@@ -1,62 +1,81 @@
 //! A wallet: the client-side actor of the whole pipeline.
 //!
-//! Owns key pairs, tracks which ledger tokens it can spend, and drives
-//! the full Step-1→2 flow: derive the batch's algorithmic view, run a
-//! DA-MS selection under its privacy policy, validate the candidate ring
-//! (Definition 5), sign, and submit — exactly what §4 describes a user
-//! doing offline before broadcasting.
+//! Owns key pairs, tracks which ledger tokens it can spend, and spends
+//! them on a [`SimNode`] along the system's one spend path. §4 takes a
+//! spend's mixins from the spent token's batch only, so the path starts
+//! at the node's diversity index:
+//!
+//! batch snapshot → degrade ladder with a fixed exact-tier grant →
+//! Definition-5 self-validation → sign → Step-3 submit → seal, which
+//! appends the block to the WAL, checkpoints when due and folds the block
+//! into the index.
+//!
+//! A ring the validator refuses is never signed: the spend fails before
+//! the node is touched.
 
 use std::collections::HashMap;
 
 use rand::Rng;
 
 use dams_blockchain::{
-    Chain, ChainError, RingConfiguration, RingInput, TokenOutput, Transaction, VerifyError,
+    Block, Chain, NoConfiguration, TokenId, TokenOutput, Transaction, VerifyError,
 };
-use dams_core::{ModularInstance, PracticalAlgorithm, SelectionPolicy, TokenMagic};
+use dams_core::{
+    grant_budget, validate_ring, CoreMetrics, IndexedSelection, LadderExec, SelectError,
+    SelectionPolicy, Tier, Verdict,
+};
 use dams_crypto::{KeyPair, PublicKey};
-use dams_diversity::{DiversityRequirement, NeighborTracker, RingSet};
 
-use crate::auditor::chain_view;
-use crate::validate::{validate_ring, Verdict};
+use crate::error::NodeError;
+use crate::network::SimNode;
+
+/// Exact-tier candidates granted per spend, as a counter-only budget
+/// ([`grant_budget`]). On λ-sized batches it lets the exact search answer
+/// small instances and hands every other one to the approximation tiers.
+const EXACT_GRANT: u64 = 16;
 
 /// Errors a wallet can surface.
 #[derive(Debug)]
 pub enum WalletError {
     /// The wallet holds no key for the requested token.
-    NotOurs(dams_blockchain::TokenId),
+    NotOurs(TokenId),
+    /// The node has no diversity index, so it cannot serve the token's
+    /// batch (see [`SimNode::enable_index`]).
+    IndexDisabled,
     /// The batch cannot produce an eligible ring (relax the requirement).
-    Selection(dams_core::SelectError),
+    Selection(SelectError),
     /// The wallet's own Definition-5 validation rejected the ring.
     Validation(Verdict),
-    /// The chain rejected the signed transaction.
+    /// Signing failed or the chain rejected the signed transaction.
     Chain(VerifyError),
-    /// Sealing the block (or another chain state operation) failed.
-    ChainState(ChainError),
-    /// Signing over the selected ring failed.
-    Signing(dams_crypto::SignError),
-    /// The committed history is not laminar — the chain contains rings
-    /// that violate the first practical configuration.
-    BrokenHistory,
+    /// Sealing the block, or persisting it, failed.
+    Node(NodeError),
 }
 
 impl std::fmt::Display for WalletError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WalletError::NotOurs(t) => write!(f, "token {} is not controlled by this wallet", t.0),
+            WalletError::IndexDisabled => write!(f, "the node has no diversity index"),
             WalletError::Selection(e) => write!(f, "mixin selection failed: {e}"),
             WalletError::Validation(v) => write!(f, "self-validation rejected the ring: {v:?}"),
             WalletError::Chain(e) => write!(f, "chain rejected the transaction: {e}"),
-            WalletError::ChainState(e) => write!(f, "chain state operation failed: {e}"),
-            WalletError::Signing(e) => write!(f, "ring signing failed: {e}"),
-            WalletError::BrokenHistory => {
-                write!(f, "committed rings violate the practical configuration")
-            }
+            WalletError::Node(e) => write!(f, "sealing the spend failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for WalletError {}
+
+/// What one committed spend left behind.
+#[derive(Debug)]
+pub struct Spend {
+    /// The ladder's answer: the tier, its work counters, and the ring in
+    /// ledger ids.
+    pub selection: IndexedSelection,
+    /// The sealed block carrying the spend.
+    pub block: Block,
+}
 
 /// The wallet.
 pub struct Wallet {
@@ -64,16 +83,13 @@ pub struct Wallet {
     keys: HashMap<u64, KeyPair>,
     /// The privacy policy applied to every spend.
     pub policy: SelectionPolicy,
-    /// Which practical algorithm drives selection.
-    pub algorithm: PracticalAlgorithm,
 }
 
 impl Wallet {
-    pub fn new(policy: SelectionPolicy, algorithm: PracticalAlgorithm) -> Self {
+    pub fn new(policy: SelectionPolicy) -> Self {
         Wallet {
             keys: HashMap::new(),
             policy,
-            algorithm,
         }
     }
 
@@ -99,9 +115,9 @@ impl Wallet {
 
     /// Scan the chain for tokens this wallet controls and whose key image
     /// has not been consumed.
-    pub fn spendable(&self, chain: &Chain) -> Vec<dams_blockchain::TokenId> {
+    pub fn spendable(&self, chain: &Chain) -> Vec<TokenId> {
         (0..chain.token_count() as u64)
-            .map(dams_blockchain::TokenId)
+            .map(TokenId)
             .filter(|t| {
                 chain.token(*t).is_some_and(|rec| {
                     self.keys
@@ -112,134 +128,126 @@ impl Wallet {
             .collect()
     }
 
-    /// Spend `token` to `receiver`: select mixins, self-validate, sign,
-    /// submit under `config`, and seal a block.
+    /// Spend `token` into `outputs` with `memo`, on `node` (see the module
+    /// docs for the path). Only the signature draws from `rng`.
+    ///
+    /// Every failure up to and including the Definition-5 check leaves the
+    /// node as it was: chain, store and index.
     pub fn spend<R: Rng + ?Sized>(
         &self,
-        chain: &mut Chain,
-        token: dams_blockchain::TokenId,
-        receiver: PublicKey,
-        config: &dyn RingConfiguration,
+        node: &mut SimNode,
+        token: TokenId,
+        outputs: Vec<TokenOutput>,
+        memo: Vec<u8>,
         rng: &mut R,
-    ) -> Result<RingSet, WalletError> {
-        let rec = chain
+    ) -> Result<Spend, WalletError> {
+        let chain = node.chain();
+        let signer = *chain
             .token(token)
-            .ok_or(WalletError::NotOurs(token))?
-            .clone();
-        let signer = *self
-            .keys
-            .get(&rec.owner.value())
+            .and_then(|rec| self.keys.get(&rec.owner.value()))
             .ok_or(WalletError::NotOurs(token))?;
-
-        // Step 1: derive the view, decompose, select.
-        let view = chain_view(chain);
-        let instance = dams_core::Instance::new(
-            view.universe.clone(),
-            view.rings.clone(),
-            view.claims
-                .iter()
-                .map(|&(c, l)| DiversityRequirement::new(c.max(f64::MIN_POSITIVE), l.max(1)))
-                .collect(),
-        );
-        let modular =
-            ModularInstance::decompose(&instance).map_err(|_| WalletError::BrokenHistory)?;
-        let tm = TokenMagic::new(self.algorithm, self.policy);
-        let tracker = NeighborTracker::new();
-        let alg_token = dams_diversity::TokenId(token.0 as u32);
-        let selection = tm
-            .generate(&modular, alg_token, &tracker, rng)
+        let index = node.index().ok_or(WalletError::IndexDisabled)?;
+        let selection = index
+            .select(
+                token.0,
+                self.policy,
+                grant_budget(EXACT_GRANT),
+                &Tier::DEFAULT_LADDER,
+                CoreMetrics::global(),
+                &LadderExec::default(),
+            )
             .map_err(WalletError::Selection)?;
-        let ring = selection.ring;
-
-        // Definition-5 self-validation before broadcasting.
+        let snap = index
+            .snapshot(selection.batch)
+            .ok_or(WalletError::Selection(SelectError::UnknownToken))?;
+        let req = self.policy.requirement;
         let verdict = validate_ring(
-            &ring,
-            self.policy.requirement,
-            &view.rings,
-            &instance.claims,
-            &view.universe,
+            &selection.degraded.selection.ring,
+            req,
+            &snap.instance.rings,
+            &snap.instance.claims,
+            &snap.instance.universe,
         );
         if verdict != Verdict::Eligible {
             return Err(WalletError::Validation(verdict));
         }
 
-        // Step 2: sign over the declared ring, sorted by ledger id.
-        let outputs = vec![TokenOutput {
-            owner: receiver,
-            amount: rec.amount,
-        }];
-        let shell = Transaction {
+        let mut tx = Transaction {
             inputs: vec![],
-            outputs: outputs.clone(),
-            memo: vec![],
-        };
-        let payload = shell.signing_payload();
-        let ring_ids: Vec<dams_blockchain::TokenId> = ring
-            .tokens()
-            .iter()
-            .map(|t| dams_blockchain::TokenId(t.0 as u64))
-            .collect();
-        let ring_keys: Vec<PublicKey> = ring_ids
-            .iter()
-            .map(|t| {
-                chain
-                    .token(*t)
-                    .map(|rec| rec.owner)
-                    .ok_or(WalletError::NotOurs(*t))
-            })
-            .collect::<Result<_, _>>()?;
-        let sig = dams_crypto::sign(chain.group(), &payload, &ring_keys, &signer, rng)
-            .map_err(WalletError::Signing)?;
-        let tx = Transaction {
-            inputs: vec![RingInput {
-                ring: ring_ids,
-                signature: sig,
-                claimed_c: self.policy.requirement.c,
-                claimed_l: self.policy.requirement.l,
-            }],
             outputs,
-            memo: vec![],
+            memo,
         };
-        chain.submit(tx, config).map_err(WalletError::Chain)?;
-        chain.seal_block().map_err(WalletError::ChainState)?;
-        Ok(ring)
+        let ring: Vec<TokenId> = selection.ring.iter().map(|&t| TokenId(t)).collect();
+        let input = chain
+            .sign_ring_input(&tx, &ring, &signer, (req.c, req.l), rng)
+            .map_err(WalletError::Chain)?;
+        tx.inputs.push(input);
+        node.chain_mut()
+            .submit(tx, &NoConfiguration)
+            .map_err(WalletError::Chain)?;
+        let block = node.seal_block().map_err(WalletError::Node)?;
+        Ok(Spend { selection, block })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dams_blockchain::{Amount, NoConfiguration};
+    use dams_blockchain::Amount;
     use dams_crypto::SchnorrGroup;
+    use dams_diversity::DiversityRequirement;
+    use dams_store::{MemBackend, Store, StoreConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Mint 16 tokens (4 per coinbase) to a wallet.
-    fn setup() -> (Chain, Wallet, StdRng) {
+    /// Batch parameter λ: the four coinbases of [`setup`] fill one batch.
+    const LAMBDA: usize = 16;
+
+    /// A node on a fresh in-memory store with its index enabled.
+    fn indexed_node(group: SchnorrGroup) -> SimNode {
+        let mut node = SimNode::new(0, group);
+        let store = Store::open(
+            Box::new(MemBackend::new()),
+            Box::new(MemBackend::new()),
+            group,
+            StoreConfig::default(),
+        )
+        .unwrap();
+        node.attach_store(store).unwrap();
+        node.enable_index(LAMBDA).unwrap();
+        node
+    }
+
+    /// Mint 16 tokens (4 per coinbase, so 4 HTs) to a wallet.
+    fn setup() -> (SimNode, Wallet, StdRng) {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut chain = Chain::new(SchnorrGroup::default());
-        let mut wallet = Wallet::new(
-            SelectionPolicy::new(DiversityRequirement::new(1.0, 3)),
-            PracticalAlgorithm::Progressive,
-        );
+        let mut node = indexed_node(SchnorrGroup::default());
+        let mut wallet = Wallet::new(SelectionPolicy::new(DiversityRequirement::new(1.0, 3)));
         for _ in 0..4 {
             let outs: Vec<TokenOutput> = (0..4)
                 .map(|_| TokenOutput {
-                    owner: wallet.new_address(&chain, &mut rng),
+                    owner: wallet.new_address(node.chain(), &mut rng),
                     amount: Amount(5),
                 })
                 .collect();
-            chain.submit_coinbase(outs);
-            chain.seal_block().unwrap();
+            node.chain_mut().submit_coinbase(outs);
+            node.seal_block().unwrap();
         }
-        (chain, wallet, rng)
+        (node, wallet, rng)
+    }
+
+    /// One output to a fresh outside key.
+    fn payment(node: &SimNode, rng: &mut StdRng) -> Vec<TokenOutput> {
+        vec![TokenOutput {
+            owner: KeyPair::generate(node.chain().group(), rng).public,
+            amount: Amount(5),
+        }]
     }
 
     #[test]
     fn hd_restore_recovers_spendable_tokens() {
         // Mint tokens to HD-derived keys, then restore a fresh wallet from
         // the same passphrase and confirm it sees them all.
-        let mut rng = StdRng::seed_from_u64(8);
         let mut chain_ledger = Chain::new(SchnorrGroup::default());
         let kc = dams_crypto::KeyChain::from_passphrase(*chain_ledger.group(), "open sesame", 0);
         let keys = kc.derive_range(6);
@@ -252,22 +260,16 @@ mod tests {
                 .collect(),
         );
         chain_ledger.seal_block().unwrap();
-        let _ = &mut rng;
 
-        let mut restored = Wallet::new(
-            SelectionPolicy::new(DiversityRequirement::new(1.0, 1)),
-            PracticalAlgorithm::Smallest,
-        );
+        let policy = SelectionPolicy::new(DiversityRequirement::new(1.0, 1));
+        let mut restored = Wallet::new(policy);
         restored.restore_from_chain(
             &dams_crypto::KeyChain::from_passphrase(*chain_ledger.group(), "open sesame", 0),
             6,
         );
         assert_eq!(restored.spendable(&chain_ledger).len(), 6);
         // wrong passphrase restores nothing
-        let mut wrong = Wallet::new(
-            SelectionPolicy::new(DiversityRequirement::new(1.0, 1)),
-            PracticalAlgorithm::Smallest,
-        );
+        let mut wrong = Wallet::new(policy);
         wrong.restore_from_chain(
             &dams_crypto::KeyChain::from_passphrase(*chain_ledger.group(), "open sesame?", 0),
             6,
@@ -277,52 +279,33 @@ mod tests {
 
     #[test]
     fn scan_finds_owned_tokens() {
-        let (chain, wallet, _rng) = setup();
-        assert_eq!(wallet.spendable(&chain).len(), 16);
+        let (node, wallet, _rng) = setup();
+        assert_eq!(wallet.spendable(node.chain()).len(), 16);
     }
 
     #[test]
     fn spend_end_to_end() {
-        let (mut chain, wallet, mut rng) = setup();
-        let receiver = KeyPair::generate(chain.group(), &mut rng).public;
-        let ring = wallet
-            .spend(
-                &mut chain,
-                dams_blockchain::TokenId(0),
-                receiver,
-                &NoConfiguration,
-                &mut rng,
-            )
+        let (mut node, wallet, mut rng) = setup();
+        let outputs = payment(&node, &mut rng);
+        let spend = wallet
+            .spend(&mut node, TokenId(0), outputs, vec![], &mut rng)
             .unwrap();
-        assert!(ring.contains(dams_diversity::TokenId(0)));
-        assert!(chain.audit());
+        assert!(spend.selection.ring.contains(&0));
+        assert_eq!(node.chain().tip().unwrap(), &spend.block);
+        assert!(node.chain().audit());
         // The spent token no longer appears spendable.
-        assert!(!wallet
-            .spendable(&chain)
-            .contains(&dams_blockchain::TokenId(0)));
+        assert!(!wallet.spendable(node.chain()).contains(&TokenId(0)));
     }
 
     #[test]
     fn double_spend_blocked_by_wallet_or_chain() {
-        let (mut chain, wallet, mut rng) = setup();
-        let receiver = KeyPair::generate(chain.group(), &mut rng).public;
+        let (mut node, wallet, mut rng) = setup();
+        let outputs = payment(&node, &mut rng);
         wallet
-            .spend(
-                &mut chain,
-                dams_blockchain::TokenId(0),
-                receiver,
-                &NoConfiguration,
-                &mut rng,
-            )
+            .spend(&mut node, TokenId(0), outputs.clone(), vec![], &mut rng)
             .unwrap();
         let err = wallet
-            .spend(
-                &mut chain,
-                dams_blockchain::TokenId(0),
-                receiver,
-                &NoConfiguration,
-                &mut rng,
-            )
+            .spend(&mut node, TokenId(0), outputs, vec![], &mut rng)
             .unwrap_err();
         // Either the selection layer (token now in a committed ring whose
         // reuse would violate validation) or the chain's image registry
@@ -337,39 +320,68 @@ mod tests {
 
     #[test]
     fn foreign_token_rejected() {
-        let (mut chain, wallet, mut rng) = setup();
+        let (mut node, wallet, mut rng) = setup();
         // Mint one token to an outsider.
-        let outsider = KeyPair::generate(chain.group(), &mut rng);
-        chain.submit_coinbase(vec![TokenOutput {
+        let outsider = KeyPair::generate(node.chain().group(), &mut rng);
+        node.chain_mut().submit_coinbase(vec![TokenOutput {
             owner: outsider.public,
             amount: Amount(1),
         }]);
-        chain.seal_block().unwrap();
-        let foreign = dams_blockchain::TokenId(16);
-        let receiver = KeyPair::generate(chain.group(), &mut rng).public;
+        node.seal_block().unwrap();
+        let outputs = payment(&node, &mut rng);
         let err = wallet
-            .spend(&mut chain, foreign, receiver, &NoConfiguration, &mut rng)
+            .spend(&mut node, TokenId(16), outputs, vec![], &mut rng)
             .unwrap_err();
         assert!(matches!(err, WalletError::NotOurs(_)), "{err:?}");
     }
 
     #[test]
     fn sequential_spends_stay_private() {
-        let (mut chain, wallet, mut rng) = setup();
-        let receiver = KeyPair::generate(chain.group(), &mut rng).public;
+        let (mut node, wallet, mut rng) = setup();
         for t in [0u64, 5, 10] {
+            let outputs = payment(&node, &mut rng);
             wallet
-                .spend(
-                    &mut chain,
-                    dams_blockchain::TokenId(t),
-                    receiver,
-                    &NoConfiguration,
-                    &mut rng,
-                )
+                .spend(&mut node, TokenId(t), outputs, vec![], &mut rng)
                 .unwrap();
         }
-        let report = crate::auditor::audit(&chain);
+        let report = crate::auditor::audit(node.chain());
         assert_eq!(report.analysis.resolved_count(), 0, "spends linkable");
         assert!(report.claim_violations.is_empty());
+    }
+
+    /// Everything a spend may mutate: the tip, the WAL, the index and the
+    /// consumed key images.
+    fn node_state(node: &mut SimNode) -> ([u8; 32], u64, Vec<u64>, Vec<u64>) {
+        let index = node.index().unwrap();
+        let fingerprints = (0..index.batch_count())
+            .map(|b| index.batch_fingerprint(b))
+            .collect();
+        (
+            node.tip_hash().unwrap(),
+            node.store_mut().unwrap().wal_len(),
+            fingerprints,
+            node.chain().consumed_images_sorted(),
+        )
+    }
+
+    #[test]
+    fn refused_spend_changes_nothing() {
+        // Spend the coins in order until the wallet's Definition-5 check
+        // refuses one: the refusal must leave the node exactly as it was.
+        let (mut node, wallet, mut rng) = setup();
+        for t in 0..16 {
+            let before = node_state(&mut node);
+            let outputs = payment(&node, &mut rng);
+            match wallet.spend(&mut node, TokenId(t), outputs, vec![], &mut rng) {
+                Ok(_) => assert_ne!(node_state(&mut node), before, "a spend commits"),
+                Err(WalletError::Validation(verdict)) => {
+                    assert_ne!(verdict, Verdict::Eligible);
+                    assert_eq!(node_state(&mut node), before, "token {t} refused");
+                    return;
+                }
+                Err(e) => panic!("token {t}: unexpected error {e}"),
+            }
+        }
+        panic!("no spend was refused");
     }
 }

@@ -4,6 +4,15 @@
 //! gossip adoption, reorg rollback + redelivery, and crash + recovery —
 //! while paying only O(Δ) maintenance per adopted block.
 //!
+//! The producer is an indexed [`SimNode`] that commits two kinds of ring
+//! in every seed:
+//!
+//! * three wallet rings, each from [`Wallet::spend`] and so inside the
+//!   spent token's batch: they drive the index's module-partition
+//!   maintenance (super-RS merges and subset counts);
+//! * one hand-signed ring spanning two batches: it drives the cross-batch
+//!   frontier, which the index sets aside from every batch.
+//!
 //! Two oracles run at every checkpoint:
 //!
 //! 1. [`recompute_equivalence`] — structural: replay the chain's deltas
@@ -19,14 +28,14 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dams_blockchain::{Amount, Block, Chain, NoConfiguration, TokenOutput};
+use dams_blockchain::{Amount, Block, Chain, NoConfiguration, TokenId, TokenOutput, Transaction};
 use dams_core::{
-    recompute_equivalence, BfsBudget, CoreMetrics, DiversityIndex, LadderExec, PracticalAlgorithm,
-    SelectionPolicy, Tier,
+    recompute_equivalence, BfsBudget, CoreMetrics, DiversityIndex, LadderExec, SelectionPolicy,
+    Tier,
 };
 use dams_crypto::{KeyPair, SchnorrGroup};
 use dams_diversity::DiversityRequirement;
-use dams_node::{block_delta, index_of_chain, NodeLimits, SimNode, Wallet};
+use dams_node::{block_delta, index_of_chain, NodeLimits, SimNode, Wallet, WalletError};
 use dams_obs::Registry;
 use dams_store::{MemBackend, Store, StoreConfig};
 
@@ -113,17 +122,69 @@ fn assert_equivalent(index: &DiversityIndex, chain: &Chain, seed: u64) {
     }
 }
 
+/// Spend the first of the wallet's coins whose ring the wallet does not
+/// refuse, as a wallet retries another coin. Returns whether one spend
+/// committed.
+fn spend_some_coin(producer: &mut SimNode, wallet: &mut Wallet, rng: &mut StdRng) -> bool {
+    for token in wallet.spendable(producer.chain()) {
+        let outputs = vec![TokenOutput {
+            owner: wallet.new_address(producer.chain(), rng),
+            amount: Amount(5),
+        }];
+        match wallet.spend(producer, token, outputs, vec![], rng) {
+            Ok(_) => return true,
+            Err(WalletError::Validation(_) | WalletError::Selection(_)) => continue,
+            Err(e) => panic!("spend of token {} failed: {e}", token.0),
+        }
+    }
+    false
+}
+
+/// Commit one ring spanning the batches of `coin`'s token and the newest
+/// token, signed by hand through the ledger signer: the wallet never
+/// builds one, so only this ring reaches the cross-batch frontier.
+fn commit_cross_batch_ring(producer: &mut SimNode, coin: &KeyPair) {
+    let chain = producer.chain();
+    let spent = chain.tokens_of(coin.public)[0];
+    let newest = TokenId(chain.token_count() as u64 - 1);
+    let index = producer.index().expect("producer indexed");
+    assert_ne!(index.batch_of(spent.0), index.batch_of(newest.0));
+    let mut tx = Transaction {
+        inputs: vec![],
+        outputs: vec![],
+        memo: b"cross-batch".to_vec(),
+    };
+    let input = chain
+        .sign_ring_input(
+            &tx,
+            &[spent, newest],
+            coin,
+            (1.0, 1),
+            &mut StdRng::seed_from_u64(0),
+        )
+        .expect("coin signs its own ring");
+    tx.inputs.push(input);
+    producer
+        .chain_mut()
+        .submit(tx, &NoConfiguration)
+        .expect("cross-batch ring verifies");
+    producer.seal_block().expect("producer seals");
+}
+
 /// One seeded life-cycle: fund → interleaved spends/mints → reorg →
 /// redelivery → crash + recovery, checking both oracles at each stage.
-/// Returns how many ring signatures the wallet committed.
-fn run_seed(seed: u64) -> u64 {
+/// Returns how many wallet rings and cross-batch rings were committed.
+fn run_seed(seed: u64) -> (u64, u64) {
     let group = SchnorrGroup::default();
     let mut rng = StdRng::seed_from_u64(seed ^ SWEEP_DOMAIN);
 
-    // Producer side: a wallet driving its own chain.
-    let mut chain = Chain::new(group);
+    // Producer side: a wallet spending on its own indexed node.
+    let mut producer = SimNode::new(1, group);
+    producer
+        .enable_index(LAMBDA)
+        .expect("index on genesis-only chain");
     let wallet_policy = SelectionPolicy::new(DiversityRequirement::new(1.0, 2));
-    let mut wallet = Wallet::new(wallet_policy, PracticalAlgorithm::Progressive);
+    let mut wallet = Wallet::new(wallet_policy);
 
     // Observer side: the indexed, durable node, fed only by gossip.
     let mut node = SimNode::new(0, group);
@@ -134,44 +195,45 @@ fn run_seed(seed: u64) -> u64 {
     let mut adoptions = 0usize;
 
     // Fund: 3 coinbase blocks, 2 txs × 2 tokens each (distinct txs give
-    // the batches distinct HT labels, keeping selection feasible).
-    for _ in 0..3 {
-        for _ in 0..2 {
+    // the batches distinct HT labels, keeping selection feasible). The
+    // first coin goes to a key outside the wallet, kept for the
+    // cross-batch ring.
+    let cross_coin = KeyPair::generate(&group, &mut rng);
+    for block in 0..3 {
+        for tx in 0..2 {
             let outs: Vec<TokenOutput> = (0..2)
-                .map(|_| TokenOutput {
-                    owner: wallet.new_address(&chain, &mut rng),
+                .map(|i| TokenOutput {
+                    owner: match (block, tx, i) {
+                        (0, 0, 0) => cross_coin.public,
+                        _ => wallet.new_address(producer.chain(), &mut rng),
+                    },
                     amount: Amount(5),
                 })
                 .collect();
-            chain.submit_coinbase(outs);
+            producer.chain_mut().submit_coinbase(outs);
         }
-        chain.seal_block().expect("coinbase seals");
-        adoptions += catch_up(&mut node, &chain);
+        producer.seal_block().expect("coinbase seals");
+        adoptions += catch_up(&mut node, producer.chain());
     }
 
     // Interleave wallet spends (ring-carrying blocks) with further mints.
     let mut rings = 0u64;
     for step in 0..6 {
         if step % 2 == 0 {
-            if let Some(&token) = wallet.spendable(&chain).first() {
-                let receiver = wallet.new_address(&chain, &mut rng);
-                if wallet
-                    .spend(&mut chain, token, receiver, &NoConfiguration, &mut rng)
-                    .is_ok()
-                {
-                    rings += 1;
-                }
-            }
+            rings += u64::from(spend_some_coin(&mut producer, &mut wallet, &mut rng));
         } else {
             let outs = vec![TokenOutput {
                 owner: KeyPair::generate(&group, &mut rng).public,
                 amount: Amount(1),
             }];
-            chain.submit_coinbase(outs);
-            chain.seal_block().expect("coinbase seals");
+            producer.chain_mut().submit_coinbase(outs);
+            producer.seal_block().expect("coinbase seals");
         }
-        adoptions += catch_up(&mut node, &chain);
+        adoptions += catch_up(&mut node, producer.chain());
     }
+    commit_cross_batch_ring(&mut producer, &cross_coin);
+    adoptions += catch_up(&mut node, producer.chain());
+    let cross = node.index().expect("enabled").cross_batch_rings();
     assert_equivalent(node.index().expect("enabled"), node.chain(), seed);
 
     // A coinbase-only tail the store will let us reorg away (committed
@@ -181,9 +243,9 @@ fn run_seed(seed: u64) -> u64 {
             owner: KeyPair::generate(&group, &mut rng).public,
             amount: Amount(1),
         }];
-        chain.submit_coinbase(outs);
-        chain.seal_block().expect("coinbase seals");
-        adoptions += catch_up(&mut node, &chain);
+        producer.chain_mut().submit_coinbase(outs);
+        producer.seal_block().expect("coinbase seals");
+        adoptions += catch_up(&mut node, producer.chain());
     }
 
     // Reorg: roll chain + store + index back 3 blocks together.
@@ -199,10 +261,10 @@ fn run_seed(seed: u64) -> u64 {
     assert_equivalent(index, node.chain(), seed);
 
     // Redeliver the reorged-away tail: adoption is idempotent re-entry.
-    adoptions += catch_up(&mut node, &chain);
+    adoptions += catch_up(&mut node, producer.chain());
     assert_eq!(
         node.tip_hash().expect("tip"),
-        chain.tip().expect("tip").hash(),
+        producer.chain().tip().expect("tip").hash(),
         "seed {seed}: node must re-converge on the producer chain"
     );
     let index = node.index().expect("enabled");
@@ -243,7 +305,7 @@ fn run_seed(seed: u64) -> u64 {
     assert!(report.clean(), "seed {seed}: recovery flagged: {report:?}");
     assert_eq!(
         revived.tip_hash().expect("tip"),
-        chain.tip().expect("tip").hash(),
+        producer.chain().tip().expect("tip").hash(),
         "seed {seed}: recovered node lost blocks"
     );
     revived
@@ -251,20 +313,17 @@ fn run_seed(seed: u64) -> u64 {
         .expect("index over recovered chain");
     assert_equivalent(revived.index().expect("enabled"), revived.chain(), seed);
 
-    rings
+    (rings, cross)
 }
 
 #[test]
 fn index_verdicts_match_recompute_across_64_seeds() {
-    let mut total_rings = 0u64;
     for seed in 0..SEEDS {
-        total_rings += run_seed(seed);
+        // Every seed must exercise both ring paths, not just coinbase
+        // mints: otherwise the module-partition maintenance or the
+        // cross-batch frontier never runs.
+        let (rings, cross) = run_seed(seed);
+        assert_eq!(rings, 3, "seed {seed}: in-batch wallet rings");
+        assert_eq!(cross, 1, "seed {seed}: cross-batch rings");
     }
-    // The sweep must actually exercise ring-carrying history, not just
-    // coinbase mints — otherwise the module-partition maintenance and the
-    // cross-batch frontier never run.
-    assert!(
-        total_rings >= SEEDS,
-        "only {total_rings} rings committed across {SEEDS} seeds"
-    );
 }

@@ -5,7 +5,7 @@
 //! hard error, never silently applied.
 
 use dams_blockchain::{
-    block_to_bytes, Amount, Chain, NoConfiguration, RingInput, TokenId, TokenOutput, Transaction,
+    block_to_bytes, Amount, Chain, NoConfiguration, TokenId, TokenOutput, Transaction,
 };
 use dams_crypto::{KeyPair, SchnorrGroup};
 use dams_store::wal::{self, WAL_HEADER_LEN};
@@ -37,32 +37,19 @@ fn spend_tx(
     l: usize,
     rng: &mut StdRng,
 ) -> Transaction {
-    let outputs = vec![TokenOutput {
-        owner: keys[spend_idx].public,
-        amount: Amount(5),
-    }];
-    let shell = Transaction {
+    let mut tx = Transaction {
         inputs: vec![],
-        outputs: outputs.clone(),
+        outputs: vec![TokenOutput {
+            owner: keys[spend_idx].public,
+            amount: Amount(5),
+        }],
         memo: vec![],
     };
-    let payload = shell.signing_payload();
-    let ring_keys: Vec<_> = ring
-        .iter()
-        .map(|t| chain.token(*t).expect("ring token exists").owner)
-        .collect();
-    let sig = dams_crypto::sign(chain.group(), &payload, &ring_keys, &keys[spend_idx], rng)
+    let input = chain
+        .sign_ring_input(&tx, &ring, &keys[spend_idx], (c, l), rng)
         .expect("signable ring");
-    Transaction {
-        inputs: vec![RingInput {
-            ring,
-            signature: sig,
-            claimed_c: c,
-            claimed_l: l,
-        }],
-        outputs,
-        memo: vec![],
-    }
+    tx.inputs.push(input);
+    tx
 }
 
 /// The reference ledger every sweep recovers against: three coinbase

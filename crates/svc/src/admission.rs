@@ -8,12 +8,14 @@
 //!
 //! * the reserve/grant split (`grant = (remaining − reserve) / tpc`);
 //! * the ladder choice while the breaker denies exact budgets;
-//! * the degrade budget handed to the solver;
+//! * the degrade budget handed to the solver ([`grant_budget`], defined
+//!   in dams-core and shared with `Wallet::spend`);
 //! * the tick price of a finished outcome;
 //! * the breaker feedback classification (deadline-driven fallback vs
 //!   exact success).
 
-use dams_core::{BfsBudget, Deadline, DegradedSelection, SelectError, Tier};
+pub use dams_core::grant_budget;
+use dams_core::{DegradedSelection, SelectError, Tier};
 
 /// The tier ladder a request runs: full while exact budgets are granted,
 /// cheap-only while the circuit is open.
@@ -51,19 +53,6 @@ pub fn exact_grant(
         return 0;
     }
     remaining.saturating_sub(reserve_ticks) / ticks_per_candidate.max(1)
-}
-
-/// The exact-tier budget carrying a candidate grant as a work-tick
-/// deadline, `Deadline::Ticks(grant_candidates)`. That one grant caps two separate
-/// counters in the exact search: it examines at most `grant_candidates`
-/// candidates, and each candidate's world enumeration gives up on step
-/// `grant_candidates + 1` (see [`BfsBudget::deadline`]). Either cap
-/// exhausts the exact tier, which then hands over to the next tier.
-pub fn grant_budget(grant_candidates: u64) -> BfsBudget {
-    BfsBudget {
-        deadline: Some(Deadline::Ticks(grant_candidates)),
-        ..BfsBudget::default()
-    }
 }
 
 /// Price a finished selection in ticks.
@@ -129,6 +118,7 @@ pub fn breaker_feedback(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dams_core::{BfsBudget, Deadline};
 
     #[test]
     fn grant_arithmetic_honours_reserve_and_breaker() {

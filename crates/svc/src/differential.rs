@@ -480,18 +480,4 @@ mod tests {
         assert!(text.contains("scenarios: 2"));
         assert!(text.ends_with("verdict: MATCH\n") || text.ends_with("verdict: DIVERGED\n"));
     }
-
-    #[test]
-    fn trace_round_trips_through_text() {
-        let cfg = quick_cfg(11);
-        let universe = TokenUniverse::new((0..cfg.overload.universe).map(HtId).collect());
-        let instance = Instance::fresh(universe);
-        let policy = SelectionPolicy::new(DiversityRequirement::new(1.0, 3));
-        let calib = calibrate(&instance, policy, 4);
-        let arrivals = build_arrivals(&cfg.overload, &calib, instance.universe.len() as u64);
-        let trace = trace_from_arrivals(&arrivals, 3);
-        let text = dams_workload::render_trace(&trace);
-        let back = dams_workload::parse_trace(&text).expect("parses");
-        assert_eq!(trace, back);
-    }
 }

@@ -1,14 +1,16 @@
-//! Arrival-trace export and replay.
+//! The arrival trace: one request arrival per event, transport- and
+//! service-neutral.
 //!
 //! The overload harness generates seeded open-loop arrival schedules
-//! ([`crate::openloop`]); the differential oracle replays *one* such
-//! schedule through both the virtual-tick service model and the real
-//! runtime and diffs the accounting. That only works if the trace is a
-//! first-class artifact: exportable to a file, re-parsable without loss,
-//! and independent of which side consumes it. This module defines that
-//! artifact.
+//! ([`crate::openloop`]). The sim-vs-real differential oracle serves one
+//! such schedule on both sides: the virtual-tick service model takes it
+//! as it is, and the real runtime takes the same arrivals as
+//! [`ArrivalEvent`]s, which it encodes into wire frames. Neither side
+//! reads text.
 //!
-//! The format is a line-oriented TSV with a versioned header:
+//! [`render_trace`] writes a trace as a line-oriented TSV with a
+//! versioned header, so a run's input can be saved next to its report
+//! (`dams-cli serve --real --trace-out FILE`):
 //!
 //! ```text
 //! dams-trace v1
@@ -17,11 +19,7 @@
 //! 17      1   1       1       B      4096    1
 //! ```
 //!
-//! Lines starting with `#` are comments; fields are tab-separated.
-//! Parsing is strict — a malformed field yields a typed
-//! [`TraceError`], never a panic and never a silently skipped row —
-//! because a trace that parses differently on the two sides of the
-//! differential would invalidate the oracle.
+//! Fields are tab-separated; `class` is `I` (interactive) or `B` (batch).
 
 /// One request arrival, transport- and service-neutral.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,42 +41,9 @@ pub struct ArrivalEvent {
     pub require_exact: bool,
 }
 
-/// Why a trace failed to parse (typed so the differential can report the
-/// exact line instead of dying).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceError {
-    /// The first line was not the `dams-trace v1` header.
-    BadHeader,
-    /// A data line had the wrong number of fields.
-    FieldCount { line: usize, got: usize },
-    /// A field failed to parse.
-    BadField {
-        line: usize,
-        field: &'static str,
-        value: String,
-    },
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceError::BadHeader => write!(f, "missing `dams-trace v1` header"),
-            TraceError::FieldCount { line, got } => {
-                write!(f, "line {line}: expected 7 fields, got {got}")
-            }
-            TraceError::BadField { line, field, value } => {
-                write!(f, "line {line}: bad {field} {value:?}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
-
 const HEADER: &str = "dams-trace v1";
 
-/// Render a trace to its canonical text form. `parse_trace` inverts this
-/// exactly (the round-trip property the tests pin down).
+/// Render a trace to its canonical text form (see the module docs).
 pub fn render_trace(events: &[ArrivalEvent]) -> String {
     let mut out = String::with_capacity(events.len() * 24 + 64);
     out.push_str(HEADER);
@@ -97,74 +62,6 @@ pub fn render_trace(events: &[ArrivalEvent]) -> String {
         ));
     }
     out
-}
-
-/// Parse a trace rendered by [`render_trace`]. Strict: any malformed
-/// line is a typed error.
-pub fn parse_trace(text: &str) -> Result<Vec<ArrivalEvent>, TraceError> {
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        Some((_, l)) if l.trim() == HEADER => {}
-        _ => return Err(TraceError::BadHeader),
-    }
-    let mut out = Vec::new();
-    for (idx, line) in lines {
-        let line_no = idx + 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = trimmed.split('\t').collect();
-        if fields.len() != 7 {
-            return Err(TraceError::FieldCount {
-                line: line_no,
-                got: fields.len(),
-            });
-        }
-        let num = |field: &'static str, v: &str| -> Result<u64, TraceError> {
-            v.parse().map_err(|_| TraceError::BadField {
-                line: line_no,
-                field,
-                value: v.into(),
-            })
-        };
-        let interactive = match fields[4] {
-            "I" => true,
-            "B" => false,
-            other => {
-                return Err(TraceError::BadField {
-                    line: line_no,
-                    field: "class",
-                    value: other.into(),
-                })
-            }
-        };
-        let require_exact = match fields[6] {
-            "0" => false,
-            "1" => true,
-            other => {
-                return Err(TraceError::BadField {
-                    line: line_no,
-                    field: "require_exact",
-                    value: other.into(),
-                })
-            }
-        };
-        out.push(ArrivalEvent {
-            tick: num("tick", fields[0])?,
-            id: num("id", fields[1])?,
-            tenant: num("tenant", fields[2])?,
-            target: u32::try_from(num("target", fields[3])?).map_err(|_| TraceError::BadField {
-                line: line_no,
-                field: "target",
-                value: fields[3].into(),
-            })?,
-            interactive,
-            budget: num("budget", fields[5])?,
-            require_exact,
-        });
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -187,45 +84,19 @@ mod tests {
 
     #[test]
     fn round_trips_exactly() {
-        let events = sample();
-        let text = render_trace(&events);
-        assert_eq!(parse_trace(&text).expect("parses"), events);
-        // Render → parse → render is a fixed point.
-        assert_eq!(render_trace(&parse_trace(&text).unwrap()), text);
-    }
-
-    #[test]
-    fn header_is_required() {
-        assert_eq!(parse_trace("1\t2\t3"), Err(TraceError::BadHeader));
-        assert_eq!(parse_trace(""), Err(TraceError::BadHeader));
-    }
-
-    #[test]
-    fn malformed_lines_are_typed_errors() {
-        let bad_count = "dams-trace v1\n1\t2\t3\n";
-        assert!(matches!(
-            parse_trace(bad_count),
-            Err(TraceError::FieldCount { line: 2, got: 3 })
-        ));
-        let bad_class = "dams-trace v1\n1\t2\t0\t0\tX\t9\t0\n";
-        assert!(matches!(
-            parse_trace(bad_class),
-            Err(TraceError::BadField { field: "class", .. })
-        ));
-        let bad_num = "dams-trace v1\n1\tnope\t0\t0\tI\t9\t0\n";
-        assert!(matches!(
-            parse_trace(bad_num),
-            Err(TraceError::BadField { field: "id", .. })
-        ));
-    }
-
-    #[test]
-    fn comments_and_blank_lines_are_skipped() {
-        let text = "dams-trace v1\n# comment\n\n5\t0\t0\t1\tB\t64\t1\n";
-        let events = parse_trace(text).expect("parses");
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].tick, 5);
-        assert!(!events[0].interactive);
-        assert!(events[0].require_exact);
+        // The exact text of a rendered trace: header, column comment, one
+        // tab-separated row per event in order.
+        let text = render_trace(&sample());
+        assert_eq!(
+            text,
+            "dams-trace v1\n\
+             # tick\tid\ttenant\ttarget\tclass\tbudget\trequire_exact\n\
+             1\t0\t0\t0\tI\t4096\t0\n\
+             11\t1\t1\t1\tB\t4097\t0\n\
+             21\t2\t2\t2\tI\t4098\t0\n\
+             31\t3\t0\t3\tB\t4099\t1\n\
+             41\t4\t1\t0\tI\t4100\t0\n"
+        );
+        assert_eq!(render_trace(&[]), text[..text.find("\n1\t").unwrap() + 1]);
     }
 }

@@ -9,9 +9,7 @@
 
 use rand::Rng;
 
-use dams_blockchain::{
-    Amount, Chain, ChainError, NoConfiguration, RingInput, TokenOutput, Transaction, VerifyError,
-};
+use dams_blockchain::{Amount, Chain, ChainError, NoConfiguration, TokenOutput, Transaction};
 use dams_crypto::{KeyPair, SchnorrGroup};
 use dams_diversity::{HtId, RingSet, TokenUniverse};
 
@@ -103,39 +101,24 @@ impl ChainWorkload {
         rng: &mut R,
     ) -> Result<(), ChainError> {
         let receiver = KeyPair::generate(self.chain.group(), rng);
-        let outputs = vec![TokenOutput {
-            owner: receiver.public,
-            amount: Amount(1),
-        }];
-        let shell = Transaction {
+        let mut tx = Transaction {
             inputs: vec![],
-            outputs: outputs.clone(),
-            memo: vec![],
-        };
-        let payload = shell.signing_payload();
-        // The chain requires the declared ring sorted by ledger id; the
-        // signature must cover the public keys in exactly that order.
-        let mut members: Vec<(dams_blockchain::TokenId, dams_crypto::PublicKey)> = ring
-            .tokens()
-            .iter()
-            .map(|t| (self.ledger_id(*t), self.keys[t.0 as usize].public))
-            .collect();
-        members.sort_by_key(|(id, _)| *id);
-        let ring_ids: Vec<dams_blockchain::TokenId> = members.iter().map(|(id, _)| *id).collect();
-        let ring_keys: Vec<dams_crypto::PublicKey> = members.iter().map(|(_, k)| *k).collect();
-        let signer = self.keys[consumed.0 as usize];
-        let sig = dams_crypto::sign(self.chain.group(), &payload, &ring_keys, &signer, rng)
-            .map_err(|_| VerifyError::BadSignature { input_index: 0 })?;
-        let tx = Transaction {
-            inputs: vec![RingInput {
-                ring: ring_ids,
-                signature: sig,
-                claimed_c,
-                claimed_l,
+            outputs: vec![TokenOutput {
+                owner: receiver.public,
+                amount: Amount(1),
             }],
-            outputs,
             memo: vec![],
         };
+        let members: Vec<dams_blockchain::TokenId> =
+            ring.tokens().iter().map(|t| self.ledger_id(*t)).collect();
+        let input = self.chain.sign_ring_input(
+            &tx,
+            &members,
+            &self.keys[consumed.0 as usize],
+            (claimed_c, claimed_l),
+            rng,
+        )?;
+        tx.inputs.push(input);
         self.chain.submit(tx, &NoConfiguration)?;
         self.chain.seal_block()?;
         Ok(())
@@ -145,6 +128,7 @@ impl ChainWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dams_blockchain::VerifyError;
     use dams_diversity::{ring, TokenId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

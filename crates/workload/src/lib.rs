@@ -9,8 +9,8 @@
 //!   substrate (mint tokens, commit ring transactions end-to-end);
 //! * [`openloop`] — deterministic open-loop arrival schedules (smooth or
 //!   bursty) for the selection service's overload experiments;
-//! * [`arrivals`] — the arrival-trace artifact (export/replay) the
-//!   sim-vs-real differential oracle feeds to both sides;
+//! * [`arrivals`] — the arrival events the sim-vs-real differential
+//!   oracle serves on both sides, and their text rendering;
 //! * [`adversarial`] — seeded burst schedules a flooding peer sends by;
 //! * [`attack_trace`] — real-trace-shaped chains (young spends, careless
 //!   spenders) for the attack replay harness;
@@ -30,7 +30,7 @@ pub mod streaming;
 pub mod synthetic;
 
 pub use adversarial::BurstSchedule;
-pub use arrivals::{parse_trace, render_trace, ArrivalEvent, TraceError};
+pub use arrivals::{render_trace, ArrivalEvent};
 pub use attack_trace::{generate_attack_trace, AttackTraceConfig};
 pub use openloop::{shard_round_robin, OpenLoop};
 pub use real::{monero_snapshot, output_histogram};

@@ -3,6 +3,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== fmt =="
+# The workspace is rustfmt-clean; perfbench is a package of its own,
+# outside the workspace, so `--all` leaves it alone.
+cargo fmt --all --check
+
 echo "== build =="
 cargo build --workspace --all-targets
 
