@@ -5,17 +5,17 @@
 //! * `exact_bfs` — a TokenMagic-style batch of exact-BFS selections over
 //!   one frozen instance. Baseline: [`bfs_reference`] per target
 //!   (clone-heavy seed engine). Optimized: [`bfs_batch`] with the
-//!   incremental one-thread engine and a shared [`EvalCache`] — the
-//!   engine the served paths run.
+//!   incremental one-thread engine and a shared [`EvalCache`]. The served
+//!   paths run the same engine without a cache.
 //! * `tm_g` — a batch of Game-theoretic selections on the Table 3
 //!   synthetic workload. Baseline: [`game_theoretic_reference`] per
-//!   target. Optimized: [`game_theoretic_with`] and a shared
-//!   [`ProfileCache`].
+//!   target. Optimized: [`game_theoretic_from`] per target.
 //!
 //! Every optimized run is asserted equal to its baseline before timing is
 //! reported — the figure measures the same answers computed faster, never
 //! different answers. Times are medians over several repeats; the
-//! optimized side gets a *fresh* cache per repeat (a batch starts cold).
+//! `exact_bfs` optimized side gets a *fresh* cache per repeat (a batch
+//! starts cold).
 //! Chain-scale rows (10³ … 10⁶ tokens) live in `BENCH_soak.json`, which
 //! the soak harness ([`dams_svc::run_soak`]) writes.
 
@@ -25,8 +25,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dams_core::{
-    bfs_batch, bfs_reference, game_theoretic_reference, game_theoretic_with, BfsBudget, EvalCache,
-    InitStrategy, Instance, ProfileCache, SelectError, Selection, SelectionPolicy,
+    bfs_batch, bfs_reference, game_theoretic_from, game_theoretic_reference, BfsBudget, EvalCache,
+    InitStrategy, Instance, SelectError, Selection, SelectionPolicy,
 };
 use dams_diversity::{DiversityRequirement, HtId, RingIndex, RingSet, TokenId, TokenUniverse};
 use dams_obs::json::{Document, Object, Value};
@@ -174,10 +174,9 @@ fn tm_g_row(seed: u64) -> FigureRow {
         .iter()
         .map(|&t| game_theoretic_reference(&instance, t, policy, init))
         .collect();
-    let cache = ProfileCache::new();
     let optimized: Vec<Result<Selection, SelectError>> = targets
         .iter()
-        .map(|&t| game_theoretic_with(&instance, t, policy, init, Some(&cache)))
+        .map(|&t| game_theoretic_from(&instance, t, policy, init))
         .collect();
     assert_eq!(
         reference, optimized,
@@ -190,11 +189,8 @@ fn tm_g_row(seed: u64) -> FigureRow {
         }
     });
     let optimized_ns = median_ns(|| {
-        let cache = ProfileCache::new();
         for &t in &targets {
-            std::hint::black_box(
-                game_theoretic_with(&instance, t, policy, init, Some(&cache)).ok(),
-            );
+            std::hint::black_box(game_theoretic_from(&instance, t, policy, init).ok());
         }
     });
     FigureRow {

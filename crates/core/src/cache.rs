@@ -1,28 +1,26 @@
-//! Memoization for the selection hot paths.
+//! Memoization for the exact search.
 //!
-//! Two caches share one design — a bounded, FIFO-evicting hash map behind a
-//! `Mutex`, with hit/miss/eviction counters exported through `dams-obs` as
+//! [`EvalCache`] is a bounded, FIFO-evicting hash map behind a `Mutex`,
+//! with hit/miss/eviction counters exported through `dams-obs` as
 //! `core.cache.hits_total` / `core.cache.misses_total` /
-//! `core.cache.evictions_total`:
+//! `core.cache.evictions_total`. It memoizes the *expensive* half of an
+//! exact-BFS candidate check (possible-world enumeration + non-eliminated
+//! constraint + DTRS diversity) keyed by the canonical ring content — the
+//! sorted token list of the candidate ring, and nothing else. A
+//! candidate's verdict depends on its token set, the committed rings, the
+//! claims, and the requirement under evaluation, but the key names only
+//! the first; so a cache is sound exactly as long as the others stay
+//! fixed: one `bfs()` call trivially qualifies, and so does a whole
+//! TokenMagic batch over one frozen instance and one requirement (the
+//! batch commits nothing until all selections are made). A later batch,
+//! after rings were committed, needs a fresh cache. The stored outcome
+//! carries the DTRS-check count alongside the verdict so replaying a hit
+//! updates `SelectionStats` exactly like recomputing would — cached and
+//! uncached runs return byte-identical selections, differing only in the
+//! cache counters.
 //!
-//! * [`EvalCache`] memoizes the *expensive* half of an exact-BFS candidate
-//!   check (possible-world enumeration + non-eliminated constraint + DTRS
-//!   diversity) keyed by the canonical ring content — the sorted token list
-//!   of the candidate ring, and nothing else. A candidate's verdict depends
-//!   on its token set, the committed rings, the claims, and the requirement
-//!   under evaluation, but the key names only the first; so a cache is
-//!   sound exactly as long as the others stay fixed: one `bfs()` call
-//!   trivially qualifies, and so does a whole TokenMagic batch over one
-//!   frozen instance and one requirement (the batch commits nothing until
-//!   all selections are made). A later batch, after rings were committed,
-//!   needs a fresh cache. The stored outcome carries the DTRS-check count
-//!   alongside the verdict so replaying a hit updates `SelectionStats`
-//!   exactly like recomputing would — cached and uncached runs return
-//!   byte-identical selections, differing only in the cache counters.
-//! * [`ProfileCache`] memoizes game-theoretic profile evaluations
-//!   (satisfied?, ring size) keyed by the module-selection bitset, shared
-//!   across the best-response passes of one call and across a TokenMagic
-//!   batch on the same instance.
+//! No served path passes one: every `LadderExec` the ladder runs under
+//! leaves `cache` at `None`.
 //!
 //! Eviction is deterministic (insertion order), so two runs over the same
 //! work see the same hit/miss/eviction sequence — the determinism gate
@@ -38,11 +36,11 @@ use dams_obs::Registry;
 
 use crate::obs::CoreMetrics;
 
-/// Default entry capacity for both caches. An entry is a short key vector
-/// plus a copy-sized outcome; 64Ki entries is a few MiB at worst.
+/// Default entry capacity. An entry is a short key vector plus a
+/// copy-sized outcome; 64Ki entries is a few MiB at worst.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 16;
 
-/// Bounded FIFO map: the shared mechanism behind both caches.
+/// Bounded FIFO map behind [`EvalCache`].
 struct FifoMap<K: Eq + Hash + Clone, V: Copy> {
     map: HashMap<K, V>,
     fifo: VecDeque<K>,
@@ -191,93 +189,6 @@ impl Default for EvalCache {
     }
 }
 
-/// A memoized profile verdict: (diversity satisfied?, ring token count).
-type ProfileVerdict = (bool, u32);
-
-/// Game-theoretic profile evaluation cache: module-selection bitset →
-/// (diversity satisfied?, ring token count). Sound for one frozen
-/// [`crate::ModularInstance`] + requirement, i.e. one call or one batch.
-pub struct ProfileCache {
-    inner: Mutex<FifoMap<Box<[u64]>, ProfileVerdict>>,
-    metrics: CoreMetrics,
-}
-
-impl ProfileCache {
-    /// A cache with [`DEFAULT_CACHE_CAPACITY`] (global registry counters).
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// A cache with an explicit entry capacity (global registry counters).
-    pub fn with_capacity(capacity: usize) -> Self {
-        ProfileCache {
-            inner: Mutex::new(FifoMap::new(capacity)),
-            metrics: CoreMetrics::global().clone(),
-        }
-    }
-
-    /// A cache whose counters live in `registry`.
-    pub fn in_registry(capacity: usize, registry: &Registry) -> Self {
-        ProfileCache {
-            inner: Mutex::new(FifoMap::new(capacity)),
-            metrics: CoreMetrics::in_registry(registry),
-        }
-    }
-
-    /// Look up a profile by its selection bitset words.
-    pub fn lookup(&self, profile: &[u64]) -> Option<(bool, u32)> {
-        let out = self
-            .inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(profile);
-        match out {
-            Some(v) => {
-                self.metrics.cache_hits.inc();
-                Some(v)
-            }
-            None => {
-                self.metrics.cache_misses.inc();
-                None
-            }
-        }
-    }
-
-    /// Store a profile evaluation.
-    pub fn insert(&self, profile: &[u64], value: (bool, u32)) {
-        let evicted = self
-            .inner
-            .lock()
-            // A panic inside FifoMap cannot leave it mid-mutation (all its
-            // updates complete or never start), so a poisoned lock is safe
-            // to recover: keep serving rather than cascading the panic.
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(profile.to_vec().into_boxed_slice(), value);
-        if evicted > 0 {
-            self.metrics.cache_evictions.add(evicted);
-        }
-    }
-
-    /// Current number of stored profiles.
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
-    /// True when nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Default for ProfileCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,18 +260,5 @@ mod tests {
             registry.snapshot().counter("core.cache.evictions_total"),
             Some(0)
         );
-    }
-
-    #[test]
-    fn profile_cache_round_trip() {
-        let registry = Registry::new();
-        let cache = ProfileCache::in_registry(8, &registry);
-        let words = [0b1011u64, 0x4];
-        assert_eq!(cache.lookup(&words), None);
-        cache.insert(&words, (true, 12));
-        assert_eq!(cache.lookup(&words), Some((true, 12)));
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("core.cache.hits_total"), Some(1));
-        assert_eq!(snap.counter("core.cache.misses_total"), Some(1));
     }
 }

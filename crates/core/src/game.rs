@@ -13,7 +13,6 @@ use std::collections::BTreeSet;
 
 use dams_diversity::{DeltaHistogram, DiversityRequirement, HtId, TokenId};
 
-use crate::cache::ProfileCache;
 use crate::config::SelectionPolicy;
 use crate::instance::{ModularInstance, ModuleId};
 use crate::selection::{Algorithm, SelectError, Selection, SelectionStats};
@@ -40,8 +39,6 @@ struct ProfileEval<'a> {
     hist: DeltaHistogram,
     size: usize,
     selected: Vec<bool>,
-    /// Bitset mirror of `selected` — the [`ProfileCache`] key.
-    words: Vec<u64>,
 }
 
 impl<'a> ProfileEval<'a> {
@@ -52,7 +49,6 @@ impl<'a> ProfileEval<'a> {
             hist: DeltaHistogram::for_universe(&instance.universe),
             size: 0,
             selected: vec![false; selected.len()],
-            words: vec![0u64; selected.len().div_ceil(64)],
         };
         for (i, &on) in selected.iter().enumerate() {
             if on {
@@ -68,7 +64,6 @@ impl<'a> ProfileEval<'a> {
             return;
         }
         self.selected[m.0] = v;
-        self.words[m.0 / 64] ^= 1u64 << (m.0 % 64);
         let module = self.instance.module(m);
         for &t in module.tokens.tokens() {
             if v {
@@ -85,23 +80,13 @@ impl<'a> ProfileEval<'a> {
     }
 
     /// Evaluate the current profile: (diverse?, ring size). Counts one
-    /// diversity check — exactly like the reference `profile_cost` — and
-    /// consults/fills the cache when one is provided.
-    fn eval(&self, stats: &mut SelectionStats, cache: Option<&ProfileCache>) -> (bool, usize) {
+    /// diversity check — exactly like the reference `profile_cost`.
+    fn eval(&self, stats: &mut SelectionStats) -> (bool, usize) {
         stats.diversity_checks += 1;
-        if let Some(cache) = cache {
-            if let Some((ok, size)) = cache.lookup(&self.words) {
-                return (ok, size as usize);
-            }
-        }
-        let ok = self.hist.satisfies(&self.req);
-        if let Some(cache) = cache {
-            cache.insert(&self.words, (ok, self.size as u32));
-        }
-        (ok, self.size)
+        (self.hist.satisfies(&self.req), self.size)
     }
 
-    /// Uncounted, uncached verdict on the current profile.
+    /// Uncounted verdict on the current profile.
     fn satisfied(&self) -> bool {
         self.hist.satisfies(&self.req)
     }
@@ -125,19 +110,6 @@ pub fn game_theoretic_from(
     target: TokenId,
     policy: SelectionPolicy,
     init: InitStrategy,
-) -> Result<Selection, SelectError> {
-    game_theoretic_with(instance, target, policy, init, None)
-}
-
-/// Run with an explicit initialisation strategy and an optional profile
-/// cache (sound to share across a TokenMagic batch over one frozen
-/// instance + policy — profile verdicts do not depend on the target).
-pub fn game_theoretic_with(
-    instance: &ModularInstance,
-    target: TokenId,
-    policy: SelectionPolicy,
-    init: InitStrategy,
-    cache: Option<&ProfileCache>,
 ) -> Result<Selection, SelectError> {
     if (target.0 as usize) >= instance.universe.len() {
         return Err(SelectError::UnknownToken);
@@ -211,7 +183,7 @@ pub fn game_theoretic_with(
     let mut best: Option<Vec<bool>> = None;
     for order in [&index_order, &size_order] {
         let mut profile = selected.clone();
-        if !best_response(instance, order, x_tau, req, &mut profile, &mut stats, cache) {
+        if !best_response(instance, order, x_tau, req, &mut profile, &mut stats) {
             continue;
         }
         let size: usize = (0..n_modules)
@@ -270,7 +242,6 @@ fn best_response(
     req: DiversityRequirement,
     selected: &mut [bool],
     stats: &mut SelectionStats,
-    cache: Option<&ProfileCache>,
 ) -> bool {
     let mut eval = ProfileEval::new(instance, req, selected);
     let max_passes = 4 * order.len() + 16;
@@ -283,9 +254,9 @@ fn best_response(
             }
             stats.iterations += 1;
             eval.set(mid, true);
-            let (ok_selected, size_selected) = eval.eval(stats, cache);
+            let (ok_selected, size_selected) = eval.eval(stats);
             eval.set(mid, false);
-            let (ok_unselected, size_unselected) = eval.eval(stats, cache);
+            let (ok_unselected, size_unselected) = eval.eval(stats);
             // Choose the cheaper strategy; ties resolve to φ (selected).
             let want = if ok_selected {
                 !ok_unselected || size_selected <= size_unselected
@@ -575,13 +546,6 @@ mod tests {
                         reference, optimized,
                         "l={l} target={target:?} init={init:?}"
                     );
-                    // A shared profile cache must not change results either.
-                    let cache = ProfileCache::with_capacity(1024);
-                    let cached = game_theoretic_with(&inst, target, policy, init, Some(&cache));
-                    let cached_again =
-                        game_theoretic_with(&inst, target, policy, init, Some(&cache));
-                    assert_eq!(reference, cached, "cached l={l} target={target:?}");
-                    assert_eq!(reference, cached_again, "warm l={l} target={target:?}");
                 }
             }
         }

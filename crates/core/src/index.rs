@@ -857,8 +857,8 @@ impl DiversityIndex {
     /// partition instead of decomposing; the exact tier sees the identical
     /// per-batch instance the snapshot path would build, so verdicts are
     /// bit-identical (enforced by [`recompute_equivalence`] and the
-    /// 64-seed sweeps).
-    #[allow(clippy::too_many_arguments)]
+    /// 64-seed sweeps). Returns the snapshot it served from alongside the
+    /// verdict, so a caller validating the answer takes no second lookup.
     pub fn select(
         &self,
         target: u64,
@@ -866,8 +866,7 @@ impl DiversityIndex {
         budget: BfsBudget,
         ladder: &[Tier],
         metrics: &CoreMetrics,
-        exec: &LadderExec<'_>,
-    ) -> Result<IndexedSelection, SelectError> {
+    ) -> Result<(IndexedSelection, Arc<BatchSnapshot>), SelectError> {
         let &(batch, local) = self
             .locator
             .get(target as usize)
@@ -875,11 +874,6 @@ impl DiversityIndex {
         let snap = self
             .snapshot(batch as usize)
             .expect("locator points at a live batch");
-        let exec = LadderExec {
-            cache: exec.cache,
-            modular: snap.modular.as_ref(),
-            ..LadderExec::default()
-        };
         let degraded = select_with_ladder_exec(
             &snap.instance,
             TokenId(local),
@@ -887,7 +881,10 @@ impl DiversityIndex {
             budget,
             ladder,
             metrics,
-            &exec,
+            &LadderExec {
+                modular: snap.modular.as_ref(),
+                ..LadderExec::default()
+            },
         )?;
         let ring: Vec<u64> = degraded
             .selection
@@ -896,12 +893,13 @@ impl DiversityIndex {
             .iter()
             .map(|t| snap.tokens[t.0 as usize])
             .collect();
-        Ok(IndexedSelection {
+        let selection = IndexedSelection {
             batch: batch as usize,
             fingerprint: snap.fingerprint,
             degraded,
             ring,
-        })
+        };
+        Ok((selection, snap))
     }
 }
 
@@ -1172,14 +1170,9 @@ mod tests {
                 ..BfsBudget::default()
             };
             for target in (0..index.token_count()).step_by(7) {
-                let via_index = index.select(
-                    target,
-                    policy,
-                    budget,
-                    &Tier::DEFAULT_LADDER,
-                    &metrics,
-                    &LadderExec::default(),
-                );
+                let via_index = index
+                    .select(target, policy, budget, &Tier::DEFAULT_LADDER, &metrics)
+                    .map(|(selection, _)| selection);
                 // Snapshot path: same batch instance, lazy decompose.
                 let batch = index.batch_of(target).unwrap();
                 let snap = index.snapshot(batch).unwrap();

@@ -71,16 +71,13 @@ pub mod validate;
 pub use attack_aware::{sample_ring, MixinPool, SamplingMode};
 pub use baselines::{random, smallest};
 pub use bfs::{bfs, bfs_batch, bfs_reference, bfs_with, grant_budget, BfsBudget};
-pub use cache::{CachedOutcome, EvalCache, ProfileCache, DEFAULT_CACHE_CAPACITY};
+pub use cache::{CachedOutcome, EvalCache, DEFAULT_CACHE_CAPACITY};
 pub use config::{
     dtrs_diverse_fast, dtrs_token_sets_fast, psi, satisfies_first_configuration, SelectionPolicy,
 };
 pub use dams_diversity::Deadline;
 pub use degrade::{select_with_ladder_exec, DegradedSelection, Guarantee, LadderExec, Tier};
-pub use game::{
-    game_theoretic, game_theoretic_from, game_theoretic_reference, game_theoretic_with,
-    InitStrategy,
-};
+pub use game::{game_theoretic, game_theoretic_from, game_theoretic_reference, InitStrategy};
 pub use history::ModularHistory;
 pub use index::{
     recompute_equivalence, BatchSnapshot, BlockDelta, DeltaRing, DiversityIndex, IndexError,

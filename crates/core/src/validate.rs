@@ -120,6 +120,22 @@ mod tests {
             &universe,
         );
         assert_eq!(verdict, Verdict::Eligible);
+        // The first practical configuration admits a ring that contains a
+        // committed ring as well as one disjoint from it: over one ring
+        // {0, 1} on distinct HTs both are eligible.
+        let universe = uni(&[1, 2, 3, 4, 5, 6]);
+        let history = RingIndex::from_rings([ring(&[0, 1])]);
+        let claims = [DiversityRequirement::new(2.0, 1)];
+        for candidate in [ring(&[0, 1, 2, 3]), ring(&[4, 5])] {
+            let verdict = validate_ring(
+                &candidate,
+                DiversityRequirement::new(2.0, 1),
+                &history,
+                &claims,
+                &universe,
+            );
+            assert_eq!(verdict, Verdict::Eligible, "{candidate:?}");
+        }
     }
 
     #[test]

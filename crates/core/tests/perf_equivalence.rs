@@ -1,18 +1,18 @@
 //! Equivalence sweep for the optimized selection engines.
 //!
-//! The optimized engines (incremental histograms, evaluation caches, the
-//! bitset GetDTRSs kernel) must return the *same*
+//! The optimized engines (incremental histograms, the exact search's
+//! evaluation cache, the bitset GetDTRSs kernel) must return the *same*
 //! `Result<Selection, SelectError>` — ring, stats, and error alike — as
 //! the seed reference implementations on every instance. This file sweeps
 //! 64 seeded random instances through every engine configuration, 64 more
 //! shaped like perfbench's `select-exact` requests through the exact BFS,
 //! pins the budget boundary at the winning candidate, and also pins the
-//! cache accounting exported through `dams-obs`.
+//! evaluation cache's accounting exported through `dams-obs`.
 
 use dams_core::{
     bfs, bfs_batch, bfs_reference, bfs_with, game_theoretic_from, game_theoretic_reference,
-    game_theoretic_with, BfsBudget, EvalCache, InitStrategy, Instance, ModularInstance, Module,
-    ModuleId, ModuleKind, ProfileCache, SelectError, SelectionPolicy,
+    BfsBudget, EvalCache, InitStrategy, Instance, ModularInstance, Module, ModuleId, ModuleKind,
+    SelectError, SelectionPolicy,
 };
 use dams_diversity::{
     Deadline, DiversityRequirement, HtId, RingIndex, RingSet, RsId, TokenId, TokenUniverse,
@@ -259,12 +259,6 @@ fn game_engines_agree_across_64_seeds() {
             let reference = game_theoretic_reference(&instance, target, policy, init);
             let optimized = game_theoretic_from(&instance, target, policy, init);
             assert_eq!(reference, optimized, "seed {seed} {init:?}: incremental");
-
-            let cache = ProfileCache::new();
-            let cold = game_theoretic_with(&instance, target, policy, init, Some(&cache));
-            let warm = game_theoretic_with(&instance, target, policy, init, Some(&cache));
-            assert_eq!(reference, cold, "seed {seed} {init:?}: cached cold");
-            assert_eq!(reference, warm, "seed {seed} {init:?}: cached warm");
         }
     }
 }
@@ -343,51 +337,5 @@ fn bfs_batch_shares_cache_across_targets() {
     assert!(
         total_hits > 0,
         "across the sweep, some candidate outcomes must be reused (hits={total_hits})"
-    );
-}
-
-#[test]
-fn game_cache_accounting_is_exact() {
-    let mut rng = XorShift::new(13);
-    let (instance, target) = random_modular(&mut rng);
-    let policy = SelectionPolicy::new(DiversityRequirement::new(1.0, 2));
-
-    let registry = Registry::new();
-    let cache = ProfileCache::in_registry(1 << 16, &registry);
-
-    let cold = game_theoretic_with(
-        &instance,
-        target,
-        policy,
-        InitStrategy::CoverageGreedy,
-        Some(&cache),
-    );
-    let snap = registry.snapshot();
-    let cold_hits = snap.counter("core.cache.hits_total").unwrap();
-    let cold_misses = snap.counter("core.cache.misses_total").unwrap();
-    assert_eq!(
-        cold_misses,
-        cache.len() as u64,
-        "every profile miss stores exactly one evaluation"
-    );
-
-    let warm = game_theoretic_with(
-        &instance,
-        target,
-        policy,
-        InitStrategy::CoverageGreedy,
-        Some(&cache),
-    );
-    assert_eq!(cold, warm);
-    let snap = registry.snapshot();
-    assert_eq!(
-        snap.counter("core.cache.misses_total").unwrap(),
-        cold_misses,
-        "the warm run adds no misses"
-    );
-    assert_eq!(
-        snap.counter("core.cache.hits_total").unwrap(),
-        2 * cold_hits + cold_misses,
-        "the warm run repeats the cold run's lookups and all of them hit"
     );
 }

@@ -12,7 +12,7 @@ use dams_blockchain::Chain;
 use dams_diversity::{
     analyze, batch_anonymity, Analysis, BatchAnonymity, RingIndex, TokenUniverse,
 };
-use dams_store::{chain_universe, claimed_requirement, ledger_ring};
+use dams_store::{chain_universe, ledger_ring, recheck_immutability};
 
 /// The algorithmic view reconstructed from a chain.
 pub struct ChainView {
@@ -20,8 +20,6 @@ pub struct ChainView {
     pub universe: TokenUniverse,
     /// Every ring input committed on the chain, in commit order.
     pub rings: RingIndex,
-    /// Claimed requirements as recorded in the ring inputs `(c, ℓ)`.
-    pub claims: Vec<(f64, usize)>,
 }
 
 /// Build the view from a chain: HT = origin transaction (the chain's
@@ -29,19 +27,16 @@ pub struct ChainView {
 /// transactions.
 pub fn chain_view(chain: &Chain) -> ChainView {
     let mut rings = RingIndex::new();
-    let mut claims = Vec::new();
     for block in chain.blocks() {
         for ct in &block.transactions {
             for input in &ct.tx.inputs {
                 rings.push(ledger_ring(&input.ring));
-                claims.push((input.claimed_c, input.claimed_l));
             }
         }
     }
     ChainView {
         universe: chain_universe(chain),
         rings,
-        claims,
     }
 }
 
@@ -50,9 +45,10 @@ pub fn chain_view(chain: &Chain) -> ChainView {
 pub struct AuditReport {
     pub analysis: Analysis,
     pub anonymity: BatchAnonymity,
-    /// Rings whose claimed (c, ℓ)-diversity does not even hold on their
-    /// own token multiset (a protocol violation a verifier should have
-    /// caught).
+    /// Commit-order indices of the rings whose claimed (c, ℓ)-diversity
+    /// does not even hold on their own token multiset (a protocol
+    /// violation a verifier should have caught): the ring indices of
+    /// [`recheck_immutability`], the check `Store::open` runs.
     pub claim_violations: Vec<usize>,
 }
 
@@ -61,16 +57,11 @@ pub fn audit(chain: &Chain) -> AuditReport {
     let view = chain_view(chain);
     let analysis = analyze(&view.rings, &[]);
     let anonymity = batch_anonymity(&analysis, &view.universe);
-    let mut claim_violations = Vec::new();
-    for (i, (_, ring)) in view.rings.iter().enumerate() {
-        let (c, l) = view.claims[i];
-        let Some(req) = claimed_requirement(c, l) else {
-            continue;
-        };
-        if !req.satisfied_by_ring(ring, &view.universe) {
-            claim_violations.push(i);
-        }
-    }
+    let claim_violations = recheck_immutability(chain)
+        .violations
+        .iter()
+        .map(|&(_, ring)| ring as usize)
+        .collect();
     AuditReport {
         analysis,
         anonymity,
@@ -138,7 +129,6 @@ mod tests {
             view.universe.ht(dams_diversity::TokenId(3))
         );
         assert_eq!(view.rings.len(), 1);
-        assert_eq!(view.claims[0], (2.0, 1));
     }
 
     #[test]
@@ -187,17 +177,5 @@ mod tests {
     fn audit_flags_claim_violation() {
         let report = audit(&violated_claim_chain());
         assert_eq!(report.claim_violations, vec![0]);
-    }
-
-    #[test]
-    fn audit_and_store_recheck_name_the_same_ring() {
-        let chain = violated_claim_chain();
-        let rechecked: Vec<usize> = dams_store::recheck_immutability(&chain)
-            .violations
-            .iter()
-            .map(|&(_, ring)| ring as usize)
-            .collect();
-        assert_eq!(rechecked, vec![0]);
-        assert_eq!(audit(&chain).claim_violations, rechecked);
     }
 }

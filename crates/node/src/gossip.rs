@@ -33,8 +33,9 @@
 //! token-bucket rate limits per frame kind, severity-weighted misbehavior
 //! scores with quarantine → ban escalation, a staging window that holds
 //! remote blocks long enough for conflicting attestations to collide,
-//! and a per-block (c, ℓ)-diversity re-verification that stops
-//! structurally-valid-but-poisoned ring signatures at the door.
+//! and a per-block (c, ℓ)-diversity re-verification (dams-store's
+//! [`claim_violations`], at intake and again at staging release) that
+//! stops structurally-valid-but-poisoned ring signatures at the door.
 //!
 //! Recovery composes the existing machinery: a killed replica restarts
 //! from its own durable store and pulls the blocks it missed via
@@ -46,11 +47,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dams_blockchain::{
-    block_to_bytes, decode_block, Amount, BatchList, Block, CodecError, TokenOutput,
+    block_to_bytes, decode_block, Amount, BatchList, Block, Chain, CodecError, TokenOutput,
 };
 use dams_crypto::sha256::{sha256, Digest};
 use dams_crypto::{KeyPair, PublicKey, SchnorrGroup};
-use dams_store::{ImmutabilityCheck, MemBackend, RecoveryReport, Store, StoreConfig};
+use dams_store::{
+    chain_universe, claim_violations, recheck_immutability, ImmutabilityCheck, MemBackend,
+    RecoveryReport, Store, StoreConfig,
+};
 
 use crate::adversary::{Actor, ActorKind};
 use crate::error::NodeError;
@@ -58,10 +62,10 @@ use crate::faults::{FaultChannel, FaultConfig, FaultStats};
 use crate::network::{NodeLimits, SimNode};
 use crate::obs::NodeMetrics;
 use crate::peers::{
-    recheck_block_diversity, Attestation, EquivocationProof, Intake, Misbehavior, PeerDefense,
-    FK_BLOCK, FK_EVIDENCE, FK_RANGE, FK_TIP, MAX_RANGE_BLOCKS,
+    Attestation, EquivocationProof, Intake, Misbehavior, PeerDefense, FK_BLOCK, FK_EVIDENCE,
+    FK_RANGE, FK_TIP, MAX_RANGE_BLOCKS,
 };
-use crate::sync::{bootstrap_from_bundle, catch_up_tail, recheck_node, serve_bundle, SyncReport};
+use crate::sync::{bootstrap_from_bundle, catch_up_tail, serve_bundle, SyncReport};
 
 pub const KIND_BLOCK: u8 = 1;
 pub const KIND_TIP: u8 = 2;
@@ -651,7 +655,7 @@ impl Cluster {
                                         }
                                     }
                                 }
-                            } else if let Err(h) = recheck_block_diversity(node.chain(), &block) {
+                            } else if let Some(h) = first_claim_violation(node.chain(), &block) {
                                 // Structurally valid, cryptographically
                                 // signed — and lying about its rings'
                                 // (c, ℓ)-diversity. Never staged.
@@ -762,7 +766,7 @@ impl Cluster {
                 let Slot::Live(node) = slot else { continue };
                 let defense = &mut defenses[i];
                 for (origin, block) in defense.release_staged() {
-                    if let Err(h) = recheck_block_diversity(node.chain(), &block) {
+                    if let Some(h) = first_claim_violation(node.chain(), &block) {
                         defense.record(origin, Misbehavior::DiversityViolation { height: h });
                         stats.diversity_rejects += 1;
                         metrics.peers_diversity_rejects.inc();
@@ -986,7 +990,7 @@ impl Cluster {
             .slots
             .iter()
             .filter_map(|s| match s {
-                Slot::Live(node) => Some(recheck_node(node)),
+                Slot::Live(node) => Some(recheck_immutability(node.chain())),
                 _ => None,
             })
             .collect();
@@ -1130,6 +1134,19 @@ impl ClusterReport {
         ));
         out
     }
+}
+
+/// The height of `block` when one of its rings breaks its claim on the
+/// receiver's ledger: the first of [`claim_violations`] over `chain`'s
+/// [`chain_universe`]. A block with no ring inputs (every block an honest
+/// [`Cluster`] replica mines) builds no universe.
+fn first_claim_violation(chain: &Chain, block: &Block) -> Option<u64> {
+    if block.transactions.iter().all(|ct| ct.tx.inputs.is_empty()) {
+        return None;
+    }
+    claim_violations(std::slice::from_ref(block), &chain_universe(chain))
+        .next()
+        .map(|(height, _)| height)
 }
 
 /// The scripted cluster scenario, replayable from `seed`: `nodes` durable

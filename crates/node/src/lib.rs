@@ -8,9 +8,11 @@
 //! * [`wallet`] — [`Wallet::spend`], the one spend path: the token's batch
 //!   snapshot → degrade ladder → Definition-5 validation → sign → submit →
 //!   seal on a [`SimNode`];
-//! * [`verifier`] — Step-3 ring-configuration checks miners run when
-//!   blocking transactions (TokenMagic batch membership, the first
-//!   practical configuration, and a claimed-diversity floor).
+//! * [`gossip`] and [`peers`] — the multi-node [`Cluster`] and its
+//!   Byzantine defenses; a gossiped block passes dams-store's ledger
+//!   claim check, [`dams_store::claim_violations`], before it is staged
+//!   and again at release. `Store::open` and [`audit`] run the same
+//!   check over the whole chain.
 //!
 //! The Definition-5 validator lives in dams-core and is re-exported here
 //! as [`validate_ring`] and [`Verdict`].
@@ -25,7 +27,6 @@ pub mod network;
 pub mod obs;
 pub mod peers;
 pub mod sync;
-pub mod verifier;
 pub mod wallet;
 
 pub use adversary::{
@@ -46,6 +47,5 @@ pub use obs::NodeMetrics;
 pub use peers::{
     Attestation, EquivocationProof, Misbehavior, MisbehaviorRecord, PeerDefense, Standing,
 };
-pub use sync::{bootstrap_from_bundle, catch_up_tail, recheck_node, serve_bundle, SyncReport};
-pub use verifier::TokenMagicConfiguration;
+pub use sync::{bootstrap_from_bundle, catch_up_tail, serve_bundle, SyncReport};
 pub use wallet::{Spend, Wallet, WalletError};

@@ -32,18 +32,20 @@
 //!   the equivocation-detection window: conflicting attestations arriving
 //!   within it void each other, so an equivocator's blocks never reach an
 //!   honest chain.
-//! * **Per-block (c, ℓ) re-verification** — [`recheck_block_diversity`]
-//!   re-checks every carried RS's claimed diversity against the
-//!   receiver's own ledger before the block is staged, closing the gap
-//!   the ring-poisoner drives through: `verify_block` checks signatures
-//!   and key images, not claims.
+//! * **Per-block (c, ℓ) re-verification** — gossip runs
+//!   [`dams_store::claim_violations`], the ledger claim check
+//!   `Store::open` and the auditor share, on every carried RS against
+//!   the receiver's own ledger before the block is staged and again at
+//!   release, closing the gap the ring-poisoner drives through:
+//!   `verify_block` checks signatures and key images, not claims.
+//!   A violation is recorded here as [`Misbehavior::DiversityViolation`].
 
 use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dams_blockchain::{signature_from_bytes, signature_to_bytes, Block, Chain};
+use dams_blockchain::{signature_from_bytes, signature_to_bytes, Block};
 use dams_crypto::sha256::{sha256, Digest};
 use dams_crypto::{KeyPair, PublicKey, RingSignature, SchnorrGroup};
 
@@ -311,36 +313,6 @@ impl EquivocationProof {
     pub fn id(&self) -> Digest {
         sha256(&self.to_bytes())
     }
-}
-
-/// Re-verify the claimed (c, ℓ)-diversity of every RS carried by `block`
-/// against the receiver's own ledger — the per-block, adoption-time twin
-/// of [`dams_store::recheck_immutability`], over the same
-/// [`dams_store::chain_universe`]. Claims that assert nothing (see
-/// [`dams_store::claimed_requirement`]) are skipped, as are
-/// rings naming tokens the receiver has not seen (structural verification
-/// rejects those anyway). Returns the height of the offending block on
-/// the first violated claim.
-pub fn recheck_block_diversity(chain: &Chain, block: &Block) -> Result<(), u64> {
-    if block.transactions.iter().all(|ct| ct.tx.inputs.is_empty()) {
-        return Ok(());
-    }
-    let universe = dams_store::chain_universe(chain);
-    for ct in &block.transactions {
-        for input in &ct.tx.inputs {
-            let Some(req) = dams_store::claimed_requirement(input.claimed_c, input.claimed_l)
-            else {
-                continue;
-            };
-            if input.ring.iter().any(|t| chain.token(*t).is_none()) {
-                continue;
-            }
-            if !req.satisfied_by_ring(&dams_store::ledger_ring(&input.ring), &universe) {
-                return Err(block.header.height.0);
-            }
-        }
-    }
-    Ok(())
 }
 
 /// A block parked in the staging window, waiting out the
@@ -740,6 +712,7 @@ impl PeerDefense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dams_blockchain::Chain;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -941,49 +914,6 @@ mod tests {
         assert!(d.is_banned(1));
         d.on_tick(1 + 2 * STAGE_TICKS, 0);
         assert!(d.release_staged().is_empty(), "voided with the ban");
-    }
-
-    /// A one-block ledger of two same-origin tokens, then a block whose
-    /// one spend rings both of them and claims `(c, 2)`.
-    fn chain_with_claim(c: f64) -> Chain {
-        use dams_blockchain::{Amount, NoConfiguration, TokenId, TokenOutput, Transaction};
-        let mut chain = Chain::new(SchnorrGroup::default());
-        let keys = identities(chain.group(), 2, 5);
-        chain.submit_coinbase(
-            keys.iter()
-                .map(|k| TokenOutput {
-                    owner: k.public,
-                    amount: Amount(1),
-                })
-                .collect(),
-        );
-        chain.seal_block().unwrap();
-        let mut tx = Transaction {
-            inputs: vec![],
-            outputs: vec![],
-            memo: b"claim".to_vec(),
-        };
-        let mut rng = StdRng::seed_from_u64(6);
-        let input = chain
-            .sign_ring_input(&tx, &[TokenId(0), TokenId(1)], &keys[0], (c, 2), &mut rng)
-            .unwrap();
-        tx.inputs.push(input);
-        chain.submit(tx, &NoConfiguration).unwrap();
-        chain.seal_block().unwrap();
-        chain
-    }
-
-    #[test]
-    fn nan_claim_asserts_nothing_on_adoption() {
-        // The ring signature does not cover the claim, so a peer can send
-        // any f64; NaN must be skipped like any claim that is not > 0.
-        let chain = chain_with_claim(f64::NAN);
-        let block = chain.blocks().last().unwrap();
-        assert_eq!(recheck_block_diversity(&chain, block), Ok(()));
-        // The same ring with a real claim is a violation (one HT, ℓ = 2).
-        let chain = chain_with_claim(1.0);
-        let block = chain.blocks().last().unwrap();
-        assert_eq!(recheck_block_diversity(&chain, block), Err(2));
     }
 
     #[test]

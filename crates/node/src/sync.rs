@@ -20,10 +20,15 @@
 //!   missing framed records and the node applies them through its normal
 //!   verify → WAL-append → adopt path.
 //!
-//! Either way the recovered replica's *entire* chain still passes
-//! [`dams_store::recheck_immutability`] before it serves traffic: the
-//! paper's (c, ℓ)-diversity evidence is re-verified across the hand-off,
-//! so a peer cannot launder a violated claim through a checkpoint.
+//! Bundle bootstrap opens the store, so the joiner's *entire* chain
+//! passes [`dams_store::recheck_immutability`] (the ledger claim check,
+//! [`dams_store::claim_violations`], over the whole chain) before it
+//! serves traffic: the paper's (c, ℓ)-diversity evidence is re-verified
+//! across the hand-off, so a peer cannot launder a violated claim through
+//! a checkpoint. A crash-restarted replica passed the same recheck when
+//! it reopened its own store; the tail blocks it then adopts run the
+//! normal verify → WAL-append → adopt path, which checks signatures and
+//! key images but not claims.
 //!
 //! Frames are authenticated the same way gossip frames are: a sha256 of
 //! the payload travels with it, and any mismatch is a typed
@@ -194,13 +199,6 @@ pub fn catch_up_tail(node: &mut SimNode, peer: &mut SimNode) -> Result<u64, Node
     applied += node.process_inbox() as u64;
     metrics.sync_tail_blocks.add(applied);
     Ok(applied)
-}
-
-/// Re-run the immutability recheck over `node`'s live chain — the
-/// convergence sweeps call this on every replica after a scenario to
-/// assert the selection verdicts survived replication.
-pub fn recheck_node(node: &SimNode) -> dams_store::ImmutabilityCheck {
-    dams_store::recheck_immutability(node.chain())
 }
 
 #[cfg(test)]

@@ -21,8 +21,8 @@ use dams_blockchain::{
     Block, Chain, NoConfiguration, TokenId, TokenOutput, Transaction, VerifyError,
 };
 use dams_core::{
-    grant_budget, validate_ring, CoreMetrics, IndexedSelection, LadderExec, SelectError,
-    SelectionPolicy, Tier, Verdict,
+    grant_budget, validate_ring, CoreMetrics, IndexedSelection, SelectError, SelectionPolicy, Tier,
+    Verdict,
 };
 use dams_crypto::{KeyPair, PublicKey};
 
@@ -147,19 +147,15 @@ impl Wallet {
             .and_then(|rec| self.keys.get(&rec.owner.value()))
             .ok_or(WalletError::NotOurs(token))?;
         let index = node.index().ok_or(WalletError::IndexDisabled)?;
-        let selection = index
+        let (selection, snap) = index
             .select(
                 token.0,
                 self.policy,
                 grant_budget(EXACT_GRANT),
                 &Tier::DEFAULT_LADDER,
                 CoreMetrics::global(),
-                &LadderExec::default(),
             )
             .map_err(WalletError::Selection)?;
-        let snap = index
-            .snapshot(selection.batch)
-            .ok_or(WalletError::Selection(SelectError::UnknownToken))?;
         let req = self.policy.requirement;
         let verdict = validate_ring(
             &selection.degraded.selection.ring,
@@ -347,6 +343,33 @@ mod tests {
         let report = crate::auditor::audit(node.chain());
         assert_eq!(report.analysis.resolved_count(), 0, "spends linkable");
         assert!(report.claim_violations.is_empty());
+    }
+
+    #[test]
+    fn one_snapshot_lookup_per_spend() {
+        // The wallet validates against the snapshot `select` served from,
+        // so every spend, committed or refused, books exactly one snapshot
+        // hit or miss.
+        let (mut node, wallet, mut rng) = setup();
+        let lookups = |node: &SimNode| {
+            let stats = node.index().unwrap().stats();
+            stats.snapshot_hits + stats.snapshot_misses
+        };
+        let (mut committed, mut refused) = (0, 0);
+        for t in 0..16 {
+            let before = lookups(&node);
+            let outputs = payment(&node, &mut rng);
+            match wallet.spend(&mut node, TokenId(t), outputs, vec![], &mut rng) {
+                Ok(_) => committed += 1,
+                Err(WalletError::Validation(_) | WalletError::Selection(_)) => refused += 1,
+                Err(e) => panic!("token {t}: unexpected error {e}"),
+            }
+            assert_eq!(lookups(&node), before + 1, "token {t}");
+        }
+        assert!(
+            committed > 0 && refused > 0,
+            "{committed} committed, {refused} refused"
+        );
     }
 
     /// Everything a spend may mutate: the tip, the WAL, the index and the

@@ -30,8 +30,7 @@ use rand::SeedableRng;
 
 use dams_blockchain::{Amount, Block, Chain, NoConfiguration, TokenId, TokenOutput, Transaction};
 use dams_core::{
-    recompute_equivalence, BfsBudget, CoreMetrics, DiversityIndex, LadderExec, SelectionPolicy,
-    Tier,
+    recompute_equivalence, BfsBudget, CoreMetrics, DiversityIndex, SelectionPolicy, Tier,
 };
 use dams_crypto::{KeyPair, SchnorrGroup};
 use dams_diversity::DiversityRequirement;
@@ -95,26 +94,15 @@ fn assert_equivalent(index: &DiversityIndex, chain: &Chain, seed: u64) {
         .unwrap_or_else(|e| panic!("seed {seed}: rebuild failed: {e}"));
     let registry = Registry::new();
     let metrics = CoreMetrics::in_registry(&registry);
-    let exec = LadderExec::default();
     let policy = SelectionPolicy::new(DiversityRequirement::new(1.0, 2));
     let ladder = [Tier::ExactBfs, Tier::Progressive, Tier::GameTheoretic];
     for target in (0..index.token_count()).step_by(3) {
-        let live = index.select(
-            target,
-            policy,
-            deterministic_budget(),
-            &ladder,
-            &metrics,
-            &exec,
-        );
-        let fresh = rebuilt.select(
-            target,
-            policy,
-            deterministic_budget(),
-            &ladder,
-            &metrics,
-            &exec,
-        );
+        let live = index
+            .select(target, policy, deterministic_budget(), &ladder, &metrics)
+            .map(|(selection, _)| selection);
+        let fresh = rebuilt
+            .select(target, policy, deterministic_budget(), &ladder, &metrics)
+            .map(|(selection, _)| selection);
         assert_eq!(
             live, fresh,
             "seed {seed}: verdict for token {target} diverged from recompute"

@@ -32,7 +32,8 @@ pub use error::StoreError;
 pub use faults::StorageFault;
 pub use obs::StoreMetrics;
 pub use store::{
-    chain_universe, claimed_requirement, group_fingerprint, ledger_ring, recheck_immutability,
-    CatchUpBundle, ImmutabilityCheck, Recovered, RecoveryReport, Store, StoreConfig,
+    chain_universe, claim_violations, claimed_requirement, group_fingerprint, ledger_ring,
+    recheck_immutability, CatchUpBundle, ImmutabilityCheck, Recovered, RecoveryReport, Store,
+    StoreConfig,
 };
 pub use wal::{ScanOutcome, TailStatus};

@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use dams_blockchain::{Chain, ChainError, NoConfiguration, TxId};
+use dams_blockchain::{Block, Chain, ChainError, NoConfiguration, TxId};
 use dams_crypto::sha256::sha256_parts;
 use dams_crypto::SchnorrGroup;
 use dams_diversity::{DiversityRequirement, HtId, RingSet, TokenUniverse};
@@ -680,26 +680,51 @@ pub fn ledger_ring(tokens: &[dams_blockchain::TokenId]) -> RingSet {
 }
 
 /// Re-verify every committed RS's claimed (c, ℓ)-diversity against the
-/// recovered ledger's [`chain_universe`], the auditor's reconstruction.
-/// Claims that assert nothing (see [`claimed_requirement`]) are skipped.
+/// recovered ledger's [`chain_universe`]: [`claim_violations`] over the
+/// whole chain.
 pub fn recheck_immutability(chain: &Chain) -> ImmutabilityCheck {
     let universe = chain_universe(chain);
-    let mut check = ImmutabilityCheck::default();
-    let mut ring_index = 0u64;
-    for block in chain.blocks() {
-        for ct in &block.transactions {
-            for input in &ct.tx.inputs {
-                check.rings_checked += 1;
-                let idx = ring_index;
-                ring_index += 1;
-                let Some(req) = claimed_requirement(input.claimed_c, input.claimed_l) else {
-                    continue;
-                };
-                if !req.satisfied_by_ring(&ledger_ring(&input.ring), &universe) {
-                    check.violations.push((block.header.height.0, idx));
-                }
-            }
-        }
+    ImmutabilityCheck {
+        rings_checked: chain
+            .blocks()
+            .iter()
+            .flat_map(|block| &block.transactions)
+            .map(|ct| ct.tx.inputs.len() as u64)
+            .sum(),
+        violations: claim_violations(chain.blocks(), &universe).collect(),
     }
-    check
+}
+
+/// The ledger claim check, shared by [`Store::open`] (through
+/// [`recheck_immutability`]) and, in dams-node, by gossip intake, staging
+/// release and the auditor. Yields each ring input of `blocks` whose ring
+/// fails its own claimed (c, ℓ)-diversity on the origin histogram
+/// `universe` assigns it, as `(block height, commit-order ring index)`,
+/// the index counting every ring input of `blocks` from 0.
+///
+/// Skipped: a claim that asserts nothing (see [`claimed_requirement`]),
+/// and a ring naming a token outside `universe` (a receiver cannot judge
+/// a ring over tokens it has not seen; structural verification rejects
+/// such a block anyway).
+pub fn claim_violations<'a>(
+    blocks: &'a [Block],
+    universe: &'a TokenUniverse,
+) -> impl Iterator<Item = (u64, u64)> + 'a {
+    blocks
+        .iter()
+        .flat_map(|block| {
+            let height = block.header.height.0;
+            block
+                .transactions
+                .iter()
+                .flat_map(move |ct| ct.tx.inputs.iter().map(move |input| (height, input)))
+        })
+        .zip(0u64..)
+        .filter(|((_, input), _)| {
+            claimed_requirement(input.claimed_c, input.claimed_l).is_some_and(|req| {
+                input.ring.iter().all(|t| (t.0 as usize) < universe.len())
+                    && !req.satisfied_by_ring(&ledger_ring(&input.ring), universe)
+            })
+        })
+        .map(|((height, _), index)| (height, index))
 }

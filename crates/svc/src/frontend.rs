@@ -1,9 +1,10 @@
 //! A synchronous, single-caller facade over the service's admission and
-//! circuit-breaking logic, for embedding in `dams-node`'s wallet.
+//! circuit-breaking logic.
 //!
 //! The full [`Service`](crate::service::Service) simulates queueing over
-//! an arrival schedule; a wallet instead makes one blocking selection at
-//! a time. [`Frontend`] runs each call through the same admission engine
+//! an arrival schedule; a client instead makes one blocking selection at
+//! a time (the soak harness, dams-bench's anonymity figure, perfbench's
+//! `select-exact` workload). [`Frontend`] runs each call through the same admission engine
 //! without the queue: admit (deadline-infeasible budgets, unsatisfiable
 //! floors and circuit-open exact requirements are refused with a typed
 //! [`ShedReason`] *before* any search runs), grant (the floored ladder

@@ -18,7 +18,9 @@
 //!   exponential cooldown half-opens it for a probe.
 //! * [`retry`] — full-jitter backoff policy for shed batch requests.
 //! * [`frontend`] — a queueless synchronous facade with the same
-//!   protections, for embedding in `dams-node`'s wallet.
+//!   protections, for a caller that makes one blocking selection at a
+//!   time: the [`soak`] harness, dams-bench's anonymity figure and
+//!   perfbench's `select-exact` workload.
 //! * [`runtime`] — the same service behind the [`wire`] protocol, with
 //!   real client threads on the other end, checked against the
 //!   simulation by [`differential`].
