@@ -26,17 +26,16 @@ pub enum NodeError {
     /// The durable store failed — the inner error carries the byte
     /// offset / crc context a recovery report needs.
     Store(StoreError),
-    /// A catch-up frame failed authentication or was structurally
-    /// malformed; the sync attempt is abandoned, never partially applied.
+    /// A catch-up frame failed authentication, was structurally
+    /// malformed, or carried a block whose ring breaks its claimed
+    /// (c, ℓ)-diversity. The sync stops there: a bundle is refused before
+    /// anything is applied, while a WAL-tail stream keeps the blocks it
+    /// adopted before the refused record.
     SyncRejected { reason: &'static str },
     /// The incremental diversity index rejected an update — the chain and
     /// the index would disagree, so the operation is refused instead of
     /// serving stale verdicts.
     Index(IndexError),
-    /// A reorg rollback was requested on a node without a durable store;
-    /// only [`dams_store::Store::rollback_to`] can attest that no
-    /// committed RS is removed.
-    RollbackNeedsStore,
     /// A range request asked for more blocks than the serving node's
     /// configured cap — refused whole (and attributed to the requester as
     /// `RangeAbuse`) instead of silently truncated.
@@ -57,12 +56,6 @@ impl std::fmt::Display for NodeError {
                 write!(f, "catch-up frame rejected: {reason}")
             }
             NodeError::Index(e) => write!(f, "diversity index out of step: {e}"),
-            NodeError::RollbackNeedsStore => {
-                write!(
-                    f,
-                    "rollback requires a durable store to attest RS immutability"
-                )
-            }
             NodeError::RangeRefused { requested, cap } => {
                 write!(
                     f,
@@ -126,8 +119,7 @@ mod tests {
             NodeError::SyncRejected {
                 reason: "bundle digest mismatch",
             },
-            IndexError::NothingToRollBack.into(),
-            NodeError::RollbackNeedsStore,
+            IndexError::UnknownRingToken(9).into(),
             NodeError::RangeRefused {
                 requested: 64,
                 cap: 16,

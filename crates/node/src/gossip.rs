@@ -1139,8 +1139,9 @@ impl ClusterReport {
 /// The height of `block` when one of its rings breaks its claim on the
 /// receiver's ledger: the first of [`claim_violations`] over `chain`'s
 /// [`chain_universe`]. A block with no ring inputs (every block an honest
-/// [`Cluster`] replica mines) builds no universe.
-fn first_claim_violation(chain: &Chain, block: &Block) -> Option<u64> {
+/// [`Cluster`] replica mines) builds no universe. Gossip intake, staging
+/// release and WAL-tail catch-up ([`crate::sync`]) all refuse on it.
+pub(crate) fn first_claim_violation(chain: &Chain, block: &Block) -> Option<u64> {
     if block.transactions.iter().all(|ct| ct.tx.inputs.is_empty()) {
         return None;
     }

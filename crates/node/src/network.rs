@@ -92,8 +92,8 @@ pub struct SimNode {
     /// across crashes: WAL-append → fsync → apply.
     store: Option<Store>,
     /// Optional incremental diversity index, kept in lock-step with the
-    /// chain: O(Δ) maintenance on every adoption, journaled rollback on
-    /// reorg, full rebuild only on enable / store attach.
+    /// chain: O(Δ) maintenance on every adoption, full rebuild only on
+    /// enable / store attach.
     index: Option<DiversityIndex>,
 }
 
@@ -165,8 +165,8 @@ impl SimNode {
 
     /// Enable the incremental diversity index at batch parameter λ,
     /// cold-starting it over the current chain (O(chain), once). Every
-    /// later adoption maintains it O(Δ); reorgs roll it back from its
-    /// journal. Re-enabling replaces any existing index.
+    /// later adoption maintains it O(Δ). Re-enabling replaces any
+    /// existing index.
     pub fn enable_index(&mut self, lambda: usize) -> Result<(), NodeError> {
         NodeMetrics::global().index_rebuilds.inc();
         self.index = Some(index_of_chain(&self.chain, lambda)?);
@@ -186,45 +186,13 @@ impl SimNode {
         let Some(index) = &mut self.index else { return };
         let metrics = NodeMetrics::global();
         match index.apply_block(delta) {
-            Ok(()) => {
-                metrics.index_blocks_applied.inc();
-                // The store refuses rollbacks below its checkpoint, so
-                // journal entries older than the checkpoint can never be
-                // undone — prune them to keep memory O(reorg horizon).
-                if let Some(store) = &self.store {
-                    let keep = delta.height.saturating_sub(store.checkpoint_height()) + 1;
-                    index.prune_journal(keep as usize);
-                }
-            }
+            Ok(()) => metrics.index_blocks_applied.inc(),
             Err(_) => {
                 metrics.index_rebuilds.inc();
                 let lambda = index.lambda();
                 self.index = index_of_chain(&self.chain, lambda).ok();
             }
         }
-    }
-
-    /// Reorg-safe rollback of chain, store, and index to `target` height.
-    /// Requires a durable store: only [`Store::rollback_to`] attests that
-    /// no committed RS (whose claimed diversity is forever) is removed.
-    /// Returns the number of blocks undone.
-    pub fn rollback_to(&mut self, target: u64) -> Result<usize, NodeError> {
-        let store = self.store.as_mut().ok_or(NodeError::RollbackNeedsStore)?;
-        let before = self.chain.height();
-        self.chain = store.rollback_to(&self.chain, target)?;
-        let undone = before - self.chain.height();
-        if let Some(index) = &mut self.index {
-            match index.rollback_to_height(target) {
-                Ok(n) => NodeMetrics::global().index_rollbacks.add(n as u64),
-                Err(_) => {
-                    // Journal too shallow (pruned past target) — rebuild.
-                    NodeMetrics::global().index_rebuilds.inc();
-                    let lambda = index.lambda();
-                    self.index = index_of_chain(&self.chain, lambda).ok();
-                }
-            }
-        }
-        Ok(undone)
     }
 
     /// Attach a freshly opened store. The recovered chain must be a
@@ -873,44 +841,57 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn rollback_without_store_is_refused() {
-        let group = SchnorrGroup::default();
-        let mut node = SimNode::new(0, group);
-        assert_eq!(
-            node.rollback_to(0).unwrap_err(),
-            NodeError::RollbackNeedsStore
-        );
-    }
-
-    #[test]
-    fn rollback_rewinds_chain_store_and_index_together() {
+    fn sibling_of_the_tip_is_never_adopted() {
         let group = SchnorrGroup::default();
         let mut rng = StdRng::seed_from_u64(23);
-        let mut node = SimNode::new(0, group);
-        let recovered = dams_store::Store::open(
+        let limits = NodeLimits {
+            orphan_ttl: 3,
+            ..NodeLimits::default()
+        };
+        let mut node = SimNode::with_limits(0, group, limits);
+        let store = dams_store::Store::open(
             Box::new(dams_store::MemBackend::new()),
             Box::new(dams_store::MemBackend::new()),
             group,
-            StoreConfig {
-                checkpoint_interval: 0,
-            },
+            StoreConfig::default(),
         )
         .unwrap();
-        node.attach_store(recovered).unwrap();
-        node.enable_index(3).unwrap();
-        for _ in 0..6 {
-            mine_one(&mut node, 1, &mut rng);
+        node.attach_store(store).unwrap();
+        node.enable_index(2).unwrap();
+        let blocks: Vec<Block> = (0..3).map(|_| mine_one(&mut node, 1, &mut rng)).collect();
+        // A rival mines its own block 3 on block 2: valid, but a sibling
+        // of the node's tip.
+        let mut rival = SimNode::new(1, group);
+        for block in &blocks[..2] {
+            rival.deliver(block.clone()).unwrap();
         }
-        let undone = node.rollback_to(3).unwrap();
-        assert_eq!(undone, 3);
-        assert_eq!(node.chain().height(), 4);
-        let index = node.index().expect("index survives rollback");
-        assert_eq!(index.last_height(), Some(3));
-        assert_eq!(index.token_count(), 3);
-        let rebuilt = crate::indexing::index_of_chain(node.chain(), 3).unwrap();
-        assert_eq!(index_fingerprints(index), index_fingerprints(&rebuilt));
-        // Re-extend after the reorg: the same index keeps tracking.
-        mine_one(&mut node, 1, &mut rng);
-        assert_eq!(node.index().unwrap().token_count(), 4);
+        assert_eq!(rival.process_inbox(), 2);
+        let sibling = mine_one(&mut rival, 1, &mut rng);
+        assert_eq!(sibling.header.height, blocks[2].header.height);
+        assert_eq!(sibling.header.prev_hash, blocks[1].hash());
+        assert_ne!(sibling.hash(), blocks[2].hash());
+
+        let tip = node.tip_hash().unwrap();
+        let wal_len = node.store().unwrap().wal_len();
+        let index = node.index().unwrap();
+        let (fingerprints, applied) = (index_fingerprints(index), index.stats().blocks_applied);
+        let evicted = node.stats().orphans_evicted;
+        node.deliver(sibling).unwrap();
+        assert_eq!(node.process_inbox(), 0, "a sibling of the tip was adopted");
+        // It waits out its TTL as an orphan whose parent never comes,
+        // then is evicted.
+        for _ in 0..limits.orphan_ttl {
+            node.process_inbox();
+        }
+        assert_eq!(node.orphan_count(), 1, "evicted before its TTL ran out");
+        node.process_inbox();
+        assert_eq!(node.orphan_count(), 0, "outlived its TTL");
+        assert_eq!(node.stats().orphans_evicted, evicted + 1);
+
+        assert_eq!(node.tip_hash().unwrap(), tip);
+        assert_eq!(node.store().unwrap().wal_len(), wal_len);
+        let index = node.index().unwrap();
+        assert_eq!(index_fingerprints(index), fingerprints);
+        assert_eq!(index.stats().blocks_applied, applied);
     }
 }

@@ -89,9 +89,6 @@ pub struct NodeMetrics {
     /// `node.index.blocks_applied_total` — blocks folded into a replica's
     /// incremental diversity index on the adoption path (O(Δ) each).
     pub index_blocks_applied: Counter,
-    /// `node.index.rollbacks_total` — blocks undone from an index by a
-    /// reorg rollback.
-    pub index_rollbacks: Counter,
     /// `node.index.rebuilds_total` — full O(chain) index rebuilds (enable,
     /// store attach, or defensive re-anchor after a desync).
     pub index_rebuilds: Counter,
@@ -152,7 +149,6 @@ impl NodeMetrics {
             sync_tail_blocks: registry.counter("node.sync.tail_blocks_total"),
             sync_rejected: registry.counter("node.sync.rejected_total"),
             index_blocks_applied: registry.counter("node.index.blocks_applied_total"),
-            index_rollbacks: registry.counter("node.index.rollbacks_total"),
             index_rebuilds: registry.counter("node.index.rebuilds_total"),
             gossip_dup_announce: registry.counter("node.gossip.dup_announce_total"),
             gossip_range_refusals: registry.counter("node.gossip.range_refusals_total"),

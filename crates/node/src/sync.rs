@@ -17,8 +17,8 @@
 //!   already recovered its own durable prefix; replicas append identical
 //!   bytes for identical adoptions, so its local WAL length names the
 //!   exact byte where a peer's WAL continues. The peer streams the
-//!   missing framed records and the node applies them through its normal
-//!   verify → WAL-append → adopt path.
+//!   missing framed records and the node claim-checks each block, then
+//!   applies it through its normal verify → WAL-append → adopt path.
 //!
 //! Bundle bootstrap opens the store, so the joiner's *entire* chain
 //! passes [`dams_store::recheck_immutability`] (the ledger claim check,
@@ -26,13 +26,15 @@
 //! serves traffic: the paper's (c, ℓ)-diversity evidence is re-verified
 //! across the hand-off, so a peer cannot launder a violated claim through
 //! a checkpoint. A crash-restarted replica passed the same recheck when
-//! it reopened its own store; the tail blocks it then adopts run the
-//! normal verify → WAL-append → adopt path, which checks signatures and
-//! key images but not claims.
+//! it reopened its own store, and every tail block it then adopts passes
+//! the claim check gossip intake runs, on the replica's own ledger.
 //!
-//! Frames are authenticated the same way gossip frames are: a sha256 of
-//! the payload travels with it, and any mismatch is a typed
-//! [`NodeError::SyncRejected`], never a partially-applied sync.
+//! A bundle frame is authenticated the way gossip frames are: a sha256
+//! of the payload travels with it, and any mismatch is a typed
+//! [`NodeError::SyncRejected`] before anything is applied. A tail stream
+//! is crc-framed and refused whole when it does not scan clean; a record
+//! refused later (a non-block tag, a failed decode, a broken claim)
+//! stops the sync there, and the blocks before it stay adopted.
 
 use dams_blockchain::decode_block;
 use dams_crypto::sha256::sha256;
@@ -40,6 +42,7 @@ use dams_store::wal::{self, TailStatus, TAG_BLOCK};
 use dams_store::{group_fingerprint, CatchUpBundle, MemBackend, StoreConfig};
 
 use crate::error::NodeError;
+use crate::gossip::first_claim_violation;
 use crate::network::{NodeLimits, SimNode};
 use crate::obs::NodeMetrics;
 
@@ -147,15 +150,18 @@ pub fn bootstrap_from_bundle(
     Ok((node, report))
 }
 
-/// Stream the WAL records `node` is missing from `peer` and apply them
-/// through the node's normal verify → WAL-append → adopt path. Both
-/// replicas need durable stores; identical adoptions write identical WAL
-/// bytes, so the node's own WAL length names the peer-side resume point.
+/// Stream the WAL records `node` is missing from `peer` and apply them:
+/// each block passes the ledger claim check on the node's ledger, then
+/// the node's normal verify → WAL-append → adopt path. Both replicas
+/// need durable stores; identical adoptions write identical WAL bytes,
+/// so the node's own WAL length names the peer-side resume point.
 ///
 /// Returns how many blocks were applied. A tail stream that fails crc
-/// framing or carries a non-block record is rejected whole.
+/// framing is rejected whole. A non-block record, a block that fails to
+/// decode, or a block whose ring breaks its claimed (c, ℓ)-diversity is
+/// [`NodeError::SyncRejected`] and ends the sync: nothing after it is
+/// delivered, and the blocks before it stay adopted.
 pub fn catch_up_tail(node: &mut SimNode, peer: &mut SimNode) -> Result<u64, NodeError> {
-    let metrics = NodeMetrics::global();
     let from = node
         .store()
         .ok_or(NodeError::SyncRejected {
@@ -166,6 +172,13 @@ pub fn catch_up_tail(node: &mut SimNode, peer: &mut SimNode) -> Result<u64, Node
         reason: "serving peer has no durable store",
     })?;
     let tail = peer_store.wal_tail(from)?;
+    apply_tail(node, &tail)
+}
+
+/// The node side of [`catch_up_tail`]: scan, decode, claim-check and
+/// adopt the framed records of `tail`.
+fn apply_tail(node: &mut SimNode, tail: &[u8]) -> Result<u64, NodeError> {
+    let metrics = NodeMetrics::global();
     if tail.is_empty() {
         return Ok(0);
     }
@@ -177,7 +190,7 @@ pub fn catch_up_tail(node: &mut SimNode, peer: &mut SimNode) -> Result<u64, Node
     // scanner performs the length + crc gauntlet for us.
     let group = *node.chain().group();
     let mut image = wal::encode_header(group_fingerprint(&group));
-    image.extend_from_slice(&tail);
+    image.extend_from_slice(tail);
     let Ok(outcome) = wal::scan(&image) else {
         return reject("tail stream failed crc framing");
     };
@@ -193,6 +206,9 @@ pub fn catch_up_tail(node: &mut SimNode, peer: &mut SimNode) -> Result<u64, Node
         let Ok(block) = decode_block(&group, &payload[1..]) else {
             return reject("tail stream block failed to decode");
         };
+        if first_claim_violation(node.chain(), &block).is_some() {
+            return reject("tail stream block breaks a ring's claimed diversity");
+        }
         node.deliver(block)?;
         applied += node.process_inbox() as u64;
     }
@@ -205,8 +221,9 @@ pub fn catch_up_tail(node: &mut SimNode, peer: &mut SimNode) -> Result<u64, Node
 mod tests {
     use super::*;
     use crate::network::tests::mine_one;
-    use dams_crypto::SchnorrGroup;
-    use dams_store::Store;
+    use dams_blockchain::{Amount, NoConfiguration, TokenOutput, Transaction};
+    use dams_crypto::{KeyPair, SchnorrGroup};
+    use dams_store::{recheck_immutability, Store};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -305,25 +322,59 @@ mod tests {
 
     #[test]
     fn corrupted_tail_stream_is_rejected_whole() {
-        let (mut serving, lagging, mut rng) = mined_pair(2, 6);
+        let (mut serving, mut lagging, mut rng) = mined_pair(2, 6);
         mine_one(&mut serving, 1, &mut rng);
-        let before = lagging.chain().height();
-        // Corrupt the stream by lying about the resume point: an offset
-        // off a record boundary yields an empty stream (no torn frames),
-        // and a node-side corrupted image is refused by the crc gauntlet.
-        let from = lagging.store().unwrap().wal_len();
-        let mut tail = serving.store_mut().unwrap().wal_tail(from).unwrap();
+        let height = lagging.chain().height();
+        let wal_len = lagging.store().unwrap().wal_len();
+        let mut tail = serving.store_mut().unwrap().wal_tail(wal_len).unwrap();
         assert!(!tail.is_empty());
         let mid = tail.len() / 2;
         tail[mid] ^= 0x10;
-        let group = *lagging.chain().group();
-        let mut image = wal::encode_header(group_fingerprint(&group));
-        image.extend_from_slice(&tail);
-        let rejected = match wal::scan(&image) {
-            Err(_) => true,
-            Ok(outcome) => !matches!(outcome.tail, TailStatus::Clean),
+        let err = apply_tail(&mut lagging, &tail).unwrap_err();
+        assert!(matches!(err, NodeError::SyncRejected { .. }), "{err:?}");
+        assert_eq!(lagging.chain().height(), height, "nothing applied");
+        assert_eq!(lagging.store().unwrap().wal_len(), wal_len);
+    }
+
+    #[test]
+    fn tail_block_breaking_its_claim_is_refused() {
+        let (mut serving, mut lagging, mut rng) = mined_pair(2, 7);
+        let group = *serving.chain().group();
+        // A coinbase minting two tokens in one transaction: both share
+        // one origin, so a ring of the two has a single history tree.
+        let owner = KeyPair::generate(&group, &mut rng);
+        serving.chain_mut().submit_coinbase(vec![
+            TokenOutput {
+                owner: owner.public,
+                amount: Amount(1),
+            };
+            2
+        ]);
+        serving.seal_block().unwrap();
+        let ring = serving.chain().tokens_of(owner.public);
+        assert_eq!(ring.len(), 2);
+        let mut tx = Transaction {
+            inputs: vec![],
+            outputs: vec![],
+            memo: vec![],
         };
-        assert!(rejected, "flipped byte must not scan clean");
-        assert_eq!(lagging.chain().height(), before, "nothing applied");
+        let input = serving
+            .chain()
+            .sign_ring_input(&tx, ring, &owner, (1.0, 2), &mut rng)
+            .unwrap();
+        tx.inputs.push(input);
+        serving.chain_mut().submit(tx, &NoConfiguration).unwrap();
+        serving.seal_block().unwrap();
+        assert_eq!(
+            recheck_immutability(serving.chain()).violations.len(),
+            1,
+            "the serving ledger carries the lying ring"
+        );
+
+        let height = lagging.chain().height();
+        let err = catch_up_tail(&mut lagging, &mut serving).unwrap_err();
+        assert!(matches!(err, NodeError::SyncRejected { .. }), "{err:?}");
+        assert_eq!(lagging.chain().height(), height + 1, "coinbase only");
+        assert!(recheck_immutability(lagging.chain()).violations.is_empty());
     }
 }

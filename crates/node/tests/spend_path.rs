@@ -5,7 +5,7 @@
 //! index snapshot → `select_with_ladder_exec` with a 16-candidate exact
 //! grant → `validate_ring` → `sign` → `Chain::submit` → seal →
 //! `Store::append_block` → `Store::maybe_checkpoint` →
-//! `DiversityIndex::apply_block` + `prune_journal`
+//! `DiversityIndex::apply_block`
 //!
 //! — with refusals included: a ring the hand path refuses, the wallet
 //! refuses with the same verdict, and neither side changes.
@@ -55,10 +55,7 @@ fn seal_by_hand(r: &mut Replica) -> Block {
     let block = r.chain.tip().unwrap().clone();
     r.store.append_block(&block).unwrap();
     r.store.maybe_checkpoint(&r.chain).unwrap();
-    let delta = block_delta(&block);
-    r.index.apply_block(&delta).unwrap();
-    let keep = delta.height.saturating_sub(r.store.checkpoint_height()) + 1;
-    r.index.prune_journal(keep as usize);
+    r.index.apply_block(&block_delta(&block)).unwrap();
     block
 }
 

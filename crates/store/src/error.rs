@@ -53,12 +53,6 @@ pub enum StoreError {
     /// A recovered RS no longer satisfies its claimed (c, ℓ)-diversity —
     /// the immutability evidence condition 3 of DA-MS promises forever.
     ImmutabilityViolated { height: u64, ring_index: u64 },
-    /// Rolling back to `target` would remove block `rs_height`, which
-    /// carries committed ring signatures whose claimed diversity would be
-    /// forgotten — the reorg-safe rule refuses.
-    RollbackForbidden { target: u64, rs_height: u64 },
-    /// Rolling back below the last durable checkpoint would invalidate it.
-    RollbackBelowCheckpoint { target: u64, checkpoint: u64 },
     /// This backend cannot inject the requested storage fault.
     FaultUnsupported,
 }
@@ -109,14 +103,6 @@ impl std::fmt::Display for StoreError {
             StoreError::ImmutabilityViolated { height, ring_index } => write!(
                 f,
                 "recovered RS {ring_index} (block {height}) lost its claimed diversity"
-            ),
-            StoreError::RollbackForbidden { target, rs_height } => write!(
-                f,
-                "rollback to {target} refused: block {rs_height} carries committed RSs"
-            ),
-            StoreError::RollbackBelowCheckpoint { target, checkpoint } => write!(
-                f,
-                "rollback to {target} refused: below durable checkpoint at {checkpoint}"
             ),
             StoreError::FaultUnsupported => write!(f, "backend cannot inject this fault"),
         }
@@ -175,14 +161,6 @@ mod tests {
             StoreError::ImmutabilityViolated {
                 height: 2,
                 ring_index: 0,
-            },
-            StoreError::RollbackForbidden {
-                target: 1,
-                rs_height: 2,
-            },
-            StoreError::RollbackBelowCheckpoint {
-                target: 1,
-                checkpoint: 4,
             },
             StoreError::FaultUnsupported,
         ];

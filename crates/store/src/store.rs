@@ -13,9 +13,6 @@
 //!    every recovered RS's claimed (c, ℓ)-diversity is re-checked — the
 //!    paper's immutability condition holds *across* crashes, not just
 //!    between them.
-//! 4. **Reorg-safe**: [`Store::rollback_to`] refuses to remove any block
-//!    carrying committed ring signatures — their claimed diversity is
-//!    forever, so the ledger may only lose blocks that committed nothing.
 
 use std::collections::HashMap;
 
@@ -33,7 +30,7 @@ use crate::wal::{self, TAG_BLOCK, WAL_HEADER_LEN};
 /// Tunables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreConfig {
-    /// Blocks between checkpoints; `0` disables checkpointing.
+    /// Blocks between checkpoints.
     pub checkpoint_interval: u64,
 }
 
@@ -430,9 +427,6 @@ impl Store {
     /// Write a checkpoint if the chain has advanced `checkpoint_interval`
     /// blocks past the last one. Returns whether one was written.
     pub fn maybe_checkpoint(&mut self, chain: &Chain) -> Result<bool, StoreError> {
-        if self.cfg.checkpoint_interval == 0 {
-            return Ok(false);
-        }
         let height = chain.tip().map_err(replay_err(0, 0))?.header.height.0;
         if height < self.last_checkpoint_height + self.cfg.checkpoint_interval {
             return Ok(false);
@@ -451,43 +445,6 @@ impl Store {
         StoreMetrics::global().checkpoint_written.inc();
         self.last_checkpoint_height = height;
         Ok(true)
-    }
-
-    /// Reorg-safe rollback: rebuild the chain at `target` height and cut
-    /// the WAL to match — **refusing** if any removed block carries a
-    /// committed RS (claimed diversity is forever) or the target undercuts
-    /// the durable checkpoint.
-    pub fn rollback_to(&mut self, chain: &Chain, target: u64) -> Result<Chain, StoreError> {
-        let current = chain.tip().map_err(replay_err(0, 0))?.header.height.0;
-        if target >= current {
-            // Nothing to remove; hand back an equivalent chain.
-            return rebuild_prefix(chain, current);
-        }
-        if target < self.last_checkpoint_height {
-            return Err(StoreError::RollbackBelowCheckpoint {
-                target,
-                checkpoint: self.last_checkpoint_height,
-            });
-        }
-        for block in &chain.blocks()[(target + 1) as usize..] {
-            let has_rs = block.transactions.iter().any(|ct| !ct.tx.inputs.is_empty());
-            if has_rs {
-                return Err(StoreError::RollbackForbidden {
-                    target,
-                    rs_height: block.header.height.0,
-                });
-            }
-        }
-        let cut = self
-            .block_offsets
-            .get(target as usize)
-            .copied()
-            .unwrap_or(self.wal_len);
-        self.wal.truncate(cut)?;
-        self.wal.sync()?;
-        self.wal_len = cut;
-        self.block_offsets.truncate(target as usize);
-        rebuild_prefix(chain, target)
     }
 
     /// Simulate power loss: both devices drop everything not yet synced.
@@ -564,23 +521,6 @@ impl Store {
         self.blocks_served += blocks;
         StoreMetrics::global().checkpoint_served.add(blocks);
     }
-}
-
-/// Re-adopt `chain`'s blocks up to `target` into a fresh chain (blocks
-/// were verified when first applied, so structural adoption suffices).
-fn rebuild_prefix(chain: &Chain, target: u64) -> Result<Chain, StoreError> {
-    let mut rebuilt = Chain::new(*chain.group());
-    for block in &chain.blocks()[1..=target as usize] {
-        let height = block.header.height.0;
-        rebuilt
-            .adopt_block(block.clone())
-            .map_err(|cause| StoreError::ReplayFailed {
-                offset: 0,
-                height,
-                cause,
-            })?;
-    }
-    Ok(rebuilt)
 }
 
 fn replay_err(offset: u64, height: u64) -> impl Fn(ChainError) -> StoreError {

@@ -382,22 +382,6 @@ fn nan_claim_asserts_nothing_on_recovery() {
 }
 
 #[test]
-fn rollback_refuses_to_forget_committed_rings() {
-    let (group, chain, _) = reference_chain();
-    let rec = open(&full_wal(&group, &chain), &[], group).expect("recover reference");
-    let mut store = rec.store;
-    // Block 6 is coinbase-only: rolling back to 5 is allowed.
-    let rolled = store.rollback_to(&rec.chain, 5).expect("coinbase rollback");
-    assert_eq!(rolled.blocks().len(), 6);
-    // Blocks 4 and 5 carry committed RSs: rolling back to 3 is refused.
-    let err = store
-        .rollback_to(&rolled, 3)
-        .map(|_| ())
-        .expect_err("RS rollback must refuse");
-    assert!(matches!(err, StoreError::RollbackForbidden { .. }), "{err}");
-}
-
-#[test]
 fn group_fingerprint_gates_replay() {
     let (group, chain, _) = reference_chain();
     let mut image = full_wal(&group, &chain);
