@@ -81,14 +81,14 @@
 //!   `verdict: MATCH` or `verdict: DIVERGED`) and the sim-vs-real ramp
 //!   rows (`--out`); exits non-zero unless every load point matches.
 //! * `cluster-sim` — run the partition-tolerant replication scenario
-//!   (`dams-node`) and the sharded scale-out load harness (`dams-svc`) at
-//!   each `--node-counts` size: gossip dissemination under the default
-//!   fault model, a minority partition healed mid-run, a crash/restart
-//!   recovered from the replica's own store plus a peer WAL-tail stream,
-//!   and a late joiner bootstrapped from a checkpoint bundle (O(tail)
-//!   verification). Writes per-size rows (goodput, convergence ticks,
-//!   catch-up split) to `--out` and the full per-size convergence
-//!   reports to `--report`; exits non-zero unless every size converges.
+//!   (`dams-node`) at each `--node-counts` size (positive sizes only):
+//!   gossip dissemination under the default fault model, a minority
+//!   partition healed mid-run, a crash/restart recovered from the
+//!   replica's own store plus a peer WAL-tail stream, and a late joiner
+//!   bootstrapped from a checkpoint bundle (O(tail) verification). Writes
+//!   per-size rows (convergence ticks, height, catch-up split, blocks
+//!   served) to `--out` and the full per-size convergence reports to
+//!   `--report`; exits non-zero unless every size converges.
 //!   One `--seed` and size always reproduce the same run.
 //!   With `--byzantine` it instead runs the adversarial-peer gauntlet:
 //!   at each strength `f = 0..=--max-f`, the standard adversary mix
@@ -448,17 +448,15 @@ fn main() {
             let node_counts: Vec<usize> = get("--node-counts")
                 .unwrap_or_else(|| "1,3,5".into())
                 .split(',')
-                .map(|v| {
-                    v.trim()
-                        .parse()
-                        .unwrap_or_else(|_| die(&format!("bad node count {v}")))
+                .map(|v| match v.trim().parse() {
+                    Ok(n) if n > 0 => n,
+                    _ => die(&format!("--node-counts needs positive sizes, got {v}")),
                 })
                 .collect();
             if node_counts.is_empty() {
                 die("--node-counts needs at least one size");
             }
-            let requests: u64 = flag(&args, "--requests").unwrap_or(96);
-            let ok = run_cluster_sim(seed, &node_counts, requests, &out, &report_out);
+            let ok = run_cluster_sim(seed, &node_counts, &out, &report_out);
             print_metrics(metrics_format);
             if !ok {
                 std::process::exit(1);
@@ -615,16 +613,10 @@ fn run_bench_workload(seed: u64) {
     let _ = dams_node::run_cluster_scenario(seed, 5);
 }
 
-/// Run the replication scenario and the sharded load harness at each
-/// cluster size, write `BENCH_cluster.json` + the convergence report
-/// file, and return whether every size converged.
-fn run_cluster_sim(
-    seed: u64,
-    node_counts: &[usize],
-    requests: u64,
-    out: &str,
-    report_out: &str,
-) -> bool {
+/// Run the replication scenario at each cluster size, write
+/// `BENCH_cluster.json` + the convergence report file, and return
+/// whether every size converged.
+fn run_cluster_sim(seed: u64, node_counts: &[usize], out: &str, report_out: &str) -> bool {
     let mut rows = Vec::new();
     let mut report_text = String::new();
     let mut all_ok = true;
@@ -633,24 +625,13 @@ fn run_cluster_sim(
             Ok(r) => r,
             Err(e) => die(&format!("cluster scenario ({nodes} nodes) failed: {e}")),
         };
-        let base = dams_svc::OverloadConfig {
-            seed,
-            requests,
-            load: 4.0,
-            ..dams_svc::OverloadConfig::default()
-        };
-        let load = dams_svc::run_cluster_overload(&base, nodes);
         println!(
-            "{nodes} nodes: {} | goodput {:.2} ({}/{} completed) | height {} | \
-             catch-up {}+{} blocks (prefix+tail)",
+            "{nodes} nodes: {} | height {} | catch-up {}+{} blocks (prefix+tail)",
             if scenario.ok() {
                 "CONVERGED"
             } else {
                 "DIVERGED"
             },
-            load.goodput(),
-            load.completed,
-            load.offered,
             scenario.height,
             scenario.joiner.map_or(0, |j| j.prefix_adopted),
             scenario.joiner.map_or(0, |j| j.tail_verified),
@@ -659,16 +640,12 @@ fn run_cluster_sim(
         report_text.push_str(&scenario.render());
         report_text.push('\n');
         all_ok &= scenario.ok();
-        rows.push((nodes, scenario, load));
+        rows.push((nodes, scenario));
     }
 
-    let json_rows = rows.iter().map(|(nodes, scenario, load)| {
+    let json_rows = rows.iter().map(|(nodes, scenario)| {
         Object::new()
             .field("nodes", *nodes)
-            .field("goodput", Value::Fixed(load.goodput(), 4))
-            .field("offered", load.offered)
-            .field("completed", load.completed)
-            .field("shed", load.shed)
             .field("convergence_ticks", scenario.ticks)
             .field("height", scenario.height)
             .field(
@@ -689,8 +666,6 @@ fn run_cluster_sim(
     let json = Document::new()
         .field("bench", "cluster")
         .field("seed", seed)
-        .field("requests", requests)
-        .field("offered_load", Value::Fixed(4.0, 2))
         .rows("rows", json_rows)
         .render();
     if let Err(e) = std::fs::write(out, &json) {

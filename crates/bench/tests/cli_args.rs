@@ -31,3 +31,22 @@ fn unknown_experiment_is_refused() {
     let bin = env!("CARGO_BIN_EXE_paper-experiments");
     assert_eq!(exit_code(bin, &["fig55", "--check-shapes"]), Some(2));
 }
+
+#[test]
+fn zero_node_count_is_refused() {
+    // A zero-node cluster would run as one node under a "nodes": 0 label.
+    let bin = env!("CARGO_BIN_EXE_dams-cli");
+    let dir = env!("CARGO_TARGET_TMPDIR");
+    let out = format!("{dir}/zero_nodes.json");
+    let report = format!("{dir}/zero_nodes.txt");
+    let args = [
+        "cluster-sim",
+        "--node-counts",
+        "0",
+        "--out",
+        &out,
+        "--report",
+        &report,
+    ];
+    assert_eq!(exit_code(bin, &args), Some(2));
+}

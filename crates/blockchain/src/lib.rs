@@ -10,7 +10,6 @@ pub mod batch;
 pub mod block;
 pub mod chain;
 pub mod codec;
-pub mod fees;
 pub mod obs;
 pub mod transaction;
 pub mod types;
@@ -22,7 +21,6 @@ pub use codec::{
     block_to_bytes, decode_block, signature_from_bytes, signature_to_bytes, transaction_to_bytes,
     CodecError,
 };
-pub use fees::{select_for_block, FeeSchedule};
 pub use obs::ChainMetrics;
 pub use transaction::{CommittedTransaction, RingInput, TokenOutput, Transaction};
 pub use types::{Amount, BlockHeight, Timestamp, TokenId, TxId};

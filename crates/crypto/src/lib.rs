@@ -14,12 +14,10 @@
 
 pub mod blsag;
 pub mod group;
-pub mod hd;
 pub mod keys;
 pub mod prime;
 pub mod sha256;
 
 pub use blsag::{sign, verify, RingSignature, SignError};
 pub use group::SchnorrGroup;
-pub use hd::KeyChain;
 pub use keys::{KeyImage, KeyPair, PublicKey};

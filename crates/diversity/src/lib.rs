@@ -20,7 +20,6 @@
 
 pub mod attacks;
 pub mod chain_reaction;
-pub mod closeness;
 pub mod combination;
 pub mod deadline;
 pub mod dtrs;
@@ -40,7 +39,6 @@ pub use attacks::{
     AttackReport, CascadeOutcome, ChainTrace, MatchingOutcome, NewestOutcome, TimelinePoint,
 };
 pub use chain_reaction::{analyze, analyze_exact, Analysis};
-pub use closeness::{emd_over_ids, is_t_close, total_variation};
 pub use combination::{
     enumerate_combinations, enumerate_with_limit, enumerate_worlds, Combination, WorldOptions,
     WorldsExpired,

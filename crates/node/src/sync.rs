@@ -210,11 +210,18 @@ fn apply_tail(node: &mut SimNode, tail: &[u8]) -> Result<u64, NodeError> {
             return reject("tail stream block breaks a ring's claimed diversity");
         }
         node.deliver(block)?;
-        applied += node.process_inbox() as u64;
+        applied += adopt_inbox(node);
     }
-    applied += node.process_inbox() as u64;
-    metrics.sync_tail_blocks.add(applied);
+    applied += adopt_inbox(node);
     Ok(applied)
+}
+
+/// Adopt what `node`'s inbox holds and count it as WAL-tail blocks, so a
+/// stream refused partway still counts the blocks adopted before it.
+fn adopt_inbox(node: &mut SimNode) -> u64 {
+    let adopted = node.process_inbox() as u64;
+    NodeMetrics::global().sync_tail_blocks.add(adopted);
+    adopted
 }
 
 #[cfg(test)]

@@ -105,14 +105,6 @@ impl Wallet {
         self.keys.insert(kp.public.value(), kp);
     }
 
-    /// Restore a wallet's first `n` keys from a deterministic key chain
-    /// (HD-style recovery from a seed — see `dams_crypto::KeyChain`).
-    pub fn restore_from_chain(&mut self, chain: &dams_crypto::KeyChain, n: u64) {
-        for kp in chain.derive_range(n) {
-            self.import(kp);
-        }
-    }
-
     /// Scan the chain for tokens this wallet controls and whose key image
     /// has not been consumed.
     pub fn spendable(&self, chain: &Chain) -> Vec<TokenId> {
@@ -238,39 +230,6 @@ mod tests {
             owner: KeyPair::generate(node.chain().group(), rng).public,
             amount: Amount(5),
         }]
-    }
-
-    #[test]
-    fn hd_restore_recovers_spendable_tokens() {
-        // Mint tokens to HD-derived keys, then restore a fresh wallet from
-        // the same passphrase and confirm it sees them all.
-        let mut chain_ledger = Chain::new(SchnorrGroup::default());
-        let kc = dams_crypto::KeyChain::from_passphrase(*chain_ledger.group(), "open sesame", 0);
-        let keys = kc.derive_range(6);
-        chain_ledger.submit_coinbase(
-            keys.iter()
-                .map(|k| TokenOutput {
-                    owner: k.public,
-                    amount: Amount(1),
-                })
-                .collect(),
-        );
-        chain_ledger.seal_block().unwrap();
-
-        let policy = SelectionPolicy::new(DiversityRequirement::new(1.0, 1));
-        let mut restored = Wallet::new(policy);
-        restored.restore_from_chain(
-            &dams_crypto::KeyChain::from_passphrase(*chain_ledger.group(), "open sesame", 0),
-            6,
-        );
-        assert_eq!(restored.spendable(&chain_ledger).len(), 6);
-        // wrong passphrase restores nothing
-        let mut wrong = Wallet::new(policy);
-        wrong.restore_from_chain(
-            &dams_crypto::KeyChain::from_passphrase(*chain_ledger.group(), "open sesame?", 0),
-            6,
-        );
-        assert!(wrong.spendable(&chain_ledger).is_empty());
     }
 
     #[test]

@@ -27,9 +27,6 @@
 //! * [`overload`] — the seeded overload harness: calibrates the tick
 //!   economy against an instance, drives open-loop arrival ramps at
 //!   multiples of capacity, and renders `BENCH_overload.json`.
-//! * [`cluster`] — the scale-out harness: the same seeded schedule
-//!   sharded round-robin across N replica services, for the cluster
-//!   goodput rows of `BENCH_cluster.json`.
 //! * [`soak`] — the streaming soak harness: grows a chain from 10³ to
 //!   10⁶ tokens through the incremental diversity index and proves the
 //!   per-request p99 stays flat (`BENCH_soak.json`).
@@ -47,7 +44,6 @@
 
 pub mod admission;
 pub mod breaker;
-pub mod cluster;
 pub mod differential;
 mod engine;
 pub mod frontend;
@@ -60,7 +56,6 @@ pub mod soak;
 pub mod wire;
 
 pub use breaker::{BreakerConfig, CircuitBreaker, CircuitState, Transition};
-pub use cluster::{run_cluster_overload, ClusterLoadReport};
 pub use differential::{
     render_multi, render_runtime_bench_json, run_differential, DiffConfig, DiffOutcome, DiffReport,
     DiffRow,

@@ -32,7 +32,7 @@ pub mod synthetic;
 pub use adversarial::BurstSchedule;
 pub use arrivals::{render_trace, ArrivalEvent};
 pub use attack_trace::{generate_attack_trace, AttackTraceConfig};
-pub use openloop::{shard_round_robin, OpenLoop};
+pub use openloop::OpenLoop;
 pub use real::{monero_snapshot, output_histogram};
 pub use simulation::{simulate_batch, SimulationConfig, SimulationOutcome};
 pub use streaming::{ChainStream, StreamConfig};

@@ -86,44 +86,11 @@ impl OpenLoop {
     }
 }
 
-/// Deal one arrival schedule out across `shards` consumers, round-robin.
-///
-/// Sharding — not splitting into contiguous runs — is what holds the
-/// *offered* load fixed while serving capacity scales: each shard keeps
-/// the full time span of the original schedule at `1/shards` of its
-/// rate, so an N-replica cluster sees the same open-loop client
-/// population as a single node, just load-balanced. Order within each
-/// shard is preserved.
-pub fn shard_round_robin<T: Clone>(arrivals: &[T], shards: usize) -> Vec<Vec<T>> {
-    let shards = shards.max(1);
-    let mut out: Vec<Vec<T>> = (0..shards)
-        .map(|_| Vec::with_capacity(arrivals.len() / shards + 1))
-        .collect();
-    for (i, arrival) in arrivals.iter().enumerate() {
-        out[i % shards].push(arrival.clone());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn round_robin_sharding_covers_everything_in_order() {
-        let items: Vec<u64> = (0..10).collect();
-        let shards = shard_round_robin(&items, 3);
-        assert_eq!(shards.len(), 3);
-        assert_eq!(shards[0], vec![0, 3, 6, 9]);
-        assert_eq!(shards[1], vec![1, 4, 7]);
-        assert_eq!(shards[2], vec![2, 5, 8]);
-        let total: usize = shards.iter().map(Vec::len).sum();
-        assert_eq!(total, items.len());
-        // Zero shards is clamped, not a panic.
-        assert_eq!(shard_round_robin(&items, 0).len(), 1);
-    }
 
     #[test]
     fn schedules_replay_from_a_seed() {

@@ -1,12 +1,11 @@
-//! A day-in-the-life integration test: the full economic + privacy stack
-//! working together — wallets spending on an indexed node, fee schedule,
-//! DA-MS selection inside the batch, on-chain verification, and a closing
-//! audit.
+//! A day-in-the-life integration test: the full privacy stack working
+//! together — wallets spending on an indexed node, DA-MS selection inside
+//! the batch, on-chain verification, and a closing audit.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dams_blockchain::{Amount, FeeSchedule, TokenOutput};
+use dams_blockchain::{Amount, TokenOutput};
 use dams_core::SelectionPolicy;
 use dams_crypto::KeyPair;
 use dams_diversity::DiversityRequirement;
@@ -47,10 +46,8 @@ fn full_stack_day() {
     assert_eq!(alice.spendable(node.chain()).len(), 15);
     assert_eq!(bob.spendable(node.chain()).len(), 15);
 
-    // Midday: spends happen; fees are proportional to ring size, so the
-    // DA-MS-selected rings determine the bill.
-    let schedule = FeeSchedule::new(Amount(10), Amount(2));
-    let mut total_fee = Amount(0);
+    // Midday: spends happen, each on a DA-MS-selected ring; (1, 3)-diversity
+    // needs ℓ = 3 origins, so at least 3 members.
     let receiver = KeyPair::generate(node.chain().group(), &mut rng).public;
     for (wallet, token) in [(&alice, 0u64), (&bob, 20), (&alice, 7)] {
         let outputs = vec![TokenOutput {
@@ -66,13 +63,14 @@ fn full_stack_day() {
                 &mut rng,
             )
             .unwrap_or_else(|e| panic!("spend of {token} failed: {e}"));
-        // Reconstruct the fee from the committed transaction.
         let ring = &spend.block.transactions[0].tx.inputs[0].ring;
         assert_eq!(ring.len(), spend.selection.ring.len());
-        let fee = Amount(schedule.base.0 + schedule.per_ring_member.0 * ring.len() as u64);
-        total_fee = total_fee + fee;
+        assert!(
+            ring.len() >= 3,
+            "ring of {token} has {} members",
+            ring.len()
+        );
     }
-    assert!(total_fee.0 >= 3 * (10 + 2 * 3), "fees track ring sizes");
 
     // Evening: the block explorer audits the public chain.
     let report = audit(node.chain());

@@ -71,6 +71,33 @@ fn monero_snapshot_selection_resists_chain_reaction() {
 }
 
 #[test]
+fn tm_g_needs_no_more_ring_members_than_tm_p() {
+    // §1: the fee is proportional to the number of mixins, so the DA-MS
+    // objective is the ring size; the game-theoretic algorithm's rings
+    // must not cost more members in total than the progressive's.
+    let mut rng = StdRng::seed_from_u64(1);
+    let instance = monero_snapshot(&mut rng);
+    let policy = SelectionPolicy::new(DiversityRequirement::new(0.6, 40));
+    let (mut members_g, mut members_p, mut compared) = (0, 0, 0);
+    for t in [0u32, 50, 100, 150, 200] {
+        let (Ok(g), Ok(p)) = (
+            game_theoretic(&instance, TokenId(t), policy),
+            progressive(&instance, TokenId(t), policy),
+        ) else {
+            continue;
+        };
+        members_g += g.size();
+        members_p += p.size();
+        compared += 1;
+    }
+    assert!(compared >= 3, "too few feasible targets");
+    assert!(
+        members_g <= members_p,
+        "TM_G {members_g} members vs TM_P {members_p}"
+    );
+}
+
+#[test]
 fn tokenmagic_framework_hides_target_on_chain() {
     let mut rng = StdRng::seed_from_u64(3);
     let cfg = SyntheticConfig {
