@@ -103,6 +103,10 @@
 //! * `--metrics text|json` — after any command, print the process-wide
 //!   metrics snapshot in deterministic mode (timers show only counts), so
 //!   two runs with the same seed emit byte-identical output.
+//!
+//! Each command reads the flags listed above for it plus `--seed` and
+//! `--metrics`. Any other `--` argument exits 2 with an error naming it,
+//! as a malformed value of a known flag does.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -130,6 +134,7 @@ fn main() {
 
     match cmd.as_str() {
         "select" => {
+            accept_flags(&args, &["--algorithm", "--c", "--l", "--target"], &[]);
             let algorithm = match get("--algorithm").as_deref() {
                 Some("tm_s") => PracticalAlgorithm::Smallest,
                 Some("tm_r") => PracticalAlgorithm::Random,
@@ -174,6 +179,7 @@ fn main() {
             }
         }
         "attack" => {
+            accept_flags(&args, &["--rings"], &[]);
             let rings = parse_rings(&get("--rings").unwrap_or_else(|| die("--rings required")));
             let idx = RingIndex::from_rings(rings);
             let analysis = analyze(&idx, &[]);
@@ -199,6 +205,7 @@ fn main() {
             );
         }
         "audit" => {
+            accept_flags(&args, &["--spends"], &[]);
             let spends: usize = flag(&args, "--spends").unwrap_or(5);
             let universe = dams_diversity::TokenUniverse::new(
                 (0..60u32).map(|i| dams_diversity::HtId(i / 3)).collect(),
@@ -219,6 +226,7 @@ fn main() {
             );
         }
         "hardness" => {
+            accept_flags(&args, &["--rings"], &[]);
             let rings = parse_rings(&get("--rings").unwrap_or_else(|| die("--rings required")));
             let idx = RingIndex::from_rings(rings);
             let ids: Vec<_> = idx.ids().collect();
@@ -233,12 +241,18 @@ fn main() {
             println!("counting these is the #P-complete EPMBG problem of Theorem 3.1");
         }
         "run" => {
+            accept_flags(
+                &args,
+                &["--store-dir", "--blocks", "--crash-after-appends"],
+                &[],
+            );
             let dir = get("--store-dir").unwrap_or_else(|| die("--store-dir required"));
             let blocks: u64 = flag(&args, "--blocks").unwrap_or(8);
             let crash_after: Option<u64> = flag(&args, "--crash-after-appends");
             run_durable(&dir, blocks, seed, crash_after);
         }
         "recover" => {
+            accept_flags(&args, &["--store-dir"], &[]);
             let dir = get("--store-dir").unwrap_or_else(|| die("--store-dir required"));
             let clean = recover_report(&dir);
             print_metrics(metrics_format);
@@ -248,6 +262,7 @@ fn main() {
             return;
         }
         "serve-sim" if args.iter().any(|a| a == "--soak") => {
+            accept_flags(&args, &["--out", "--requests", "--tokens"], &["--soak"]);
             let out = get("--out").unwrap_or_else(|| "BENCH_soak.json".into());
             let requests: usize = flag(&args, "--requests").unwrap_or(200);
             let max_tokens = supported_tokens(flag(&args, "--tokens"));
@@ -296,6 +311,7 @@ fn main() {
             return;
         }
         "serve-sim" => {
+            accept_flags(&args, &["--out", "--workers", "--requests", "--loads"], &[]);
             let out = get("--out").unwrap_or_else(|| "BENCH_overload.json".into());
             let workers: usize = flag(&args, "--workers").unwrap_or(2);
             let requests: u64 = flag(&args, "--requests").unwrap_or(96);
@@ -338,6 +354,17 @@ fn main() {
             println!("wrote {out} ({} load points)", rows.len());
         }
         "serve" => {
+            let values = [
+                "--out",
+                "--diff-report",
+                "--workers",
+                "--requests",
+                "--tenants",
+                "--transport",
+                "--loads",
+                "--trace-out",
+            ];
+            accept_flags(&args, &values, &["--real"]);
             if !args.iter().any(|a| a == "--real") {
                 die("serve requires --real (the model-only replay is `serve-sim`)");
             }
@@ -428,6 +455,8 @@ fn main() {
             return;
         }
         "cluster-sim" if args.iter().any(|a| a == "--byzantine") => {
+            let values = ["--out", "--report", "--honest", "--max-f"];
+            accept_flags(&args, &values, &["--byzantine"]);
             let out = get("--out").unwrap_or_else(|| "BENCH_byzantine.json".into());
             let report_out = get("--report").unwrap_or_else(|| "BYZ_report.txt".into());
             let honest: usize = flag(&args, "--honest").unwrap_or(4);
@@ -443,6 +472,7 @@ fn main() {
             return;
         }
         "cluster-sim" => {
+            accept_flags(&args, &["--out", "--report", "--node-counts"], &[]);
             let out = get("--out").unwrap_or_else(|| "BENCH_cluster.json".into());
             let report_out = get("--report").unwrap_or_else(|| "CLUSTER_report.txt".into());
             let node_counts: Vec<usize> = get("--node-counts")
@@ -464,6 +494,7 @@ fn main() {
             return;
         }
         "bench" if args.iter().any(|a| a == "--anonymity") => {
+            accept_flags(&args, &["--out", "--report"], &["--anonymity"]);
             let out = get("--out").unwrap_or_else(|| "BENCH_anonymity.json".into());
             let report_out = get("--report").unwrap_or_else(|| "ANON_report.txt".into());
             let ok = run_anonymity_bench(seed, &out, &report_out);
@@ -474,6 +505,7 @@ fn main() {
             return;
         }
         "bench" => {
+            accept_flags(&args, &["--out", "--selection-out"], &[]);
             let out = get("--out").unwrap_or_else(|| "BENCH_baseline.json".into());
             let selection_out =
                 get("--selection-out").unwrap_or_else(|| "BENCH_selection.json".into());
@@ -536,6 +568,28 @@ fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
     match raw.parse() {
         Ok(value) => Some(value),
         Err(_) => die(&format!("bad {name} value {raw:?}")),
+    }
+}
+
+/// Refuse every `--` argument the command does not read: `values` are its
+/// flags that take a value, `switches` those that do not, and `--seed` and
+/// `--metrics` are read by every command. An unknown flag exits 2 naming
+/// it, so a typo or a removed flag never runs the defaults.
+fn accept_flags(args: &[String], values: &[&str], switches: &[&str]) {
+    let mut rest = args.iter().skip(1).peekable();
+    while let Some(arg) = rest.next() {
+        let name = arg.as_str();
+        if !name.starts_with("--") || switches.contains(&name) {
+            continue;
+        }
+        if name == "--seed" || values.contains(&name) {
+            rest.next();
+        } else if name == "--metrics" {
+            // Its value is optional (see `parse_metrics_flag`).
+            rest.next_if(|v| !v.starts_with("--"));
+        } else {
+            die(&format!("unknown flag {name} for {}", args[0]));
+        }
     }
 }
 

@@ -27,7 +27,8 @@
 //! * [`index`] — the streaming per-batch diversity index every served
 //!   selection and `Wallet::spend` (dams-node) read their batch from;
 //! * [`validate`] — the polynomial Definition-5 validator a wallet runs on
-//!   the ladder's answer before it signs.
+//!   the ladder's answer before it signs; it reads only the answer's
+//!   related RS set.
 //!
 //! # Example
 //!
@@ -89,4 +90,4 @@ pub use progressive::progressive;
 pub use ratio::{optimal_modular, RatioParams};
 pub use selection::{Algorithm, SelectError, Selection, SelectionStats};
 pub use tokenmagic::{commit_ring, generate_with_relaxation, PracticalAlgorithm, TokenMagic};
-pub use validate::{validate_ring, Verdict};
+pub use validate::{validate_ring, validate_ring_reference, Verdict};

@@ -1,11 +1,37 @@
-//! A full Definition-5 validator for a proposed ring against a batch
-//! state: diversity, non-eliminated (via the matching adversary), and
-//! immutability (via the Theorem 6.1 fast DTRS path under the first
-//! practical configuration).
+//! The Definition-5 validator for a proposed ring against a batch state:
+//! diversity, the first practical configuration, non-elimination (via the
+//! matching adversary), the new ring's DTRSs and immutability (via the
+//! Theorem 6.1 fast DTRS path under the first practical configuration).
 //!
-//! `Wallet::spend` (dams-node) runs it on the ladder's answer against the
-//! spent token's batch snapshot before it signs; a refused ring is never
-//! signed. It is polynomial, unlike the BFS-internal exact checks.
+//! `Wallet::spend` (dams-node) runs [`validate_ring`] on the ladder's
+//! answer against the spent token's batch snapshot before it signs; a
+//! refused ring is never signed. It is polynomial, unlike the
+//! BFS-internal exact checks.
+//!
+//! # Only the related set
+//!
+//! A ring that meets the first configuration contains or is disjoint from
+//! every committed ring (Theorem 6.3), and the ring–token graph splits
+//! into one component per super RS. So committing the candidate can
+//! change only its related RS set (Definition 1): the committed rings it
+//! reaches through shared tokens. [`validate_ring`] reads those rings and
+//! no others, so its cost is proportional to the related set (a few rings
+//! on the spend workloads), not to the batch:
+//!
+//! * the configuration check refuses a related ring that is not a subset
+//!   of the candidate, which gives the answer
+//!   [`satisfies_first_configuration`] gives over the whole history;
+//! * the matching adversary runs on the related rings plus the candidate;
+//! * the candidate's DTRS check uses v = 1 + the related set's size;
+//! * immutability re-checks each related ring against its own claim; an
+//!   unrelated ring's subset count does not change.
+//!
+//! [`validate_ring_reference`] is the whole-batch check it replaced, kept
+//! as its test oracle. The two verdicts differ only when a ring outside
+//! the related set is already broken (a claim its DTRSs fail, or a token
+//! the adversary pins, as a zero-mixin ring does): the reference refuses
+//! every otherwise eligible candidate of that batch, the related-set
+//! check only the candidates that take the broken ring's component.
 
 use crate::config::{dtrs_diverse_fast, satisfies_first_configuration};
 use dams_diversity::{
@@ -33,8 +59,78 @@ pub enum Verdict {
 }
 
 /// Validate `candidate` (which will claim `req`) against the committed
-/// `history` with claims `claims`, over `universe`.
+/// `history` with claims `claims`, over `universe`, reading only the
+/// candidate's related set (see the module docs). The checks run in
+/// [`validate_ring_reference`]'s order, and `ClaimsMissing` is returned
+/// whenever `claims.len() < history.len()` and no earlier check failed.
 pub fn validate_ring(
+    candidate: &RingSet,
+    req: DiversityRequirement,
+    history: &RingIndex,
+    claims: &[DiversityRequirement],
+    universe: &TokenUniverse,
+) -> Verdict {
+    // Diversity of the ring itself (Definition 4, condition 1).
+    if !req.satisfied_by(&HtHistogram::from_ring(candidate, universe)) {
+        return Verdict::DiversityViolated;
+    }
+    // First practical configuration. A related ring outside the candidate
+    // has a partially overlapping ring on its path to the candidate.
+    let related = history.related_set(candidate, None);
+    if related
+        .iter()
+        .any(|&rs| !candidate.is_superset(history.ring(rs)))
+    {
+        return Verdict::ConfigurationViolated;
+    }
+    // Non-elimination on the candidate's component: the related rings
+    // plus the candidate. A ring without a candidate entry is fully
+    // resolved — the strongest form of elimination.
+    let mut component = RingIndex::from_rings(related.iter().map(|&rs| history.ring(rs).clone()));
+    component.push(candidate.clone());
+    let analysis = analyze(&component, &[]);
+    let eliminated = component.iter().any(|(rs, ring)| {
+        analysis
+            .candidates
+            .get(&rs)
+            .is_none_or(|cands| cands.len() != ring.len())
+    });
+    if eliminated {
+        return Verdict::EliminationPossible;
+    }
+    // DTRS diversity of the new ring (Definition 4, condition 2) via
+    // Theorem 6.1: the candidate becomes a super RS containing every
+    // related ring.
+    if !dtrs_diverse_fast(candidate, universe, 1 + related.len(), req) {
+        return Verdict::DtrsViolated;
+    }
+    // Immutability: each related ring's subset count grows by one. Every
+    // superset of a related ring shares its tokens, so is related too.
+    for &rs in &related {
+        let Some(&claim) = claims.get(rs.0 as usize) else {
+            return Verdict::ClaimsMissing;
+        };
+        let ring = history.ring(rs);
+        let v_old = related
+            .iter()
+            .filter(|&&other| other != rs && history.ring(other).is_superset(ring))
+            .count()
+            + 1;
+        if !dtrs_diverse_fast(ring, universe, v_old + 1, claim) {
+            return Verdict::ImmutabilityViolated;
+        }
+    }
+    if claims.len() < history.len() {
+        return Verdict::ClaimsMissing;
+    }
+    Verdict::Eligible
+}
+
+/// The whole-batch validator [`validate_ring`] replaced, kept verbatim as
+/// its test oracle: it clones the history to append the candidate, runs
+/// the matching adversary over every ring and re-checks every committed
+/// claim, so one already-broken ring refuses every candidate of its batch.
+pub fn validate_ring_reference(
     candidate: &RingSet,
     req: DiversityRequirement,
     history: &RingIndex,
@@ -231,5 +327,76 @@ mod tests {
             &universe,
         );
         assert_eq!(verdict, Verdict::ImmutabilityViolated);
+    }
+
+    /// Both validators' verdicts on one candidate: (related-set, reference).
+    fn verdicts(
+        candidate: &RingSet,
+        req: DiversityRequirement,
+        history: &RingIndex,
+        claims: &[DiversityRequirement],
+        universe: &TokenUniverse,
+    ) -> (Verdict, Verdict) {
+        (
+            validate_ring(candidate, req, history, claims, universe),
+            validate_ring_reference(candidate, req, history, claims, universe),
+        )
+    }
+
+    #[test]
+    fn broken_claim_blocks_only_its_own_component() {
+        // The one ring {0, 1} has both tokens from h1 and claims (3, 1).
+        // Its one DTRS, the empty set, already fails that claim, though its
+        // own histogram satisfies it. The whole-batch reference refuses a
+        // disjoint candidate for it; the related-set check does not.
+        let universe = uni(&[1, 1, 2, 3, 4]);
+        let history = RingIndex::from_rings([ring(&[0, 1])]);
+        let claims = [DiversityRequirement::new(3.0, 1)];
+        let req = DiversityRequirement::new(3.0, 1);
+        assert_eq!(
+            verdicts(&ring(&[2, 3, 4]), req, &history, &claims, &universe),
+            (Verdict::Eligible, Verdict::ImmutabilityViolated)
+        );
+        // A candidate that contains the broken ring is still refused.
+        assert_eq!(
+            verdicts(&ring(&[0, 1, 2, 3]), req, &history, &claims, &universe),
+            (Verdict::ImmutabilityViolated, Verdict::ImmutabilityViolated)
+        );
+    }
+
+    #[test]
+    fn pinned_token_blocks_only_its_own_component() {
+        // A zero-mixin ring {1} pins token 1, so the adversary eliminates
+        // it from the neighbouring ring {0, 1}, whose signer is then known.
+        let universe = uni(&[1, 2, 3, 4, 5]);
+        let history = RingIndex::from_rings([ring(&[0, 1]), ring(&[1])]);
+        let claims = vec![DiversityRequirement::new(2.0, 1); 2];
+        let req = DiversityRequirement::new(2.0, 1);
+        assert_eq!(
+            verdicts(&ring(&[2, 3, 4]), req, &history, &claims, &universe),
+            (Verdict::Eligible, Verdict::EliminationPossible)
+        );
+        // A candidate that takes the component is still refused.
+        assert_eq!(
+            verdicts(&ring(&[0, 1, 2, 3]), req, &history, &claims, &universe),
+            (Verdict::EliminationPossible, Verdict::EliminationPossible)
+        );
+    }
+
+    #[test]
+    fn missing_claims_are_refused_even_outside_the_related_set() {
+        // The candidate is disjoint from both rings, so every related ring
+        // (none) has a claim; the second ring's claim is still missing.
+        let universe = uni(&[1, 2, 3, 4, 5, 6]);
+        let history = RingIndex::from_rings([ring(&[0, 1]), ring(&[2, 3])]);
+        let claims = [DiversityRequirement::new(2.0, 1)];
+        let req = DiversityRequirement::new(2.0, 1);
+        for candidate in [ring(&[4, 5]), ring(&[0, 1, 4])] {
+            assert_eq!(
+                verdicts(&candidate, req, &history, &claims, &universe),
+                (Verdict::ClaimsMissing, Verdict::ClaimsMissing),
+                "{candidate:?}"
+            );
+        }
     }
 }

@@ -7,12 +7,18 @@
 //! 64 seeded random instances through every engine configuration, 64 more
 //! shaped like perfbench's `select-exact` requests through the exact BFS,
 //! pins the budget boundary at the winning candidate, and also pins the
-//! evaluation cache's accounting exported through `dams-obs`.
+//! evaluation cache's accounting exported through `dams-obs`. The
+//! related-set validator `validate_ring` is swept the same way against its
+//! whole-batch reference on 64 laminar, index-resident batch histories.
+
+use std::sync::Arc;
 
 use dams_core::{
     bfs, bfs_batch, bfs_reference, bfs_with, game_theoretic_from, game_theoretic_reference,
-    BfsBudget, EvalCache, InitStrategy, Instance, ModularInstance, Module, ModuleId, ModuleKind,
-    SelectError, SelectionPolicy,
+    grant_budget, select_with_ladder_exec, validate_ring, validate_ring_reference, BatchSnapshot,
+    BfsBudget, BlockDelta, CoreMetrics, DeltaRing, DiversityIndex, EvalCache, InitStrategy,
+    Instance, LadderExec, ModularInstance, Module, ModuleId, ModuleKind, SelectError,
+    SelectionPolicy, Tier, Verdict,
 };
 use dams_diversity::{
     Deadline, DiversityRequirement, HtId, RingIndex, RingSet, RsId, TokenId, TokenUniverse,
@@ -337,5 +343,215 @@ fn bfs_batch_shares_cache_across_targets() {
     assert!(
         total_hits > 0,
         "across the sweep, some candidate outcomes must be reused (hits={total_hits})"
+    );
+}
+
+/// A laminar batch history resident in a `DiversityIndex`: every ring was
+/// accepted by `validate_ring_reference` against the batch as it stood
+/// when the ring was committed, so no committed ring is already broken.
+/// Two commits in three draw a disjoint stream ring of 2–5 unused tokens
+/// with the stream's modest claims; the rest commit a wallet ring, the
+/// default ladder's answer claiming the wallet's requirement. A candidate
+/// the reference refuses is not committed. `wide` is perfbench's
+/// spend-wide shape:
+/// λ = 256 and (1, 16), so wallet rings have about 17 members. Returns the
+/// final batch snapshot and the wallet's requirement.
+fn laminar_batch(rng: &mut XorShift, wide: bool) -> (Arc<BatchSnapshot>, DiversityRequirement) {
+    let (lambda, req, commits) = if wide {
+        (256, DiversityRequirement::new(1.0, 16), 48)
+    } else {
+        let c = [0.5, 1.0, 2.0][rng.below(3) as usize];
+        let req = DiversityRequirement::new(c, 1 + rng.below(3) as usize);
+        (8 + rng.below(17) as usize, req, 4 + rng.below(9) as usize)
+    };
+    // One block mints the whole batch, one historical transaction (one
+    // HT) per 1–4 tokens.
+    let mut minted: Vec<(u64, u64)> = Vec::new();
+    let mut ht = 0;
+    while minted.len() < lambda {
+        for _ in 0..1 + rng.below(4) {
+            minted.push((minted.len() as u64, ht));
+        }
+        ht += 1;
+    }
+    let mut index = DiversityIndex::new(lambda);
+    let mint = BlockDelta {
+        height: 0,
+        minted,
+        rings: vec![],
+    };
+    index.apply_block(&mint).expect("the mint block applies");
+    let policy = SelectionPolicy::new(req);
+    let registry = Registry::new();
+    let metrics = CoreMetrics::in_registry(&registry);
+    let mut unused: Vec<u32> = (0..index.token_count() as u32).collect();
+    let mut height = 0;
+    for _ in 0..commits {
+        let snap = index.snapshot(0).expect("batch 0 exists");
+        let (ring, claim) = if rng.below(3) < 2 && unused.len() >= 2 {
+            let mut pool = unused.clone();
+            let want = (2 + rng.below(4) as usize).min(pool.len());
+            let members: Vec<u32> = (0..want)
+                .map(|_| pool.swap_remove(rng.below(pool.len() as u64) as usize))
+                .collect();
+            let c = [0.5, 1.0][rng.below(2) as usize];
+            let claim = DiversityRequirement::new(c, 1 + rng.below(2) as usize);
+            (RingSet::new(members.into_iter().map(TokenId)), claim)
+        } else {
+            let target = TokenId(rng.below(lambda as u64) as u32);
+            let answer = select_with_ladder_exec(
+                &snap.instance,
+                target,
+                policy,
+                grant_budget(16),
+                &Tier::DEFAULT_LADDER,
+                &metrics,
+                &LadderExec {
+                    modular: snap.modular.as_ref(),
+                    ..LadderExec::default()
+                },
+            );
+            let Ok(answer) = answer else { continue };
+            (answer.selection.ring, req)
+        };
+        let verdict = validate_ring_reference(
+            &ring,
+            claim,
+            &snap.instance.rings,
+            &snap.instance.claims,
+            &snap.instance.universe,
+        );
+        if verdict != Verdict::Eligible {
+            continue;
+        }
+        unused.retain(|&t| !ring.contains(TokenId(t)));
+        height += 1;
+        let delta = BlockDelta {
+            height,
+            minted: vec![],
+            rings: vec![DeltaRing {
+                tokens: ring
+                    .tokens()
+                    .iter()
+                    .map(|t| snap.tokens[t.0 as usize])
+                    .collect(),
+                claimed_c: claim.c,
+                claimed_l: claim.l,
+            }],
+        };
+        index.apply_block(&delta).expect("ring blocks apply");
+    }
+    (index.snapshot(0).expect("batch 0 exists"), req)
+}
+
+/// Candidates for one snapshot: every tier's answer for four targets,
+/// random unions of whole modules and random token subsets.
+fn validation_candidates(
+    rng: &mut XorShift,
+    snap: &BatchSnapshot,
+    req: DiversityRequirement,
+) -> Vec<RingSet> {
+    let n = snap.tokens.len() as u64;
+    let registry = Registry::new();
+    let metrics = CoreMetrics::in_registry(&registry);
+    let exec = LadderExec {
+        modular: snap.modular.as_ref(),
+        ..LadderExec::default()
+    };
+    let (policy, budget) = (SelectionPolicy::new(req), grant_budget(64));
+    let mut out = Vec::new();
+    for _ in 0..4 {
+        let target = TokenId(rng.below(n) as u32);
+        for tier in Tier::DEFAULT_LADDER {
+            let answer = select_with_ladder_exec(
+                &snap.instance,
+                target,
+                policy,
+                budget,
+                &[tier],
+                &metrics,
+                &exec,
+            );
+            if let Ok(answer) = answer {
+                out.push(answer.selection.ring);
+            }
+        }
+    }
+    let modules = snap
+        .modular
+        .as_ref()
+        .expect("laminar batches decompose")
+        .modules();
+    for _ in 0..8 {
+        let take = 1 + rng.below(4);
+        let union = (0..take).flat_map(|_| {
+            let module = &modules[rng.below(modules.len() as u64) as usize];
+            module.tokens.tokens().to_vec()
+        });
+        out.push(RingSet::new(union.collect::<Vec<_>>()));
+    }
+    for _ in 0..8 {
+        let size = 1 + rng.below(n.min(20));
+        out.push(RingSet::new(
+            (0..size)
+                .map(|_| TokenId(rng.below(n) as u32))
+                .collect::<Vec<_>>(),
+        ));
+    }
+    out
+}
+
+#[test]
+fn related_set_validation_matches_the_reference_across_64_seeds() {
+    // On histories with no already-broken ring, the related-set check and
+    // the whole-batch reference give the same verdict on every candidate,
+    // with full claims and with claims cut short. Every fourth seed is a
+    // spend-wide batch.
+    let mut seen: Vec<Verdict> = Vec::new();
+    let mut short_claims = 0;
+    for seed in 0..64u64 {
+        let mut rng = XorShift::new(seed.wrapping_mul(7919) + 3);
+        let (snap, req) = laminar_batch(&mut rng, seed % 4 == 0);
+        let (rings, claims, universe) = (
+            &snap.instance.rings,
+            &snap.instance.claims,
+            &snap.instance.universe,
+        );
+        for (i, candidate) in validation_candidates(&mut rng, &snap, req)
+            .iter()
+            .enumerate()
+        {
+            let reference = validate_ring_reference(candidate, req, rings, claims, universe);
+            let got = validate_ring(candidate, req, rings, claims, universe);
+            assert_eq!(got, reference, "seed {seed} candidate {i}: {candidate:?}");
+            if !seen.contains(&got) {
+                seen.push(got);
+            }
+            if !rings.is_empty() {
+                let kept = &claims[..rng.below(rings.len() as u64) as usize];
+                let reference = validate_ring_reference(candidate, req, rings, kept, universe);
+                let got = validate_ring(candidate, req, rings, kept, universe);
+                assert_eq!(
+                    got,
+                    reference,
+                    "seed {seed} candidate {i} with {} claims",
+                    kept.len()
+                );
+                short_claims += usize::from(got == Verdict::ClaimsMissing);
+            }
+        }
+    }
+    for verdict in [
+        Verdict::Eligible,
+        Verdict::ConfigurationViolated,
+        Verdict::EliminationPossible,
+        Verdict::DtrsViolated,
+        Verdict::ImmutabilityViolated,
+    ] {
+        assert!(seen.contains(&verdict), "the sweep never saw {verdict:?}");
+    }
+    assert!(
+        short_claims > 0,
+        "no cut-short claims reached ClaimsMissing"
     );
 }
