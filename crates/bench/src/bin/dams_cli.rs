@@ -571,15 +571,16 @@ fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
     }
 }
 
-/// Refuse every `--` argument the command does not read: `values` are its
+/// Refuse every argument the command does not read: `values` are its
 /// flags that take a value, `switches` those that do not, and `--seed` and
-/// `--metrics` are read by every command. An unknown flag exits 2 naming
-/// it, so a typo or a removed flag never runs the defaults.
+/// `--metrics` are read by every command. An unknown flag, or a word that
+/// is no flag's value, exits 2 naming it, so a typo, a removed flag or a
+/// stray word never runs the defaults.
 fn accept_flags(args: &[String], values: &[&str], switches: &[&str]) {
     let mut rest = args.iter().skip(1).peekable();
     while let Some(arg) = rest.next() {
         let name = arg.as_str();
-        if !name.starts_with("--") || switches.contains(&name) {
+        if switches.contains(&name) {
             continue;
         }
         if name == "--seed" || values.contains(&name) {
@@ -587,8 +588,10 @@ fn accept_flags(args: &[String], values: &[&str], switches: &[&str]) {
         } else if name == "--metrics" {
             // Its value is optional (see `parse_metrics_flag`).
             rest.next_if(|v| !v.starts_with("--"));
-        } else {
+        } else if name.starts_with("--") {
             die(&format!("unknown flag {name} for {}", args[0]));
+        } else {
+            die(&format!("unexpected argument {name} for {}", args[0]));
         }
     }
 }

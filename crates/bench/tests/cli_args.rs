@@ -115,6 +115,23 @@ fn a_mode_refuses_the_flags_of_its_sibling() {
 }
 
 #[test]
+fn stray_positional_arguments_are_refused() {
+    // Each used to run as if the extra word were absent.
+    let bin = env!("CARGO_BIN_EXE_dams-cli");
+    for (args, stray) in [
+        (&["select", "--target", "5", "7"][..], "7"),
+        (&["attack", "--rings", "1,2;1,2", "extra"][..], "extra"),
+    ] {
+        let (code, stderr) = refusal(bin, args);
+        assert_eq!(code, Some(2), "{args:?}");
+        assert!(
+            stderr.contains(&format!("unexpected argument {stray} for {}", args[0])),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
 fn known_flags_still_run() {
     // `--seed` and `--metrics` (with or without a value) go with any
     // command.

@@ -11,11 +11,11 @@
 //!   Progressive, Game-theoretic and baseline algorithms.
 
 use dams_diversity::{
-    DiversityRequirement, HtHistogram, RingIndex, RingSet, RsId, TokenId, TokenUniverse,
+    DiversityRequirement, HtHistogram, HtId, RingIndex, RingSet, RsId, TokenId, TokenUniverse,
 };
 
 /// The raw DA-MS instance (Definition 5).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
     /// The mixin universe `T` with its token→HT assignment.
     pub universe: TokenUniverse,
@@ -120,7 +120,7 @@ impl std::fmt::Display for DecomposeError {
 impl std::error::Error for DecomposeError {}
 
 /// The practical-configuration view of an instance.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModularInstance {
     pub universe: TokenUniverse,
     modules: Vec<Module>,
@@ -241,39 +241,12 @@ impl ModularInstance {
 
     /// Build a modular instance directly (used by the synthetic workload
     /// generator, which produces super RSs and fresh tokens natively).
+    /// Every super RS counts one ring (`v = 1`).
     ///
     /// Panics when modules overlap or do not cover the universe — workload
     /// construction bugs, not runtime conditions.
     pub fn from_modules(universe: TokenUniverse, modules: Vec<Module>) -> Self {
-        let subset_counts = modules
-            .iter()
-            .map(|m| match m.kind {
-                ModuleKind::SuperRs(_) => 1,
-                ModuleKind::FreshToken => 0,
-            })
-            .collect();
-        Self::from_modules_with_counts(universe, modules, subset_counts)
-    }
-
-    /// [`Self::from_modules`] with explicit subset counts `v_i`, for callers
-    /// (the streaming index, incremental histories) that track how many
-    /// committed rings each super RS swallowed. [`Self::decompose`] derives
-    /// the same counts from the raw ring history; supplying them here keeps
-    /// an incrementally maintained view bit-identical to a decomposition.
-    ///
-    /// Panics when modules overlap, do not cover the universe, or the count
-    /// list is misaligned — construction bugs, not runtime conditions.
-    pub fn from_modules_with_counts(
-        universe: TokenUniverse,
-        modules: Vec<Module>,
-        subset_counts: Vec<usize>,
-    ) -> Self {
         let n = universe.len();
-        assert_eq!(
-            modules.len(),
-            subset_counts.len(),
-            "one subset count per module"
-        );
         let mut module_of: Vec<Option<ModuleId>> = vec![None; n];
         for m in &modules {
             for &t in m.tokens.tokens() {
@@ -284,6 +257,13 @@ impl ModularInstance {
                 );
             }
         }
+        let subset_counts = modules
+            .iter()
+            .map(|m| match m.kind {
+                ModuleKind::SuperRs(_) => 1,
+                ModuleKind::FreshToken => 0,
+            })
+            .collect();
         ModularInstance {
             universe,
             module_of: module_of
@@ -294,6 +274,107 @@ impl ModularInstance {
             modules,
             subset_counts,
         }
+    }
+
+    /// The view of a batch with no committed ring: every token of
+    /// `universe` is a fresh-token module, in token order.
+    pub fn fresh(universe: TokenUniverse) -> Self {
+        let mut view = ModularInstance {
+            universe: TokenUniverse::new(Vec::with_capacity(universe.len())),
+            modules: Vec::new(),
+            module_of: Vec::new(),
+            subset_counts: Vec::new(),
+        };
+        for t in universe.tokens() {
+            view.push_fresh(universe.ht(t));
+        }
+        view
+    }
+
+    /// Append one token output by `ht` as a fresh-token module. It has the
+    /// largest token id, so it goes last, where [`Self::decompose`] puts
+    /// it. Returns its id.
+    pub fn push_fresh(&mut self, ht: HtId) -> TokenId {
+        let token = self.universe.push(ht);
+        let id = ModuleId(self.modules.len());
+        self.modules.push(Module {
+            id,
+            kind: ModuleKind::FreshToken,
+            tokens: RingSet::new([token]),
+        });
+        self.module_of.push(id);
+        self.subset_counts.push(0);
+        token
+    }
+
+    /// Fold the newest committed ring `rs` into the partition in place,
+    /// leaving exactly what [`Self::decompose`] returns for the history
+    /// with `ring` appended:
+    ///
+    /// * a ring nested strictly inside a super RS that holds no other ring
+    ///   adds 1 to that module's subset count and returns `Some(0)`;
+    /// * a ring that is a union of whole modules replaces them with one
+    ///   super RS, placed after the last super RS, whose `v` is 1 plus
+    ///   theirs; it returns `Some(ring.len())`, the tokens re-homed.
+    ///
+    /// Any other ring returns `None` and leaves the view as it was: one
+    /// straddling module boundaries, one nested where other rings already
+    /// nest (it may overlap one of them without nesting), or an empty one.
+    /// The caller re-runs `decompose`, which either rebuilds the partition
+    /// or proves the history non-laminar.
+    ///
+    /// Panics when `ring` names a token outside the universe.
+    pub fn fold_ring(&mut self, rs: RsId, ring: &RingSet) -> Option<usize> {
+        let mut merged: Vec<ModuleId> = ring.tokens().iter().map(|&t| self.module_of(t)).collect();
+        merged.sort_unstable();
+        merged.dedup();
+        if let [only] = merged[..] {
+            if self.modules[only.0].tokens != *ring {
+                if self.subset_counts[only.0] > 1 {
+                    return None;
+                }
+                self.subset_counts[only.0] += 1;
+                return Some(0);
+            }
+        }
+        let union: usize = merged.iter().map(|id| self.modules[id.0].len()).sum();
+        if ring.is_empty() || union != ring.len() {
+            return None;
+        }
+        let v = 1 + merged
+            .iter()
+            .map(|id| self.subset_counts[id.0])
+            .sum::<usize>();
+        let mut slot = 0;
+        self.subset_counts.retain(|_| {
+            slot += 1;
+            merged.binary_search(&ModuleId(slot - 1)).is_err()
+        });
+        self.modules
+            .retain(|m| merged.binary_search(&m.id).is_err());
+        let at = self
+            .modules
+            .iter()
+            .take_while(|m| matches!(m.kind, ModuleKind::SuperRs(_)))
+            .count();
+        self.modules.insert(
+            at,
+            Module {
+                id: ModuleId(at),
+                kind: ModuleKind::SuperRs(rs),
+                tokens: ring.clone(),
+            },
+        );
+        self.subset_counts.insert(at, v);
+        // Modules before the first one that moved keep their ids.
+        let first = at.min(merged[0].0);
+        for (i, m) in self.modules.iter_mut().enumerate().skip(first) {
+            m.id = ModuleId(i);
+            for &t in m.tokens.tokens() {
+                self.module_of[t.0 as usize] = m.id;
+            }
+        }
+        Some(ring.len())
     }
 
     pub fn modules(&self) -> &[Module] {
@@ -519,5 +600,121 @@ mod tests {
         assert_eq!(supers.len(), 1);
         assert_eq!(supers[0].kind, ModuleKind::SuperRs(RsId(1)));
         assert_eq!(m.subset_count(supers[0].id), 2);
+    }
+
+    /// `decompose` of the history `rings`, with one claim per ring.
+    fn decomposed(n: usize, rings: &[RingSet]) -> Result<ModularInstance, DecomposeError> {
+        let history = RingIndex::from_rings(rings.iter().cloned());
+        ModularInstance::decompose(&Instance::new(uni(n), history, vec![req(); rings.len()]))
+    }
+
+    #[test]
+    fn fresh_view_is_all_fresh_tokens() {
+        let m = ModularInstance::fresh(uni(5));
+        assert_eq!(m.fresh_count(), 5);
+        assert_eq!(m.super_count(), 0);
+        assert_eq!(Ok(m), decomposed(5, &[]));
+    }
+
+    #[test]
+    fn fold_merges_whole_modules() {
+        // {1, 2}, {4, 5}, then {0, 1, 2}: the third swallows the first's
+        // super RS and fresh token 0, and goes after the last super RS.
+        let mut m = ModularInstance::fresh(uni(6));
+        assert_eq!(m.fold_ring(RsId(0), &ring(&[1, 2])), Some(2));
+        assert_eq!(m.fold_ring(RsId(1), &ring(&[4, 5])), Some(2));
+        assert_eq!(m.fold_ring(RsId(2), &ring(&[0, 1, 2])), Some(3));
+        let kinds: Vec<ModuleKind> = m.modules().iter().map(|x| x.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                ModuleKind::SuperRs(RsId(1)),
+                ModuleKind::SuperRs(RsId(2)),
+                ModuleKind::FreshToken
+            ]
+        );
+        assert_eq!(m.subset_count(ModuleId(1)), 2, "{{1, 2}} and itself");
+        let rings = [ring(&[1, 2]), ring(&[4, 5]), ring(&[0, 1, 2])];
+        assert_eq!(Ok(m), decomposed(6, &rings));
+    }
+
+    #[test]
+    fn nested_ring_adds_to_its_module_count() {
+        let mut m = ModularInstance::fresh(uni(5));
+        m.fold_ring(RsId(0), &ring(&[1, 2, 3])).unwrap();
+        // Strictly inside the module: the partition stays, v grows.
+        assert_eq!(m.fold_ring(RsId(1), &ring(&[1, 2])), Some(0));
+        assert_eq!(m.subset_count(ModuleId(0)), 2);
+        // A second nested ring could overlap the first without nesting:
+        // declined, so that `decompose` decides.
+        let before = m.clone();
+        assert_eq!(m.fold_ring(RsId(2), &ring(&[2, 3])), None);
+        assert_eq!(m, before);
+        // Equal to the module: a later superset redefines it.
+        assert_eq!(m.fold_ring(RsId(2), &ring(&[1, 2, 3])), Some(3));
+        assert_eq!(m.module(ModuleId(0)).kind, ModuleKind::SuperRs(RsId(2)));
+        assert_eq!(m.subset_count(ModuleId(0)), 3);
+        let rings = [ring(&[1, 2, 3]), ring(&[1, 2]), ring(&[1, 2, 3])];
+        assert_eq!(Ok(m), decomposed(5, &rings));
+    }
+
+    #[test]
+    fn fold_matches_decompose_on_random_histories() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut seen = [false; 4];
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(4..16usize);
+            let mut m = ModularInstance::fresh(uni(n));
+            let mut rings: Vec<RingSet> = Vec::new();
+            for _ in 0..24 {
+                let modules = m.modules();
+                let picked = modules[rng.gen_range(0..modules.len())].tokens.tokens();
+                let candidate = match rng.gen_range(0..3) {
+                    // A union of whole modules.
+                    0 => {
+                        let mut ids: Vec<ModuleId> = modules.iter().map(|x| x.id).collect();
+                        ids.shuffle(&mut rng);
+                        ids.truncate(rng.gen_range(1..=3usize));
+                        m.ring_of(&ids)
+                    }
+                    // A non-empty subset of one module.
+                    1 => RingSet::new(
+                        picked
+                            .iter()
+                            .copied()
+                            .filter(|_| rng.gen_bool(0.6))
+                            .chain([picked[0]]),
+                    ),
+                    // Any tokens: usually straddles modules.
+                    _ => RingSet::new((0..n as u32).filter(|_| rng.gen_bool(0.3)).map(TokenId))
+                        .union(&ring(&[rng.gen_range(0..n as u32)])),
+                };
+                rings.push(candidate.clone());
+                let before = m.clone();
+                let folded = m.fold_ring(RsId(rings.len() as u32 - 1), &candidate);
+                let full = decomposed(n, &rings);
+                match (folded, full) {
+                    (Some(moved), full) => {
+                        assert_eq!(Ok(&m), full.as_ref(), "seed {seed}");
+                        seen[usize::from(moved > 0)] = true;
+                    }
+                    // What the index does: `decompose` decides.
+                    (None, Ok(full)) => {
+                        assert_eq!(m, before, "seed {seed}: a declined fold changed the view");
+                        m = full;
+                        seen[2] = true;
+                    }
+                    (None, Err(_)) => {
+                        assert_eq!(m, before, "seed {seed}: a declined fold changed the view");
+                        rings.pop();
+                        seen[3] = true;
+                    }
+                }
+            }
+        }
+        assert_eq!(seen, [true; 4], "nested, merged, rebuilt, non-laminar");
     }
 }

@@ -59,7 +59,6 @@ pub mod config;
 pub mod degrade;
 pub mod game;
 pub mod glossary;
-pub mod history;
 pub mod index;
 pub mod instance;
 pub mod obs;
@@ -79,7 +78,6 @@ pub use config::{
 pub use dams_diversity::Deadline;
 pub use degrade::{select_with_ladder_exec, DegradedSelection, Guarantee, LadderExec, Tier};
 pub use game::{game_theoretic, game_theoretic_from, game_theoretic_reference, InitStrategy};
-pub use history::ModularHistory;
 pub use index::{
     recompute_equivalence, BatchSnapshot, BlockDelta, DeltaRing, DiversityIndex, IndexError,
     IndexStats, IndexedSelection,
@@ -89,5 +87,5 @@ pub use obs::CoreMetrics;
 pub use progressive::progressive;
 pub use ratio::{optimal_modular, RatioParams};
 pub use selection::{Algorithm, SelectError, Selection, SelectionStats};
-pub use tokenmagic::{commit_ring, generate_with_relaxation, PracticalAlgorithm, TokenMagic};
+pub use tokenmagic::{PracticalAlgorithm, TokenMagic};
 pub use validate::{validate_ring, validate_ring_reference, Verdict};

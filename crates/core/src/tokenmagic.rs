@@ -10,7 +10,7 @@
 
 use rand::Rng;
 
-use dams_diversity::{EtaGuard, NeighborTracker, RingSet, TokenId};
+use dams_diversity::{EtaGuard, NeighborTracker, TokenId};
 
 use crate::baselines::{random as random_alg, smallest};
 use crate::config::SelectionPolicy;
@@ -140,50 +140,6 @@ impl TokenMagic {
     }
 }
 
-/// Convenience: commit a generated ring into a tracker (the caller's batch
-/// state) and return it.
-pub fn commit_ring(tracker: &mut NeighborTracker, ring: RingSet) {
-    tracker.push(ring);
-}
-
-/// §4's relaxation loop: "if the framework cannot return an eligible RS,
-/// they can relax the diversity requirement by increasing c or decreasing
-/// ℓ." Retries the framework with progressively relaxed requirements
-/// (halving ℓ, then doubling c) up to `max_steps` times; returns the first
-/// success together with the requirement that produced it.
-pub fn generate_with_relaxation<R: Rng + ?Sized>(
-    tm: &TokenMagic,
-    instance: &ModularInstance,
-    target: TokenId,
-    tracker: &NeighborTracker,
-    max_steps: usize,
-    rng: &mut R,
-) -> Result<(Selection, crate::config::SelectionPolicy), SelectError> {
-    let mut policy = tm.policy;
-    let mut last_err = SelectError::Infeasible;
-    for _ in 0..=max_steps {
-        let attempt = TokenMagic { policy, ..*tm };
-        match attempt.generate(instance, target, tracker, rng) {
-            Ok(sel) => return Ok((sel, policy)),
-            Err(e @ SelectError::UnknownToken) => return Err(e),
-            Err(e) => last_err = e,
-        }
-        // Relax: first shrink ℓ toward 1, then grow c.
-        let req = policy.requirement;
-        let relaxed = if req.l > 1 {
-            dams_diversity::DiversityRequirement::new(req.c, req.l.div_ceil(2))
-        } else {
-            dams_diversity::DiversityRequirement::new(req.c * 2.0, 1)
-        };
-        policy = if policy.dtrs_margin {
-            crate::config::SelectionPolicy::with_margin(relaxed)
-        } else {
-            crate::config::SelectionPolicy::new(relaxed)
-        };
-    }
-    Err(last_err)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,45 +231,6 @@ mod tests {
             tm.generate(&inst, TokenId(0), &tracker, &mut rng)
                 .unwrap_err(),
             SelectError::EtaGuardViolated
-        );
-    }
-
-    #[test]
-    fn relaxation_recovers_from_infeasible_l() {
-        let inst = example3();
-        let mut rng = StdRng::seed_from_u64(5);
-        let tracker = NeighborTracker::new();
-        // ℓ = 10 is infeasible (only 7 HTs); relaxation halves ℓ until the
-        // batch can serve it.
-        let tm = TokenMagic::new(PracticalAlgorithm::Smallest, policy(10));
-        let (sel, used) =
-            super::generate_with_relaxation(&tm, &inst, TokenId(10), &tracker, 5, &mut rng)
-                .unwrap();
-        assert!(sel.ring.contains(TokenId(10)));
-        assert!(used.requirement.l < 10);
-    }
-
-    #[test]
-    fn relaxation_gives_up_after_budget() {
-        use crate::instance::{Module, ModuleId, ModuleKind};
-        use dams_diversity::{ring, HtId, TokenUniverse};
-        // Single-token universe: nothing can ever satisfy q1 < c * tail.
-        let inst = ModularInstance::from_modules(
-            TokenUniverse::new(vec![HtId(0)]),
-            vec![Module {
-                id: ModuleId(0),
-                kind: ModuleKind::FreshToken,
-                tokens: ring(&[0]),
-            }],
-        );
-        let mut rng = StdRng::seed_from_u64(6);
-        let tracker = NeighborTracker::new();
-        let tm = TokenMagic::new(
-            PracticalAlgorithm::Smallest,
-            SelectionPolicy::new(DiversityRequirement::new(0.5, 4)),
-        );
-        assert!(
-            super::generate_with_relaxation(&tm, &inst, TokenId(0), &tracker, 2, &mut rng).is_err()
         );
     }
 

@@ -13,7 +13,7 @@ use crate::types::{RingSet, RsId, TokenId};
 ///
 /// Rings are identified by dense `RsId`s in insertion (timestamp) order; a
 /// token→rings inverted index accelerates closure computation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RingIndex {
     rings: Vec<RingSet>,
     by_token: HashMap<TokenId, Vec<RsId>>,

@@ -6,8 +6,6 @@
 //! mixins." This module is that abstraction layer — the cryptographic
 //! realisation lives in `dams-crypto`/`dams-blockchain`.
 
-use std::collections::BTreeSet;
-
 /// A token identifier (an unspent transaction output at this layer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TokenId(pub u32);
@@ -47,6 +45,13 @@ impl TokenUniverse {
     /// Build a universe from a dense token→HT table.
     pub fn new(ht_of: Vec<HtId>) -> Self {
         TokenUniverse { ht_of }
+    }
+
+    /// Append one token output by `ht`; returns its id (the next dense
+    /// index).
+    pub fn push(&mut self, ht: HtId) -> TokenId {
+        self.ht_of.push(ht);
+        TokenId(self.ht_of.len() as u32 - 1)
     }
 
     /// Number of tokens in the universe (`|T|`).
@@ -91,8 +96,8 @@ impl TokenUniverse {
 
 /// A ring signature at the token-set level: an ordered set of tokens.
 ///
-/// Invariant: `tokens` is sorted and duplicate-free (a `BTreeSet` flattened
-/// for cache-friendly scans).
+/// Invariant: `tokens` is sorted and duplicate-free (a flat set, for
+/// cache-friendly scans).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RingSet {
     tokens: Vec<TokenId>,
@@ -101,10 +106,10 @@ pub struct RingSet {
 impl RingSet {
     /// Build a ring from any iterator of tokens; sorts and dedups.
     pub fn new<I: IntoIterator<Item = TokenId>>(tokens: I) -> Self {
-        let set: BTreeSet<TokenId> = tokens.into_iter().collect();
-        RingSet {
-            tokens: set.into_iter().collect(),
-        }
+        let mut tokens: Vec<TokenId> = tokens.into_iter().collect();
+        tokens.sort_unstable();
+        tokens.dedup();
+        RingSet { tokens }
     }
 
     /// The ring size `|r|` (consuming token + mixins).

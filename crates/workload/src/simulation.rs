@@ -5,14 +5,15 @@
 //! The paper's motivating dead-end: greedy early spenders can exhaust a
 //! batch so that a later user "cannot find a RS satisfying \[the\]
 //! non-eliminated constraint". The simulation spends tokens one at a time
-//! under a given algorithm and guard, rebuilding the modular history after
-//! each commit, and reports how far the batch got before stranding.
+//! under a given algorithm and guard, folding each committed ring into the
+//! batch's module partition, and reports how far the batch got before
+//! stranding.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use dams_core::{ModularHistory, PracticalAlgorithm, SelectionPolicy, TokenMagic};
+use dams_core::{Instance, ModularInstance, PracticalAlgorithm, SelectionPolicy, TokenMagic};
 use dams_diversity::{analyze, NeighborTracker, TokenId, TokenUniverse};
 
 /// Simulation parameters.
@@ -45,9 +46,10 @@ pub struct SimulationOutcome {
 /// Run the simulation over `universe`.
 pub fn simulate_batch(universe: &TokenUniverse, cfg: SimulationConfig) -> SimulationOutcome {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    // Incremental history: each commit merges the selected modules in
-    // O(n) instead of re-decomposing the whole batch.
-    let mut history = ModularHistory::fresh(universe.clone());
+    // Each commit folds the ring into the partition in place instead of
+    // re-decomposing the whole batch.
+    let mut instance = Instance::fresh(universe.clone());
+    let mut modular = ModularInstance::fresh(universe.clone());
     let mut tracker = NeighborTracker::new();
     let tm = TokenMagic::new(cfg.algorithm, cfg.policy).with_eta(cfg.eta);
 
@@ -61,11 +63,15 @@ pub fn simulate_batch(universe: &TokenUniverse, cfg: SimulationConfig) -> Simula
     let mut total_ring = 0usize;
 
     for &token in order.iter().take(cfg.spends) {
-        match tm.generate(history.instance(), TokenId(token), &tracker, &mut rng) {
+        match tm.generate(&modular, TokenId(token), &tracker, &mut rng) {
             Ok(sel) => {
                 total_ring += sel.size();
                 tracker.push(sel.ring.clone());
-                history.commit(&sel, cfg.policy.requirement);
+                let rs = instance.rings.push(sel.ring);
+                instance.claims.push(cfg.policy.requirement);
+                modular
+                    .fold_ring(rs, instance.rings.ring(rs))
+                    .expect("a TokenMagic answer is a union of whole modules");
                 committed += 1;
             }
             Err(dams_core::SelectError::EtaGuardViolated) => guard_refusals += 1,
@@ -73,7 +79,7 @@ pub fn simulate_batch(universe: &TokenUniverse, cfg: SimulationConfig) -> Simula
         }
     }
 
-    let analysis = analyze(history.rings(), &[]);
+    let analysis = analyze(&instance.rings, &[]);
     SimulationOutcome {
         committed,
         guard_refusals,

@@ -80,6 +80,23 @@ done
 cmp "$tmpdir/a.json" "$tmpdir/b.json"
 echo "deterministic snapshots identical"
 
+echo "== deterministic experiment blocks =="
+# These five blocks count instead of timing, so each regenerates
+# byte-identically and must equal its block in
+# paper_experiments_output.txt, which EXPERIMENTS.md's tables quote. The
+# eta block runs the eta-guard batch simulation.
+cargo run --release -q -p dams-bench --bin paper-experiments -- \
+  table2 table3 fig3 eta related > "$tmpdir/experiments.txt"
+block() { awk -v h="# $1 " 'index($0, h) == 1 { on = 1 } on && $0 == "" { exit } on' "$2"; }
+for name in table2 table3 fig3 "eta ablation" "related-set growth"; do
+  want="$(block "$name" paper_experiments_output.txt)"
+  if [ -z "$want" ] || [ "$(block "$name" "$tmpdir/experiments.txt")" != "$want" ]; then
+    echo "experiment block '$name' does not match paper_experiments_output.txt" >&2
+    exit 1
+  fi
+  echo "experiment block '$name' matches"
+done
+
 echo "== crash recovery =="
 # Durable-store gate: a scripted mid-record power loss must recover CLEAN,
 # the crashed WAL must be a byte-identical prefix of an uninterrupted run,

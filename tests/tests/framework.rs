@@ -5,8 +5,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dams_core::{
-    commit_ring, Instance, ModularInstance, PracticalAlgorithm, SelectError, SelectionPolicy,
-    TokenMagic,
+    Instance, ModularInstance, PracticalAlgorithm, SelectError, SelectionPolicy, TokenMagic,
 };
 use dams_diversity::{
     analyze, DiversityRequirement, EtaGuard, HtId, NeighborTracker, RingIndex, RingSet, TokenId,
@@ -110,8 +109,8 @@ fn framework_candidates_hide_the_target() {
 #[test]
 fn commit_ring_feeds_the_guard() {
     let mut tracker = NeighborTracker::new();
-    commit_ring(&mut tracker, RingSet::new([TokenId(0), TokenId(1)]));
-    commit_ring(&mut tracker, RingSet::new([TokenId(0), TokenId(1)]));
+    tracker.push(RingSet::new([TokenId(0), TokenId(1)]));
+    tracker.push(RingSet::new([TokenId(0), TokenId(1)]));
     assert_eq!(tracker.ring_count(), 2);
     assert_eq!(tracker.consumed_count(), 2, "tight family detected");
 }

@@ -1,11 +1,14 @@
-//! Differential testing: the incremental `ModularHistory` must agree with
-//! full re-decomposition after every commit, across random spend sequences
-//! and universes — the invariant that lets wallets skip the O(n²) rebuild.
+//! Differential testing: folding each committed ring into the module
+//! partition in place (`ModularInstance::fold_ring`) must leave exactly
+//! what a full re-decomposition returns after every commit — the same
+//! modules in the same order, with the same kinds, tokens and subset
+//! counts — across random spend sequences and universes. That is the
+//! invariant that lets the index and the η simulation skip the O(n²)
+//! rebuild.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
 
-use dams_core::{progressive, Instance, ModularHistory, ModularInstance, SelectionPolicy};
+use dams_core::{progressive, Instance, ModularInstance, SelectionPolicy};
 use dams_diversity::{DiversityRequirement, HtId, TokenId, TokenUniverse};
 
 proptest! {
@@ -17,7 +20,6 @@ proptest! {
         group_size in 2usize..4,
         spends in prop::collection::vec(0u32..24, 1..6),
         l in 2usize..4,
-        seed in 0u64..100,
     ) {
         let n = ht_groups * group_size;
         let universe = TokenUniverse::new(
@@ -25,49 +27,29 @@ proptest! {
         );
         let req = DiversityRequirement::new(1.0, l);
         let policy = SelectionPolicy::new(req);
-        let mut history = ModularHistory::fresh(universe.clone());
-        let _rng = StdRng::seed_from_u64(seed);
+        let mut instance = Instance::fresh(universe.clone());
+        let mut modular = ModularInstance::fresh(universe);
 
         for &s in &spends {
             let target = TokenId(s % n as u32);
-            let Ok(sel) = progressive(history.instance(), target, policy) else {
+            let Ok(sel) = progressive(&modular, target, policy) else {
                 continue; // infeasible draws are fine; invariant is per-commit
             };
-            history.commit(&sel, req);
+            let rs = instance.rings.push(sel.ring);
+            instance.claims.push(req);
+            prop_assert!(modular.fold_ring(rs, instance.rings.ring(rs)).is_some());
 
             // Full re-decomposition from the committed ring history.
-            let raw = Instance::new(
-                universe.clone(),
-                history.rings().clone(),
-                history.claims().to_vec(),
-            );
-            let full = ModularInstance::decompose(&raw).expect("laminar by construction");
-
-            // The partitions must be identical (as sets of token sets).
-            let canon = |inst: &ModularInstance| {
-                let mut v: Vec<Vec<u32>> = inst
-                    .modules()
+            let full = ModularInstance::decompose(&instance).expect("laminar by construction");
+            let shape = |m: &ModularInstance| -> Vec<_> {
+                m.modules()
                     .iter()
-                    .map(|m| m.tokens.tokens().iter().map(|t| t.0).collect())
-                    .collect();
-                v.sort();
-                v
+                    .map(|x| (x.id, x.kind, x.tokens.clone(), m.subset_count(x.id)))
+                    .collect()
             };
-            prop_assert_eq!(canon(&full), canon(history.instance()));
-            prop_assert_eq!(full.super_count(), history.instance().super_count());
-
-            // And the subset counts (Theorem 6.1's v) must agree per module.
-            for m in history.instance().modules() {
-                let full_mod = full
-                    .modules()
-                    .iter()
-                    .find(|fm| fm.tokens == m.tokens)
-                    .expect("same partition");
-                prop_assert_eq!(
-                    full.subset_count(full_mod.id),
-                    history.subset_count(m.id),
-                    "v mismatch for module {:?}", m.id
-                );
+            prop_assert_eq!(shape(&modular), shape(&full));
+            for t in instance.universe.tokens() {
+                prop_assert_eq!(modular.module_of(t), full.module_of(t));
             }
         }
     }
