@@ -84,7 +84,7 @@
 //!   (`dams-node`) at each `--node-counts` size (positive sizes only):
 //!   gossip dissemination under the default fault model, a minority
 //!   partition healed mid-run, a crash/restart recovered from the
-//!   replica's own store plus a peer WAL-tail stream, and a late joiner
+//!   replica's own store and caught up by range repair, and a late joiner
 //!   bootstrapped from a checkpoint bundle (O(tail) verification). Writes
 //!   per-size rows (convergence ticks, height, catch-up split, blocks
 //!   served) to `--out` and the full per-size convergence reports to
@@ -106,7 +106,9 @@
 //!
 //! Each command reads the flags listed above for it plus `--seed` and
 //! `--metrics`. Any other `--` argument exits 2 with an error naming it,
-//! as a malformed value of a known flag does.
+//! as a malformed value of a known flag does, a 0 for `--workers`,
+//! `--requests` or `--tenants`, and a `--loads` multiple that is not
+//! finite and > 0.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -264,7 +266,7 @@ fn main() {
         "serve-sim" if args.iter().any(|a| a == "--soak") => {
             accept_flags(&args, &["--out", "--requests", "--tokens"], &["--soak"]);
             let out = get("--out").unwrap_or_else(|| "BENCH_soak.json".into());
-            let requests: usize = flag(&args, "--requests").unwrap_or(200);
+            let requests: usize = count_flag(&args, "--requests", 200);
             let max_tokens = supported_tokens(flag(&args, "--tokens"));
             let phases: Vec<u64> = SUPPORTED_TOKEN_SIZES
                 .iter()
@@ -313,20 +315,9 @@ fn main() {
         "serve-sim" => {
             accept_flags(&args, &["--out", "--workers", "--requests", "--loads"], &[]);
             let out = get("--out").unwrap_or_else(|| "BENCH_overload.json".into());
-            let workers: usize = flag(&args, "--workers").unwrap_or(2);
-            let requests: u64 = flag(&args, "--requests").unwrap_or(96);
-            let loads: Vec<f64> = get("--loads")
-                .unwrap_or_else(|| "0.5,1,2,4".into())
-                .split(',')
-                .map(|v| {
-                    v.trim()
-                        .parse()
-                        .unwrap_or_else(|_| die(&format!("bad load multiple {v}")))
-                })
-                .collect();
-            if loads.is_empty() {
-                die("--loads needs at least one multiple");
-            }
+            let workers: usize = count_flag(&args, "--workers", 2);
+            let requests: u64 = count_flag(&args, "--requests", 96);
+            let loads = load_multiples(&args, "0.5,1,2,4");
             let base = dams_svc::OverloadConfig {
                 seed,
                 workers,
@@ -370,26 +361,15 @@ fn main() {
             }
             let out = get("--out").unwrap_or_else(|| "BENCH_runtime.json".into());
             let report_out = get("--diff-report").unwrap_or_else(|| "DIFF_report.txt".into());
-            let workers: usize = flag(&args, "--workers").unwrap_or(2);
-            let requests: u64 = flag(&args, "--requests").unwrap_or(96);
-            let tenants: u64 = flag(&args, "--tenants").unwrap_or(3);
+            let workers: usize = count_flag(&args, "--workers", 2);
+            let requests: u64 = count_flag(&args, "--requests", 96);
+            let tenants: u64 = count_flag(&args, "--tenants", 3);
             let transport = match get("--transport").as_deref() {
                 Some("tcp") => dams_svc::Transport::Tcp,
                 Some("duplex") | None => dams_svc::Transport::Duplex,
                 Some(other) => die(&format!("unknown transport {other} (want duplex|tcp)")),
             };
-            let loads: Vec<f64> = get("--loads")
-                .unwrap_or_else(|| "1,2,4".into())
-                .split(',')
-                .map(|v| {
-                    v.trim()
-                        .parse()
-                        .unwrap_or_else(|_| die(&format!("bad load multiple {v}")))
-                })
-                .collect();
-            if loads.is_empty() {
-                die("--loads needs at least one multiple");
-            }
+            let loads = load_multiples(&args, "1,2,4");
             let base = dams_svc::OverloadConfig {
                 seed,
                 workers,
@@ -571,6 +551,36 @@ fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
     }
 }
 
+/// A count flag that must be at least 1 (`default` when absent). A 0
+/// exits 2 naming the flag: the harness would run one worker or tenant
+/// under a 0 label, or report full goodput for no requests offered.
+fn count_flag<T: std::str::FromStr + PartialEq + From<u8>>(
+    args: &[String],
+    name: &str,
+    default: T,
+) -> T {
+    let n = flag(args, name).unwrap_or(default);
+    if n == T::from(0) {
+        die(&format!("{name} must be at least 1, got 0"));
+    }
+    n
+}
+
+/// The comma-separated `--loads` multiples (`default` when absent). Each
+/// must be finite and > 0, else exit 2 naming the flag: the harness would
+/// run a smaller one at its floor under the given label, and a NaN label
+/// is not valid JSON.
+fn load_multiples(args: &[String], default: &str) -> Vec<f64> {
+    flag::<String>(args, "--loads")
+        .unwrap_or_else(|| default.into())
+        .split(',')
+        .map(|v| match v.trim().parse::<f64>() {
+            Ok(load) if load.is_finite() && load > 0.0 => load,
+            _ => die(&format!("--loads needs finite multiples > 0, got {v:?}")),
+        })
+        .collect()
+}
+
 /// Refuse every argument the command does not read: `values` are its
 /// flags that take a value, `switches` those that do not, and `--seed` and
 /// `--metrics` are read by every command. An unknown flag, or a word that
@@ -712,10 +722,6 @@ fn run_cluster_sim(seed: u64, node_counts: &[usize], out: &str, report_out: &str
             .field(
                 "catchup_tail_blocks",
                 scenario.joiner.map_or(0, |j| j.tail_verified),
-            )
-            .field(
-                "restart_tail_blocks",
-                scenario.restart.map_or(0, |(_, applied)| applied),
             )
             .field("blocks_served", scenario.blocks_served)
             .field("converged", scenario.ok())

@@ -61,6 +61,37 @@ fn zero_node_count_is_refused() {
 }
 
 #[test]
+fn degenerate_service_sizes_are_refused() {
+    // Each used to exit 0: a 0 worker or tenant ran as one under a 0
+    // label, 0 requests reported full goodput, and a load multiple ran at
+    // the harness's floor under its own label (NaN as a bare `NaN`).
+    let bin = env!("CARGO_BIN_EXE_dams-cli");
+    let dir = env!("CARGO_TARGET_TMPDIR");
+    let out = format!("{dir}/degenerate.json");
+    let report = format!("{dir}/degenerate.txt");
+    let sim = ["serve-sim", "--out", &out];
+    let real = ["serve", "--real", "--out", &out, "--diff-report", &report];
+    let cases: [(&[&str], [&str; 2]); 10] = [
+        (&sim, ["--workers", "0"]),
+        (&sim, ["--requests", "0"]),
+        (&sim, ["--loads", "0"]),
+        (&sim, ["--loads", "-1"]),
+        (&sim, ["--loads", "nan"]),
+        (&sim, ["--loads", "1,inf"]),
+        (&real, ["--tenants", "0"]),
+        (&real, ["--workers", "0"]),
+        (&real, ["--requests", "0"]),
+        (&real, ["--loads", "2,0"]),
+    ];
+    for (command, [name, value]) in cases {
+        let args: Vec<&str> = command.iter().copied().chain([name, value]).collect();
+        let (code, stderr) = refusal(bin, &args);
+        assert_eq!(code, Some(2), "{args:?}");
+        assert!(stderr.contains(name), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn misspelled_flag_is_refused() {
     // `--sed` is a typo of `--seed`; it used to run on the default seed.
     let bin = env!("CARGO_BIN_EXE_dams-cli");

@@ -26,11 +26,11 @@ pub enum NodeError {
     /// The durable store failed — the inner error carries the byte
     /// offset / crc context a recovery report needs.
     Store(StoreError),
-    /// A catch-up frame failed authentication, was structurally
-    /// malformed, or carried a block whose ring breaks its claimed
-    /// (c, ℓ)-diversity. The sync stops there: a bundle is refused before
-    /// anything is applied, while a WAL-tail stream keeps the blocks it
-    /// adopted before the refused record.
+    /// A catch-up bundle or a gossip frame was refused (it failed
+    /// authentication, was malformed, or carried an attestation that does
+    /// not cover its block), or a sync step lacked what it needs (a
+    /// durable store, an attestation signature). A refused bundle applies
+    /// nothing.
     SyncRejected { reason: &'static str },
     /// The incremental diversity index rejected an update — the chain and
     /// the index would disagree, so the operation is refused instead of

@@ -9,13 +9,13 @@
 //! which frame was flipped — replays exactly from one `u64` seed.
 //!
 //! [`crate::gossip::Cluster`] runs its typed gossip protocol (push
-//! announcements, tip anti-entropy, pull range repair) over this channel.
-//! Recovery relies on the node-layer robustness machinery: bounded
-//! inboxes and orphan pools, TTL eviction, exponential-backoff parent
-//! requests, and periodic anti-entropy tip announcements. The claim the
-//! property tests pin down: for any seed, after the faults stop the
-//! replicas converge on identical tips and identical TokenMagic batch
-//! lists, with zero panics along the way.
+//! announcements, tip anti-entropy, pull range repair) over this channel,
+//! and every block a replica fetches crosses it. Recovery relies on the
+//! node-layer robustness machinery: bounded inboxes and orphan pools, TTL
+//! eviction, and periodic anti-entropy tip announcements answered by
+//! range requests. The claim the property tests pin down: for any seed,
+//! after the faults stop the replicas converge on identical tips and
+//! identical TokenMagic batch lists, with zero panics along the way.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -171,7 +171,7 @@ impl FaultChannel {
         self.partition.fill(0);
     }
 
-    pub fn reachable(&self, a: usize, b: usize) -> bool {
+    fn reachable(&self, a: usize, b: usize) -> bool {
         self.partition[a] == self.partition[b]
     }
 

@@ -37,11 +37,13 @@
 //! [`claim_violations`], at intake and again at staging release) that
 //! stops structurally-valid-but-poisoned ring signatures at the door.
 //!
-//! Recovery composes the existing machinery: a killed replica restarts
-//! from its own durable store and pulls the blocks it missed via
-//! [`crate::sync::catch_up_tail`]; a late joiner bootstraps from a
-//! peer-served checkpoint bundle. Convergence means identical tips *and*
-//! identical selection verdicts.
+//! A replica that is behind fetches blocks one way: tip anti-entropy
+//! plus range repair, through the faulty channel and the defenses above.
+//! A killed replica restarts from its own durable store
+//! ([`SimNode::restore_from_store`]) and then catches up like any lagging
+//! replica. A late joiner bootstraps from a peer-served checkpoint bundle
+//! ([`crate::sync`]), the one path that adopts a prefix structurally.
+//! Convergence means identical tips *and* identical selection verdicts.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,7 +67,7 @@ use crate::peers::{
     Attestation, EquivocationProof, Intake, Misbehavior, PeerDefense, FK_BLOCK, FK_EVIDENCE,
     FK_RANGE, FK_TIP, MAX_RANGE_BLOCKS,
 };
-use crate::sync::{bootstrap_from_bundle, catch_up_tail, serve_bundle, SyncReport};
+use crate::sync::{bootstrap_from_bundle, serve_bundle, SyncReport};
 
 pub const KIND_BLOCK: u8 = 1;
 pub const KIND_TIP: u8 = 2;
@@ -556,9 +558,9 @@ impl Cluster {
     /// Advance one tick: adversary actors fire, due frames deliver
     /// through each receiver's defense (rate limits → authentication →
     /// attribution → equivocation/diversity checks → staging), staged
-    /// blocks whose window elapsed reach the inbox, every inbox is
-    /// processed, and parent requests route through the same channel.
-    /// Returns how many blocks were appended across all live replicas.
+    /// blocks whose window elapsed reach the inbox, and every inbox is
+    /// processed. Returns how many blocks were appended across all live
+    /// replicas.
     pub fn step(&mut self) -> usize {
         self.run_actors();
         let group = self.group;
@@ -702,11 +704,7 @@ impl Cluster {
                         if requester != src {
                             reject = true;
                         } else {
-                            match node.serve_range_checked(
-                                from as usize,
-                                to as usize,
-                                MAX_RANGE_BLOCKS,
-                            ) {
+                            match node.serve_range(from as usize, to as usize, MAX_RANGE_BLOCKS) {
                                 Ok(blocks) => {
                                     stats.range_blocks_served += blocks.len() as u64;
                                     metrics.gossip_range_blocks_served.add(blocks.len() as u64);
@@ -793,36 +791,6 @@ impl Cluster {
             }
         }
         self.stats.blocks_applied += appended as u64;
-
-        // Parent-request protocol: the first reachable live peer that has
-        // the block serves it, attested, through the same faulty channel.
-        for i in 0..self.slots.len() {
-            let requests = match &mut self.slots[i] {
-                Slot::Live(node) => node.parent_requests(),
-                _ => continue,
-            };
-            for hash in requests {
-                let served = (0..self.slots.len())
-                    .filter(|&j| j != i && self.channel.reachable(i, j))
-                    .find_map(|j| match &self.slots[j] {
-                        Slot::Live(peer) => peer.serve_block(hash).map(|b| (j, b)),
-                        _ => None,
-                    });
-                if let Some((server, block)) = served {
-                    if let Some(att) = Attestation::sign(
-                        &self.group,
-                        server as u64,
-                        block.header.height.0,
-                        block.hash(),
-                        &self.identities[server],
-                        &mut self.sign_rng,
-                    ) {
-                        self.channel
-                            .send_from(server, i, frame_attested_block(&att, &block));
-                    }
-                }
-            }
-        }
         appended
     }
 
@@ -843,11 +811,11 @@ impl Cluster {
         Ok(())
     }
 
-    /// Restart a killed replica: recover from its own durable store
-    /// (checkpoint + WAL tail, verified replay), then stream the blocks
-    /// it missed from the first reachable live peer. Returns the local
-    /// recovery report and how many blocks the tail stream applied.
-    pub fn restart(&mut self, id: usize) -> Result<(RecoveryReport, u64), NodeError> {
+    /// Restart a killed replica from its own durable store (checkpoint +
+    /// WAL tail, verified replay) and return the recovery report. The
+    /// blocks it missed while down reach it like any lagging replica's:
+    /// by range repair after the next tip announcement.
+    pub fn restart(&mut self, id: usize) -> Result<RecoveryReport, NodeError> {
         let slot = self.slots.get_mut(id).ok_or(NodeError::UnknownPeer(id))?;
         let (wal, cp) = match std::mem::replace(slot, Slot::Dormant) {
             Slot::Down { wal, cp } => (wal, cp),
@@ -856,7 +824,7 @@ impl Cluster {
                 return Err(NodeError::UnknownPeer(id));
             }
         };
-        let (mut node, report) = SimNode::restore_from_store(
+        let (node, report) = SimNode::restore_from_store(
             id,
             self.group,
             NodeLimits::default(),
@@ -864,20 +832,8 @@ impl Cluster {
             cp,
             StoreConfig::default(),
         )?;
-        let mut applied = 0;
-        for peer_id in 0..self.slots.len() {
-            if peer_id == id || !self.channel.reachable(id, peer_id) {
-                continue;
-            }
-            if let Slot::Live(peer) = &mut self.slots[peer_id] {
-                if peer.has_store() {
-                    applied = catch_up_tail(&mut node, peer)?;
-                    break;
-                }
-            }
-        }
         self.slots[id] = Slot::Live(Box::new(node));
-        Ok((report, applied))
+        Ok(report)
     }
 
     /// Bring the dormant slot `id` online by bootstrapping it from a
@@ -1028,12 +984,13 @@ pub struct ClusterReport {
     pub height: usize,
     /// Ticks the run took to converge, `None` when it hit the budget.
     pub ticks: Option<u64>,
-    /// Crash/restart phase: (recovery was clean, blocks the tail stream
-    /// applied). `None` when the scenario had no kill phase.
-    pub restart: Option<(bool, u64)>,
+    /// Crash/restart phase: whether the restarted replica's recovery from
+    /// its own store was clean. `None` when the scenario had no kill
+    /// phase.
+    pub restart: Option<bool>,
     /// Late-joiner bootstrap split (checkpoint prefix vs verified tail).
     pub joiner: Option<SyncReport>,
-    /// Blocks served to peers across all stores (bundle + tail streams).
+    /// Blocks served to peers across all stores (catch-up bundles).
     pub blocks_served: u64,
     pub fault_stats: FaultStats,
     pub gossip_stats: GossipStats,
@@ -1046,7 +1003,7 @@ impl ClusterReport {
             && self.batch_consensus
             && self.immutability_ok
             && self.ticks.is_some()
-            && self.restart.is_none_or(|(clean, _)| clean)
+            && self.restart.is_none_or(|clean| clean)
             && self.joiner.is_none_or(|j| j.clean)
     }
 
@@ -1083,10 +1040,9 @@ impl ClusterReport {
             }
         ));
         match self.restart {
-            Some((clean, applied)) => out.push_str(&format!(
-                "  crash/restart: recovered {}, tail stream applied {} blocks\n",
+            Some(clean) => out.push_str(&format!(
+                "  crash/restart: recovered {}, caught up by range repair\n",
                 if clean { "CLEAN" } else { "FLAGGED" },
-                applied
             )),
             None => out.push_str("  crash/restart: not exercised\n"),
         }
@@ -1139,9 +1095,9 @@ impl ClusterReport {
 /// The height of `block` when one of its rings breaks its claim on the
 /// receiver's ledger: the first of [`claim_violations`] over `chain`'s
 /// [`chain_universe`]. A block with no ring inputs (every block an honest
-/// [`Cluster`] replica mines) builds no universe. Gossip intake, staging
-/// release and WAL-tail catch-up ([`crate::sync`]) all refuse on it.
-pub(crate) fn first_claim_violation(chain: &Chain, block: &Block) -> Option<u64> {
+/// [`Cluster`] replica mines) builds no universe. Gossip intake and
+/// staging release both refuse on it.
+fn first_claim_violation(chain: &Chain, block: &Block) -> Option<u64> {
     if block.transactions.iter().all(|ct| ct.tx.inputs.is_empty()) {
         return None;
     }
@@ -1152,10 +1108,11 @@ pub(crate) fn first_claim_violation(chain: &Chain, block: &Block) -> Option<u64>
 
 /// The scripted cluster scenario, replayable from `seed`: `nodes` durable
 /// replicas mine under the default fault model, a minority partitions
-/// away while mining continues (3+ nodes), one replica is killed mid-run
-/// and restarted from its store + a peer tail stream (2+ nodes), a late
-/// joiner bootstraps from a checkpoint bundle, and everyone must converge
-/// on byte-identical tips with identical selection verdicts.
+/// away while mining continues (3+ nodes), one replica is killed mid-run,
+/// restarted from its store and left to catch up by range repair (2+
+/// nodes), a late joiner bootstraps from a checkpoint bundle, and
+/// everyone must converge on byte-identical tips with identical selection
+/// verdicts.
 pub fn run_cluster_scenario(seed: u64, nodes: usize) -> Result<ClusterReport, NodeError> {
     const LAMBDA: usize = 4;
     let nodes = nodes.max(1);
@@ -1180,15 +1137,14 @@ pub fn run_cluster_scenario(seed: u64, nodes: usize) -> Result<ClusterReport, No
     }
 
     // Phase 3 (2+ nodes): kill a replica mid-run, mine past it, restart
-    // it from its own store plus a peer-served WAL tail.
+    // it from its own store; range repair brings it the rest.
     let restart = if nodes >= 2 {
         cluster.kill(1)?;
         for _ in 0..2 {
             cluster.mine_on(0, 2)?;
             cluster.step();
         }
-        let (report, applied) = cluster.restart(1)?;
-        Some((report.clean(), applied))
+        Some(cluster.restart(1)?.clean())
     } else {
         for _ in 0..2 {
             cluster.mine_on(0, 2)?;
@@ -1265,7 +1221,7 @@ mod tests {
     }
 
     #[test]
-    fn kill_restart_recovers_from_store_and_tail_stream() {
+    fn kill_restart_recovers_from_store_and_range_repair() {
         let group = SchnorrGroup::default();
         let mut cluster = Cluster::new(3, group, 11, FaultConfig::lossless()).unwrap();
         for _ in 0..3 {
@@ -1279,12 +1235,24 @@ mod tests {
             cluster.mine_on(0, 1).unwrap();
             cluster.step();
         }
-        let (report, applied) = cluster.restart(1).unwrap();
+        let report = cluster.restart(1).unwrap();
         assert!(report.clean(), "{report:?}");
         assert_eq!(report.height, 3, "local store recovers the pre-crash chain");
-        assert_eq!(applied, 2, "tail stream applies exactly the missed blocks");
+        // Restart adopts nothing from a peer: the missed blocks must come
+        // as frames through the channel.
+        assert_eq!(
+            cluster.node(1).unwrap().chain().height(),
+            report.height as usize + 1,
+            "restart applied blocks beyond the recovered chain"
+        );
+        let requests = cluster.gossip_stats().range_requests;
         assert!(cluster.run_until_converged(200).is_some());
         assert!(cluster.converged());
+        assert_eq!(cluster.node(1).unwrap().chain().height(), 6);
+        assert!(
+            cluster.gossip_stats().range_requests > requests,
+            "the restarted replica caught up without a range request"
+        );
     }
 
     #[test]

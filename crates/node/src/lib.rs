@@ -47,5 +47,5 @@ pub use obs::NodeMetrics;
 pub use peers::{
     Attestation, EquivocationProof, Misbehavior, MisbehaviorRecord, PeerDefense, Standing,
 };
-pub use sync::{bootstrap_from_bundle, catch_up_tail, serve_bundle, SyncReport};
+pub use sync::{bootstrap_from_bundle, serve_bundle, SyncReport};
 pub use wallet::{Spend, Wallet, WalletError};

@@ -5,9 +5,12 @@
 //! consensus about the batch list too") as an executable property.
 //!
 //! The node layer is panic-free and resource-bounded: the inbox and the
-//! orphan pool have hard capacities with TTL eviction, missing parents are
-//! re-requested under exponential backoff, and every failure surfaces as a
-//! typed [`NodeError`] instead of crashing the replica. The network these
+//! orphan pool have hard capacities with TTL eviction, and every failure
+//! surfaces as a typed [`NodeError`] instead of crashing the replica. A
+//! replica never asks for a missing parent by hash: the pool only
+//! reassembles blocks that push gossip delivered out of order, and a
+//! replica that is behind fetches what it lacks by range
+//! ([`SimNode::serve_range`] on the peer's side). The network these
 //! replicas talk over is [`crate::gossip::Cluster`], which runs the
 //! seeded fault model of [`crate::faults`].
 
@@ -24,7 +27,8 @@ use crate::indexing::{block_delta, index_of_chain};
 use crate::obs::NodeMetrics;
 
 /// Resource bounds of a node: how much out-of-order traffic it buffers
-/// before applying back-pressure, and how patiently it waits for parents.
+/// before applying back-pressure, and how long an orphan waits for its
+/// parent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeLimits {
     /// Maximum queued blocks; beyond this, `deliver` rejects.
@@ -34,9 +38,6 @@ pub struct NodeLimits {
     /// Ticks (inbox-processing rounds) an orphan may wait for its parent
     /// before being evicted.
     pub orphan_ttl: u64,
-    /// Parent re-request attempts before giving up on an orphan's
-    /// ancestry (the orphan itself still waits out its TTL).
-    pub max_parent_retries: u32,
 }
 
 impl Default for NodeLimits {
@@ -45,7 +46,6 @@ impl Default for NodeLimits {
             inbox_capacity: 256,
             orphan_capacity: 64,
             orphan_ttl: 64,
-            max_parent_retries: 8,
         }
     }
 }
@@ -61,8 +61,6 @@ pub struct NodeStats {
     pub blocks_discarded: u64,
     /// Duplicate or stale announcements dropped on arrival.
     pub duplicates_dropped: u64,
-    /// Parent requests emitted (including retries).
-    pub parent_requests: u64,
 }
 
 /// A parked out-of-order block waiting for its parent.
@@ -71,11 +69,6 @@ struct Orphan {
     block: Block,
     /// Tick the orphan entered the pool (TTL reference point).
     parked_at: u64,
-    /// Parent re-requests already sent for this orphan.
-    retries: u32,
-    /// Earliest tick the next parent request may fire (exponential
-    /// backoff: 1, 2, 4, ... ticks between attempts).
-    next_retry: u64,
 }
 
 /// A simulated node: a chain replica plus bounded inbox and orphan pool.
@@ -146,11 +139,6 @@ impl SimNode {
 
     pub fn tip_hash(&self) -> Result<Digest, NodeError> {
         Ok(self.chain.tip()?.hash())
-    }
-
-    /// Whether a durable store is attached.
-    pub fn has_store(&self) -> bool {
-        self.store.is_some()
     }
 
     /// The attached store (for fault injection and inspection in tests).
@@ -353,8 +341,8 @@ impl SimNode {
             return;
         }
         if self.orphans.len() >= self.limits.orphan_capacity {
-            // Evict the longest-waiting orphan: it has had the most retry
-            // opportunities, so dropping it loses the least progress.
+            // Evict the longest-waiting orphan: its parent has had the
+            // longest to arrive, so dropping it loses the least progress.
             if let Some(oldest) = self
                 .orphans
                 .iter()
@@ -370,8 +358,6 @@ impl SimNode {
         self.orphans.push(Orphan {
             block,
             parked_at: self.tick,
-            retries: 0,
-            next_retry: self.tick,
         });
         NodeMetrics::global()
             .orphans_high_watermark
@@ -444,66 +430,13 @@ impl SimNode {
         NodeMetrics::global().orphans_evicted.add(expired);
     }
 
-    /// Parent hashes this node wants re-sent: one request per orphan whose
-    /// parent is still missing and whose backoff window has elapsed.
-    /// Each emission doubles the orphan's backoff (1, 2, 4, ... ticks) up
-    /// to `max_parent_retries` attempts.
-    pub fn parent_requests(&mut self) -> Vec<Digest> {
-        let tick = self.tick;
-        let max_retries = self.limits.max_parent_retries;
-        let have: Vec<Digest> = self.chain.blocks().iter().map(Block::hash).collect();
-        let pooled: Vec<Digest> = self.orphans.iter().map(|o| o.block.hash()).collect();
-        let mut requests = Vec::new();
-        for o in &mut self.orphans {
-            let parent = o.block.header.prev_hash;
-            if have.contains(&parent) || pooled.contains(&parent) {
-                continue;
-            }
-            if o.retries >= max_retries || o.next_retry > tick {
-                continue;
-            }
-            o.retries += 1;
-            o.next_retry = tick + (1u64 << o.retries.min(16));
-            requests.push(parent);
-        }
-        self.stats.parent_requests += requests.len() as u64;
-        NodeMetrics::global()
-            .parent_requests
-            .add(requests.len() as u64);
-        requests
-    }
-
-    /// Look up a block this node can serve to a peer requesting `hash`.
-    pub fn serve_block(&self, hash: Digest) -> Option<Block> {
-        self.chain
-            .blocks()
-            .iter()
-            .find(|b| b.hash() == hash)
-            .cloned()
-    }
-
-    /// Serve the contiguous height range `[from, to)`, capped at `max`
-    /// blocks — the pull half of anti-entropy range repair. Heights past
-    /// the local tip are silently clipped.
-    pub fn serve_range(&self, from: usize, to: usize, max: usize) -> Vec<Block> {
-        let hi = to.min(self.chain.height()).min(from.saturating_add(max));
-        if from >= hi {
-            return Vec::new();
-        }
-        self.chain.blocks()[from..hi].to_vec()
-    }
-
-    /// [`SimNode::serve_range`] with the requested span checked against
-    /// `cap` *before* serving: a request for more than `cap` blocks is a
-    /// typed [`NodeError::RangeRefused`], refused whole rather than
-    /// silently truncated — the gossip layer answers it with a refusal
-    /// frame and attributes the oversized ask to the requester.
-    pub fn serve_range_checked(
-        &self,
-        from: usize,
-        to: usize,
-        cap: usize,
-    ) -> Result<Vec<Block>, NodeError> {
+    /// Serve the contiguous height range `[from, to)` — the pull half of
+    /// anti-entropy range repair. A request for more than `cap` blocks is
+    /// a typed [`NodeError::RangeRefused`], refused whole rather than
+    /// silently truncated: the gossip layer answers it with a refusal
+    /// frame and attributes the oversized ask to the requester. Heights
+    /// past the local tip are silently clipped.
+    pub fn serve_range(&self, from: usize, to: usize, cap: usize) -> Result<Vec<Block>, NodeError> {
         let requested = to.saturating_sub(from);
         if requested > cap {
             return Err(NodeError::RangeRefused {
@@ -511,7 +444,13 @@ impl SimNode {
                 cap: cap as u64,
             });
         }
-        Ok(self.serve_range(from, to, cap))
+        let hi = to.min(self.chain.height());
+        Ok(self
+            .chain
+            .blocks()
+            .get(from..hi)
+            .unwrap_or_default()
+            .to_vec())
     }
 
     /// Read access to the attached store (checkpoint/tail serving).
@@ -547,17 +486,18 @@ pub(crate) mod tests {
     }
 
     /// Process the followers' inboxes until nothing moves, answering
-    /// every parent request from the miner's chain.
+    /// each follower with the miner's range from the follower's height,
+    /// as range repair does.
     fn settle(miner: &SimNode, followers: &mut [SimNode]) {
+        let tip = miner.chain().height();
         loop {
             let mut progressed = false;
             for node in followers.iter_mut() {
                 progressed |= node.process_inbox() > 0;
-                for hash in node.parent_requests() {
-                    if let Some(block) = miner.serve_block(hash) {
-                        progressed |= node.deliver(block).is_ok();
-                    }
+                for block in miner.serve_range(node.chain().height(), tip, tip).unwrap() {
+                    let _ = node.deliver(block);
                 }
+                progressed |= node.process_inbox() > 0;
             }
             if !progressed {
                 return;
@@ -623,10 +563,13 @@ pub(crate) mod tests {
         // Tamper with the content after sealing.
         block.transactions.clear();
         followers[0].deliver(block).unwrap();
-        settle(&miner, &mut followers);
+        assert_eq!(followers[0].process_inbox(), 0);
         // Node 1 keeps only genesis; no convergence with poisoned data.
         assert_eq!(followers[0].chain().height(), 1);
         assert_eq!(followers[0].stats().blocks_discarded, 1);
+        // Range repair then brings the genuine block.
+        settle(&miner, &mut followers);
+        assert!(in_sync(&miner, &followers, 1));
     }
 
     #[test]
@@ -719,15 +662,23 @@ pub(crate) mod tests {
             mine_one(&mut node, 1, &mut rng);
         }
         // Height 6: genesis + 5 mined blocks.
-        let all = node.serve_range(1, 6, 100);
+        let all = node.serve_range(1, 6, 100).unwrap();
         assert_eq!(all.len(), 5);
         assert_eq!(all[0].header.height.0, 1);
-        let capped = node.serve_range(1, 6, 2);
-        assert_eq!(capped.len(), 2);
-        let clipped = node.serve_range(4, 50, 100);
+        assert_eq!(
+            node.serve_range(1, 6, 2).unwrap_err(),
+            NodeError::RangeRefused {
+                requested: 5,
+                cap: 2
+            },
+            "an oversized request is refused whole, not truncated"
+        );
+        assert_eq!(node.serve_range(1, 3, 2).unwrap().len(), 2);
+        let clipped = node.serve_range(4, 50, 100).unwrap();
         assert_eq!(clipped.len(), 2, "past-tip heights must clip");
-        assert!(node.serve_range(9, 12, 8).is_empty());
-        assert!(node.serve_range(3, 3, 8).is_empty());
+        assert!(node.serve_range(9, 12, 8).unwrap().is_empty());
+        assert!(node.serve_range(3, 3, 8).unwrap().is_empty());
+        assert!(node.serve_range(5, 2, 8).unwrap().is_empty());
     }
 
     #[test]
@@ -751,43 +702,29 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn parent_requests_backfill_a_gap() {
+    fn range_repair_backfills_a_gap() {
         let group = SchnorrGroup::default();
         let mut miner = SimNode::new(0, group);
         let mut followers = [SimNode::new(1, group)];
         let mut rng = StdRng::seed_from_u64(7);
-        // Node 0 mines 4 blocks; node 1 only hears about the last one.
+        // Node 0 mines 4 blocks; node 1 only hears about the last one,
+        // which waits in the orphan pool for its ancestry.
         let blocks: Vec<Block> = (0..4).map(|_| mine_one(&mut miner, 1, &mut rng)).collect();
         let last = blocks.last().unwrap().clone();
         followers[0].deliver(last).unwrap();
+        assert_eq!(followers[0].process_inbox(), 0);
+        assert_eq!(followers[0].orphan_count(), 1);
         settle(&miner, &mut followers);
         assert!(
             in_sync(&miner, &followers, 1),
-            "parent requests should walk the gap"
+            "the range from node 1's height should fill the gap"
         );
-        assert!(followers[0].stats().parent_requests >= 3);
-    }
-
-    #[test]
-    fn parent_request_backoff_caps_retries() {
-        let group = SchnorrGroup::default();
-        let limits = NodeLimits {
-            max_parent_retries: 3,
-            orphan_ttl: 10_000,
-            ..NodeLimits::default()
-        };
-        let mut miner = SimNode::new(0, group);
-        let mut rng = StdRng::seed_from_u64(8);
-        let _b1 = mine_one(&mut miner, 1, &mut rng);
-        let b2 = mine_one(&mut miner, 1, &mut rng);
-        let mut node = SimNode::with_limits(9, group, limits);
-        node.deliver(b2).unwrap();
-        let mut total = 0;
-        for _ in 0..200 {
-            node.process_inbox();
-            total += node.parent_requests().len();
-        }
-        assert_eq!(total, 3, "backoff must cap at max_parent_retries");
+        assert_eq!(followers[0].orphan_count(), 0);
+        assert_eq!(
+            followers[0].stats().duplicates_dropped,
+            1,
+            "the pooled tip arrives again in the range and collapses"
+        );
     }
 
     /// Fingerprint vector of every batch — equal fingerprints mean the

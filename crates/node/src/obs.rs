@@ -48,8 +48,6 @@ pub struct NodeMetrics {
     pub blocks_discarded: Counter,
     /// `node.duplicates.dropped_total` — duplicate announcements dropped.
     pub duplicates_dropped: Counter,
-    /// `node.parent.requests_total` — backoff parent re-requests emitted.
-    pub parent_requests: Counter,
     /// `node.store.restores_total` — replicas rebuilt from their durable
     /// store after a crash.
     pub store_restores: Counter,
@@ -69,7 +67,7 @@ pub struct NodeMetrics {
     /// authenticated-frame decoder (corruption caught at the wire).
     pub gossip_frames_rejected: Counter,
     /// `node.sync.bundles_served_total` — catch-up bundles served to
-    /// late joiners and restarted peers.
+    /// late joiners.
     pub sync_bundles_served: Counter,
     /// `node.sync.bootstraps_total` — replicas bootstrapped from a
     /// peer-served bundle.
@@ -80,10 +78,7 @@ pub struct NodeMetrics {
     /// `node.sync.tail_verified_total` — blocks past the checkpoint fully
     /// re-verified during bundle bootstraps (the O(tail) part).
     pub sync_tail_verified: Counter,
-    /// `node.sync.tail_blocks_total` — blocks applied from WAL-tail
-    /// streams by crash-restarted peers catching up.
-    pub sync_tail_blocks: Counter,
-    /// `node.sync.rejected_total` — catch-up frames refused
+    /// `node.sync.rejected_total` — catch-up bundle frames refused
     /// (authentication or structural failure).
     pub sync_rejected: Counter,
     /// `node.index.blocks_applied_total` — blocks folded into a replica's
@@ -135,7 +130,6 @@ impl NodeMetrics {
             orphans_high_watermark: registry.gauge("node.orphans.high_watermark"),
             blocks_discarded: registry.counter("node.blocks.discarded_total"),
             duplicates_dropped: registry.counter("node.duplicates.dropped_total"),
-            parent_requests: registry.counter("node.parent.requests_total"),
             store_restores: registry.counter("node.store.restores_total"),
             store_restore_flagged: registry.counter("node.store.restore_flagged_total"),
             gossip_announcements: registry.counter("node.gossip.announcements_total"),
@@ -146,7 +140,6 @@ impl NodeMetrics {
             sync_bootstraps: registry.counter("node.sync.bootstraps_total"),
             sync_prefix_adopted: registry.counter("node.sync.prefix_adopted_total"),
             sync_tail_verified: registry.counter("node.sync.tail_verified_total"),
-            sync_tail_blocks: registry.counter("node.sync.tail_blocks_total"),
             sync_rejected: registry.counter("node.sync.rejected_total"),
             index_blocks_applied: registry.counter("node.index.blocks_applied_total"),
             index_rebuilds: registry.counter("node.index.rebuilds_total"),

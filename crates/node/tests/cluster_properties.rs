@@ -1,10 +1,10 @@
 //! Seed-sweep properties for the multi-node replication layer: the
 //! scripted cluster scenario — gossip under the default fault model, a
 //! minority partition healed mid-run, a crash/restart recovered from the
-//! replica's own durable store plus a peer WAL-tail stream, and a late
-//! joiner bootstrapped from a checkpoint bundle — must converge for
-//! *every* seed, with catch-up work bounded by the checkpoint interval
-//! (O(tail), never O(chain)). A failure message names the seed so the
+//! replica's own durable store and then caught up by range repair, and a
+//! late joiner bootstrapped from a checkpoint bundle — must converge for
+//! *every* seed, with the joiner's full verification bounded by the
+//! checkpoint interval (O(tail), never O(chain)). A failure message names the seed so the
 //! run replays exactly (`dams-cli cluster-sim --seed <seed>`).
 
 use dams_node::run_cluster_scenario;
@@ -14,7 +14,8 @@ const SEEDS: u64 = 64;
 
 /// The acceptance sweep: 64 seeds of the 3-node scenario, each asserting
 /// convergence (byte-identical tips, identical batch lists, identical
-/// violation-free (c, ℓ) verdicts) and the two catch-up bounds.
+/// violation-free (c, ℓ) verdicts), a clean restart and the joiner's
+/// catch-up bounds.
 #[test]
 fn cluster_scenario_converges_across_seeds() {
     let interval = StoreConfig::default().checkpoint_interval;
@@ -29,15 +30,11 @@ fn cluster_scenario_converges_across_seeds() {
         assert!(report.ticks.is_some(), "seed {seed}: tick budget exhausted");
         assert_eq!(report.height, 11, "seed {seed}: lost mined blocks");
 
-        // Crash/restart: local recovery must be clean, and the peer tail
-        // stream must cover at least the 2 blocks mined while the replica
-        // was down (more if gossip drops had left it behind at the kill).
-        let (clean, applied) = report.restart.expect("3-node scenario kills a replica");
+        // Crash/restart: local recovery must be clean. The blocks mined
+        // while the replica was down reach it by range repair, so the
+        // convergence checks above cover them.
+        let clean = report.restart.expect("3-node scenario kills a replica");
         assert!(clean, "seed {seed}: restart recovery flagged");
-        assert!(
-            applied >= 2,
-            "seed {seed}: tail stream applied {applied} < 2 missed blocks"
-        );
 
         // Late joiner: bootstrap is O(tail) — full verification is bounded
         // by the checkpoint interval, everything earlier rides the
@@ -60,7 +57,7 @@ fn cluster_scenario_converges_across_seeds() {
         // The peers' stores did the serving (store.checkpoint.served_total
         // feeds from the same per-store counters).
         assert!(
-            report.blocks_served as u64 >= applied + joiner.prefix_adopted + joiner.tail_verified,
+            report.blocks_served >= joiner.prefix_adopted + joiner.tail_verified,
             "seed {seed}: served {} blocks < catch-up work",
             report.blocks_served
         );

@@ -96,7 +96,7 @@ fn crash_restart_reconverges_across_seeds() {
             cluster.step();
         }
         cluster.kill(1).unwrap();
-        let (report, _) = cluster.restart(1).unwrap();
+        let report = cluster.restart(1).unwrap();
         assert!(report.clean(), "seed {seed}: recovery flagged {report:?}");
         for _ in 0..2 {
             cluster.mine_on(0, 2).unwrap();

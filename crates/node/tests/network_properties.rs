@@ -27,18 +27,19 @@ fn mine(miner: &mut SimNode, blocks: usize, seed: u64) -> Vec<Block> {
         .collect()
 }
 
-/// Process the followers' inboxes until nothing moves, answering every
-/// parent request from the miner's chain.
+/// Process the followers' inboxes until nothing moves, answering each
+/// follower with the miner's range from the follower's height, as range
+/// repair does.
 fn settle(miner: &SimNode, followers: &mut [SimNode]) {
+    let tip = miner.chain().height();
     loop {
         let mut progressed = false;
         for node in followers.iter_mut() {
             progressed |= node.process_inbox() > 0;
-            for hash in node.parent_requests() {
-                if let Some(block) = miner.serve_block(hash) {
-                    progressed |= node.deliver(block).is_ok();
-                }
+            for block in miner.serve_range(node.chain().height(), tip, tip).unwrap() {
+                let _ = node.deliver(block);
             }
+            progressed |= node.process_inbox() > 0;
         }
         if !progressed {
             return;
@@ -81,12 +82,12 @@ proptest! {
         prop_assert!(in_sync(&miner, &followers, 4));
     }
 
-    /// Dropping an interior block no longer stalls convergence: later
-    /// blocks park as orphans whose parent requests backfill the gap from
-    /// the mining node. Only a dropped *tip* (nothing after it to orphan)
-    /// stalls, and redelivery heals that too.
+    /// A dropped block never stalls convergence: later blocks park as
+    /// orphans, and the range from the follower's height backfills the
+    /// gap. A dropped *tip* (nothing after it to orphan) heals the same
+    /// way.
     #[test]
-    fn missing_block_heals_via_parent_requests(drop_idx in 0usize..4, seed in 0u64..50) {
+    fn missing_block_heals_via_range_repair(drop_idx in 0usize..4, seed in 0u64..50) {
         let group = SchnorrGroup::default();
         let mut miner = SimNode::new(0, group);
         let mut followers = [SimNode::new(1, group)];
@@ -97,13 +98,8 @@ proptest! {
             }
         }
         settle(&miner, &mut followers);
-        if drop_idx < blocks.len() - 1 {
-            prop_assert!(in_sync(&miner, &followers, 4), "parent requests should heal gap {drop_idx}");
-        } else {
-            prop_assert!(!in_sync(&miner, &followers, 4), "nothing signals a missing tip");
-        }
-        // Redelivering the dropped block converges (and is idempotent for
-        // the interior cases that already healed).
+        prop_assert!(in_sync(&miner, &followers, 4), "range repair should heal gap {drop_idx}");
+        // Redelivering the dropped block is idempotent.
         followers[0].deliver(blocks[drop_idx].clone()).unwrap();
         settle(&miner, &mut followers);
         prop_assert!(in_sync(&miner, &followers, 4));

@@ -33,7 +33,7 @@ pub struct StoreMetrics {
     /// magic/length/crc gauntlet (recovery fell back to full replay).
     pub checkpoint_crc_rejects: Counter,
     /// `store.checkpoint.served_total` — blocks served to peers through
-    /// catch-up bundles and WAL-tail streams.
+    /// catch-up bundles.
     pub checkpoint_served: Counter,
     /// `store.recovery.runs_total` — recovery attempts.
     pub recovery_runs: Counter,

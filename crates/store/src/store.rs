@@ -86,10 +86,9 @@ pub struct RecoveryReport {
     pub height: u64,
     /// Recovered tip hash.
     pub tip: [u8; 32],
-    /// Blocks this store served to peers through catch-up bundles and
-    /// WAL-tail streams (a runtime counter, stamped into the report by
-    /// the replication layer; 0 for a store that never served sync
-    /// traffic).
+    /// Blocks this store served to peers through catch-up bundles. No
+    /// caller stamps it, so it reads 0; [`Store::blocks_served`] holds
+    /// the live count.
     pub blocks_served_to_peers: u64,
 }
 
@@ -176,12 +175,12 @@ pub struct Store {
     cfg: StoreConfig,
     /// WAL byte length after the last framed record.
     wal_len: u64,
-    /// `block_offsets[h - 1]` = WAL offset of the record committing block
-    /// height `h` (its first occurrence, for duplicate-bearing logs).
-    block_offsets: Vec<u64>,
+    /// Block records in the WAL, counting a duplicate-bearing log's
+    /// duplicates once.
+    blocks: u64,
     /// Height the newest durable checkpoint attests (0 = none).
     last_checkpoint_height: u64,
-    /// Blocks served to peers through catch-up bundles / tail streams.
+    /// Blocks served to peers through catch-up bundles.
     blocks_served: u64,
 }
 
@@ -273,7 +272,7 @@ impl Store {
                     group_fp,
                     cfg,
                     wal_len: WAL_HEADER_LEN,
-                    block_offsets: Vec::new(),
+                    blocks: 0,
                     last_checkpoint_height: 0,
                     blocks_served: 0,
                 },
@@ -323,7 +322,6 @@ impl Store {
 
         // Replay.
         let mut chain = Chain::new(group);
-        let mut block_offsets = Vec::with_capacity(outcome.records.len());
         let trusted_height = loaded_cp.as_ref().map_or(0, |c| c.height);
         for span in &outcome.records {
             let payload = &wal_bytes[span.payload_start..span.payload_end];
@@ -363,7 +361,6 @@ impl Store {
                 height,
                 cause,
             })?;
-            block_offsets.push(span.offset);
             report.records_replayed += 1;
             metrics.wal_replayed.inc();
         }
@@ -400,7 +397,7 @@ impl Store {
                 group_fp,
                 cfg,
                 wal_len,
-                block_offsets,
+                blocks: report.records_replayed,
                 last_checkpoint_height: loaded_cp.map_or(0, |c| c.height),
                 blocks_served: 0,
             },
@@ -419,7 +416,7 @@ impl Store {
         self.wal.sync()?;
         metrics.wal_appends.inc();
         metrics.wal_fsyncs.inc();
-        self.block_offsets.push(self.wal_len);
+        self.blocks += 1;
         self.wal_len += bytes.len() as u64;
         Ok(())
     }
@@ -478,48 +475,19 @@ impl Store {
         let mut wal = self.wal.read_all()?;
         wal.truncate(self.wal_len as usize);
         let checkpoint = self.cp.read_all()?;
-        let blocks = self.block_offsets.len() as u64;
-        self.note_served(blocks);
+        self.blocks_served += self.blocks;
+        StoreMetrics::global().checkpoint_served.add(self.blocks);
         Ok(CatchUpBundle {
             checkpoint,
             wal,
-            blocks,
+            blocks: self.blocks,
             checkpoint_height: self.last_checkpoint_height,
         })
     }
 
-    /// Stream the framed WAL records past byte offset `from_len` — the
-    /// tail a crash-restarted peer (which already holds a WAL prefix of
-    /// that length) is missing. Offsets that don't fall on a record
-    /// boundary of *this* WAL yield an empty stream rather than torn
-    /// frames. Counts every streamed block as served.
-    pub fn wal_tail(&mut self, from_len: u64) -> Result<Vec<u8>, StoreError> {
-        let valid = from_len == self.wal_len
-            || from_len == WAL_HEADER_LEN
-            || self.block_offsets.contains(&from_len);
-        if !valid || from_len >= self.wal_len {
-            return Ok(Vec::new());
-        }
-        let mut wal = self.wal.read_all()?;
-        wal.truncate(self.wal_len as usize);
-        let tail = wal.split_off(from_len as usize);
-        let blocks = self
-            .block_offsets
-            .iter()
-            .filter(|&&off| off >= from_len)
-            .count() as u64;
-        self.note_served(blocks);
-        Ok(tail)
-    }
-
-    /// Blocks this store has served to peers (bundles + tail streams).
+    /// Blocks this store has served to peers through catch-up bundles.
     pub fn blocks_served(&self) -> u64 {
         self.blocks_served
-    }
-
-    fn note_served(&mut self, blocks: u64) {
-        self.blocks_served += blocks;
-        StoreMetrics::global().checkpoint_served.add(blocks);
     }
 }
 

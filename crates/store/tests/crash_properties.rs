@@ -422,36 +422,3 @@ fn catchup_bundle_bootstraps_a_joiner_with_tail_only_verification() {
     );
     assert_prefix(&joined.chain, &chain);
 }
-
-#[test]
-fn wal_tail_streams_only_missing_records() {
-    let (group, chain, _) = reference_chain();
-    let rec = open(&full_wal(&group, &chain), &[], group).expect("recover reference");
-    let mut server = rec.store;
-
-    // A peer that already holds the first 3 blocks knows its own WAL
-    // length; the tail stream starts exactly there.
-    let prefix = {
-        let mut bytes = wal::encode_header(group_fingerprint(&group));
-        for block in &chain.blocks()[1..4] {
-            bytes.extend_from_slice(&wal::frame_block(block));
-        }
-        bytes
-    };
-    let tail = server.wal_tail(prefix.len() as u64).expect("tail stream");
-    assert!(!tail.is_empty());
-    assert_eq!(server.blocks_served(), 3, "3 of 6 blocks are missing");
-    let mut rebuilt = prefix.clone();
-    rebuilt.extend_from_slice(&tail);
-    assert_eq!(
-        rebuilt,
-        full_wal(&group, &chain),
-        "prefix + tail = full WAL"
-    );
-
-    // A fully caught-up peer gets an empty stream; so does an offset that
-    // is not a record boundary of this WAL (never torn frames).
-    assert!(server.wal_tail(server.wal_len()).unwrap().is_empty());
-    assert!(server.wal_tail(prefix.len() as u64 + 1).unwrap().is_empty());
-    assert_eq!(server.blocks_served(), 3, "no phantom serves");
-}

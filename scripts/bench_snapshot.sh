@@ -10,7 +10,9 @@
 # OUT defaults to BENCH_baseline.json at the repo root; SEED to 42;
 # SELECTION_OUT to BENCH_selection.json; OVERLOAD_OUT (the overload
 # service load ramp) to BENCH_overload.json; CLUSTER_OUT (convergence
-# and catch-up vs cluster size) to BENCH_cluster.json, with the per-size
+# ticks, the late joiner's checkpoint/tail split and blocks served vs
+# cluster size; a restarted replica catches up by range repair, so no
+# column of its own) to BENCH_cluster.json, with the per-size
 # convergence reports in CLUSTER_report.txt alongside it; SOAK_OUT (the
 # streaming soak: flat p99 from 10^3 to 10^6 tokens) to BENCH_soak.json;
 # BYZ_OUT (the Byzantine gauntlet: per-strength goodput, bans, offense
@@ -175,8 +177,8 @@ print(f"{path}: {len(rows)} load points, peak {peak['offered_load']}x "
 EOF
 
 # Cluster gate: every size must converge with identical selection
-# verdicts, catch-up must stay O(tail) (bounded by the checkpoint
-# interval, 4), and every size must serve catch-up blocks.
+# verdicts, the late joiner's bootstrap must stay O(tail) (bounded by the
+# checkpoint interval, 4), and every size must serve catch-up blocks.
 python3 - "$CLUSTER_OUT" <<'EOF'
 import json, sys
 
@@ -188,8 +190,7 @@ rows = doc.get("rows", [])
 if not rows:
     sys.exit(f"{path} has no cluster rows")
 required = ["nodes", "convergence_ticks", "height", "catchup_prefix_blocks",
-            "catchup_tail_blocks", "restart_tail_blocks", "blocks_served",
-            "converged"]
+            "catchup_tail_blocks", "blocks_served", "converged"]
 for row in rows:
     missing = [k for k in required if k not in row]
     if missing:

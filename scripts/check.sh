@@ -135,10 +135,10 @@ echo "flipped byte detected (recover exited non-zero)"
 echo "== cluster convergence =="
 # Replication gate: a 3-node cluster must survive the scripted scenario —
 # gossip under the default fault model, a minority partition healed
-# mid-run, a crash/restart recovered from the replica's own store plus a
-# peer WAL-tail stream, and a late joiner bootstrapped from a checkpoint
-# bundle — converging on byte-identical tips and identical (c, l)
-# selection verdicts.
+# mid-run, a crash/restart recovered from the replica's own store and
+# caught up by range repair, and a late joiner bootstrapped from a
+# checkpoint bundle — converging on byte-identical tips and identical
+# (c, l) selection verdicts.
 cli cluster-sim --node-counts 3 --seed 42 \
   --out "$tmpdir/bench_cluster_gate.json" --report CLUSTER_report.txt
 grep -q "verdict: CONVERGED" CLUSTER_report.txt

@@ -9,18 +9,21 @@ use dams_blockchain::{block_to_bytes, decode_block, Amount, BatchList, CodecErro
 use dams_crypto::{KeyPair, SchnorrGroup};
 use dams_node::SimNode;
 
-/// Process the followers' inboxes until nothing moves, answering every
-/// parent request from the miner's chain.
+/// Process the followers' inboxes until nothing moves, answering each
+/// follower with the miner's range from the follower's height, shipped as
+/// bytes like any gossiped block.
 fn settle(miner: &SimNode, followers: &mut [SimNode]) {
+    let group = *miner.chain().group();
+    let tip = miner.chain().height();
     loop {
         let mut progressed = false;
         for node in followers.iter_mut() {
             progressed |= node.process_inbox() > 0;
-            for hash in node.parent_requests() {
-                if let Some(block) = miner.serve_block(hash) {
-                    progressed |= node.deliver(block).is_ok();
-                }
+            for block in miner.serve_range(node.chain().height(), tip, tip).unwrap() {
+                let bytes = block_to_bytes(&block);
+                let _ = node.deliver(decode_block(&group, &bytes).expect("served block decodes"));
             }
+            progressed |= node.process_inbox() > 0;
         }
         if !progressed {
             return;
