@@ -234,23 +234,18 @@ pub fn select_with_ladder_exec(
                 match mi {
                     Err(e) => Err(e),
                     Ok(mi) => {
-                        let params = RatioParams::of(mi);
+                        // The bound's parameters are counted only for the
+                        // tier that answers.
                         let req = policy.effective();
                         if tier == Tier::Progressive {
                             progressive(mi, target, policy).map(|selection| {
-                                (
-                                    selection,
-                                    Guarantee::ProgressiveRatio(
-                                        params.progressive_bound(req.c, req.l),
-                                    ),
-                                )
+                                let bound = RatioParams::of(mi).progressive_bound(req.c, req.l);
+                                (selection, Guarantee::ProgressiveRatio(bound))
                             })
                         } else {
                             game_theoretic(mi, target, policy).map(|selection| {
-                                (
-                                    selection,
-                                    Guarantee::PriceOfAnarchy(params.poa_bound(req.c, req.l)),
-                                )
+                                let bound = RatioParams::of(mi).poa_bound(req.c, req.l);
+                                (selection, Guarantee::PriceOfAnarchy(bound))
                             })
                         }
                     }

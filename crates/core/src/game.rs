@@ -15,6 +15,7 @@ use dams_diversity::{DeltaHistogram, DiversityRequirement, HtId, TokenId};
 
 use crate::config::SelectionPolicy;
 use crate::instance::{ModularInstance, ModuleId};
+use crate::progressive::Coverage;
 use crate::selection::{Algorithm, SelectError, Selection, SelectionStats};
 
 /// Run the Game-theoretic Algorithm for `target` under `policy`.
@@ -128,7 +129,8 @@ pub fn game_theoretic_from(
         }
         InitStrategy::CoverageGreedy => {
             // Phase 1 (identical shape to Progressive's): γ_i = α_i.
-            let mut covered: BTreeSet<HtId> = module_hts(instance, x_tau);
+            let mut covered = Coverage::new(&instance.universe);
+            covered.cover(instance, x_tau);
             while covered.len() < req.l {
                 stats.iterations += 1;
                 let mut best: Option<(f64, ModuleId)> = None;
@@ -136,8 +138,7 @@ pub fn game_theoretic_from(
                     if selected[m.id.0] {
                         continue;
                     }
-                    let hts = module_hts(instance, m.id);
-                    let new_hts = hts.difference(&covered).count();
+                    let new_hts = covered.new_hts(instance, m.id);
                     if new_hts == 0 {
                         continue;
                     }
@@ -158,7 +159,7 @@ pub fn game_theoretic_from(
                     return Err(SelectError::Infeasible);
                 };
                 selected[id.0] = true;
-                covered.extend(module_hts(instance, id));
+                covered.cover(instance, id);
             }
         }
     }

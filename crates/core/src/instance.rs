@@ -437,8 +437,7 @@ impl ModularInstance {
     /// `q_M` — count of the most frequent HT across the whole universe
     /// (Theorems 6.5 / 6.7).
     pub fn q_max(&self) -> usize {
-        HtHistogram::from_hts((0..self.universe.len() as u32).map(|t| self.universe.ht(TokenId(t))))
-            .q1()
+        self.universe.ht_counts().into_iter().max().unwrap_or(0)
     }
 
     /// `z_M` — the largest module size (Theorems 6.5 / 6.7).

@@ -11,10 +11,17 @@
 //!    add the module with maximal `β_i = (δ − δ_i) / |x_i|` where
 //!    `δ = q_1 − c·(q_ℓ + … + q_θ)` is the current slack (best slack
 //!    reduction per token).
+//!
+//! Both phases run on running counts over the instance's HT labels: the
+//! coverage phase keeps one flag per HT (`Coverage`), the diversity
+//! phase one [`DeltaHistogram`] of the selection that a probe adds one
+//! module to and removes it from again. An iteration therefore costs
+//! O(Σ module sizes) and no probe allocates; the slack comes from the
+//! same integers through [`DiversityRequirement::slack_parts`], so every
+//! choice, tie-break and counter is what rebuilding the union's
+//! [`dams_diversity::HtHistogram`] per probe gave.
 
-use std::collections::BTreeSet;
-
-use dams_diversity::{HtId, TokenId};
+use dams_diversity::{DeltaHistogram, DiversityRequirement, TokenId, TokenUniverse};
 
 use crate::config::SelectionPolicy;
 use crate::instance::{ModularInstance, ModuleId};
@@ -41,15 +48,15 @@ pub fn progressive(
         .filter(|&id| id != x_tau)
         .collect();
 
-    let mut covered: BTreeSet<HtId> = module_hts(instance, x_tau);
+    let mut covered = Coverage::new(&instance.universe);
+    covered.cover(instance, x_tau);
 
     // Phase 1: reach ℓ distinct HTs.
     while covered.len() < req.l {
         stats.iterations += 1;
         let mut best: Option<(f64, usize)> = None; // (alpha, idx into remaining)
         for (idx, &id) in remaining.iter().enumerate() {
-            let hts = module_hts(instance, id);
-            let new_hts = hts.difference(&covered).count();
+            let new_hts = covered.new_hts(instance, id);
             if new_hts == 0 {
                 continue;
             }
@@ -74,24 +81,25 @@ pub fn progressive(
             return Err(SelectError::Infeasible);
         };
         let id = remaining.swap_remove(idx);
-        covered.extend(module_hts(instance, id));
+        covered.cover(instance, id);
         selected.push(id);
     }
 
     // Phase 2: satisfy the recursive (c, ℓ) condition.
+    let mut hist = DeltaHistogram::for_universe(&instance.universe);
+    for &id in &selected {
+        add_module(&mut hist, instance, id);
+    }
     loop {
         stats.diversity_checks += 1;
-        let hist = instance.histogram_of(&selected);
-        let delta = req.slack(&hist);
+        let delta = hist.slack(&req);
         if delta < 0.0 {
             break;
         }
         stats.iterations += 1;
         let mut best: Option<(f64, usize)> = None; // (beta, idx)
         for (idx, &id) in remaining.iter().enumerate() {
-            let mut probe = selected.clone();
-            probe.push(id);
-            let delta_i = req.slack(&instance.histogram_of(&probe));
+            let delta_i = slack_with(&mut hist, instance, &[id], &req);
             stats.diversity_checks += 1;
             stats.candidates_examined += 1;
             let beta = (delta - delta_i) / instance.module(id).len() as f64;
@@ -115,10 +123,8 @@ pub fn progressive(
             // condition cannot be met — adding them all is the only
             // remaining option and it has non-positive gain per token. Try
             // the full union once before declaring infeasibility.
-            let mut all = selected.clone();
-            all.extend(remaining.iter().copied());
             stats.diversity_checks += 1;
-            if req.slack(&instance.histogram_of(&all)) < 0.0 {
+            if slack_with(&mut hist, instance, &remaining, &req) < 0.0 {
                 // Fall through: keep greedy-adding; β ordering still picks
                 // the best direction.
             } else {
@@ -126,6 +132,7 @@ pub fn progressive(
             }
         }
         let id = remaining.swap_remove(idx);
+        add_module(&mut hist, instance, id);
         selected.push(id);
     }
 
@@ -138,21 +145,96 @@ pub fn progressive(
     })
 }
 
-fn module_hts(instance: &ModularInstance, id: ModuleId) -> BTreeSet<HtId> {
-    instance
-        .module(id)
-        .tokens
-        .tokens()
-        .iter()
-        .map(|t| instance.universe.ht(*t))
-        .collect()
+fn add_module(hist: &mut DeltaHistogram, instance: &ModularInstance, id: ModuleId) {
+    for &t in instance.module(id).tokens.tokens() {
+        hist.add_token(&instance.universe, t);
+    }
+}
+
+/// The slack of the selection in `hist` plus `probe`, leaving `hist` as
+/// it was.
+fn slack_with(
+    hist: &mut DeltaHistogram,
+    instance: &ModularInstance,
+    probe: &[ModuleId],
+    req: &DiversityRequirement,
+) -> f64 {
+    for &id in probe {
+        add_module(hist, instance, id);
+    }
+    let slack = hist.slack(req);
+    for &id in probe {
+        for &t in instance.module(id).tokens.tokens() {
+            hist.remove_token(&instance.universe, t);
+        }
+    }
+    slack
+}
+
+/// The distinct HTs a module selection covers, as one flag per HT label.
+/// Counting a module's new HTs stamps each label it meets with the probe's
+/// number instead of collecting a set, so it allocates nothing. The
+/// coverage phase of Progressive and of the game shares it.
+pub(crate) struct Coverage {
+    covered: Vec<bool>,
+    /// `stamp[h]` — the last probe that counted label `h`.
+    stamp: Vec<usize>,
+    probe: usize,
+    count: usize,
+}
+
+impl Coverage {
+    /// No HT covered yet, over every label of `universe`.
+    pub(crate) fn new(universe: &TokenUniverse) -> Self {
+        let labels = universe
+            .tokens()
+            .map(|t| universe.ht(t).0 as usize + 1)
+            .max()
+            .unwrap_or(0);
+        Coverage {
+            covered: vec![false; labels],
+            stamp: vec![0; labels],
+            probe: 0,
+            count: 0,
+        }
+    }
+
+    /// `|H|` — the distinct HTs covered.
+    pub(crate) fn len(&self) -> usize {
+        self.count
+    }
+
+    /// `|H_i \ H|` — the distinct HTs of module `id` not yet covered.
+    pub(crate) fn new_hts(&mut self, instance: &ModularInstance, id: ModuleId) -> usize {
+        self.probe += 1;
+        let mut new = 0;
+        for &t in instance.module(id).tokens.tokens() {
+            let h = instance.universe.ht(t).0 as usize;
+            if !self.covered[h] && self.stamp[h] != self.probe {
+                self.stamp[h] = self.probe;
+                new += 1;
+            }
+        }
+        new
+    }
+
+    /// Add module `id`'s HTs to the covered set.
+    pub(crate) fn cover(&mut self, instance: &ModularInstance, id: ModuleId) {
+        for &t in instance.module(id).tokens.tokens() {
+            let h = instance.universe.ht(t).0 as usize;
+            if !self.covered[h] {
+                self.covered[h] = true;
+                self.count += 1;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::instance::{Module, ModuleKind};
-    use dams_diversity::{ring, DiversityRequirement, RsId, TokenUniverse};
+    use dams_diversity::{ring, HtId, RsId};
 
     /// Example 3 of §6.2, exactly the paper's instance: four super RSs,
     /// no fresh tokens. Paper token t_k is id k−1.

@@ -19,14 +19,13 @@ pub struct RatioParams {
 }
 
 impl RatioParams {
+    /// The parameters of `instance`, from its per-HT token counts.
     pub fn of(instance: &ModularInstance) -> Self {
-        let hist = dams_diversity::HtHistogram::from_hts(
-            (0..instance.universe.len() as u32).map(|t| instance.universe.ht(TokenId(t))),
-        );
+        let counts = instance.universe.ht_counts();
         RatioParams {
-            q_max: hist.q1(),
+            q_max: counts.iter().copied().max().unwrap_or(0),
             z_max: instance.z_max(),
-            q_min: hist.frequencies().last().copied().unwrap_or(0),
+            q_min: counts.iter().copied().filter(|&c| c > 0).min().unwrap_or(0),
         }
     }
 

@@ -33,9 +33,9 @@
 //! every otherwise eligible candidate of that batch, the related-set
 //! check only the candidates that take the broken ring's component.
 
-use crate::config::{dtrs_diverse_fast, satisfies_first_configuration};
+use crate::config::{dtrs_diverse_fast, satisfies_first_configuration, RingCounts};
 use dams_diversity::{
-    analyze, DiversityRequirement, HtHistogram, RingIndex, RingSet, TokenUniverse,
+    analyze, eliminates_any, DiversityRequirement, HtHistogram, RingIndex, RingSet, TokenUniverse,
 };
 
 /// The validator's verdict: either eligible or the first failed constraint.
@@ -71,7 +71,8 @@ pub fn validate_ring(
     universe: &TokenUniverse,
 ) -> Verdict {
     // Diversity of the ring itself (Definition 4, condition 1).
-    if !req.satisfied_by(&HtHistogram::from_ring(candidate, universe)) {
+    let counts = RingCounts::of(candidate, universe);
+    if !counts.satisfies(req) {
         return Verdict::DiversityViolated;
     }
     // First practical configuration. A related ring outside the candidate
@@ -84,24 +85,16 @@ pub fn validate_ring(
         return Verdict::ConfigurationViolated;
     }
     // Non-elimination on the candidate's component: the related rings
-    // plus the candidate. A ring without a candidate entry is fully
-    // resolved — the strongest form of elimination.
-    let mut component = RingIndex::from_rings(related.iter().map(|&rs| history.ring(rs).clone()));
-    component.push(candidate.clone());
-    let analysis = analyze(&component, &[]);
-    let eliminated = component.iter().any(|(rs, ring)| {
-        analysis
-            .candidates
-            .get(&rs)
-            .is_none_or(|cands| cands.len() != ring.len())
-    });
-    if eliminated {
+    // plus the candidate, read in place.
+    let mut component: Vec<&RingSet> = related.iter().map(|&rs| history.ring(rs)).collect();
+    component.push(candidate);
+    if eliminates_any(&component) {
         return Verdict::EliminationPossible;
     }
     // DTRS diversity of the new ring (Definition 4, condition 2) via
     // Theorem 6.1: the candidate becomes a super RS containing every
     // related ring.
-    if !dtrs_diverse_fast(candidate, universe, 1 + related.len(), req) {
+    if !counts.dtrs_diverse(1 + related.len(), req) {
         return Verdict::DtrsViolated;
     }
     // Immutability: each related ring's subset count grows by one. Every

@@ -10,18 +10,26 @@
 //! evaluation cache's accounting exported through `dams-obs`. The
 //! related-set validator `validate_ring` is swept the same way against its
 //! whole-batch reference on 64 laminar, index-resident batch histories.
+//! Three more 64-seed sweeps hold the selection layers that run on counts
+//! to what they replaced: Progressive against its former body, the
+//! Theorem 6.1 check against its DTRS token sets, and the matching core
+//! against `analyze` and the exact adversary.
 
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use dams_core::{
-    bfs, bfs_batch, bfs_reference, bfs_with, game_theoretic_from, game_theoretic_reference,
-    grant_budget, select_with_ladder_exec, validate_ring, validate_ring_reference, BatchSnapshot,
+    bfs, bfs_batch, bfs_reference, bfs_with, dtrs_diverse_fast, dtrs_token_sets_fast,
+    game_theoretic_from, game_theoretic_reference, grant_budget, progressive,
+    select_with_ladder_exec, validate_ring, validate_ring_reference, Algorithm, BatchSnapshot,
     BfsBudget, BlockDelta, CoreMetrics, DeltaRing, DiversityIndex, EvalCache, InitStrategy,
-    Instance, LadderExec, ModularInstance, Module, ModuleId, ModuleKind, SelectError,
-    SelectionPolicy, Tier, Verdict,
+    Instance, LadderExec, ModularInstance, Module, ModuleId, ModuleKind, SelectError, Selection,
+    SelectionPolicy, SelectionStats, Tier, Verdict,
 };
 use dams_diversity::{
-    Deadline, DiversityRequirement, HtId, RingIndex, RingSet, RsId, TokenId, TokenUniverse,
+    analyze, analyze_exact, eliminates_any, Deadline, DiversityRequirement, HtHistogram, HtId,
+    RingIndex, RingSet, RsId, TokenId, TokenUniverse,
 };
 use dams_obs::Registry;
 
@@ -553,5 +561,331 @@ fn related_set_validation_matches_the_reference_across_64_seeds() {
     assert!(
         short_claims > 0,
         "no cut-short claims reached ClaimsMissing"
+    );
+}
+
+/// Times [`progressive_reference`] reached its β ≤ 0 branch.
+static BETA_BRANCH: AtomicUsize = AtomicUsize::new(0);
+
+/// The Progressive body `dams_core::progressive` had before it ran on
+/// running counts, kept verbatim as the oracle of the sweep below, apart
+/// from the counter marking its β ≤ 0 branch: each probe clones the
+/// selection and rebuilds the union's `HtHistogram`.
+fn progressive_reference(
+    instance: &ModularInstance,
+    target: TokenId,
+    policy: SelectionPolicy,
+) -> Result<Selection, SelectError> {
+    if (target.0 as usize) >= instance.universe.len() {
+        return Err(SelectError::UnknownToken);
+    }
+    let req = policy.effective();
+    let mut stats = SelectionStats::default();
+
+    let x_tau = instance.module_of(target);
+    let mut selected: Vec<ModuleId> = vec![x_tau];
+    let mut remaining: Vec<ModuleId> = instance
+        .modules()
+        .iter()
+        .map(|m| m.id)
+        .filter(|&id| id != x_tau)
+        .collect();
+
+    let mut covered: BTreeSet<HtId> = module_hts(instance, x_tau);
+
+    // Phase 1: reach ℓ distinct HTs.
+    while covered.len() < req.l {
+        stats.iterations += 1;
+        let mut best: Option<(f64, usize)> = None; // (alpha, idx into remaining)
+        for (idx, &id) in remaining.iter().enumerate() {
+            let hts = module_hts(instance, id);
+            let new_hts = hts.difference(&covered).count();
+            if new_hts == 0 {
+                continue;
+            }
+            let need = req.l - covered.len();
+            let denom = need.min(new_hts) as f64;
+            let alpha = instance.module(id).len() as f64 / denom;
+            stats.candidates_examined += 1;
+            let better = match best {
+                None => true,
+                Some((b, bidx)) => {
+                    alpha < b
+                        || (alpha == b
+                            && instance.module(id).len() < instance.module(remaining[bidx]).len())
+                }
+            };
+            if better {
+                best = Some((alpha, idx));
+            }
+        }
+        let Some((_, idx)) = best else {
+            // No module adds a new HT: the batch lacks ℓ distinct HTs.
+            return Err(SelectError::Infeasible);
+        };
+        let id = remaining.swap_remove(idx);
+        covered.extend(module_hts(instance, id));
+        selected.push(id);
+    }
+
+    // Phase 2: satisfy the recursive (c, ℓ) condition.
+    loop {
+        stats.diversity_checks += 1;
+        let hist = instance.histogram_of(&selected);
+        let delta = req.slack(&hist);
+        if delta < 0.0 {
+            break;
+        }
+        stats.iterations += 1;
+        let mut best: Option<(f64, usize)> = None; // (beta, idx)
+        for (idx, &id) in remaining.iter().enumerate() {
+            let mut probe = selected.clone();
+            probe.push(id);
+            let delta_i = req.slack(&instance.histogram_of(&probe));
+            stats.diversity_checks += 1;
+            stats.candidates_examined += 1;
+            let beta = (delta - delta_i) / instance.module(id).len() as f64;
+            let better = match best {
+                None => true,
+                Some((b, bidx)) => {
+                    beta > b
+                        || (beta == b
+                            && instance.module(id).len() < instance.module(remaining[bidx]).len())
+                }
+            };
+            if better {
+                best = Some((beta, idx));
+            }
+        }
+        let Some((beta, idx)) = best else {
+            return Err(SelectError::Infeasible);
+        };
+        if beta <= 0.0 {
+            BETA_BRANCH.fetch_add(1, Ordering::Relaxed);
+            // No module reduces the slack: with every remaining module the
+            // condition cannot be met — adding them all is the only
+            // remaining option and it has non-positive gain per token. Try
+            // the full union once before declaring infeasibility.
+            let mut all = selected.clone();
+            all.extend(remaining.iter().copied());
+            stats.diversity_checks += 1;
+            if req.slack(&instance.histogram_of(&all)) < 0.0 {
+                // Fall through: keep greedy-adding; β ordering still picks
+                // the best direction.
+            } else {
+                return Err(SelectError::Infeasible);
+            }
+        }
+        let id = remaining.swap_remove(idx);
+        selected.push(id);
+    }
+
+    selected.sort_unstable();
+    Ok(Selection {
+        ring: instance.ring_of(&selected),
+        modules: selected,
+        algorithm: Algorithm::Progressive,
+        stats,
+    })
+}
+
+fn module_hts(instance: &ModularInstance, id: ModuleId) -> BTreeSet<HtId> {
+    instance
+        .module(id)
+        .tokens
+        .tokens()
+        .iter()
+        .map(|t| instance.universe.ht(*t))
+        .collect()
+}
+
+/// A batch view shaped like a spend workload's: `lambda` tokens minted one
+/// to four per HT, a few super RSs of about `ring` members each, and the
+/// other tokens fresh, in `decompose` order (super RSs first).
+fn batch_view(rng: &mut XorShift, lambda: usize, ring: usize) -> ModularInstance {
+    let mut hts: Vec<HtId> = Vec::with_capacity(lambda);
+    let mut ht = 0;
+    while hts.len() < lambda {
+        for _ in 0..1 + rng.below(4) {
+            if hts.len() < lambda {
+                hts.push(HtId(ht));
+            }
+        }
+        ht += 1;
+    }
+    let mut pool: Vec<u32> = (0..lambda as u32).collect();
+    let mut modules: Vec<Module> = Vec::new();
+    for rs in 0..rng.below((lambda / ring / 2 + 1) as u64) {
+        let size = (ring / 2 + rng.below(ring as u64) as usize).clamp(1, pool.len());
+        let tokens: Vec<TokenId> = (0..size)
+            .map(|_| TokenId(pool.swap_remove(rng.below(pool.len() as u64) as usize)))
+            .collect();
+        modules.push(Module {
+            id: ModuleId(modules.len()),
+            kind: ModuleKind::SuperRs(RsId(rs as u32)),
+            tokens: RingSet::new(tokens),
+        });
+    }
+    pool.sort_unstable();
+    for t in pool {
+        modules.push(Module {
+            id: ModuleId(modules.len()),
+            kind: ModuleKind::FreshToken,
+            tokens: RingSet::new([TokenId(t)]),
+        });
+    }
+    ModularInstance::from_modules(TokenUniverse::new(hts), modules)
+}
+
+#[test]
+fn progressive_matches_its_former_body_across_64_seeds() {
+    // Small random partitions, spend-long's shape (λ 64, (1, 2), 3-member
+    // rings) and spend-wide's (λ 256, (1, 16), 17-member rings), each
+    // under its own requirement and a random one that is sometimes
+    // infeasible, with and without the ℓ + 1 margin.
+    let before = BETA_BRANCH.load(Ordering::Relaxed);
+    let (mut answered, mut infeasible) = (0, 0);
+    for seed in 0..64u64 {
+        let mut rng = XorShift::new(seed ^ 0x9E0_6E55);
+        let shapes = [
+            (
+                random_modular(&mut rng).0,
+                DiversityRequirement::new(1.0, 2),
+            ),
+            (
+                batch_view(&mut rng, 64, 3),
+                DiversityRequirement::new(1.0, 2),
+            ),
+            (
+                batch_view(&mut rng, 256, 17),
+                DiversityRequirement::new(1.0, 16),
+            ),
+        ];
+        for (instance, own) in shapes {
+            let n = instance.universe.len() as u64;
+            let l = 1 + rng.below(instance.universe.distinct_hts().min(18) as u64 + 2) as usize;
+            let random = DiversityRequirement::new([0.2, 0.5, 1.0, 2.0][rng.below(4) as usize], l);
+            for req in [own, random] {
+                for policy in [SelectionPolicy::new(req), SelectionPolicy::with_margin(req)] {
+                    for target in [rng.below(n), n] {
+                        let target = TokenId(target as u32);
+                        let got = progressive(&instance, target, policy);
+                        let want = progressive_reference(&instance, target, policy);
+                        assert_eq!(got, want, "seed {seed} {policy:?} target {target:?}");
+                        match got {
+                            Ok(_) => answered += 1,
+                            Err(SelectError::Infeasible) => infeasible += 1,
+                            Err(_) => {}
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        answered > 0 && infeasible > 0,
+        "{answered} answered, {infeasible} infeasible"
+    );
+    assert!(
+        BETA_BRANCH.load(Ordering::Relaxed) > before,
+        "the sweep never reached the β ≤ 0 branch"
+    );
+}
+
+#[test]
+fn dtrs_check_on_counts_matches_the_token_sets_across_64_seeds() {
+    // `dtrs_diverse_fast` judges each DTRS from the ring's HT counts; the
+    // oracle builds every Theorem 6.1 token set ψ and its histogram.
+    let (mut passed, mut failed) = (0, 0);
+    for seed in 0..64u64 {
+        let mut rng = XorShift::new(seed ^ 0xD7_25);
+        let n_tokens = 12 + rng.below(29);
+        let n_hts = 2 + rng.below(5);
+        let universe = TokenUniverse::new(
+            (0..n_tokens)
+                .map(|_| HtId(rng.below(n_hts) as u32))
+                .collect(),
+        );
+        for _ in 0..16 {
+            let ring = RingSet::new(
+                (0..1 + rng.below(12))
+                    .map(|_| TokenId(rng.below(n_tokens) as u32))
+                    .collect::<Vec<_>>(),
+            );
+            let v = rng.below(ring.len() as u64 + 2) as usize;
+            let req = DiversityRequirement {
+                c: [0.2, 0.5, 1.0, 2.0, 3.0][rng.below(5) as usize],
+                l: rng.below(5) as usize,
+            };
+            let want = dtrs_token_sets_fast(&ring, &universe, v)
+                .iter()
+                .all(|(_, tokens)| req.satisfied_by(&HtHistogram::from_ring(tokens, &universe)));
+            let got = dtrs_diverse_fast(&ring, &universe, v, req);
+            assert_eq!(got, want, "seed {seed}: {ring:?} v={v} {req:?}");
+            if !dtrs_token_sets_fast(&ring, &universe, v).is_empty() {
+                if got {
+                    passed += 1;
+                } else {
+                    failed += 1;
+                }
+            }
+        }
+    }
+    assert!(passed > 0 && failed > 0, "{passed} passed, {failed} failed");
+}
+
+#[test]
+fn matching_core_matches_analyze_and_the_exact_adversary_across_64_seeds() {
+    // Small ring families, non-laminar in general, with duplicated rings
+    // and zero-mixin (one-token) rings; every other family spreads its
+    // token ids far apart. `eliminates_any` must give the verdict
+    // `validate_ring` used to read off `analyze`, and on families with a
+    // possible world `analyze` must equal the exact adversary.
+    let (mut eliminated, mut kept, mut impossible) = (0, 0, 0);
+    for seed in 0..64u64 {
+        let mut rng = XorShift::new(seed ^ 0x03A7_C4E5);
+        for family in 0..8 {
+            let n_tokens = 2 + rng.below(6) as u32;
+            let spread = if family % 2 == 0 { 1 } else { 1_000 };
+            let mut rings: Vec<RingSet> = Vec::new();
+            for _ in 0..1 + rng.below(6) {
+                let ring = match rng.below(4) {
+                    0 if !rings.is_empty() => rings[rng.below(rings.len() as u64) as usize].clone(),
+                    1 => RingSet::new([TokenId(rng.below(n_tokens as u64) as u32 * spread)]),
+                    _ => RingSet::new(
+                        (0..2 + rng.below(3))
+                            .map(|_| TokenId(rng.below(n_tokens as u64) as u32 * spread))
+                            .collect::<Vec<_>>(),
+                    ),
+                };
+                rings.push(ring);
+            }
+            let index = RingIndex::from_rings(rings.iter().cloned());
+            let narrowed = |candidates: &std::collections::BTreeMap<RsId, BTreeSet<TokenId>>| {
+                index
+                    .iter()
+                    .any(|(rs, ring)| candidates.get(&rs).is_none_or(|c| c.len() != ring.len()))
+            };
+            let fast = analyze(&index, &[]);
+            let exact = analyze_exact(&index, &[]);
+            let refs: Vec<&RingSet> = rings.iter().collect();
+            let got = eliminates_any(&refs);
+            assert_eq!(got, narrowed(&fast.candidates), "seed {seed}: {rings:?}");
+            assert_eq!(got, narrowed(&exact.candidates), "seed {seed}: {rings:?}");
+            if exact.contradictions.is_empty() {
+                assert_eq!(fast, exact, "seed {seed}: {rings:?}");
+            } else {
+                impossible += 1;
+            }
+            if got {
+                eliminated += 1;
+            } else {
+                kept += 1;
+            }
+        }
+    }
+    assert!(
+        eliminated > 0 && kept > 0 && impossible > 0,
+        "{eliminated} eliminated, {kept} kept, {impossible} without a world"
     );
 }

@@ -12,7 +12,7 @@
 use std::sync::OnceLock;
 
 use crate::prime::{is_safe_prime, mul_mod, next_safe_prime, FixedBaseWindow, Montgomery};
-use crate::sha256::{digest_to_u64, sha256_parts};
+use crate::sha256::{digest_to_u64, Sha256};
 
 /// A group element (a quadratic residue modulo `p`), kept opaque so that
 /// only group operations can produce one.
@@ -160,11 +160,15 @@ impl SchnorrGroup {
     pub fn hash_to_element(&self, parts: &[&[u8]]) -> Element {
         let mut counter: u64 = 0;
         loop {
-            let mut framed: Vec<&[u8]> = Vec::with_capacity(parts.len() + 1);
+            // `sha256_parts` over the counter and then `parts`, absorbed
+            // straight into one hasher.
+            let mut h = Sha256::new();
             let ctr_bytes = counter.to_le_bytes();
-            framed.push(&ctr_bytes);
-            framed.extend_from_slice(parts);
-            let r = digest_to_u64(&sha256_parts(&framed)) % self.p;
+            for part in std::iter::once(&ctr_bytes[..]).chain(parts.iter().copied()) {
+                h.update(&(part.len() as u64).to_le_bytes());
+                h.update(part);
+            }
+            let r = digest_to_u64(&h.finalize()) % self.p;
             if r > 1 {
                 let e = Element(mul_mod(r, r, self.p));
                 // Squaring 2..p-1 can still land on 1 when r = p - 1.

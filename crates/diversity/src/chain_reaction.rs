@@ -14,14 +14,24 @@
 //!   Mendelsohn), so this adversary is **exact at the per-edge level**
 //!   while avoiding the #P world enumeration. (Counting or correlating
 //!   worlds — e.g. joint DTRS structure — is what stays exponential.)
+//! * [`eliminates_any`] — `analyze`'s yes or no, with no side
+//!   information: does any ring lose a candidate? `validate_ring`
+//!   (dams-core) asks it of a candidate and its related rings, read in
+//!   place.
 //! * [`analyze_exact`] — the brute-force enumeration adversary, used by
 //!   tests to validate `analyze` on small instances.
+//!
+//! Both polynomial entry points share one core on flat vectors: tokens
+//! numbered densely by sorting, each ring's edges in one adjacency array,
+//! Kuhn's matching with one visited-stamp array, the alternating graph in
+//! compressed rows, and Tarjan's SCCs only when some edge is neither
+//! matched nor reached from a free token.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::combination::{enumerate_combinations, possible_consumed};
 use crate::related::RingIndex;
-use crate::types::{RsId, TokenId, TokenRsPair};
+use crate::types::{RingSet, RsId, TokenId, TokenRsPair};
 
 /// Result of a chain-reaction analysis.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -68,67 +78,26 @@ pub fn analyze(index: &RingIndex, side_info: &[TokenRsPair]) -> Analysis {
     // Apply side information: pinned rings take exactly their token; the
     // token disappears from every other ring. Invalid pins (token not in
     // ring) are ignored as noise.
-    let mut pinned: HashMap<usize, TokenId> = HashMap::new();
+    let mut pinned: Vec<Option<TokenId>> = vec![None; n_rings];
     for p in side_info {
         let slot = p.rs.0 as usize;
         if slot < n_rings && index.ring(p.rs).contains(p.token) {
-            pinned.insert(slot, p.token);
+            pinned[slot] = Some(p.token);
             out.proven.insert(*p);
         }
     }
-    let pinned_tokens: BTreeSet<TokenId> = pinned.values().copied().collect();
+    let rings: Vec<&RingSet> = index.iter().map(|(_, ring)| ring).collect();
+    let g = Matching::solve(&rings, &pinned);
 
-    // Dense token indexing over the tokens that appear in any ring.
-    let mut token_ids: Vec<TokenId> = Vec::new();
-    let mut token_pos: HashMap<TokenId, usize> = HashMap::new();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n_rings]; // ring -> tokens
-    for (rs, ring) in index.iter() {
-        let slot = rs.0 as usize;
-        if let Some(&t) = pinned.get(&slot) {
-            let pos = *token_pos.entry(t).or_insert_with(|| {
-                token_ids.push(t);
-                token_ids.len() - 1
-            });
-            adj[slot].push(pos);
-            continue;
-        }
-        for &t in ring.tokens() {
-            if pinned_tokens.contains(&t) {
-                continue;
-            }
-            let pos = *token_pos.entry(t).or_insert_with(|| {
-                token_ids.push(t);
-                token_ids.len() - 1
-            });
-            adj[slot].push(pos);
-        }
-    }
-    let n_tokens = token_ids.len();
-
-    // Maximum matching (Kuhn's algorithm), ring side to token side.
-    let mut match_of_ring: Vec<Option<usize>> = vec![None; n_rings];
-    let mut match_of_token: Vec<Option<usize>> = vec![None; n_tokens];
-    for r in 0..n_rings {
-        let mut visited = vec![false; n_tokens];
-        let _ = try_kuhn(
-            r,
-            &adj,
-            &mut visited,
-            &mut match_of_ring,
-            &mut match_of_token,
-        );
-    }
-
-    let saturated = match_of_ring.iter().all(Option::is_some);
-    if !saturated {
+    if !g.saturated() {
         // The observations are jointly impossible; report the unmatched
         // rings as contradictions and the rest conservatively (full rings).
         for (rs, ring) in index.iter() {
             let slot = rs.0 as usize;
-            if match_of_ring[slot].is_none() {
+            if g.match_of_ring[slot] == NONE {
                 out.contradictions.push(rs);
                 out.candidates.insert(rs, BTreeSet::new());
-            } else if let Some(&t) = pinned.get(&slot) {
+            } else if let Some(t) = pinned[slot] {
                 out.candidates.insert(rs, BTreeSet::from([t]));
             } else {
                 out.candidates
@@ -138,55 +107,14 @@ pub fn analyze(index: &RingIndex, side_info: &[TokenRsPair]) -> Analysis {
         return out;
     }
 
-    // Allowed-edge analysis. Orientation: token → ring for non-matching
-    // edges, ring → token for matching edges. A non-matching edge (r, t)
-    // is allowed iff r and t share an SCC (alternating cycle) or t is
-    // reachable from a free token (alternating path from a free token).
-    let total = n_rings + n_tokens; // rings 0.., tokens n_rings..
-    let mut darc: Vec<Vec<usize>> = vec![Vec::new(); total];
-    for (r, tokens) in adj.iter().enumerate() {
-        for &t in tokens {
-            if match_of_ring[r] == Some(t) {
-                darc[r].push(n_rings + t);
-            } else {
-                darc[n_rings + t].push(r);
-            }
-        }
-    }
-
-    // Multi-source reachability from free tokens.
-    let mut free_reach = vec![false; total];
-    let mut stack: Vec<usize> = (0..n_tokens)
-        .filter(|&t| match_of_token[t].is_none())
-        .map(|t| n_rings + t)
-        .collect();
-    for &s in &stack {
-        free_reach[s] = true;
-    }
-    while let Some(v) = stack.pop() {
-        for &w in &darc[v] {
-            if !free_reach[w] {
-                free_reach[w] = true;
-                stack.push(w);
-            }
-        }
-    }
-
-    let scc = tarjan_scc(&darc);
-
-    // Candidate sets: matched edge always allowed; non-matching edge (r,t)
-    // allowed iff same SCC or free-reachable token.
+    let a = g.allowed_edges();
     for (rs, _) in index.iter() {
         let slot = rs.0 as usize;
-        let mut cands: BTreeSet<TokenId> = BTreeSet::new();
-        for &t in &adj[slot] {
-            let allowed = match_of_ring[slot] == Some(t)
-                || scc[slot] == scc[n_rings + t]
-                || free_reach[n_rings + t];
-            if allowed {
-                cands.insert(token_ids[t]);
-            }
-        }
+        let cands: BTreeSet<TokenId> =
+            a.g.edges(slot)
+                .filter(|&t| a.allowed(slot, t))
+                .map(|t| a.g.tokens[t])
+                .collect();
         if cands.len() == 1 {
             if let Some(&t) = cands.iter().next() {
                 out.proven.insert(TokenRsPair::new(t, rs));
@@ -197,42 +125,217 @@ pub fn analyze(index: &RingIndex, side_info: &[TokenRsPair]) -> Analysis {
 
     // Consumed-somewhere: token covered by every ring-saturating matching
     // ⟺ matched and not reachable from a free token.
-    for t in 0..n_tokens {
-        if match_of_token[t].is_some() && !free_reach[n_rings + t] {
-            out.consumed_somewhere.insert(token_ids[t]);
+    for (t, &token) in a.g.tokens.iter().enumerate() {
+        if a.g.match_of_token[t] != NONE && !a.free_reach[n_rings + t] {
+            out.consumed_somewhere.insert(token);
         }
     }
-    out.consumed_somewhere.extend(pinned_tokens.iter().copied());
+    out.consumed_somewhere
+        .extend(pinned.iter().flatten().copied());
     out
 }
 
-fn try_kuhn(
-    r: usize,
-    adj: &[Vec<usize>],
-    visited: &mut [bool],
-    match_of_ring: &mut [Option<usize>],
-    match_of_token: &mut [Option<usize>],
-) -> bool {
-    for &t in &adj[r] {
-        if !visited[t] {
-            visited[t] = true;
-            let free = match match_of_token[t] {
-                None => true,
-                Some(other) => try_kuhn(other, adj, visited, match_of_ring, match_of_token),
-            };
-            if free {
-                match_of_ring[r] = Some(t);
-                match_of_token[t] = Some(r);
-                return true;
-            }
-        }
+/// Whether the adversary, with no side information, eliminates a token of
+/// any of `rings`: whether [`analyze`] over a [`RingIndex`] holding them
+/// in this order leaves some ring fewer candidates than members. It runs
+/// `analyze`'s matching and allowed-edge test without building its maps,
+/// for a validator that only needs the yes or no.
+pub fn eliminates_any(rings: &[&RingSet]) -> bool {
+    let g = Matching::solve(rings, &[]);
+    if !g.saturated() {
+        // An unmatched ring keeps no candidate; only an empty one keeps
+        // all of its (zero) members.
+        return rings
+            .iter()
+            .enumerate()
+            .any(|(r, ring)| g.match_of_ring[r] == NONE && !ring.is_empty());
     }
-    false
+    let a = g.allowed_edges();
+    (0..rings.len()).any(|r| a.g.edges(r).any(|t| !a.allowed(r, t)))
 }
 
-/// Iterative Tarjan SCC; returns the component id of every vertex.
-fn tarjan_scc(adj: &[Vec<usize>]) -> Vec<usize> {
-    let n = adj.len();
+/// No match, in [`Matching`]'s flat tables.
+const NONE: usize = usize::MAX;
+
+/// The ring/token incidence graph with one maximum matching, kept in flat
+/// vectors: tokens are numbered densely in ascending order, and ring `r`'s
+/// edges are `adj[start[r]..start[r + 1]]` in ring order.
+struct Matching {
+    /// Dense token number → token.
+    tokens: Vec<TokenId>,
+    start: Vec<usize>,
+    adj: Vec<usize>,
+    match_of_ring: Vec<usize>,
+    match_of_token: Vec<usize>,
+}
+
+/// A ring-saturating [`Matching`] with its allowed-edge tables. Vertices
+/// are rings `0..n` and tokens `n..`.
+struct AllowedEdges {
+    g: Matching,
+    /// Per vertex: reachable from a free token along alternating paths.
+    free_reach: Vec<bool>,
+    /// Per vertex: its strongly connected component (empty when no edge
+    /// needs it).
+    scc: Vec<usize>,
+}
+
+impl Matching {
+    /// Number the tokens and find a maximum matching (Kuhn's algorithm,
+    /// ring side to token side, rings in order). A pinned ring's only edge
+    /// is its pinned token, which leaves every other ring.
+    fn solve(rings: &[&RingSet], pinned: &[Option<TokenId>]) -> Self {
+        let mut pinned_tokens: Vec<TokenId> = pinned.iter().flatten().copied().collect();
+        pinned_tokens.sort_unstable();
+        let mut start = Vec::with_capacity(rings.len() + 1);
+        let mut members: Vec<TokenId> = Vec::new();
+        for (r, ring) in rings.iter().enumerate() {
+            start.push(members.len());
+            match pinned.get(r).copied().flatten() {
+                Some(t) => members.push(t),
+                None => members.extend(
+                    ring.tokens()
+                        .iter()
+                        .filter(|t| pinned_tokens.binary_search(t).is_err()),
+                ),
+            }
+        }
+        start.push(members.len());
+        let mut tokens = members.clone();
+        tokens.sort_unstable();
+        tokens.dedup();
+        let adj: Vec<usize> = members
+            .iter()
+            .map(|t| tokens.binary_search(t).expect("every member is numbered"))
+            .collect();
+
+        let mut g = Matching {
+            match_of_ring: vec![NONE; rings.len()],
+            match_of_token: vec![NONE; tokens.len()],
+            tokens,
+            start,
+            adj,
+        };
+        let mut visited = vec![NONE; g.tokens.len()];
+        for r in 0..rings.len() {
+            g.augment(r, r, &mut visited);
+        }
+        g
+    }
+
+    /// Ring `r`'s dense tokens.
+    fn edges(&self, r: usize) -> impl Iterator<Item = usize> + '_ {
+        self.adj[self.start[r]..self.start[r + 1]].iter().copied()
+    }
+
+    fn saturated(&self) -> bool {
+        self.match_of_ring.iter().all(|&t| t != NONE)
+    }
+
+    /// One Kuhn augmenting-path search from ring `r`; `visited[t] == round`
+    /// marks the tokens this round has tried.
+    fn augment(&mut self, r: usize, round: usize, visited: &mut [usize]) -> bool {
+        for k in self.start[r]..self.start[r + 1] {
+            let t = self.adj[k];
+            if visited[t] != round {
+                visited[t] = round;
+                let other = self.match_of_token[t];
+                if other == NONE || self.augment(other, round, visited) {
+                    self.match_of_ring[r] = t;
+                    self.match_of_token[t] = r;
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// The allowed-edge tables of a ring-saturating matching. Orientation:
+    /// token → ring for non-matching edges, ring → token for matching
+    /// edges. A non-matching edge (r, t) is allowed iff r and t share an
+    /// SCC (alternating cycle) or t is reachable from a free token
+    /// (alternating path from a free token).
+    fn allowed_edges(self) -> AllowedEdges {
+        let n_rings = self.match_of_ring.len();
+        let total = n_rings + self.tokens.len();
+        let arc = |r: usize, t: usize| {
+            if self.match_of_ring[r] == t {
+                (r, n_rings + t)
+            } else {
+                (n_rings + t, r)
+            }
+        };
+        // The directed graph in compressed rows: `out[first[v]..first[v + 1]]`.
+        let mut first = vec![0usize; total + 1];
+        for r in 0..n_rings {
+            for t in self.edges(r) {
+                first[arc(r, t).0 + 1] += 1;
+            }
+        }
+        for v in 0..total {
+            first[v + 1] += first[v];
+        }
+        let mut fill = first.clone();
+        let mut out = vec![0usize; self.adj.len()];
+        for r in 0..n_rings {
+            for t in self.edges(r) {
+                let (from, to) = arc(r, t);
+                out[fill[from]] = to;
+                fill[from] += 1;
+            }
+        }
+
+        // Multi-source reachability from free tokens.
+        let mut free_reach = vec![false; total];
+        let mut stack: Vec<usize> = (0..self.tokens.len())
+            .filter(|&t| self.match_of_token[t] == NONE)
+            .map(|t| n_rings + t)
+            .collect();
+        for &s in &stack {
+            free_reach[s] = true;
+        }
+        while let Some(v) = stack.pop() {
+            for &w in &out[first[v]..first[v + 1]] {
+                if !free_reach[w] {
+                    free_reach[w] = true;
+                    stack.push(w);
+                }
+            }
+        }
+
+        // The SCCs decide only the edges neither matched nor reached from
+        // a free token; skip them when there are none.
+        let undecided = (0..n_rings).any(|r| {
+            self.edges(r)
+                .any(|t| self.match_of_ring[r] != t && !free_reach[n_rings + t])
+        });
+        let scc = if undecided {
+            tarjan_scc(&first, &out)
+        } else {
+            Vec::new()
+        };
+        AllowedEdges {
+            g: self,
+            free_reach,
+            scc,
+        }
+    }
+}
+
+impl AllowedEdges {
+    /// Whether some ring-saturating matching assigns ring `r` its edge to
+    /// dense token `t`.
+    fn allowed(&self, r: usize, t: usize) -> bool {
+        let v = self.g.match_of_ring.len() + t;
+        self.g.match_of_ring[r] == t || self.free_reach[v] || self.scc[r] == self.scc[v]
+    }
+}
+
+/// Iterative Tarjan SCC over a graph in compressed rows (`v`'s successors
+/// are `out[first[v]..first[v + 1]]`); returns the component id of every
+/// vertex.
+fn tarjan_scc(first: &[usize], out: &[usize]) -> Vec<usize> {
+    let n = first.len() - 1;
     let mut index = vec![usize::MAX; n];
     let mut low = vec![0usize; n];
     let mut on_stack = vec![false; n];
@@ -240,14 +343,14 @@ fn tarjan_scc(adj: &[Vec<usize>]) -> Vec<usize> {
     let mut stack: Vec<usize> = Vec::new();
     let mut next_index = 0usize;
     let mut next_comp = 0usize;
-    // explicit DFS stack: (vertex, next child position)
+    // explicit DFS stack: (vertex, next successor position)
     let mut call: Vec<(usize, usize)> = Vec::new();
 
     for start in 0..n {
         if index[start] != usize::MAX {
             continue;
         }
-        call.push((start, 0));
+        call.push((start, first[start]));
         index[start] = next_index;
         low[start] = next_index;
         next_index += 1;
@@ -256,8 +359,8 @@ fn tarjan_scc(adj: &[Vec<usize>]) -> Vec<usize> {
 
         while let Some(frame) = call.last_mut() {
             let v = frame.0;
-            if frame.1 < adj[v].len() {
-                let w = adj[v][frame.1];
+            if frame.1 < first[v + 1] {
+                let w = out[frame.1];
                 frame.1 += 1;
                 if index[w] == usize::MAX {
                     index[w] = next_index;
@@ -265,7 +368,7 @@ fn tarjan_scc(adj: &[Vec<usize>]) -> Vec<usize> {
                     next_index += 1;
                     stack.push(w);
                     on_stack[w] = true;
-                    call.push((w, 0));
+                    call.push((w, first[w]));
                 } else if on_stack[w] {
                     low[v] = low[v].min(index[w]);
                 }

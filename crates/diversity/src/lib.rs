@@ -38,7 +38,7 @@ pub use attacks::{
     cascade_taint, graph_matching, guess_newest, run_attack, run_attack_observed, AttackConfig,
     AttackReport, CascadeOutcome, ChainTrace, MatchingOutcome, NewestOutcome, TimelinePoint,
 };
-pub use chain_reaction::{analyze, analyze_exact, Analysis};
+pub use chain_reaction::{analyze, analyze_exact, eliminates_any, Analysis};
 pub use combination::{
     enumerate_combinations, enumerate_with_limit, enumerate_worlds, Combination, WorldOptions,
     WorldsExpired,

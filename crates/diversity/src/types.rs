@@ -78,19 +78,20 @@ impl TokenUniverse {
 
     /// The number of distinct HTs in the universe.
     pub fn distinct_hts(&self) -> usize {
-        let mut seen: Vec<bool> = Vec::new();
-        let mut count = 0;
+        self.ht_counts().iter().filter(|&&c| c > 0).count()
+    }
+
+    /// Tokens per HT, indexed by `HtId` up to the largest one present.
+    pub fn ht_counts(&self) -> Vec<usize> {
+        let mut counts: Vec<usize> = Vec::new();
         for h in &self.ht_of {
             let idx = h.0 as usize;
-            if idx >= seen.len() {
-                seen.resize(idx + 1, false);
+            if idx >= counts.len() {
+                counts.resize(idx + 1, 0);
             }
-            if !seen[idx] {
-                seen[idx] = true;
-                count += 1;
-            }
+            counts[idx] += 1;
         }
-        count
+        counts
     }
 }
 

@@ -86,10 +86,6 @@ pub struct RecoveryReport {
     pub height: u64,
     /// Recovered tip hash.
     pub tip: [u8; 32],
-    /// Blocks this store served to peers through catch-up bundles. No
-    /// caller stamps it, so it reads 0; [`Store::blocks_served`] holds
-    /// the live count.
-    pub blocks_served_to_peers: u64,
 }
 
 impl RecoveryReport {
@@ -140,10 +136,6 @@ impl RecoveryReport {
                     self.immutability_violations
                 )
             }
-        ));
-        out.push_str(&format!(
-            "  served to peers: {} blocks\n",
-            self.blocks_served_to_peers
         ));
         out.push_str(&format!(
             "  recovered: height {}, tip {}\n  verdict: {}\n",

@@ -229,7 +229,7 @@ echo "== committed artifacts =="
 # gitignored, and perfbench measures wall time end to end.
 git diff --exit-code -- BENCH_overload.json BENCH_runtime.json DIFF_report.txt \
   BENCH_cluster.json BENCH_byzantine.json BYZ_report.txt \
-  BENCH_anonymity.json ANON_report.txt BENCH_soak.json
+  BENCH_anonymity.json ANON_report.txt BENCH_soak.json RECOVERY_report.txt
 echo "committed artifacts match their regeneration"
 
 echo "all checks passed"
