@@ -6,7 +6,7 @@
 //! * **Second configuration:** to guarantee all DTRSs satisfy `(c, ℓ)`, the
 //!   ring itself must satisfy `(c, ℓ+1)` (Theorem 6.4).
 
-use dams_diversity::{DiversityRequirement, HtId, RingIndex, RingSet, TokenUniverse};
+use dams_diversity::{DiversityRequirement, HtHistogram, HtId, RingIndex, RingSet, TokenUniverse};
 
 use crate::instance::{ModularInstance, ModuleId};
 
@@ -60,67 +60,40 @@ pub fn dtrs_token_sets_fast(
 }
 
 /// Verify, in polynomial time, that every DTRS of `ring` satisfies `req`
-/// (the first-configuration fast path replacing Algorithm 3). It judges
-/// the verdicts [`dtrs_token_sets_fast`] and
-/// [`HtHistogram`](dams_diversity::HtHistogram) give, on
-/// the ring's HT counts alone (see `RingCounts`).
+/// (the first-configuration fast path replacing Algorithm 3).
 pub fn dtrs_diverse_fast(
     ring: &RingSet,
     universe: &TokenUniverse,
     subset_count: usize,
     req: DiversityRequirement,
 ) -> bool {
-    RingCounts::of(ring, universe).dtrs_diverse(subset_count, req)
+    dtrs_diverse_on(&HtHistogram::from_ring(ring, universe), subset_count, req)
 }
 
-/// A ring's HT counts, sorted descending: the frequency vector
-/// `HtHistogram::from_ring` holds, counted by sorting the ring's HT
-/// labels instead of hashing them. A DTRS of Theorem 6.1 drops every
-/// token of one HT, so its histogram is this vector without that HT's
-/// entry, and each DTRS is judged without building its token set.
-pub(crate) struct RingCounts {
-    q: Vec<usize>,
-    len: usize,
-}
-
-impl RingCounts {
-    pub(crate) fn of(ring: &RingSet, universe: &TokenUniverse) -> Self {
-        let mut hts: Vec<HtId> = ring.tokens().iter().map(|t| universe.ht(*t)).collect();
-        hts.sort_unstable();
-        let mut q: Vec<usize> = hts.chunk_by(|a, b| a == b).map(<[HtId]>::len).collect();
-        q.sort_unstable_by(|a, b| b.cmp(a));
-        RingCounts { q, len: ring.len() }
-    }
-
-    /// Whether the ring itself satisfies `req` (Definition 4, condition 1).
-    pub(crate) fn satisfies(&self, req: DiversityRequirement) -> bool {
-        self.satisfies_without(None, req)
-    }
-
-    /// [`dtrs_diverse_fast`] on these counts.
-    pub(crate) fn dtrs_diverse(&self, subset_count: usize, req: DiversityRequirement) -> bool {
+/// [`dtrs_diverse_fast`] on the ring's histogram `hist`. A DTRS of
+/// Theorem 6.1 drops every token of one HT, so its histogram is `hist`
+/// without that HT's entry: each verdict reads `q_1` and the tail sum off
+/// the frequency vector instead of building `ψ` and its histogram as
+/// [`dtrs_token_sets_fast`] does.
+pub(crate) fn dtrs_diverse_on(
+    hist: &HtHistogram,
+    subset_count: usize,
+    req: DiversityRequirement,
+) -> bool {
+    let (q, len) = (hist.frequencies(), hist.total());
+    (0..q.len()).all(|j| {
         // v_{i*} >= |r_i| - |T̃_{i,j}| + 1 ⇔ a DTRS for the HT exists.
-        (0..self.q.len())
-            .all(|j| subset_count <= self.len - self.q[j] || self.satisfies_without(Some(j), req))
-    }
-
-    /// `req` on the counts without entry `skip`, through the `q_1` and
-    /// tail sum `HtHistogram` would give.
-    fn satisfies_without(&self, skip: Option<usize>, req: DiversityRequirement) -> bool {
-        let rest = || {
-            self.q
-                .iter()
-                .enumerate()
-                .filter(move |&(i, _)| Some(i) != skip)
-                .map(|(_, &c)| c)
-        };
-        let q1 = rest().next().unwrap_or(0);
-        let tail = match req.l {
-            0 => rest().sum(),
-            l => rest().skip(l - 1).sum(),
-        };
-        req.satisfied_by_parts(q1, tail)
-    }
+        if subset_count <= len - q[j] {
+            return true;
+        }
+        let rest = q
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != j)
+            .map(|(_, &c)| c);
+        let q1 = rest.clone().next().unwrap_or(0);
+        req.satisfied_by_parts(q1, rest.skip(req.l.saturating_sub(1)).sum())
+    })
 }
 
 /// How a candidate module selection is validated.
@@ -168,7 +141,7 @@ impl SelectionPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dams_diversity::{ring, HtHistogram};
+    use dams_diversity::ring;
 
     fn uni(hts: &[u32]) -> TokenUniverse {
         TokenUniverse::new(hts.iter().map(|&h| HtId(h)).collect())

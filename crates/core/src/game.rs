@@ -15,7 +15,7 @@ use dams_diversity::{DeltaHistogram, DiversityRequirement, HtId, TokenId};
 
 use crate::config::SelectionPolicy;
 use crate::instance::{ModularInstance, ModuleId};
-use crate::progressive::Coverage;
+use crate::progressive::{add_module, NewHts};
 use crate::selection::{Algorithm, SelectError, Selection, SelectionStats};
 
 /// Run the Game-theoretic Algorithm for `target` under `policy`.
@@ -129,20 +129,21 @@ pub fn game_theoretic_from(
         }
         InitStrategy::CoverageGreedy => {
             // Phase 1 (identical shape to Progressive's): γ_i = α_i.
-            let mut covered = Coverage::new(&instance.universe);
-            covered.cover(instance, x_tau);
-            while covered.len() < req.l {
+            let mut covered = DeltaHistogram::for_universe(&instance.universe);
+            add_module(&mut covered, instance, x_tau);
+            let mut novelty = NewHts::new(&instance.universe);
+            while covered.theta() < req.l {
                 stats.iterations += 1;
                 let mut best: Option<(f64, ModuleId)> = None;
                 for m in instance.modules() {
                     if selected[m.id.0] {
                         continue;
                     }
-                    let new_hts = covered.new_hts(instance, m.id);
+                    let new_hts = novelty.count(&covered, instance, m.id);
                     if new_hts == 0 {
                         continue;
                     }
-                    let need = req.l - covered.len();
+                    let need = req.l - covered.theta();
                     let gamma = m.len() as f64 / need.min(new_hts) as f64;
                     stats.candidates_examined += 1;
                     let better = match best {
@@ -159,7 +160,7 @@ pub fn game_theoretic_from(
                     return Err(SelectError::Infeasible);
                 };
                 selected[id.0] = true;
-                covered.cover(instance, id);
+                add_module(&mut covered, instance, id);
             }
         }
     }

@@ -12,13 +12,13 @@
 //!    `δ = q_1 − c·(q_ℓ + … + q_θ)` is the current slack (best slack
 //!    reduction per token).
 //!
-//! Both phases run on running counts over the instance's HT labels: the
-//! coverage phase keeps one flag per HT (`Coverage`), the diversity
-//! phase one [`DeltaHistogram`] of the selection that a probe adds one
-//! module to and removes it from again. An iteration therefore costs
-//! O(Σ module sizes) and no probe allocates; the slack comes from the
-//! same integers through [`DiversityRequirement::slack_parts`], so every
-//! choice, tie-break and counter is what rebuilding the union's
+//! Both phases run on one [`DeltaHistogram`] of the selection, the
+//! running HT counts. The coverage phase reads a module's new HTs off it
+//! (`NewHts`); the diversity phase adds a probed module's tokens and
+//! removes them again. An iteration therefore costs O(Σ module sizes)
+//! and no probe allocates; the slack comes from the same integers
+//! through [`DiversityRequirement::slack_parts`], so every choice,
+//! tie-break and counter is what rebuilding the union's
 //! [`dams_diversity::HtHistogram`] per probe gave.
 
 use dams_diversity::{DeltaHistogram, DiversityRequirement, TokenId, TokenUniverse};
@@ -48,19 +48,20 @@ pub fn progressive(
         .filter(|&id| id != x_tau)
         .collect();
 
-    let mut covered = Coverage::new(&instance.universe);
-    covered.cover(instance, x_tau);
+    let mut hist = DeltaHistogram::for_universe(&instance.universe);
+    add_module(&mut hist, instance, x_tau);
+    let mut novelty = NewHts::new(&instance.universe);
 
     // Phase 1: reach ℓ distinct HTs.
-    while covered.len() < req.l {
+    while hist.theta() < req.l {
         stats.iterations += 1;
         let mut best: Option<(f64, usize)> = None; // (alpha, idx into remaining)
         for (idx, &id) in remaining.iter().enumerate() {
-            let new_hts = covered.new_hts(instance, id);
+            let new_hts = novelty.count(&hist, instance, id);
             if new_hts == 0 {
                 continue;
             }
-            let need = req.l - covered.len();
+            let need = req.l - hist.theta();
             let denom = need.min(new_hts) as f64;
             let alpha = instance.module(id).len() as f64 / denom;
             stats.candidates_examined += 1;
@@ -81,15 +82,11 @@ pub fn progressive(
             return Err(SelectError::Infeasible);
         };
         let id = remaining.swap_remove(idx);
-        covered.cover(instance, id);
+        add_module(&mut hist, instance, id);
         selected.push(id);
     }
 
     // Phase 2: satisfy the recursive (c, ℓ) condition.
-    let mut hist = DeltaHistogram::for_universe(&instance.universe);
-    for &id in &selected {
-        add_module(&mut hist, instance, id);
-    }
     loop {
         stats.diversity_checks += 1;
         let delta = hist.slack(&req);
@@ -145,7 +142,7 @@ pub fn progressive(
     })
 }
 
-fn add_module(hist: &mut DeltaHistogram, instance: &ModularInstance, id: ModuleId) {
+pub(crate) fn add_module(hist: &mut DeltaHistogram, instance: &ModularInstance, id: ModuleId) {
     for &t in instance.module(id).tokens.tokens() {
         hist.add_token(&instance.universe, t);
     }
@@ -171,62 +168,42 @@ fn slack_with(
     slack
 }
 
-/// The distinct HTs a module selection covers, as one flag per HT label.
-/// Counting a module's new HTs stamps each label it meets with the probe's
-/// number instead of collecting a set, so it allocates nothing. The
-/// coverage phase of Progressive and of the game shares it.
-pub(crate) struct Coverage {
-    covered: Vec<bool>,
+/// Counts the distinct HTs a module would add to a selection's
+/// histogram. Each label it meets is stamped with the probe's number
+/// instead of being collected into a set, so a probe allocates nothing.
+/// The coverage phases of Progressive and of the game share it.
+pub(crate) struct NewHts {
     /// `stamp[h]` — the last probe that counted label `h`.
     stamp: Vec<usize>,
     probe: usize,
-    count: usize,
 }
 
-impl Coverage {
-    /// No HT covered yet, over every label of `universe`.
+impl NewHts {
+    /// Stamps for every HT label of `universe`.
     pub(crate) fn new(universe: &TokenUniverse) -> Self {
-        let labels = universe
-            .tokens()
-            .map(|t| universe.ht(t).0 as usize + 1)
-            .max()
-            .unwrap_or(0);
-        Coverage {
-            covered: vec![false; labels],
-            stamp: vec![0; labels],
+        NewHts {
+            stamp: vec![0; universe.labels()],
             probe: 0,
-            count: 0,
         }
     }
 
-    /// `|H|` — the distinct HTs covered.
-    pub(crate) fn len(&self) -> usize {
-        self.count
-    }
-
-    /// `|H_i \ H|` — the distinct HTs of module `id` not yet covered.
-    pub(crate) fn new_hts(&mut self, instance: &ModularInstance, id: ModuleId) -> usize {
+    /// `|H_i \ H|` — the distinct HTs of module `id` absent from `hist`.
+    pub(crate) fn count(
+        &mut self,
+        hist: &DeltaHistogram,
+        instance: &ModularInstance,
+        id: ModuleId,
+    ) -> usize {
         self.probe += 1;
         let mut new = 0;
         for &t in instance.module(id).tokens.tokens() {
-            let h = instance.universe.ht(t).0 as usize;
-            if !self.covered[h] && self.stamp[h] != self.probe {
-                self.stamp[h] = self.probe;
+            let h = instance.universe.ht(t);
+            if hist.count(h) == 0 && self.stamp[h.0 as usize] != self.probe {
+                self.stamp[h.0 as usize] = self.probe;
                 new += 1;
             }
         }
         new
-    }
-
-    /// Add module `id`'s HTs to the covered set.
-    pub(crate) fn cover(&mut self, instance: &ModularInstance, id: ModuleId) {
-        for &t in instance.module(id).tokens.tokens() {
-            let h = instance.universe.ht(t).0 as usize;
-            if !self.covered[h] {
-                self.covered[h] = true;
-                self.count += 1;
-            }
-        }
     }
 }
 

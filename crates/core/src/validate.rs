@@ -33,7 +33,7 @@
 //! every otherwise eligible candidate of that batch, the related-set
 //! check only the candidates that take the broken ring's component.
 
-use crate::config::{dtrs_diverse_fast, satisfies_first_configuration, RingCounts};
+use crate::config::{dtrs_diverse_fast, dtrs_diverse_on, satisfies_first_configuration};
 use dams_diversity::{
     analyze, eliminates_any, DiversityRequirement, HtHistogram, RingIndex, RingSet, TokenUniverse,
 };
@@ -71,8 +71,8 @@ pub fn validate_ring(
     universe: &TokenUniverse,
 ) -> Verdict {
     // Diversity of the ring itself (Definition 4, condition 1).
-    let counts = RingCounts::of(candidate, universe);
-    if !counts.satisfies(req) {
+    let hist = HtHistogram::from_ring(candidate, universe);
+    if !req.satisfied_by(&hist) {
         return Verdict::DiversityViolated;
     }
     // First practical configuration. A related ring outside the candidate
@@ -94,7 +94,7 @@ pub fn validate_ring(
     // DTRS diversity of the new ring (Definition 4, condition 2) via
     // Theorem 6.1: the candidate becomes a super RS containing every
     // related ring.
-    if !counts.dtrs_diverse(1 + related.len(), req) {
+    if !dtrs_diverse_on(&hist, 1 + related.len(), req) {
         return Verdict::DtrsViolated;
     }
     // Immutability: each related ring's subset count grows by one. Every

@@ -99,13 +99,26 @@ fn random_instance(rng: &mut XorShift) -> (Instance, DiversityRequirement, Token
 /// A small random *modular* instance: tokens partitioned into 2–4 modules.
 fn random_modular(rng: &mut XorShift) -> (ModularInstance, TokenId) {
     let n_tokens = 4 + rng.below(7) as usize;
-    let n_hts = 2 + rng.below(3) as usize;
+    let n_hts = 2 + rng.below(3);
+    let instance = random_partition(rng, n_tokens, n_hts, (2, 3));
+    let target = TokenId(rng.below(n_tokens as u64) as u32);
+    (instance, target)
+}
+
+/// `n_tokens` tokens with random HTs among `n_hts`, dealt at random into
+/// `modules.0` to `modules.0 + modules.1 - 1` modules (empty ones dropped).
+fn random_partition(
+    rng: &mut XorShift,
+    n_tokens: usize,
+    n_hts: u64,
+    modules: (u64, u64),
+) -> ModularInstance {
     let hts: Vec<HtId> = (0..n_tokens)
-        .map(|_| HtId(rng.below(n_hts as u64) as u32))
+        .map(|_| HtId(rng.below(n_hts) as u32))
         .collect();
     let universe = TokenUniverse::new(hts);
 
-    let n_modules = 2 + rng.below(3) as usize;
+    let n_modules = (modules.0 + rng.below(modules.1)) as usize;
     let mut members: Vec<Vec<TokenId>> = vec![Vec::new(); n_modules];
     for t in 0..n_tokens {
         members[rng.below(n_modules as u64) as usize].push(TokenId(t as u32));
@@ -124,8 +137,7 @@ fn random_modular(rng: &mut XorShift) -> (ModularInstance, TokenId) {
             tokens: RingSet::new(tokens),
         })
         .collect();
-    let target = TokenId(rng.below(n_tokens as u64) as u32);
-    (ModularInstance::from_modules(universe, modules), target)
+    ModularInstance::from_modules(universe, modules)
 }
 
 #[test]
@@ -739,18 +751,25 @@ fn batch_view(rng: &mut XorShift, lambda: usize, ring: usize) -> ModularInstance
 
 #[test]
 fn progressive_matches_its_former_body_across_64_seeds() {
-    // Small random partitions, spend-long's shape (λ 64, (1, 2), 3-member
-    // rings) and spend-wide's (λ 256, (1, 16), 17-member rings), each
-    // under its own requirement and a random one that is sometimes
-    // infeasible, with and without the ℓ + 1 margin.
+    // Small random partitions, mid-size modules that repeat HTs (so the
+    // coverage phase must count a module's new HTs once), spend-long's
+    // shape (λ 64, (1, 2), 3-member rings) and spend-wide's (λ 256,
+    // (1, 16), 17-member rings), each under its own requirement and a
+    // random one that is sometimes infeasible, with and without the ℓ + 1
+    // margin.
     let before = BETA_BRANCH.load(Ordering::Relaxed);
     let (mut answered, mut infeasible) = (0, 0);
     for seed in 0..64u64 {
         let mut rng = XorShift::new(seed ^ 0x9E0_6E55);
+        let (n_tokens, n_hts) = (12 + rng.below(29) as usize, 4 + rng.below(9));
         let shapes = [
             (
                 random_modular(&mut rng).0,
                 DiversityRequirement::new(1.0, 2),
+            ),
+            (
+                random_partition(&mut rng, n_tokens, n_hts, (3, 6)),
+                DiversityRequirement::new(1.0, 4),
             ),
             (
                 batch_view(&mut rng, 64, 3),

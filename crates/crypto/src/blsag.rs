@@ -32,7 +32,7 @@ use rand::Rng;
 
 use crate::group::{Element, Scalar, SchnorrGroup};
 use crate::keys::{hash_point, KeyImage, KeyPair, PublicKey};
-use crate::sha256::{digest_to_u64, Sha256};
+use crate::sha256::{absorb, digest_to_u64, Sha256};
 
 /// A linkable ring signature: the challenge seed `c_0`, one response per
 /// ring member, and the signer's key image.
@@ -62,12 +62,6 @@ impl std::fmt::Display for SignError {
 }
 
 impl std::error::Error for SignError {}
-
-/// Absorb one length-framed part, as [`crate::sha256::sha256_parts`] does.
-fn absorb(h: &mut Sha256, part: &[u8]) {
-    h.update(&(part.len() as u64).to_le_bytes());
-    h.update(part);
-}
 
 /// The transcript prefix `(m, ring)`, absorbed once per signature.
 fn transcript(message: &[u8], ring: &[PublicKey]) -> Sha256 {

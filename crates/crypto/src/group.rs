@@ -12,7 +12,7 @@
 use std::sync::OnceLock;
 
 use crate::prime::{is_safe_prime, mul_mod, next_safe_prime, FixedBaseWindow, Montgomery};
-use crate::sha256::{digest_to_u64, Sha256};
+use crate::sha256::{absorb, digest_to_u64, Sha256};
 
 /// A group element (a quadratic residue modulo `p`), kept opaque so that
 /// only group operations can produce one.
@@ -160,13 +160,11 @@ impl SchnorrGroup {
     pub fn hash_to_element(&self, parts: &[&[u8]]) -> Element {
         let mut counter: u64 = 0;
         loop {
-            // `sha256_parts` over the counter and then `parts`, absorbed
-            // straight into one hasher.
+            // `sha256_parts` over the counter and then `parts`.
             let mut h = Sha256::new();
-            let ctr_bytes = counter.to_le_bytes();
-            for part in std::iter::once(&ctr_bytes[..]).chain(parts.iter().copied()) {
-                h.update(&(part.len() as u64).to_le_bytes());
-                h.update(part);
+            absorb(&mut h, &counter.to_le_bytes());
+            for part in parts {
+                absorb(&mut h, part);
             }
             let r = digest_to_u64(&h.finalize()) % self.p;
             if r > 1 {

@@ -180,10 +180,17 @@ pub fn sha256(data: &[u8]) -> Digest {
 pub fn sha256_parts(parts: &[&[u8]]) -> Digest {
     let mut h = Sha256::new();
     for p in parts {
-        h.update(&(p.len() as u64).to_le_bytes());
-        h.update(p);
+        absorb(&mut h, p);
     }
     h.finalize()
+}
+
+/// Absorb one part with [`sha256_parts`]'s framing: its little-endian
+/// `u64` length, then its bytes. Callers that hash a transcript piece by
+/// piece use it to produce `sha256_parts`'s digest without a parts list.
+pub(crate) fn absorb(h: &mut Sha256, part: &[u8]) {
+    h.update(&(part.len() as u64).to_le_bytes());
+    h.update(part);
 }
 
 /// Interpret the first 8 bytes of a digest as a little-endian `u64`.

@@ -23,9 +23,8 @@
 //!
 //! Both polynomial entry points share one core on flat vectors: tokens
 //! numbered densely by sorting, each ring's edges in one adjacency array,
-//! Kuhn's matching with one visited-stamp array, the alternating graph in
-//! compressed rows, and Tarjan's SCCs only when some edge is neither
-//! matched nor reached from a free token.
+//! Kuhn's matching with one visited-stamp array, and the alternating graph
+//! in compressed rows for the free-token reachability and Tarjan's SCCs.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -175,8 +174,7 @@ struct AllowedEdges {
     g: Matching,
     /// Per vertex: reachable from a free token along alternating paths.
     free_reach: Vec<bool>,
-    /// Per vertex: its strongly connected component (empty when no edge
-    /// needs it).
+    /// Per vertex: its strongly connected component.
     scc: Vec<usize>,
 }
 
@@ -303,21 +301,10 @@ impl Matching {
             }
         }
 
-        // The SCCs decide only the edges neither matched nor reached from
-        // a free token; skip them when there are none.
-        let undecided = (0..n_rings).any(|r| {
-            self.edges(r)
-                .any(|t| self.match_of_ring[r] != t && !free_reach[n_rings + t])
-        });
-        let scc = if undecided {
-            tarjan_scc(&first, &out)
-        } else {
-            Vec::new()
-        };
         AllowedEdges {
+            scc: tarjan_scc(&first, &out),
             g: self,
             free_reach,
-            scc,
         }
     }
 }

@@ -110,12 +110,8 @@ pub struct DeltaHistogram {
 impl DeltaHistogram {
     /// An empty histogram able to count every HT appearing in `universe`.
     pub fn for_universe(universe: &TokenUniverse) -> Self {
-        let max_ht = (0..universe.len())
-            .map(|t| universe.ht(TokenId(t as u32)).0 as usize)
-            .max()
-            .map_or(0, |m| m + 1);
         DeltaHistogram {
-            counts: vec![0; max_ht],
+            counts: vec![0; universe.labels()],
             occupancy: vec![0; 2],
             max_count: 0,
             total: 0,
@@ -179,6 +175,11 @@ impl DeltaHistogram {
     /// Remove the HT of `token`.
     pub fn remove_token(&mut self, universe: &TokenUniverse, token: TokenId) {
         self.remove_ht(universe.ht(token));
+    }
+
+    /// Occurrences of `h` in the multiset.
+    pub fn count(&self, h: HtId) -> usize {
+        self.counts.get(h.0 as usize).copied().unwrap_or(0)
     }
 
     /// `q_1` — count of the most frequent HT (0 for an empty set).

@@ -81,15 +81,21 @@ impl TokenUniverse {
         self.ht_counts().iter().filter(|&&c| c > 0).count()
     }
 
+    /// One more than the largest `HtId` present (0 when empty): the
+    /// length of a table indexed by HT label.
+    pub fn labels(&self) -> usize {
+        self.ht_of
+            .iter()
+            .map(|h| h.0 as usize + 1)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Tokens per HT, indexed by `HtId` up to the largest one present.
     pub fn ht_counts(&self) -> Vec<usize> {
-        let mut counts: Vec<usize> = Vec::new();
+        let mut counts = vec![0; self.labels()];
         for h in &self.ht_of {
-            let idx = h.0 as usize;
-            if idx >= counts.len() {
-                counts.resize(idx + 1, 0);
-            }
-            counts[idx] += 1;
+            counts[h.0 as usize] += 1;
         }
         counts
     }
@@ -270,5 +276,10 @@ mod tests {
         assert_eq!(u.ht(TokenId(2)), HtId(0));
         assert_eq!(u.distinct_hts(), 3);
         assert_eq!(u.tokens().count(), 4);
+        let sparse = TokenUniverse::new(vec![HtId(5), HtId(1), HtId(5)]);
+        assert_eq!(sparse.labels(), 6);
+        assert_eq!(sparse.ht_counts(), vec![0, 1, 0, 0, 0, 2]);
+        assert_eq!(sparse.distinct_hts(), 2);
+        assert_eq!(TokenUniverse::new(Vec::new()).labels(), 0);
     }
 }
